@@ -1,0 +1,177 @@
+"""Time the aps cylinder kernels, the aps checks and `lab verify --suite aps`.
+
+    python bench/kernels.py --label after --out BENCH.json [--src DIR] [--repeats 5]
+
+DIR is the root of the looplab checkout to measure (default: the one holding
+this file), so that two checkouts can be timed with the same script.  Every
+timing is taken with time.perf_counter over --repeats runs after one warm-up
+call and reported as the median and the interquartile range (IQR), with the
+samples.  Three groups are timed:
+
+* kernels: kernel_p_values, kernel_q_values and the harness's L^2_1 norm
+  _l21_batch at the aps shapes (nodes x modes x batch);
+* guards: each check group of `run_suite(Config(seed=2026), "aps")`, the
+  time of its run.guard call;
+* verify_aps: `lab verify --suite aps --config configs/verify_defaults.json`
+  in a fresh process, with its peak RSS.
+
+The result is stored under --label in the --out JSON file, beside the labels
+already there, with the core count, numpy version and CPU model.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+# (nodes, modes, batch): aps.right_inverse at eps >= 1 and eps <= 0.1, and
+# aps.uniformity at eps = 1
+APS_SHAPES = ((12001, 65, 10), (2049, 65, 10), (321, 65, 1065))
+
+
+def summary(samples: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {"median": median, "iqr": q3 - q1, "samples": samples}
+
+
+def timed(fn, repeats: int) -> dict:
+    fn()
+    samples = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        samples.append(time.perf_counter() - start)
+    return summary(samples)
+
+
+def time_kernels(repeats: int) -> dict:
+    import numpy as np
+
+    from looplab import harness
+    from looplab.cylinder import kernel_p_values, kernel_q_values
+    from looplab.loops import lambda_of_modes, mode_numbers
+
+    out = {}
+    for nodes, modes, batch in APS_SHAPES:
+        N = (modes - 1) // 2
+        lam = lambda_of_modes(N).astype(float)
+        h = 1.0 / (nodes - 1)
+        times = np.linspace(0.0, 1.0, nodes)
+        rng = np.random.default_rng(2026)
+        field = rng.standard_normal((nodes, modes, batch)) + 1j * rng.standard_normal(
+            (nodes, modes, batch)
+        )
+        coeffs = field[0]
+        plus = np.where((mode_numbers(N) <= 0)[:, None], coeffs, 0.0)
+        minus = np.where((mode_numbers(N) > 0)[:, None], coeffs, 0.0)
+        shape = f"{nodes}x{modes}x{batch}"
+        out[f"kernel_p_values[{shape}]"] = timed(lambda: kernel_p_values(field, lam, h), repeats)
+        out[f"kernel_q_values[{shape}]"] = timed(
+            lambda: kernel_q_values(plus, minus, lam, times, 1.0), repeats
+        )
+        out[f"_l21_batch[{shape}]"] = timed(lambda: harness._l21_batch(field, h, N), repeats)
+        del field
+    return out
+
+
+def time_guards(repeats: int) -> dict:
+    from looplab import harness
+
+    samples: dict[str, list[float]] = {}
+    guard = harness._Runner.guard
+
+    def timed_guard(runner, name, anchor, fn):
+        start = time.perf_counter()
+        guard(runner, name, anchor, fn)
+        samples.setdefault(name, []).append(time.perf_counter() - start)
+
+    harness._Runner.guard = timed_guard
+    try:
+        for _ in range(repeats + 1):
+            harness.run_suite(harness.Config(seed=2026), "aps", write=False)
+    finally:
+        harness._Runner.guard = guard
+    # the first suite run is the warm-up
+    return {name: summary(values[1:]) for name, values in samples.items()}
+
+
+def time_verify_aps(root: Path, repeats: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    walls, rss = [], []
+    with tempfile.TemporaryDirectory() as out_dir:
+        argv = [
+            sys.executable, "-m", "looplab.cli", "verify", "--suite", "aps",
+            "--config", str(root / "configs" / "verify_defaults.json"), "--out", out_dir,
+        ]
+        for _ in range(repeats):
+            start = time.perf_counter()
+            proc = subprocess.Popen(argv, cwd=root, env=env, stdout=subprocess.DEVNULL)
+            _, status, usage = os.wait4(proc.pid, 0)
+            walls.append(time.perf_counter() - start)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            if proc.returncode != 0:
+                raise SystemExit(f"lab verify --suite aps exited with {proc.returncode}")
+            rss.append(usage.ru_maxrss / 1024)
+    return {"wall_s": summary(walls), "peak_rss_mb": summary(rss)}
+
+
+def environment() -> dict:
+    import numpy as np
+
+    model = platform.processor()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as f:
+            model = next(
+                line.split(":", 1)[1].strip() for line in f if line.startswith("model name")
+            )
+    except (OSError, StopIteration):
+        pass
+    return {
+        "cores": len(os.sched_getaffinity(0)),
+        "cpu": model,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="key of this run in the --out file")
+    parser.add_argument("--out", required=True, type=Path, help="JSON file to add the run to")
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent,
+                        help="root of the looplab checkout to measure")
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args(argv)
+    if args.repeats < 2:
+        parser.error("--repeats must be at least 2")
+    root = args.src.resolve()
+    sys.path.insert(0, str(root / "src"))
+
+    result = {
+        "env": environment(),
+        "repeats": args.repeats,
+        "kernels_s": time_kernels(args.repeats),
+        "guards_s": time_guards(args.repeats),
+        "verify_aps": time_verify_aps(root, args.repeats),
+    }
+    data = json.loads(args.out.read_text()) if args.out.exists() else {}
+    data[args.label] = result
+    args.out.write_text(json.dumps(data, indent=2) + "\n")
+    for group in ("kernels_s", "guards_s"):
+        for name, stats in result[group].items():
+            print(f"{name:40s} median {stats['median']:8.3f} s  IQR {stats['iqr']:.3f} s")
+    for name, stats in result["verify_aps"].items():
+        print(f"verify_aps {name:29s} median {stats['median']:8.1f}  IQR {stats['iqr']:.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

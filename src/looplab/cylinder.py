@@ -250,14 +250,47 @@ def combine(bd: BoundaryData) -> Loop:
 
 # -- shared finite-difference / quadrature helpers -------------------------------
 
+# Bytes of one time block.  The aps kernels and norms stream their fields
+# through blocks of whole time rows that fit in a core's L2 cache, and work in
+# per-block scratch buffers: fresh block-sized temporaries cost more in page
+# faults than the arithmetic on them
+BLOCK_BYTES = 1 << 20
+
+
+def block_rows(n_rows: int, row_nbytes: int) -> int:
+    """Rows per time block: the whole rows that fit in BLOCK_BYTES, at least one
+    and at most n_rows."""
+    return max(1, min(n_rows, BLOCK_BYTES // max(1, row_nbytes)))
+
+
+def time_blocks(n_rows: int, rows: int):
+    """(start, stop) of consecutive blocks of `rows` rows covering range(n_rows)."""
+    for start in range(0, n_rows, rows):
+        yield start, min(start + rows, n_rows)
+
+
+def dt_derivative_rows(
+    values: np.ndarray, h: float, start: int, stop: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Rows start:stop of dt_derivative(values, h), read with a one-row halo."""
+    n = len(values)
+    if out is None:
+        out = np.empty((stop - start,) + values.shape[1:], values.dtype)
+    lo, hi = max(start, 1), min(stop, n - 1)
+    if lo < hi:
+        inner = out[lo - start : hi - start]
+        np.subtract(values[lo + 1 : hi + 1], values[lo - 1 : hi - 1], out=inner)
+        np.divide(inner, 2.0 * h, out=inner)
+    if start == 0:
+        out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
+    if stop == n:
+        out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
+    return out
+
 
 def dt_derivative(values: np.ndarray, h: float) -> np.ndarray:
     """Second-order time derivative at nodes: centered inside, one-sided at ends."""
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
-    return out
+    return dt_derivative_rows(values, h, 0, len(values))
 
 
 def time_trapezoid(node_values: np.ndarray, h: float) -> np.ndarray:
@@ -268,6 +301,14 @@ def time_trapezoid(node_values: np.ndarray, h: float) -> np.ndarray:
 # -- low-level kernels (arrays in, arrays out; trailing axes broadcast) ----------
 
 
+def _sector_split(lam: np.ndarray) -> int:
+    """Number of leading lambda >= 0 modes; the lambda < 0 modes must follow."""
+    n_fwd = int(np.count_nonzero(lam >= 0))
+    if not (np.all(lam[:n_fwd] >= 0) and np.all(lam[n_fwd:] < 0)):
+        raise ValueError("lam must list the lambda >= 0 sector first, as lambda_of_modes does")
+    return n_fwd
+
+
 def kernel_q_values(
     plus_coeffs: np.ndarray,
     minus_coeffs: np.ndarray,
@@ -275,18 +316,29 @@ def kernel_q_values(
     times: np.ndarray,
     eps: float,
 ) -> np.ndarray:
-    """Node values of Q applied to spectral data blocks of shape (modes, ...)."""
+    """Node values of Q applied to spectral data blocks of shape (modes, ...).
+
+    Each sector multiplies only its own coefficients by its exponential; the
+    other sector's coefficients enter through their product with a zero factor,
+    which is the same at every node and fixes the sign of zero outputs.
+    """
+    n_fwd = _sector_split(lam)
+    fwd, bwd = slice(None, n_fwd), slice(n_fwd, None)
     tt = times[:, None]
-    lam_row = lam[None, :]
-    # exponents are clipped at 0: they are <= 0 on each branch's own sector,
-    # and the clip only silences the discarded opposite branch
-    plus_factor = np.where(lam_row >= 0, -np.exp(np.minimum(-lam_row * tt, 0.0)), 0.0)
-    minus_factor = np.where(lam_row < 0, np.exp(np.minimum((eps - tt) * lam_row, 0.0)), 0.0)
-    extra = plus_coeffs.ndim - 1
-    shape = (len(times), len(lam)) + (1,) * extra
-    return plus_factor.reshape(shape) * plus_coeffs[None] + minus_factor.reshape(
-        shape
-    ) * minus_coeffs[None]
+    trailing = np.broadcast_shapes(plus_coeffs.shape, minus_coeffs.shape)
+    out = np.empty(
+        (len(times),) + trailing, np.result_type(plus_coeffs, minus_coeffs, float)
+    )
+    expand = (slice(None), slice(None)) + (None,) * (len(trailing) - 1)
+    # the exponents are <= 0 for times in [0, eps]; outside it the clip caps them at 0
+    plus_factor = -np.exp(np.minimum(-lam[None, fwd] * tt, 0.0))
+    minus_factor = np.exp(np.minimum((eps - tt) * lam[None, bwd], 0.0))
+    out_f, out_b = out[:, fwd], out[:, bwd]
+    np.multiply(plus_factor[expand], plus_coeffs[None, fwd], out=out_f)
+    out_f += 0.0 * minus_coeffs[None, fwd]
+    np.multiply(minus_factor[expand], minus_coeffs[None, bwd], out=out_b)
+    out_b += 0.0 * plus_coeffs[None, bwd]
+    return out
 
 
 def kernel_p_values(g_values: np.ndarray, lam: np.ndarray, h: float) -> np.ndarray:
@@ -294,40 +346,63 @@ def kernel_p_values(g_values: np.ndarray, lam: np.ndarray, h: float) -> np.ndarr
 
     lambda >= 0 modes integrate forward from t = 0, lambda < 0 modes backward
     from the far end; the quadrature is exact for piecewise-linear g, which
-    keeps the accuracy uniform in lambda * h.
+    keeps the accuracy uniform in lambda * h.  Each sweep runs in place over its
+    own sector, with its forcing products formed one time block at a time.
     """
-    n_nodes = g_values.shape[0]
-    fwd = lam >= 0
-    bwd = ~fwd
-
-    out = np.zeros_like(g_values)
-    extra = g_values.ndim - 2
-    reshape = (len(lam),) + (1,) * extra
-
+    n_fwd = _sector_split(lam)
+    out = np.empty_like(g_values)
+    n_steps = g_values.shape[0] - 1
+    rows = block_rows(n_steps, g_values[0].nbytes)
+    blocks = list(time_blocks(n_steps, rows))
+    reshape = (len(lam),) + (1,) * (g_values.ndim - 2)
     w_f = (-lam * h).reshape(reshape)
-    decay_f = np.exp(w_f)
-    a_f = h * (phi1(w_f) - phi2(w_f))
-    b_f = h * phi2(w_f)
-    mask_f = fwd.reshape(reshape)
-
     v_b = (lam * h).reshape(reshape)
-    decay_b = np.exp(v_b)
-    a_b = h * phi2(v_b)
-    b_b = h * (phi1(v_b) - phi2(v_b))
-    mask_b = bwd.reshape(reshape)
+    # a step is three in-place ufunc calls on one row; local names and
+    # positional outputs keep the per-call overhead down on short rows
+    multiply, add, subtract = np.multiply, np.add, np.subtract
 
-    for j in range(n_nodes - 1):
-        out[j + 1] = np.where(
-            mask_f,
-            decay_f * out[j] + a_f * g_values[j] + b_f * g_values[j + 1],
-            out[j + 1],
-        )
-    for j in range(n_nodes - 2, -1, -1):
-        out[j] = np.where(
-            mask_b,
-            decay_b * out[j + 1] - (a_b * g_values[j] + b_b * g_values[j + 1]),
-            out[j],
-        )
+    def weights(sector, *per_mode):
+        # full rows of the output dtype, so that no step broadcasts or casts;
+        # a complex row holds the promoted real weight, which gives the same
+        # products as the real one
+        shape = out[0, sector].shape
+        return [np.broadcast_to(wt[sector], shape).astype(out.dtype) for wt in per_mode]
+
+    def scratch(sector):
+        return np.empty((rows,) + out[0, sector].shape, out.dtype)
+
+    # forward sweep: out[j+1] = (decay out[j] + a g[j]) + b g[j+1]
+    fwd = slice(0, n_fwd)
+    o, g = out[:, fwd], g_values[:, fwd]
+    o[0] = 0.0
+    if o.size:
+        decay, a, b = weights(fwd, np.exp(w_f), h * (phi1(w_f) - phi2(w_f)), h * phi2(w_f))
+        A, B = scratch(fwd), scratch(fwd)
+        for start, stop in blocks:
+            m = stop - start
+            multiply(a, g[start:stop], A[:m])
+            multiply(b, g[start + 1 : stop + 1], B[:m])
+            for prev, cur, a_k, b_k in zip(o[start:stop], o[start + 1 : stop + 1], A, B):
+                multiply(decay, prev, cur)
+                add(cur, a_k, cur)
+                add(cur, b_k, cur)
+
+    # backward sweep: out[j] = decay out[j+1] - (a g[j] + b g[j+1])
+    bwd = slice(n_fwd, len(lam))
+    o, g = out[:, bwd], g_values[:, bwd]
+    o[-1] = 0.0
+    if o.size:
+        decay, a, b = weights(bwd, np.exp(v_b), h * phi2(v_b), h * (phi1(v_b) - phi2(v_b)))
+        F, B = scratch(bwd), scratch(bwd)
+        for start, stop in reversed(blocks):
+            m = stop - start
+            multiply(a, g[start:stop], F[:m])
+            multiply(b, g[start + 1 : stop + 1], B[:m])
+            add(F[:m], B[:m], F[:m])
+            steps = zip(o[start:stop][::-1], o[start + 1 : stop + 1][::-1], F[m - 1 :: -1])
+            for cur, nxt, f_k in steps:
+                multiply(decay, nxt, cur)
+                subtract(cur, f_k, cur)
     return out
 
 

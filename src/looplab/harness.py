@@ -26,15 +26,18 @@ from .cylinder import (
     CylinderMap,
     aps_boundary,
     apply_D,
+    block_rows,
     cyl_norm,
     decompose,
     dt_derivative,
+    dt_derivative_rows,
     energy,
     kernel_dt_mass,
     kernel_p_values,
     kernel_q_values,
     p_op,
     q_op,
+    time_blocks,
     time_trapezoid,
     trace_defect_sq,
 )
@@ -290,14 +293,28 @@ def _random_loop_batch(rng, N: int, batch: int, max_mode: int | None = None) -> 
     return c
 
 
-def _random_smooth_fields(rng, N: int, M_t: int, batch: int) -> np.ndarray:
-    """Fields (M_t+1, 2N+1, batch): random quadratic t-profiles per mode."""
+def _random_smooth_fields(rng, N: int, M_t: int, batch: int, out=None) -> np.ndarray:
+    """Fields (M_t+1, 2N+1, batch): random quadratic t-profiles per mode.
+
+    Each node holds c0 + c1 tau + c2 tau^2, written block by block into `out`
+    (a new array unless given).
+    """
     tau = np.linspace(0.0, 1.0, M_t + 1)[:, None, None]
-    cs = [
+    c0, c1, c2 = [
         rng.standard_normal((2 * N + 1, batch)) + 1j * rng.standard_normal((2 * N + 1, batch))
         for _ in range(3)
     ]
-    return cs[0][None] + cs[1][None] * tau + cs[2][None] * tau**2
+    tau_sq = tau**2
+    if out is None:
+        out = np.empty((M_t + 1, 2 * N + 1, batch), complex)
+    rows = block_rows(M_t + 1, out[0].nbytes)
+    quad = np.empty((rows,) + out.shape[1:], complex)
+    for start, stop in time_blocks(M_t + 1, rows):
+        block = out[start:stop]
+        np.multiply(c1, tau[start:stop], out=block)
+        block += c0
+        block += np.multiply(c2, tau_sq[start:stop], out=quad[: stop - start])
+    return out
 
 
 def _half_norm_batch(coeffs: np.ndarray, N: int) -> np.ndarray:
@@ -305,18 +322,55 @@ def _half_norm_batch(coeffs: np.ndarray, N: int) -> np.ndarray:
     return np.sqrt(np.sum(w[:, None] * np.abs(coeffs) ** 2, axis=0))
 
 
+# The norms below walk a field (M+1, modes, batch) in time blocks: each block's
+# per-mode density goes to a scratch buffer and its mode sum to the node
+# density (M+1, batch), which one trapezoid rule then integrates.
+
+
+def _abs_sq(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|z|^2 into out, computed as np.abs(z) ** 2 computes it."""
+    np.abs(z, out=out)
+    return np.square(out, out=out)
+
+
 def _l2_batch(values: np.ndarray, h: float) -> np.ndarray:
-    density = np.sum(np.abs(values) ** 2, axis=1)
+    rows = block_rows(len(values), values[0].nbytes)
+    sq = np.empty((rows,) + values.shape[1:])
+    density = np.empty((len(values),) + values.shape[2:])
+    for start, stop in time_blocks(len(values), rows):
+        np.sum(_abs_sq(values[start:stop], sq[: stop - start]), axis=1, out=density[start:stop])
     return np.sqrt(time_trapezoid(density, h))
 
 
 def _l21_batch(values: np.ndarray, h: float, N: int) -> np.ndarray:
-    n_sq = mode_numbers(N).astype(float) ** 2
-    du = dt_derivative(values, h)
-    density = np.sum(
-        (1.0 + n_sq)[None, :, None] * np.abs(values) ** 2 + np.abs(du) ** 2, axis=1
-    )
+    weight = (1.0 + mode_numbers(N).astype(float) ** 2)[None, :, None]
+    rows = block_rows(len(values), values[0].nbytes)
+    du = np.empty((rows,) + values.shape[1:], values.dtype)
+    sq, du_sq = np.empty(du.shape), np.empty(du.shape)
+    density = np.empty((len(values),) + values.shape[2:])
+    for start, stop in time_blocks(len(values), rows):
+        m = stop - start
+        x = np.multiply(weight, _abs_sq(values[start:stop], sq[:m]), out=sq[:m])
+        x += _abs_sq(dt_derivative_rows(values, h, start, stop, out=du[:m]), du_sq[:m])
+        np.sum(x, axis=1, out=density[start:stop])
     return np.sqrt(time_trapezoid(density, h))
+
+
+def _right_inverse_residual(g_vals, u_vals, lam, h: float) -> np.ndarray:
+    """Relative L^2 norm of D u - g per batch column, with D u = u_t + lambda u."""
+    rows = block_rows(len(u_vals), u_vals[0].nbytes)
+    du, lam_u = (np.empty((rows,) + u_vals.shape[1:], u_vals.dtype) for _ in range(2))
+    sq = np.empty(du.shape)
+    g_density, r_density = (np.empty((len(u_vals),) + u_vals.shape[2:]) for _ in range(2))
+    for start, stop in time_blocks(len(u_vals), rows):
+        m = stop - start
+        g = g_vals[start:stop]
+        np.sum(_abs_sq(g, sq[:m]), axis=1, out=g_density[start:stop])
+        r = dt_derivative_rows(u_vals, h, start, stop, out=du[:m])
+        r += np.multiply(lam[None, :, None], u_vals[start:stop], out=lam_u[:m])
+        r -= g
+        np.sum(_abs_sq(r, sq[:m]), axis=1, out=r_density[start:stop])
+    return np.sqrt(time_trapezoid(r_density, h)) / np.sqrt(time_trapezoid(g_density, h))
 
 
 def _l4_batch(values: np.ndarray, h: float, N: int, M: int) -> np.ndarray:
@@ -703,11 +757,11 @@ def _suite_aps(config: Config, run: _Runner) -> None:
         for eps in config.eps_list:
             M_ref = max(2048, int(np.ceil(12000 * eps)))
             h = eps / M_ref
+            g_vals = np.empty((M_ref + 1, 2 * N + 1, 10), complex)
             for chunk in range(10):
-                g_vals = _random_smooth_fields(rng, N, M_ref, 10)
+                _random_smooth_fields(rng, N, M_ref, 10, out=g_vals)
                 u_vals = kernel_p_values(g_vals, lam_all, h)
-                du = dt_derivative(u_vals, h) + lam_all[None, :, None] * u_vals
-                rel = _l2_batch(du - g_vals, h) / _l2_batch(g_vals, h)
+                rel = _right_inverse_residual(g_vals, u_vals, lam_all, h)
                 worst_rel = max(worst_rel, float(np.max(rel)))
                 # prescribed boundary components of P g vanish
                 trace0 = np.sqrt(np.sum(w * plus_mask * np.abs(u_vals[0]) ** 2, axis=0))
@@ -745,14 +799,18 @@ def _suite_aps(config: Config, run: _Runner) -> None:
             minus = np.where((mode_numbers(N) > 0)[:, None], c, 0.0)
             qv = kernel_q_values(plus, minus, lam_all, times, eps)
             est_q.append(float(np.max(_l21_batch(qv, h, N) / _half_norm_batch(c, N))))
+            # each field below is up to 355 MB: free it before the next one is made
+            del qv
             # P and the restriction bound: per-mode constant probes + smooth mixes
-            g_probe = np.broadcast_to(probes, (m_eff + 1,) + probes.shape).astype(complex)
-            g_mix = _random_smooth_fields(rng, N, m_eff, 1000)
-            g_vals = np.concatenate([g_probe, g_mix], axis=2)
+            n_probes = probes.shape[1]
+            g_vals = np.empty((m_eff + 1, 2 * N + 1, n_probes + 1000), complex)
+            g_vals[:, :, :n_probes] = probes
+            _random_smooth_fields(rng, N, m_eff, 1000, out=g_vals[:, :, n_probes:])
             pv = kernel_p_values(g_vals, lam_all, h)
             g_l2 = _l2_batch(g_vals, h)
             est_p.append(float(np.max(_l21_batch(pv, h, N) / g_l2)))
             est_r.append(float(np.max(_boundary_half_norm_batch(pv, N) / g_l2)))
+            del g_vals, pv
             # mixed L4 bound
             c2 = _random_loop_batch(rng, N, 100)
             plus2 = np.where((mode_numbers(N) <= 0)[:, None], c2, 0.0)

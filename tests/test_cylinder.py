@@ -142,6 +142,71 @@ class TestPOp:
         assert rel <= 1e-6
 
 
+def duhamel_linear(c0, c1, lam, times, eps):
+    """Exact P of the forcing c0 + c1 t per mode, in extended precision.
+
+    lambda >= 0: int_0^t e^{-lambda (t - s)} g(s) ds; lambda < 0:
+    -int_t^eps e^{lambda (s - t)} g(s) ds.  Returns shape (nodes, modes, ...).
+    """
+    ld = np.longdouble
+    t = np.asarray(times, ld)[:, None]
+    lam = np.asarray(lam, ld)[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # forward sector (lambda > 0), with s = t - tau
+        k0_f = -np.expm1(-lam * t) / lam
+        k1_f = (1 - np.exp(-lam * t) * (1 + lam * t)) / lam**2
+        # backward sector, with s = tau - t on [0, L], L = eps - t
+        span = ld(eps) - t
+        k0_b = -np.expm1(lam * span) / lam
+        k1_b = -(np.exp(lam * span) * (lam * span - 1) + 1) / lam**2
+    zero = lam == 0
+    fwd = lam > 0
+    # coefficient of c0 and of c1 in u(t)
+    w0 = np.where(zero, t, np.where(fwd, k0_f, k0_b))
+    w1 = np.where(zero, t**2 / 2, np.where(fwd, t * k0_f - k1_f, t * k0_b + k1_b))
+    extra = (None,) * (c0.ndim - 1)
+    w0, w1 = w0[(...,) + extra], w1[(...,) + extra]
+    return w0 * c0.astype(np.clongdouble)[None] + w1 * c1.astype(np.clongdouble)[None]
+
+
+class TestPExactOracle:
+    """The quadrature is exact for piecewise-linear forcing, so P of constant
+    and of linear-in-t forcing matches the closed-form Duhamel integrals on
+    both sectors and on the lambda = 0 mode, at every node."""
+
+    ROWS = 16  # rows per time block, set through BLOCK_BYTES
+
+    @pytest.mark.parametrize(
+        "trailing", [(), (2,), (2, 3)], ids=["modes", "modes_d", "modes_d_batch"]
+    )
+    @pytest.mark.parametrize("n_nodes", [9, ROWS + 1, 2 * ROWS + 7])
+    @pytest.mark.parametrize("linear", [False, True], ids=["constant", "linear"])
+    def test_matches_closed_form(self, monkeypatch, trailing, n_nodes, linear):
+        from looplab import cylinder
+        from looplab.loops import lambda_of_modes
+
+        N = 4
+        h = 1.0 / 16
+        eps = h * (n_nodes - 1)
+        lam = lambda_of_modes(N).astype(float)
+        times = np.linspace(0.0, eps, n_nodes)
+        rng = np.random.default_rng(n_nodes + 10 * len(trailing))
+        shape = (2 * N + 1,) + trailing
+        c0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        c1 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape) if linear else 0 * c0
+        extra = (None,) * len(trailing)
+        g = c0[None] + c1[None] * times[(slice(None), None) + extra]
+        monkeypatch.setattr(cylinder, "BLOCK_BYTES", self.ROWS * g[0].nbytes)
+
+        u = cylinder.kernel_p_values(g, lam, h)
+        exact = duhamel_linear(c0, c1, lam, times, eps)
+        err = np.abs(u - exact).astype(float)
+        scale = np.max(np.abs(exact), axis=0).astype(float)
+        assert np.all(np.max(err, axis=0) <= 1e-13 * scale)
+        # the prescribed ends are exact zeros
+        assert np.all(u[0, lam >= 0] == 0) and np.all(u[-1, lam < 0] == 0)
+
+
 class TestBoundaryData:
     def test_decompose_combine_roundtrip(self):
         rng = np.random.default_rng(35)

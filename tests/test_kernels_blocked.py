@@ -1,0 +1,305 @@
+"""The streamed aps kernels and norms against their whole-array forms.
+
+The reference functions below evaluate every expression over the whole field
+at once.  The streamed versions in looplab must give the same bytes: the
+comparisons use tobytes(), so even the sign of a zero counts.  Shrinking
+BLOCK_BYTES to a few rows puts block edges next to both one-sided end
+stencils of the time derivative.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from looplab import cylinder, harness
+from looplab.cylinder import (
+    dt_derivative,
+    kernel_p_values,
+    kernel_q_values,
+    phi1,
+    phi2,
+    time_trapezoid,
+)
+from looplab.loops import Loop, lambda_of_modes, mode_numbers
+
+# -- whole-array reference forms -------------------------------------------------
+
+
+def ref_dt_derivative(values, h):
+    out = np.empty_like(values)
+    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
+    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
+    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
+    return out
+
+
+def ref_kernel_q_values(plus_coeffs, minus_coeffs, lam, times, eps):
+    tt = times[:, None]
+    lam_row = lam[None, :]
+    plus_factor = np.where(lam_row >= 0, -np.exp(np.minimum(-lam_row * tt, 0.0)), 0.0)
+    minus_factor = np.where(lam_row < 0, np.exp(np.minimum((eps - tt) * lam_row, 0.0)), 0.0)
+    extra = plus_coeffs.ndim - 1
+    shape = (len(times), len(lam)) + (1,) * extra
+    return plus_factor.reshape(shape) * plus_coeffs[None] + minus_factor.reshape(
+        shape
+    ) * minus_coeffs[None]
+
+
+def ref_kernel_p_values(g_values, lam, h):
+    n_nodes = g_values.shape[0]
+    fwd = lam >= 0
+    bwd = ~fwd
+    out = np.zeros_like(g_values)
+    extra = g_values.ndim - 2
+    reshape = (len(lam),) + (1,) * extra
+    w_f = (-lam * h).reshape(reshape)
+    decay_f = np.exp(w_f)
+    a_f = h * (phi1(w_f) - phi2(w_f))
+    b_f = h * phi2(w_f)
+    mask_f = fwd.reshape(reshape)
+    v_b = (lam * h).reshape(reshape)
+    decay_b = np.exp(v_b)
+    a_b = h * phi2(v_b)
+    b_b = h * (phi1(v_b) - phi2(v_b))
+    mask_b = bwd.reshape(reshape)
+    for j in range(n_nodes - 1):
+        out[j + 1] = np.where(
+            mask_f, decay_f * out[j] + a_f * g_values[j] + b_f * g_values[j + 1], out[j + 1]
+        )
+    for j in range(n_nodes - 2, -1, -1):
+        out[j] = np.where(
+            mask_b, decay_b * out[j + 1] - (a_b * g_values[j] + b_b * g_values[j + 1]), out[j]
+        )
+    return out
+
+
+def ref_random_smooth_fields(rng, N, M_t, batch):
+    tau = np.linspace(0.0, 1.0, M_t + 1)[:, None, None]
+    cs = [
+        rng.standard_normal((2 * N + 1, batch)) + 1j * rng.standard_normal((2 * N + 1, batch))
+        for _ in range(3)
+    ]
+    return cs[0][None] + cs[1][None] * tau + cs[2][None] * tau**2
+
+
+def ref_l2_batch(values, h):
+    density = np.sum(np.abs(values) ** 2, axis=1)
+    return np.sqrt(time_trapezoid(density, h))
+
+
+def ref_l21_batch(values, h, N):
+    n_sq = mode_numbers(N).astype(float) ** 2
+    du = ref_dt_derivative(values, h)
+    density = np.sum((1.0 + n_sq)[None, :, None] * np.abs(values) ** 2 + np.abs(du) ** 2, axis=1)
+    return np.sqrt(time_trapezoid(density, h))
+
+
+def ref_right_inverse_residual(g_vals, u_vals, lam, h):
+    du = ref_dt_derivative(u_vals, h) + lam[None, :, None] * u_vals
+    return ref_l2_batch(du - g_vals, h) / ref_l2_batch(g_vals, h)
+
+
+# -- fixtures ------------------------------------------------------------------------
+
+N = 4
+H = 0.01
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def random_field(seed, shape):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.fixture(params=[1, 2, 7, None], ids=["rows1", "rows2", "rows7", "default"])
+def blocks_of(request, monkeypatch):
+    """Set BLOCK_BYTES to a whole number of rows of a given row size."""
+
+    def apply(row_nbytes):
+        if request.param is not None:
+            monkeypatch.setattr(cylinder, "BLOCK_BYTES", request.param * row_nbytes)
+
+    return apply
+
+
+NODES = (9, 16, 23)
+TRAILING = ((), (2,), (2, 3), (1,), (3,))
+
+# -- tests ----------------------------------------------------------------------------
+
+
+class TestBlockHelpers:
+    def test_blocks_cover_rows_once(self, monkeypatch):
+        monkeypatch.setattr(cylinder, "BLOCK_BYTES", 7 * 16 + 15)
+        rows = cylinder.block_rows(23, 16)
+        blocks = list(cylinder.time_blocks(23, rows))
+        assert rows == 7 and blocks[0] == (0, 7) and blocks[-1] == (21, 23)
+        assert [a for a, _ in blocks[1:]] == [b for _, b in blocks[:-1]]
+        assert cylinder.block_rows(5, 16) == 5
+        monkeypatch.setattr(cylinder, "BLOCK_BYTES", 1)
+        rows = cylinder.block_rows(3, 16)
+        assert list(cylinder.time_blocks(3, rows)) == [(0, 1), (1, 2), (2, 3)]
+
+    @pytest.mark.parametrize("n_nodes", (3, 4, 9, 23))
+    def test_derivative_rows_match_whole_field(self, n_nodes):
+        values = random_field(n_nodes, (n_nodes, 2 * N + 1, 3))
+        whole = ref_dt_derivative(values, H)
+        assert same_bytes(dt_derivative(values, H), whole)
+        for start in range(n_nodes):
+            for stop in range(start + 1, n_nodes + 1):
+                rows = cylinder.dt_derivative_rows(values, H, start, stop)
+                assert same_bytes(rows, whole[start:stop])
+
+
+class TestKernelP:
+    @pytest.mark.parametrize("n_nodes", NODES)
+    @pytest.mark.parametrize("trailing", TRAILING)
+    def test_bit_identical(self, blocks_of, n_nodes, trailing):
+        lam = lambda_of_modes(N).astype(float)
+        g = random_field(n_nodes + len(trailing), (n_nodes, 2 * N + 1) + trailing)
+        blocks_of(g[0].nbytes)
+        assert same_bytes(kernel_p_values(g, lam, H), ref_kernel_p_values(g, lam, H))
+
+    def test_stiff_steps_and_strided_input(self, blocks_of):
+        lam = lambda_of_modes(N).astype(float)
+        field = random_field(5, (16, 2 * N + 1, 8))
+        g = field[:, :, 2:7]  # a view, as a slice of a wider batch
+        blocks_of(g[0].nbytes)
+        for h in (1e-6, 0.3, 40.0):
+            assert same_bytes(kernel_p_values(g, lam, h), ref_kernel_p_values(g, lam, h))
+
+    def test_one_sector_only(self, blocks_of):
+        g = random_field(6, (9, 3, 2))
+        blocks_of(g[0].nbytes)
+        for lam in (np.array([2.0, 1.0, 0.0]), np.array([-1.0, -2.0, -3.0])):
+            assert same_bytes(kernel_p_values(g, lam, H), ref_kernel_p_values(g, lam, H))
+
+    def test_rejects_unsorted_sectors(self):
+        g = random_field(7, (9, 3))
+        with pytest.raises(ValueError, match="sector"):
+            kernel_p_values(g, np.array([-1.0, 0.0, 1.0]), H)
+
+
+def signed_zero_coeffs(batch):
+    """Coefficient blocks with one-hot probes, signed zeros and random mixes."""
+    modes = 2 * N + 1
+    zeros = np.array([complex(sr * 0.0, si * 0.0) for sr in (1, -1) for si in (1, -1)])
+    c = np.concatenate(
+        [np.broadcast_to(zeros, (modes, 4)), np.eye(modes), random_field(8, (modes, batch))],
+        axis=1,
+    )
+    plus = np.where((mode_numbers(N) <= 0)[:, None], c, 0.0)
+    minus = np.where((mode_numbers(N) > 0)[:, None], c, 0.0)
+    return c, plus, minus
+
+
+class TestKernelQ:
+    @pytest.mark.parametrize("eps", (1.0, 0.01))
+    def test_bit_identical_on_probes_and_signed_zeros(self, eps):
+        lam = lambda_of_modes(N).astype(float)
+        times = np.linspace(0.0, eps, 17)
+        c, plus, minus = signed_zero_coeffs(5)
+        for p, m in ((plus, minus), (c, c), (-1.0 * plus, minus), (plus, -1.0 * c)):
+            out = kernel_q_values(p, m, lam, times, eps)
+            assert same_bytes(out, ref_kernel_q_values(p, m, lam, times, eps))
+        # the zero coefficients give +0.0, as the whole-array form does
+        probe_out = kernel_q_values(plus, minus, lam, times, eps)[:, :, 4 : 4 + 2 * N + 1]
+        off_probe = probe_out[:, np.eye(2 * N + 1) == 0]
+        assert not np.any(off_probe)
+        assert not np.any(np.signbit(off_probe.real)) and not np.any(np.signbit(off_probe.imag))
+
+    def test_bit_identical_on_boundary_data(self):
+        # decompose negates the plus slot, so its off-sector zeros are -0.0
+        from looplab.cylinder import decompose
+
+        lam = lambda_of_modes(N).astype(float)
+        times = np.linspace(0.0, 0.5, 9)
+        for coeffs in (random_field(9, (2 * N + 1, 2)), np.zeros((2 * N + 1, 2), complex)):
+            beta = decompose(Loop(2, N, coeffs))
+            p, m = beta.plus0.coeffs, beta.minus_end.coeffs
+            assert same_bytes(
+                kernel_q_values(p, m, lam, times, 0.5), ref_kernel_q_values(p, m, lam, times, 0.5)
+            )
+
+    def test_real_coefficients(self):
+        lam = lambda_of_modes(N).astype(float)
+        times = np.linspace(0.0, 0.2, 9)
+        c = np.random.default_rng(10).standard_normal((2 * N + 1, 3))
+        assert same_bytes(
+            kernel_q_values(c, -c, lam, times, 0.2), ref_kernel_q_values(c, -c, lam, times, 0.2)
+        )
+
+
+class TestHarnessHelpers:
+    @pytest.mark.parametrize("n_nodes", NODES)
+    @pytest.mark.parametrize("batch", (1, 3))
+    def test_norms_bit_identical(self, blocks_of, n_nodes, batch):
+        values = random_field(11 + n_nodes, (n_nodes, 2 * N + 1, batch))
+        blocks_of(values[0].nbytes)
+        assert same_bytes(harness._l2_batch(values, H), ref_l2_batch(values, H))
+        assert same_bytes(harness._l21_batch(values, H, N), ref_l21_batch(values, H, N))
+
+    def test_norms_on_probe_fields(self, blocks_of):
+        lam = lambda_of_modes(N).astype(float)
+        times = np.linspace(0.0, 0.1, 10)
+        _, plus, minus = signed_zero_coeffs(3)
+        qv = kernel_q_values(plus, minus, lam, times, 0.1)
+        blocks_of(qv[0].nbytes)
+        h = times[1]
+        assert same_bytes(harness._l21_batch(qv, h, N), ref_l21_batch(qv, h, N))
+
+    @pytest.mark.parametrize("n_nodes", NODES)
+    def test_right_inverse_residual(self, blocks_of, n_nodes):
+        lam = lambda_of_modes(N).astype(float)
+        g = random_field(12, (n_nodes, 2 * N + 1, 3))
+        blocks_of(g[0].nbytes)
+        u = kernel_p_values(g, lam, H)
+        assert same_bytes(
+            harness._right_inverse_residual(g, u, lam, H), ref_right_inverse_residual(g, u, lam, H)
+        )
+
+    @pytest.mark.parametrize("batch", (1, 4))
+    def test_random_smooth_fields(self, blocks_of, batch):
+        n_nodes = 23
+        blocks_of((2 * N + 1) * batch * 16)
+        new = harness._random_smooth_fields(np.random.default_rng(13), N, n_nodes - 1, batch)
+        ref = ref_random_smooth_fields(np.random.default_rng(13), N, n_nodes - 1, batch)
+        assert same_bytes(new, ref)
+        # into a column slice of a wider array, as the uniformity check does
+        wide = np.zeros((n_nodes, 2 * N + 1, batch + 2), complex)
+        rng = np.random.default_rng(13)
+        harness._random_smooth_fields(rng, N, n_nodes - 1, batch, out=wide[:, :, 2:])
+        assert same_bytes(np.ascontiguousarray(wide[:, :, 2:]), ref)
+        assert not np.any(wide[:, :, :2])
+
+
+class TestStreamingMemory:
+    """Peak traced allocations: the norms and the sweeps stream their field."""
+
+    SHAPE = (2049, 65, 10)
+
+    def peak(self, fn, *args):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            result = fn(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    def test_l21_batch_peak(self):
+        values = random_field(14, self.SHAPE)
+        _, peak = self.peak(harness._l21_batch, values, 1e-4, 32)
+        assert peak < 0.25 * values.nbytes
+
+    def test_kernel_p_values_peak(self):
+        g = random_field(15, self.SHAPE)
+        lam = lambda_of_modes(32).astype(float)
+        out, peak = self.peak(kernel_p_values, g, lam, 1e-4)
+        assert peak < 1.25 * out.nbytes
