@@ -1,4 +1,5 @@
-"""Time the aps cylinder kernels, the aps checks and `lab verify --suite aps`.
+"""Time the aps cylinder kernels, the aps checks, `lab verify --suite aps` and
+the nonlinearity layer.
 
     python bench/kernels.py --label after --out BENCH.json [--src DIR] [--repeats 5]
 
@@ -6,14 +7,19 @@ DIR is the root of the looplab checkout to measure (default: the one holding
 this file), so that two checkouts can be timed with the same script.  Every
 timing is taken with time.perf_counter over --repeats runs after one warm-up
 call and reported as the median and the interquartile range (IQR), with the
-samples.  Three groups are timed:
+samples.  Four groups are timed:
 
 * kernels: kernel_p_values, kernel_q_values and the harness's L^2_1 norm
   _l21_batch at the aps shapes (nodes x modes x batch);
 * guards: each check group of `run_suite(Config(seed=2026), "aps")`, the
   time of its run.guard call;
 * verify_aps: `lab verify --suite aps --config configs/verify_defaults.json`
-  in a fresh process, with its peak RSS.
+  in a fresh process, with its peak RSS;
+* nonlinearity: seconds per call of one grad H evaluation on the theta grid
+  (sample, grad H, synthesize) at N = 8, 32 and 128, of one flow_trajectory
+  step at N = 8 and of one Newton Jacobian (cycles._newton_matrix) at N = 32.
+  Each sample is a batch of calls divided by its size.  Checkouts from before
+  hamiltonian.grad_h_modes time their own copy, solver._grad_h_modes.
 
 The result is stored under --label in the --out JSON file, beside the labels
 already there, with the core count, numpy version and CPU model.
@@ -42,13 +48,15 @@ def summary(samples: list[float]) -> dict:
     return {"median": median, "iqr": q3 - q1, "samples": samples}
 
 
-def timed(fn, repeats: int) -> dict:
+def timed(fn, repeats: int, calls: int = 1) -> dict:
+    """Seconds per call of fn, each sample a batch of `calls` calls."""
     fn()
     samples = []
     for _ in range(repeats):
         start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
+        for _ in range(calls):
+            fn()
+        samples.append((time.perf_counter() - start) / calls)
     return summary(samples)
 
 
@@ -79,6 +87,38 @@ def time_kernels(repeats: int) -> dict:
         )
         out[f"_l21_batch[{shape}]"] = timed(lambda: harness._l21_batch(field, h, N), repeats)
         del field
+    return out
+
+
+def time_nonlinearity(repeats: int) -> dict:
+    import numpy as np
+
+    from looplab import cycles, hamiltonian, loops, solver
+
+    m = hamiltonian.HamiltonianModel()
+    if hasattr(hamiltonian, "grad_h_modes"):
+        def grad_h(c, N):
+            return hamiltonian.grad_h_modes(m, loops.theta_values(c, N), N)
+    else:
+        def grad_h(c, N):
+            return solver._grad_h_modes(m, c, N)
+
+    def loop(N, modes):
+        rng = np.random.default_rng(2026)
+        shape = (2 * N + 1, 1)
+        noise = 0.01 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        return loops.Loop.from_modes(1, N, modes) + loops.Loop(1, N, noise)
+
+    out = {}
+    for N in (8, 32, 128):
+        c = loop(N, {1: 1.2, 2: 0.3j}).coeffs
+        out[f"grad_h_modes[N={N}]"] = timed(lambda: grad_h(c, N), repeats, calls=2000)
+    # the trajectory of configs/flow.json: 1000 steps of dt = 5e-4 per call
+    start, steps, dt = loop(8, {1: 0.55, 2: 0.3j, 3: 0.1}), 1000, 0.0005
+    per_trajectory = timed(lambda: solver.flow_trajectory(m, start, steps * dt, dt), repeats, calls=2)
+    out["flow_trajectory_step[N=8]"] = summary([t / steps for t in per_trajectory["samples"]])
+    gamma = loop(32, {1: 1.2})
+    out["_newton_matrix[N=32]"] = timed(lambda: cycles._newton_matrix(m, gamma), repeats, calls=20)
     return out
 
 
@@ -161,6 +201,7 @@ def main(argv=None) -> int:
         "kernels_s": time_kernels(args.repeats),
         "guards_s": time_guards(args.repeats),
         "verify_aps": time_verify_aps(root, args.repeats),
+        "nonlinearity_s": time_nonlinearity(args.repeats),
     }
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data[args.label] = result
@@ -170,6 +211,8 @@ def main(argv=None) -> int:
             print(f"{name:40s} median {stats['median']:8.3f} s  IQR {stats['iqr']:.3f} s")
     for name, stats in result["verify_aps"].items():
         print(f"verify_aps {name:29s} median {stats['median']:8.1f}  IQR {stats['iqr']:.1f}")
+    for name, stats in result["nonlinearity_s"].items():
+        print(f"{name:40s} median {stats['median'] * 1e6:8.1f} us  IQR {stats['iqr'] * 1e6:.1f} us")
     return 0
 
 

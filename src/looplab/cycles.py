@@ -22,16 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverage import tracked
-from .hamiltonian import HamiltonianModel, action, grad_action
+from .hamiltonian import HamiltonianModel, action, grad_action, grad_h_modes
 from .loops import (
     Loop,
     gaussian_loop,
     inner,
     mode_numbers,
     project,
-    sample_coeffs,
     sobolev_norm,
     synthesize_values,
+    theta_values,
 )
 from .solver import Blowup, flow_trajectory
 
@@ -352,15 +352,12 @@ def _flatten_real(block: np.ndarray) -> np.ndarray:
 def _newton_matrix(m: HamiltonianModel, gamma: Loop) -> tuple[np.ndarray, np.ndarray]:
     """Residual and dense real Jacobian of R(c) = {n c_n - (grad H o gamma)_n}."""
     N, d = gamma.N, gamma.d
-    M = 4 * N
     n = mode_numbers(N).astype(float)
-    vals = sample_coeffs(gamma.coeffs, N, M)
+    vals = theta_values(gamma.coeffs, N)
+    residual_block = n[:, None] * gamma.coeffs - grad_h_modes(m, vals, N)
     s = np.sum(np.abs(vals) ** 2, axis=-1)
     hp = m.h_prime(s)
     hpp = m.h_second(s)
-    residual_block = n[:, None] * gamma.coeffs - synthesize_values(
-        (2.0 * hp)[:, None] * vals, N
-    )
 
     n_entries = (2 * N + 1) * d
     basis = np.zeros((2 * n_entries, 2 * N + 1, d), complex)
@@ -368,7 +365,7 @@ def _newton_matrix(m: HamiltonianModel, gamma: Loop) -> tuple[np.ndarray, np.nda
     basis[:n_entries] = eye
     basis[n_entries:] = 1j * eye
 
-    w_vals = sample_coeffs(basis, N, M)  # (B, M, d)
+    w_vals = theta_values(basis, N)  # (B, M, d)
     cross = np.sum((vals.conj()[None] * w_vals).real, axis=-1)  # Re<x, w>
     hess_vals = (2.0 * hp)[None, :, None] * w_vals + (4.0 * hpp)[None, :, None] * cross[
         :, :, None

@@ -29,14 +29,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coverage import tracked
-from .hamiltonian import HamiltonianModel, eval_XH
+from .hamiltonian import HamiltonianModel, grad_h_modes
 from .loops import (
     Loop,
     aps_project,
     lambda_of_modes,
-    sample_coeffs,
+    mode_numbers,
     sobolev_norm,
-    synthesize_values,
+    sobolev_weights,
+    theta_values,
 )
 
 # -- stable phi functions -------------------------------------------------------
@@ -456,15 +457,12 @@ def cyl_norm(u: CylinderMap, which: str) -> float:
         density = np.sum(np.abs(u.values) ** 2, axis=(1, 2))
         return float(np.sqrt(time_trapezoid(density, h)))
     if which == "L2_1":
-        n_sq = (np.arange(-u.N, u.N + 1).astype(float) ** 2)[None, :, None]
+        weight = sobolev_weights(1, u.N)[None, :, None]
         du = dt_derivative(u.values, h)
-        density = np.sum(
-            (1.0 + n_sq) * np.abs(u.values) ** 2 + np.abs(du) ** 2, axis=(1, 2)
-        )
+        density = np.sum(weight * np.abs(u.values) ** 2 + np.abs(du) ** 2, axis=(1, 2))
         return float(np.sqrt(time_trapezoid(density, h)))
     if which == "L4":
-        M = 4 * u.N
-        grid = sample_coeffs(u.values, u.N, M)
+        grid = theta_values(u.values, u.N)
         quartic = np.mean(np.sum(np.abs(grid) ** 2, axis=-1) ** 2, axis=1)
         return float(time_trapezoid(quartic, h) ** 0.25)
     raise ValueError("which must be one of 'L2', 'L2_1', 'L4'")
@@ -475,11 +473,9 @@ def energy(m: HamiltonianModel, u: CylinderMap) -> float:
     """E(u) = 1/2 int (|u_t|^2 + |u_theta - X_H(u)|^2) dtheta/2pi dt."""
     h = u.dt
     du = dt_derivative(u.values, h)
-    n = np.arange(-u.N, u.N + 1).astype(float)
+    n = mode_numbers(u.N).astype(float)
     u_theta = (1j * n)[None, :, None] * u.values
-    M = 4 * u.N
-    grid = sample_coeffs(u.values, u.N, M)
-    xh_modes = synthesize_values(eval_XH(m, grid), u.N)
+    xh_modes = 1j * grad_h_modes(m, theta_values(u.values, u.N), u.N)
     defect = u_theta - xh_modes
     density = np.sum(np.abs(du) ** 2 + np.abs(defect) ** 2, axis=(1, 2))
     return float(0.5 * time_trapezoid(density, h))

@@ -20,12 +20,12 @@ linear theory where X_H = c x with c = 2(1+eps) i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .coverage import tracked
-from .loops import Loop, sample, synthesize_values
+from .loops import Loop, synthesize_values, theta_values
 
 _PROFILE_GRID = 20001  # sampling density for recorded constants
 
@@ -115,6 +115,9 @@ class HamiltonianModel:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "HamiltonianModel":
+        unknown = set(obj) - {f.name for f in fields(HamiltonianModel)}
+        if unknown:
+            raise ValueError(f"unknown model keys: {sorted(unknown)}")
         return HamiltonianModel(
             eps_H=float(obj.get("eps_H", 0.1)),
             s0=float(obj.get("s0", 0.25)),
@@ -150,6 +153,11 @@ def eval_XH(m: HamiltonianModel, x: np.ndarray) -> np.ndarray:
     return 1j * eval_gradH(m, x)
 
 
+def grad_h_modes(m: HamiltonianModel, grid: np.ndarray, N: int) -> np.ndarray:
+    """Modes |n| <= N of grad H applied pointwise to theta-grid values (..., M, d)."""
+    return synthesize_values(eval_gradH(m, grid), N)
+
+
 @tracked("hamiltonian.k_factor")
 def k_factor(m: HamiltonianModel, x: np.ndarray):
     """Scalar multiplier kappa(x) = 2 h'(|x|^2) with X_H(x) = kappa(x) i x.
@@ -167,6 +175,9 @@ def k_factor_constant(m: HamiltonianModel) -> float:
     """Recorded constant C with |K(x)| <= C |x| and |K(x) - K(y)| <= C |x - y|.
 
     Both suprema live on the ramp band; they are evaluated on a dense grid.
+    The pointwise bounds give ||X_H(a) - X_H(b)||_{L^2} <= 2C (||a||_{L^4} +
+    ||b||_{L^4}) ||a - b||_{L^4}, so C is also the Sobolev-Lipschitz constant
+    of the solver's 1/(8C) contraction ball.
     """
     if m.variant != "bump":
         raise ValueError("k_factor_constant requires the bump variant")
@@ -180,27 +191,23 @@ def k_factor_constant(m: HamiltonianModel) -> float:
 
 
 @tracked("hamiltonian.action")
-def action(m: HamiltonianModel, gamma: Loop, M: int | None = None) -> float:
+def action(m: HamiltonianModel, gamma: Loop) -> float:
     """CSD_H(gamma) = 1/2 sum_n n |c_n|^2 - mean_j H(gamma(theta_j)).
 
-    The quadratic term is exact in modes; the H term is the M-point rectangle
-    rule (the trapezoid rule on a periodic grid) under dtheta/2pi.
+    The quadratic term is exact in modes; the H term is the rectangle rule
+    (the trapezoid rule on a periodic grid) on theta_points(N) nodes under
+    dtheta/2pi.
     """
-    if M is None:
-        M = 4 * gamma.N
     n = gamma.modes.astype(float)
     quad = 0.5 * float(np.sum(n[:, None] * np.abs(gamma.coeffs) ** 2))
-    vals = sample(gamma, M)
+    vals = theta_values(gamma.coeffs, gamma.N)
     return quad - float(np.mean(eval_H(m, vals)))
 
 
 @tracked("hamiltonian.grad_action")
-def grad_action(m: HamiltonianModel, gamma: Loop, M: int | None = None) -> Loop:
+def grad_action(m: HamiltonianModel, gamma: Loop) -> Loop:
     """Formal L^2 gradient: mode n of -J gamma' - grad H(gamma) is n c_n - (grad H o gamma)_n."""
-    if M is None:
-        M = 4 * gamma.N
-    vals = sample(gamma, M)
-    grad_modes = synthesize_values(eval_gradH(m, vals), gamma.N)
+    grad_modes = grad_h_modes(m, theta_values(gamma.coeffs, gamma.N), gamma.N)
     n = gamma.modes.astype(float)
     return Loop(gamma.d, gamma.N, n[:, None] * gamma.coeffs - grad_modes)
 
@@ -241,15 +248,3 @@ def eval_compact_part(spl: Splitting, x: np.ndarray) -> np.ndarray:
     m = spl.model
     factor = 2.0 * m.h_prime(_sq_radius(x)) - 2.0 * m.slope
     return factor[..., None] * 1j * x
-
-
-# -- recorded solver constant ---------------------------------------------------
-
-
-def lipschitz_constant(m: HamiltonianModel) -> float:
-    """The Sobolev-Lipschitz constant C used in the 1/(8C) contraction ball.
-
-    ||X_H(a) - X_H(b)||_{L^2} <= 2C (||a||_{L^4} + ||b||_{L^4}) ||a - b||_{L^4}
-    follows from the pointwise K bounds, so C = k_factor_constant.
-    """
-    return k_factor_constant(m)

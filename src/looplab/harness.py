@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -49,9 +49,9 @@ from .hamiltonian import (
     eval_compact_part,
     eval_gradH,
     grad_action,
+    grad_h_modes,
     k_factor,
     k_factor_constant,
-    lipschitz_constant,
     split,
 )
 from .loops import (
@@ -64,10 +64,11 @@ from .loops import (
     mode_numbers,
     project,
     sample,
-    sample_coeffs,
     sobolev_norm,
     sobolev_weights,
     synthesize,
+    theta_points,
+    theta_values,
 )
 from .solver import (
     BallExit,
@@ -110,15 +111,21 @@ class Config:
     output_dir: str = "lab_out"
 
     def __post_init__(self):
+        if self.N < 4 or self.M_t < 8:
+            raise ValueError("need N >= 4 and M_t >= 8")
+        unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
+        if unknown:
+            raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
         merged = dict(DEFAULT_TOLERANCES)
         merged.update(self.tolerances)
         if any(v <= 0 for v in merged.values()):
             raise ValueError("every tolerance must be strictly positive")
         self.tolerances = merged
-        if self.M_theta is None:
-            self.M_theta = 4 * self.N
-        if self.N < 4 or self.M_t < 8:
-            raise ValueError("need N >= 4 and M_t >= 8")
+        # the theta grid is fixed per build; M_theta only records it
+        M = theta_points(self.N)
+        if self.M_theta not in (None, M):
+            raise ValueError(f"M_theta is fixed at theta_points(N) = {M}; got {self.M_theta!r}")
+        self.M_theta = M
 
     def tol(self, key: str) -> float:
         return self.tolerances[key]
@@ -142,6 +149,9 @@ class Config:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "Config":
+        unknown = set(obj) - {f.name for f in fields(Config)}
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return Config(
             model=HamiltonianModel.from_json_dict(obj.get("model", {})),
             N=int(obj.get("N", 32)),
@@ -215,7 +225,7 @@ class Report:
             "num_checks": len(records),
             "num_failed": sum(not r.passed for r in records),
             "environment": {
-                "convention": CONVENTION.as_dict(),
+                "convention": asdict(CONVENTION),
                 "constants": self.constants,
                 "grid": {
                     "N": self.config.N,
@@ -343,7 +353,7 @@ def _l2_batch(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def _l21_batch(values: np.ndarray, h: float, N: int) -> np.ndarray:
-    weight = (1.0 + mode_numbers(N).astype(float) ** 2)[None, :, None]
+    weight = sobolev_weights(1, N)[None, :, None]
     rows = block_rows(len(values), values[0].nbytes)
     du = np.empty((rows,) + values.shape[1:], values.dtype)
     sq, du_sq = np.empty(du.shape), np.empty(du.shape)
@@ -373,9 +383,9 @@ def _right_inverse_residual(g_vals, u_vals, lam, h: float) -> np.ndarray:
     return np.sqrt(time_trapezoid(r_density, h)) / np.sqrt(time_trapezoid(g_density, h))
 
 
-def _l4_batch(values: np.ndarray, h: float, N: int, M: int) -> np.ndarray:
+def _l4_batch(values: np.ndarray, h: float, N: int) -> np.ndarray:
     # reorder to (T+1, batch, modes, 1) so the theta axis lands second-to-last
-    sampled = sample_coeffs(np.swapaxes(values, 1, 2)[..., None], N, M)[..., 0]
+    sampled = theta_values(np.swapaxes(values, 1, 2)[..., None], N)[..., 0]
     quartic = np.mean(np.abs(sampled) ** 4, axis=-1)  # (T+1, batch)
     return time_trapezoid(quartic, h) ** 0.25
 
@@ -410,7 +420,7 @@ def _suite_norms(config: Config, run: _Runner) -> None:
         worst = 0.0
         for _ in range(50):
             g = gaussian_loop(d, N, rng)
-            M = 4 * N
+            M = theta_points(N)
             thetas = 2 * np.pi * np.arange(M) / M
             phases = np.exp(1j * np.outer(thetas, g.modes))
             vals = phases @ g.coeffs
@@ -468,7 +478,7 @@ def _suite_norms(config: Config, run: _Runner) -> None:
         worst = 0.0
         for _ in range(20):
             g = gaussian_loop(d, N, rng)
-            back = synthesize(sample(g, 4 * N), N)
+            back = synthesize(sample(g, theta_points(N)), N)
             worst = max(worst, float(np.max(np.abs(back.coeffs - g.coeffs))))
         run.check(
             "norms.sampling_roundtrip",
@@ -554,7 +564,7 @@ def _suite_norms(config: Config, run: _Runner) -> None:
         for _ in range(50):
             a = gaussian_loop(d, N, rng)
             b = gaussian_loop(d, N, rng)
-            xa, xb = sample(a, 4 * N), sample(b, 4 * N)
+            xa, xb = sample(a, theta_points(N)), sample(b, theta_points(N))
             lhs = np.sqrt(
                 np.mean(np.sum(np.abs(eval_compact_part(spl, xa) - eval_compact_part(spl, xb)) ** 2, axis=1))
             )
@@ -596,7 +606,7 @@ def _suite_norms(config: Config, run: _Runner) -> None:
         )
 
     def nonlinear_l4_lipschitz():
-        C = lipschitz_constant(m)
+        C = k_factor_constant(m)
         worst = 0.0
         for _ in range(1000):
             a = rng.standard_normal((9, 48, 1)) + 1j * rng.standard_normal((9, 48, 1))
@@ -820,7 +830,7 @@ def _suite_aps(config: Config, run: _Runner) -> None:
                 kernel_p_values(g2, lam_all, h)
             )
             denom = _half_norm_batch(c2, N) + _l2_batch(g2, h)
-            est_mix.append(float(np.max(_l4_batch(u2, h, N, 4 * N) / denom)))
+            est_mix.append(float(np.max(_l4_batch(u2, h, N) / denom)))
 
         # a truncated spectrum cannot hold the norm up once eps < 1/N: the norms
         # of Q and of the restriction bound are carried by the modes |n| ~ 1/eps
@@ -921,7 +931,7 @@ def _suite_aps(config: Config, run: _Runner) -> None:
                 # alternate which end the window kills
                 window = tau if chunk % 2 == 0 else 1.0 - tau
                 f = f * window[:, None, None]
-                lhs = _l4_batch(f, h, N, 4 * N) ** 4
+                lhs = _l4_batch(f, h, N) ** 4
                 df = dt_derivative(f, h)
                 n_sq = mode_numbers(N).astype(float) ** 2
                 grad_sq = time_trapezoid(
@@ -1035,8 +1045,6 @@ def _suite_contraction(config: Config, run: _Runner) -> None:
         eps, mt = 0.1, 64
         base = picard_solve(m, beta, None, eps, tol=tol, M_t=mt)
         rng = config.rng("contraction.uniqueness")
-        from .solver import _grad_h_modes
-
         v = 1e-3 * (
             rng.standard_normal(base.v.values.shape)
             + 1j * rng.standard_normal(base.v.values.shape)
@@ -1044,7 +1052,7 @@ def _suite_contraction(config: Config, run: _Runner) -> None:
         q = q_op(beta, eps, M_t=mt)
         for _ in range(80):
             u = q + p_op(CylinderMap(1, N, eps, mt, v))
-            v = -_grad_h_modes(m, u.values, N)
+            v = -grad_h_modes(m, theta_values(u.values, N), N)
         dist = float(np.max(np.abs(v - base.v.values)))
         run.check(
             "contraction.uniqueness",
@@ -1520,10 +1528,10 @@ def run_suite(config: Config, suite: str = "all", write: bool = True) -> Report:
         _SUITE_FUNCTIONS[name](config, run)
 
     constants = {
-        "lipschitz_C": lipschitz_constant(config.model)
+        "lipschitz_C": k_factor_constant(config.model)
         if config.model.variant == "bump"
         else None,
-        "contraction_ball_radius": (1.0 / (8.0 * lipschitz_constant(config.model)))
+        "contraction_ball_radius": (1.0 / (8.0 * k_factor_constant(config.model)))
         if config.model.variant == "bump"
         else None,
         "splitting_c_imag": 2.0 * config.model.slope,

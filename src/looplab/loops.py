@@ -40,19 +40,6 @@ class SpectralConvention:
     aps_minus: str = "lambda < 0, i.e. modes n > 0"
     zero_mode_half_weight: str = "+|c_0|^2"
 
-    def as_dict(self) -> dict:
-        return {
-            "angular_measure": self.angular_measure,
-            "complex_structure": self.complex_structure,
-            "eigenvalue_minus_J_dtheta": self.eigenvalue_minus_J_dtheta,
-            "eigenvalue_L_J_dtheta": self.eigenvalue_L_J_dtheta,
-            "polarization_plus": self.polarization_plus,
-            "polarization_minus": self.polarization_minus,
-            "aps_plus": self.aps_plus,
-            "aps_minus": self.aps_minus,
-            "zero_mode_half_weight": self.zero_mode_half_weight,
-        }
-
 
 CONVENTION = SpectralConvention()
 
@@ -237,6 +224,16 @@ def aps_project(gamma: Loop, sector: str) -> Loop:
 # -- FFT bridge ---------------------------------------------------------------
 
 
+def theta_points(N: int) -> int:
+    """Size M = 4N of the theta grid on which every nonlinear term is evaluated.
+
+    Pointwise terms (H, grad H) use the M-point rectangle rule.  grad H is not
+    band-limited, so this is a chosen quadrature, not exact de-aliasing; a
+    refinement study changes only this function.
+    """
+    return 4 * N
+
+
 def _check_grid(M: int, N: int) -> None:
     if M < 2 * N + 2:
         raise ValueError(f"grid size M={M} must be >= 2N+2 = {2 * N + 2}")
@@ -259,6 +256,11 @@ def synthesize_values(values: np.ndarray, N: int) -> np.ndarray:
     spec = np.fft.fft(values, axis=-2) / M
     n = mode_numbers(N)
     return spec[..., n % M, :]
+
+
+def theta_values(coeffs: np.ndarray, N: int) -> np.ndarray:
+    """Values of a coefficient block (..., 2N+1, d) on the theta_points(N) grid."""
+    return sample_coeffs(coeffs, N, theta_points(N))
 
 
 @tracked("loopspace.sample")

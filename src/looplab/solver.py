@@ -34,13 +34,8 @@ from .cylinder import (
     q_op,
     time_trapezoid,
 )
-from .hamiltonian import (
-    HamiltonianModel,
-    action,
-    eval_gradH,
-    lipschitz_constant,
-)
-from .loops import Loop, sample_coeffs, synthesize_values
+from .hamiltonian import HamiltonianModel, action, grad_h_modes, k_factor_constant
+from .loops import Loop, mode_numbers, theta_values
 
 
 class SolverError(Exception):
@@ -68,14 +63,7 @@ class Blowup(SolverError):
         self.trace = trace
 
 
-# -- nonlinearity -----------------------------------------------------------------
-
-
-def _grad_h_modes(m: HamiltonianModel, values: np.ndarray, N: int) -> np.ndarray:
-    """Mode block of grad H applied pointwise (sample, evaluate, resynthesize)."""
-    M = 4 * N
-    grid = sample_coeffs(values, N, M)
-    return synthesize_values(eval_gradH(m, grid), N)
+# -- L^2 norm of node values ------------------------------------------------------
 
 
 def _l2_values(values: np.ndarray, h: float) -> float:
@@ -184,7 +172,7 @@ def picard_solve(
     else:
         g_vals = np.zeros_like(q.values)
 
-    C = lipschitz_constant(m)
+    C = k_factor_constant(m)
     ball = 1.0 / (8.0 * C)
 
     v_vals = np.zeros_like(q.values)
@@ -195,7 +183,7 @@ def picard_solve(
 
     for iterations in range(1, max_iter + 1):
         u = q + p_op(CylinderMap(d, N, eps, M_t, v_vals))
-        v_next = g_vals - _grad_h_modes(m, u.values, N)
+        v_next = g_vals - grad_h_modes(m, theta_values(u.values, N), N)
         inc = _l2_values(v_next - v_vals, h)
         v_norm = _l2_values(v_next, h)
         if not np.isfinite(inc) or v_norm > ball:
@@ -221,7 +209,7 @@ def picard_solve(
     u = q + p_op(v)
     # the linear part D u equals v at the nodes by construction, so the PDE
     # residual at the nodes is the fixed-point defect
-    residual_vals = v_vals + _grad_h_modes(m, u.values, N) - g_vals
+    residual_vals = v_vals + grad_h_modes(m, theta_values(u.values, N), N) - g_vals
     residual = _l2_values(residual_vals, h)
     return SolveResult(
         u=u,
@@ -283,7 +271,7 @@ def _check_flow_dt(dt: float, N: int) -> None:
 
 
 def _etd_coefficients(N: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    n = np.arange(-N, N + 1).astype(float)
+    n = mode_numbers(N).astype(float)
     return np.exp(n * dt), dt * phi1(n * dt)
 
 
@@ -292,7 +280,7 @@ def flow_step(m: HamiltonianModel, gamma: Loop, dt: float) -> Loop:
     """One ETD step of the upward flow d/dt c_n = n c_n - (grad H)_n."""
     _check_flow_dt(dt, gamma.N)
     grow, weight = _etd_coefficients(gamma.N, dt)
-    b = -_grad_h_modes(m, gamma.coeffs, gamma.N)
+    b = -grad_h_modes(m, theta_values(gamma.coeffs, gamma.N), gamma.N)
     c = grow[:, None] * gamma.coeffs + weight[:, None] * b
     return Loop(gamma.d, gamma.N, c)
 
@@ -334,8 +322,7 @@ def flow_trajectory(
     if T < 0:
         raise ValueError("flow time must be nonnegative")
     d, N = gamma.d, gamma.N
-    M = 4 * N
-    n = np.arange(-N, N + 1).astype(float)
+    n = mode_numbers(N).astype(float)
 
     steps = max(int(round(T / dt)), 0) if T > 0 else 0
     if T > 0 and steps == 0:
@@ -365,10 +352,11 @@ def flow_trajectory(
                 final=gamma,
             )
             raise Blowup(t_k, partial)
-        grid = sample_coeffs(c, N, M)
+        # one grid per step, shared by the H term of the action and by grad H
+        grid = theta_values(c, N)
         quad = 0.5 * float(np.sum(n[:, None] * np.abs(c) ** 2))
         actions[k] = quad - float(np.mean(m.h(np.sum(np.abs(grid) ** 2, axis=-1))))
-        grad_modes = n[:, None] * c - synthesize_values(eval_gradH(m, grid), N)
+        grad_modes = n[:, None] * c - grad_h_modes(m, grid, N)
         grad_sq[k] = float(np.sum(np.abs(grad_modes) ** 2))
         if k < steps:
             # nonlinear block of the vector field: -grad H = grad_modes - n c

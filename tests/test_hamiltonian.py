@@ -11,7 +11,6 @@ from looplab.hamiltonian import (
     grad_action,
     k_factor,
     k_factor_constant,
-    lipschitz_constant,
     split,
 )
 from looplab.loops import Loop, gaussian_loop, inner, sobolev_norm
@@ -219,7 +218,7 @@ class TestNonlinearLipschitz:
     def test_l4_inequality_on_cylinder_fields(self, model):
         # ||X_H(a) - X_H(b)||_{L^2} <= 2C (||a||_{L4} + ||b||_{L4}) ||a - b||_{L4}
         # over random cylinder fields, pointwise products integrated in (t, theta)
-        C = lipschitz_constant(model)
+        C = k_factor_constant(model)
         rng = np.random.default_rng(28)
         n_t, M = 9, 48
         for _ in range(1000):

@@ -13,6 +13,7 @@ from looplab.harness import (
     run_suite,
     verify_energy_norm_equivalence,
 )
+from looplab.loops import theta_points
 
 
 @pytest.fixture()
@@ -34,6 +35,31 @@ class TestConfig:
         cfg = Config(N=16, seed=7, eps_list=(0.5, 0.1), output_dir="x")
         back = Config.from_json_dict(cfg.to_json_dict())
         assert back.to_json_dict() == cfg.to_json_dict()
+
+    @pytest.mark.parametrize("M_theta", [None, 32])
+    def test_m_theta_records_the_grid(self, M_theta):
+        cfg = Config(N=8, M_theta=M_theta)
+        assert cfg.M_theta == theta_points(8) == 32
+
+    @pytest.mark.parametrize("M_theta", [2 * 8 + 2, 4096])
+    def test_m_theta_other_values_rejected(self, M_theta):
+        with pytest.raises(ValueError, match="M_theta"):
+            Config(N=8, M_theta=M_theta)
+        with pytest.raises(ValueError, match="M_theta"):
+            Config.from_json_dict({"N": 8, "M_theta": M_theta})
+
+    @pytest.mark.parametrize(
+        "obj, match",
+        [
+            ({"N": 8, "tolerence": {}}, "unknown config keys"),
+            ({"N": 8, "eps_lst": [0.1]}, "unknown config keys"),
+            ({"N": 8, "model": {"eps_h": 5}}, "unknown model keys"),
+            ({"N": 8, "tolerances": {"exct": 1.0}}, "unknown tolerance keys"),
+        ],
+    )
+    def test_unknown_keys_rejected(self, obj, match):
+        with pytest.raises(ValueError, match=match):
+            Config.from_json_dict(obj)
 
 
 class TestSuites:
@@ -246,6 +272,19 @@ class TestCli:
         assert cli_main(["solve-cylinder", "--config", missing]) == 2
         bad = self._write(tmp_path, "bad.json", {"model": {"eps_H": -1}})
         assert cli_main(["solve-cylinder", "--config", bad]) == 2
+        # typos are errors, not silent defaults
+        model_typo = self._write(
+            tmp_path, "model_typo.json", {"model": {"eps_h": 5}, "beta_modes": [{"n": -1, "re": 0.05}]}
+        )
+        assert cli_main(["solve-cylinder", "--config", model_typo]) == 2
+        typos = self._write(
+            tmp_path,
+            "typos.json",
+            {"N": 8, "M_theta": 4096, "tolerence": {"exact": 1e-12}, "eps_lst": [0.1],
+             "model": {"eps_h": 5}, "output_dir": str(tmp_path / "o")},
+        )
+        assert cli_main(["verify", "--config", typos, "--suite", "norms"]) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_failing_suite_exit_1(self, tmp_path):
         cfg = self._write(

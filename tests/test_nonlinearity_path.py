@@ -1,0 +1,196 @@
+"""The shared theta grid and grad-H path reproduce every former per-site copy.
+
+Each nonlinear term used to sample on its own 4N-point grid and resynthesize
+grad H (or X_H) by hand.  The reference functions below keep those copies as
+they were written at each call site; the tests require byte-identical
+results from `theta_values` + `grad_h_modes` and from the routines built on
+them.
+"""
+
+import numpy as np
+import pytest
+
+from looplab.cycles import _flatten_real, _newton_matrix
+from looplab.cylinder import CylinderMap, dt_derivative, energy, time_trapezoid
+from looplab.hamiltonian import (
+    HamiltonianModel,
+    action,
+    eval_gradH,
+    eval_H,
+    eval_XH,
+    grad_action,
+    grad_h_modes,
+)
+from looplab.loops import Loop, sample, sample_coeffs, synthesize_values, theta_points, theta_values
+from looplab.solver import _cumulative_simpson, _etd_coefficients, flow_step, flow_trajectory
+
+NS = (4, 8, 32)
+DS = (1, 2)
+MODELS = (HamiltonianModel(), HamiltonianModel(eps_H=0.3, variant="pure_quadratic"))
+
+
+def coefficient_block(N, d, lead=(), seed=0):
+    """Random modes whose theta values spread over the core, ramp and tail of h."""
+    rng = np.random.default_rng(seed + 97 * N + 13 * d + len(lead))
+    shape = lead + (2 * N + 1, d)
+    scale = 1.2 / np.sqrt(2 * N + 1)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def assert_same_bytes(new, old):
+    new, old = np.asarray(new), np.asarray(old)
+    assert new.shape == old.shape and new.dtype == old.dtype
+    assert new.tobytes() == old.tobytes()
+
+
+# -- the former per-site copies ----------------------------------------------------
+
+
+def old_solver_grad_h_modes(m, values, N):
+    """solver._grad_h_modes (Picard iteration, residual, flow_step, uniqueness)."""
+    grid = sample_coeffs(values, N, 4 * N)
+    return synthesize_values(eval_gradH(m, grid), N)
+
+
+def old_grad_action(m, gamma):
+    """Body of hamiltonian.grad_action."""
+    vals = sample(gamma, 4 * gamma.N)
+    grad_modes = synthesize_values(eval_gradH(m, vals), gamma.N)
+    n = gamma.modes.astype(float)
+    return n[:, None] * gamma.coeffs - grad_modes
+
+
+def old_action(m, gamma):
+    """Body of hamiltonian.action."""
+    n = gamma.modes.astype(float)
+    quad = 0.5 * float(np.sum(n[:, None] * np.abs(gamma.coeffs) ** 2))
+    vals = sample(gamma, 4 * gamma.N)
+    return quad - float(np.mean(eval_H(m, vals)))
+
+
+def old_flow_nodes(m, c, N, steps, dt):
+    """Inline copy in solver.flow_trajectory: per-node action, |grad|^2, final c."""
+    n = np.arange(-N, N + 1).astype(float)
+    grow, weight = _etd_coefficients(N, dt)
+    actions, grad_sq = np.zeros(steps + 1), np.zeros(steps + 1)
+    c = c.copy()
+    for k in range(steps + 1):
+        grid = sample_coeffs(c, N, 4 * N)
+        quad = 0.5 * float(np.sum(n[:, None] * np.abs(c) ** 2))
+        actions[k] = quad - float(np.mean(m.h(np.sum(np.abs(grid) ** 2, axis=-1))))
+        grad_modes = n[:, None] * c - synthesize_values(eval_gradH(m, grid), N)
+        grad_sq[k] = float(np.sum(np.abs(grad_modes) ** 2))
+        if k < steps:
+            c = grow[:, None] * c + weight[:, None] * (grad_modes - n[:, None] * c)
+    return actions, grad_sq, c
+
+
+def old_newton_residual(m, gamma):
+    """Hand-expanded residual block of cycles._newton_matrix."""
+    N = gamma.N
+    n = np.arange(-N, N + 1).astype(float)
+    vals = sample_coeffs(gamma.coeffs, N, 4 * N)
+    s = np.sum(np.abs(vals) ** 2, axis=-1)
+    hp = m.h_prime(s)
+    return n[:, None] * gamma.coeffs - synthesize_values((2.0 * hp)[:, None] * vals, N)
+
+
+def old_energy_xh_modes(m, values, N):
+    """X_H modes in cylinder.energy."""
+    grid = sample_coeffs(values, N, 4 * N)
+    return synthesize_values(eval_XH(m, grid), N)
+
+
+def old_energy(m, u):
+    """cylinder.energy as a whole."""
+    h = u.dt
+    du = dt_derivative(u.values, h)
+    n = np.arange(-u.N, u.N + 1).astype(float)
+    u_theta = (1j * n)[None, :, None] * u.values
+    defect = u_theta - old_energy_xh_modes(m, u.values, u.N)
+    density = np.sum(np.abs(du) ** 2 + np.abs(defect) ** 2, axis=(1, 2))
+    return float(0.5 * time_trapezoid(density, h))
+
+
+# -- the shared path ---------------------------------------------------------------
+
+
+def test_theta_grid_is_4n():
+    for N in NS:
+        assert theta_points(N) == 4 * N
+        c = coefficient_block(N, 2)
+        assert_same_bytes(theta_values(c, N), sample_coeffs(c, N, 4 * N))
+
+
+@pytest.mark.parametrize("m", MODELS, ids=("bump", "pure_quadratic"))
+@pytest.mark.parametrize("lead", [(), (5,)], ids=("loop", "time_axis"))
+@pytest.mark.parametrize("d", DS)
+@pytest.mark.parametrize("N", NS)
+def test_grad_h_modes_matches_solver_copy(N, d, lead, m):
+    c = coefficient_block(N, d, lead)
+    new = grad_h_modes(m, theta_values(c, N), N)
+    assert new.shape == lead + (2 * N + 1, d)
+    assert_same_bytes(new, old_solver_grad_h_modes(m, c, N))
+
+
+@pytest.mark.parametrize("lead", [(), (5,)], ids=("loop", "time_axis"))
+@pytest.mark.parametrize("d", DS)
+@pytest.mark.parametrize("N", NS)
+def test_energy_xh_modes(N, d, lead):
+    m = MODELS[0]
+    c = coefficient_block(N, d, lead, seed=1)
+    new = 1j * grad_h_modes(m, theta_values(c, N), N)
+    assert_same_bytes(new, old_energy_xh_modes(m, c, N))
+
+
+@pytest.mark.parametrize("d", DS)
+@pytest.mark.parametrize("N", NS)
+def test_energy(N, d):
+    m = MODELS[0]
+    u = CylinderMap(d, N, 0.1, 8, coefficient_block(N, d, (9,), seed=2))
+    assert_same_bytes(energy(m, u), old_energy(m, u))
+
+
+@pytest.mark.parametrize("d", DS)
+@pytest.mark.parametrize("N", NS)
+def test_action_and_grad_action(N, d):
+    for m in MODELS:
+        gamma = Loop(d, N, coefficient_block(N, d, seed=3))
+        assert_same_bytes(grad_action(m, gamma).coeffs, old_grad_action(m, gamma))
+        assert_same_bytes(action(m, gamma), old_action(m, gamma))
+
+
+@pytest.mark.parametrize("d", DS)
+@pytest.mark.parametrize("N", NS)
+def test_newton_residual(N, d):
+    m = MODELS[0]
+    gamma = Loop(d, N, coefficient_block(N, d, seed=4))
+    residual, _ = _newton_matrix(m, gamma)
+    assert_same_bytes(residual, _flatten_real(old_newton_residual(m, gamma)))
+
+
+@pytest.mark.parametrize("d", DS)
+@pytest.mark.parametrize("N", NS)
+def test_flow_step(N, d):
+    m = MODELS[0]
+    gamma = Loop(d, N, coefficient_block(N, d, seed=5))
+    dt = 0.05 / N
+    grow, weight = _etd_coefficients(N, dt)
+    old = grow[:, None] * gamma.coeffs + weight[:, None] * -old_solver_grad_h_modes(
+        m, gamma.coeffs, N
+    )
+    assert_same_bytes(flow_step(m, gamma, dt).coeffs, old)
+
+
+@pytest.mark.parametrize("d", DS)
+@pytest.mark.parametrize("N", NS)
+def test_flow_trajectory(N, d):
+    m = MODELS[0]
+    gamma = Loop(d, N, coefficient_block(N, d, seed=6))
+    steps, dt = 12, 0.05 / N
+    T = steps * dt
+    trace = flow_trajectory(m, gamma, T, dt)
+    actions, grad_sq, final = old_flow_nodes(m, gamma.coeffs, N, steps, T / steps)
+    assert_same_bytes(trace.actions, actions)
+    assert_same_bytes(trace.final.coeffs, final)
+    assert_same_bytes(trace.cumulative_energy, _cumulative_simpson(grad_sq, T / steps))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from looplab.cylinder import BoundaryData, CylinderMap, cyl_norm, decompose, p_op, q_op
-from looplab.hamiltonian import HamiltonianModel, action, lipschitz_constant
+from looplab.hamiltonian import HamiltonianModel, action
 from looplab.loops import Loop, gaussian_loop, project, sobolev_norm
 from looplab.solver import (
     BallExit,
