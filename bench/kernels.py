@@ -1,13 +1,14 @@
-"""Time the aps cylinder kernels, the aps checks, `lab verify --suite aps` and
-the nonlinearity layer.
+"""Time the aps cylinder kernels, the aps checks, `lab verify --suite aps`,
+the nonlinearity layer and the beta descent.
 
     python bench/kernels.py --label after --out BENCH.json [--src DIR] [--repeats 5]
+        [--groups kernels,guards,verify_aps,nonlinearity,descent]
 
 DIR is the root of the looplab checkout to measure (default: the one holding
 this file), so that two checkouts can be timed with the same script.  Every
 timing is taken with time.perf_counter over --repeats runs after one warm-up
 call and reported as the median and the interquartile range (IQR), with the
-samples.  Four groups are timed:
+samples.  Five groups are timed (--groups picks some of them):
 
 * kernels: kernel_p_values, kernel_q_values and the harness's L^2_1 norm
   _l21_batch at the aps shapes (nodes x modes x batch);
@@ -19,7 +20,13 @@ samples.  Four groups are timed:
   (sample, grad H, synthesize) at N = 8, 32 and 128, of one flow_trajectory
   step at N = 8 and of one Newton Jacobian (cycles._newton_matrix) at N = 32.
   Each sample is a batch of calls divided by its size.  Checkouts from before
-  hamiltonian.grad_h_modes time their own copy, solver._grad_h_modes.
+  hamiltonian.grad_h_modes time their own copy, solver._grad_h_modes;
+* descent: the projected descent of the beta estimate at N = 32, seed 2026:
+  one descent step of all 49 starts at alpha = 1.43 (each sample is
+  estimate_beta with descent_steps=1 minus the same call with
+  descent_steps=0, taken back to back), one whole estimate_beta at that
+  alpha, one scan_alpha over the default grid, and `lab scan-alpha` and
+  `lab check-cycles` on the shipped configs in fresh processes, with peak RSS.
 
 The result is stored under --label in the --out JSON file, beside the labels
 already there, with the core count, numpy version and CPU model.
@@ -143,13 +150,14 @@ def time_guards(repeats: int) -> dict:
     return {name: summary(values[1:]) for name, values in samples.items()}
 
 
-def time_verify_aps(root: Path, repeats: int) -> dict:
+def time_lab(root: Path, repeats: int, command: str, config: str, *extra: str) -> dict:
+    """Wall time and peak RSS of `lab COMMAND --config configs/CONFIG` in fresh processes."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     walls, rss = [], []
     with tempfile.TemporaryDirectory() as out_dir:
         argv = [
-            sys.executable, "-m", "looplab.cli", "verify", "--suite", "aps",
-            "--config", str(root / "configs" / "verify_defaults.json"), "--out", out_dir,
+            sys.executable, "-m", "looplab.cli", command, *extra,
+            "--config", str(root / "configs" / config), "--out", out_dir,
         ]
         for _ in range(repeats):
             start = time.perf_counter()
@@ -158,9 +166,42 @@ def time_verify_aps(root: Path, repeats: int) -> dict:
             walls.append(time.perf_counter() - start)
             proc.returncode = os.waitstatus_to_exitcode(status)
             if proc.returncode != 0:
-                raise SystemExit(f"lab verify --suite aps exited with {proc.returncode}")
+                raise SystemExit(f"lab {command} exited with {proc.returncode}")
             rss.append(usage.ru_maxrss / 1024)
     return {"wall_s": summary(walls), "peak_rss_mb": summary(rss)}
+
+
+def time_verify_aps(root: Path, repeats: int) -> dict:
+    return time_lab(root, repeats, "verify", "verify_defaults.json", "--suite", "aps")
+
+
+def time_descent(root: Path, repeats: int) -> dict:
+    from looplab import cycles, hamiltonian
+
+    m = hamiltonian.HamiltonianModel()
+    alpha = 1.43
+
+    def beta(steps):
+        try:
+            cycles.estimate_beta(m, alpha, descent_steps=steps, seed=2026, N=32)
+        except cycles.NegativeBeta:
+            pass
+
+    beta(1)
+    steps = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        beta(0)
+        middle = time.perf_counter()
+        beta(1)
+        steps.append((time.perf_counter() - middle) - (middle - start))
+    return {
+        "descent_step[B=49,N=32]_s": summary(steps),
+        "estimate_beta[N=32]_s": timed(lambda: beta(120), repeats),
+        "scan_alpha[N=32]_s": timed(lambda: cycles.scan_alpha(m, seed=2026, N=32), repeats),
+        "lab_scan_alpha": time_lab(root, repeats, "scan-alpha", "scan_alpha.json"),
+        "lab_check_cycles": time_lab(root, repeats, "check-cycles", "check_cycles.json"),
+    }
 
 
 def environment() -> dict:
@@ -189,31 +230,49 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="root of the looplab checkout to measure")
     parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--groups", default=",".join(GROUPS),
+                        help=f"comma-separated subset of {','.join(GROUPS)}")
     args = parser.parse_args(argv)
     if args.repeats < 2:
         parser.error("--repeats must be at least 2")
+    groups = args.groups.split(",")
+    if not set(groups) <= set(GROUPS):
+        parser.error(f"unknown groups: {sorted(set(groups) - set(GROUPS))}")
     root = args.src.resolve()
     sys.path.insert(0, str(root / "src"))
 
-    result = {
-        "env": environment(),
-        "repeats": args.repeats,
-        "kernels_s": time_kernels(args.repeats),
-        "guards_s": time_guards(args.repeats),
-        "verify_aps": time_verify_aps(root, args.repeats),
-        "nonlinearity_s": time_nonlinearity(args.repeats),
-    }
+    result = {"env": environment(), "repeats": args.repeats}
+    for group in GROUPS:
+        if group in groups:
+            key, fn = GROUPS[group]
+            result[key] = fn(root, args.repeats)
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data[args.label] = result
     args.out.write_text(json.dumps(data, indent=2) + "\n")
-    for group in ("kernels_s", "guards_s"):
-        for name, stats in result[group].items():
-            print(f"{name:40s} median {stats['median']:8.3f} s  IQR {stats['iqr']:.3f} s")
-    for name, stats in result["verify_aps"].items():
-        print(f"verify_aps {name:29s} median {stats['median']:8.1f}  IQR {stats['iqr']:.1f}")
-    for name, stats in result["nonlinearity_s"].items():
-        print(f"{name:40s} median {stats['median'] * 1e6:8.1f} us  IQR {stats['iqr'] * 1e6:.1f} us")
+    _print_stats(result)
     return 0
+
+
+def _print_stats(result: dict, prefix: str = "") -> None:
+    for name, value in result.items():
+        if isinstance(value, dict) and "median" in value:
+            scale, unit = (1e6, "us") if value["median"] < 1e-2 else (1.0, "s")
+            if name.endswith("_mb"):
+                scale, unit = 1.0, "MB"
+            print(f"{prefix + name:48s} median {value['median'] * scale:9.3f} {unit:2s}"
+                  f"  IQR {value['iqr'] * scale:.3f}")
+        elif isinstance(value, dict) and name != "env":
+            _print_stats(value, prefix + name + " ")
+
+
+# group name -> (key in the result, timing function of (root, repeats))
+GROUPS = {
+    "kernels": ("kernels_s", lambda root, repeats: time_kernels(repeats)),
+    "guards": ("guards_s", lambda root, repeats: time_guards(repeats)),
+    "verify_aps": ("verify_aps", time_verify_aps),
+    "nonlinearity": ("nonlinearity_s", lambda root, repeats: time_nonlinearity(repeats)),
+    "descent": ("descent", time_descent),
+}
 
 
 if __name__ == "__main__":

@@ -35,6 +35,18 @@ def _load_config_file(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
+def _command_config(path, keys: str) -> dict:
+    """Read a subcommand config whose top-level keys are among `keys` (space
+    separated), `model` and `output_dir`; any other key is a ConfigError."""
+    obj = _load_config_file(path)
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    unknown = set(obj) - set(keys.split()) - {"model", "output_dir"}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    return obj
+
+
 def _model_from(obj: dict) -> HamiltonianModel:
     try:
         return HamiltonianModel.from_json_dict(obj.get("model", {}))
@@ -46,6 +58,9 @@ def _loop_from_modes_spec(spec, d: int, N: int) -> Loop:
     """Build a loop from [{'n':, 'coord':, 're':, 'im':}, ...]."""
     coeffs = np.zeros((2 * N + 1, d), complex)
     for entry in spec:
+        unknown = set(entry) - {"n", "coord", "re", "im"}
+        if unknown:
+            raise ConfigError(f"unknown mode entry keys {sorted(unknown)} in {entry}")
         n = int(entry["n"])
         coord = int(entry.get("coord", 0))
         if abs(n) > N or not (0 <= coord < d):
@@ -82,7 +97,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve_cylinder(args) -> int:
-    obj = _load_config_file(args.config)
+    obj = _command_config(args.config, "d N eps tol M_t beta_modes write_field_csv")
     m = _model_from(obj)
     d = int(obj.get("d", 1))
     N = int(obj.get("N", 32))
@@ -109,7 +124,7 @@ def _cmd_solve_cylinder(args) -> int:
 
 
 def _cmd_flow(args) -> int:
-    obj = _load_config_file(args.config)
+    obj = _command_config(args.config, "d N T dt seed_modes")
     m = _model_from(obj)
     d = int(obj.get("d", 1))
     N = int(obj.get("N", 32))
@@ -136,7 +151,7 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_find_orbit(args) -> int:
-    obj = _load_config_file(args.config)
+    obj = _command_config(args.config, "N winding flow_time newton_tol seed_modes alpha")
     m = _model_from(obj)
     N = int(obj.get("N", 32))
     winding = int(obj.get("winding", 1))
@@ -173,14 +188,17 @@ def _cmd_find_orbit(args) -> int:
 
 
 def _cmd_scan_alpha(args) -> int:
-    obj = _load_config_file(args.config)
+    obj = _command_config(args.config, "N seed samples descent_steps alphas")
     m = _model_from(obj)
     N = int(obj.get("N", 32))
     seed = int(obj.get("seed", 2026))
     samples = int(obj.get("samples", 48))
     steps = int(obj.get("descent_steps", 120))
-    alphas = obj.get("alphas")
-    alphas = np.asarray(alphas, float) if alphas else None
+    alphas = None
+    if "alphas" in obj:
+        if not (isinstance(obj["alphas"], list) and obj["alphas"]):
+            raise ConfigError(f"'alphas' must be a nonempty list, got {obj['alphas']!r}")
+        alphas = np.asarray(obj["alphas"], float)
     out_dir = args.out or obj.get("output_dir", "lab_out")
     try:
         alpha_star, beta_star, table = cyc.scan_alpha(
@@ -203,7 +221,7 @@ def _cmd_scan_alpha(args) -> int:
 
 
 def _cmd_check_cycles(args) -> int:
-    obj = _load_config_file(args.config)
+    obj = _command_config(args.config, "N seed samples descent_steps")
     m = _model_from(obj)
     N = int(obj.get("N", 32))
     seed = int(obj.get("seed", 2026))

@@ -22,14 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverage import tracked
-from .hamiltonian import HamiltonianModel, action, grad_action, grad_h_modes
+from .hamiltonian import HamiltonianModel, action, action_values, grad_action, grad_h_modes
 from .loops import (
     Loop,
+    block_sums,
     gaussian_loop,
-    inner,
     mode_numbers,
     project,
     sobolev_norm,
+    sobolev_weights,
     synthesize_values,
     theta_values,
 )
@@ -126,9 +127,8 @@ def sample_sigma(
 # -- sphere minimum and box boundary ------------------------------------------------
 
 
-def _half_normalize(gamma: Loop, alpha: float) -> Loop:
-    nrm = sobolev_norm(gamma, 0.5)
-    return (alpha / nrm) * gamma if nrm > 0 else gamma
+#: rows per action_values call in check_sigma_boundary
+_BOUNDARY_ROWS = 64
 
 
 @tracked("cycles.estimate_beta")
@@ -146,6 +146,13 @@ def estimate_beta(
     Projected gradient descent constrained to the sphere, from `samples`
     random starts plus the distinguished point alpha * e_plus.  Raises
     NegativeBeta when the estimate is nonpositive.
+
+    All starts descend together as one (starts, 2N+1, d) block.  Each row
+    keeps its own action value and step, and runs its own backtracking line
+    search (at most 25 trials); a row stops when its tangential gradient
+    vanishes or a search fails.  Every row sees the same operations in the
+    same order as a start descending alone, so the estimate does not depend
+    on how many starts share the block.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
@@ -153,35 +160,53 @@ def estimate_beta(
         return 0.0
     starts = sample_gamma(alpha, samples, seed, d=d, N=N)
     starts.append(alpha * e_plus(d, N))
-    best = np.inf
-    for gamma in starts:
-        value = action(m, gamma)
-        best = min(best, value)
-        step = 0.1 * alpha
-        for _ in range(descent_steps):
-            g = project(grad_action(m, gamma), "plus")
-            # remove the radial component in the half-norm metric
-            radial = inner(g, gamma, 0.5) / alpha**2
-            direction = g - radial * gamma
-            dir_norm = sobolev_norm(direction, 0.5)
-            if dir_norm <= 1e-14 * (1.0 + alpha):
+    c = np.stack([gamma.coeffs for gamma in starts])
+    n = mode_numbers(N).astype(float)[:, None]
+    plus = (mode_numbers(N) > 0)[:, None]
+    w = sobolev_weights(0.5, N)[:, None]
+
+    def half_norms(block):
+        return np.sqrt(block_sums(w * np.abs(block) ** 2))
+
+    # values only ever decrease, so each row's final value is its minimum
+    value = action_values(m, c)
+    step = np.full(len(c), 0.1 * alpha)
+    active = np.arange(len(c))
+    for _ in range(descent_steps):
+        if active.size == 0:
+            break
+        gamma = c[active]
+        g = np.where(plus, n * gamma - grad_h_modes(m, theta_values(gamma, N), N), 0.0)
+        # remove the radial component in the half-norm metric
+        radial = block_sums(w * (g * gamma.conj()).real) / alpha**2
+        direction = g - gamma * radial[:, None, None]
+        dir_norm = half_norms(direction)
+        moving = dir_norm > 1e-14 * (1.0 + alpha)
+        active, gamma = active[moving], gamma[moving]
+        direction, dir_norm = direction[moving], dir_norm[moving]
+        searching = np.arange(active.size)  # positions in `active`
+        for _ in range(25):
+            if searching.size == 0:
                 break
-            moved = False
-            for _ in range(25):
-                candidate = _half_normalize(gamma - (step / dir_norm) * direction, alpha)
-                cand_value = action(m, candidate)
-                if cand_value < value - 1e-15:
-                    gamma, value = candidate, cand_value
-                    best = min(best, value)
-                    step *= 1.3
-                    moved = True
-                    break
-                step *= 0.5
-            if not moved:
-                break
+            rows = active[searching]
+            candidate = gamma[searching] - direction[searching] * (
+                step[rows] / dir_norm[searching]
+            )[:, None, None]
+            nrm = half_norms(candidate)
+            scaled = nrm > 0
+            candidate[scaled] = candidate[scaled] * (alpha / nrm[scaled])[:, None, None]
+            cand_value = action_values(m, candidate)
+            accept = cand_value < value[rows] - 1e-15
+            c[rows[accept]] = candidate[accept]
+            value[rows[accept]] = cand_value[accept]
+            step[rows[accept]] *= 1.3
+            step[rows[~accept]] *= 0.5
+            searching = searching[~accept]
+        active = np.delete(active, searching)
+    best = float(value.min())
     if best <= 0:
         raise NegativeBeta(best)
-    return float(best)
+    return best
 
 
 @tracked("cycles.scan_alpha")
@@ -197,6 +222,8 @@ def scan_alpha(
     """Scan alpha over a log grid and return the beta-maximizing alpha."""
     if alphas is None:
         alphas = np.geomspace(0.05, 2.0, 12)
+    if len(alphas) == 0:
+        raise ValueError("alphas must not be empty")
     table = []
     best_alpha, best_beta = None, -np.inf
     for a in alphas:
@@ -226,7 +253,10 @@ def check_sigma_boundary(
 ) -> float:
     """Maximum of the action over sampled boundary faces of the box family."""
     pts = sample_sigma(tau, e_plus(d, N), samples, seed, boundary_only=True)
-    return float(max(action(m, p) for p in pts))
+    coeffs = np.stack([p.coeffs for p in pts])
+    # blocks of rows keep the temporaries as small as those of the descent
+    blocks = range(0, len(coeffs), _BOUNDARY_ROWS)
+    return float(max(np.max(action_values(m, coeffs[i : i + _BOUNDARY_ROWS])) for i in blocks))
 
 
 def derive_tau(

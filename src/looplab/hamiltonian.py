@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .coverage import tracked
-from .loops import Loop, synthesize_values, theta_values
+from .loops import Loop, block_sums, mode_numbers, synthesize_values, theta_values
 
 _PROFILE_GRID = 20001  # sampling density for recorded constants
 
@@ -190,18 +190,25 @@ def k_factor_constant(m: HamiltonianModel) -> float:
 # -- action functional ----------------------------------------------------------
 
 
+def action_values(m: HamiltonianModel, coeffs: np.ndarray) -> np.ndarray:
+    """CSD_H of each coefficient block in a stack (..., 2N+1, d).
+
+    The quadratic term 1/2 sum_n n |c_n|^2 is exact in modes; the H term is
+    the rectangle rule (the trapezoid rule on a periodic grid) on
+    theta_points(N) nodes under dtheta/2pi.  Both sums run along the
+    contiguous last axis, so each block's value is bit-identical to that of
+    the block on its own.
+    """
+    N = (coeffs.shape[-2] - 1) // 2
+    n = mode_numbers(N).astype(float)
+    quad = 0.5 * block_sums(n[:, None] * np.abs(coeffs) ** 2)
+    return quad - np.mean(eval_H(m, theta_values(coeffs, N)), axis=-1)
+
+
 @tracked("hamiltonian.action")
 def action(m: HamiltonianModel, gamma: Loop) -> float:
-    """CSD_H(gamma) = 1/2 sum_n n |c_n|^2 - mean_j H(gamma(theta_j)).
-
-    The quadratic term is exact in modes; the H term is the rectangle rule
-    (the trapezoid rule on a periodic grid) on theta_points(N) nodes under
-    dtheta/2pi.
-    """
-    n = gamma.modes.astype(float)
-    quad = 0.5 * float(np.sum(n[:, None] * np.abs(gamma.coeffs) ** 2))
-    vals = theta_values(gamma.coeffs, gamma.N)
-    return quad - float(np.mean(eval_H(m, vals)))
+    """CSD_H(gamma) = 1/2 sum_n n |c_n|^2 - mean_j H(gamma(theta_j)); see action_values."""
+    return float(action_values(m, gamma.coeffs))
 
 
 @tracked("hamiltonian.grad_action")

@@ -183,6 +183,15 @@ def sobolev_norm(gamma: Loop, order: float) -> float:
     return float(np.sqrt(np.sum(w[:, None] * np.abs(gamma.coeffs) ** 2)))
 
 
+def block_sums(x: np.ndarray) -> np.ndarray:
+    """Sum of each trailing (2N+1, d) block of x (..., 2N+1, d).
+
+    The sum runs along the contiguous last axis of the flattened block, so
+    each block sums bit-identically to np.sum of that block on its own.
+    """
+    return x.reshape(x.shape[:-2] + (-1,)).sum(axis=-1)
+
+
 @tracked("loopspace.inner")
 def inner(gamma: Loop, delta: Loop, order: float = 0) -> float:
     """Real inner product inducing sobolev_norm: inner(g, g, k) = norm(g, k)^2."""

@@ -285,6 +285,22 @@ class TestCli:
         )
         assert cli_main(["verify", "--config", typos, "--suite", "norms"]) == 2
         assert not (tmp_path / "o").exists()
+        # every subcommand rejects a top-level key it does not read
+        modes = [{"n": -1, "re": 0.05}]
+        for command, obj in (
+            ("solve-cylinder", {"N": 8, "epsilon": 0.2, "beta_modes": modes}),
+            ("flow", {"N": 8, "T_end": 0.1, "seed_modes": modes}),
+            ("find-orbit", {"N": 8, "windng": 1}),
+            ("scan-alpha", {"N": 8, "sample": 4}),
+            ("check-cycles", {"N": 8, "alphas": [0.5]}),
+            # and a mode entry key, and an empty alpha grid
+            ("solve-cylinder", {"N": 8, "beta_modes": [{"n": -1, "real": 0.05}]}),
+            ("flow", {"N": 8, "seed_modes": [{"n": 1, "re": 0.5, "cord": 0}]}),
+            ("scan-alpha", {"N": 8, "samples": 2, "descent_steps": 2, "alphas": []}),
+        ):
+            path = self._write(tmp_path, "cmd.json", dict(obj, output_dir=str(tmp_path / "o")))
+            assert cli_main([command, "--config", path]) == 2, (command, obj)
+            assert not (tmp_path / "o").exists()
 
     def test_failing_suite_exit_1(self, tmp_path):
         cfg = self._write(
