@@ -2,13 +2,12 @@
 the nonlinearity layer and the beta descent.
 
     python bench/kernels.py --label after --out BENCH.json [--src DIR] [--repeats 5]
-        [--groups kernels,guards,verify_aps,nonlinearity,descent]
 
 DIR is the root of the looplab checkout to measure (default: the one holding
 this file), so that two checkouts can be timed with the same script.  Every
 timing is taken with time.perf_counter over --repeats runs after one warm-up
 call and reported as the median and the interquartile range (IQR), with the
-samples.  Five groups are timed (--groups picks some of them):
+samples.  Five groups are timed:
 
 * kernels: kernel_p_values, kernel_q_values and the harness's L^2_1 norm
   _l21_batch at the aps shapes (nodes x modes x batch);
@@ -22,11 +21,12 @@ samples.  Five groups are timed (--groups picks some of them):
   Each sample is a batch of calls divided by its size.  Checkouts from before
   hamiltonian.grad_h_modes time their own copy, solver._grad_h_modes;
 * descent: the projected descent of the beta estimate at N = 32, seed 2026:
-  one descent step of all 49 starts at alpha = 1.43 (each sample is
-  estimate_beta with descent_steps=1 minus the same call with
-  descent_steps=0, taken back to back), one whole estimate_beta at that
-  alpha, one scan_alpha over the default grid, and `lab scan-alpha` and
-  `lab check-cycles` on the shipped configs in fresh processes, with peak RSS.
+  one first descent step (cycles._descent_step) of the block of all 49
+  starts at alpha = 1.43, each sample a batch of 20 calls on fresh copies of
+  the block, one whole estimate_beta at that alpha, one scan_alpha over the
+  default grid, and `lab scan-alpha` and `lab check-cycles` on the shipped
+  configs in fresh processes, with peak RSS.  Checkouts from before the
+  batched descent have no step function, so their step is not timed.
 
 The result is stored under --label in the --out JSON file, beside the labels
 already there, with the core count, numpy version and CPU model.
@@ -150,24 +150,37 @@ def time_guards(repeats: int) -> dict:
     return {name: summary(values[1:]) for name, values in samples.items()}
 
 
+# Linux keeps a process's high-water RSS across exec, so a child started from
+# this process (which has held the aps fields of the guards group) would report
+# at least this process's peak.  Each lab run is therefore started, timed and
+# measured by a bare interpreter, which prints the exit code, wall seconds and
+# peak RSS in KiB.
+LAUNCHER = """
+import os, subprocess, sys, time
+start = time.perf_counter()
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_maxrss)
+"""
+
+
 def time_lab(root: Path, repeats: int, command: str, config: str, *extra: str) -> dict:
     """Wall time and peak RSS of `lab COMMAND --config configs/CONFIG` in fresh processes."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     walls, rss = [], []
     with tempfile.TemporaryDirectory() as out_dir:
         argv = [
-            sys.executable, "-m", "looplab.cli", command, *extra,
-            "--config", str(root / "configs" / config), "--out", out_dir,
+            sys.executable, "-c", LAUNCHER, sys.executable, "-m", "looplab.cli", command,
+            *extra, "--config", str(root / "configs" / config), "--out", out_dir,
         ]
         for _ in range(repeats):
-            start = time.perf_counter()
-            proc = subprocess.Popen(argv, cwd=root, env=env, stdout=subprocess.DEVNULL)
-            _, status, usage = os.wait4(proc.pid, 0)
-            walls.append(time.perf_counter() - start)
-            proc.returncode = os.waitstatus_to_exitcode(status)
-            if proc.returncode != 0:
-                raise SystemExit(f"lab {command} exited with {proc.returncode}")
-            rss.append(usage.ru_maxrss / 1024)
+            out = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True,
+                                 check=True).stdout
+            returncode, wall, maxrss = out.split()
+            if int(returncode) != 0:
+                raise SystemExit(f"lab {command} exited with {returncode}")
+            walls.append(float(wall))
+            rss.append(int(maxrss) / 1024)
     return {"wall_s": summary(walls), "peak_rss_mb": summary(rss)}
 
 
@@ -176,32 +189,35 @@ def time_verify_aps(root: Path, repeats: int) -> dict:
 
 
 def time_descent(root: Path, repeats: int) -> dict:
+    import numpy as np
+
     from looplab import cycles, hamiltonian
 
     m = hamiltonian.HamiltonianModel()
     alpha = 1.43
 
-    def beta(steps):
+    def beta():
         try:
-            cycles.estimate_beta(m, alpha, descent_steps=steps, seed=2026, N=32)
+            cycles.estimate_beta(m, alpha, seed=2026, N=32)
         except cycles.NegativeBeta:
             pass
 
-    beta(1)
-    steps = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        beta(0)
-        middle = time.perf_counter()
-        beta(1)
-        steps.append((time.perf_counter() - middle) - (middle - start))
-    return {
-        "descent_step[B=49,N=32]_s": summary(steps),
-        "estimate_beta[N=32]_s": timed(lambda: beta(120), repeats),
-        "scan_alpha[N=32]_s": timed(lambda: cycles.scan_alpha(m, seed=2026, N=32), repeats),
-        "lab_scan_alpha": time_lab(root, repeats, "scan-alpha", "scan_alpha.json"),
-        "lab_check_cycles": time_lab(root, repeats, "check-cycles", "check_cycles.json"),
-    }
+    out = {}
+    if hasattr(cycles, "_descent_step"):
+        starts = cycles.sample_gamma(alpha, 48, 2026, N=32) + [alpha * cycles.e_plus(1, 32)]
+        c = np.stack([gamma.coeffs for gamma in starts])
+        value = hamiltonian.action_values(m, c)
+
+        def step():
+            cycles._descent_step(m, c.copy(), value.copy(), np.full(len(c), 0.1 * alpha),
+                                 np.arange(len(c)), alpha)
+
+        out["descent_step[B=49,N=32]_s"] = timed(step, repeats, calls=20)
+    out["estimate_beta[N=32]_s"] = timed(beta, repeats)
+    out["scan_alpha[N=32]_s"] = timed(lambda: cycles.scan_alpha(m, seed=2026, N=32), repeats)
+    out["lab_scan_alpha"] = time_lab(root, repeats, "scan-alpha", "scan_alpha.json")
+    out["lab_check_cycles"] = time_lab(root, repeats, "check-cycles", "check_cycles.json")
+    return out
 
 
 def environment() -> dict:
@@ -230,49 +246,39 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="root of the looplab checkout to measure")
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--groups", default=",".join(GROUPS),
-                        help=f"comma-separated subset of {','.join(GROUPS)}")
     args = parser.parse_args(argv)
     if args.repeats < 2:
         parser.error("--repeats must be at least 2")
-    groups = args.groups.split(",")
-    if not set(groups) <= set(GROUPS):
-        parser.error(f"unknown groups: {sorted(set(groups) - set(GROUPS))}")
     root = args.src.resolve()
     sys.path.insert(0, str(root / "src"))
 
-    result = {"env": environment(), "repeats": args.repeats}
-    for group in GROUPS:
-        if group in groups:
-            key, fn = GROUPS[group]
-            result[key] = fn(root, args.repeats)
+    result = {
+        "env": environment(),
+        "repeats": args.repeats,
+        "kernels_s": time_kernels(args.repeats),
+        "guards_s": time_guards(args.repeats),
+        "verify_aps": time_verify_aps(root, args.repeats),
+        "nonlinearity_s": time_nonlinearity(args.repeats),
+        "descent": time_descent(root, args.repeats),
+    }
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data[args.label] = result
     args.out.write_text(json.dumps(data, indent=2) + "\n")
-    _print_stats(result)
+    for group in ("kernels_s", "guards_s"):
+        for name, stats in result[group].items():
+            print(f"{name:40s} median {stats['median']:8.3f} s  IQR {stats['iqr']:.3f} s")
+    for name, stats in result["verify_aps"].items():
+        print(f"verify_aps {name:29s} median {stats['median']:8.1f}  IQR {stats['iqr']:.1f}")
+    for name, stats in result["nonlinearity_s"].items():
+        print(f"{name:40s} median {stats['median'] * 1e6:8.1f} us  IQR {stats['iqr'] * 1e6:.1f} us")
+    for name, stats in result["descent"].items():
+        if name.startswith("lab_"):
+            for metric, s in stats.items():
+                print(f"{name + ' ' + metric:40s} median {s['median']:8.2f}  IQR {s['iqr']:.2f}")
+        else:
+            print(f"{name:40s} median {stats['median'] * 1e3:8.2f} ms"
+                  f"  IQR {stats['iqr'] * 1e3:.2f} ms")
     return 0
-
-
-def _print_stats(result: dict, prefix: str = "") -> None:
-    for name, value in result.items():
-        if isinstance(value, dict) and "median" in value:
-            scale, unit = (1e6, "us") if value["median"] < 1e-2 else (1.0, "s")
-            if name.endswith("_mb"):
-                scale, unit = 1.0, "MB"
-            print(f"{prefix + name:48s} median {value['median'] * scale:9.3f} {unit:2s}"
-                  f"  IQR {value['iqr'] * scale:.3f}")
-        elif isinstance(value, dict) and name != "env":
-            _print_stats(value, prefix + name + " ")
-
-
-# group name -> (key in the result, timing function of (root, repeats))
-GROUPS = {
-    "kernels": ("kernels_s", lambda root, repeats: time_kernels(repeats)),
-    "guards": ("guards_s", lambda root, repeats: time_guards(repeats)),
-    "verify_aps": ("verify_aps", time_verify_aps),
-    "nonlinearity": ("nonlinearity_s", lambda root, repeats: time_nonlinearity(repeats)),
-    "descent": ("descent", time_descent),
-}
 
 
 if __name__ == "__main__":

