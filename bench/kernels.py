@@ -11,8 +11,10 @@ samples.  Five groups are timed:
 
 * kernels: kernel_p_values, kernel_q_values and the harness's L^2_1 norm
   _l21_batch at the aps shapes (nodes x modes x batch);
-* guards: each check group of `run_suite(Config(seed=2026), "aps")`, the
-  time of its run.guard call;
+* guards: each check group of `run_suite(Config(seed=2026), "aps")`, run
+  on its own through `harness._run_groups` and keyed `aps.<group>`.
+  Checkouts from before `_run_groups` time their `_Runner.guard` calls,
+  under the same keys;
 * verify_aps: `lab verify --suite aps --config configs/verify_defaults.json`
   in a fresh process, with its peak RSS;
 * nonlinearity: seconds per call of one grad H evaluation on the theta grid
@@ -133,19 +135,36 @@ def time_guards(repeats: int) -> dict:
     from looplab import harness
 
     samples: dict[str, list[float]] = {}
-    guard = harness._Runner.guard
 
-    def timed_guard(runner, name, anchor, fn):
+    def clocked(name, run):
         start = time.perf_counter()
-        guard(runner, name, anchor, fn)
+        result = run()
         samples.setdefault(name, []).append(time.perf_counter() - start)
+        return result
 
-    harness._Runner.guard = timed_guard
+    if hasattr(harness, "_run_groups"):
+        owner, attr = harness, "_run_groups"
+        run_groups = harness._run_groups
+
+        def patched(suite, groups):
+            records = []
+            for group in groups:
+                records += clocked(f"{suite}.{group.__name__}", lambda: run_groups(suite, (group,)))
+            return records
+    else:  # checkouts from before _run_groups
+        owner, attr = harness._Runner, "guard"
+        guard = harness._Runner.guard
+
+        def patched(runner, name, anchor, fn):
+            clocked(name, lambda: guard(runner, name, anchor, fn))
+
+    original = getattr(owner, attr)
+    setattr(owner, attr, patched)
     try:
         for _ in range(repeats + 1):
             harness.run_suite(harness.Config(seed=2026), "aps", write=False)
     finally:
-        harness._Runner.guard = guard
+        setattr(owner, attr, original)
     # the first suite run is the warm-up
     return {name: summary(values[1:]) for name, values in samples.items()}
 

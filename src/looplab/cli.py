@@ -12,60 +12,89 @@ import csv
 import json
 import os
 import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cylinder import decompose
-from .harness import Config, run_suite
-from .hamiltonian import HamiltonianModel, action
+from .harness import Config, from_json, run_suite
+from .hamiltonian import HamiltonianModel
 from .loops import Loop, sobolev_norm
 from .solver import Blowup, SolverError, flow_trajectory, picard_solve
 from . import cycles as cyc
 
 
-class ConfigError(Exception):
-    pass
+# One dataclass per subcommand: its fields are the config keys the subcommand
+# reads, and `from_json` checks their names and types.
 
 
-def _load_config_file(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+@dataclass
+class ModeEntry:
+    """One Fourier coefficient of a loop: re + i im at mode n, coordinate coord."""
+
+    n: int
+    coord: int = 0
+    re: float = 0.0
+    im: float = 0.0
 
 
-def _command_config(path, keys: str) -> dict:
-    """Read a subcommand config whose top-level keys are among `keys` (space
-    separated), `model` and `output_dir`; any other key is a ConfigError."""
-    obj = _load_config_file(path)
-    if not isinstance(obj, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
-    unknown = set(obj) - set(keys.split()) - {"model", "output_dir"}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return obj
+@dataclass(kw_only=True)
+class Subcommand:
+    model: HamiltonianModel = field(default_factory=HamiltonianModel)
+    N: int = 32
+    output_dir: str = "lab_out"
 
 
-def _model_from(obj: dict) -> HamiltonianModel:
-    try:
-        return HamiltonianModel.from_json_dict(obj.get("model", {}))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad model parameters: {exc}") from exc
+@dataclass(kw_only=True)
+class SolveCylinder(Subcommand):
+    beta_modes: list[ModeEntry]
+    d: int = 1
+    eps: float = 0.05
+    tol: float = 1e-11
+    M_t: int = 64
+    write_field_csv: bool = False
 
 
-def _loop_from_modes_spec(spec, d: int, N: int) -> Loop:
-    """Build a loop from [{'n':, 'coord':, 're':, 'im':}, ...]."""
+@dataclass(kw_only=True)
+class Flow(Subcommand):
+    seed_modes: list[ModeEntry]
+    d: int = 1
+    T: float = 0.5
+    dt: float | None = None  # None: 0.09 / N
+
+
+@dataclass(kw_only=True)
+class FindOrbit(Subcommand):
+    seed_modes: list[ModeEntry] | None = None  # None: alpha times the winding mode
+    winding: int = 1
+    flow_time: float = 1.0
+    newton_tol: float = 1e-10
+    alpha: float = 1.0
+
+
+@dataclass(kw_only=True)
+class CheckCycles(Subcommand):
+    seed: int = 2026
+    samples: int = 48
+    descent_steps: int = 120
+
+
+@dataclass(kw_only=True)
+class ScanAlpha(CheckCycles):
+    alphas: list[float] | None = None
+
+
+def _read_config(cls, path):
+    with open(path, "r", encoding="utf-8") as f:
+        return from_json(cls, json.load(f), "config")
+
+
+def _loop_from_modes_spec(spec: list[ModeEntry], d: int, N: int) -> Loop:
     coeffs = np.zeros((2 * N + 1, d), complex)
     for entry in spec:
-        unknown = set(entry) - {"n", "coord", "re", "im"}
-        if unknown:
-            raise ConfigError(f"unknown mode entry keys {sorted(unknown)} in {entry}")
-        n = int(entry["n"])
-        coord = int(entry.get("coord", 0))
-        if abs(n) > N or not (0 <= coord < d):
-            raise ConfigError(f"mode entry out of range: {entry}")
-        coeffs[N + n, coord] = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+        if abs(entry.n) > N or not (0 <= entry.coord < d):
+            raise ValueError(f"mode entry out of range: {entry}")
+        coeffs[N + entry.n, entry.coord] = complex(entry.re, entry.im)
     return Loop(d, N, coeffs)
 
 
@@ -86,7 +115,7 @@ def _loop_to_csv(loop: Loop, path) -> None:
 
 
 def _cmd_verify(args) -> int:
-    cfg = Config.from_json_file(args.config) if args.config else Config()
+    cfg = _read_config(Config, args.config) if args.config else Config()
     if args.out:
         cfg.output_dir = args.out
     report = run_suite(cfg, args.suite)
@@ -97,24 +126,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve_cylinder(args) -> int:
-    obj = _command_config(args.config, "d N eps tol M_t beta_modes write_field_csv")
-    m = _model_from(obj)
-    d = int(obj.get("d", 1))
-    N = int(obj.get("N", 32))
-    eps = float(obj.get("eps", 0.05))
-    tol = float(obj.get("tol", 1e-11))
-    M_t = int(obj.get("M_t", 64))
-    if "beta_modes" not in obj:
-        raise ConfigError("solve-cylinder config needs 'beta_modes'")
-    b = _loop_from_modes_spec(obj["beta_modes"], d, N)
-    out_dir = args.out or obj.get("output_dir", "lab_out")
+    cfg = _read_config(SolveCylinder, args.config)
+    b = _loop_from_modes_spec(cfg.beta_modes, cfg.d, cfg.N)
+    out_dir = args.out or cfg.output_dir
     try:
-        res = picard_solve(m, decompose(b), None, eps, tol=tol, M_t=M_t)
+        res = picard_solve(cfg.model, decompose(b), None, cfg.eps, tol=cfg.tol, M_t=cfg.M_t)
     except SolverError as exc:
         print(f"solve failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     _write_json(os.path.join(out_dir, "solve_cylinder.json"), res.to_json_dict())
-    if obj.get("write_field_csv", False):
+    if cfg.write_field_csv:
         res.u.to_csv(os.path.join(out_dir, "solve_cylinder_field.csv"))
     print(
         f"solved: iterations={res.iterations} ratio={res.contraction_ratio:.3g} "
@@ -124,19 +145,13 @@ def _cmd_solve_cylinder(args) -> int:
 
 
 def _cmd_flow(args) -> int:
-    obj = _command_config(args.config, "d N T dt seed_modes")
-    m = _model_from(obj)
-    d = int(obj.get("d", 1))
-    N = int(obj.get("N", 32))
-    T = float(obj.get("T", 0.5))
-    dt = float(obj.get("dt", 0.09 / N))
-    if "seed_modes" not in obj:
-        raise ConfigError("flow config needs 'seed_modes'")
-    seed = _loop_from_modes_spec(obj["seed_modes"], d, N)
-    out_dir = args.out or obj.get("output_dir", "lab_out")
+    cfg = _read_config(Flow, args.config)
+    seed = _loop_from_modes_spec(cfg.seed_modes, cfg.d, cfg.N)
+    dt = 0.09 / cfg.N if cfg.dt is None else cfg.dt
+    out_dir = args.out or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     try:
-        trace = flow_trajectory(m, seed, T, dt)
+        trace = flow_trajectory(cfg.model, seed, cfg.T, dt)
     except Blowup as exc:
         print(f"flow blew up at t = {exc.time:.6g}", file=sys.stderr)
         if exc.trace is not None:
@@ -151,21 +166,16 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_find_orbit(args) -> int:
-    obj = _command_config(args.config, "N winding flow_time newton_tol seed_modes alpha")
-    m = _model_from(obj)
-    N = int(obj.get("N", 32))
-    winding = int(obj.get("winding", 1))
-    flow_time = float(obj.get("flow_time", 1.0))
-    newton_tol = float(obj.get("newton_tol", 1e-10))
-    out_dir = args.out or obj.get("output_dir", "lab_out")
-    if "seed_modes" in obj:
-        seed = _loop_from_modes_spec(obj["seed_modes"], 1, N)
+    cfg = _read_config(FindOrbit, args.config)
+    m, N, winding = cfg.model, cfg.N, cfg.winding
+    out_dir = args.out or cfg.output_dir
+    if cfg.seed_modes is not None:
+        seed = _loop_from_modes_spec(cfg.seed_modes, 1, N)
     else:
-        alpha = float(obj.get("alpha", 1.0))
         mode_norm = sobolev_norm(Loop.from_modes(1, N, {winding: 1.0}), 0.5)
-        seed = Loop.from_modes(1, N, {winding: alpha / mode_norm})
+        seed = Loop.from_modes(1, N, {winding: cfg.alpha / mode_norm})
     try:
-        found = cyc.find_critical_point(m, seed, flow_time=flow_time, newton_tol=newton_tol)
+        found = cyc.find_critical_point(m, seed, flow_time=cfg.flow_time, newton_tol=cfg.newton_tol)
         oracle = cyc.radial_orbit_oracle(m, winding) if 0 < winding < 2 * m.slope else None
     except (cyc.NewtonDivergence, cyc.FlowBlowup) as exc:
         print(f"orbit search failed: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -188,21 +198,12 @@ def _cmd_find_orbit(args) -> int:
 
 
 def _cmd_scan_alpha(args) -> int:
-    obj = _command_config(args.config, "N seed samples descent_steps alphas")
-    m = _model_from(obj)
-    N = int(obj.get("N", 32))
-    seed = int(obj.get("seed", 2026))
-    samples = int(obj.get("samples", 48))
-    steps = int(obj.get("descent_steps", 120))
-    alphas = None
-    if "alphas" in obj:
-        if not (isinstance(obj["alphas"], list) and obj["alphas"]):
-            raise ConfigError(f"'alphas' must be a nonempty list, got {obj['alphas']!r}")
-        alphas = np.asarray(obj["alphas"], float)
-    out_dir = args.out or obj.get("output_dir", "lab_out")
+    cfg = _read_config(ScanAlpha, args.config)
+    out_dir = args.out or cfg.output_dir
     try:
         alpha_star, beta_star, table = cyc.scan_alpha(
-            m, alphas=alphas, samples=samples, descent_steps=steps, seed=seed, N=N
+            cfg.model, alphas=cfg.alphas, samples=cfg.samples,
+            descent_steps=cfg.descent_steps, seed=cfg.seed, N=cfg.N,
         )
     except cyc.NegativeBeta as exc:
         print(f"no admissible alpha found: {exc}", file=sys.stderr)
@@ -221,14 +222,11 @@ def _cmd_scan_alpha(args) -> int:
 
 
 def _cmd_check_cycles(args) -> int:
-    obj = _command_config(args.config, "N seed samples descent_steps")
-    m = _model_from(obj)
-    N = int(obj.get("N", 32))
-    seed = int(obj.get("seed", 2026))
-    out_dir = args.out or obj.get("output_dir", "lab_out")
+    cfg = _read_config(CheckCycles, args.config)
+    m, N, seed = cfg.model, cfg.N, cfg.seed
+    out_dir = args.out or cfg.output_dir
     alpha_star, beta_star, table = cyc.scan_alpha(
-        m, samples=int(obj.get("samples", 48)), descent_steps=int(obj.get("descent_steps", 120)),
-        seed=seed, N=N,
+        m, samples=cfg.samples, descent_steps=cfg.descent_steps, seed=seed, N=N
     )
     tau_star = cyc.derive_tau(m, samples=240, seed=seed + 1, N=N)
     boundary_max = cyc.check_sigma_boundary(m, tau_star, samples=240, seed=seed + 1, N=N)
@@ -268,15 +266,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output directory override")
     p.set_defaults(fn=_cmd_verify)
 
-    for name, fn, needs_config in (
-        ("solve-cylinder", _cmd_solve_cylinder, True),
-        ("flow", _cmd_flow, True),
-        ("find-orbit", _cmd_find_orbit, True),
-        ("scan-alpha", _cmd_scan_alpha, True),
-        ("check-cycles", _cmd_check_cycles, True),
+    for name, fn in (
+        ("solve-cylinder", _cmd_solve_cylinder),
+        ("flow", _cmd_flow),
+        ("find-orbit", _cmd_find_orbit),
+        ("scan-alpha", _cmd_scan_alpha),
+        ("check-cycles", _cmd_check_cycles),
     ):
         p = sub.add_parser(name)
-        p.add_argument("--config", required=needs_config)
+        p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.set_defaults(fn=fn)
     return parser
@@ -287,9 +285,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

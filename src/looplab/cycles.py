@@ -75,6 +75,8 @@ def sample_gamma(
     """Plus-polarized Gaussian loops rescaled to half-norm exactly alpha."""
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
+    if count < 0:
+        raise ValueError(f"sample count must be nonnegative, got {count}")
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
@@ -208,6 +210,8 @@ def estimate_beta(
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
+    if descent_steps < 0:
+        raise ValueError(f"descent_steps must be nonnegative, got {descent_steps}")
     if alpha == 0:
         return 0.0
     starts = sample_gamma(alpha, samples, seed, d=d, N=N)

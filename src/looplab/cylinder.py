@@ -228,9 +228,6 @@ class BoundaryData:
 
     __rmul__ = __mul__
 
-    def total_coeffs(self) -> np.ndarray:
-        return self.plus0.coeffs + self.minus_end.coeffs
-
 
 def decompose(b: Loop) -> BoundaryData:
     """Split a loop into mixed boundary data whose collar solution traces b.

@@ -20,7 +20,7 @@ linear theory where X_H = c x with c = 2(1+eps) i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,26 +104,6 @@ class HamiltonianModel:
         width = self.s1 - self.s0
         t = (s - self.s0) / width
         return self.slope * _smoothstep_d(t) / width
-
-    def to_json_dict(self) -> dict:
-        return {
-            "eps_H": self.eps_H,
-            "s0": self.s0,
-            "s1": self.s1,
-            "variant": self.variant,
-        }
-
-    @staticmethod
-    def from_json_dict(obj: dict) -> "HamiltonianModel":
-        unknown = set(obj) - {f.name for f in fields(HamiltonianModel)}
-        if unknown:
-            raise ValueError(f"unknown model keys: {sorted(unknown)}")
-        return HamiltonianModel(
-            eps_H=float(obj.get("eps_H", 0.1)),
-            s0=float(obj.get("s0", 0.25)),
-            s1=float(obj.get("s1", 4.0)),
-            variant=str(obj.get("variant", "bump")),
-        )
 
 
 # -- pointwise evaluations ------------------------------------------------------

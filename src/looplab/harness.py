@@ -14,8 +14,10 @@ import csv
 import json
 import os
 import sys
+import types
+import typing
 import zlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -50,7 +52,7 @@ from .hamiltonian import (
     eval_gradH,
     grad_action,
     grad_h_modes,
-    k_factor,
+    k_factor as eval_k_factor,
     k_factor_constant,
     split,
 )
@@ -105,8 +107,8 @@ class Config:
     N: int = 32
     M_t: int = 64
     M_theta: int | None = None
-    eps_list: tuple = (1.0, 0.5, 0.1, 0.01, 0.001)
-    tolerances: dict = field(default_factory=dict)
+    eps_list: tuple[float, ...] = (1.0, 0.5, 0.1, 0.01, 0.001)
+    tolerances: dict[str, float] = field(default_factory=dict)
     seed: int = 2026
     output_dir: str = "lab_out"
 
@@ -135,38 +137,39 @@ class Config:
             (self.seed * 1000003 + zlib.crc32(label.encode())) % 2**63
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "model": self.model.to_json_dict(),
-            "N": self.N,
-            "M_t": self.M_t,
-            "M_theta": self.M_theta,
-            "eps_list": list(self.eps_list),
-            "tolerances": dict(sorted(self.tolerances.items())),
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-        }
 
-    @staticmethod
-    def from_json_dict(obj: dict) -> "Config":
-        unknown = set(obj) - {f.name for f in fields(Config)}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return Config(
-            model=HamiltonianModel.from_json_dict(obj.get("model", {})),
-            N=int(obj.get("N", 32)),
-            M_t=int(obj.get("M_t", 64)),
-            M_theta=obj.get("M_theta"),
-            eps_list=tuple(obj.get("eps_list", (1.0, 0.5, 0.1, 0.01, 0.001))),
-            tolerances=dict(obj.get("tolerances", {})),
-            seed=int(obj.get("seed", 2026)),
-            output_dir=str(obj.get("output_dir", "lab_out")),
-        )
+def from_json(cls, obj, label: str):
+    """Build the dataclass `cls` from the JSON object `obj` (`label` in errors).
 
-    @staticmethod
-    def from_json_file(path) -> "Config":
-        with open(path, "r", encoding="utf-8") as f:
-            return Config.from_json_dict(json.load(f))
+    Keys must name fields, and fields without a default must be given.  Values
+    must match the type hints: JSON integers for int, numbers for float (never
+    booleans), null for `T | None`, arrays for lists, objects for dataclasses.
+    """
+    if not isinstance(obj, dict):
+        raise TypeError(f"{label} must be a JSON object, got {obj!r}")
+    unknown = set(obj) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {label} keys: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    return cls(**{key: _typed(hints[key], value, key) for key, value in obj.items()})
+
+
+def _typed(hint, value, label: str):
+    """`value` checked against `hint` as `from_json` describes."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if is_dataclass(hint):
+        return from_json(hint, value, label)
+    if origin is types.UnionType:  # T | None
+        return None if value is None else _typed(args[0], value, label)
+    if origin in (list, tuple) and isinstance(value, (list, tuple)):
+        return origin(_typed(args[0], v, f"{label}[{i}]") for i, v in enumerate(value))
+    if origin is dict and isinstance(value, dict):
+        return {k: _typed(args[1], v, f"{label}.{k}") for k, v in value.items()}
+    if hint is float and type(value) in (int, float):
+        return float(value)
+    if hint in (int, bool, str) and type(value) is hint:
+        return value
+    raise TypeError(f"{label} must be {getattr(hint, '__name__', hint)}, got {value!r}")
 
 
 @dataclass
@@ -177,6 +180,10 @@ class CheckRecord:
     bound: float
     details: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.computed = float(self.computed)
+        self.bound = float(self.bound)
+
     @property
     def margin(self) -> float:
         return self.bound - self.computed
@@ -186,15 +193,7 @@ class CheckRecord:
         return bool(np.isfinite(self.computed)) and self.margin >= 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "anchor": self.anchor,
-            "computed": float(self.computed),
-            "bound": float(self.bound),
-            "margin": float(self.margin),
-            "passed": self.passed,
-            "details": self.details,
-        }
+        return dict(asdict(self), margin=self.margin, passed=self.passed)
 
 
 @dataclass
@@ -234,7 +233,7 @@ class Report:
                 },
                 "platform_note": f"{sys.platform}; numpy {np.__version__}",
             },
-            "config": self.config.to_json_dict(),
+            "config": asdict(self.config),
             "checks": [r.to_json_dict() for r in records],
             "coverage": dict(sorted(self.coverage_counts.items())),
             "coverage_complete": self.coverage_complete,
@@ -258,35 +257,26 @@ class Report:
         return lines
 
 
-class _Runner:
-    """Accumulates check records; exceptions become failing records."""
+def _run_groups(suite: str, groups) -> list[CheckRecord]:
+    """Run check groups in order and collect the records they yield.
 
-    def __init__(self, config: Config):
-        self.config = config
-        self.records: list[CheckRecord] = []
-
-    def check(self, name, anchor, computed, bound, details=None):
-        self.records.append(
-            CheckRecord(
-                name=name,
-                anchor=anchor,
-                computed=float(computed),
-                bound=float(bound),
-                details=details or {},
-            )
-        )
-
-    def guard(self, name: str, anchor: str, fn) -> None:
+    A group that raises keeps the records it yielded so far and adds the
+    failing record `<suite>.<group>.error`, anchored by the group's docstring.
+    """
+    records: list[CheckRecord] = []
+    for group in groups:
         try:
-            fn()
+            for record in group():
+                records.append(record)
         except Exception as exc:  # failure isolation: record, keep going
-            self.check(
-                name + ".error",
-                anchor,
-                computed=np.inf,
-                bound=0.0,
+            records.append(CheckRecord(
+                f"{suite}.{group.__name__}.error",
+                group.__doc__,
+                np.inf,
+                0.0,
                 details={"exception": f"{type(exc).__name__}: {exc}"},
-            )
+            ))
+    return records
 
 
 # -- batch helpers for the sweep checks ------------------------------------------
@@ -410,13 +400,14 @@ def _trend_slope(eps_values: np.ndarray, estimates: np.ndarray) -> float:
 # -- norms suite -------------------------------------------------------------------
 
 
-def _suite_norms(config: Config, run: _Runner) -> None:
+def _suite_norms(config: Config) -> list[CheckRecord]:
     m = config.model
     N, d = config.N, 1
     rng = config.rng("norms")
     tol_exact = config.tol("exact")
 
     def parseval():
+        """parseval"""
         worst = 0.0
         for _ in range(50):
             g = gaussian_loop(d, N, rng)
@@ -427,16 +418,17 @@ def _suite_norms(config: Config, run: _Runner) -> None:
             quad = float(np.mean(np.sum(np.abs(vals) ** 2, axis=1)))
             nrm = sobolev_norm(g, 0) ** 2
             worst = max(worst, abs(nrm - quad) / nrm)
-        run.check(
+        yield CheckRecord(
             "norms.parseval",
             "sum_n |c_n|^2 = int |gamma|^2 dtheta/2pi",
             worst,
             1e-10,
         )
 
-    def half_norm_example():
+    def half_norm_single_mode():
+        """half norm"""
         g = Loop.from_modes(1, N, {2: 3.0})
-        run.check(
+        yield CheckRecord(
             "norms.half_norm_single_mode",
             "||gamma||^2_{1/2} = sum |c_n|^2 |n| + |c_0|^2",
             abs(sobolev_norm(g, 0.5) ** 2 - 18.0),
@@ -444,6 +436,7 @@ def _suite_norms(config: Config, run: _Runner) -> None:
         )
 
     def projections():
+        """projections"""
         worst_partition = worst_annihilate = worst_monotone = worst_aps = 0.0
         for _ in range(40):
             g = gaussian_loop(d, N, rng)
@@ -459,28 +452,29 @@ def _suite_norms(config: Config, run: _Runner) -> None:
             )
             diff = aps_project(g, "plus") - project(g, "minus")
             worst_aps = max(worst_aps, float(np.max(np.abs(diff.coeffs))))
-        run.check("norms.projection_partition", "Pi+ + Pi- = id", worst_partition, 0.0)
-        run.check("norms.projection_annihilate", "Pi- Pi+ = 0", worst_annihilate, 0.0)
-        run.check(
+        yield CheckRecord("norms.projection_partition", "Pi+ + Pi- = id", worst_partition, 0.0)
+        yield CheckRecord("norms.projection_annihilate", "Pi- Pi+ = 0", worst_annihilate, 0.0)
+        yield CheckRecord(
             "norms.projection_monotone",
             "||Pi gamma||_{1/2} <= ||gamma||_{1/2}",
             worst_monotone,
             0.0,
         )
-        run.check(
+        yield CheckRecord(
             "norms.aps_plus_is_polarization_minus",
             "spectral projection lambda >= 0 keeps modes n <= 0",
             worst_aps,
             0.0,
         )
 
-    def roundtrip():
+    def sampling_roundtrip():
+        """fft bridge"""
         worst = 0.0
         for _ in range(20):
             g = gaussian_loop(d, N, rng)
             back = synthesize(sample(g, theta_points(N)), N)
             worst = max(worst, float(np.max(np.abs(back.coeffs - g.coeffs))))
-        run.check(
+        yield CheckRecord(
             "norms.sampling_roundtrip",
             "synthesize(sample(gamma, M >= 2N+2)) = gamma",
             worst,
@@ -488,6 +482,7 @@ def _suite_norms(config: Config, run: _Runner) -> None:
         )
 
     def inner_consistency():
+        """inner products"""
         worst = 0.0
         for _ in range(20):
             g = gaussian_loop(d, N, rng)
@@ -496,14 +491,15 @@ def _suite_norms(config: Config, run: _Runner) -> None:
                 nrm = sobolev_norm(g, order) ** 2
                 worst = max(worst, abs(inner(g, g, order) - nrm) / (1 + nrm))
                 worst = max(worst, abs(inner(g, h, order) - inner(h, g, order)))
-        run.check(
+        yield CheckRecord(
             "norms.inner_consistency",
             "inner(g, g, k) = ||g||_k^2 and symmetry",
             worst,
             1e-13,
         )
 
-    def gradient_fd():
+    def gradient_finite_difference():
+        """gradient fd"""
         # central finite differences of the action along 100 random directions
         worst = 0.0
         h = 1e-4
@@ -513,7 +509,7 @@ def _suite_norms(config: Config, run: _Runner) -> None:
             pairing = inner(grad_action(m, g), delta, 0)
             fd = (action(m, g + h * delta) - action(m, g - h * delta)) / (2 * h)
             worst = max(worst, abs(pairing - fd) / (1 + abs(pairing)))
-        run.check(
+        yield CheckRecord(
             "norms.gradient_finite_difference",
             "grad CSD = -J gamma' - grad H(gamma), paired against central differences",
             worst,
@@ -521,30 +517,32 @@ def _suite_norms(config: Config, run: _Runner) -> None:
         )
 
     def action_closed_forms():
+        """radial action"""
         worst = 0.0
         for k, r in ((1, 0.9), (2, 1.7), (1, 0.1)):
             g = Loop.from_modes(1, N, {k: r})
             expected = 0.5 * k * r**2 - float(m.h(r**2))
             worst = max(worst, abs(action(m, g) - expected))
-        run.check(
+        yield CheckRecord(
             "norms.action_radial_closed_form",
             "CSD(r e^{ik theta}) = k r^2 / 2 - h(r^2)",
             worst,
             tol_exact,
         )
 
-    def splitting_checks():
+    def splitting():
+        """linear/compact splitting"""
         spl = split(m)
         x = 2.5 * (rng.standard_normal((500, 1)) + 1j * rng.standard_normal((500, 1)))
         recon = spl.c * x + eval_compact_part(spl, x)
         worst = float(np.max(np.abs(recon - eval_XH(m, x))))
-        run.check(
+        yield CheckRecord(
             "norms.splitting_exact",
             "X_H = c u + X_{H_c} with c = 2(1+eps) i",
             worst,
             1e-13,
         )
-        run.check(
+        yield CheckRecord(
             "norms.splitting_nonresonant_flag",
             "c not in i Z when 2(1+eps) is not an integer",
             0.0 if spl.nonresonant else 1.0,
@@ -552,7 +550,7 @@ def _suite_norms(config: Config, run: _Runner) -> None:
             details={"c_imag": 2.0 * m.slope},
         )
         far = np.array([[3.0 + 0.5j]])
-        run.check(
+        yield CheckRecord(
             "norms.compact_part_support",
             "X_{H_c} = 0 for |x|^2 >= s1",
             float(np.max(np.abs(eval_compact_part(spl, far)))),
@@ -570,7 +568,7 @@ def _suite_norms(config: Config, run: _Runner) -> None:
             )
             rhs = C * np.sqrt(np.mean(np.sum(np.abs(xa - xb) ** 2, axis=1)))
             worst_ratio = max(worst_ratio, lhs - rhs)
-        run.check(
+        yield CheckRecord(
             "norms.compact_part_l2_continuity",
             "||X_{H_c}(u1) - X_{H_c}(u2)||_{L^2} <= C ||u1 - u2||_{L^2}",
             worst_ratio,
@@ -578,16 +576,19 @@ def _suite_norms(config: Config, run: _Runner) -> None:
             details={"lipschitz_bound": C},
         )
 
-    def k_factor_checks():
+    def k_factor():
+        """K factorization"""
         C = k_factor_constant(m)
         x = 3.0 * (rng.standard_normal((10_000, 1)) + 1j * rng.standard_normal((10_000, 1)))
         y = 3.0 * (rng.standard_normal((10_000, 1)) + 1j * rng.standard_normal((10_000, 1)))
-        kap = k_factor(m, x)
+        kap = eval_k_factor(m, x)
         exact = float(np.max(np.abs(kap[:, None] * 1j * x - eval_XH(m, x))))
-        run.check("norms.k_factor_exact", "X_H(x) = K(x) x with K = 2h'(|x|^2) J", exact, 0.0)
+        yield CheckRecord(
+            "norms.k_factor_exact", "X_H(x) = K(x) x with K = 2h'(|x|^2) J", exact, 0.0
+        )
         r = np.sqrt(np.sum(np.abs(x) ** 2, axis=1))
         bound_defect = float(np.max(kap - C * r))
-        run.check(
+        yield CheckRecord(
             "norms.k_factor_linear_bound",
             "|K(x)| <= C |x| with K(0) = 0",
             bound_defect,
@@ -598,14 +599,15 @@ def _suite_norms(config: Config, run: _Runner) -> None:
         ry = np.sqrt(np.sum(np.abs(y) ** 2, axis=1))
         dxy = np.sqrt(np.sum(np.abs(x - y) ** 2, axis=1))
         prod_defect = float(np.max(lhs - 2 * C * (r + ry) * dxy))
-        run.check(
+        yield CheckRecord(
             "norms.k_factor_product_lipschitz",
             "|K(x) x - K(y) y| <= 2C (|x| + |y|) |x - y|",
             prod_defect,
             0.0,
         )
 
-    def nonlinear_l4_lipschitz():
+    def nonlinear_l4():
+        """L4 Lipschitz"""
         C = k_factor_constant(m)
         worst = 0.0
         for _ in range(1000):
@@ -616,7 +618,7 @@ def _suite_norms(config: Config, run: _Runner) -> None:
             nb = np.mean(np.sum(np.abs(b) ** 2, axis=-1) ** 2) ** 0.25
             nd = np.mean(np.sum(np.abs(a - b) ** 2, axis=-1) ** 2) ** 0.25
             worst = max(worst, lhs - 2 * C * (na + nb) * nd)
-        run.check(
+        yield CheckRecord(
             "norms.nonlinear_lipschitz_l4",
             "||X_H(a) - X_H(b)||_{L^2} <= 2C (||a||_{L^4} + ||b||_{L^4}) ||a - b||_{L^4}",
             worst,
@@ -624,7 +626,8 @@ def _suite_norms(config: Config, run: _Runner) -> None:
             details={"C": C},
         )
 
-    def gradient_fd_pointwise():
+    def hamiltonian_gradient_fd():
+        """pointwise gradient fd"""
         # central differences of H against grad H in the transition band
         worst = 0.0
         h = 1e-6
@@ -640,38 +643,30 @@ def _suite_norms(config: Config, run: _Runner) -> None:
                 ) / (2 * h)
                 exact = (g * np.conj(direction)).real
                 worst = max(worst, abs(fd - exact) / (1 + abs(exact)))
-        run.check(
+        yield CheckRecord(
             "norms.hamiltonian_gradient_fd",
             "grad H = 2 h'(|x|^2) x against central differences",
             worst,
             1e-6,
         )
 
-    for name, anchor, fn in [
-        ("norms.parseval", "parseval", parseval),
-        ("norms.half_norm_single_mode", "half norm", half_norm_example),
-        ("norms.projections", "projections", projections),
-        ("norms.sampling_roundtrip", "fft bridge", roundtrip),
-        ("norms.inner_consistency", "inner products", inner_consistency),
-        ("norms.gradient_finite_difference", "gradient fd", gradient_fd),
-        ("norms.action_closed_forms", "radial action", action_closed_forms),
-        ("norms.splitting", "linear/compact splitting", splitting_checks),
-        ("norms.k_factor", "K factorization", k_factor_checks),
-        ("norms.nonlinear_l4", "L4 Lipschitz", nonlinear_l4_lipschitz),
-        ("norms.hamiltonian_gradient_fd", "pointwise gradient fd", gradient_fd_pointwise),
-    ]:
-        run.guard(name, anchor, fn)
+    return _run_groups("norms", (
+        parseval, half_norm_single_mode, projections, sampling_roundtrip, inner_consistency,
+        gradient_finite_difference, action_closed_forms, splitting, k_factor, nonlinear_l4,
+        hamiltonian_gradient_fd,
+    ))
 
 
 # -- aps suite ----------------------------------------------------------------------
 
 
-def _suite_aps(config: Config, run: _Runner) -> None:
+def _suite_aps(config: Config) -> list[CheckRecord]:
     N = config.N
     M_t = config.M_t
     lam_all = lambda_of_modes(N).astype(float)
 
     def mode_identities():
+        """Q closed forms"""
         worst_defect = worst_mass = 0.0
         min_margin = np.inf
         for eps in (0.5, 0.1, 0.01):
@@ -687,19 +682,19 @@ def _suite_aps(config: Config, run: _Runner) -> None:
                 worst_defect = max(worst_defect, abs(defect - expected_defect))
                 worst_mass = max(worst_mass, abs(mass - expected_mass))
                 min_margin = min(min_margin, expected_mass - defect)
-        run.check(
+        yield CheckRecord(
             "aps.q_boundary_defect_closed_form",
             "||phi - Q(phi)|_{eps}||^2_{1/2} = lambda (1 - e^{-eps lambda})^2",
             worst_defect,
             config.tol("aps_defect"),
         )
-        run.check(
+        yield CheckRecord(
             "aps.q_dt_mass_closed_form",
             "2 int |d_t Q(phi)|^2 = lambda (1 - e^{-2 eps lambda})",
             worst_mass,
             config.tol("aps_mass"),
         )
-        run.check(
+        yield CheckRecord(
             "aps.q_defect_inequality",
             "lambda (1 - e^{-eps lambda})^2 <= lambda (1 - e^{-2 eps lambda})",
             -min_margin,
@@ -707,7 +702,8 @@ def _suite_aps(config: Config, run: _Runner) -> None:
             details={"min_margin": float(min_margin)},
         )
 
-    def q_right_inverse_identity():
+    def q_right_inverse():
+        """boundary of Q"""
         rng = config.rng("aps.q_identity")
         worst_id = 0.0
         kernel_bound = 1e-3
@@ -742,13 +738,13 @@ def _suite_aps(config: Config, run: _Runner) -> None:
             kernel_details["observed_order"].append(
                 float(np.log(rel_half / rel) / np.log(m_fine / (m_fine // 2)))
             )
-        run.check(
+        yield CheckRecord(
             "aps.q_boundary_right_inverse",
             "aps_boundary(Q(beta)) = beta exactly per mode",
             worst_id,
             config.tol("exact"),
         )
-        run.check(
+        yield CheckRecord(
             "aps.q_kernel_of_d",
             "D Q(beta) = 0 (finite-difference defect on a grid with "
             "lambda_max^3 h^2 / 3 <= bound / 4)",
@@ -758,6 +754,7 @@ def _suite_aps(config: Config, run: _Runner) -> None:
         )
 
     def right_inverse():
+        """D P = id"""
         rng = config.rng("aps.right_inverse")
         tol = config.tol("right_inverse")
         worst_rel = 0.0
@@ -777,13 +774,13 @@ def _suite_aps(config: Config, run: _Runner) -> None:
                 trace0 = np.sqrt(np.sum(w * plus_mask * np.abs(u_vals[0]) ** 2, axis=0))
                 trace1 = np.sqrt(np.sum(w * ~plus_mask * np.abs(u_vals[-1]) ** 2, axis=0))
                 worst_trace = max(worst_trace, float(np.max(trace0)), float(np.max(trace1)))
-        run.check(
+        yield CheckRecord(
             "aps.right_inverse_residual",
             "D P g = g (relative L^2 residual on refined grids)",
             worst_rel,
             tol,
         )
-        run.check(
+        yield CheckRecord(
             "aps.right_inverse_boundary",
             "-Pi+ r_0(P g) = 0 and Pi- r_eps(P g) = 0",
             worst_trace,
@@ -791,6 +788,7 @@ def _suite_aps(config: Config, run: _Runner) -> None:
         )
 
     def uniformity():
+        """norms independent of eps"""
         rng = config.rng("aps.uniformity")
         eps_values = np.asarray(config.eps_list, float)
         factor = config.tol("uniformity_factor")
@@ -862,14 +860,14 @@ def _suite_aps(config: Config, run: _Runner) -> None:
                           "sqrt(1 - e^{-2 eps N}) vary by < 4x across the eps sweep")
                 record_details["truncation_factor"] = list(map(float, t_n))
                 record_details["net_estimates"] = net
-            run.check(
+            yield CheckRecord(
                 f"aps.uniformity_{label}_variation",
                 anchor,
                 max(net) / min(net),
                 factor,
                 details=record_details,
             )
-            run.check(
+            yield CheckRecord(
                 f"aps.uniformity_{label}_no_growth",
                 "no growth trend as eps -> 0 (log-log slope >= -0.2)",
                 -_trend_slope(eps_values, np.asarray(est)),
@@ -878,6 +876,7 @@ def _suite_aps(config: Config, run: _Runner) -> None:
             )
 
     def q_l4_smallness():
+        """Q -> 0 in L4"""
         # fixed 10-element test set, modes |n| <= 8; the L4 norm decreases
         # monotonically as eps = 2^-k shrinks and the quartic mass ends < 5%
         rng = config.rng("aps.q_smallness")
@@ -906,13 +905,13 @@ def _suite_aps(config: Config, run: _Runner) -> None:
             worst_monotone = max(worst_monotone, float(np.max(np.diff(norms))))
             worst_final_mass = max(worst_final_mass, (norms[-1] / norms[0]) ** 4)
             curves.append([float(v) for v in norms])
-        run.check(
+        yield CheckRecord(
             "aps.q_l4_smallness_monotone",
             "||Q_eps(beta)||_{L^4} decreases along eps = 2^-k",
             worst_monotone,
             0.0,
         )
-        run.check(
+        yield CheckRecord(
             "aps.q_l4_smallness_final",
             "Q_eps(beta) -> 0 as eps -> 0: final quartic mass below 5% of initial",
             worst_final_mass,
@@ -920,7 +919,8 @@ def _suite_aps(config: Config, run: _Runner) -> None:
             details={"curves": curves},
         )
 
-    def end_vanishing_l4():
+    def end_vanishing():
+        """anisotropic Sobolev L4 bound"""
         rng = config.rng("aps.end_vanishing")
         worst = 0.0
         for eps in (0.5, 0.1, 0.01):
@@ -940,25 +940,23 @@ def _suite_aps(config: Config, run: _Runner) -> None:
                 )
                 rhs = eps * grad_sq**2
                 worst = max(worst, float(np.max(lhs / rhs)))
-        run.check(
+        yield CheckRecord(
             "aps.end_vanishing_l4",
             "int |f|^4 <= eps (int |grad f|^2)^2 for fields vanishing at one end",
             worst,
             1.0,
         )
 
-    run.guard("aps.mode_identities", "Q closed forms", mode_identities)
-    run.guard("aps.q_right_inverse", "boundary of Q", q_right_inverse_identity)
-    run.guard("aps.right_inverse", "D P = id", right_inverse)
-    run.guard("aps.uniformity", "norms independent of eps", uniformity)
-    run.guard("aps.q_l4_smallness", "Q -> 0 in L4", q_l4_smallness)
-    run.guard("aps.end_vanishing", "anisotropic Sobolev L4 bound", end_vanishing_l4)
+    return _run_groups("aps", (
+        mode_identities, q_right_inverse, right_inverse, uniformity, q_l4_smallness,
+        end_vanishing,
+    ))
 
 
 # -- contraction suite ----------------------------------------------------------------
 
 
-def _suite_contraction(config: Config, run: _Runner) -> None:
+def _suite_contraction(config: Config) -> list[CheckRecord]:
     m = config.model
     N = config.N
     tol = config.tol("solver")
@@ -967,6 +965,7 @@ def _suite_contraction(config: Config, run: _Runner) -> None:
     solved = []
 
     def small_data():
+        """small-data contraction"""
         rng = config.rng("contraction.small")
         worst_ratio = worst_residual = 0.0
         for eps in (0.05, 0.02):
@@ -977,13 +976,13 @@ def _suite_contraction(config: Config, run: _Runner) -> None:
                 solved.append(res)
                 worst_ratio = max(worst_ratio, res.contraction_ratio)
                 worst_residual = max(worst_residual, res.residual)
-        run.check(
+        yield CheckRecord(
             "contraction.small_data_ratio",
             "Picard contracts with ratio <= 1/2 for ||beta||_{1/2} <= 0.1, eps <= 0.05",
             worst_ratio,
             0.5,
         )
-        run.check(
+        yield CheckRecord(
             "contraction.small_data_residual",
             "PDE residual of the fixed point below 1e-8",
             worst_residual,
@@ -991,6 +990,7 @@ def _suite_contraction(config: Config, run: _Runner) -> None:
         )
 
     def engaged_sweep():
+        """fixed-point norm sweep"""
         beta = BoundaryData(
             plus0=Loop.from_modes(1, N, {-1: 0.9}), minus_end=Loop.zero(1, N)
         )
@@ -999,7 +999,7 @@ def _suite_contraction(config: Config, run: _Runner) -> None:
             res = picard_solve(m, beta, None, 2.0**-k, tol=tol, M_t=128)
             solved.append(res)
             norms.append(res.v_norm)
-        run.check(
+        yield CheckRecord(
             "contraction.vstar_monotone",
             "||v*|| decreases monotonically along eps = 2^-k (fixed data)",
             float(np.max(np.diff(norms))),
@@ -1008,12 +1008,13 @@ def _suite_contraction(config: Config, run: _Runner) -> None:
         )
 
     def energy_identity():
+        """energy identity"""
         worst = 0.0
         for res in solved:
             delta = res.action_out - res.action_in
             defect = abs(delta - res.energy) / (1 + abs(res.energy))
             worst = max(worst, defect)
-        run.check(
+        yield CheckRecord(
             "contraction.energy_identity",
             "CSD(u(eps)) - CSD(u(0)) = E(u) on every solved cylinder",
             worst,
@@ -1021,6 +1022,7 @@ def _suite_contraction(config: Config, run: _Runner) -> None:
         )
 
     def grid_convergence():
+        """O(h^2) convergence"""
         beta = BoundaryData(
             plus0=Loop.from_modes(1, N, {-1: 0.8}), minus_end=Loop.zero(1, N)
         )
@@ -1030,7 +1032,7 @@ def _suite_contraction(config: Config, run: _Runner) -> None:
         d1 = float(np.max(np.abs(sols[32].u.values - sols[64].u.values[::2])))
         d2 = float(np.max(np.abs(sols[64].u.values - sols[128].u.values[::2])))
         ratio = d1 / d2
-        run.check(
+        yield CheckRecord(
             "contraction.grid_convergence",
             "doubling M_t shrinks the solution change by ~4 (second order)",
             abs(ratio - 4.0),
@@ -1039,6 +1041,7 @@ def _suite_contraction(config: Config, run: _Runner) -> None:
         )
 
     def uniqueness():
+        """unique small-energy solution"""
         beta = BoundaryData(
             plus0=Loop.from_modes(1, N, {-1: 0.7}), minus_end=Loop.zero(1, N)
         )
@@ -1054,7 +1057,7 @@ def _suite_contraction(config: Config, run: _Runner) -> None:
             u = q + p_op(CylinderMap(1, N, eps, mt, v))
             v = -grad_h_modes(m, theta_values(u.values, N), N)
         dist = float(np.max(np.abs(v - base.v.values)))
-        run.check(
+        yield CheckRecord(
             "contraction.uniqueness",
             "distinct Picard starts reach the same small-energy fixed point",
             dist,
@@ -1062,20 +1065,20 @@ def _suite_contraction(config: Config, run: _Runner) -> None:
         )
 
     def collar_orbit():
+        """orbit collar"""
         orbit = cyc.radial_orbit_oracle(m, 1).loop
         res = collar_solve(m, orbit, 4e-4, tol=1e-13)
-        solved.append(res)
         worst_rest = max(
             float(np.max(np.abs(res.rest_0().coeffs - orbit.coeffs))),
             float(np.max(np.abs(res.rest_end().coeffs - orbit.coeffs))),
         )
-        run.check(
+        yield CheckRecord(
             "contraction.collar_orbit_restrictions",
             "the collar solution through orbit data restricts to the orbit",
             worst_rest,
             1e-6,
         )
-        run.check(
+        yield CheckRecord(
             "contraction.collar_orbit_energy",
             "t-independent orbit cylinders carry no energy",
             res.energy,
@@ -1083,6 +1086,7 @@ def _suite_contraction(config: Config, run: _Runner) -> None:
         )
 
     def sensitivity():
+        """boundary-data sensitivity"""
         beta = BoundaryData(
             plus0=Loop.from_modes(1, N, {-1: 0.9}), minus_end=Loop.zero(1, N)
         )
@@ -1090,7 +1094,7 @@ def _suite_contraction(config: Config, run: _Runner) -> None:
             plus0=Loop.from_modes(1, N, {-2: 0.05}), minus_end=Loop.zero(1, N)
         )
         vals = [h_eps_sensitivity(m, beta, 2.0**-k, db, tol=tol) for k in range(2, 9)]
-        run.check(
+        yield CheckRecord(
             "contraction.sensitivity_decreasing",
             "|D_beta fixed-point| -> 0 as eps -> 0 (finite-difference sweep)",
             float(np.max(np.diff(vals))),
@@ -1103,7 +1107,7 @@ def _suite_contraction(config: Config, run: _Runner) -> None:
         s_double = h_eps_sensitivity(m, beta, 0.1, BoundaryData(
             plus0=Loop.from_modes(1, N, {-2: 0.02}), minus_end=Loop.zero(1, N)
         ), tol=tol)
-        run.check(
+        yield CheckRecord(
             "contraction.sensitivity_first_order",
             "doubling the probe leaves the sensitivity ratio invariant to 1%",
             abs(s_double / s_small - 1.0),
@@ -1111,6 +1115,7 @@ def _suite_contraction(config: Config, run: _Runner) -> None:
         )
 
     def failure_modes():
+        """loud failure"""
         beta = BoundaryData(
             plus0=Loop.from_modes(1, N, {-1: 1e3}), minus_end=Loop.zero(1, N)
         )
@@ -1119,21 +1124,17 @@ def _suite_contraction(config: Config, run: _Runner) -> None:
             failed_loudly = 0.0 + 1.0
         except (BallExit, ContractionFailure):
             failed_loudly = 0.0
-        run.check(
+        yield CheckRecord(
             "contraction.large_data_detected",
             "huge boundary data exits the 1/(8C) ball or stops contracting",
             failed_loudly,
             0.5,
         )
 
-    run.guard("contraction.small_data", "small-data contraction", small_data)
-    run.guard("contraction.engaged_sweep", "fixed-point norm sweep", engaged_sweep)
-    run.guard("contraction.energy_identity", "energy identity", energy_identity)
-    run.guard("contraction.grid_convergence", "O(h^2) convergence", grid_convergence)
-    run.guard("contraction.uniqueness", "unique small-energy solution", uniqueness)
-    run.guard("contraction.collar_orbit", "orbit collar", collar_orbit)
-    run.guard("contraction.sensitivity", "boundary-data sensitivity", sensitivity)
-    run.guard("contraction.failure_modes", "loud failure", failure_modes)
+    return _run_groups("contraction", (
+        small_data, engaged_sweep, energy_identity, grid_convergence, uniqueness,
+        collar_orbit, sensitivity, failure_modes,
+    ))
 
 
 # -- flow suite -------------------------------------------------------------------------
@@ -1148,7 +1149,6 @@ def verify_energy_norm_equivalence(config: Config) -> list[CheckRecord]:
     extremes; away from resonance (c not in i Z) the lower bound is positive,
     at resonance it degenerates on the resonant mode.
     """
-    run = _Runner(config)
     N, M_t = config.N, config.M_t
 
     def bounds_for(c_im: float) -> tuple[float, float]:
@@ -1159,7 +1159,8 @@ def verify_energy_norm_equivalence(config: Config) -> list[CheckRecord]:
         upper = np.maximum(0.5, per_mode)
         return float(np.min(lower)), float(np.max(upper))
 
-    def nonresonant():
+    def equivalence_nonresonant():
+        """energy/norm equivalence"""
         m_quad = HamiltonianModel(eps_H=0.1, variant="pure_quadratic")
         c_im = 2.0 * m_quad.slope
         lo, hi = bounds_for(c_im)
@@ -1172,14 +1173,14 @@ def verify_energy_norm_equivalence(config: Config) -> list[CheckRecord]:
             ratio = energy(m_quad, u) / cyl_norm(u, "L2_1") ** 2
             lo_seen, hi_seen = min(lo_seen, ratio), max(hi_seen, ratio)
             worst = max(worst, lo - ratio, ratio - hi)
-        run.check(
+        yield CheckRecord(
             "flow.equivalence_bounds",
             "E(u)/||u||^2_{L^2_1} within per-mode bounds from |i n - c|^2",
             worst,
             1e-12,
             details={"m": lo, "M": hi, "seen": [lo_seen, hi_seen]},
         )
-        run.check(
+        yield CheckRecord(
             "flow.equivalence_positive_lower_bound",
             "c = 2.2i: min_n (n - 2.2)^2 = 0.04 at n = 2 gives m >= 0.04/10",
             0.04 * 0.1 - lo,
@@ -1187,14 +1188,15 @@ def verify_energy_norm_equivalence(config: Config) -> list[CheckRecord]:
             details={"m": lo},
         )
 
-    def resonant():
+    def equivalence_resonant():
+        """resonant counterexample"""
         m_res = HamiltonianModel(eps_H=0.0, variant="pure_quadratic")  # c = 2i
         lo, hi = bounds_for(2.0)
         vals = np.zeros((M_t + 1, 2 * N + 1, 1), complex)
         vals[:, N + 2, 0] = 1.0  # resonant mode n = 2, constant in t
         u = CylinderMap(1, N, 0.4, M_t, vals)
         ratio = energy(m_res, u) / cyl_norm(u, "L2_1") ** 2
-        run.check(
+        yield CheckRecord(
             "flow.equivalence_resonant_degenerates",
             "c = 2i: the resonant mode carries energy 0, the lower bound collapses",
             max(ratio, lo),
@@ -1202,29 +1204,28 @@ def verify_energy_norm_equivalence(config: Config) -> list[CheckRecord]:
             details={"resonant_ratio": float(ratio), "resonant_lower_bound": lo},
         )
 
-    run.guard("flow.equivalence_nonresonant", "energy/norm equivalence", nonresonant)
-    run.guard("flow.equivalence_resonant", "resonant counterexample", resonant)
-    return run.records
+    return _run_groups("flow", (equivalence_nonresonant, equivalence_resonant))
 
 
-def _suite_flow(config: Config, run: _Runner) -> None:
+def _suite_flow(config: Config) -> list[CheckRecord]:
     m = config.model
     identity_tol = config.tol("identity")
     refined_tol = config.tol("identity_refined")
 
-    def linear_closed_form():
+    def linear():
+        """linear flow closed form"""
         n, alpha, T = 1, 0.1, 0.5
         g = Loop.from_modes(1, 8, {n: alpha})
         trace = flow_trajectory(m, g, T, 1e-3)
         expected = 0.5 * n * alpha**2 * (np.exp(2 * n * trace.times) - 1)
-        run.check(
+        yield CheckRecord(
             "flow.linear_energy_closed_form",
             "single growing mode: E = (n/2) alpha^2 (e^{2nT} - 1)",
             float(np.max(np.abs(trace.cumulative_energy - expected))),
             refined_tol,
         )
         defect = np.abs((trace.actions - trace.actions[0]) - trace.cumulative_energy)
-        run.check(
+        yield CheckRecord(
             "flow.linear_energy_identity",
             "CSD(u(t)) - CSD(u(0)) = E(u) at every node of the linear trajectory",
             float(np.max(defect)),
@@ -1232,11 +1233,12 @@ def _suite_flow(config: Config, run: _Runner) -> None:
         )
 
     def orbit_stationary():
+        """orbit stationarity"""
         # truncation small enough that e^{N t} round-off stays below 1e-8
         radius = cyc.radial_orbit_oracle(m, 1).radius
         loop = Loop.from_modes(1, 12, {1: radius})
         trace = flow_trajectory(m, loop, 1.0, 0.09 / 12)
-        run.check(
+        yield CheckRecord(
             "flow.orbit_stationary",
             "critical orbits are fixed points of the upward flow",
             float(np.max(np.abs(trace.final.coeffs - loop.coeffs))),
@@ -1244,6 +1246,7 @@ def _suite_flow(config: Config, run: _Runner) -> None:
         )
 
     def nonlinear_identity():
+        """nonlinear energy identity"""
         seed = Loop.from_modes(1, 8, {1: 0.55, 2: 0.3j, 3: 0.1})
         trace = flow_trajectory(m, seed, 0.5, 1e-5)
         E = trace.cumulative_energy[-1]
@@ -1251,7 +1254,7 @@ def _suite_flow(config: Config, run: _Runner) -> None:
             (trace.actions - trace.actions[0]) - trace.cumulative_energy
         ) / (1 + trace.cumulative_energy)
         defect = float(np.max(per_node))
-        run.check(
+        yield CheckRecord(
             "flow.nonlinear_energy_identity",
             "CSD(u(t)) - CSD(u(0)) = E(u) at every node through the bump region",
             defect,
@@ -1264,7 +1267,7 @@ def _suite_flow(config: Config, run: _Runner) -> None:
                 "curve_norm": [float(v) for v in trace.norms[::2500]],
             },
         )
-        run.check(
+        yield CheckRecord(
             "flow.actions_nondecreasing",
             "the action is nondecreasing along the upward flow",
             float(np.max(-np.diff(trace.actions))),
@@ -1272,10 +1275,11 @@ def _suite_flow(config: Config, run: _Runner) -> None:
         )
 
     def semigroup():
+        """linear semigroup"""
         g = Loop.from_modes(1, 8, {1: 0.1, 3: 0.02j, -2: 0.05})
         two = flow_step(m, flow_step(m, g, 0.005), 0.005)
         one = flow_step(m, g, 0.01)
-        run.check(
+        yield CheckRecord(
             "flow.semigroup_flat_region",
             "flow_step composes exactly where the flow is linear",
             float(np.max(np.abs(two.coeffs - one.coeffs))),
@@ -1283,12 +1287,13 @@ def _suite_flow(config: Config, run: _Runner) -> None:
         )
 
     def pushforward():
+        """cycle pushforward"""
         pts = cyc.sample_gamma(0.3, 4, seed=config.seed + 7, N=8)
         out_id = gf_pushforward(m, pts, 0.0, 1e-3)
         worst_id = max(
             float(np.max(np.abs(r.final.coeffs - p.coeffs))) for r, p in zip(out_id, pts)
         )
-        run.check(
+        yield CheckRecord(
             "flow.pushforward_identity_at_zero_time",
             "GF_0 is the identity on cycle points",
             worst_id,
@@ -1298,7 +1303,7 @@ def _suite_flow(config: Config, run: _Runner) -> None:
         min_gain = min(
             action(m, r.final) - action(m, p) for r, p in zip(out, pts) if r.ok
         )
-        run.check(
+        yield CheckRecord(
             "flow.pushforward_actions_increase",
             "actions strictly increase along the flow off critical points",
             -min_gain,
@@ -1313,7 +1318,7 @@ def _suite_flow(config: Config, run: _Runner) -> None:
         t_wild = max(2.5, 60.0 / config.N)
         res = gf_pushforward(m, [wild, tame], t_wild, 0.09 / config.N)
         ok = (not res[0].ok and res[0].blowup_time is not None) and res[1].ok
-        run.check(
+        yield CheckRecord(
             "flow.pushforward_blowup_recorded",
             "per-point blowups are recorded without failing the batch",
             0.0 if ok else 1.0,
@@ -1321,28 +1326,26 @@ def _suite_flow(config: Config, run: _Runner) -> None:
             details={"blowup_time": res[0].blowup_time},
         )
 
-    run.guard("flow.linear", "linear flow closed form", linear_closed_form)
-    run.guard("flow.orbit_stationary", "orbit stationarity", orbit_stationary)
-    run.guard("flow.nonlinear_identity", "nonlinear energy identity", nonlinear_identity)
-    run.guard("flow.semigroup", "linear semigroup", semigroup)
-    run.guard("flow.pushforward", "cycle pushforward", pushforward)
-    run.records.extend(verify_energy_norm_equivalence(config))
+    return _run_groups(
+        "flow", (linear, orbit_stationary, nonlinear_identity, semigroup, pushforward)
+    ) + verify_energy_norm_equivalence(config)
 
 
 # -- orbits suite ---------------------------------------------------------------------
 
 
-def _suite_orbits(config: Config, run: _Runner) -> None:
+def _suite_orbits(config: Config) -> list[CheckRecord]:
     m = config.model
     N = config.N
     state: dict = {}
 
     def alpha_scan():
+        """sphere minimum scan"""
         alpha_star, beta_star, table = cyc.scan_alpha(
             m, samples=48, descent_steps=120, seed=config.seed, N=N
         )
         state["alpha_star"], state["beta_star"] = alpha_star, beta_star
-        run.check(
+        yield CheckRecord(
             "orbits.beta_positive",
             "there exist alpha, beta > 0 with CSD >= beta on the alpha-sphere",
             -beta_star,
@@ -1351,10 +1354,11 @@ def _suite_orbits(config: Config, run: _Runner) -> None:
         )
 
     def sigma_boundary():
+        """box boundary"""
         tau_star = cyc.derive_tau(m, samples=240, seed=config.seed + 1, N=N)
         state["tau_star"] = tau_star
         worst = cyc.check_sigma_boundary(m, tau_star, samples=240, seed=config.seed + 1, N=N)
-        run.check(
+        yield CheckRecord(
             "orbits.sigma_boundary_nonpositive",
             "CSD <= 0 on the boundary of the tau-box for tau large",
             worst,
@@ -1363,17 +1367,18 @@ def _suite_orbits(config: Config, run: _Runner) -> None:
         )
 
     def transversality():
+        """transverse intersection"""
         alpha_star = state.get("alpha_star", 1.0)
         tau_star = max(state.get("tau_star", 2.0), alpha_star)
         out = cyc.transversality_check(alpha_star, tau_star, N=N)
-        run.check(
+        yield CheckRecord(
             "orbits.transversality_full_rank",
             "the sphere and box tangents span the truncation at alpha e+",
             -out["sigma_min"],
             -1e-12,
             details={"sigma_min": out["sigma_min"], "sigma_max": out["sigma_max"]},
         )
-        run.check(
+        yield CheckRecord(
             "orbits.intersection_unique",
             "the families meet exactly in the single point alpha e+",
             abs(out["intersection_dim"] - 1),
@@ -1381,7 +1386,8 @@ def _suite_orbits(config: Config, run: _Runner) -> None:
             details={"s_at_intersection": out["s_at_intersection"]},
         )
 
-    def winding_matches():
+    def windings():
+        """orbit existence and oracle match"""
         alpha_star = state.get("alpha_star", 1.0)
         beta_star = state.get("beta_star", 0.0)
         for k in (1, 2):
@@ -1393,27 +1399,27 @@ def _suite_orbits(config: Config, run: _Runner) -> None:
             found = cyc.find_critical_point(
                 m, seed_loop, flow_time=1.0, newton_tol=1e-11, beta=beta_star
             )
-            run.check(
+            yield CheckRecord(
                 f"orbits.winding{k}_radius",
                 "found orbit radius matches the scalar bisection oracle",
                 abs(found.radius - oracle.radius),
                 1e-6,
                 details={"found": found.radius, "oracle": oracle.radius},
             )
-            run.check(
+            yield CheckRecord(
                 f"orbits.winding{k}_action",
                 "found orbit action matches k r^2 / 2 - h(r^2)",
                 abs(found.action - oracle.action),
                 1e-6,
                 details={"found": found.action, "oracle": oracle.action},
             )
-            run.check(
+            yield CheckRecord(
                 f"orbits.winding{k}_gradient",
                 "the found loop is critical: ||grad CSD|| <= 1e-8",
                 found.gradient_norm,
                 1e-8,
             )
-            run.check(
+            yield CheckRecord(
                 f"orbits.winding{k}_above_beta",
                 "critical point with CSD >= beta",
                 beta_star - found.action,
@@ -1421,7 +1427,8 @@ def _suite_orbits(config: Config, run: _Runner) -> None:
                 details={"flagged_below_beta": found.action_below_beta},
             )
 
-    def oracle_internal():
+    def oracle():
+        """oracle internals"""
         worst_root = worst_action = 0.0
         for k in (1, 2):
             orb = cyc.radial_orbit_oracle(m, k)
@@ -1430,13 +1437,13 @@ def _suite_orbits(config: Config, run: _Runner) -> None:
                 worst_action,
                 abs(orb.action - (0.5 * k * orb.radius**2 - float(m.h(orb.radius**2)))),
             )
-        run.check(
+        yield CheckRecord(
             "orbits.oracle_criticality",
             "2 h'(r^2) = k at the oracle radius",
             worst_root,
             1e-8,
         )
-        run.check(
+        yield CheckRecord(
             "orbits.oracle_action_form",
             "oracle action equals the radial closed form",
             worst_action,
@@ -1447,7 +1454,7 @@ def _suite_orbits(config: Config, run: _Runner) -> None:
             no_root_raised = 1.0
         except cyc.NoRoot:
             no_root_raised = 0.0
-        run.check(
+        yield CheckRecord(
             "orbits.oracle_no_root_detected",
             "windings outside (0, 2(1+eps)) have no radial orbit",
             no_root_raised,
@@ -1455,6 +1462,7 @@ def _suite_orbits(config: Config, run: _Runner) -> None:
         )
 
     def perturbation():
+        """perturbation map"""
         rng = config.rng("orbits.perturbation")
         n = mode_numbers(8).astype(float)
         w2 = (1.0 + n**2) ** 2
@@ -1466,20 +1474,21 @@ def _suite_orbits(config: Config, run: _Runner) -> None:
                 ball = np.sqrt(np.sum(w2[:, None] * np.abs(v.coeffs) ** 2))
                 v = (0.999 / ball) * v
                 worst = max(worst, abs(action(m, cyc.perturb(g, v)) - action(m, g)))
-        run.check(
+        yield CheckRecord(
             "orbits.perturbation_action_bounded",
             "|CSD(F(x, v)) - CSD(x)| bounded independent of x",
             worst,
             10.0,
         )
-        run.check(
+        yield CheckRecord(
             "orbits.rho_values",
             "rho = 1 on [-1, 1] and 1/x^2 outside [-2, 2]",
             abs(cyc.rho(0.5) - 1.0) + abs(cyc.rho(3.0) - 1.0 / 9.0),
             1e-14,
         )
 
-    def sigma_sampler_faces():
+    def sigma_faces():
+        """box boundary sampler"""
         pts = cyc.sample_sigma(1.5, cyc.e_plus(1, N), 30, seed=config.seed + 2, boundary_only=True)
         worst = 0.0
         for p in pts:
@@ -1487,20 +1496,17 @@ def _suite_orbits(config: Config, run: _Runner) -> None:
             s = float(project(p, "plus").mode(1)[0].real)
             on_face = min(abs(minus_norm - 1.5), abs(s), abs(s - 1.5))
             worst = max(worst, on_face)
-        run.check(
+        yield CheckRecord(
             "orbits.sigma_boundary_faces",
             "boundary samples sit on ||gamma^-|| = tau or s in {0, tau}",
             worst,
             1e-12,
         )
 
-    run.guard("orbits.alpha_scan", "sphere minimum scan", alpha_scan)
-    run.guard("orbits.sigma_boundary", "box boundary", sigma_boundary)
-    run.guard("orbits.transversality", "transverse intersection", transversality)
-    run.guard("orbits.windings", "orbit existence and oracle match", winding_matches)
-    run.guard("orbits.oracle", "oracle internals", oracle_internal)
-    run.guard("orbits.perturbation", "perturbation map", perturbation)
-    run.guard("orbits.sigma_faces", "box boundary sampler", sigma_sampler_faces)
+    return _run_groups("orbits", (
+        alpha_scan, sigma_boundary, transversality, windings, oracle, perturbation,
+        sigma_faces,
+    ))
 
 
 # -- suite orchestration -----------------------------------------------------------------
@@ -1522,10 +1528,9 @@ def run_suite(config: Config, suite: str = "all", write: bool = True) -> Report:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES + ('all',)}")
     coverage.reset()
     coverage._COUNTS["harness.run_suite"] += 1  # count this invocation post-reset
-    run = _Runner(config)
-    names = SUITES if suite == "all" else (suite,)
-    for name in names:
-        _SUITE_FUNCTIONS[name](config, run)
+    records = []
+    for name in SUITES if suite == "all" else (suite,):
+        records += _SUITE_FUNCTIONS[name](config)
 
     constants = {
         "lipschitz_C": k_factor_constant(config.model)
@@ -1540,23 +1545,14 @@ def run_suite(config: Config, suite: str = "all", write: bool = True) -> Report:
     if write:
         # emit the sweep CSVs before freezing the coverage counters, so the
         # plumbing operation itself shows up as exercised in the report
-        preliminary = Report(
-            suite=suite,
-            config=config,
-            records=run.records,
-            coverage_counts={},
-            coverage_complete=False,
-            constants=constants,
-        )
-        os.makedirs(config.output_dir, exist_ok=True)
-        emit_plots_data(preliminary, config.output_dir)
+        emit_plots_data(records, config.output_dir)
 
     counts = coverage.counts()
     complete = all(v > 0 for v in counts.values()) if suite == "all" else False
     report = Report(
         suite=suite,
         config=config,
-        records=run.records,
+        records=records,
         coverage_counts=counts,
         coverage_complete=complete,
         constants=constants,
@@ -1569,27 +1565,22 @@ def run_suite(config: Config, suite: str = "all", write: bool = True) -> Report:
 
 
 @tracked("harness.emit_plots_data")
-def emit_plots_data(report: Report, out_dir) -> list[str]:
-    """Write the sweep curves of a report as CSV files for external plotting."""
+def emit_plots_data(records: list[CheckRecord], out_dir) -> list[str]:
+    """Write the sweep curves of the check records as CSV files for external plotting."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    by_name = {r.name: r for r in report.records}
+    by_name = {r.name: r for r in records}
 
     aps_path = os.path.join(out_dir, "aps_sweep.csv")
     with open(aps_path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["operator", "eps", "estimate"])
+        # the p record carries the eps grid and all four estimate series
         rec = by_name.get("aps.uniformity_p_variation")
-        if rec and "eps" in rec.details:
-            eps = rec.details["eps"]
+        if rec:
             for op in ("p", "q", "restriction", "mixed_l4"):
-                values = rec.details.get(op)
-                if values is None:
-                    other = by_name.get(f"aps.uniformity_{op}_variation")
-                    values = other.details.get("estimates") if other else None
-                if values:
-                    for e, v in zip(eps, values):
-                        w.writerow([op, f"{e:.12g}", f"{v:.17g}"])
+                for e, v in zip(rec.details["eps"], rec.details[op]):
+                    w.writerow([op, f"{e:.12g}", f"{v:.17g}"])
     written.append(aps_path)
 
     contraction_path = os.path.join(out_dir, "contraction_sweep.csv")

@@ -321,6 +321,8 @@ def flow_trajectory(
     """
     if T < 0:
         raise ValueError("flow time must be nonnegative")
+    if not dt > 0:
+        raise ValueError(f"flow step dt must be positive, got {dt!r}")
     d, N = gamma.d, gamma.N
     n = mode_numbers(N).astype(float)
 

@@ -89,6 +89,19 @@ class TestBetaEstimate:
         beta = estimate_beta(model, 0.9, samples=8, descent_steps=40, seed=13)
         assert beta <= raw_min + 1e-14
 
+    def test_negative_counts_rejected(self, model):
+        # a negative count used to leave alpha e_plus as the only start
+        with pytest.raises(ValueError, match="count"):
+            sample_gamma(0.5, -1, seed=3)
+        with pytest.raises(ValueError, match="count"):
+            estimate_beta(model, 0.5, samples=-1, descent_steps=10, seed=3)
+        with pytest.raises(ValueError, match="descent_steps"):
+            estimate_beta(model, 0.5, samples=4, descent_steps=-1, seed=3)
+        with pytest.raises(ValueError, match="descent_steps"):
+            estimate_beta(model, 0.0, descent_steps=-1)
+        with pytest.raises(ValueError):
+            scan_alpha(model, alphas=[0.5], samples=-1, descent_steps=10, seed=3)
+
     def test_negative_beta_raised(self, model):
         with pytest.raises(NegativeBeta):
             estimate_beta(model, 4.0, samples=8, descent_steps=60, seed=3)

@@ -1,15 +1,16 @@
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from looplab import coverage, harness
+from looplab import coverage, cycles, harness
 from looplab.cli import main as cli_main
 from looplab.harness import (
     Config,
-    Report,
     emit_plots_data,
+    from_json,
     run_suite,
     verify_energy_norm_equivalence,
 )
@@ -33,8 +34,7 @@ class TestConfig:
 
     def test_json_roundtrip(self, tmp_path):
         cfg = Config(N=16, seed=7, eps_list=(0.5, 0.1), output_dir="x")
-        back = Config.from_json_dict(cfg.to_json_dict())
-        assert back.to_json_dict() == cfg.to_json_dict()
+        assert from_json(Config, json.loads(json.dumps(asdict(cfg))), "config") == cfg
 
     @pytest.mark.parametrize("M_theta", [None, 32])
     def test_m_theta_records_the_grid(self, M_theta):
@@ -46,7 +46,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="M_theta"):
             Config(N=8, M_theta=M_theta)
         with pytest.raises(ValueError, match="M_theta"):
-            Config.from_json_dict({"N": 8, "M_theta": M_theta})
+            from_json(Config, {"N": 8, "M_theta": M_theta}, "config")
 
     @pytest.mark.parametrize(
         "obj, match",
@@ -59,7 +59,25 @@ class TestConfig:
     )
     def test_unknown_keys_rejected(self, obj, match):
         with pytest.raises(ValueError, match=match):
-            Config.from_json_dict(obj)
+            from_json(Config, obj, "config")
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"N": 8.7}, {"N": 8.0}, {"N": True}, {"seed": "7"}, {"M_theta": 32.0},
+            {"eps_list": [0.1, "0.01"]}, {"eps_list": 0.1}, {"tolerances": {"exact": True}},
+            {"output_dir": 3}, {"model": {"eps_H": "0.1"}}, {"model": {"s1": False}},
+            {"model": []},
+        ],
+    )
+    def test_mistyped_values_rejected(self, obj):
+        with pytest.raises(TypeError):
+            from_json(Config, obj, "config")
+
+    def test_numbers_load_as_floats(self):
+        cfg = from_json(Config, {"eps_list": [1, 0.5], "model": {"s1": 4}}, "config")
+        assert cfg.eps_list == (1.0, 0.5) and type(cfg.eps_list[0]) is float
+        assert type(cfg.model.s1) is float
 
 
 class TestSuites:
@@ -132,18 +150,28 @@ class TestSuites:
         assert records["aps.uniformity_q_variation"].computed > 10.0
         assert records["aps.uniformity_q_no_growth"].passed
 
+    def test_group_error_keeps_later_groups(self, fast_config, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("scan unavailable")
+
+        monkeypatch.setattr(cycles, "scan_alpha", broken)
+        records = {r.name: r for r in run_suite(fast_config, "orbits", write=False).records}
+        error = records["orbits.alpha_scan.error"]
+        assert error.anchor == "sphere minimum scan"
+        assert (error.computed, error.bound, error.passed) == (np.inf, 0.0, False)
+        assert error.details == {"exception": "RuntimeError: scan unavailable"}
+        assert "orbits.beta_positive" not in records
+        # the later groups still report, from their fallback alpha and beta
+        for name in ("orbits.sigma_boundary_nonpositive", "orbits.transversality_full_rank",
+                     "orbits.winding1_radius", "orbits.oracle_criticality",
+                     "orbits.rho_values", "orbits.sigma_boundary_faces"):
+            assert name in records, name
+        assert not any(n.endswith(".error") for n in records if n != "orbits.alpha_scan.error")
+
 
 class TestPlotsData:
-    def test_empty_report_gives_headers(self, tmp_path, fast_config):
-        rep = Report(
-            suite="norms",
-            config=fast_config,
-            records=[],
-            coverage_counts={},
-            coverage_complete=False,
-            constants={},
-        )
-        files = emit_plots_data(rep, str(tmp_path))
+    def test_empty_report_gives_headers(self, tmp_path):
+        files = emit_plots_data([], str(tmp_path))
         for path in files:
             lines = open(path).read().strip().splitlines()
             assert len(lines) == 1  # header only
@@ -156,14 +184,14 @@ class TestPlotsData:
     def test_rerun_identical_files(self, tmp_path, fast_config):
         rep = run_suite(fast_config, "contraction", write=False)
         d1, d2 = tmp_path / "a", tmp_path / "b"
-        emit_plots_data(rep, str(d1))
-        emit_plots_data(rep, str(d2))
+        emit_plots_data(rep.records, str(d1))
+        emit_plots_data(rep.records, str(d2))
         for name in ("aps_sweep.csv", "contraction_sweep.csv", "flow_curve.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     def test_contraction_sweep_rows(self, tmp_path, fast_config):
         rep = run_suite(fast_config, "contraction", write=False)
-        emit_plots_data(rep, str(tmp_path))
+        emit_plots_data(rep.records, str(tmp_path))
         lines = (tmp_path / "contraction_sweep.csv").read_text().strip().splitlines()
         assert lines[0] == "eps,v_norm,sensitivity"
         assert len(lines) == 1 + 9  # k = 2..10
@@ -297,10 +325,25 @@ class TestCli:
             ("solve-cylinder", {"N": 8, "beta_modes": [{"n": -1, "real": 0.05}]}),
             ("flow", {"N": 8, "seed_modes": [{"n": 1, "re": 0.5, "cord": 0}]}),
             ("scan-alpha", {"N": 8, "samples": 2, "descent_steps": 2, "alphas": []}),
+            # values of the wrong type, which used to be truncated or coerced
+            ("scan-alpha", {"N": 8.7, "samples": 2, "descent_steps": 2}),
+            ("find-orbit", {"N": 8, "winding": 1.5}),
+            ("flow", {"N": 8, "seed_modes": [{"n": 1.5, "re": 0.5}]}),
+            ("flow", {"N": 8, "T": "0.1", "seed_modes": modes}),
+            ("flow", {"N": 8, "T": True, "seed_modes": modes}),
+            ("solve-cylinder", {"N": 8, "beta_modes": modes, "write_field_csv": "no"}),
+            # and negative counts
+            ("scan-alpha", {"N": 8, "samples": -1, "descent_steps": 2}),
+            ("check-cycles", {"N": 8, "samples": 2, "descent_steps": -1}),
         ):
             path = self._write(tmp_path, "cmd.json", dict(obj, output_dir=str(tmp_path / "o")))
             assert cli_main([command, "--config", path]) == 2, (command, obj)
             assert not (tmp_path / "o").exists()
+        n_typo = self._write(tmp_path, "n.json", {"N": 8.7, "output_dir": str(tmp_path / "o")})
+        assert cli_main(["verify", "--config", n_typo, "--suite", "norms"]) == 2
+        assert not (tmp_path / "o").exists()
+        zero_dt = self._write(tmp_path, "dt.json", {"N": 8, "dt": 0, "seed_modes": modes})
+        assert cli_main(["flow", "--config", zero_dt, "--out", str(tmp_path / "flow")]) == 2
 
     def test_failing_suite_exit_1(self, tmp_path):
         cfg = self._write(

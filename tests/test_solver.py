@@ -163,6 +163,13 @@ class TestFlow:
         with pytest.raises(ValueError):
             flow_step(model, g, 0.1)  # 0.1 > 0.1/8
 
+    @pytest.mark.parametrize("T, dt", [(0.5, 0.0), (0.01, -1.0), (0.0, 0.0), (0.5, float("nan"))])
+    def test_nonpositive_dt_rejected(self, model, T, dt):
+        # dt = 0 used to divide by zero; dt = -1 ran one step of length T
+        g = Loop.from_modes(1, 8, {1: 0.1})
+        with pytest.raises(ValueError, match="dt"):
+            flow_trajectory(model, g, T, dt)
+
     def test_orbit_is_stationary(self, model):
         # truncation chosen so e^{N t} cannot amplify round-off past 1e-8
         from looplab.cycles import radial_orbit_oracle
