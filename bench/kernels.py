@@ -1,5 +1,5 @@
-"""Time the aps cylinder kernels, the aps checks, `lab verify --suite aps`,
-the nonlinearity layer and the beta descent.
+"""Time the aps cylinder kernels, the aps checks, the nonlinearity layer and
+the beta descent.
 
     python bench/kernels.py --label after --out BENCH.json [--src DIR] [--repeats 5]
 
@@ -7,28 +7,24 @@ DIR is the root of the looplab checkout to measure (default: the one holding
 this file), so that two checkouts can be timed with the same script.  Every
 timing is taken with time.perf_counter over --repeats runs after one warm-up
 call and reported as the median and the interquartile range (IQR), with the
-samples.  Five groups are timed:
+samples.  Four groups are timed:
 
-* kernels: kernel_p_values, kernel_q_values and the harness's L^2_1 norm
-  _l21_batch at the aps shapes (nodes x modes x batch);
+* kernels: kernel_p_values, kernel_q_values and the cylinder L^2_1 norm
+  l21_batch at the aps shapes (nodes x modes x batch);
 * guards: each check group of `run_suite(Config(seed=2026), "aps")`, run
-  on its own through `harness._run_groups` and keyed `aps.<group>`.
-  Checkouts from before `_run_groups` time their `_Runner.guard` calls,
-  under the same keys;
-* verify_aps: `lab verify --suite aps --config configs/verify_defaults.json`
-  in a fresh process, with its peak RSS;
+  on its own through `harness._run_groups` and keyed `aps.<group>`;
 * nonlinearity: seconds per call of one grad H evaluation on the theta grid
   (sample, grad H, synthesize) at N = 8, 32 and 128, of one flow_trajectory
   step at N = 8 and of one Newton Jacobian (cycles._newton_matrix) at N = 32.
-  Each sample is a batch of calls divided by its size.  Checkouts from before
-  hamiltonian.grad_h_modes time their own copy, solver._grad_h_modes;
+  Each sample is a batch of calls divided by its size;
 * descent: the projected descent of the beta estimate at N = 32, seed 2026:
   one first descent step (cycles._descent_step) of the block of all 49
   starts at alpha = 1.43, each sample a batch of 20 calls on fresh copies of
-  the block, one whole estimate_beta at that alpha, one scan_alpha over the
-  default grid, and `lab scan-alpha` and `lab check-cycles` on the shipped
-  configs in fresh processes, with peak RSS.  Checkouts from before the
-  batched descent have no step function, so their step is not timed.
+  the block, one whole estimate_beta at that alpha and one scan_alpha over
+  the default grid.
+
+Whole `lab` runs, with their wall time and peak RSS, are measured by
+perfbench/run.py.
 
 The result is stored under --label in the --out JSON file, beside the labels
 already there, with the core count, numpy version and CPU model.
@@ -41,9 +37,7 @@ import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -72,14 +66,14 @@ def timed(fn, repeats: int, calls: int = 1) -> dict:
 def time_kernels(repeats: int) -> dict:
     import numpy as np
 
-    from looplab import harness
-    from looplab.cylinder import kernel_p_values, kernel_q_values
-    from looplab.loops import lambda_of_modes, mode_numbers
+    from looplab.cylinder import kernel_p_values, kernel_q_values, l21_batch
+    from looplab.loops import lambda_of_modes, mode_numbers, sobolev_weights
 
     out = {}
     for nodes, modes, batch in APS_SHAPES:
         N = (modes - 1) // 2
         lam = lambda_of_modes(N).astype(float)
+        weight = sobolev_weights(1, N)
         h = 1.0 / (nodes - 1)
         times = np.linspace(0.0, 1.0, nodes)
         rng = np.random.default_rng(2026)
@@ -94,7 +88,7 @@ def time_kernels(repeats: int) -> dict:
         out[f"kernel_q_values[{shape}]"] = timed(
             lambda: kernel_q_values(plus, minus, lam, times, 1.0), repeats
         )
-        out[f"_l21_batch[{shape}]"] = timed(lambda: harness._l21_batch(field, h, N), repeats)
+        out[f"l21_batch[{shape}]"] = timed(lambda: l21_batch(field, h, weight), repeats)
         del field
     return out
 
@@ -105,12 +99,9 @@ def time_nonlinearity(repeats: int) -> dict:
     from looplab import cycles, hamiltonian, loops, solver
 
     m = hamiltonian.HamiltonianModel()
-    if hasattr(hamiltonian, "grad_h_modes"):
-        def grad_h(c, N):
-            return hamiltonian.grad_h_modes(m, loops.theta_values(c, N), N)
-    else:
-        def grad_h(c, N):
-            return solver._grad_h_modes(m, c, N)
+
+    def grad_h(c, N):
+        return hamiltonian.grad_h_modes(m, loops.theta_values(c, N), N)
 
     def loop(N, modes):
         rng = np.random.default_rng(2026)
@@ -142,72 +133,25 @@ def time_guards(repeats: int) -> dict:
         samples.setdefault(name, []).append(time.perf_counter() - start)
         return result
 
-    if hasattr(harness, "_run_groups"):
-        owner, attr = harness, "_run_groups"
-        run_groups = harness._run_groups
+    run_groups = harness._run_groups
 
-        def patched(suite, groups):
-            records = []
-            for group in groups:
-                records += clocked(f"{suite}.{group.__name__}", lambda: run_groups(suite, (group,)))
-            return records
-    else:  # checkouts from before _run_groups
-        owner, attr = harness._Runner, "guard"
-        guard = harness._Runner.guard
+    def patched(suite, groups):
+        records = []
+        for group in groups:
+            records += clocked(f"{suite}.{group.__name__}", lambda: run_groups(suite, (group,)))
+        return records
 
-        def patched(runner, name, anchor, fn):
-            clocked(name, lambda: guard(runner, name, anchor, fn))
-
-    original = getattr(owner, attr)
-    setattr(owner, attr, patched)
+    harness._run_groups = patched
     try:
         for _ in range(repeats + 1):
             harness.run_suite(harness.Config(seed=2026), "aps", write=False)
     finally:
-        setattr(owner, attr, original)
+        harness._run_groups = run_groups
     # the first suite run is the warm-up
     return {name: summary(values[1:]) for name, values in samples.items()}
 
 
-# Linux keeps a process's high-water RSS across exec, so a child started from
-# this process (which has held the aps fields of the guards group) would report
-# at least this process's peak.  Each lab run is therefore started, timed and
-# measured by a bare interpreter, which prints the exit code, wall seconds and
-# peak RSS in KiB.
-LAUNCHER = """
-import os, subprocess, sys, time
-start = time.perf_counter()
-proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
-_, status, usage = os.wait4(proc.pid, 0)
-print(os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_maxrss)
-"""
-
-
-def time_lab(root: Path, repeats: int, command: str, config: str, *extra: str) -> dict:
-    """Wall time and peak RSS of `lab COMMAND --config configs/CONFIG` in fresh processes."""
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    walls, rss = [], []
-    with tempfile.TemporaryDirectory() as out_dir:
-        argv = [
-            sys.executable, "-c", LAUNCHER, sys.executable, "-m", "looplab.cli", command,
-            *extra, "--config", str(root / "configs" / config), "--out", out_dir,
-        ]
-        for _ in range(repeats):
-            out = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True,
-                                 check=True).stdout
-            returncode, wall, maxrss = out.split()
-            if int(returncode) != 0:
-                raise SystemExit(f"lab {command} exited with {returncode}")
-            walls.append(float(wall))
-            rss.append(int(maxrss) / 1024)
-    return {"wall_s": summary(walls), "peak_rss_mb": summary(rss)}
-
-
-def time_verify_aps(root: Path, repeats: int) -> dict:
-    return time_lab(root, repeats, "verify", "verify_defaults.json", "--suite", "aps")
-
-
-def time_descent(root: Path, repeats: int) -> dict:
+def time_descent(repeats: int) -> dict:
     import numpy as np
 
     from looplab import cycles, hamiltonian
@@ -221,22 +165,19 @@ def time_descent(root: Path, repeats: int) -> dict:
         except cycles.NegativeBeta:
             pass
 
-    out = {}
-    if hasattr(cycles, "_descent_step"):
-        starts = cycles.sample_gamma(alpha, 48, 2026, N=32) + [alpha * cycles.e_plus(1, 32)]
-        c = np.stack([gamma.coeffs for gamma in starts])
-        value = hamiltonian.action_values(m, c)
+    starts = cycles.sample_gamma(alpha, 48, 2026, N=32) + [alpha * cycles.e_plus(1, 32)]
+    c = np.stack([gamma.coeffs for gamma in starts])
+    value = hamiltonian.action_values(m, c)
 
-        def step():
-            cycles._descent_step(m, c.copy(), value.copy(), np.full(len(c), 0.1 * alpha),
-                                 np.arange(len(c)), alpha)
+    def step():
+        cycles._descent_step(m, c.copy(), value.copy(), np.full(len(c), 0.1 * alpha),
+                             np.arange(len(c)), alpha)
 
-        out["descent_step[B=49,N=32]_s"] = timed(step, repeats, calls=20)
-    out["estimate_beta[N=32]_s"] = timed(beta, repeats)
-    out["scan_alpha[N=32]_s"] = timed(lambda: cycles.scan_alpha(m, seed=2026, N=32), repeats)
-    out["lab_scan_alpha"] = time_lab(root, repeats, "scan-alpha", "scan_alpha.json")
-    out["lab_check_cycles"] = time_lab(root, repeats, "check-cycles", "check_cycles.json")
-    return out
+    return {
+        "descent_step[B=49,N=32]_s": timed(step, repeats, calls=20),
+        "estimate_beta[N=32]_s": timed(beta, repeats),
+        "scan_alpha[N=32]_s": timed(lambda: cycles.scan_alpha(m, seed=2026, N=32), repeats),
+    }
 
 
 def environment() -> dict:
@@ -276,9 +217,8 @@ def main(argv=None) -> int:
         "repeats": args.repeats,
         "kernels_s": time_kernels(args.repeats),
         "guards_s": time_guards(args.repeats),
-        "verify_aps": time_verify_aps(root, args.repeats),
         "nonlinearity_s": time_nonlinearity(args.repeats),
-        "descent": time_descent(root, args.repeats),
+        "descent": time_descent(args.repeats),
     }
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data[args.label] = result
@@ -286,17 +226,10 @@ def main(argv=None) -> int:
     for group in ("kernels_s", "guards_s"):
         for name, stats in result[group].items():
             print(f"{name:40s} median {stats['median']:8.3f} s  IQR {stats['iqr']:.3f} s")
-    for name, stats in result["verify_aps"].items():
-        print(f"verify_aps {name:29s} median {stats['median']:8.1f}  IQR {stats['iqr']:.1f}")
     for name, stats in result["nonlinearity_s"].items():
         print(f"{name:40s} median {stats['median'] * 1e6:8.1f} us  IQR {stats['iqr'] * 1e6:.1f} us")
     for name, stats in result["descent"].items():
-        if name.startswith("lab_"):
-            for metric, s in stats.items():
-                print(f"{name + ' ' + metric:40s} median {s['median']:8.2f}  IQR {s['iqr']:.2f}")
-        else:
-            print(f"{name:40s} median {stats['median'] * 1e3:8.2f} ms"
-                  f"  IQR {stats['iqr'] * 1e3:.2f} ms")
+        print(f"{name:40s} median {stats['median'] * 1e3:8.2f} ms  IQR {stats['iqr'] * 1e3:.2f} ms")
     return 0
 
 

@@ -69,7 +69,7 @@ class FindOrbit(Subcommand):
     winding: int = 1
     flow_time: float = 1.0
     newton_tol: float = 1e-10
-    alpha: float = 1.0
+    alpha: float | None = None  # None: 1.0; only without seed_modes
 
 
 @dataclass(kw_only=True)
@@ -149,15 +149,16 @@ def _cmd_flow(args) -> int:
     seed = _loop_from_modes_spec(cfg.seed_modes, cfg.d, cfg.N)
     dt = 0.09 / cfg.N if cfg.dt is None else cfg.dt
     out_dir = args.out or cfg.output_dir
-    os.makedirs(out_dir, exist_ok=True)
+    blowup = None
     try:
         trace = flow_trajectory(cfg.model, seed, cfg.T, dt)
-    except Blowup as exc:
-        print(f"flow blew up at t = {exc.time:.6g}", file=sys.stderr)
-        if exc.trace is not None:
-            exc.trace.to_csv(os.path.join(out_dir, "flow_trace.csv"))
-        return 1
+    except Blowup as exc:  # its partial trace is written all the same
+        blowup, trace = exc, exc.trace
+    os.makedirs(out_dir, exist_ok=True)
     trace.to_csv(os.path.join(out_dir, "flow_trace.csv"))
+    if blowup is not None:
+        print(f"flow blew up at t = {blowup.time:.6g}", file=sys.stderr)
+        return 1
     print(
         f"flow complete: action {trace.actions[0]:.6g} -> {trace.actions[-1]:.6g}, "
         f"energy {trace.cumulative_energy[-1]:.6g}"
@@ -170,10 +171,13 @@ def _cmd_find_orbit(args) -> int:
     m, N, winding = cfg.model, cfg.N, cfg.winding
     out_dir = args.out or cfg.output_dir
     if cfg.seed_modes is not None:
+        if cfg.alpha is not None:
+            raise ValueError("alpha scales the default seed; give seed_modes or alpha, not both")
         seed = _loop_from_modes_spec(cfg.seed_modes, 1, N)
     else:
+        alpha = 1.0 if cfg.alpha is None else cfg.alpha
         mode_norm = sobolev_norm(Loop.from_modes(1, N, {winding: 1.0}), 0.5)
-        seed = Loop.from_modes(1, N, {winding: cfg.alpha / mode_norm})
+        seed = Loop.from_modes(1, N, {winding: alpha / mode_norm})
     try:
         found = cyc.find_critical_point(m, seed, flow_time=cfg.flow_time, newton_tol=cfg.newton_tol)
         oracle = cyc.radial_orbit_oracle(m, winding) if 0 < winding < 2 * m.slope else None
@@ -200,14 +204,10 @@ def _cmd_find_orbit(args) -> int:
 def _cmd_scan_alpha(args) -> int:
     cfg = _read_config(ScanAlpha, args.config)
     out_dir = args.out or cfg.output_dir
-    try:
-        alpha_star, beta_star, table = cyc.scan_alpha(
-            cfg.model, alphas=cfg.alphas, samples=cfg.samples,
-            descent_steps=cfg.descent_steps, seed=cfg.seed, N=cfg.N,
-        )
-    except cyc.NegativeBeta as exc:
-        print(f"no admissible alpha found: {exc}", file=sys.stderr)
-        return 1
+    alpha_star, beta_star, table = cyc.scan_alpha(
+        cfg.model, alphas=cfg.alphas, samples=cfg.samples,
+        descent_steps=cfg.descent_steps, seed=cfg.seed, N=cfg.N,
+    )
     _write_json(
         os.path.join(out_dir, "alpha_scan.json"),
         {"alpha_star": alpha_star, "beta_star": beta_star, "table": table},
@@ -225,7 +225,7 @@ def _cmd_check_cycles(args) -> int:
     cfg = _read_config(CheckCycles, args.config)
     m, N, seed = cfg.model, cfg.N, cfg.seed
     out_dir = args.out or cfg.output_dir
-    alpha_star, beta_star, table = cyc.scan_alpha(
+    alpha_star, beta_star, _ = cyc.scan_alpha(
         m, samples=cfg.samples, descent_steps=cfg.descent_steps, seed=seed, N=N
     )
     tau_star = cyc.derive_tau(m, samples=240, seed=seed + 1, N=N)
@@ -285,6 +285,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except cyc.NegativeBeta as exc:  # scan-alpha and check-cycles
+        print(f"no admissible alpha found: {exc}", file=sys.stderr)
+        return 1
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

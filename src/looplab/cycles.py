@@ -133,6 +133,8 @@ def sample_sigma(
 #: 240 check-cycles rows raises the peak RSS of the five subcommands run in
 #: one process by about 0.6 MB
 _BOUNDARY_ROWS = 64
+#: derive_tau doubles tau from 1 at most this many times
+_TAU_DOUBLINGS = 12
 
 
 def _descent_step(
@@ -260,7 +262,7 @@ def scan_alpha(
         if beta > best_beta:
             best_alpha, best_beta = float(a), beta
     if best_alpha is None:
-        raise NegativeBeta(best_beta)
+        raise NegativeBeta(max(row["beta"] for row in table))
     return best_alpha, best_beta, table
 
 
@@ -281,17 +283,11 @@ def check_sigma_boundary(
 
 
 def derive_tau(
-    m: HamiltonianModel,
-    start: float = 1.0,
-    samples: int = 180,
-    seed: int = 1,
-    d: int = 1,
-    N: int = 32,
-    max_doublings: int = 12,
+    m: HamiltonianModel, samples: int = 180, seed: int = 1, d: int = 1, N: int = 32
 ) -> float:
-    """Double tau until the box boundary action maximum is nonpositive."""
-    tau = start
-    for _ in range(max_doublings):
+    """Double tau from 1 until the box boundary action maximum is nonpositive."""
+    tau = 1.0
+    for _ in range(_TAU_DOUBLINGS):
         if check_sigma_boundary(m, tau, samples=samples, seed=seed, d=d, N=N) <= 0:
             return tau
         tau *= 2.0
@@ -424,11 +420,14 @@ def _newton_matrix(m: HamiltonianModel, gamma: Loop) -> tuple[np.ndarray, np.nda
     hess_modes = synthesize_values(hess_vals, N)
     columns = n[None, :, None] * basis - hess_modes  # (B, 2N+1, d)
 
+    # column b of the Jacobian is the flattened columns[b], as _flatten_real lays it out
     B = 2 * n_entries
-    jac = np.empty((B, B))
-    for b in range(B):
-        jac[:, b] = _flatten_real(columns[b])
+    jac = np.concatenate([columns.real.reshape(B, -1), columns.imag.reshape(B, -1)], axis=1).T
     return _flatten_real(residual_block), jac
+
+
+#: Newton steps, and halvings of a flow time that blew up, in find_critical_point
+_MAX_NEWTON, _FLOW_RETRIES = 60, 3
 
 
 @tracked("cycles.find_critical_point")
@@ -438,8 +437,6 @@ def find_critical_point(
     flow_time: float = 1.0,
     newton_tol: float = 1e-10,
     beta: float | None = None,
-    max_newton: int = 60,
-    flow_retries: int = 3,
 ) -> OrbitResult:
     """Short upward flow, then Newton on the mode-space critical equation.
 
@@ -453,7 +450,7 @@ def find_critical_point(
     gamma = seed_loop
     if flow_time > 0 and sobolev_norm(seed_loop, 0) > 0:
         t = flow_time
-        for attempt in range(flow_retries + 1):
+        for attempt in range(_FLOW_RETRIES + 1):
             try:
                 gamma = flow_trajectory(m, seed_loop, t, dt).final
                 break
@@ -465,7 +462,7 @@ def find_critical_point(
     c = gamma.coeffs.copy()
     iterations = 0
     initial_norm = None
-    for iterations in range(0, max_newton + 1):
+    for iterations in range(0, _MAX_NEWTON + 1):
         current = Loop(d, N, c)
         res, jac = _newton_matrix(m, current)
         res_norm = float(np.linalg.norm(res))
@@ -475,9 +472,9 @@ def find_critical_point(
             raise NewtonDivergence(f"residual grew to {res_norm:.3g}")
         if res_norm <= newton_tol:
             break
-        if iterations == max_newton:
+        if iterations == _MAX_NEWTON:
             raise NewtonDivergence(
-                f"no convergence to {newton_tol:.3g} in {max_newton} Newton steps"
+                f"no convergence to {newton_tol:.3g} in {_MAX_NEWTON} Newton steps"
             )
         step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
         n_entries = (2 * N + 1) * d
@@ -521,36 +518,28 @@ def transversality_check(alpha: float, tau: float, d: int = 1, N: int = 32) -> d
         raise ValueError("need 0 < alpha <= tau for the intersection point to exist")
     dim = 2 * d * (2 * N + 1)
     n_entries = (2 * N + 1) * d
+    units = np.eye(dim)
 
-    def unit(mode: int, coord: int, imag: bool) -> np.ndarray:
-        block = np.zeros((2 * N + 1, d), complex)
-        block[N + mode, coord] = 1j if imag else 1.0
-        return _flatten_real(block)
+    def unit_indices(modes: np.ndarray) -> np.ndarray:
+        """Flat indices (as _flatten_real lays them out) of the unit vectors of
+        `modes` x coordinates x (real, imaginary), in that order."""
+        return (
+            ((N + modes) * d)[:, None, None]
+            + np.arange(d)[None, :, None]
+            + np.array([0, n_entries])[None, None, :]
+        ).ravel()
 
-    columns = []
-    # sphere tangent: plus sector minus the e_plus direction itself
-    for mode in range(1, N + 1):
-        for coord in range(d):
-            for imag in (False, True):
-                if mode == 1 and coord == 0 and not imag:
-                    continue
-                columns.append(unit(mode, coord, imag))
-    # box tangent: full minus sector plus the segment direction e_plus
-    for mode in range(-N, 1):
-        for coord in range(d):
-            for imag in (False, True):
-                columns.append(unit(mode, coord, imag))
-    columns.append(unit(1, 0, False))
-
-    matrix = np.stack(columns, axis=1)
-    assert matrix.shape == (dim, dim)
+    # the plus sector, e_plus = real unit of mode 1, coordinate 0 first
+    plus = unit_indices(np.arange(1, N + 1))
+    # sphere tangent: plus sector minus the e_plus direction itself; box
+    # tangent: full minus sector plus the segment direction e_plus
+    box = np.append(unit_indices(np.arange(-N, 1)), plus[0])
+    matrix = units[:, np.concatenate([plus[1:], box])]
     svals = np.linalg.svd(matrix, compute_uv=False)
     # intersection of the plus sector with span(minus sector, e_plus):
     # count common directions via principal angles
-    plus_basis = [unit(mode, coord, imag) for mode in range(1, N + 1) for coord in range(d) for imag in (False, True)]
-    box_basis = columns[2 * d * N - 1 :]
-    q_plus, _ = np.linalg.qr(np.stack(plus_basis, axis=1))
-    q_box, _ = np.linalg.qr(np.stack(box_basis, axis=1))
+    q_plus, _ = np.linalg.qr(units[:, plus])
+    q_box, _ = np.linalg.qr(units[:, box])
     cosines = np.linalg.svd(q_plus.T @ q_box, compute_uv=False)
     intersection_dim = int(np.sum(cosines >= 1.0 - 1e-10))
 

@@ -296,6 +296,59 @@ def time_trapezoid(node_values: np.ndarray, h: float) -> np.ndarray:
     return h * (np.sum(node_values, axis=0) - 0.5 * (node_values[0] + node_values[-1]))
 
 
+# -- L^2 and L^2_1 norms of node values ------------------------------------------
+
+# The norms walk node values (M+1, modes, batch...) in time blocks, building the
+# node density (M+1, batch...) in block-sized scratch buffers; one trapezoid
+# rule then integrates it.  One field (M+1, 2N+1, d) is one batch column.
+
+
+def _abs_sq(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|z|^2 into out, computed as np.abs(z) ** 2 computes it."""
+    np.abs(z, out=out)
+    return np.square(out, out=out)
+
+
+def l2_rows(block: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """L^2 density sum_n |u_n|^2 of a block of rows into out, via a float scratch buffer."""
+    return np.sum(_abs_sq(block, scratch[: len(block)]), axis=1, out=out)
+
+
+def l2_batch(values: np.ndarray, h: float) -> np.ndarray:
+    """L^2 norm over [0, T] x S^1 of every batch column of values."""
+    rows = block_rows(len(values), values[0].nbytes)
+    sq = np.empty((rows,) + values.shape[1:])
+    density = np.empty((len(values),) + values.shape[2:])
+    for start, stop in time_blocks(len(values), rows):
+        l2_rows(values[start:stop], sq, density[start:stop])
+    return np.sqrt(time_trapezoid(density, h))
+
+
+def l21_density(values: np.ndarray, h: float, weight: np.ndarray) -> np.ndarray:
+    """Node density sum_n w_n |u_n|^2 + |d_t u_n|^2 of every batch column of values."""
+    weight = weight.reshape((-1,) + (1,) * (values.ndim - 2))
+    rows = block_rows(len(values), values[0].nbytes)
+    du = np.empty((rows,) + values.shape[1:], values.dtype)
+    sq, du_sq = np.empty(du.shape), np.empty(du.shape)
+    density = np.empty((len(values),) + values.shape[2:])
+    for start, stop in time_blocks(len(values), rows):
+        m = stop - start
+        x = np.multiply(weight, _abs_sq(values[start:stop], sq[:m]), out=sq[:m])
+        x += _abs_sq(dt_derivative_rows(values, h, start, stop, out=du[:m]), du_sq[:m])
+        np.sum(x, axis=1, out=density[start:stop])
+    return density
+
+
+def l21_batch(values: np.ndarray, h: float, weight: np.ndarray) -> np.ndarray:
+    """Weighted L^2_1 norm of every batch column of values; weight has one entry per mode."""
+    return np.sqrt(time_trapezoid(l21_density(values, h, weight), h))
+
+
+def l2_norm(values: np.ndarray, h: float) -> float:
+    """L^2 norm of one field (M+1, 2N+1, d), its modes x coordinates as one column."""
+    return float(l2_batch(values.reshape(len(values), -1, 1), h)[0])
+
+
 # -- low-level kernels (arrays in, arrays out; trailing axes broadcast) ----------
 
 
@@ -451,13 +504,11 @@ def cyl_norm(u: CylinderMap, which: str) -> float:
     """Cylinder norms: L2, L2_1 (|u|^2 + |u_t|^2 + |u_theta|^2) or L4."""
     h = u.dt
     if which == "L2":
-        density = np.sum(np.abs(u.values) ** 2, axis=(1, 2))
-        return float(np.sqrt(time_trapezoid(density, h)))
+        return l2_norm(u.values, h)
     if which == "L2_1":
-        weight = sobolev_weights(1, u.N)[None, :, None]
-        du = dt_derivative(u.values, h)
-        density = np.sum(weight * np.abs(u.values) ** 2 + np.abs(du) ** 2, axis=(1, 2))
-        return float(np.sqrt(time_trapezoid(density, h)))
+        # one column of modes x coordinates: each mode's weight once per coordinate
+        weight = np.repeat(sobolev_weights(1, u.N), u.d)
+        return float(l21_batch(u.values.reshape(u.M_t + 1, -1, 1), h, weight)[0])
     if which == "L4":
         grid = theta_values(u.values, u.N)
         quartic = np.mean(np.sum(np.abs(grid) ** 2, axis=-1) ** 2, axis=1)

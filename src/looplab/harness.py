@@ -31,12 +31,15 @@ from .cylinder import (
     block_rows,
     cyl_norm,
     decompose,
-    dt_derivative,
     dt_derivative_rows,
     energy,
     kernel_dt_mass,
     kernel_p_values,
     kernel_q_values,
+    l21_batch,
+    l21_density,
+    l2_batch,
+    l2_rows,
     p_op,
     q_op,
     time_blocks,
@@ -282,17 +285,6 @@ def _run_groups(suite: str, groups) -> list[CheckRecord]:
 # -- batch helpers for the sweep checks ------------------------------------------
 
 
-def _random_loop_batch(rng, N: int, batch: int, max_mode: int | None = None) -> np.ndarray:
-    """Coefficient block (2N+1, batch) of iid complex Gaussians."""
-    c = rng.standard_normal((2 * N + 1, batch)) + 1j * rng.standard_normal(
-        (2 * N + 1, batch)
-    )
-    if max_mode is not None:
-        mask = np.abs(mode_numbers(N)) <= max_mode
-        c = np.where(mask[:, None], c, 0.0)
-    return c
-
-
 def _random_smooth_fields(rng, N: int, M_t: int, batch: int, out=None) -> np.ndarray:
     """Fields (M_t+1, 2N+1, batch): random quadratic t-profiles per mode.
 
@@ -322,40 +314,6 @@ def _half_norm_batch(coeffs: np.ndarray, N: int) -> np.ndarray:
     return np.sqrt(np.sum(w[:, None] * np.abs(coeffs) ** 2, axis=0))
 
 
-# The norms below walk a field (M+1, modes, batch) in time blocks: each block's
-# per-mode density goes to a scratch buffer and its mode sum to the node
-# density (M+1, batch), which one trapezoid rule then integrates.
-
-
-def _abs_sq(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """|z|^2 into out, computed as np.abs(z) ** 2 computes it."""
-    np.abs(z, out=out)
-    return np.square(out, out=out)
-
-
-def _l2_batch(values: np.ndarray, h: float) -> np.ndarray:
-    rows = block_rows(len(values), values[0].nbytes)
-    sq = np.empty((rows,) + values.shape[1:])
-    density = np.empty((len(values),) + values.shape[2:])
-    for start, stop in time_blocks(len(values), rows):
-        np.sum(_abs_sq(values[start:stop], sq[: stop - start]), axis=1, out=density[start:stop])
-    return np.sqrt(time_trapezoid(density, h))
-
-
-def _l21_batch(values: np.ndarray, h: float, N: int) -> np.ndarray:
-    weight = sobolev_weights(1, N)[None, :, None]
-    rows = block_rows(len(values), values[0].nbytes)
-    du = np.empty((rows,) + values.shape[1:], values.dtype)
-    sq, du_sq = np.empty(du.shape), np.empty(du.shape)
-    density = np.empty((len(values),) + values.shape[2:])
-    for start, stop in time_blocks(len(values), rows):
-        m = stop - start
-        x = np.multiply(weight, _abs_sq(values[start:stop], sq[:m]), out=sq[:m])
-        x += _abs_sq(dt_derivative_rows(values, h, start, stop, out=du[:m]), du_sq[:m])
-        np.sum(x, axis=1, out=density[start:stop])
-    return np.sqrt(time_trapezoid(density, h))
-
-
 def _right_inverse_residual(g_vals, u_vals, lam, h: float) -> np.ndarray:
     """Relative L^2 norm of D u - g per batch column, with D u = u_t + lambda u."""
     rows = block_rows(len(u_vals), u_vals[0].nbytes)
@@ -365,11 +323,11 @@ def _right_inverse_residual(g_vals, u_vals, lam, h: float) -> np.ndarray:
     for start, stop in time_blocks(len(u_vals), rows):
         m = stop - start
         g = g_vals[start:stop]
-        np.sum(_abs_sq(g, sq[:m]), axis=1, out=g_density[start:stop])
+        l2_rows(g, sq, g_density[start:stop])
         r = dt_derivative_rows(u_vals, h, start, stop, out=du[:m])
         r += np.multiply(lam[None, :, None], u_vals[start:stop], out=lam_u[:m])
         r -= g
-        np.sum(_abs_sq(r, sq[:m]), axis=1, out=r_density[start:stop])
+        l2_rows(r, sq, r_density[start:stop])
     return np.sqrt(time_trapezoid(r_density, h)) / np.sqrt(time_trapezoid(g_density, h))
 
 
@@ -716,7 +674,7 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
 
         for eps in (0.5, 0.1, 0.01):
             for _ in range(10):
-                beta = decompose(Loop(1, N, _random_loop_batch(rng, N, 1)))
+                beta = decompose(gaussian_loop(1, N, rng))
                 u = q_op(beta, eps, M_t=M_t)
                 back = aps_boundary(u)
                 worst_id = max(
@@ -728,7 +686,7 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
             # dt_derivative leaves a relative defect of about lambda_max^3 h^2 / 3
             # on the fastest mode; the grid keeps that at a quarter of the bound
             m_fine = max(M_t, int(np.ceil(N * eps * np.sqrt(4 * N / (3 * kernel_bound)))))
-            beta = decompose(Loop(1, N, _random_loop_batch(rng, N, 1)))
+            beta = decompose(gaussian_loop(1, N, rng))
             rel = kernel_defect(beta, eps, m_fine)
             rel_half = kernel_defect(beta, eps, m_fine // 2)
             kernel_details["eps"].append(eps)
@@ -792,6 +750,7 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
         rng = config.rng("aps.uniformity")
         eps_values = np.asarray(config.eps_list, float)
         factor = config.tol("uniformity_factor")
+        l21_weight = sobolev_weights(1, N)
         est_p, est_q, est_r, est_mix = [], [], [], []
         for eps in eps_values:
             # resolve the stiffest transient (lambda * h <= 0.1) so the
@@ -800,13 +759,13 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
             h = eps / m_eff
             times = np.linspace(0.0, eps, m_eff + 1)
             # Q: per-mode unit probes (the exact extremizers) plus random mixes
-            mixes = _random_loop_batch(rng, N, 1000)
+            mixes = gaussian_loop(1000, N, rng).coeffs
             probes = np.eye(2 * N + 1)
             c = np.concatenate([probes, mixes], axis=1)
             plus = np.where((mode_numbers(N) <= 0)[:, None], c, 0.0)
             minus = np.where((mode_numbers(N) > 0)[:, None], c, 0.0)
             qv = kernel_q_values(plus, minus, lam_all, times, eps)
-            est_q.append(float(np.max(_l21_batch(qv, h, N) / _half_norm_batch(c, N))))
+            est_q.append(float(np.max(l21_batch(qv, h, l21_weight) / _half_norm_batch(c, N))))
             # each field below is up to 355 MB: free it before the next one is made
             del qv
             # P and the restriction bound: per-mode constant probes + smooth mixes
@@ -815,19 +774,19 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
             g_vals[:, :, :n_probes] = probes
             _random_smooth_fields(rng, N, m_eff, 1000, out=g_vals[:, :, n_probes:])
             pv = kernel_p_values(g_vals, lam_all, h)
-            g_l2 = _l2_batch(g_vals, h)
-            est_p.append(float(np.max(_l21_batch(pv, h, N) / g_l2)))
+            g_l2 = l2_batch(g_vals, h)
+            est_p.append(float(np.max(l21_batch(pv, h, l21_weight) / g_l2)))
             est_r.append(float(np.max(_boundary_half_norm_batch(pv, N) / g_l2)))
             del g_vals, pv
             # mixed L4 bound
-            c2 = _random_loop_batch(rng, N, 100)
+            c2 = gaussian_loop(100, N, rng).coeffs
             plus2 = np.where((mode_numbers(N) <= 0)[:, None], c2, 0.0)
             minus2 = np.where((mode_numbers(N) > 0)[:, None], c2, 0.0)
             g2 = _random_smooth_fields(rng, N, m_eff, 100)
             u2 = kernel_q_values(plus2, minus2, lam_all, times, eps) + (
                 kernel_p_values(g2, lam_all, h)
             )
-            denom = _half_norm_batch(c2, N) + _l2_batch(g2, h)
+            denom = _half_norm_batch(c2, N) + l2_batch(g2, h)
             est_mix.append(float(np.max(_l4_batch(u2, h, N) / denom)))
 
         # a truncated spectrum cannot hold the norm up once eps < 1/N: the norms
@@ -887,7 +846,7 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
         # a fixed integrand on a shrinking domain, which is what decreases
         # monotonically (two-sector data is anchored at both moving ends and
         # only the limit, not each step, is controlled)
-        mixed = _random_loop_batch(rng, N, 1, max_mode=8).reshape(2 * N + 1, 1)
+        mixed = gaussian_loop(1, N, rng, max_mode=8).coeffs
         mixed = np.where((mode_numbers(N) <= 0)[:, None], mixed, 0.0)
         betas.append(Loop(1, N, mixed))
         worst_monotone = -np.inf
@@ -922,6 +881,7 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
     def end_vanishing():
         """anisotropic Sobolev L4 bound"""
         rng = config.rng("aps.end_vanishing")
+        n_sq = mode_numbers(N).astype(float) ** 2
         worst = 0.0
         for eps in (0.5, 0.1, 0.01):
             h = eps / M_t
@@ -932,12 +892,7 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
                 window = tau if chunk % 2 == 0 else 1.0 - tau
                 f = f * window[:, None, None]
                 lhs = _l4_batch(f, h, N) ** 4
-                df = dt_derivative(f, h)
-                n_sq = mode_numbers(N).astype(float) ** 2
-                grad_sq = time_trapezoid(
-                    np.sum(np.abs(df) ** 2 + n_sq[None, :, None] * np.abs(f) ** 2, axis=1),
-                    h,
-                )
+                grad_sq = time_trapezoid(l21_density(f, h, n_sq), h)
                 rhs = eps * grad_sq**2
                 worst = max(worst, float(np.max(lhs / rhs)))
         yield CheckRecord(
@@ -970,7 +925,7 @@ def _suite_contraction(config: Config) -> list[CheckRecord]:
         worst_ratio = worst_residual = 0.0
         for eps in (0.05, 0.02):
             for _ in range(10):
-                b = Loop(1, N, _random_loop_batch(rng, N, 1).reshape(2 * N + 1, 1))
+                b = gaussian_loop(1, N, rng)
                 b = (0.1 / sobolev_norm(b, 0.5)) * b
                 res = picard_solve(m, decompose(b), None, eps, tol=tol, M_t=128)
                 solved.append(res)

@@ -29,13 +29,17 @@ from .cylinder import (
     CylinderMap,
     decompose,
     energy as cylinder_energy,
+    l2_norm,
     p_op,
     phi1,
     q_op,
-    time_trapezoid,
 )
 from .hamiltonian import HamiltonianModel, action, grad_h_modes, k_factor_constant
 from .loops import Loop, mode_numbers, theta_values
+
+
+MAX_ITER = 200  # Picard iteration budget
+BLOWUP_NORM = 1e8  # L^2 norm at which the upward flow counts as blown up
 
 
 class SolverError(Exception):
@@ -61,14 +65,6 @@ class Blowup(SolverError):
         super().__init__(f"flow trajectory blew up at t = {time:.6g}")
         self.time = time
         self.trace = trace
-
-
-# -- L^2 norm of node values ------------------------------------------------------
-
-
-def _l2_values(values: np.ndarray, h: float) -> float:
-    density = np.sum(np.abs(values) ** 2, axis=tuple(range(1, values.ndim)))
-    return float(np.sqrt(time_trapezoid(density, h)))
 
 
 # -- results ----------------------------------------------------------------------
@@ -150,7 +146,6 @@ def picard_solve(
     g: CylinderMap | None,
     eps: float,
     tol: float = 1e-11,
-    max_iter: int = 200,
     M_t: int = 64,
 ) -> SolveResult:
     """Solve d/dt u + J d/dtheta u + grad H(u) = g with mixed APS data beta.
@@ -181,11 +176,11 @@ def picard_solve(
     bad_streak = 0
     iterations = 0
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         u = q + p_op(CylinderMap(d, N, eps, M_t, v_vals))
         v_next = g_vals - grad_h_modes(m, theta_values(u.values, N), N)
-        inc = _l2_values(v_next - v_vals, h)
-        v_norm = _l2_values(v_next, h)
+        inc = l2_norm(v_next - v_vals, h)
+        v_norm = l2_norm(v_next, h)
         if not np.isfinite(inc) or v_norm > ball:
             raise BallExit(
                 f"iterate norm {v_norm:.3g} left the contraction ball 1/(8C) = {ball:.3g}"
@@ -203,14 +198,14 @@ def picard_solve(
             break
         prev_inc = inc
     else:
-        raise MaxIterExceeded(f"no convergence to {tol:.3g} in {max_iter} iterations")
+        raise MaxIterExceeded(f"no convergence to {tol:.3g} in {MAX_ITER} iterations")
 
     v = CylinderMap(d, N, eps, M_t, v_vals)
     u = q + p_op(v)
     # the linear part D u equals v at the nodes by construction, so the PDE
     # residual at the nodes is the fixed-point defect
     residual_vals = v_vals + grad_h_modes(m, theta_values(u.values, N), N) - g_vals
-    residual = _l2_values(residual_vals, h)
+    residual = l2_norm(residual_vals, h)
     return SolveResult(
         u=u,
         v=v,
@@ -221,21 +216,16 @@ def picard_solve(
         action_in=action(m, u.rest_0()),
         action_out=action(m, u.rest_end()),
         ball_radius=ball,
-        v_norm=_l2_values(v_vals, h),
+        v_norm=l2_norm(v_vals, h),
     )
 
 
 @tracked("solver.collar_solve")
 def collar_solve(
-    m: HamiltonianModel,
-    b: Loop,
-    eps: float,
-    tol: float = 1e-11,
-    M_t: int = 64,
-    max_iter: int = 200,
+    m: HamiltonianModel, b: Loop, eps: float, tol: float = 1e-11, M_t: int = 64
 ) -> SolveResult:
     """Unique small-energy solution whose mixed boundary value is carried by b."""
-    return picard_solve(m, decompose(b), None, eps, tol=tol, max_iter=max_iter, M_t=M_t)
+    return picard_solve(m, decompose(b), None, eps, tol=tol, M_t=M_t)
 
 
 @tracked("solver.h_eps_sensitivity")
@@ -257,7 +247,7 @@ def h_eps_sensitivity(
     base = picard_solve(m, beta, None, eps, tol=tol, M_t=M_t)
     bumped = picard_solve(m, beta + delta_beta, None, eps, tol=tol, M_t=M_t)
     h = base.v.dt
-    return _l2_values(bumped.v.values - base.v.values, h) / denom
+    return l2_norm(bumped.v.values - base.v.values, h) / denom
 
 
 # -- upward gradient flow -------------------------------------------------------------
@@ -305,13 +295,7 @@ def _cumulative_simpson(g: np.ndarray, h: float) -> np.ndarray:
 
 
 @tracked("solver.flow_trajectory")
-def flow_trajectory(
-    m: HamiltonianModel,
-    gamma: Loop,
-    T: float,
-    dt: float,
-    blowup_norm: float = 1e8,
-) -> FlowTrace:
+def flow_trajectory(m: HamiltonianModel, gamma: Loop, T: float, dt: float) -> FlowTrace:
     """Integrate the upward flow for time T, recording action and energy.
 
     cumulative_energy is the quadrature of ||grad CSD||_{L^2}^2 along the
@@ -345,7 +329,7 @@ def flow_trajectory(
         norm_k = float(np.sqrt(np.sum(np.abs(c) ** 2)))
         times[k] = t_k
         norms[k] = norm_k
-        if not np.isfinite(norm_k) or norm_k > blowup_norm:
+        if not np.isfinite(norm_k) or norm_k > BLOWUP_NORM:
             partial = FlowTrace(
                 times=times[:k],
                 actions=actions[:k],
@@ -375,17 +359,13 @@ def flow_trajectory(
 
 @tracked("solver.gf_pushforward")
 def gf_pushforward(
-    m: HamiltonianModel,
-    points: list[Loop],
-    t: float,
-    dt: float,
-    blowup_norm: float = 1e8,
+    m: HamiltonianModel, points: list[Loop], t: float, dt: float
 ) -> list[PushforwardResult]:
     """Flow every point for time t; individual blowups are embedded in the result."""
     results = []
     for p in points:
         try:
-            trace = flow_trajectory(m, p, t, dt, blowup_norm=blowup_norm)
+            trace = flow_trajectory(m, p, t, dt)
             results.append(PushforwardResult(point=p, ok=True, final=trace.final, trace=trace))
         except Blowup as exc:
             results.append(

@@ -106,6 +106,19 @@ class TestBetaEstimate:
         with pytest.raises(NegativeBeta):
             estimate_beta(model, 4.0, samples=8, descent_steps=60, seed=3)
 
+    def test_scan_without_positive_beta_reports_largest(self):
+        quadratic = HamiltonianModel(variant="pure_quadratic")
+        alphas = [0.1, 0.5, 2.0]
+        betas = []
+        for a in alphas:
+            with pytest.raises(NegativeBeta) as exc:
+                estimate_beta(quadratic, a, samples=4, descent_steps=5, seed=0, N=8)
+            betas.append(exc.value.value)
+        with pytest.raises(NegativeBeta) as exc:
+            scan_alpha(quadratic, alphas=alphas, samples=4, descent_steps=5, seed=0, N=8)
+        assert np.isfinite(exc.value.value)
+        assert exc.value.value == max(betas)
+
     def test_scan_produces_positive_window(self, model, geometry):
         alpha_star, beta_star, table = geometry
         assert beta_star > 0

@@ -345,6 +345,51 @@ class TestCli:
         zero_dt = self._write(tmp_path, "dt.json", {"N": 8, "dt": 0, "seed_modes": modes})
         assert cli_main(["flow", "--config", zero_dt, "--out", str(tmp_path / "flow")]) == 2
 
+    def test_flow_bad_dt_creates_no_output_dir(self, tmp_path):
+        modes = [{"n": 1, "re": 0.1}]
+        for dt in (0, -0.01, 0.5):  # 0.5 exceeds the stability budget 0.1 / N
+            cfg = self._write(tmp_path, "dt.json", {"N": 8, "dt": dt, "seed_modes": modes})
+            assert cli_main(["flow", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+            assert not (tmp_path / "o").exists()
+
+    def test_flow_blowup_writes_partial_trace(self, tmp_path, capsys):
+        cfg = self._write(
+            tmp_path, "flow.json", {"N": 8, "T": 5.0, "seed_modes": [{"n": 8, "re": 1.0}]}
+        )
+        assert cli_main(["flow", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "flow blew up at t = 3.11937" in capsys.readouterr().err
+        lines = (tmp_path / "o" / "flow_trace.csv").read_text().strip().splitlines()
+        assert lines[0] == "t,action,cumulative_energy,norm"
+        assert len(lines) == 1 + 277
+
+    def test_find_orbit_rejects_alpha_with_seed_modes(self, tmp_path):
+        seed_modes = [{"n": 1, "re": 0.9}]
+        for alpha in (0.2, 1.0):
+            cfg = self._write(
+                tmp_path, "orbit.json",
+                {"N": 16, "winding": 1, "alpha": alpha, "seed_modes": seed_modes},
+            )
+            assert cli_main(["find-orbit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+            assert not (tmp_path / "o").exists()
+        # null means "not given", as for the other optional keys
+        cfg = self._write(
+            tmp_path, "orbit.json",
+            {"N": 16, "winding": 1, "alpha": None, "seed_modes": seed_modes},
+        )
+        assert cli_main(["find-orbit", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert json.loads((tmp_path / "o" / "orbit.json").read_text())["winding"] == 1
+
+    def test_check_cycles_without_positive_beta_exits_1(self, tmp_path, capsys):
+        cfg = self._write(
+            tmp_path, "cyc.json",
+            {"model": {"variant": "pure_quadratic"}, "N": 8, "samples": 4, "descent_steps": 5},
+        )
+        assert cli_main(["check-cycles", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("no admissible alpha found: ")
+        assert "Traceback" not in err and "-inf" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_failing_suite_exit_1(self, tmp_path):
         cfg = self._write(
             tmp_path,

@@ -14,14 +14,19 @@ import pytest
 
 from looplab import cylinder, harness
 from looplab.cylinder import (
+    CylinderMap,
+    cyl_norm,
     dt_derivative,
     kernel_p_values,
     kernel_q_values,
+    l21_batch,
+    l21_density,
+    l2_batch,
     phi1,
     phi2,
     time_trapezoid,
 )
-from looplab.loops import Loop, lambda_of_modes, mode_numbers
+from looplab.loops import Loop, gaussian_loop, lambda_of_modes, mode_numbers, sobolev_weights
 
 # -- whole-array reference forms -------------------------------------------------
 
@@ -93,6 +98,30 @@ def ref_l21_batch(values, h, N):
     du = ref_dt_derivative(values, h)
     density = np.sum((1.0 + n_sq)[None, :, None] * np.abs(values) ** 2 + np.abs(du) ** 2, axis=1)
     return np.sqrt(time_trapezoid(density, h))
+
+
+def ref_gradient_density(values, h, N):
+    """The node density of int |grad f|^2 in aps.end_vanishing."""
+    n_sq = mode_numbers(N).astype(float) ** 2
+    du = ref_dt_derivative(values, h)
+    return np.sum(np.abs(du) ** 2 + n_sq[None, :, None] * np.abs(values) ** 2, axis=1)
+
+
+def ref_cyl_norms(values, h, N):
+    """cyl_norm "L2" and "L2_1" of one field, with joint sums over modes and coordinates."""
+    weight = sobolev_weights(1, N)[None, :, None]
+    du = ref_dt_derivative(values, h)
+    l2 = np.sum(np.abs(values) ** 2, axis=(1, 2))
+    l21 = np.sum(weight * np.abs(values) ** 2 + np.abs(du) ** 2, axis=(1, 2))
+    return float(np.sqrt(time_trapezoid(l2, h))), float(np.sqrt(time_trapezoid(l21, h)))
+
+
+def ref_random_loop_batch(rng, N, batch, max_mode=None):
+    """Coefficient block (2N+1, batch) of iid complex Gaussians."""
+    c = rng.standard_normal((2 * N + 1, batch)) + 1j * rng.standard_normal((2 * N + 1, batch))
+    if max_mode is not None:
+        c = np.where((np.abs(mode_numbers(N)) <= max_mode)[:, None], c, 0.0)
+    return c
 
 
 def ref_right_inverse_residual(g_vals, u_vals, lam, h):
@@ -241,8 +270,12 @@ class TestHarnessHelpers:
     def test_norms_bit_identical(self, blocks_of, n_nodes, batch):
         values = random_field(11 + n_nodes, (n_nodes, 2 * N + 1, batch))
         blocks_of(values[0].nbytes)
-        assert same_bytes(harness._l2_batch(values, H), ref_l2_batch(values, H))
-        assert same_bytes(harness._l21_batch(values, H, N), ref_l21_batch(values, H, N))
+        assert same_bytes(l2_batch(values, H), ref_l2_batch(values, H))
+        assert same_bytes(
+            l21_batch(values, H, sobolev_weights(1, N)), ref_l21_batch(values, H, N)
+        )
+        n_sq = mode_numbers(N).astype(float) ** 2
+        assert same_bytes(l21_density(values, H, n_sq), ref_gradient_density(values, H, N))
 
     def test_norms_on_probe_fields(self, blocks_of):
         lam = lambda_of_modes(N).astype(float)
@@ -251,7 +284,7 @@ class TestHarnessHelpers:
         qv = kernel_q_values(plus, minus, lam, times, 0.1)
         blocks_of(qv[0].nbytes)
         h = times[1]
-        assert same_bytes(harness._l21_batch(qv, h, N), ref_l21_batch(qv, h, N))
+        assert same_bytes(l21_batch(qv, h, sobolev_weights(1, N)), ref_l21_batch(qv, h, N))
 
     @pytest.mark.parametrize("n_nodes", NODES)
     def test_right_inverse_residual(self, blocks_of, n_nodes):
@@ -278,6 +311,30 @@ class TestHarnessHelpers:
         assert not np.any(wide[:, :, :2])
 
 
+class TestCylNorm:
+    """cyl_norm reduces one field as a single batch column of modes x coordinates."""
+
+    @pytest.mark.parametrize("n_nodes", NODES)
+    @pytest.mark.parametrize("d", (1, 2))
+    @pytest.mark.parametrize("modes", (N, 32))  # long mode sums expose any reordering
+    def test_l2_and_l21_bit_identical(self, blocks_of, n_nodes, d, modes):
+        values = random_field(16 + n_nodes, (n_nodes, 2 * modes + 1, d))
+        u = CylinderMap(d, modes, H * (n_nodes - 1), n_nodes - 1, values)
+        blocks_of(values[0].nbytes)
+        l2, l21 = ref_cyl_norms(u.values, u.dt, modes)
+        assert same_bytes(cyl_norm(u, "L2"), l2)
+        assert same_bytes(cyl_norm(u, "L2_1"), l21)
+
+
+class TestRandomLoops:
+    @pytest.mark.parametrize("batch", (1, 1000))
+    @pytest.mark.parametrize("max_mode", (None, 2))
+    def test_gaussian_loop_block_bit_identical(self, batch, max_mode):
+        new = gaussian_loop(batch, N, np.random.default_rng(17), max_mode=max_mode).coeffs
+        ref = ref_random_loop_batch(np.random.default_rng(17), N, batch, max_mode)
+        assert same_bytes(new, ref)
+
+
 class TestStreamingMemory:
     """Peak traced allocations: the norms and the sweeps stream their field."""
 
@@ -295,7 +352,7 @@ class TestStreamingMemory:
 
     def test_l21_batch_peak(self):
         values = random_field(14, self.SHAPE)
-        _, peak = self.peak(harness._l21_batch, values, 1e-4, 32)
+        _, peak = self.peak(l21_batch, values, 1e-4, sobolev_weights(1, 32))
         assert peak < 0.25 * values.nbytes
 
     def test_kernel_p_values_peak(self):
