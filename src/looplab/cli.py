@@ -8,7 +8,6 @@ configuration error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -17,7 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cylinder import decompose
-from .harness import Config, from_json, run_suite
+from .harness import (
+    Config,
+    flow_table,
+    from_json,
+    mode_table,
+    run_suite,
+    write_csv,
+    write_json,
+)
 from .hamiltonian import HamiltonianModel
 from .loops import Loop, sobolev_norm
 from .solver import Blowup, SolverError, flow_trajectory, picard_solve
@@ -98,22 +105,6 @@ def _loop_from_modes_spec(spec: list[ModeEntry], d: int, N: int) -> Loop:
     return Loop(d, N, coeffs)
 
 
-def _write_json(path, obj) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-
-
-def _loop_to_csv(loop: Loop, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["mode", "coord", "re", "im"])
-        for idx, n in enumerate(loop.modes):
-            for c in range(loop.d):
-                z = loop.coeffs[idx, c]
-                w.writerow([int(n), c, f"{z.real:.17g}", f"{z.imag:.17g}"])
-
-
 def _cmd_verify(args) -> int:
     cfg = _read_config(Config, args.config) if args.config else Config()
     if args.out:
@@ -134,9 +125,17 @@ def _cmd_solve_cylinder(args) -> int:
     except SolverError as exc:
         print(f"solve failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    _write_json(os.path.join(out_dir, "solve_cylinder.json"), res.to_json_dict())
+    # the forcing v is left out: u carries the solution
+    write_json(
+        os.path.join(out_dir, "solve_cylinder.json"),
+        {key: value for key, value in vars(res).items() if key != "v"},
+    )
     if cfg.write_field_csv:
-        res.u.to_csv(os.path.join(out_dir, "solve_cylinder_field.csv"))
+        u = res.u
+        write_csv(
+            os.path.join(out_dir, "solve_cylinder_field.csv"),
+            *mode_table(u.values, u.times, coord=u.d > 1),
+        )
     print(
         f"solved: iterations={res.iterations} ratio={res.contraction_ratio:.3g} "
         f"residual={res.residual:.3g} energy={res.energy:.6g}"
@@ -154,8 +153,10 @@ def _cmd_flow(args) -> int:
         trace = flow_trajectory(cfg.model, seed, cfg.T, dt)
     except Blowup as exc:  # its partial trace is written all the same
         blowup, trace = exc, exc.trace
-    os.makedirs(out_dir, exist_ok=True)
-    trace.to_csv(os.path.join(out_dir, "flow_trace.csv"))
+    write_csv(
+        os.path.join(out_dir, "flow_trace.csv"),
+        *flow_table(trace.times, trace.actions, trace.cumulative_energy, trace.norms),
+    )
     if blowup is not None:
         print(f"flow blew up at t = {blowup.time:.6g}", file=sys.stderr)
         return 1
@@ -180,11 +181,12 @@ def _cmd_find_orbit(args) -> int:
         seed = Loop.from_modes(1, N, {winding: alpha / mode_norm})
     try:
         found = cyc.find_critical_point(m, seed, flow_time=cfg.flow_time, newton_tol=cfg.newton_tol)
-        oracle = cyc.radial_orbit_oracle(m, winding) if 0 < winding < 2 * m.slope else None
+        has_oracle = m.variant == "bump" and 0 < winding < 2 * m.slope
+        oracle = cyc.radial_orbit_oracle(m, winding) if has_oracle else None
     except (cyc.NewtonDivergence, cyc.FlowBlowup) as exc:
         print(f"orbit search failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    out = found.to_json_dict()
+    out = dict(vars(found))
     if oracle is not None:
         out["oracle"] = {
             "radius": oracle.radius,
@@ -192,8 +194,8 @@ def _cmd_find_orbit(args) -> int:
             "radius_error": abs(found.radius - oracle.radius),
             "action_error": abs(found.action - oracle.action),
         }
-    _write_json(os.path.join(out_dir, "orbit.json"), out)
-    _loop_to_csv(found.loop, os.path.join(out_dir, "orbit_loop.csv"))
+    write_json(os.path.join(out_dir, "orbit.json"), out)
+    write_csv(os.path.join(out_dir, "orbit_loop.csv"), *mode_table(found.loop.coeffs))
     print(
         f"orbit: winding={found.winding} radius={found.radius:.8g} "
         f"action={found.action:.8g} gradient_norm={found.gradient_norm:.3g}"
@@ -208,15 +210,15 @@ def _cmd_scan_alpha(args) -> int:
         cfg.model, alphas=cfg.alphas, samples=cfg.samples,
         descent_steps=cfg.descent_steps, seed=cfg.seed, N=cfg.N,
     )
-    _write_json(
+    write_json(
         os.path.join(out_dir, "alpha_scan.json"),
         {"alpha_star": alpha_star, "beta_star": beta_star, "table": table},
     )
-    with open(os.path.join(out_dir, "alpha_scan.csv"), "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["alpha", "beta", "positive"])
-        for row in table:
-            w.writerow([f"{row['alpha']:.12g}", f"{row['beta']:.12g}", int(row["positive"])])
+    write_csv(
+        os.path.join(out_dir, "alpha_scan.csv"),
+        ["alpha", "beta", "positive"],
+        ([f"{row['alpha']:.12g}", f"{row['beta']:.12g}", int(row["positive"])] for row in table),
+    )
     print(f"alpha* = {alpha_star:.6g}, beta* = {beta_star:.6g}")
     return 0
 
@@ -232,7 +234,7 @@ def _cmd_check_cycles(args) -> int:
     boundary_max = cyc.check_sigma_boundary(m, tau_star, samples=240, seed=seed + 1, N=N)
     tv = cyc.transversality_check(alpha_star, max(tau_star, alpha_star), N=N)
     ok = beta_star > 0 and boundary_max <= 0 and tv["sigma_min"] > 0 and tv["intersection_dim"] == 1
-    _write_json(
+    write_json(
         os.path.join(out_dir, "cycles_check.json"),
         {
             "alpha_star": alpha_star,

@@ -90,17 +90,11 @@ def sample_gamma(
 
 
 @tracked("cycles.sample_sigma")
-def sample_sigma(
-    tau: float,
-    e_plus_loop: Loop,
-    count: int,
-    seed: int,
-    boundary_only: bool = False,
-) -> list[Loop]:
-    """Points gamma^- + s e_plus with ||gamma^-||_{1/2} <= tau and 0 <= s <= tau.
+def sample_sigma(tau: float, e_plus_loop: Loop, count: int, seed: int) -> list[Loop]:
+    """Boundary points gamma^- + s e_plus of the box ||gamma^-||_{1/2} <= tau, 0 <= s <= tau.
 
-    With boundary_only the samples sit on the three boundary faces
-    ||gamma^-|| = tau, s = 0 and s = tau (cycled deterministically).
+    The samples sit on the three boundary faces ||gamma^-|| = tau, s = 0 and
+    s = tau (cycled deterministically).
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -111,17 +105,13 @@ def sample_sigma(
         direction = project(gaussian_loop(d, N, rng), "minus")
         nrm = sobolev_norm(direction, 0.5)
         direction = (1.0 / nrm) * direction if nrm > 0 else direction
-        if boundary_only:
-            face = i % 3
-            if face == 0:
-                radius, s = tau, tau * rng.uniform()
-            elif face == 1:
-                radius, s = tau * np.sqrt(rng.uniform()), 0.0
-            else:
-                radius, s = tau * np.sqrt(rng.uniform()), tau
+        face = i % 3
+        if face == 0:
+            radius, s = tau, tau * rng.uniform()
+        elif face == 1:
+            radius, s = tau * np.sqrt(rng.uniform()), 0.0
         else:
-            radius = tau * np.sqrt(rng.uniform())
-            s = tau * rng.uniform()
+            radius, s = tau * np.sqrt(rng.uniform()), tau
         out.append(radius * direction + s * e_plus_loop)
     return out
 
@@ -240,7 +230,6 @@ def scan_alpha(
     samples: int = 48,
     descent_steps: int = 120,
     seed: int = 0,
-    d: int = 1,
     N: int = 32,
 ) -> tuple[float, float, list[dict]]:
     """Scan alpha over a log grid and return the beta-maximizing alpha."""
@@ -253,7 +242,7 @@ def scan_alpha(
     for a in alphas:
         try:
             beta = estimate_beta(
-                m, float(a), samples=samples, descent_steps=descent_steps, seed=seed, d=d, N=N
+                m, float(a), samples=samples, descent_steps=descent_steps, seed=seed, N=N
             )
         except NegativeBeta as exc:
             table.append({"alpha": float(a), "beta": float(exc.value), "positive": False})
@@ -276,19 +265,17 @@ def check_sigma_boundary(
     N: int = 32,
 ) -> float:
     """Maximum of the action over sampled boundary faces of the box family."""
-    pts = sample_sigma(tau, e_plus(d, N), samples, seed, boundary_only=True)
+    pts = sample_sigma(tau, e_plus(d, N), samples, seed)
     coeffs = np.stack([p.coeffs for p in pts])
     blocks = range(0, len(coeffs), _BOUNDARY_ROWS)
     return float(max(np.max(action_values(m, coeffs[i : i + _BOUNDARY_ROWS])) for i in blocks))
 
 
-def derive_tau(
-    m: HamiltonianModel, samples: int = 180, seed: int = 1, d: int = 1, N: int = 32
-) -> float:
+def derive_tau(m: HamiltonianModel, samples: int = 180, seed: int = 1, N: int = 32) -> float:
     """Double tau from 1 until the box boundary action maximum is nonpositive."""
     tau = 1.0
     for _ in range(_TAU_DOUBLINGS):
-        if check_sigma_boundary(m, tau, samples=samples, seed=seed, d=d, N=N) <= 0:
+        if check_sigma_boundary(m, tau, samples=samples, seed=seed, N=N) <= 0:
             return tau
         tau *= 2.0
     raise RuntimeError(f"no admissible tau found up to {tau}")
@@ -337,17 +324,6 @@ class OrbitResult:
     gradient_norm: float
     newton_iterations: int
     action_below_beta: bool = False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "winding": self.winding,
-            "radius": self.radius,
-            "action": self.action,
-            "gradient_norm": self.gradient_norm,
-            "newton_iterations": self.newton_iterations,
-            "action_below_beta": self.action_below_beta,
-            "loop": self.loop.to_json_dict(),
-        }
 
 
 @tracked("cycles.radial_orbit_oracle")
@@ -505,7 +481,7 @@ def find_critical_point(
 # -- transversality at the intersection point --------------------------------------------
 
 
-def transversality_check(alpha: float, tau: float, d: int = 1, N: int = 32) -> dict:
+def transversality_check(alpha: float, tau: float, N: int = 32) -> dict:
     """Finite-truncation transversality of the sphere/box intersection.
 
     Assembles the tangent spaces at alpha * e_plus (sphere tangent inside the
@@ -516,20 +492,15 @@ def transversality_check(alpha: float, tau: float, d: int = 1, N: int = 32) -> d
     """
     if not (0 < alpha <= tau):
         raise ValueError("need 0 < alpha <= tau for the intersection point to exist")
-    dim = 2 * d * (2 * N + 1)
-    n_entries = (2 * N + 1) * d
-    units = np.eye(dim)
+    n_entries = 2 * N + 1
+    units = np.eye(2 * n_entries)
 
     def unit_indices(modes: np.ndarray) -> np.ndarray:
-        """Flat indices (as _flatten_real lays them out) of the unit vectors of
-        `modes` x coordinates x (real, imaginary), in that order."""
-        return (
-            ((N + modes) * d)[:, None, None]
-            + np.arange(d)[None, :, None]
-            + np.array([0, n_entries])[None, None, :]
-        ).ravel()
+        """Flat indices (as _flatten_real lays them out for d = 1) of the unit
+        vectors of `modes` x (real, imaginary), in that order."""
+        return ((N + modes)[:, None] + np.array([0, n_entries])[None, :]).ravel()
 
-    # the plus sector, e_plus = real unit of mode 1, coordinate 0 first
+    # the plus sector, e_plus = real unit of mode 1 first
     plus = unit_indices(np.arange(1, N + 1))
     # sphere tangent: plus sector minus the e_plus direction itself; box
     # tangent: full minus sector plus the segment direction e_plus
@@ -543,7 +514,7 @@ def transversality_check(alpha: float, tau: float, d: int = 1, N: int = 32) -> d
     cosines = np.linalg.svd(q_plus.T @ q_box, compute_uv=False)
     intersection_dim = int(np.sum(cosines >= 1.0 - 1e-10))
 
-    point = alpha * e_plus(d, N)
+    point = alpha * e_plus(1, N)
     return {
         "sigma_min": float(svals[-1]),
         "sigma_max": float(svals[0]),

@@ -137,47 +137,6 @@ class CylinderMap:
 
     __rmul__ = __mul__
 
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "N": self.N,
-            "T": self.T,
-            "M_t": self.M_t,
-            "values": [
-                [[[float(z.real), float(z.imag)] for z in row] for row in slab]
-                for slab in self.values
-            ],
-        }
-
-    @staticmethod
-    def from_json_dict(obj: dict) -> "CylinderMap":
-        vals = np.array(
-            [
-                [[complex(re, im) for re, im in row] for row in slab]
-                for slab in obj["values"]
-            ],
-            complex,
-        )
-        return CylinderMap(int(obj["d"]), int(obj["N"]), float(obj["T"]), int(obj["M_t"]), vals)
-
-    def to_csv(self, path) -> None:
-        """Per-mode time series; columns mode,t,re,im (plus coord when d > 1)."""
-        import csv
-
-        times = self.times
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            header = ["mode", "t", "re", "im"] if self.d == 1 else ["mode", "coord", "t", "re", "im"]
-            w.writerow(header)
-            for idx, n in enumerate(range(-self.N, self.N + 1)):
-                for c in range(self.d):
-                    for j, t in enumerate(times):
-                        z = self.values[j, idx, c]
-                        row = [n, f"{t:.12g}", f"{z.real:.17g}", f"{z.imag:.17g}"]
-                        if self.d > 1:
-                            row.insert(1, c)
-                        w.writerow(row)
-
 
 @dataclass(frozen=True)
 class BoundaryData:
@@ -481,10 +440,8 @@ def q_op(beta: BoundaryData, eps: float, M_t: int = 64) -> CylinderMap:
 
 
 @tracked("cylinder.p_op")
-def p_op(g: CylinderMap, eps: float | None = None) -> CylinderMap:
+def p_op(g: CylinderMap) -> CylinderMap:
     """Right inverse of D with vanishing mixed boundary data, applied to g."""
-    if eps is not None and not np.isclose(eps, g.T):
-        raise ValueError(f"eps={eps} disagrees with the field's length T={g.T}")
     lam = lambda_of_modes(g.N).astype(float)
     vals = kernel_p_values(g.values, lam, g.dt)
     return CylinderMap(g.d, g.N, g.T, g.M_t, vals)

@@ -172,7 +172,74 @@ def _typed(hint, value, label: str):
         return float(value)
     if hint in (int, bool, str) and type(value) is hint:
         return value
+    if hint is np.ndarray and isinstance(value, list):
+        pairs = np.asarray(value, dtype=float)
+        if pairs.ndim and pairs.shape[-1] == 2:  # the [re, im] pairs write_json writes
+            return pairs.view(complex)[..., 0]
     raise TypeError(f"{label} must be {getattr(hint, '__name__', hint)}, got {value!r}")
+
+
+# -- output files: every file the lab writes goes through write_json or write_csv
+
+
+def _json_default(obj):
+    """A dataclass as its fields, a complex array as nested [re, im] pairs."""
+    if is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, np.ndarray) and obj.dtype == complex:
+        return np.stack((obj.real, obj.imag), axis=-1).tolist()
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+
+
+_JSON_FORMAT = dict(indent=2, sort_keys=True, default=_json_default)
+
+
+def write_json(path, obj) -> None:
+    """Write obj as indented, key-sorted JSON, streamed into the file."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, **_JSON_FORMAT)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the header row, then the rows."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def flow_table(times, actions, energies, norms):
+    """Header and rows of flow_trace.csv and flow_curve.csv."""
+    rows = (
+        [f"{t:.12g}", f"{a:.17g}", f"{e:.17g}", f"{v:.17g}"]
+        for t, a, e, v in zip(times, actions, energies, norms)
+    )
+    return ["t", "action", "cumulative_energy", "norm"], rows
+
+
+def mode_table(values: np.ndarray, times=None, coord: bool = True):
+    """Header and rows `mode, [coord,] [t,] re, im` of loop coefficients
+    (2N+1, d), or with `times` of node values (len(times), 2N+1, d).
+
+    Rows run mode by mode, then coordinate, then time.
+    """
+    header = ["mode"] + (["coord"] if coord else [])
+    if times is None:  # one node, no t column
+        values, nodes = values[None], [[]]
+        header += ["re", "im"]
+    else:
+        nodes = [[f"{t:.12g}"] for t in times]
+        header += ["t", "re", "im"]
+    N = (values.shape[1] - 1) // 2
+    rows = (
+        [int(n)] + ([c] if coord else []) + node + [f"{z.real:.17g}", f"{z.imag:.17g}"]
+        for i, n in enumerate(mode_numbers(N))
+        for c in range(values.shape[2])
+        for node, z in zip(nodes, values[:, i, c])
+    )
+    return header, rows
 
 
 @dataclass
@@ -243,7 +310,7 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_json_dict(), **_JSON_FORMAT)
 
     def summary_lines(self) -> list[str]:
         lines = []
@@ -1444,7 +1511,7 @@ def _suite_orbits(config: Config) -> list[CheckRecord]:
 
     def sigma_faces():
         """box boundary sampler"""
-        pts = cyc.sample_sigma(1.5, cyc.e_plus(1, N), 30, seed=config.seed + 2, boundary_only=True)
+        pts = cyc.sample_sigma(1.5, cyc.e_plus(1, N), 30, seed=config.seed + 2)
         worst = 0.0
         for p in pts:
             minus_norm = sobolev_norm(project(p, "minus"), 0.5)
@@ -1513,57 +1580,48 @@ def run_suite(config: Config, suite: str = "all", write: bool = True) -> Report:
         constants=constants,
     )
     if write:
-        path = os.path.join(config.output_dir, f"report_{suite}.json")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(report.to_json())
+        write_json(os.path.join(config.output_dir, f"report_{suite}.json"), report.to_json_dict())
     return report
 
 
 @tracked("harness.emit_plots_data")
 def emit_plots_data(records: list[CheckRecord], out_dir) -> list[str]:
     """Write the sweep curves of the check records as CSV files for external plotting."""
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
     by_name = {r.name: r for r in records}
 
-    aps_path = os.path.join(out_dir, "aps_sweep.csv")
-    with open(aps_path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["operator", "eps", "estimate"])
-        # the p record carries the eps grid and all four estimate series
-        rec = by_name.get("aps.uniformity_p_variation")
-        if rec:
-            for op in ("p", "q", "restriction", "mixed_l4"):
-                for e, v in zip(rec.details["eps"], rec.details[op]):
-                    w.writerow([op, f"{e:.12g}", f"{v:.17g}"])
-    written.append(aps_path)
+    # the p record carries the eps grid and all four estimate series
+    aps = by_name.get("aps.uniformity_p_variation")
+    aps_rows = [
+        [op, f"{e:.12g}", f"{v:.17g}"]
+        for op in ("p", "q", "restriction", "mixed_l4")
+        for e, v in zip(aps.details["eps"], aps.details[op])
+    ] if aps else []
 
-    contraction_path = os.path.join(out_dir, "contraction_sweep.csv")
-    with open(contraction_path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["eps", "v_norm", "sensitivity"])
-        vrec = by_name.get("contraction.vstar_monotone")
-        srec = by_name.get("contraction.sensitivity_decreasing")
-        if vrec and "eps" in vrec.details:
-            sens = dict(
-                zip(srec.details.get("eps", []), srec.details.get("sensitivity", []))
-            ) if srec else {}
-            for e, v in zip(vrec.details["eps"], vrec.details["v_norm"]):
-                w.writerow([f"{e:.12g}", f"{v:.17g}", f"{sens.get(e, float('nan')):.17g}"])
-    written.append(contraction_path)
+    vrec = by_name.get("contraction.vstar_monotone")
+    srec = by_name.get("contraction.sensitivity_decreasing")
+    contraction_rows = []
+    if vrec and "eps" in vrec.details:
+        sens = dict(
+            zip(srec.details.get("eps", []), srec.details.get("sensitivity", []))
+        ) if srec else {}
+        contraction_rows = [
+            [f"{e:.12g}", f"{v:.17g}", f"{sens.get(e, float('nan')):.17g}"]
+            for e, v in zip(vrec.details["eps"], vrec.details["v_norm"])
+        ]
 
-    flow_path = os.path.join(out_dir, "flow_curve.csv")
-    with open(flow_path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["t", "action", "cumulative_energy", "norm"])
-        rec = by_name.get("flow.nonlinear_energy_identity")
-        if rec and "curve_t" in rec.details:
-            for t, a, e, v in zip(
-                rec.details["curve_t"],
-                rec.details["curve_action"],
-                rec.details["curve_energy"],
-                rec.details["curve_norm"],
-            ):
-                w.writerow([f"{t:.12g}", f"{a:.17g}", f"{e:.17g}", f"{v:.17g}"])
-    written.append(flow_path)
+    flow = by_name.get("flow.nonlinear_energy_identity")
+    has_curve = flow and "curve_t" in flow.details
+    curve = [
+        flow.details[key] if has_curve else []
+        for key in ("curve_t", "curve_action", "curve_energy", "curve_norm")
+    ]
+
+    written = []
+    for name, (header, rows) in (
+        ("aps_sweep.csv", (["operator", "eps", "estimate"], aps_rows)),
+        ("contraction_sweep.csv", (["eps", "v_norm", "sensitivity"], contraction_rows)),
+        ("flow_curve.csv", flow_table(*curve)),
+    ):
+        written.append(os.path.join(out_dir, name))
+        write_csv(written[-1], header, rows)
     return written

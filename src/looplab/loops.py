@@ -153,25 +153,6 @@ class Loop:
         self._check(other)
         return bool(np.max(np.abs(self.coeffs - other.coeffs)) <= atol)
 
-    # -- serialization -------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "N": self.N,
-            "coeffs": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.coeffs
-            ],
-        }
-
-    @staticmethod
-    def from_json_dict(obj: dict) -> "Loop":
-        d, N = int(obj["d"]), int(obj["N"])
-        c = np.array(
-            [[complex(re, im) for re, im in row] for row in obj["coeffs"]], complex
-        )
-        return Loop(d, N, c)
-
 
 # -- norms and inner products -------------------------------------------------
 

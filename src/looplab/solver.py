@@ -19,7 +19,7 @@ failure instead of being damped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,19 +91,6 @@ class SolveResult:
     def rest_end(self) -> Loop:
         return self.u.rest_end()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "contraction_ratio": self.contraction_ratio,
-            "residual": self.residual,
-            "energy": self.energy,
-            "action_in": self.action_in,
-            "action_out": self.action_out,
-            "ball_radius": self.ball_radius,
-            "v_norm": self.v_norm,
-            "u": self.u.to_json_dict(),
-        }
-
 
 @dataclass(frozen=True)
 class FlowTrace:
@@ -114,15 +101,6 @@ class FlowTrace:
     cumulative_energy: np.ndarray
     norms: np.ndarray
     final: Loop
-
-    def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(["t", "action", "cumulative_energy", "norm"])
-            for t, a, e, n in zip(self.times, self.actions, self.cumulative_energy, self.norms):
-                w.writerow([f"{t:.12g}", f"{a:.17g}", f"{e:.17g}", f"{n:.17g}"])
 
 
 @dataclass(frozen=True)
@@ -221,11 +199,9 @@ def picard_solve(
 
 
 @tracked("solver.collar_solve")
-def collar_solve(
-    m: HamiltonianModel, b: Loop, eps: float, tol: float = 1e-11, M_t: int = 64
-) -> SolveResult:
+def collar_solve(m: HamiltonianModel, b: Loop, eps: float, tol: float = 1e-11) -> SolveResult:
     """Unique small-energy solution whose mixed boundary value is carried by b."""
-    return picard_solve(m, decompose(b), None, eps, tol=tol, M_t=M_t)
+    return picard_solve(m, decompose(b), None, eps, tol=tol)
 
 
 @tracked("solver.h_eps_sensitivity")
@@ -235,7 +211,6 @@ def h_eps_sensitivity(
     eps: float,
     delta_beta: BoundaryData,
     tol: float = 1e-11,
-    M_t: int = 64,
 ) -> float:
     """Finite-difference sensitivity of the fixed point to the boundary data.
 
@@ -244,8 +219,8 @@ def h_eps_sensitivity(
     denom = delta_beta.norm()
     if denom == 0:
         raise ValueError("delta_beta must be nonzero")
-    base = picard_solve(m, beta, None, eps, tol=tol, M_t=M_t)
-    bumped = picard_solve(m, beta + delta_beta, None, eps, tol=tol, M_t=M_t)
+    base = picard_solve(m, beta, None, eps, tol=tol)
+    bumped = picard_solve(m, beta + delta_beta, None, eps, tol=tol)
     h = base.v.dt
     return l2_norm(bumped.v.values - base.v.values, h) / denom
 
@@ -265,14 +240,24 @@ def _etd_coefficients(N: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(n * dt), dt * phi1(n * dt)
 
 
+def _etd_step(c, grad_modes, n, grow, weight) -> np.ndarray:
+    """c one ETD step on, given the action gradient grad_modes = n c - grad H at c."""
+    # nonlinear block of the vector field: -grad H = grad_modes - n c
+    return grow[:, None] * c + weight[:, None] * (grad_modes - n[:, None] * c)
+
+
 @tracked("solver.flow_step")
 def flow_step(m: HamiltonianModel, gamma: Loop, dt: float) -> Loop:
-    """One ETD step of the upward flow d/dt c_n = n c_n - (grad H)_n."""
+    """One ETD step of the upward flow d/dt c_n = n c_n - (grad H)_n.
+
+    Bit for bit the final loop of flow_trajectory(m, gamma, dt, dt).
+    """
     _check_flow_dt(dt, gamma.N)
-    grow, weight = _etd_coefficients(gamma.N, dt)
-    b = -grad_h_modes(m, theta_values(gamma.coeffs, gamma.N), gamma.N)
-    c = grow[:, None] * gamma.coeffs + weight[:, None] * b
-    return Loop(gamma.d, gamma.N, c)
+    N, c = gamma.N, gamma.coeffs
+    n = mode_numbers(N).astype(float)
+    grow, weight = _etd_coefficients(N, dt)
+    grad_modes = n[:, None] * c - grad_h_modes(m, theta_values(c, N), N)
+    return Loop(gamma.d, N, _etd_step(c, grad_modes, n, grow, weight))
 
 
 def _cumulative_simpson(g: np.ndarray, h: float) -> np.ndarray:
@@ -345,8 +330,7 @@ def flow_trajectory(m: HamiltonianModel, gamma: Loop, T: float, dt: float) -> Fl
         grad_modes = n[:, None] * c - grad_h_modes(m, grid, N)
         grad_sq[k] = float(np.sum(np.abs(grad_modes) ** 2))
         if k < steps:
-            # nonlinear block of the vector field: -grad H = grad_modes - n c
-            c = grow[:, None] * c + weight[:, None] * (grad_modes - n[:, None] * c)
+            c = _etd_step(c, grad_modes, n, grow, weight)
 
     return FlowTrace(
         times=times,

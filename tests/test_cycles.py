@@ -59,7 +59,7 @@ class TestSamplers:
     def test_sigma_boundary_faces(self):
         e = e_plus(1, 16)
         tau = 1.5
-        for p in sample_sigma(tau, e, 30, seed=12, boundary_only=True):
+        for p in sample_sigma(tau, e, 30, seed=12):
             minus_norm = sobolev_norm(project(p, "minus"), 0.5)
             s = project(p, "plus").mode(1)[0].real
             on_radius = abs(minus_norm - tau) <= 1e-12

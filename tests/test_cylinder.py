@@ -1,3 +1,6 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from looplab.cylinder import (
     trace_defect_sq,
 )
 from looplab.hamiltonian import HamiltonianModel
+from looplab.harness import from_json, mode_table, write_csv, write_json
 from looplab.loops import Loop, gaussian_loop, project, sobolev_norm
 
 
@@ -329,18 +333,58 @@ class TestModeIdentities:
         assert traced == pytest.approx(2 * (1 + np.exp(-2 * 0.3 * 2) ** 1), rel=1e-12)
 
 
+def old_field_csv(u: CylinderMap, path) -> None:
+    """The former CylinderMap.to_csv: columns mode,t,re,im (plus coord when d > 1)."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(["mode", "t", "re", "im"] if u.d == 1 else ["mode", "coord", "t", "re", "im"])
+        for idx, n in enumerate(range(-u.N, u.N + 1)):
+            for c in range(u.d):
+                for j, t in enumerate(u.times):
+                    z = u.values[j, idx, c]
+                    row = [n, f"{t:.12g}", f"{z.real:.17g}", f"{z.imag:.17g}"]
+                    if u.d > 1:
+                        row.insert(1, c)
+                    w.writerow(row)
+
+
+def write_field_csv(u: CylinderMap, path) -> None:
+    """solve_cylinder_field.csv as `lab solve-cylinder` writes it."""
+    write_csv(path, *mode_table(u.values, u.times, coord=u.d > 1))
+
+
 class TestSerialization:
-    def test_json_roundtrip(self):
+    def test_json_roundtrip(self, tmp_path):
         rng = np.random.default_rng(37)
         vals = rng.standard_normal((17, 9, 2)) + 1j * rng.standard_normal((17, 9, 2))
+        vals[0, 0, 0] = complex(-0.0, -0.0)
+        vals[5, 3, 1] = complex(0.0, -0.0)
         u = CylinderMap(2, 4, 0.25, 16, vals)
-        back = CylinderMap.from_json_dict(u.to_json_dict())
-        assert np.allclose(back.values, u.values, atol=0)
+        path = tmp_path / "field.json"
+        write_json(path, u)
+        back = from_json(CylinderMap, json.loads(path.read_text()), "field")
+        assert (back.d, back.N, back.T, back.M_t) == (u.d, u.N, u.T, u.M_t)
+        # bit for bit, signed zeros included
+        assert back.values.tobytes() == u.values.tobytes()
 
     def test_csv_export(self, tmp_path):
         u = CylinderMap.constant(Loop.from_modes(1, 2, {1: 1.0 + 2.0j}), 0.1, 8)
         path = tmp_path / "field.csv"
-        u.to_csv(path)
+        write_field_csv(u, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "mode,t,re,im"
         assert len(lines) == 1 + 5 * 9  # (2N+1) modes x (M_t+1) nodes
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_field_csv_matches_former_writer(self, tmp_path, d):
+        rng = np.random.default_rng(41 + d)
+        vals = rng.standard_normal((9, 7, d)) + 1j * rng.standard_normal((9, 7, d))
+        vals[2, 1, d - 1] = complex(-0.0, 0.0)
+        u = CylinderMap(d, 3, 0.3, 8, vals)
+        write_field_csv(u, tmp_path / "new.csv")
+        old_field_csv(u, tmp_path / "old.csv")
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        header = new.split(b"\r\n")[0]
+        assert header == (b"mode,t,re,im" if d == 1 else b"mode,coord,t,re,im")
+        assert new.count(b"\r\n") == 1 + 7 * d * 9

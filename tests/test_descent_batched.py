@@ -95,7 +95,7 @@ def old_estimate_beta(m, alpha, samples=48, descent_steps=120, seed=0, d=1, N=32
 
 
 def old_check_sigma_boundary(m, tau, samples=180, seed=1, d=1, N=32):
-    pts = sample_sigma(tau, e_plus(d, N), samples, seed, boundary_only=True)
+    pts = sample_sigma(tau, e_plus(d, N), samples, seed)
     return float(max(old_action(m, p) for p in pts))
 
 

@@ -249,6 +249,8 @@ class TestCli:
         assert code == 0
         out = json.loads((tmp_path / "o" / "solve_cylinder.json").read_text())
         assert out["residual"] <= 1e-8
+        # the solution field is written, the forcing v is not
+        assert "v" not in out and (out["u"]["N"], out["u"]["M_t"]) == (16, 64)
         assert (tmp_path / "o" / "solve_cylinder_field.csv").exists()
 
     def test_flow_trace_csv(self, tmp_path):
@@ -273,6 +275,20 @@ class TestCli:
         assert out["winding"] == 1
         assert out["oracle"]["radius_error"] <= 1e-6
         assert (tmp_path / "o" / "orbit_loop.csv").exists()
+
+    def test_find_orbit_without_oracle(self, tmp_path):
+        # the oracle needs the bump variant; other models get no oracle block
+        cfg = self._write(
+            tmp_path, "orbit.json",
+            {"model": {"variant": "pure_quadratic"}, "N": 16, "winding": 1},
+        )
+        code = cli_main(["find-orbit", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 0
+        out = json.loads((tmp_path / "o" / "orbit.json").read_text())
+        assert "oracle" not in out
+        assert out["winding"] == 0  # the search ends at the trivial orbit
+        lines = (tmp_path / "o" / "orbit_loop.csv").read_text().splitlines()
+        assert lines[0] == "mode,coord,re,im" and len(lines) == 1 + 33
 
     def test_scan_alpha(self, tmp_path):
         cfg = self._write(

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from looplab.harness import from_json, write_json
 from looplab.loops import (
     Loop,
     aps_project,
@@ -158,11 +161,18 @@ class TestInner:
 
 
 class TestSerialization:
-    def test_json_roundtrip(self):
+    def test_json_roundtrip(self, tmp_path):
         rng = np.random.default_rng(15)
-        g = gaussian_loop(2, 5, rng)
-        back = Loop.from_json_dict(g.to_json_dict())
-        assert back.allclose(g, atol=0)
+        c = gaussian_loop(2, 5, rng).coeffs.copy()
+        c[0, 1] = complex(-0.0, 0.0)
+        c[3, 0] = complex(0.0, -0.0)
+        g = Loop(2, 5, c)
+        path = tmp_path / "loop.json"
+        write_json(path, g)
+        back = from_json(Loop, json.loads(path.read_text()), "loop")
+        assert (back.d, back.N) == (g.d, g.N)
+        # bit for bit, signed zeros included
+        assert back.coeffs.tobytes() == g.coeffs.tobytes()
 
     def test_rejects_nonfinite(self):
         c = np.zeros((7, 1), complex)

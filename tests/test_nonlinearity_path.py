@@ -175,11 +175,11 @@ def test_flow_step(N, d):
     m = MODELS[0]
     gamma = Loop(d, N, coefficient_block(N, d, seed=5))
     dt = 0.05 / N
-    grow, weight = _etd_coefficients(N, dt)
-    old = grow[:, None] * gamma.coeffs + weight[:, None] * -old_solver_grad_h_modes(
-        m, gamma.coeffs, N
-    )
-    assert_same_bytes(flow_step(m, gamma, dt).coeffs, old)
+    # flow_step is one step of the trajectory, bit for bit
+    _, _, old = old_flow_nodes(m, gamma.coeffs, N, 1, dt)
+    step = flow_step(m, gamma, dt).coeffs
+    assert_same_bytes(step, old)
+    assert_same_bytes(step, flow_trajectory(m, gamma, dt, dt).final.coeffs)
 
 
 @pytest.mark.parametrize("d", DS)
