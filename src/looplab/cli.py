@@ -91,11 +91,6 @@ class ScanAlpha(CheckCycles):
     alphas: list[float] | None = None
 
 
-def _read_config(cls, path):
-    with open(path, "r", encoding="utf-8") as f:
-        return from_json(cls, json.load(f), "config")
-
-
 def _loop_from_modes_spec(spec: list[ModeEntry], d: int, N: int) -> Loop:
     coeffs = np.zeros((2 * N + 1, d), complex)
     for entry in spec:
@@ -105,21 +100,22 @@ def _loop_from_modes_spec(spec: list[ModeEntry], d: int, N: int) -> Loop:
     return Loop(d, N, coeffs)
 
 
-def _cmd_verify(args) -> int:
-    cfg = _read_config(Config, args.config) if args.config else Config()
-    if args.out:
-        cfg.output_dir = args.out
+# Each handler takes its subcommand's config, the output directory (`--out`,
+# else the config's `output_dir`) and the parsed arguments, and returns the
+# exit code.
+
+
+def _cmd_verify(cfg: Config, out_dir: str, args) -> int:
+    cfg.output_dir = out_dir
     report = run_suite(cfg, args.suite)
     for line in report.summary_lines():
         print(line)
-    print(f"report: {os.path.join(cfg.output_dir, f'report_{args.suite}.json')}")
+    print(f"report: {os.path.join(out_dir, f'report_{args.suite}.json')}")
     return report.exit_code
 
 
-def _cmd_solve_cylinder(args) -> int:
-    cfg = _read_config(SolveCylinder, args.config)
+def _cmd_solve_cylinder(cfg: SolveCylinder, out_dir: str, args) -> int:
     b = _loop_from_modes_spec(cfg.beta_modes, cfg.d, cfg.N)
-    out_dir = args.out or cfg.output_dir
     try:
         res = picard_solve(cfg.model, decompose(b), None, cfg.eps, tol=cfg.tol, M_t=cfg.M_t)
     except SolverError as exc:
@@ -143,11 +139,9 @@ def _cmd_solve_cylinder(args) -> int:
     return 0
 
 
-def _cmd_flow(args) -> int:
-    cfg = _read_config(Flow, args.config)
+def _cmd_flow(cfg: Flow, out_dir: str, args) -> int:
     seed = _loop_from_modes_spec(cfg.seed_modes, cfg.d, cfg.N)
     dt = 0.09 / cfg.N if cfg.dt is None else cfg.dt
-    out_dir = args.out or cfg.output_dir
     blowup = None
     try:
         trace = flow_trajectory(cfg.model, seed, cfg.T, dt)
@@ -167,10 +161,8 @@ def _cmd_flow(args) -> int:
     return 0
 
 
-def _cmd_find_orbit(args) -> int:
-    cfg = _read_config(FindOrbit, args.config)
+def _cmd_find_orbit(cfg: FindOrbit, out_dir: str, args) -> int:
     m, N, winding = cfg.model, cfg.N, cfg.winding
-    out_dir = args.out or cfg.output_dir
     if cfg.seed_modes is not None:
         if cfg.alpha is not None:
             raise ValueError("alpha scales the default seed; give seed_modes or alpha, not both")
@@ -203,9 +195,7 @@ def _cmd_find_orbit(args) -> int:
     return 0
 
 
-def _cmd_scan_alpha(args) -> int:
-    cfg = _read_config(ScanAlpha, args.config)
-    out_dir = args.out or cfg.output_dir
+def _cmd_scan_alpha(cfg: ScanAlpha, out_dir: str, args) -> int:
     alpha_star, beta_star, table = cyc.scan_alpha(
         cfg.model, alphas=cfg.alphas, samples=cfg.samples,
         descent_steps=cfg.descent_steps, seed=cfg.seed, N=cfg.N,
@@ -223,10 +213,8 @@ def _cmd_scan_alpha(args) -> int:
     return 0
 
 
-def _cmd_check_cycles(args) -> int:
-    cfg = _read_config(CheckCycles, args.config)
+def _cmd_check_cycles(cfg: CheckCycles, out_dir: str, args) -> int:
     m, N, seed = cfg.model, cfg.N, cfg.seed
-    out_dir = args.out or cfg.output_dir
     alpha_star, beta_star, _ = cyc.scan_alpha(
         m, samples=cfg.samples, descent_steps=cfg.descent_steps, seed=seed, N=N
     )
@@ -254,6 +242,16 @@ def _cmd_check_cycles(args) -> int:
     return 0 if ok else 1
 
 
+COMMANDS = {
+    "verify": (Config, _cmd_verify),
+    "solve-cylinder": (SolveCylinder, _cmd_solve_cylinder),
+    "flow": (Flow, _cmd_flow),
+    "find-orbit": (FindOrbit, _cmd_find_orbit),
+    "scan-alpha": (ScanAlpha, _cmd_scan_alpha),
+    "check-cycles": (CheckCycles, _cmd_check_cycles),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lab",
@@ -266,27 +264,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="harness config JSON (defaults used if omitted)")
     p.add_argument("--suite", default="all", help="norms|aps|contraction|flow|orbits|all")
     p.add_argument("--out", default=None, help="output directory override")
-    p.set_defaults(fn=_cmd_verify)
-
-    for name, fn in (
-        ("solve-cylinder", _cmd_solve_cylinder),
-        ("flow", _cmd_flow),
-        ("find-orbit", _cmd_find_orbit),
-        ("scan-alpha", _cmd_scan_alpha),
-        ("check-cycles", _cmd_check_cycles),
-    ):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
-        p.add_argument("--out", default=None)
-        p.set_defaults(fn=fn)
+    for name in COMMANDS:
+        if name != "verify":
+            p = sub.add_parser(name)
+            p.add_argument("--config", required=True)
+            p.add_argument("--out", default=None)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    cls, fn = COMMANDS[args.command]
     try:
-        return args.fn(args)
+        if args.config is None:  # verify runs at the defaults without a config
+            cfg = cls()
+        else:
+            with open(args.config, "r", encoding="utf-8") as f:
+                cfg = from_json(cls, json.load(f), "config")
+        return fn(cfg, args.out or cfg.output_dir, args)
     except cyc.NegativeBeta as exc:  # scan-alpha and check-cycles
         print(f"no admissible alpha found: {exc}", file=sys.stderr)
         return 1

@@ -89,18 +89,6 @@ from . import cycles as cyc
 
 SUITES = ("norms", "aps", "contraction", "flow", "orbits")
 
-DEFAULT_TOLERANCES = {
-    "solver": 1e-11,
-    "identity": 1e-5,
-    "identity_refined": 1e-8,
-    "gradient": 1e-5,
-    "exact": 1e-12,
-    "aps_defect": 1e-10,
-    "aps_mass": 1e-6,
-    "right_inverse": 1e-6,
-    "uniformity_factor": 4.0,
-}
-
 
 @dataclass
 class Config:
@@ -109,31 +97,20 @@ class Config:
     model: HamiltonianModel = field(default_factory=HamiltonianModel)
     N: int = 32
     M_t: int = 64
-    M_theta: int | None = None
     eps_list: tuple[float, ...] = (1.0, 0.5, 0.1, 0.01, 0.001)
-    tolerances: dict[str, float] = field(default_factory=dict)
     seed: int = 2026
     output_dir: str = "lab_out"
 
     def __post_init__(self):
         if self.N < 4 or self.M_t < 8:
             raise ValueError("need N >= 4 and M_t >= 8")
-        unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
-        if unknown:
-            raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
-        merged = dict(DEFAULT_TOLERANCES)
-        merged.update(self.tolerances)
-        if any(v <= 0 for v in merged.values()):
-            raise ValueError("every tolerance must be strictly positive")
-        self.tolerances = merged
-        # the theta grid is fixed per build; M_theta only records it
-        M = theta_points(self.N)
-        if self.M_theta not in (None, M):
-            raise ValueError(f"M_theta is fixed at theta_points(N) = {M}; got {self.M_theta!r}")
-        self.M_theta = M
-
-    def tol(self, key: str) -> float:
-        return self.tolerances[key]
+        # the aps sweeps take ratios and log-log slopes across eps
+        eps = self.eps_list
+        if not all(0 < e < np.inf for e in eps) or len(set(eps)) < 2:
+            raise ValueError(
+                f"eps_list needs finite positive values, at least two of them distinct; "
+                f"got {list(eps)!r}"
+            )
 
     def rng(self, label: str) -> np.random.Generator:
         return np.random.default_rng(
@@ -166,8 +143,6 @@ def _typed(hint, value, label: str):
         return None if value is None else _typed(args[0], value, label)
     if origin in (list, tuple) and isinstance(value, (list, tuple)):
         return origin(_typed(args[0], v, f"{label}[{i}]") for i, v in enumerate(value))
-    if origin is dict and isinstance(value, dict):
-        return {k: _typed(args[1], v, f"{label}.{k}") for k, v in value.items()}
     if hint is float and type(value) in (int, float):
         return float(value)
     if hint in (int, bool, str) and type(value) is hint:
@@ -299,7 +274,7 @@ class Report:
                 "grid": {
                     "N": self.config.N,
                     "M_t": self.config.M_t,
-                    "M_theta": self.config.M_theta,
+                    "M_theta": theta_points(self.config.N),
                 },
                 "platform_note": f"{sys.platform}; numpy {np.__version__}",
             },
@@ -429,7 +404,6 @@ def _suite_norms(config: Config) -> list[CheckRecord]:
     m = config.model
     N, d = config.N, 1
     rng = config.rng("norms")
-    tol_exact = config.tol("exact")
 
     def parseval():
         """parseval"""
@@ -503,7 +477,7 @@ def _suite_norms(config: Config) -> list[CheckRecord]:
             "norms.sampling_roundtrip",
             "synthesize(sample(gamma, M >= 2N+2)) = gamma",
             worst,
-            tol_exact,
+            1e-12,
         )
 
     def inner_consistency():
@@ -538,7 +512,7 @@ def _suite_norms(config: Config) -> list[CheckRecord]:
             "norms.gradient_finite_difference",
             "grad CSD = -J gamma' - grad H(gamma), paired against central differences",
             worst,
-            config.tol("gradient"),
+            1e-5,
         )
 
     def action_closed_forms():
@@ -552,7 +526,7 @@ def _suite_norms(config: Config) -> list[CheckRecord]:
             "norms.action_radial_closed_form",
             "CSD(r e^{ik theta}) = k r^2 / 2 - h(r^2)",
             worst,
-            tol_exact,
+            1e-12,
         )
 
     def splitting():
@@ -711,13 +685,13 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
             "aps.q_boundary_defect_closed_form",
             "||phi - Q(phi)|_{eps}||^2_{1/2} = lambda (1 - e^{-eps lambda})^2",
             worst_defect,
-            config.tol("aps_defect"),
+            1e-10,
         )
         yield CheckRecord(
             "aps.q_dt_mass_closed_form",
             "2 int |d_t Q(phi)|^2 = lambda (1 - e^{-2 eps lambda})",
             worst_mass,
-            config.tol("aps_mass"),
+            1e-6,
         )
         yield CheckRecord(
             "aps.q_defect_inequality",
@@ -767,7 +741,7 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
             "aps.q_boundary_right_inverse",
             "aps_boundary(Q(beta)) = beta exactly per mode",
             worst_id,
-            config.tol("exact"),
+            1e-12,
         )
         yield CheckRecord(
             "aps.q_kernel_of_d",
@@ -781,7 +755,6 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
     def right_inverse():
         """D P = id"""
         rng = config.rng("aps.right_inverse")
-        tol = config.tol("right_inverse")
         worst_rel = 0.0
         worst_trace = 0.0
         w = sobolev_weights(0.5, N)[:, None]
@@ -803,20 +776,19 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
             "aps.right_inverse_residual",
             "D P g = g (relative L^2 residual on refined grids)",
             worst_rel,
-            tol,
+            1e-6,
         )
         yield CheckRecord(
             "aps.right_inverse_boundary",
             "-Pi+ r_0(P g) = 0 and Pi- r_eps(P g) = 0",
             worst_trace,
-            config.tol("aps_defect"),
+            1e-10,
         )
 
     def uniformity():
         """norms independent of eps"""
         rng = config.rng("aps.uniformity")
         eps_values = np.asarray(config.eps_list, float)
-        factor = config.tol("uniformity_factor")
         l21_weight = sobolev_weights(1, N)
         est_p, est_q, est_r, est_mix = [], [], [], []
         for eps in eps_values:
@@ -890,7 +862,7 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
                 f"aps.uniformity_{label}_variation",
                 anchor,
                 max(net) / min(net),
-                factor,
+                4.0,
                 details=record_details,
             )
             yield CheckRecord(
@@ -981,8 +953,6 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
 def _suite_contraction(config: Config) -> list[CheckRecord]:
     m = config.model
     N = config.N
-    tol = config.tol("solver")
-    identity_tol = config.tol("identity")
 
     solved = []
 
@@ -994,7 +964,7 @@ def _suite_contraction(config: Config) -> list[CheckRecord]:
             for _ in range(10):
                 b = gaussian_loop(1, N, rng)
                 b = (0.1 / sobolev_norm(b, 0.5)) * b
-                res = picard_solve(m, decompose(b), None, eps, tol=tol, M_t=128)
+                res = picard_solve(m, decompose(b), None, eps, M_t=128)
                 solved.append(res)
                 worst_ratio = max(worst_ratio, res.contraction_ratio)
                 worst_residual = max(worst_residual, res.residual)
@@ -1018,7 +988,7 @@ def _suite_contraction(config: Config) -> list[CheckRecord]:
         )
         norms = []
         for k in range(2, 11):
-            res = picard_solve(m, beta, None, 2.0**-k, tol=tol, M_t=128)
+            res = picard_solve(m, beta, None, 2.0**-k, M_t=128)
             solved.append(res)
             norms.append(res.v_norm)
         yield CheckRecord(
@@ -1040,7 +1010,7 @@ def _suite_contraction(config: Config) -> list[CheckRecord]:
             "contraction.energy_identity",
             "CSD(u(eps)) - CSD(u(0)) = E(u) on every solved cylinder",
             worst,
-            identity_tol,
+            1e-5,
         )
 
     def grid_convergence():
@@ -1068,7 +1038,7 @@ def _suite_contraction(config: Config) -> list[CheckRecord]:
             plus0=Loop.from_modes(1, N, {-1: 0.7}), minus_end=Loop.zero(1, N)
         )
         eps, mt = 0.1, 64
-        base = picard_solve(m, beta, None, eps, tol=tol, M_t=mt)
+        base = picard_solve(m, beta, None, eps, M_t=mt)
         rng = config.rng("contraction.uniqueness")
         v = 1e-3 * (
             rng.standard_normal(base.v.values.shape)
@@ -1083,7 +1053,7 @@ def _suite_contraction(config: Config) -> list[CheckRecord]:
             "contraction.uniqueness",
             "distinct Picard starts reach the same small-energy fixed point",
             dist,
-            10 * tol,
+            10 * 1e-11,  # ten times the Picard stopping tolerance
         )
 
     def collar_orbit():
@@ -1115,7 +1085,7 @@ def _suite_contraction(config: Config) -> list[CheckRecord]:
         db = BoundaryData(
             plus0=Loop.from_modes(1, N, {-2: 0.05}), minus_end=Loop.zero(1, N)
         )
-        vals = [h_eps_sensitivity(m, beta, 2.0**-k, db, tol=tol) for k in range(2, 9)]
+        vals = [h_eps_sensitivity(m, beta, 2.0**-k, db) for k in range(2, 9)]
         yield CheckRecord(
             "contraction.sensitivity_decreasing",
             "|D_beta fixed-point| -> 0 as eps -> 0 (finite-difference sweep)",
@@ -1125,10 +1095,10 @@ def _suite_contraction(config: Config) -> list[CheckRecord]:
         )
         s_small = h_eps_sensitivity(m, beta, 0.1, BoundaryData(
             plus0=Loop.from_modes(1, N, {-2: 0.01}), minus_end=Loop.zero(1, N)
-        ), tol=tol)
+        ))
         s_double = h_eps_sensitivity(m, beta, 0.1, BoundaryData(
             plus0=Loop.from_modes(1, N, {-2: 0.02}), minus_end=Loop.zero(1, N)
-        ), tol=tol)
+        ))
         yield CheckRecord(
             "contraction.sensitivity_first_order",
             "doubling the probe leaves the sensitivity ratio invariant to 1%",
@@ -1142,7 +1112,7 @@ def _suite_contraction(config: Config) -> list[CheckRecord]:
             plus0=Loop.from_modes(1, N, {-1: 1e3}), minus_end=Loop.zero(1, N)
         )
         try:
-            picard_solve(m, beta, None, 0.5, tol=tol)
+            picard_solve(m, beta, None, 0.5)
             failed_loudly = 0.0 + 1.0
         except (BallExit, ContractionFailure):
             failed_loudly = 0.0
@@ -1162,17 +1132,129 @@ def _suite_contraction(config: Config) -> list[CheckRecord]:
 # -- flow suite -------------------------------------------------------------------------
 
 
-@tracked("harness.verify_energy_norm_equivalence")
-def verify_energy_norm_equivalence(config: Config) -> list[CheckRecord]:
-    """Energy vs L^2_1 norm equivalence for the linear (pure quadratic) model.
-
-    With X_H = c u, the energy density per mode n is |u_n'|^2 + (n - im c)^2
-    |u_n|^2, so E(u) / ||u||^2_{L^2_1} is bounded between computed per-mode
-    extremes; away from resonance (c not in i Z) the lower bound is positive,
-    at resonance it degenerates on the resonant mode.
-    """
+def _suite_flow(config: Config) -> list[CheckRecord]:
+    m = config.model
     N, M_t = config.N, config.M_t
 
+    def linear():
+        """linear flow closed form"""
+        n, alpha, T = 1, 0.1, 0.5
+        g = Loop.from_modes(1, 8, {n: alpha})
+        trace = flow_trajectory(m, g, T, 1e-3)
+        expected = 0.5 * n * alpha**2 * (np.exp(2 * n * trace.times) - 1)
+        yield CheckRecord(
+            "flow.linear_energy_closed_form",
+            "single growing mode: E = (n/2) alpha^2 (e^{2nT} - 1)",
+            float(np.max(np.abs(trace.cumulative_energy - expected))),
+            1e-8,
+        )
+        defect = np.abs((trace.actions - trace.actions[0]) - trace.cumulative_energy)
+        yield CheckRecord(
+            "flow.linear_energy_identity",
+            "CSD(u(t)) - CSD(u(0)) = E(u) at every node of the linear trajectory",
+            float(np.max(defect)),
+            1e-8,
+        )
+
+    def orbit_stationary():
+        """orbit stationarity"""
+        # truncation small enough that e^{N t} round-off stays below 1e-8
+        radius = cyc.radial_orbit_oracle(m, 1).radius
+        loop = Loop.from_modes(1, 12, {1: radius})
+        trace = flow_trajectory(m, loop, 1.0, 0.09 / 12)
+        yield CheckRecord(
+            "flow.orbit_stationary",
+            "critical orbits are fixed points of the upward flow",
+            float(np.max(np.abs(trace.final.coeffs - loop.coeffs))),
+            1e-8,
+        )
+
+    def nonlinear_identity():
+        """nonlinear energy identity"""
+        seed = Loop.from_modes(1, 8, {1: 0.55, 2: 0.3j, 3: 0.1})
+        trace = flow_trajectory(m, seed, 0.5, 1e-5)
+        E = trace.cumulative_energy[-1]
+        per_node = np.abs(
+            (trace.actions - trace.actions[0]) - trace.cumulative_energy
+        ) / (1 + trace.cumulative_energy)
+        defect = float(np.max(per_node))
+        yield CheckRecord(
+            "flow.nonlinear_energy_identity",
+            "CSD(u(t)) - CSD(u(0)) = E(u) at every node through the bump region",
+            defect,
+            1e-5,
+            details={
+                "E": float(E),
+                "curve_t": [float(t) for t in trace.times[::2500]],
+                "curve_action": [float(a) for a in trace.actions[::2500]],
+                "curve_energy": [float(e) for e in trace.cumulative_energy[::2500]],
+                "curve_norm": [float(v) for v in trace.norms[::2500]],
+            },
+        )
+        yield CheckRecord(
+            "flow.actions_nondecreasing",
+            "the action is nondecreasing along the upward flow",
+            float(np.max(-np.diff(trace.actions))),
+            1e-12,
+        )
+
+    def semigroup():
+        """linear semigroup"""
+        g = Loop.from_modes(1, 8, {1: 0.1, 3: 0.02j, -2: 0.05})
+        two = flow_step(m, flow_step(m, g, 0.005), 0.005)
+        one = flow_step(m, g, 0.01)
+        yield CheckRecord(
+            "flow.semigroup_flat_region",
+            "flow_step composes exactly where the flow is linear",
+            float(np.max(np.abs(two.coeffs - one.coeffs))),
+            1e-12,
+        )
+
+    def pushforward():
+        """cycle pushforward"""
+        pts = cyc.sample_gamma(0.3, 4, seed=config.seed + 7, N=8)
+        out_id = gf_pushforward(m, pts, 0.0, 1e-3)
+        worst_id = max(
+            float(np.max(np.abs(r.final.coeffs - p.coeffs))) for r, p in zip(out_id, pts)
+        )
+        yield CheckRecord(
+            "flow.pushforward_identity_at_zero_time",
+            "GF_0 is the identity on cycle points",
+            worst_id,
+            0.0,
+        )
+        out = gf_pushforward(m, pts, 0.05, 1e-4)
+        min_gain = min(
+            action(m, r.final) - action(m, p) for r, p in zip(out, pts) if r.ok
+        )
+        yield CheckRecord(
+            "flow.pushforward_actions_increase",
+            "actions strictly increase along the flow off critical points",
+            -min_gain,
+            0.0,
+        )
+        rng = config.rng("flow.blowup")
+        wild = project(gaussian_loop(1, N, rng), "plus")
+        wild = (0.45 / sobolev_norm(wild, 0.5)) * wild
+        tame = Loop.from_modes(1, N, {1: 0.01})
+        # above the overflow guard the top mode grows at least like n - 2.2;
+        # scale the window so small truncations get time to diverge
+        t_wild = max(2.5, 60.0 / N)
+        res = gf_pushforward(m, [wild, tame], t_wild, 0.09 / N)
+        ok = (not res[0].ok and res[0].blowup_time is not None) and res[1].ok
+        yield CheckRecord(
+            "flow.pushforward_blowup_recorded",
+            "per-point blowups are recorded without failing the batch",
+            0.0 if ok else 1.0,
+            0.5,
+            details={"blowup_time": res[0].blowup_time},
+        )
+
+    # energy vs L^2_1 norm equivalence for the linear (pure quadratic) model.
+    # With X_H = c u, the energy density per mode n is |u_n'|^2 + (n - im c)^2
+    # |u_n|^2, so E(u) / ||u||^2_{L^2_1} is bounded between computed per-mode
+    # extremes; away from resonance (c not in i Z) the lower bound is positive,
+    # at resonance it degenerates on the resonant mode
     def bounds_for(c_im: float) -> tuple[float, float]:
         n = mode_numbers(N).astype(float)
         kappa = (n - c_im) ** 2
@@ -1226,131 +1308,10 @@ def verify_energy_norm_equivalence(config: Config) -> list[CheckRecord]:
             details={"resonant_ratio": float(ratio), "resonant_lower_bound": lo},
         )
 
-    return _run_groups("flow", (equivalence_nonresonant, equivalence_resonant))
-
-
-def _suite_flow(config: Config) -> list[CheckRecord]:
-    m = config.model
-    identity_tol = config.tol("identity")
-    refined_tol = config.tol("identity_refined")
-
-    def linear():
-        """linear flow closed form"""
-        n, alpha, T = 1, 0.1, 0.5
-        g = Loop.from_modes(1, 8, {n: alpha})
-        trace = flow_trajectory(m, g, T, 1e-3)
-        expected = 0.5 * n * alpha**2 * (np.exp(2 * n * trace.times) - 1)
-        yield CheckRecord(
-            "flow.linear_energy_closed_form",
-            "single growing mode: E = (n/2) alpha^2 (e^{2nT} - 1)",
-            float(np.max(np.abs(trace.cumulative_energy - expected))),
-            refined_tol,
-        )
-        defect = np.abs((trace.actions - trace.actions[0]) - trace.cumulative_energy)
-        yield CheckRecord(
-            "flow.linear_energy_identity",
-            "CSD(u(t)) - CSD(u(0)) = E(u) at every node of the linear trajectory",
-            float(np.max(defect)),
-            refined_tol,
-        )
-
-    def orbit_stationary():
-        """orbit stationarity"""
-        # truncation small enough that e^{N t} round-off stays below 1e-8
-        radius = cyc.radial_orbit_oracle(m, 1).radius
-        loop = Loop.from_modes(1, 12, {1: radius})
-        trace = flow_trajectory(m, loop, 1.0, 0.09 / 12)
-        yield CheckRecord(
-            "flow.orbit_stationary",
-            "critical orbits are fixed points of the upward flow",
-            float(np.max(np.abs(trace.final.coeffs - loop.coeffs))),
-            1e-8,
-        )
-
-    def nonlinear_identity():
-        """nonlinear energy identity"""
-        seed = Loop.from_modes(1, 8, {1: 0.55, 2: 0.3j, 3: 0.1})
-        trace = flow_trajectory(m, seed, 0.5, 1e-5)
-        E = trace.cumulative_energy[-1]
-        per_node = np.abs(
-            (trace.actions - trace.actions[0]) - trace.cumulative_energy
-        ) / (1 + trace.cumulative_energy)
-        defect = float(np.max(per_node))
-        yield CheckRecord(
-            "flow.nonlinear_energy_identity",
-            "CSD(u(t)) - CSD(u(0)) = E(u) at every node through the bump region",
-            defect,
-            identity_tol,
-            details={
-                "E": float(E),
-                "curve_t": [float(t) for t in trace.times[::2500]],
-                "curve_action": [float(a) for a in trace.actions[::2500]],
-                "curve_energy": [float(e) for e in trace.cumulative_energy[::2500]],
-                "curve_norm": [float(v) for v in trace.norms[::2500]],
-            },
-        )
-        yield CheckRecord(
-            "flow.actions_nondecreasing",
-            "the action is nondecreasing along the upward flow",
-            float(np.max(-np.diff(trace.actions))),
-            1e-12,
-        )
-
-    def semigroup():
-        """linear semigroup"""
-        g = Loop.from_modes(1, 8, {1: 0.1, 3: 0.02j, -2: 0.05})
-        two = flow_step(m, flow_step(m, g, 0.005), 0.005)
-        one = flow_step(m, g, 0.01)
-        yield CheckRecord(
-            "flow.semigroup_flat_region",
-            "flow_step composes exactly where the flow is linear",
-            float(np.max(np.abs(two.coeffs - one.coeffs))),
-            config.tol("exact"),
-        )
-
-    def pushforward():
-        """cycle pushforward"""
-        pts = cyc.sample_gamma(0.3, 4, seed=config.seed + 7, N=8)
-        out_id = gf_pushforward(m, pts, 0.0, 1e-3)
-        worst_id = max(
-            float(np.max(np.abs(r.final.coeffs - p.coeffs))) for r, p in zip(out_id, pts)
-        )
-        yield CheckRecord(
-            "flow.pushforward_identity_at_zero_time",
-            "GF_0 is the identity on cycle points",
-            worst_id,
-            0.0,
-        )
-        out = gf_pushforward(m, pts, 0.05, 1e-4)
-        min_gain = min(
-            action(m, r.final) - action(m, p) for r, p in zip(out, pts) if r.ok
-        )
-        yield CheckRecord(
-            "flow.pushforward_actions_increase",
-            "actions strictly increase along the flow off critical points",
-            -min_gain,
-            0.0,
-        )
-        rng = config.rng("flow.blowup")
-        wild = project(gaussian_loop(1, config.N, rng), "plus")
-        wild = (0.45 / sobolev_norm(wild, 0.5)) * wild
-        tame = Loop.from_modes(1, config.N, {1: 0.01})
-        # above the overflow guard the top mode grows at least like n - 2.2;
-        # scale the window so small truncations get time to diverge
-        t_wild = max(2.5, 60.0 / config.N)
-        res = gf_pushforward(m, [wild, tame], t_wild, 0.09 / config.N)
-        ok = (not res[0].ok and res[0].blowup_time is not None) and res[1].ok
-        yield CheckRecord(
-            "flow.pushforward_blowup_recorded",
-            "per-point blowups are recorded without failing the batch",
-            0.0 if ok else 1.0,
-            0.5,
-            details={"blowup_time": res[0].blowup_time},
-        )
-
-    return _run_groups(
-        "flow", (linear, orbit_stationary, nonlinear_identity, semigroup, pushforward)
-    ) + verify_energy_norm_equivalence(config)
+    return _run_groups("flow", (
+        linear, orbit_stationary, nonlinear_identity, semigroup, pushforward,
+        equivalence_nonresonant, equivalence_resonant,
+    ))
 
 
 # -- orbits suite ---------------------------------------------------------------------
