@@ -15,8 +15,9 @@ samples.  Four groups are timed:
   on its own through `harness._run_groups` and keyed `aps.<group>`;
 * nonlinearity: seconds per call of one grad H evaluation on the theta grid
   (sample, grad H, synthesize) at N = 8, 32 and 128, of one flow_trajectory
-  step at N = 8 and of one Newton Jacobian (cycles._newton_matrix) at N = 32.
-  Each sample is a batch of calls divided by its size;
+  step at N = 8 (configs/flow.json) and at N = 32 (find-orbit's T = 1,
+  dt = 0.09/32) and of one Newton Jacobian (cycles._newton_matrix) at
+  N = 32.  Each sample is a batch of calls divided by its size;
 * descent: the projected descent of the beta estimate at N = 32, seed 2026:
   one first descent step (cycles._descent_step) of the block of all 49
   starts at alpha = 1.43, each sample a batch of 20 calls on fresh copies of
@@ -113,10 +114,16 @@ def time_nonlinearity(repeats: int) -> dict:
     for N in (8, 32, 128):
         c = loop(N, {1: 1.2, 2: 0.3j}).coeffs
         out[f"grad_h_modes[N={N}]"] = timed(lambda: grad_h(c, N), repeats, calls=2000)
-    # the trajectory of configs/flow.json: 1000 steps of dt = 5e-4 per call
-    start, steps, dt = loop(8, {1: 0.55, 2: 0.3j, 3: 0.1}), 1000, 0.0005
-    per_trajectory = timed(lambda: solver.flow_trajectory(m, start, steps * dt, dt), repeats, calls=2)
-    out["flow_trajectory_step[N=8]"] = summary([t / steps for t in per_trajectory["samples"]])
+    # the trajectory of configs/flow.json: 1000 steps of dt = 5e-4 per call;
+    # the flow of configs/find_orbit.json: 356 steps of T = 1, dt = 0.09/32
+    flows = (
+        ("N=8", loop(8, {1: 0.55, 2: 0.3j, 3: 0.1}), 0.5, 0.0005),
+        ("N=32", loops.Loop.from_modes(1, 32, {1: 1.4}), 1.0, 0.09 / 32),
+    )
+    for name, start, T, dt in flows:
+        steps = len(solver.flow_trajectory(m, start, T, dt).times) - 1
+        per_trajectory = timed(lambda: solver.flow_trajectory(m, start, T, dt), repeats, calls=2)
+        out[f"flow_trajectory_step[{name}]"] = summary([t / steps for t in per_trajectory["samples"]])
     gamma = loop(32, {1: 1.2})
     out["_newton_matrix[N=32]"] = timed(lambda: cycles._newton_matrix(m, gamma), repeats, calls=20)
     return out

@@ -31,8 +31,7 @@ _PROFILE_GRID = 20001  # sampling density for recorded constants
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
-    """Quintic smoothstep 6t^5 - 15t^4 + 10t^3, clipped to [0, 1]."""
-    t = np.clip(t, 0.0, 1.0)
+    """Quintic smoothstep 6t^5 - 15t^4 + 10t^3 of t in [0, 1]."""
     return t**3 * (10.0 + t * (-15.0 + 6.0 * t))
 
 
@@ -43,8 +42,7 @@ def _smoothstep_d(t: np.ndarray) -> np.ndarray:
 
 
 def _smoothstep_int(t: np.ndarray) -> np.ndarray:
-    """Antiderivative of the quintic smoothstep with value 0 at t = 0."""
-    t = np.clip(t, 0.0, 1.0)
+    """Antiderivative of the quintic smoothstep with value 0 at t = 0, for t in [0, 1]."""
     return t**4 * (2.5 + t * (-3.0 + t))
 
 
@@ -80,22 +78,33 @@ class HamiltonianModel:
 
     # -- profile -------------------------------------------------------------
 
+    def _ramp(self, s: np.ndarray) -> np.ndarray:
+        """Ramp coordinate (s - s0) / (s1 - s0), clipped to [0, 1]."""
+        return ((s - self.s0) / (self.s1 - self.s0)).clip(0.0, 1.0)
+
+    def _h_bump(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """h of the bump variant at s, given the ramp coordinate t of s."""
+        tail = np.where(s > self.s1, self.slope * (s - self.s1), 0.0)
+        return self.slope * (self.s1 - self.s0) * _smoothstep_int(t) + tail
+
     def h(self, s):
         s = np.asarray(s, dtype=float)
         if self.variant == "pure_quadratic":
             return self.slope * s
-        width = self.s1 - self.s0
-        t = (s - self.s0) / width
-        return self.slope * width * _smoothstep_int(t) + np.where(
-            s > self.s1, self.slope * (s - self.s1), 0.0
-        )
+        return self._h_bump(s, self._ramp(s))
 
     def h_prime(self, s):
         s = np.asarray(s, dtype=float)
         if self.variant == "pure_quadratic":
             return np.full_like(s, self.slope)
-        t = (s - self.s0) / (self.s1 - self.s0)
-        return self.slope * _smoothstep(t)
+        return self.slope * _smoothstep(self._ramp(s))
+
+    def h_and_slope(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(h(s), h'(s)) bit for bit, from one clipped ramp coordinate; s a float array."""
+        if self.variant == "pure_quadratic":
+            return self.slope * s, np.full_like(s, self.slope)
+        t = self._ramp(s)
+        return self._h_bump(s, t), self.slope * _smoothstep(t)
 
     def h_second(self, s):
         s = np.asarray(s, dtype=float)

@@ -19,6 +19,7 @@ failure instead of being damped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ from .cylinder import (
     q_op,
 )
 from .hamiltonian import HamiltonianModel, action, grad_h_modes, k_factor_constant
-from .loops import Loop, mode_numbers, theta_values
+from .loops import Loop, mode_numbers, theta_points, theta_values
 
 
 MAX_ITER = 200  # Picard iteration budget
@@ -240,42 +241,81 @@ def _etd_coefficients(N: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(n * dt), dt * phi1(n * dt)
 
 
-def _etd_step(c, grad_modes, n, grow, weight) -> np.ndarray:
-    """c one ETD step on, given the action gradient grad_modes = n c - grad H at c."""
-    # nonlinear block of the vector field: -grad H = grad_modes - n c
-    return grow[:, None] * c + weight[:, None] * (grad_modes - n[:, None] * c)
+def _etd_kernel(m: HamiltonianModel, d: int, N: int, dt: float):
+    """The fused per-node pass of the upward flow at step dt, on preallocated buffers.
+
+    Returns node(c) -> (norm, step).  norm is the L^2 norm of c; step is None
+    when c fails the overflow guard, else (action at c, ||grad CSD(c)||^2,
+    c one ETD step on).  |c|^2 serves the norm and the quadratic action
+    term, one ifft and one fft run on the theta grid with the modes moved
+    by slices, h and h' share one ramp, and the sums call np.add.reduce (a
+    mean is its sum over M, the same bits).  Every value equals, bit for
+    bit, the one of theta_values, m.h, grad_h_modes and the ETD update
+    applied one by one.
+    """
+    M = theta_points(N)
+    n = mode_numbers(N).astype(float)[:, None]
+    grow, weight = (w[:, None] for w in _etd_coefficients(N, dt))
+    spec = np.zeros((M, d), complex)  # modes n >= 0 at n, n < 0 at M + n
+    on_grid, spectrum = np.empty((M, d), complex), np.empty((M, d), complex)
+    grad_h = np.empty((2 * N + 1, d), complex)
+    add = np.add.reduce
+
+    def node(c: np.ndarray):
+        c_sq = np.abs(c) ** 2
+        norm = math.sqrt(add(c_sq, axis=None))
+        if not math.isfinite(norm) or norm > BLOWUP_NORM:
+            return norm, None
+        spec[: N + 1] = c[N:]
+        spec[M - N :] = c[:N]
+        grid = np.fft.ifft(spec, axis=0, out=on_grid)
+        grid *= M
+        h, h_prime = m.h_and_slope(add(np.abs(grid) ** 2, axis=-1))
+        action_c = 0.5 * float(add(n * c_sq, axis=None)) - float(add(h) / M)
+        grid *= (2.0 * h_prime)[:, None]  # grad H on the grid
+        np.fft.fft(grid, axis=0, out=spectrum)
+        grad_h[:N] = spectrum[M - N :]
+        grad_h[N:] = spectrum[: N + 1]
+        nc = n * c
+        # action gradient n c - grad H; its nonlinear block -grad H is grad - n c
+        grad = nc - grad_h / M
+        grad_sq = float(add(np.abs(grad) ** 2, axis=None))
+        return norm, (action_c, grad_sq, grow * c + weight * (grad - nc))
+
+    return node
 
 
 @tracked("solver.flow_step")
 def flow_step(m: HamiltonianModel, gamma: Loop, dt: float) -> Loop:
     """One ETD step of the upward flow d/dt c_n = n c_n - (grad H)_n.
 
-    Bit for bit the final loop of flow_trajectory(m, gamma, dt, dt).
+    Bit for bit the final loop of flow_trajectory(m, gamma, dt, dt); like
+    it, raises Blowup at time 0 when gamma fails the overflow guard.
     """
     _check_flow_dt(dt, gamma.N)
-    N, c = gamma.N, gamma.coeffs
-    n = mode_numbers(N).astype(float)
-    grow, weight = _etd_coefficients(N, dt)
-    grad_modes = n[:, None] * c - grad_h_modes(m, theta_values(c, N), N)
-    return Loop(gamma.d, N, _etd_step(c, grad_modes, n, grow, weight))
+    _, step = _etd_kernel(m, gamma.d, gamma.N, dt)(gamma.coeffs)
+    if step is None:
+        raise Blowup(0.0)
+    return Loop(gamma.d, gamma.N, step[2])
 
 
 def _cumulative_simpson(g: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative integral of node values, quadratic-interpolation accurate."""
+    """Cumulative integral of node values, quadratic-interpolation accurate.
+
+    Even nodes add up Simpson panels left to right; each odd node adds the
+    quadratic through its last three nodes to the node before it (through
+    the first three for node 1).
+    """
     n = len(g)
     out = np.zeros(n)
-    if n == 1:
-        return out
     if n == 2:
         out[1] = 0.5 * h * (g[0] + g[1])
+    if n < 3:
         return out
-    for k in range(1, n):
-        if k == 1:
-            out[1] = h * (5.0 * g[0] + 8.0 * g[1] - g[2]) / 12.0
-        elif k % 2 == 0:
-            out[k] = out[k - 2] + h * (g[k - 2] + 4.0 * g[k - 1] + g[k]) / 3.0
-        else:
-            out[k] = out[k - 1] + h * (-g[k - 2] + 8.0 * g[k - 1] + 5.0 * g[k]) / 12.0
+    panels = h * (g[:-2:2] + 4.0 * g[1:-1:2] + g[2::2]) / 3.0
+    out[::2] = np.add.accumulate(np.concatenate(([0.0], panels)))
+    out[1] = h * (5.0 * g[0] + 8.0 * g[1] - g[2]) / 12.0
+    out[3::2] = out[2:-1:2] + h * (-g[1:-2:2] + 8.0 * g[2:-1:2] + 5.0 * g[3::2]) / 12.0
     return out
 
 
@@ -285,15 +325,15 @@ def flow_trajectory(m: HamiltonianModel, gamma: Loop, T: float, dt: float) -> Fl
 
     cumulative_energy is the quadrature of ||grad CSD||_{L^2}^2 along the
     trajectory, which on solutions equals the action increment.  Raises
-    Blowup (with the partial trace attached) once the L^2 norm passes the
-    overflow guard.
+    Blowup once the L^2 norm passes the overflow guard, with the trace of
+    the nodes before it attached (its final loop is the last of them, or
+    gamma when there is none).
     """
     if T < 0:
         raise ValueError("flow time must be nonnegative")
     if not dt > 0:
         raise ValueError(f"flow step dt must be positive, got {dt!r}")
     d, N = gamma.d, gamma.N
-    n = mode_numbers(N).astype(float)
 
     steps = max(int(round(T / dt)), 0) if T > 0 else 0
     if T > 0 and steps == 0:
@@ -301,36 +341,28 @@ def flow_trajectory(m: HamiltonianModel, gamma: Loop, T: float, dt: float) -> Fl
     dt_eff = T / steps if steps else dt
     if steps:
         _check_flow_dt(dt_eff, N)
-    grow, weight = _etd_coefficients(N, dt_eff)
+    node = _etd_kernel(m, d, N, dt_eff)
 
-    times = np.zeros(steps + 1)
+    times = np.arange(steps + 1) * dt_eff
     actions = np.zeros(steps + 1)
     grad_sq = np.zeros(steps + 1)
     norms = np.zeros(steps + 1)
 
-    c = gamma.coeffs.copy()
+    c, before = gamma.coeffs, None
     for k in range(steps + 1):
-        t_k = k * dt_eff
-        norm_k = float(np.sqrt(np.sum(np.abs(c) ** 2)))
-        times[k] = t_k
-        norms[k] = norm_k
-        if not np.isfinite(norm_k) or norm_k > BLOWUP_NORM:
+        norms[k], step = node(c)
+        if step is None:
             partial = FlowTrace(
                 times=times[:k],
                 actions=actions[:k],
                 cumulative_energy=_cumulative_simpson(grad_sq[:k], dt_eff),
                 norms=norms[:k],
-                final=gamma,
+                final=gamma if before is None else Loop(d, N, before),
             )
-            raise Blowup(t_k, partial)
-        # one grid per step, shared by the H term of the action and by grad H
-        grid = theta_values(c, N)
-        quad = 0.5 * float(np.sum(n[:, None] * np.abs(c) ** 2))
-        actions[k] = quad - float(np.mean(m.h(np.sum(np.abs(grid) ** 2, axis=-1))))
-        grad_modes = n[:, None] * c - grad_h_modes(m, grid, N)
-        grad_sq[k] = float(np.sum(np.abs(grad_modes) ** 2))
+            raise Blowup(k * dt_eff, partial)
+        actions[k], grad_sq[k], c_next = step
         if k < steps:
-            c = _etd_step(c, grad_modes, n, grow, weight)
+            c, before = c_next, c
 
     return FlowTrace(
         times=times,

@@ -21,8 +21,25 @@ from looplab.hamiltonian import (
     grad_action,
     grad_h_modes,
 )
-from looplab.loops import Loop, sample, sample_coeffs, synthesize_values, theta_points, theta_values
-from looplab.solver import _cumulative_simpson, _etd_coefficients, flow_step, flow_trajectory
+from looplab.loops import (
+    Loop,
+    gaussian_loop,
+    project,
+    sample,
+    sample_coeffs,
+    sobolev_norm,
+    synthesize_values,
+    theta_points,
+    theta_values,
+)
+from looplab.solver import (
+    BLOWUP_NORM,
+    Blowup,
+    _cumulative_simpson,
+    _etd_coefficients,
+    flow_step,
+    flow_trajectory,
+)
 
 NS = (4, 8, 32)
 DS = (1, 2)
@@ -68,21 +85,55 @@ def old_action(m, gamma):
     return quad - float(np.mean(eval_H(m, vals)))
 
 
-def old_flow_nodes(m, c, N, steps, dt):
-    """Inline copy in solver.flow_trajectory: per-node action, |grad|^2, final c."""
+def old_flow_nodes(m, c, N, T, dt):
+    """Per-node loop of solver.flow_trajectory before its fused step kernel.
+
+    Returns times, actions, |grad|^2 and norms of the nodes before the
+    overflow guard fired, the coefficients at the last of them (the start
+    when there is none), the blowup time (None without one) and the step
+    actually taken.
+    """
+    steps = max(int(round(T / dt)), 0) if T > 0 else 0
+    if T > 0 and steps == 0:
+        steps = 1
+    dt = T / steps if steps else dt
     n = np.arange(-N, N + 1).astype(float)
     grow, weight = _etd_coefficients(N, dt)
-    actions, grad_sq = np.zeros(steps + 1), np.zeros(steps + 1)
-    c = c.copy()
+    times, actions, grad_sq, norms = (np.zeros(steps + 1) for _ in range(4))
+    c = before = c.copy()
     for k in range(steps + 1):
+        t_k = k * dt
+        norm_k = float(np.sqrt(np.sum(np.abs(c) ** 2)))
+        times[k], norms[k] = t_k, norm_k
+        if not np.isfinite(norm_k) or norm_k > BLOWUP_NORM:
+            return times[:k], actions[:k], grad_sq[:k], norms[:k], before, t_k, dt
         grid = sample_coeffs(c, N, 4 * N)
         quad = 0.5 * float(np.sum(n[:, None] * np.abs(c) ** 2))
         actions[k] = quad - float(np.mean(m.h(np.sum(np.abs(grid) ** 2, axis=-1))))
         grad_modes = n[:, None] * c - synthesize_values(eval_gradH(m, grid), N)
         grad_sq[k] = float(np.sum(np.abs(grad_modes) ** 2))
         if k < steps:
-            c = grow[:, None] * c + weight[:, None] * (grad_modes - n[:, None] * c)
-    return actions, grad_sq, c
+            before, c = c, grow[:, None] * c + weight[:, None] * (grad_modes - n[:, None] * c)
+    return times, actions, grad_sq, norms, c, None, dt
+
+
+def old_cumulative_simpson(g, h):
+    """solver._cumulative_simpson as a loop over the nodes."""
+    n = len(g)
+    out = np.zeros(n)
+    if n == 1:
+        return out
+    if n == 2:
+        out[1] = 0.5 * h * (g[0] + g[1])
+        return out
+    for k in range(1, n):
+        if k == 1:
+            out[1] = h * (5.0 * g[0] + 8.0 * g[1] - g[2]) / 12.0
+        elif k % 2 == 0:
+            out[k] = out[k - 2] + h * (g[k - 2] + 4.0 * g[k - 1] + g[k]) / 3.0
+        else:
+            out[k] = out[k - 1] + h * (-g[k - 2] + 8.0 * g[k - 1] + 5.0 * g[k]) / 12.0
+    return out
 
 
 def old_newton_residual(m, gamma):
@@ -172,25 +223,58 @@ def test_newton_residual(N, d):
 @pytest.mark.parametrize("d", DS)
 @pytest.mark.parametrize("N", NS)
 def test_flow_step(N, d):
-    m = MODELS[0]
     gamma = Loop(d, N, coefficient_block(N, d, seed=5))
     dt = 0.05 / N
-    # flow_step is one step of the trajectory, bit for bit
-    _, _, old = old_flow_nodes(m, gamma.coeffs, N, 1, dt)
-    step = flow_step(m, gamma, dt).coeffs
-    assert_same_bytes(step, old)
-    assert_same_bytes(step, flow_trajectory(m, gamma, dt, dt).final.coeffs)
+    for m in MODELS:
+        # flow_step is one step of the trajectory, bit for bit
+        old = old_flow_nodes(m, gamma.coeffs, N, dt, dt)[4]
+        step = flow_step(m, gamma, dt).coeffs
+        assert_same_bytes(step, old)
+        assert_same_bytes(step, flow_trajectory(m, gamma, dt, dt).final.coeffs)
+
+
+def assert_same_trace(trace, old):
+    times, actions, grad_sq, norms, _, _, dt = old
+    assert_same_bytes(trace.times, times)
+    assert_same_bytes(trace.actions, actions)
+    assert_same_bytes(trace.norms, norms)
+    assert_same_bytes(trace.cumulative_energy, old_cumulative_simpson(grad_sq, dt))
 
 
 @pytest.mark.parametrize("d", DS)
 @pytest.mark.parametrize("N", NS)
 def test_flow_trajectory(N, d):
-    m = MODELS[0]
     gamma = Loop(d, N, coefficient_block(N, d, seed=6))
-    steps, dt = 12, 0.05 / N
-    T = steps * dt
-    trace = flow_trajectory(m, gamma, T, dt)
-    actions, grad_sq, final = old_flow_nodes(m, gamma.coeffs, N, steps, T / steps)
-    assert_same_bytes(trace.actions, actions)
-    assert_same_bytes(trace.final.coeffs, final)
-    assert_same_bytes(trace.cumulative_energy, _cumulative_simpson(grad_sq, T / steps))
+    dt = 0.05 / N
+    for m in MODELS:
+        # 12 steps, no step (T = 0), and 12 steps of T / 12 for a T that dt does not divide
+        for steps in (12, 0, 12.4):
+            trace = flow_trajectory(m, gamma, steps * dt, dt)
+            old = old_flow_nodes(m, gamma.coeffs, N, steps * dt, dt)
+            assert old[5] is None and len(trace.times) == round(steps) + 1
+            assert_same_trace(trace, old)
+            assert_same_bytes(trace.final.coeffs, old[4])
+
+
+@pytest.mark.parametrize("m", MODELS, ids=("bump", "pure_quadratic"))
+def test_flow_trajectory_blowup(m):
+    rng = np.random.default_rng(43)
+    seed = project(gaussian_loop(1, 32, rng), "plus")
+    seed = (0.45 / sobolev_norm(seed, 0.5)) * seed
+    T, dt = 3.0, 0.09 / 32
+    with pytest.raises(Blowup) as exc:
+        flow_trajectory(m, seed, T, dt)
+    old = old_flow_nodes(m, seed.coeffs, 32, T, dt)
+    assert old[5] is not None and len(old[0]) > 0
+    assert exc.value.time == old[5]
+    trace = exc.value.trace
+    assert_same_trace(trace, old)
+    # the partial trace ends on the last node before the guard fired
+    assert_same_bytes(trace.final.coeffs, old[4])
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 50001])
+def test_cumulative_simpson(n):
+    g = np.random.default_rng(n).standard_normal(n) ** 2
+    for h in (1e-5, 0.3):
+        assert_same_bytes(_cumulative_simpson(g, h), old_cumulative_simpson(g, h))

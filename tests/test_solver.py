@@ -207,7 +207,11 @@ class TestFlow:
         with pytest.raises(Blowup) as exc:
             flow_trajectory(model, seed, 3.0, 0.09 / 32)
         assert 0 < exc.value.time < 3.0
-        assert exc.value.trace is not None
+        trace = exc.value.trace
+        assert trace is not None
+        # the partial trace ends on its last recorded node, not on the start
+        assert np.sqrt(np.sum(np.abs(trace.final.coeffs) ** 2)) == trace.norms[-1]
+        assert trace.times[-1] < exc.value.time
 
 
 class TestPushforward:
