@@ -43,7 +43,8 @@ import time
 from pathlib import Path
 
 # (nodes, modes, batch): aps.right_inverse at eps >= 1 and eps <= 0.1, and
-# aps.uniformity at eps = 1
+# the whole aps.uniformity batch at eps = 1 (the check itself builds it in
+# blocks of columns, cylinder.column_blocks)
 APS_SHAPES = ((12001, 65, 10), (2049, 65, 10), (321, 65, 1065))
 
 

@@ -226,6 +226,27 @@ def time_blocks(n_rows: int, rows: int):
         yield start, min(start + rows, n_rows)
 
 
+# Bytes of one column block.  The aps sweeps build their batch fields
+# (M+1, modes, batch) one block of whole batch columns at a time, so that no
+# field of the whole batch is ever alive
+COLUMN_BYTES = 1 << 24
+
+
+def column_blocks(n_cols: int, col_nbytes: int):
+    """(start, stop) of consecutive blocks of batch columns covering range(n_cols).
+
+    A block holds the whole columns that fit in COLUMN_BYTES, but never fewer
+    than two: numpy sums the modes of a one-column batch pairwise, not in
+    sequence, which changes bits.  So a one-column remainder joins the block
+    before it.
+    """
+    cols = max(2, COLUMN_BYTES // max(1, col_nbytes))
+    start = 0
+    for stop in [*range(cols, n_cols - 1, cols), n_cols]:
+        yield start, stop
+        start = stop
+
+
 def dt_derivative_rows(
     values: np.ndarray, h: float, start: int, stop: int, out: np.ndarray | None = None
 ) -> np.ndarray:

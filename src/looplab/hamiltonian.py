@@ -20,6 +20,7 @@ linear theory where X_H = c x with c = 2(1+eps) i.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,10 +161,12 @@ def k_factor(m: HamiltonianModel, x: np.ndarray):
     return 2.0 * m.h_prime(_sq_radius(x))
 
 
+@functools.cache
 def k_factor_constant(m: HamiltonianModel) -> float:
     """Recorded constant C with |K(x)| <= C |x| and |K(x) - K(y)| <= C |x - y|.
 
-    Both suprema live on the ramp band; they are evaluated on a dense grid.
+    Both suprema live on the ramp band; they are evaluated on a dense grid,
+    once per model (models are frozen and hashable).
     The pointwise bounds give ||X_H(a) - X_H(b)||_{L^2} <= 2C (||a||_{L^4} +
     ||b||_{L^4}) ||a - b||_{L^4}, so C is also the Sobolev-Lipschitz constant
     of the solver's 1/(8C) contraction ball.

@@ -29,6 +29,7 @@ from .cylinder import (
     aps_boundary,
     apply_D,
     block_rows,
+    column_blocks,
     cyl_norm,
     decompose,
     dt_derivative_rows,
@@ -328,20 +329,23 @@ def _run_groups(suite: str, groups) -> list[CheckRecord]:
 # -- batch helpers for the sweep checks ------------------------------------------
 
 
-def _random_smooth_fields(rng, N: int, M_t: int, batch: int, out=None) -> np.ndarray:
-    """Fields (M_t+1, 2N+1, batch): random quadratic t-profiles per mode.
-
-    Each node holds c0 + c1 tau + c2 tau^2, written block by block into `out`
-    (a new array unless given).
-    """
-    tau = np.linspace(0.0, 1.0, M_t + 1)[:, None, None]
-    c0, c1, c2 = [
+def _smooth_field_coeffs(rng, N: int, batch: int) -> list[np.ndarray]:
+    """The coefficients c0, c1, c2, each (2N+1, batch), of random smooth fields."""
+    return [
         rng.standard_normal((2 * N + 1, batch)) + 1j * rng.standard_normal((2 * N + 1, batch))
         for _ in range(3)
     ]
+
+
+def _fill_smooth_fields(coeffs, M_t: int, out: np.ndarray, cols=slice(None)) -> np.ndarray:
+    """Write the fields of the batch columns `cols` of coeffs into out, block by block.
+
+    Each node holds c0 + c1 tau + c2 tau^2 with tau = j / M_t; out has shape
+    (M_t+1, 2N+1, number of columns in cols).
+    """
+    c0, c1, c2 = (c[:, cols] for c in coeffs)
+    tau = np.linspace(0.0, 1.0, M_t + 1)[:, None, None]
     tau_sq = tau**2
-    if out is None:
-        out = np.empty((M_t + 1, 2 * N + 1, batch), complex)
     rows = block_rows(M_t + 1, out[0].nbytes)
     quad = np.empty((rows,) + out.shape[1:], complex)
     for start, stop in time_blocks(M_t + 1, rows):
@@ -350,6 +354,16 @@ def _random_smooth_fields(rng, N: int, M_t: int, batch: int, out=None) -> np.nda
         block += c0
         block += np.multiply(c2, tau_sq[start:stop], out=quad[: stop - start])
     return out
+
+
+def _random_smooth_fields(rng, N: int, M_t: int, batch: int, out=None) -> np.ndarray:
+    """Fields (M_t+1, 2N+1, batch): random quadratic t-profiles per mode.
+
+    Written block by block into `out` (a new array unless given).
+    """
+    if out is None:
+        out = np.empty((M_t + 1, 2 * N + 1, batch), complex)
+    return _fill_smooth_fields(_smooth_field_coeffs(rng, N, batch), M_t, out)
 
 
 def _half_norm_batch(coeffs: np.ndarray, N: int) -> np.ndarray:
@@ -388,6 +402,110 @@ def _boundary_half_norm_batch(values: np.ndarray, N: int) -> np.ndarray:
         np.sum(w * np.abs(values[0]) ** 2, axis=0)
         + np.sum(w * np.abs(values[-1]) ** 2, axis=0)
     )
+
+
+def _column_maxima(n_cols: int, col_nbytes: int, ratios) -> list[float]:
+    """Largest value over all batch columns of each per-column ratio.
+
+    ratios(cols) returns the ratios of the batch columns in the slice cols; it
+    runs once per column block, and each ratio is then reduced over all
+    columns at once.
+    """
+    parts = [ratios(slice(start, stop)) for start, stop in column_blocks(n_cols, col_nbytes)]
+    return [float(np.max(np.concatenate(per_block))) for per_block in zip(*parts)]
+
+
+def _right_inverse_errors(rng, N: int, eps: float) -> tuple[float, float]:
+    """Worst relative D P g - g residual and worst prescribed P g trace at one eps.
+
+    Ten chunks of ten random smooth forcings on a refined grid.
+    """
+    lam = lambda_of_modes(N).astype(float)
+    w = sobolev_weights(0.5, N)[:, None]
+    plus_mask = (mode_numbers(N) <= 0)[:, None]
+    M_ref = max(2048, int(np.ceil(12000 * eps)))
+    h = eps / M_ref
+    worst_rel = worst_trace = 0.0
+    g_vals = np.empty((M_ref + 1, 2 * N + 1, 10), complex)
+    for _ in range(10):
+        _random_smooth_fields(rng, N, M_ref, 10, out=g_vals)
+        u_vals = kernel_p_values(g_vals, lam, h)
+        rel = _right_inverse_residual(g_vals, u_vals, lam, h)
+        worst_rel = max(worst_rel, float(np.max(rel)))
+        # prescribed boundary components of P g vanish
+        trace0 = np.sqrt(np.sum(w * plus_mask * np.abs(u_vals[0]) ** 2, axis=0))
+        trace1 = np.sqrt(np.sum(w * ~plus_mask * np.abs(u_vals[-1]) ** 2, axis=0))
+        worst_trace = max(worst_trace, float(np.max(trace0)), float(np.max(trace1)))
+        # free this P image before the next chunk makes its own
+        del u_vals
+    return worst_rel, worst_trace
+
+
+def _uniformity_estimates(rng, N: int, M_t: int, eps: float) -> tuple[float, ...]:
+    """Sampled norm ratios (P, Q, restriction, mixed L4) at one eps.
+
+    The random coefficients are drawn whole and in a fixed order; the node
+    values are built and reduced one column block at a time.
+    """
+    lam = lambda_of_modes(N).astype(float)
+    plus_modes = (mode_numbers(N) <= 0)[:, None]
+    l21_weight = sobolev_weights(1, N)
+    # resolve the stiffest transient (lambda * h <= 0.1) so the
+    # estimates measure the operators, not the grid
+    m_eff = max(M_t, int(np.ceil(10 * N * eps)))
+    h = eps / m_eff
+    times = np.linspace(0.0, eps, m_eff + 1)
+    col_nbytes = (m_eff + 1) * (2 * N + 1) * np.dtype(complex).itemsize
+
+    def smooth_fields(coeffs, cols):
+        out = np.empty((m_eff + 1, 2 * N + 1, cols.stop - cols.start), complex)
+        return _fill_smooth_fields(coeffs, m_eff, out, cols)
+
+    # Q: per-mode unit probes (the exact extremizers) plus random mixes
+    mixes = gaussian_loop(1000, N, rng).coeffs
+    probes = np.eye(2 * N + 1)
+    c = np.concatenate([probes, mixes], axis=1)
+    plus = np.where(plus_modes, c, 0.0)
+    minus = np.where(~plus_modes, c, 0.0)
+    c_half = _half_norm_batch(c, N)
+
+    def q_ratios(cols):
+        qv = kernel_q_values(plus[:, cols], minus[:, cols], lam, times, eps)
+        return (l21_batch(qv, h, l21_weight) / c_half[cols],)
+
+    (est_q,) = _column_maxima(c.shape[1], col_nbytes, q_ratios)
+
+    # P and the restriction bound: per-mode constant probes (c0 = e_n and
+    # c1 = c2 = 0, which the fill reproduces exactly) + smooth mixes
+    zeros = np.zeros_like(probes)
+    forcing = [
+        np.concatenate([probe, mix], axis=1)
+        for probe, mix in zip((probes, zeros, zeros), _smooth_field_coeffs(rng, N, 1000))
+    ]
+
+    def p_ratios(cols):
+        g = smooth_fields(forcing, cols)
+        pv = kernel_p_values(g, lam, h)
+        g_l2 = l2_batch(g, h)
+        return l21_batch(pv, h, l21_weight) / g_l2, _boundary_half_norm_batch(pv, N) / g_l2
+
+    est_p, est_r = _column_maxima(forcing[0].shape[1], col_nbytes, p_ratios)
+
+    # mixed L4 bound
+    c2 = gaussian_loop(100, N, rng).coeffs
+    plus2 = np.where(plus_modes, c2, 0.0)
+    minus2 = np.where(~plus_modes, c2, 0.0)
+    c2_half = _half_norm_batch(c2, N)
+    smooth2 = _smooth_field_coeffs(rng, N, 100)
+
+    def mixed_ratios(cols):
+        g2 = smooth_fields(smooth2, cols)
+        u2 = kernel_q_values(plus2[:, cols], minus2[:, cols], lam, times, eps)
+        u2 += kernel_p_values(g2, lam, h)
+        return (_l4_batch(u2, h, N) / (c2_half[cols] + l2_batch(g2, h)),)
+
+    (est_mix,) = _column_maxima(c2.shape[1], col_nbytes, mixed_ratios)
+    return est_p, est_q, est_r, est_mix
 
 
 def _trend_slope(eps_values: np.ndarray, estimates: np.ndarray) -> float:
@@ -663,7 +781,6 @@ def _suite_norms(config: Config) -> list[CheckRecord]:
 def _suite_aps(config: Config) -> list[CheckRecord]:
     N = config.N
     M_t = config.M_t
-    lam_all = lambda_of_modes(N).astype(float)
 
     def mode_identities():
         """Q closed forms"""
@@ -756,23 +873,10 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
     def right_inverse():
         """D P = id"""
         rng = config.rng("aps.right_inverse")
-        worst_rel = 0.0
-        worst_trace = 0.0
-        w = sobolev_weights(0.5, N)[:, None]
-        plus_mask = (mode_numbers(N) <= 0)[:, None]
+        worst_rel = worst_trace = 0.0
         for eps in config.eps_list:
-            M_ref = max(2048, int(np.ceil(12000 * eps)))
-            h = eps / M_ref
-            g_vals = np.empty((M_ref + 1, 2 * N + 1, 10), complex)
-            for chunk in range(10):
-                _random_smooth_fields(rng, N, M_ref, 10, out=g_vals)
-                u_vals = kernel_p_values(g_vals, lam_all, h)
-                rel = _right_inverse_residual(g_vals, u_vals, lam_all, h)
-                worst_rel = max(worst_rel, float(np.max(rel)))
-                # prescribed boundary components of P g vanish
-                trace0 = np.sqrt(np.sum(w * plus_mask * np.abs(u_vals[0]) ** 2, axis=0))
-                trace1 = np.sqrt(np.sum(w * ~plus_mask * np.abs(u_vals[-1]) ** 2, axis=0))
-                worst_trace = max(worst_trace, float(np.max(trace0)), float(np.max(trace1)))
+            rel, trace = _right_inverse_errors(rng, N, eps)
+            worst_rel, worst_trace = max(worst_rel, rel), max(worst_trace, trace)
         yield CheckRecord(
             "aps.right_inverse_residual",
             "D P g = g (relative L^2 residual on refined grids)",
@@ -790,44 +894,8 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
         """norms independent of eps"""
         rng = config.rng("aps.uniformity")
         eps_values = np.asarray(config.eps_list, float)
-        l21_weight = sobolev_weights(1, N)
-        est_p, est_q, est_r, est_mix = [], [], [], []
-        for eps in eps_values:
-            # resolve the stiffest transient (lambda * h <= 0.1) so the
-            # estimates measure the operators, not the grid
-            m_eff = max(M_t, int(np.ceil(10 * N * eps)))
-            h = eps / m_eff
-            times = np.linspace(0.0, eps, m_eff + 1)
-            # Q: per-mode unit probes (the exact extremizers) plus random mixes
-            mixes = gaussian_loop(1000, N, rng).coeffs
-            probes = np.eye(2 * N + 1)
-            c = np.concatenate([probes, mixes], axis=1)
-            plus = np.where((mode_numbers(N) <= 0)[:, None], c, 0.0)
-            minus = np.where((mode_numbers(N) > 0)[:, None], c, 0.0)
-            qv = kernel_q_values(plus, minus, lam_all, times, eps)
-            est_q.append(float(np.max(l21_batch(qv, h, l21_weight) / _half_norm_batch(c, N))))
-            # each field below is up to 355 MB: free it before the next one is made
-            del qv
-            # P and the restriction bound: per-mode constant probes + smooth mixes
-            n_probes = probes.shape[1]
-            g_vals = np.empty((m_eff + 1, 2 * N + 1, n_probes + 1000), complex)
-            g_vals[:, :, :n_probes] = probes
-            _random_smooth_fields(rng, N, m_eff, 1000, out=g_vals[:, :, n_probes:])
-            pv = kernel_p_values(g_vals, lam_all, h)
-            g_l2 = l2_batch(g_vals, h)
-            est_p.append(float(np.max(l21_batch(pv, h, l21_weight) / g_l2)))
-            est_r.append(float(np.max(_boundary_half_norm_batch(pv, N) / g_l2)))
-            del g_vals, pv
-            # mixed L4 bound
-            c2 = gaussian_loop(100, N, rng).coeffs
-            plus2 = np.where((mode_numbers(N) <= 0)[:, None], c2, 0.0)
-            minus2 = np.where((mode_numbers(N) > 0)[:, None], c2, 0.0)
-            g2 = _random_smooth_fields(rng, N, m_eff, 100)
-            u2 = kernel_q_values(plus2, minus2, lam_all, times, eps) + (
-                kernel_p_values(g2, lam_all, h)
-            )
-            denom = _half_norm_batch(c2, N) + l2_batch(g2, h)
-            est_mix.append(float(np.max(_l4_batch(u2, h, N) / denom)))
+        estimates = [_uniformity_estimates(rng, N, M_t, eps) for eps in eps_values]
+        est_p, est_q, est_r, est_mix = (list(est) for est in zip(*estimates))
 
         # a truncated spectrum cannot hold the norm up once eps < 1/N: the norms
         # of Q and of the restriction bound are carried by the modes |n| ~ 1/eps

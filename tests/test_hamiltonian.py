@@ -139,6 +139,24 @@ class TestKFactor:
         kappa = k_factor(model, x)
         assert np.all(kappa <= C * np.sqrt(np.sum(np.abs(x) ** 2, axis=1)) + 1e-12)
 
+    def test_constant_evaluated_once_per_model(self, monkeypatch):
+        # an equal model reuses the recorded constant and samples no profile
+        points = []
+        h_prime = HamiltonianModel.h_prime
+
+        def counted(m, s):
+            points.append(len(s))
+            return h_prime(m, s)
+
+        monkeypatch.setattr(HamiltonianModel, "h_prime", counted)
+        k_factor_constant.cache_clear()
+        first = k_factor_constant(HamiltonianModel(eps_H=0.3))
+        assert points == [20001]
+        second = k_factor_constant(HamiltonianModel(eps_H=0.3))
+        assert points == [20001]
+        assert second == first == k_factor_constant.__wrapped__(HamiltonianModel(eps_H=0.3))
+        assert k_factor_constant(HamiltonianModel(eps_H=0.2)) != first and len(points) == 3
+
 
 class TestAction:
     def test_zero_loop(self, model):

@@ -129,6 +129,38 @@ def ref_right_inverse_residual(g_vals, u_vals, lam, h):
     return ref_l2_batch(du - g_vals, h) / ref_l2_batch(g_vals, h)
 
 
+def ref_uniformity_estimates(rng, N, M_t, eps):
+    """The uniformity estimates at one eps, each probe set one field of its whole batch."""
+    lam = lambda_of_modes(N).astype(float)
+    l21_weight = sobolev_weights(1, N)
+    m_eff = max(M_t, int(np.ceil(10 * N * eps)))
+    h = eps / m_eff
+    times = np.linspace(0.0, eps, m_eff + 1)
+    mixes = gaussian_loop(1000, N, rng).coeffs
+    probes = np.eye(2 * N + 1)
+    c = np.concatenate([probes, mixes], axis=1)
+    plus = np.where((mode_numbers(N) <= 0)[:, None], c, 0.0)
+    minus = np.where((mode_numbers(N) > 0)[:, None], c, 0.0)
+    qv = kernel_q_values(plus, minus, lam, times, eps)
+    est_q = float(np.max(l21_batch(qv, h, l21_weight) / harness._half_norm_batch(c, N)))
+    n_probes = probes.shape[1]
+    g_vals = np.empty((m_eff + 1, 2 * N + 1, n_probes + 1000), complex)
+    g_vals[:, :, :n_probes] = probes
+    g_vals[:, :, n_probes:] = ref_random_smooth_fields(rng, N, m_eff, 1000)
+    pv = kernel_p_values(g_vals, lam, h)
+    g_l2 = l2_batch(g_vals, h)
+    est_p = float(np.max(l21_batch(pv, h, l21_weight) / g_l2))
+    est_r = float(np.max(harness._boundary_half_norm_batch(pv, N) / g_l2))
+    c2 = gaussian_loop(100, N, rng).coeffs
+    plus2 = np.where((mode_numbers(N) <= 0)[:, None], c2, 0.0)
+    minus2 = np.where((mode_numbers(N) > 0)[:, None], c2, 0.0)
+    g2 = ref_random_smooth_fields(rng, N, m_eff, 100)
+    u2 = kernel_q_values(plus2, minus2, lam, times, eps) + kernel_p_values(g2, lam, h)
+    denom = harness._half_norm_batch(c2, N) + l2_batch(g2, h)
+    est_mix = float(np.max(harness._l4_batch(u2, h, N) / denom))
+    return est_p, est_q, est_r, est_mix
+
+
 # -- fixtures ------------------------------------------------------------------------
 
 N = 4
@@ -173,6 +205,26 @@ class TestBlockHelpers:
         monkeypatch.setattr(cylinder, "BLOCK_BYTES", 1)
         rows = cylinder.block_rows(3, 16)
         assert list(cylinder.time_blocks(3, rows)) == [(0, 1), (1, 2), (2, 3)]
+
+    @pytest.mark.parametrize("budget", (1, 2, 4))  # whole columns in COLUMN_BYTES
+    def test_column_blocks(self, monkeypatch, budget):
+        col_nbytes = 48
+        monkeypatch.setattr(cylinder, "COLUMN_BYTES", budget * col_nbytes + col_nbytes - 1)
+        cols = max(2, budget)
+        for n in (2, 3, budget + 1, 2 * budget + 1, 7 * budget):
+            blocks = list(cylinder.column_blocks(n, col_nbytes))
+            assert [i for a, b in blocks for i in range(a, b)] == list(range(n))
+            widths = [b - a for a, b in blocks]
+            assert min(widths) >= 2
+            # only the two-column minimum and a merged one-column remainder
+            # take a block past the budget
+            merged = n > cols and n % cols == 1
+            for k, width in enumerate(widths):
+                last = k == len(widths) - 1
+                assert width <= cols + (last and merged)
+                within = width * col_nbytes <= cylinder.COLUMN_BYTES
+                assert within or cols > budget or (last and merged)
+        assert list(cylinder.column_blocks(1, col_nbytes)) == [(0, 1)]
 
     @pytest.mark.parametrize("n_nodes", (3, 4, 9, 23))
     def test_derivative_rows_match_whole_field(self, n_nodes):
@@ -309,6 +361,55 @@ class TestHarnessHelpers:
         harness._random_smooth_fields(rng, N, n_nodes - 1, batch, out=wide[:, :, 2:])
         assert same_bytes(np.ascontiguousarray(wide[:, :, 2:]), ref)
         assert not np.any(wide[:, :, :2])
+        # one column slice of drawn coefficients, as the column blocks fill them
+        coeffs = harness._smooth_field_coeffs(np.random.default_rng(13), N, batch)
+        part = np.empty((n_nodes, 2 * N + 1, batch - batch // 2), complex)
+        harness._fill_smooth_fields(coeffs, n_nodes - 1, part, slice(batch // 2, batch))
+        assert same_bytes(part, ref[:, :, batch // 2 :])
+
+
+class TestUniformityBlocked:
+    """The uniformity estimates, built one column block at a time, against whole batches."""
+
+    @pytest.mark.parametrize("cols", (3, None), ids=["cols3", "default"])
+    def test_estimates_bit_identical(self, monkeypatch, cols):
+        # three columns per block leave a one-column remainder in both the
+        # 1009-column and the 100-column batch; it joins the block before it
+        M_t = 16
+        for eps in (1.0, 0.5, 0.1, 0.01, 0.001):
+            if cols is not None:
+                m_eff = max(M_t, int(np.ceil(10 * N * eps)))
+                col_nbytes = (m_eff + 1) * (2 * N + 1) * 16
+                monkeypatch.setattr(cylinder, "COLUMN_BYTES", cols * col_nbytes)
+            rng, rng_ref = np.random.default_rng(20), np.random.default_rng(20)
+            assert harness._uniformity_estimates(rng, N, M_t, eps) == ref_uniformity_estimates(
+                rng_ref, N, M_t, eps
+            )
+            # the same draws, in the same order
+            assert rng.standard_normal() == rng_ref.standard_normal()
+
+    def test_block_columns_reduce_as_in_the_whole_batch(self, monkeypatch):
+        # every per-column norm of a column block is that column's norm in the
+        # whole batch; a one-column block would sum its modes pairwise instead
+        modes = 32
+        field = random_field(21, (17, 2 * modes + 1, 10))
+        col_nbytes = field[:, :, 0].nbytes
+        monkeypatch.setattr(cylinder, "COLUMN_BYTES", 3 * col_nbytes)
+
+        def norms(values):
+            return (
+                l2_batch(values, H),
+                l21_batch(values, H, sobolev_weights(1, modes)),
+                harness._boundary_half_norm_batch(values, modes),
+                harness._l4_batch(values, H, modes),
+            )
+
+        whole = norms(field)
+        blocks = list(cylinder.column_blocks(10, col_nbytes))
+        assert blocks == [(0, 3), (3, 6), (6, 10)]
+        for start, stop in blocks:
+            for part, ref in zip(norms(np.ascontiguousarray(field[:, :, start:stop])), whole):
+                assert same_bytes(part, ref[start:stop])
 
 
 class TestCylNorm:
@@ -360,3 +461,15 @@ class TestStreamingMemory:
         lam = lambda_of_modes(32).astype(float)
         out, peak = self.peak(kernel_p_values, g, lam, 1e-4)
         assert peak < 1.25 * out.nbytes
+
+    def test_uniformity_estimates_peak(self):
+        # at eps = 1 a probe set of the whole batch is one (321, 65, 1065)
+        # field of 355 MB; the column blocks keep the peak under 200 MiB
+        _, peak = self.peak(harness._uniformity_estimates, np.random.default_rng(18), 32, 64, 1.0)
+        assert peak < 200 * 2**20
+
+    def test_right_inverse_frees_each_p_image(self):
+        # the forcing and one P image are alive, never a second P image
+        field_nbytes = 2049 * 65 * 10 * 16
+        _, peak = self.peak(harness._right_inverse_errors, np.random.default_rng(19), 32, 0.001)
+        assert peak < 2.5 * field_nbytes
