@@ -42,9 +42,11 @@ import sys
 import time
 from pathlib import Path
 
-# (nodes, modes, batch): aps.right_inverse at eps >= 1 and eps <= 0.1, and
-# the whole aps.uniformity batch at eps = 1 (the check itself builds it in
-# blocks of columns, cylinder.column_blocks)
+# (nodes, modes, batch): ten forcings on the aps.right_inverse grids at
+# eps = 1 and eps <= 0.1, and the whole aps.uniformity batch at eps = 1.
+# Neither check builds such a field: aps.right_inverse streams its forcings
+# and P images through time blocks, and aps.uniformity builds its batch in
+# blocks of columns (cylinder.column_blocks)
 APS_SHAPES = ((12001, 65, 10), (2049, 65, 10), (321, 65, 1065))
 
 

@@ -24,6 +24,7 @@ piecewise-linear forcing, so accuracy is uniform in lambda * eps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -289,15 +290,44 @@ def _abs_sq(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.square(out, out=out)
 
 
+def mode_scratch(rows: int, row_shape) -> np.ndarray:
+    """Float scratch (rows,) + row_shape for the per-mode terms of a mode sum over axis 1.
+
+    For a batch of two or more columns the buffer is mode-major in memory:
+    numpy then adds the modes of each node in sequence, as it does on the
+    contiguous layout, but with one long inner loop over rows and columns.  A
+    one-column batch keeps the contiguous layout, on which numpy sums the
+    modes pairwise instead.
+    """
+    modes, batch = row_shape[0], tuple(row_shape[1:])
+    if math.prod(batch) < 2:
+        return np.empty((rows, modes) + batch)
+    return np.empty((modes, rows) + batch).swapaxes(0, 1)
+
+
 def l2_rows(block: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
     """L^2 density sum_n |u_n|^2 of a block of rows into out, via a float scratch buffer."""
     return np.sum(_abs_sq(block, scratch[: len(block)]), axis=1, out=out)
 
 
+def add_l2_rows(block: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Add the L^2 density sum_n |u_n|^2 of a block of rows to out.
+
+    The sum runs in mode order and starts from out, so for a batch of two or
+    more columns a density built up sector by sector has the bits of one sum
+    over all modes.  scratch comes from mode_scratch with one leading slot,
+    for out, ahead of the block's modes.
+    """
+    x = scratch[: len(block)]
+    x[:, 0] = out
+    _abs_sq(block, x[:, 1:])
+    return np.sum(x, axis=1, out=out)
+
+
 def l2_batch(values: np.ndarray, h: float) -> np.ndarray:
     """L^2 norm over [0, T] x S^1 of every batch column of values."""
     rows = block_rows(len(values), values[0].nbytes)
-    sq = np.empty((rows,) + values.shape[1:])
+    sq = mode_scratch(rows, values.shape[1:])
     density = np.empty((len(values),) + values.shape[2:])
     for start, stop in time_blocks(len(values), rows):
         l2_rows(values[start:stop], sq, density[start:stop])
@@ -309,7 +339,7 @@ def l21_density(values: np.ndarray, h: float, weight: np.ndarray) -> np.ndarray:
     weight = weight.reshape((-1,) + (1,) * (values.ndim - 2))
     rows = block_rows(len(values), values[0].nbytes)
     du = np.empty((rows,) + values.shape[1:], values.dtype)
-    sq, du_sq = np.empty(du.shape), np.empty(du.shape)
+    sq, du_sq = mode_scratch(rows, values.shape[1:]), np.empty(du.shape)
     density = np.empty((len(values),) + values.shape[2:])
     for start, stop in time_blocks(len(values), rows):
         m = stop - start
@@ -372,68 +402,91 @@ def kernel_q_values(
     return out
 
 
+class SectorSweep:
+    """The Duhamel recurrence of P on one spectral sector, one block of rows at a time.
+
+    The lambda >= 0 sector integrates forward from t = 0 and the lambda < 0
+    sector backward from the far end.  Rows are taken in sweep order: callers
+    pass the backward sector's rows as reversed-time views, so both sectors
+    advance with increasing row index.  The weights are computed on all modes
+    of lam and then cut to the sector, and are full rows of the given shape
+    and dtype, so that no step broadcasts or casts; a complex row holds the
+    promoted real weight, which gives the same products as the real one.
+    """
+
+    def __init__(self, lam, h: float, sector: slice, forward: bool, row_shape, dtype, rows: int):
+        w = ((-lam if forward else lam) * h).reshape((len(lam),) + (1,) * (len(row_shape) - 1))
+        p1, p2 = phi1(w), phi2(w)
+        # out[j+1] = (decay out[j] + a g[j]) + b g[j+1] forward in time,
+        # out[j] = decay out[j+1] - (a g[j] + b g[j+1]) backward
+        a, b = (h * (p1 - p2), h * p2) if forward else (h * p2, h * (p1 - p2))
+        self.decay, self.a, self.b = (
+            np.broadcast_to(wt[sector], row_shape).astype(dtype) for wt in (np.exp(w), a, b)
+        )
+        self.forward = forward
+        self.A, self.B = (np.empty((rows,) + tuple(row_shape), dtype) for _ in range(2))
+
+    def advance(self, u: np.ndarray, g: np.ndarray) -> None:
+        """Write u[1:] from u[0] and the forcing rows g, both in sweep order.
+
+        u and g have one row more than the block has steps.
+        """
+        m = len(u) - 1
+        # a step is two or three in-place ufunc calls on one row; local names
+        # and positional outputs keep the per-call overhead down on short rows
+        multiply, add, subtract = np.multiply, np.add, np.subtract
+        A, B = self.A[:m], self.B[:m]
+        decay = self.decay
+        if self.forward:
+            multiply(self.a, g[:m], A)
+            multiply(self.b, g[1:], B)
+            for prev, cur, a_k, b_k in zip(u[:m], u[1:], A, B):
+                multiply(decay, prev, cur)
+                add(cur, a_k, cur)
+                add(cur, b_k, cur)
+        else:
+            # in time order the forcing of a step is a g[j] + b g[j+1], with
+            # g[j] the row after g[j+1] in sweep order
+            multiply(self.a, g[1:], A)
+            multiply(self.b, g[:m], B)
+            add(A, B, A)
+            for prev, cur, f_k in zip(u[:m], u[1:], A):
+                multiply(decay, prev, cur)
+                subtract(cur, f_k, cur)
+
+
+def sector_sweeps(lam: np.ndarray):
+    """(sector slice, forward) of the lambda >= 0 and the lambda < 0 sector of lam."""
+    n_fwd = _sector_split(lam)
+    return (slice(0, n_fwd), True), (slice(n_fwd, len(lam)), False)
+
+
+def sweep_order(values: np.ndarray, forward: bool) -> np.ndarray:
+    """values (time first) in a sector's sweep order: itself, or its reversed-time view."""
+    return values if forward else values[::-1]
+
+
 def kernel_p_values(g_values: np.ndarray, lam: np.ndarray, h: float) -> np.ndarray:
     """Duhamel integrals of g (shape (M_t+1, modes, ...)) against e^{-lambda (t-tau)}.
 
     lambda >= 0 modes integrate forward from t = 0, lambda < 0 modes backward
     from the far end; the quadrature is exact for piecewise-linear g, which
-    keeps the accuracy uniform in lambda * h.  Each sweep runs in place over its
-    own sector, with its forcing products formed one time block at a time.
+    keeps the accuracy uniform in lambda * h.  Each sector's sweep runs in
+    place over its own slice of modes, with its forcing products formed one
+    time block at a time.
     """
-    n_fwd = _sector_split(lam)
     out = np.empty_like(g_values)
     n_steps = g_values.shape[0] - 1
     rows = block_rows(n_steps, g_values[0].nbytes)
-    blocks = list(time_blocks(n_steps, rows))
-    reshape = (len(lam),) + (1,) * (g_values.ndim - 2)
-    w_f = (-lam * h).reshape(reshape)
-    v_b = (lam * h).reshape(reshape)
-    # a step is three in-place ufunc calls on one row; local names and
-    # positional outputs keep the per-call overhead down on short rows
-    multiply, add, subtract = np.multiply, np.add, np.subtract
-
-    def weights(sector, *per_mode):
-        # full rows of the output dtype, so that no step broadcasts or casts;
-        # a complex row holds the promoted real weight, which gives the same
-        # products as the real one
-        shape = out[0, sector].shape
-        return [np.broadcast_to(wt[sector], shape).astype(out.dtype) for wt in per_mode]
-
-    def scratch(sector):
-        return np.empty((rows,) + out[0, sector].shape, out.dtype)
-
-    # forward sweep: out[j+1] = (decay out[j] + a g[j]) + b g[j+1]
-    fwd = slice(0, n_fwd)
-    o, g = out[:, fwd], g_values[:, fwd]
-    o[0] = 0.0
-    if o.size:
-        decay, a, b = weights(fwd, np.exp(w_f), h * (phi1(w_f) - phi2(w_f)), h * phi2(w_f))
-        A, B = scratch(fwd), scratch(fwd)
-        for start, stop in blocks:
-            m = stop - start
-            multiply(a, g[start:stop], A[:m])
-            multiply(b, g[start + 1 : stop + 1], B[:m])
-            for prev, cur, a_k, b_k in zip(o[start:stop], o[start + 1 : stop + 1], A, B):
-                multiply(decay, prev, cur)
-                add(cur, a_k, cur)
-                add(cur, b_k, cur)
-
-    # backward sweep: out[j] = decay out[j+1] - (a g[j] + b g[j+1])
-    bwd = slice(n_fwd, len(lam))
-    o, g = out[:, bwd], g_values[:, bwd]
-    o[-1] = 0.0
-    if o.size:
-        decay, a, b = weights(bwd, np.exp(v_b), h * phi2(v_b), h * (phi1(v_b) - phi2(v_b)))
-        F, B = scratch(bwd), scratch(bwd)
-        for start, stop in reversed(blocks):
-            m = stop - start
-            multiply(a, g[start:stop], F[:m])
-            multiply(b, g[start + 1 : stop + 1], B[:m])
-            add(F[:m], B[:m], F[:m])
-            steps = zip(o[start:stop][::-1], o[start + 1 : stop + 1][::-1], F[m - 1 :: -1])
-            for cur, nxt, f_k in steps:
-                multiply(decay, nxt, cur)
-                subtract(cur, f_k, cur)
+    for sector, forward in sector_sweeps(lam):
+        o = sweep_order(out[:, sector], forward)
+        g = sweep_order(g_values[:, sector], forward)
+        o[0] = 0.0
+        if not o.size:
+            continue
+        sweep = SectorSweep(lam, h, sector, forward, o.shape[1:], out.dtype, rows)
+        for start, stop in time_blocks(n_steps, rows):
+            sweep.advance(o[start : stop + 1], g[start : stop + 1])
     return out
 
 

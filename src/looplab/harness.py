@@ -26,6 +26,8 @@ from .coverage import tracked
 from .cylinder import (
     BoundaryData,
     CylinderMap,
+    SectorSweep,
+    add_l2_rows,
     aps_boundary,
     apply_D,
     block_rows,
@@ -40,9 +42,11 @@ from .cylinder import (
     l21_batch,
     l21_density,
     l2_batch,
-    l2_rows,
+    mode_scratch,
     p_op,
     q_op,
+    sector_sweeps,
+    sweep_order,
     time_blocks,
     time_trapezoid,
     trace_defect_sq,
@@ -337,32 +341,40 @@ def _smooth_field_coeffs(rng, N: int, batch: int) -> list[np.ndarray]:
     ]
 
 
+def _smooth_rows(coeffs, tau: np.ndarray, tau_sq: np.ndarray, out: np.ndarray, quad) -> np.ndarray:
+    """Rows c0 + c1 tau + c2 tau^2 of smooth fields into out, at node times tau (rows, 1, 1).
+
+    quad is complex scratch of at least as many rows as out.
+    """
+    c0, c1, c2 = coeffs
+    np.multiply(c1, tau, out=out)
+    out += c0
+    out += np.multiply(c2, tau_sq, out=quad[: len(out)])
+    return out
+
+
 def _fill_smooth_fields(coeffs, M_t: int, out: np.ndarray, cols=slice(None)) -> np.ndarray:
     """Write the fields of the batch columns `cols` of coeffs into out, block by block.
 
     Each node holds c0 + c1 tau + c2 tau^2 with tau = j / M_t; out has shape
     (M_t+1, 2N+1, number of columns in cols).
     """
-    c0, c1, c2 = (c[:, cols] for c in coeffs)
+    coeffs = [c[:, cols] for c in coeffs]
     tau = np.linspace(0.0, 1.0, M_t + 1)[:, None, None]
     tau_sq = tau**2
     rows = block_rows(M_t + 1, out[0].nbytes)
     quad = np.empty((rows,) + out.shape[1:], complex)
     for start, stop in time_blocks(M_t + 1, rows):
-        block = out[start:stop]
-        np.multiply(c1, tau[start:stop], out=block)
-        block += c0
-        block += np.multiply(c2, tau_sq[start:stop], out=quad[: stop - start])
+        _smooth_rows(coeffs, tau[start:stop], tau_sq[start:stop], out[start:stop], quad)
     return out
 
 
-def _random_smooth_fields(rng, N: int, M_t: int, batch: int, out=None) -> np.ndarray:
+def _random_smooth_fields(rng, N: int, M_t: int, batch: int) -> np.ndarray:
     """Fields (M_t+1, 2N+1, batch): random quadratic t-profiles per mode.
 
-    Written block by block into `out` (a new array unless given).
+    Written block by block into a new array.
     """
-    if out is None:
-        out = np.empty((M_t + 1, 2 * N + 1, batch), complex)
+    out = np.empty((M_t + 1, 2 * N + 1, batch), complex)
     return _fill_smooth_fields(_smooth_field_coeffs(rng, N, batch), M_t, out)
 
 
@@ -371,27 +383,14 @@ def _half_norm_batch(coeffs: np.ndarray, N: int) -> np.ndarray:
     return np.sqrt(np.sum(w[:, None] * np.abs(coeffs) ** 2, axis=0))
 
 
-def _right_inverse_residual(g_vals, u_vals, lam, h: float) -> np.ndarray:
-    """Relative L^2 norm of D u - g per batch column, with D u = u_t + lambda u."""
-    rows = block_rows(len(u_vals), u_vals[0].nbytes)
-    du, lam_u = (np.empty((rows,) + u_vals.shape[1:], u_vals.dtype) for _ in range(2))
-    sq = np.empty(du.shape)
-    g_density, r_density = (np.empty((len(u_vals),) + u_vals.shape[2:]) for _ in range(2))
-    for start, stop in time_blocks(len(u_vals), rows):
-        m = stop - start
-        g = g_vals[start:stop]
-        l2_rows(g, sq, g_density[start:stop])
-        r = dt_derivative_rows(u_vals, h, start, stop, out=du[:m])
-        r += np.multiply(lam[None, :, None], u_vals[start:stop], out=lam_u[:m])
-        r -= g
-        l2_rows(r, sq, r_density[start:stop])
-    return np.sqrt(time_trapezoid(r_density, h)) / np.sqrt(time_trapezoid(g_density, h))
-
-
 def _l4_batch(values: np.ndarray, h: float, N: int) -> np.ndarray:
-    # reorder to (T+1, batch, modes, 1) so the theta axis lands second-to-last
-    sampled = theta_values(np.swapaxes(values, 1, 2)[..., None], N)[..., 0]
-    quartic = np.mean(np.abs(sampled) ** 4, axis=-1)  # (T+1, batch)
+    """L^4 norm over [0, T] x S^1 of every batch column of values, one time block at a time."""
+    rows = block_rows(len(values), values[0].nbytes)
+    quartic = np.empty((len(values), values.shape[2]))
+    for start, stop in time_blocks(len(values), rows):
+        # reorder to (rows, batch, modes, 1) so the theta axis lands second-to-last
+        sampled = theta_values(np.swapaxes(values[start:stop], 1, 2)[..., None], N)[..., 0]
+        quartic[start:stop] = np.mean(np.abs(sampled) ** 4, axis=-1)
     return time_trapezoid(quartic, h) ** 0.25
 
 
@@ -415,30 +414,83 @@ def _column_maxima(n_cols: int, col_nbytes: int, ratios) -> list[float]:
     return [float(np.max(np.concatenate(per_block))) for per_block in zip(*parts)]
 
 
+def _right_inverse_probe(coeffs, lam: np.ndarray, h: float, M: int):
+    """D P g - g relative to g in L^2, per batch column, and the rows t = 0 and t = M h of P g.
+
+    g holds the smooth forcings of coeffs on M time steps.  Each spectral
+    sector is streamed once in its sweep direction, one time block at a time:
+    a block forms its forcing rows, advances P over them and adds the
+    sector's |D P g - g|^2 and |g|^2 to the node densities, so no field of
+    the whole batch is ever made.  The residual lags the sweep by one row, so
+    that each residual row has both neighbours for its time derivative; the
+    buffers carry the last three rows of P g and of g into the next block.
+    """
+    tau = np.linspace(0.0, 1.0, M + 1)[:, None, None]
+    # node densities of |D P g - g|^2 and |g|^2, summed over the modes sector by sector
+    densities = [np.zeros((M + 1,) + coeffs[0].shape[1:]) for _ in range(2)]
+    ends = np.empty((2,) + coeffs[0].shape, complex)
+    for sector, forward in sector_sweeps(lam):
+        parts = [c[sector] for c in coeffs]
+        row = parts[0].shape
+        rows = block_rows(M, parts[0].nbytes)
+        sweep = SectorSweep(lam, h, sector, forward, row, complex, rows)
+        # complex copies of the real factors give the products numpy forms
+        # when it casts them, without casting every block
+        lam_u = lam[sector][:, None].astype(complex)
+        t = sweep_order(tau, forward)
+        t, t_sq = t.astype(complex), (t**2).astype(complex)
+        # buffer row i holds sweep row start - 2 + i of the current block
+        u, g = (np.empty((rows + 3,) + row, complex) for _ in range(2))
+        quad, du, lam_du = (np.empty((rows + 2,) + row, complex) for _ in range(3))
+        scratch = mode_scratch(rows + 2, (1 + row[0],) + row[1:])
+        u[2] = 0.0
+        _smooth_rows(parts, t[:1], t_sq[:1], g[2:3], quad)
+        done = 0  # residual rows, in sweep order, already added
+        for start, stop in time_blocks(M, rows):
+            m, off = stop - start, start - 2
+            new_rows = slice(start + 1, stop + 1)
+            _smooth_rows(parts, t[new_rows], t_sq[new_rows], g[3 : 3 + m], quad)
+            sweep.advance(u[2 : 3 + m], g[2 : 3 + m])
+            lo, hi = done, stop - 1 if stop < M else M + 1
+            if hi > lo:
+                # the rows lo:hi with their halo, in time order; the one-sided
+                # stencil of the first row reads the two rows after it
+                w_lo, w_hi = max(lo - 1, 0), min(max(hi + 1, 3), M + 1)
+                window = sweep_order(u[w_lo - off : w_hi - off], forward)
+                a, b = (lo - w_lo, hi - w_lo) if forward else (w_hi - hi, w_hi - lo)
+                g_rows = sweep_order(g[lo - off : hi - off], forward)
+                r = dt_derivative_rows(window, h, a, b, out=du[: hi - lo])
+                r += np.multiply(lam_u, window[a:b], out=lam_du[: hi - lo])
+                r -= g_rows
+                nodes = slice(lo, hi) if forward else slice(M + 1 - hi, M + 1 - lo)
+                for x, density in zip((r, g_rows), densities):
+                    add_l2_rows(x, scratch, density[nodes])
+                done = hi
+            u[:3], g[:3] = u[m : m + 3], g[m : m + 3]
+        first, last = sweep_order(ends, forward)
+        first[sector], last[sector] = 0.0, u[2]
+    r_density, g_density = densities
+    rel = np.sqrt(time_trapezoid(r_density, h)) / np.sqrt(time_trapezoid(g_density, h))
+    return rel, ends
+
+
 def _right_inverse_errors(rng, N: int, eps: float) -> tuple[float, float]:
     """Worst relative D P g - g residual and worst prescribed P g trace at one eps.
 
-    Ten chunks of ten random smooth forcings on a refined grid.
+    One hundred random smooth forcings on a refined grid, drawn as ten chunks
+    of ten and probed together.
     """
     lam = lambda_of_modes(N).astype(float)
     w = sobolev_weights(0.5, N)[:, None]
     plus_mask = (mode_numbers(N) <= 0)[:, None]
     M_ref = max(2048, int(np.ceil(12000 * eps)))
-    h = eps / M_ref
-    worst_rel = worst_trace = 0.0
-    g_vals = np.empty((M_ref + 1, 2 * N + 1, 10), complex)
-    for _ in range(10):
-        _random_smooth_fields(rng, N, M_ref, 10, out=g_vals)
-        u_vals = kernel_p_values(g_vals, lam, h)
-        rel = _right_inverse_residual(g_vals, u_vals, lam, h)
-        worst_rel = max(worst_rel, float(np.max(rel)))
-        # prescribed boundary components of P g vanish
-        trace0 = np.sqrt(np.sum(w * plus_mask * np.abs(u_vals[0]) ** 2, axis=0))
-        trace1 = np.sqrt(np.sum(w * ~plus_mask * np.abs(u_vals[-1]) ** 2, axis=0))
-        worst_trace = max(worst_trace, float(np.max(trace0)), float(np.max(trace1)))
-        # free this P image before the next chunk makes its own
-        del u_vals
-    return worst_rel, worst_trace
+    chunks = [_smooth_field_coeffs(rng, N, 10) for _ in range(10)]
+    coeffs = [np.concatenate(c, axis=1) for c in zip(*chunks)]
+    rel, ends = _right_inverse_probe(coeffs, lam, eps / M_ref, M_ref)
+    # prescribed boundary components of P g vanish
+    trace0 = np.sqrt(np.sum(w * plus_mask * np.abs(ends[0]) ** 2, axis=0))
+    trace1 = np.sqrt(np.sum(w * ~plus_mask * np.abs(ends[1]) ** 2, axis=0))
+    return float(np.max(rel)), max(float(np.max(trace0)), float(np.max(trace1)))
 
 
 def _uniformity_estimates(rng, N: int, M_t: int, eps: float) -> tuple[float, ...]:

@@ -7,6 +7,7 @@ BLOCK_BYTES to a few rows puts block edges next to both one-sided end
 stencils of the time derivative.
 """
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,14 @@ from looplab.cylinder import (
     phi2,
     time_trapezoid,
 )
-from looplab.loops import Loop, gaussian_loop, lambda_of_modes, mode_numbers, sobolev_weights
+from looplab.loops import (
+    Loop,
+    gaussian_loop,
+    lambda_of_modes,
+    mode_numbers,
+    sobolev_weights,
+    theta_values,
+)
 
 # -- whole-array reference forms -------------------------------------------------
 
@@ -127,6 +135,34 @@ def ref_random_loop_batch(rng, N, batch, max_mode=None):
 def ref_right_inverse_residual(g_vals, u_vals, lam, h):
     du = ref_dt_derivative(u_vals, h) + lam[None, :, None] * u_vals
     return ref_l2_batch(du - g_vals, h) / ref_l2_batch(g_vals, h)
+
+
+@functools.lru_cache
+def ref_right_inverse_errors(N, eps, seed):
+    """The right-inverse errors at one eps, and the rng's next draw.
+
+    Each chunk of ten forcings is one whole field, as in the unstreamed probe.
+    """
+    rng = np.random.default_rng(seed)
+    lam = lambda_of_modes(N).astype(float)
+    w = sobolev_weights(0.5, N)[:, None]
+    plus_mask = (mode_numbers(N) <= 0)[:, None]
+    M_ref = max(2048, int(np.ceil(12000 * eps)))
+    h = eps / M_ref
+    worst_rel = worst_trace = 0.0
+    for _ in range(10):
+        g = ref_random_smooth_fields(rng, N, M_ref, 10)
+        u = ref_kernel_p_values(g, lam, h)
+        worst_rel = max(worst_rel, float(np.max(ref_right_inverse_residual(g, u, lam, h))))
+        trace0 = np.sqrt(np.sum(w * plus_mask * np.abs(u[0]) ** 2, axis=0))
+        trace1 = np.sqrt(np.sum(w * ~plus_mask * np.abs(u[-1]) ** 2, axis=0))
+        worst_trace = max(worst_trace, float(np.max(trace0)), float(np.max(trace1)))
+    return worst_rel, worst_trace, rng.standard_normal()
+
+
+def ref_l4_batch(values, h, N):
+    sampled = theta_values(np.swapaxes(values, 1, 2)[..., None], N)[..., 0]
+    return time_trapezoid(np.mean(np.abs(sampled) ** 4, axis=-1), h) ** 0.25
 
 
 def ref_uniformity_estimates(rng, N, M_t, eps):
@@ -318,7 +354,7 @@ class TestKernelQ:
 
 class TestHarnessHelpers:
     @pytest.mark.parametrize("n_nodes", NODES)
-    @pytest.mark.parametrize("batch", (1, 3))
+    @pytest.mark.parametrize("batch", (1, 2, 3))
     def test_norms_bit_identical(self, blocks_of, n_nodes, batch):
         values = random_field(11 + n_nodes, (n_nodes, 2 * N + 1, batch))
         blocks_of(values[0].nbytes)
@@ -339,14 +375,33 @@ class TestHarnessHelpers:
         assert same_bytes(l21_batch(qv, h, sobolev_weights(1, N)), ref_l21_batch(qv, h, N))
 
     @pytest.mark.parametrize("n_nodes", NODES)
+    @pytest.mark.parametrize("modes", (N, 32))
+    def test_l4_batch_bit_identical(self, blocks_of, n_nodes, modes):
+        values = random_field(24 + n_nodes, (n_nodes, 2 * modes + 1, 3))
+        blocks_of(values[0].nbytes)
+        assert same_bytes(harness._l4_batch(values, H, modes), ref_l4_batch(values, H, modes))
+
+    @pytest.mark.parametrize("n_nodes", NODES)
     def test_right_inverse_residual(self, blocks_of, n_nodes):
+        # short sweeps: at the default block size one block holds a whole sector
         lam = lambda_of_modes(N).astype(float)
-        g = random_field(12, (n_nodes, 2 * N + 1, 3))
-        blocks_of(g[0].nbytes)
-        u = kernel_p_values(g, lam, H)
-        assert same_bytes(
-            harness._right_inverse_residual(g, u, lam, H), ref_right_inverse_residual(g, u, lam, H)
-        )
+        coeffs = harness._smooth_field_coeffs(np.random.default_rng(12), N, 3)
+        g = ref_random_smooth_fields(np.random.default_rng(12), N, n_nodes - 1, 3)
+        blocks_of((N + 1) * 3 * 16)  # rows of the lambda >= 0 sector
+        rel, ends = harness._right_inverse_probe(coeffs, lam, H, n_nodes - 1)
+        u = ref_kernel_p_values(g, lam, H)
+        assert same_bytes(rel, ref_right_inverse_residual(g, u, lam, H))
+        assert same_bytes(ends, u[[0, -1]])
+
+    @pytest.mark.parametrize("eps", (0.5, 0.001))
+    def test_right_inverse_errors(self, blocks_of, eps):
+        # all hundred forcings in one streamed pass against ten whole chunk fields
+        blocks_of((N + 1) * 100 * 16)  # rows of the lambda >= 0 sector
+        rng = np.random.default_rng(22)
+        worst_rel, worst_trace, next_draw = ref_right_inverse_errors(N, eps, 22)
+        assert harness._right_inverse_errors(rng, N, eps) == (worst_rel, worst_trace)
+        # the same draws, in the same order
+        assert rng.standard_normal() == next_draw
 
     @pytest.mark.parametrize("batch", (1, 4))
     def test_random_smooth_fields(self, blocks_of, batch):
@@ -355,12 +410,6 @@ class TestHarnessHelpers:
         new = harness._random_smooth_fields(np.random.default_rng(13), N, n_nodes - 1, batch)
         ref = ref_random_smooth_fields(np.random.default_rng(13), N, n_nodes - 1, batch)
         assert same_bytes(new, ref)
-        # into a column slice of a wider array, as the uniformity check does
-        wide = np.zeros((n_nodes, 2 * N + 1, batch + 2), complex)
-        rng = np.random.default_rng(13)
-        harness._random_smooth_fields(rng, N, n_nodes - 1, batch, out=wide[:, :, 2:])
-        assert same_bytes(np.ascontiguousarray(wide[:, :, 2:]), ref)
-        assert not np.any(wide[:, :, :2])
         # one column slice of drawn coefficients, as the column blocks fill them
         coeffs = harness._smooth_field_coeffs(np.random.default_rng(13), N, batch)
         part = np.empty((n_nodes, 2 * N + 1, batch - batch // 2), complex)
@@ -464,12 +513,17 @@ class TestStreamingMemory:
 
     def test_uniformity_estimates_peak(self):
         # at eps = 1 a probe set of the whole batch is one (321, 65, 1065)
-        # field of 355 MB; the column blocks keep the peak under 200 MiB
+        # field of 355 MB; the column blocks, and the time blocks of the L^4
+        # norm, keep the peak under 80 MiB
         _, peak = self.peak(harness._uniformity_estimates, np.random.default_rng(18), 32, 64, 1.0)
-        assert peak < 200 * 2**20
+        assert peak < 80 * 2**20
 
-    def test_right_inverse_frees_each_p_image(self):
-        # the forcing and one P image are alive, never a second P image
+    def test_right_inverse_streams(self):
+        # no forcing field or P image is ever made: at eps = 0.001 the peak
+        # stays under one (2049, 65, 10) field, and at eps = 1, where one such
+        # field of ten forcings would take 125 MB, under 64 MiB
         field_nbytes = 2049 * 65 * 10 * 16
         _, peak = self.peak(harness._right_inverse_errors, np.random.default_rng(19), 32, 0.001)
-        assert peak < 2.5 * field_nbytes
+        assert peak < field_nbytes
+        _, peak = self.peak(harness._right_inverse_errors, np.random.default_rng(19), 32, 1.0)
+        assert peak < 64 * 2**20
