@@ -28,7 +28,8 @@ Whole `lab` runs, with their wall time and peak RSS, are measured by
 perfbench/run.py.
 
 The result is stored under --label in the --out JSON file, beside the labels
-already there, with the core count, numpy version and CPU model.
+already there, with the core count, column workers, numpy version and CPU
+model.
 """
 
 from __future__ import annotations
@@ -193,6 +194,8 @@ def time_descent(repeats: int) -> dict:
 def environment() -> dict:
     import numpy as np
 
+    from looplab import cylinder
+
     model = platform.processor()
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as f:
@@ -206,6 +209,8 @@ def environment() -> dict:
         "cpu": model,
         "numpy": np.__version__,
         "python": platform.python_version(),
+        # threads of the aps column sweeps; checkouts without them run serially
+        "workers": cylinder.workers() if hasattr(cylinder, "workers") else 1,
     }
 
 

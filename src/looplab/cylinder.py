@@ -25,6 +25,7 @@ piecewise-linear forcing, so accuracy is uniform in lambda * eps.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -227,25 +228,98 @@ def time_blocks(n_rows: int, rows: int):
         yield start, min(start + rows, n_rows)
 
 
-# Bytes of one column block.  The aps sweeps build their batch fields
-# (M+1, modes, batch) one block of whole batch columns at a time, so that no
-# field of the whole batch is ever alive
-COLUMN_BYTES = 1 << 24
+# Bytes of all column blocks in flight.  The aps sweeps build their batch
+# fields (M+1, modes, batch) one block of whole batch columns at a time, so
+# that no field of the whole batch is ever alive; the blocks that run at the
+# same time, one per column worker, share this budget equally
+COLUMN_BYTES = 1 << 23
 
 
-def column_blocks(n_cols: int, col_nbytes: int):
+def workers() -> int:
+    """Threads for the column sweeps: one per CPU this process may run on."""
+    try:
+        n = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        n = os.cpu_count() or 1
+    return max(1, n)
+
+
+def column_blocks(n_cols: int, col_nbytes: int, share: int = 1):
     """(start, stop) of consecutive blocks of batch columns covering range(n_cols).
 
-    A block holds the whole columns that fit in COLUMN_BYTES, but never fewer
-    than two: numpy sums the modes of a one-column batch pairwise, not in
-    sequence, which changes bits.  So a one-column remainder joins the block
-    before it.
+    A block holds the whole columns that fit in COLUMN_BYTES // share (share
+    blocks in flight), but never fewer than two: numpy sums the modes of a
+    one-column batch pairwise, not in sequence, which changes bits.  So a
+    one-column remainder joins the block before it.
     """
-    cols = max(2, COLUMN_BYTES // max(1, col_nbytes))
+    cols = max(2, COLUMN_BYTES // share // max(1, col_nbytes))
     start = 0
     for stop in [*range(cols, n_cols - 1, cols), n_cols]:
         yield start, stop
         start = stop
+
+
+def column_parts(n_cols: int) -> list[tuple[int, int]]:
+    """(start, stop) of consecutive, near-equal parts of range(n_cols), one per worker.
+
+    Every part holds at least two columns, as in column_blocks, so there are
+    at most n_cols // 2 parts (one for fewer than four columns).
+    """
+    parts = max(1, min(workers(), n_cols // 2))
+    bounds = [n_cols * k // parts for k in range(parts + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+_POOL = None  # (size, ThreadPoolExecutor) of map_columns, made on first use
+
+
+def map_columns(fn, blocks) -> list:
+    """fn(slice(start, stop)) for every (start, stop) of blocks, in block order.
+
+    The blocks run on a pool of workers() threads, so at most that many at a
+    time; numpy releases the GIL on the long rows of the sweeps.  The first
+    exception of fn, in block order, reaches the caller once no block runs
+    any more; the blocks not started by then are dropped.  With one worker it
+    is a plain loop in the calling thread.  Each column's arithmetic does not
+    depend on the others, so the results do not depend on the number of
+    workers, as long as every block holds at least two columns (see
+    column_blocks).  Call it from one thread at a time, and never from fn:
+    the pool is shared, and a nested call could wait on its own blocks.
+    """
+    global _POOL
+    slices = [slice(start, stop) for start, stop in blocks]
+    n = workers()
+    if n == 1:
+        return [fn(cols) for cols in slices]
+    # imported here: the CLI's other commands never load it
+    from concurrent.futures import ThreadPoolExecutor, wait
+
+    if _POOL is None or _POOL[0] != n:
+        if _POOL is not None:
+            _POOL[1].shutdown()
+        _POOL = (n, ThreadPoolExecutor(n, thread_name_prefix="looplab-columns"))
+    futures = [_POOL[1].submit(fn, cols) for cols in slices]
+    try:
+        return [f.result() for f in futures]
+    finally:
+        for f in futures:
+            f.cancel()
+        wait(futures)
+
+
+def _over_2h(x: np.ndarray, h: float) -> None:
+    """x /= 2h in place.
+
+    numpy divides a complex a + bi by the real 2h as (a + b*0) * (1/(2h))
+    and (b - a*0) * (1/(2h)), so a complex x is scaled through its float view
+    by 1/(2h): the same values at a real multiply's cost, with only the sign
+    of a zero part free to differ.
+    """
+    if x.dtype.kind == "c":
+        x = x.view(float)
+        np.multiply(x, 1.0 / (2.0 * h), out=x)
+    else:
+        np.divide(x, 2.0 * h, out=x)
 
 
 def dt_derivative_rows(
@@ -259,11 +333,13 @@ def dt_derivative_rows(
     if lo < hi:
         inner = out[lo - start : hi - start]
         np.subtract(values[lo + 1 : hi + 1], values[lo - 1 : hi - 1], out=inner)
-        np.divide(inner, 2.0 * h, out=inner)
+        _over_2h(inner, h)
     if start == 0:
-        out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
+        out[0] = -3.0 * values[0] + 4.0 * values[1] - values[2]
+        _over_2h(out[:1], h)
     if stop == n:
-        out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
+        out[-1] = 3.0 * values[-1] - 4.0 * values[-2] + values[-3]
+        _over_2h(out[-1:], h)
     return out
 
 

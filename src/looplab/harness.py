@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from . import coverage
+from . import coverage, cylinder
 from .coverage import tracked
 from .cylinder import (
     BoundaryData,
@@ -32,6 +32,7 @@ from .cylinder import (
     apply_D,
     block_rows,
     column_blocks,
+    column_parts,
     cyl_norm,
     decompose,
     dt_derivative_rows,
@@ -42,6 +43,7 @@ from .cylinder import (
     l21_batch,
     l21_density,
     l2_batch,
+    map_columns,
     mode_scratch,
     p_op,
     q_op,
@@ -407,14 +409,14 @@ def _column_maxima(n_cols: int, col_nbytes: int, ratios) -> list[float]:
     """Largest value over all batch columns of each per-column ratio.
 
     ratios(cols) returns the ratios of the batch columns in the slice cols; it
-    runs once per column block, and each ratio is then reduced over all
-    columns at once.
+    runs once per column block, on the column workers, and each ratio is then
+    reduced over all columns at once.
     """
-    parts = [ratios(slice(start, stop)) for start, stop in column_blocks(n_cols, col_nbytes)]
+    parts = map_columns(ratios, column_blocks(n_cols, col_nbytes, cylinder.workers()))
     return [float(np.max(np.concatenate(per_block))) for per_block in zip(*parts)]
 
 
-def _right_inverse_probe(coeffs, lam: np.ndarray, h: float, M: int):
+def _right_inverse_probe(coeffs, lam: np.ndarray, h: float, M: int, parts: int = 1):
     """D P g - g relative to g in L^2, per batch column, and the rows t = 0 and t = M h of P g.
 
     g holds the smooth forcings of coeffs on M time steps.  Each spectral
@@ -424,15 +426,18 @@ def _right_inverse_probe(coeffs, lam: np.ndarray, h: float, M: int):
     the whole batch is ever made.  The residual lags the sweep by one row, so
     that each residual row has both neighbours for its time derivative; the
     buffers carry the last three rows of P g and of g into the next block.
+    When coeffs is one of `parts` column parts probed at the same time, its
+    time blocks are as long as those of the whole batch, so all parts
+    together hold the scratch of one probe.
     """
     tau = np.linspace(0.0, 1.0, M + 1)[:, None, None]
     # node densities of |D P g - g|^2 and |g|^2, summed over the modes sector by sector
     densities = [np.zeros((M + 1,) + coeffs[0].shape[1:]) for _ in range(2)]
     ends = np.empty((2,) + coeffs[0].shape, complex)
     for sector, forward in sector_sweeps(lam):
-        parts = [c[sector] for c in coeffs]
-        row = parts[0].shape
-        rows = block_rows(M, parts[0].nbytes)
+        sector_coeffs = [c[sector] for c in coeffs]
+        row = sector_coeffs[0].shape
+        rows = block_rows(M, parts * sector_coeffs[0].nbytes)
         sweep = SectorSweep(lam, h, sector, forward, row, complex, rows)
         # complex copies of the real factors give the products numpy forms
         # when it casts them, without casting every block
@@ -444,12 +449,12 @@ def _right_inverse_probe(coeffs, lam: np.ndarray, h: float, M: int):
         quad, du, lam_du = (np.empty((rows + 2,) + row, complex) for _ in range(3))
         scratch = mode_scratch(rows + 2, (1 + row[0],) + row[1:])
         u[2] = 0.0
-        _smooth_rows(parts, t[:1], t_sq[:1], g[2:3], quad)
+        _smooth_rows(sector_coeffs, t[:1], t_sq[:1], g[2:3], quad)
         done = 0  # residual rows, in sweep order, already added
         for start, stop in time_blocks(M, rows):
             m, off = stop - start, start - 2
             new_rows = slice(start + 1, stop + 1)
-            _smooth_rows(parts, t[new_rows], t_sq[new_rows], g[3 : 3 + m], quad)
+            _smooth_rows(sector_coeffs, t[new_rows], t_sq[new_rows], g[3 : 3 + m], quad)
             sweep.advance(u[2 : 3 + m], g[2 : 3 + m])
             lo, hi = done, stop - 1 if stop < M else M + 1
             if hi > lo:
@@ -478,7 +483,7 @@ def _right_inverse_errors(rng, N: int, eps: float) -> tuple[float, float]:
     """Worst relative D P g - g residual and worst prescribed P g trace at one eps.
 
     One hundred random smooth forcings on a refined grid, drawn as ten chunks
-    of ten and probed together.
+    of ten and probed together, one column part per column worker.
     """
     lam = lambda_of_modes(N).astype(float)
     w = sobolev_weights(0.5, N)[:, None]
@@ -486,7 +491,15 @@ def _right_inverse_errors(rng, N: int, eps: float) -> tuple[float, float]:
     M_ref = max(2048, int(np.ceil(12000 * eps)))
     chunks = [_smooth_field_coeffs(rng, N, 10) for _ in range(10)]
     coeffs = [np.concatenate(c, axis=1) for c in zip(*chunks)]
-    rel, ends = _right_inverse_probe(coeffs, lam, eps / M_ref, M_ref)
+    parts = column_parts(coeffs[0].shape[1])
+
+    def probe(cols):
+        part = [c[:, cols] for c in coeffs]
+        return _right_inverse_probe(part, lam, eps / M_ref, M_ref, len(parts))
+
+    probed = map_columns(probe, parts)
+    rel = np.concatenate([r for r, _ in probed])
+    ends = np.concatenate([e for _, e in probed], axis=2)
     # prescribed boundary components of P g vanish
     trace0 = np.sqrt(np.sum(w * plus_mask * np.abs(ends[0]) ** 2, axis=0))
     trace1 = np.sqrt(np.sum(w * ~plus_mask * np.abs(ends[1]) ** 2, axis=0))
@@ -1043,18 +1056,26 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
         rng = config.rng("aps.end_vanishing")
         n_sq = mode_numbers(N).astype(float) ** 2
         worst = 0.0
+        col_nbytes = (M_t + 1) * (2 * N + 1) * np.dtype(complex).itemsize
         for eps in (0.5, 0.1, 0.01):
             h = eps / M_t
             tau = np.linspace(0.0, 1.0, M_t + 1)
             for chunk in range(4):
-                f = _random_smooth_fields(rng, N, M_t, 250)
+                coeffs = _smooth_field_coeffs(rng, N, 250)
                 # alternate which end the window kills
-                window = tau if chunk % 2 == 0 else 1.0 - tau
-                f = f * window[:, None, None]
-                lhs = _l4_batch(f, h, N) ** 4
-                grad_sq = time_trapezoid(l21_density(f, h, n_sq), h)
-                rhs = eps * grad_sq**2
-                worst = max(worst, float(np.max(lhs / rhs)))
+                window = (tau if chunk % 2 == 0 else 1.0 - tau)[:, None, None]
+
+                def ratios(cols):
+                    f = np.empty((M_t + 1, 2 * N + 1, cols.stop - cols.start), complex)
+                    _fill_smooth_fields(coeffs, M_t, f, cols)
+                    f *= window
+                    lhs = _l4_batch(f, h, N) ** 4
+                    grad_sq = time_trapezoid(l21_density(f, h, n_sq), h)
+                    rhs = eps * grad_sq**2
+                    return (lhs / rhs,)
+
+                (chunk_worst,) = _column_maxima(250, col_nbytes, ratios)
+                worst = max(worst, chunk_worst)
         yield CheckRecord(
             "aps.end_vanishing_l4",
             "int |f|^4 <= eps (int |grad f|^2)^2 for fields vanishing at one end",

@@ -4,16 +4,23 @@ The reference functions below evaluate every expression over the whole field
 at once.  The streamed versions in looplab must give the same bytes: the
 comparisons use tobytes(), so even the sign of a zero counts.  Shrinking
 BLOCK_BYTES to a few rows puts block edges next to both one-sided end
-stencils of the time derivative.
+stencils of the time derivative.  The column sweeps must give the same bytes
+and make the same random draws at every number of column workers.
 """
 
 import functools
+import json
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from looplab import cylinder, harness
+from looplab import coverage, cylinder, harness
 from looplab.cylinder import (
     CylinderMap,
     cyl_norm,
@@ -27,6 +34,7 @@ from looplab.cylinder import (
     phi2,
     time_trapezoid,
 )
+from looplab.harness import Config
 from looplab.loops import (
     Loop,
     gaussian_loop,
@@ -135,6 +143,22 @@ def ref_random_loop_batch(rng, N, batch, max_mode=None):
 def ref_right_inverse_residual(g_vals, u_vals, lam, h):
     du = ref_dt_derivative(u_vals, h) + lam[None, :, None] * u_vals
     return ref_l2_batch(du - g_vals, h) / ref_l2_batch(g_vals, h)
+
+
+def ref_end_vanishing(config):
+    """The computed value of aps.end_vanishing_l4, each chunk of 250 fields one whole field."""
+    rng = config.rng("aps.end_vanishing")
+    N, M_t = config.N, config.M_t
+    tau = np.linspace(0.0, 1.0, M_t + 1)
+    worst = 0.0
+    for eps in (0.5, 0.1, 0.01):
+        h = eps / M_t
+        for chunk in range(4):
+            f = ref_random_smooth_fields(rng, N, M_t, 250)
+            f = f * (tau if chunk % 2 == 0 else 1.0 - tau)[:, None, None]
+            grad_sq = time_trapezoid(ref_gradient_density(f, h, N), h)
+            worst = max(worst, float(np.max(ref_l4_batch(f, h, N) ** 4 / (eps * grad_sq**2))))
+    return worst
 
 
 @functools.lru_cache
@@ -271,6 +295,29 @@ class TestBlockHelpers:
             for stop in range(start + 1, n_nodes + 1):
                 rows = cylinder.dt_derivative_rows(values, H, start, stop)
                 assert same_bytes(rows, whole[start:stop])
+
+    @pytest.mark.parametrize("h", (H, 0.3, 1e-5))
+    def test_derivative_on_signed_zeros(self, h):
+        # a complex field is scaled by 1/(2h) through its float view, which
+        # gives numpy's complex division by the real 2h but for the sign of a
+        # zero part: equal values, and |d_t u|^2 with the same bytes
+        zeros = [complex(sr * 0.0, si * 0.0) for sr in (1, -1) for si in (1, -1)]
+        values = random_field(31, (9, 2 * N + 1, 8))
+        values[:, :, :4] = zeros  # the same signed zero at every node
+        values[::2, :3, 4] = -0.0  # zeros between nonzero rows
+        values[:, 5, 5] = complex(-0.0, 1.5)  # constant in time: zero differences
+        values[:, 6, 6] = complex(2.5, -0.0)
+        values[[0, -1], 7, 7] = complex(0.0, -0.0)  # zeros at the one-sided ends
+        ref = ref_dt_derivative(values, h)
+        du = dt_derivative(values, h)
+        assert du.dtype == ref.dtype and np.array_equal(du, ref)
+        assert same_bytes(np.abs(du) ** 2, np.abs(ref) ** 2)
+        for start, stop in ((0, 3), (2, 7), (6, 9)):
+            rows = cylinder.dt_derivative_rows(values, h, start, stop)
+            assert np.array_equal(rows, ref[start:stop])
+        # a real field still divides, with the bytes of the whole-array form
+        real = values.real.copy()
+        assert same_bytes(dt_derivative(real, h), ref_dt_derivative(real, h))
 
 
 class TestKernelP:
@@ -461,6 +508,204 @@ class TestUniformityBlocked:
                 assert same_bytes(part, ref[start:stop])
 
 
+@pytest.fixture(params=[1, 2, 3], ids=["workers1", "workers2", "workers3"])
+def n_workers(request, monkeypatch):
+    """Run the column sweeps with a given number of workers, whatever the CPU count."""
+    monkeypatch.setattr(cylinder, "workers", lambda: request.param)
+    return request.param
+
+
+@pytest.fixture
+def column_calls(monkeypatch):
+    """The column ranges of every map_columns call the harness makes."""
+    calls = []
+
+    def spy(fn, blocks):
+        blocks = list(blocks)
+        calls.append(blocks)
+        return cylinder.map_columns(fn, blocks)
+
+    monkeypatch.setattr(harness, "map_columns", spy)
+    return calls
+
+
+def assert_parts(blocks, n_cols):
+    """Every part holds at least two columns, and the parts cover the columns in order."""
+    assert [i for a, b in blocks for i in range(a, b)] == list(range(n_cols))
+    assert min(b - a for a, b in blocks) >= min(2, n_cols)
+
+
+class TestColumnWorkers:
+    """The column sweeps give the same bytes and the same draws at every worker count."""
+
+    def test_workers(self):
+        assert 1 <= cylinder.workers() <= (os.cpu_count() or 1)
+
+    def test_parts_and_blocks(self, n_workers):
+        for n_cols in range(1, 40):
+            parts = cylinder.column_parts(n_cols)
+            assert_parts(parts, n_cols)
+            assert len(parts) == max(1, min(n_workers, n_cols // 2))
+            for col_nbytes in (1, 48, cylinder.COLUMN_BYTES // 5):
+                blocks = list(cylinder.column_blocks(n_cols, col_nbytes, n_workers))
+                assert_parts(blocks, n_cols)
+                # each block fits its share of the budget, unless it is at the
+                # two-column minimum or holds a merged one-column remainder
+                share = cylinder.COLUMN_BYTES // n_workers
+                for k, (a, b) in enumerate(blocks):
+                    fits = (b - a - (k == len(blocks) - 1)) * col_nbytes <= share
+                    assert fits or b - a <= 3
+
+    def test_map_columns(self, n_workers):
+        seen = []
+
+        def fn(cols):
+            seen.append(threading.current_thread() is threading.main_thread())
+            return cols.start, cols.stop
+
+        blocks = [(0, 2), (2, 5), (5, 7), (7, 10)]
+        assert cylinder.map_columns(fn, iter(blocks)) == blocks
+        assert all(seen) == (n_workers == 1)
+        assert cylinder.map_columns(fn, []) == []
+
+        def fails(cols):
+            if cols.start == 5:
+                raise ArithmeticError("column part 5:7")
+            return cols.start
+
+        with pytest.raises(ArithmeticError, match="5:7"):
+            cylinder.map_columns(fails, blocks)
+
+        # no block still runs when the exception arrives
+        running, lock = [], threading.Lock()
+
+        def slow_after_failure(cols):
+            if cols.start == 0:
+                raise ArithmeticError("first part")
+            with lock:
+                running.append(cols.start)
+            time.sleep(0.05)
+            with lock:
+                running.remove(cols.start)
+
+        with pytest.raises(ArithmeticError, match="first part"):
+            cylinder.map_columns(slow_after_failure, blocks)
+        assert running == []
+
+    def test_more_workers_than_cores(self, monkeypatch):
+        # many short blocks on more threads than cores, switching threads
+        # often: every column still gets the bytes of the serial sweep
+        monkeypatch.setattr(cylinder, "workers", lambda: (os.cpu_count() or 1) + 2)
+        eps = 0.001
+        col_nbytes = (max(16, int(np.ceil(10 * N * eps))) + 1) * (2 * N + 1) * 16
+        monkeypatch.setattr(cylinder, "COLUMN_BYTES", 2 * col_nbytes)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            estimates = harness._uniformity_estimates(np.random.default_rng(24), N, 16, eps)
+            errors = harness._right_inverse_errors(np.random.default_rng(22), N, eps)
+        finally:
+            sys.setswitchinterval(interval)
+        assert estimates == ref_uniformity_estimates(np.random.default_rng(24), N, 16, eps)
+        assert errors == ref_right_inverse_errors(N, eps, 22)[:2]
+
+    @pytest.mark.parametrize("rows", (7, None), ids=["rows7", "default"])
+    @pytest.mark.parametrize("eps", (0.5, 0.001))
+    def test_right_inverse_errors(self, n_workers, column_calls, monkeypatch, rows, eps):
+        if rows is not None:
+            # rows of the lambda >= 0 sector of all parts together
+            monkeypatch.setattr(cylinder, "BLOCK_BYTES", rows * (N + 1) * 100 * 16)
+        rng = np.random.default_rng(22)
+        worst_rel, worst_trace, next_draw = ref_right_inverse_errors(N, eps, 22)
+        counts = coverage.counts()
+        assert harness._right_inverse_errors(rng, N, eps) == (worst_rel, worst_trace)
+        assert rng.standard_normal() == next_draw
+        # no public operation runs, in a worker or elsewhere
+        assert coverage.counts() == counts
+        (parts,) = column_calls
+        assert len(parts) == min(n_workers, 50)
+        assert_parts(parts, 100)
+
+    @pytest.mark.parametrize("cols", (3, None), ids=["cols3", "default"])
+    def test_uniformity_estimates(self, n_workers, column_calls, monkeypatch, cols):
+        M_t = 16
+        for eps in (1.0, 0.001):
+            m_eff = max(M_t, int(np.ceil(10 * N * eps)))
+            col_nbytes = (m_eff + 1) * (2 * N + 1) * 16
+            if cols is not None:
+                monkeypatch.setattr(cylinder, "COLUMN_BYTES", cols * col_nbytes)
+            column_calls.clear()
+            rng, rng_ref = np.random.default_rng(20), np.random.default_rng(20)
+            counts = coverage.counts()
+            assert harness._uniformity_estimates(rng, N, M_t, eps) == ref_uniformity_estimates(
+                rng_ref, N, M_t, eps
+            )
+            assert rng.standard_normal() == rng_ref.standard_normal()
+            assert coverage.counts() == counts
+            # the Q, P/restriction and mixed L^4 sweeps, each over its whole batch
+            assert len(column_calls) == 3
+            for blocks, n_cols in zip(column_calls, (2 * N + 1001, 2 * N + 1001, 100)):
+                assert_parts(blocks, n_cols)
+                share = max(2, cylinder.COLUMN_BYTES // n_workers // col_nbytes)
+                assert max(b - a for a, b in blocks) <= share + 1
+
+    def test_column_maxima(self, n_workers, monkeypatch):
+        modes = 32
+        field = random_field(23, (17, 2 * modes + 1, 11))
+        col_nbytes = field[:, :, 0].nbytes
+        monkeypatch.setattr(cylinder, "COLUMN_BYTES", 3 * col_nbytes)
+
+        def ratios(cols):
+            part = field[:, :, cols]
+            return l2_batch(part, H), harness._l4_batch(part, H, modes) / l2_batch(part, H)
+
+        whole = ratios(slice(None))
+        assert harness._column_maxima(11, col_nbytes, ratios) == [float(np.max(r)) for r in whole]
+
+    def test_aps_groups(self, n_workers, monkeypatch):
+        # every group of a small aps suite against its serial run, and
+        # end_vanishing against whole fields
+        config = Config(N=4, M_t=8, eps_list=(0.1, 0.01))
+
+        def report():
+            return json.dumps([r.to_json_dict() for r in harness._suite_aps(config)])
+
+        records = report()
+        assert json.loads(records)[-1]["computed"] == ref_end_vanishing(config)
+        monkeypatch.setattr(cylinder, "workers", lambda: 1)
+        assert records == report()
+
+    def test_failing_part_is_a_group_error(self, n_workers, monkeypatch):
+        probe, calls, lock = harness._right_inverse_probe, [], threading.Lock()
+
+        def second_part_fails(coeffs, *args):
+            with lock:
+                calls.append(len(calls) + 1)
+                k = calls[-1]
+            if k == 2:
+                raise FloatingPointError("probe part 2")
+            return probe(coeffs, *args)
+
+        monkeypatch.setattr(harness, "_right_inverse_probe", second_part_fails)
+        records = harness._suite_aps(Config(N=4, M_t=8, eps_list=(0.1, 0.01)))
+        names = [r.name for r in records]
+        (error,) = [r for r in records if r.name == "aps.right_inverse.error"]
+        assert error.details == {"exception": "FloatingPointError: probe part 2"}
+        assert not error.passed
+        assert "aps.right_inverse_residual" not in names
+        assert "aps.uniformity_p_variation" in names and "aps.end_vanishing_l4" in names
+
+    def test_cli_import_leaves_the_pool_unloaded(self):
+        # the pool is made on first use; importing the CLI must not load it
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, looplab.cli; print('concurrent.futures' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
+
 class TestCylNorm:
     """cyl_norm reduces one field as a single batch column of modes x coordinates."""
 
@@ -527,3 +772,13 @@ class TestStreamingMemory:
         assert peak < field_nbytes
         _, peak = self.peak(harness._right_inverse_errors, np.random.default_rng(19), 32, 1.0)
         assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize("workers", (1, 3))
+    def test_peaks_at_other_worker_counts(self, monkeypatch, workers):
+        # tracemalloc sees the allocations of every worker thread; the
+        # blocks in flight share the budgets, so the bounds above hold
+        monkeypatch.setattr(cylinder, "workers", lambda: workers)
+        _, peak = self.peak(harness._uniformity_estimates, np.random.default_rng(18), 32, 64, 1.0)
+        assert peak < 80 * 2**20
+        _, peak = self.peak(harness._right_inverse_errors, np.random.default_rng(19), 32, 0.001)
+        assert peak < 2049 * 65 * 10 * 16
