@@ -231,8 +231,17 @@ def time_blocks(n_rows: int, rows: int):
 # Bytes of all column blocks in flight.  The aps sweeps build their batch
 # fields (M+1, modes, batch) one block of whole batch columns at a time, so
 # that no field of the whole batch is ever alive; the blocks that run at the
-# same time, one per column worker, share this budget equally
+# same time share this budget (see map_column_blocks)
 COLUMN_BYTES = 1 << 23
+
+# Elements of a time row, per thread in flight.  The sweeps step through
+# time one row at a time, and the Python work of every row holds the GIL,
+# so k column blocks or parts run at once only with rows of k * SHARED_ROW
+# elements each (see _threads); narrower ones on more threads mostly take
+# turns.  A sector sweep covers about half the modes, so the rows of two
+# threads hold 512 elements or more a sector: numpy releases the GIL on
+# ufunc loops over more than 500 elements
+SHARED_ROW = 512
 
 
 def workers() -> int:
@@ -244,80 +253,99 @@ def workers() -> int:
     return max(1, n)
 
 
-def column_blocks(n_cols: int, col_nbytes: int, share: int = 1):
+def _threads(width, col_len: int) -> int:
+    """Column ranges to run at once: the largest k <= workers() for which k
+    ranges of width(k) columns, col_len modes a column, hold at least two
+    columns and rows of k * SHARED_ROW elements each (one at the least)."""
+    k = workers()
+    while k > 1 and (width(k) < 2 or width(k) * col_len < k * SHARED_ROW):
+        k -= 1
+    return k
+
+
+def column_blocks(n_cols: int, col_nbytes: int, cols: int = 0):
     """(start, stop) of consecutive blocks of batch columns covering range(n_cols).
 
-    A block holds the whole columns that fit in COLUMN_BYTES // share (share
-    blocks in flight), but never fewer than two: numpy sums the modes of a
+    A block holds cols columns, or the whole columns that fit in COLUMN_BYTES
+    when cols is 0, but never fewer than two: numpy sums the modes of a
     one-column batch pairwise, not in sequence, which changes bits.  So a
     one-column remainder joins the block before it.
     """
-    cols = max(2, COLUMN_BYTES // share // max(1, col_nbytes))
+    cols = max(2, cols or COLUMN_BYTES // max(1, col_nbytes))
     start = 0
     for stop in [*range(cols, n_cols - 1, cols), n_cols]:
         yield start, stop
         start = stop
 
 
-def column_parts(n_cols: int) -> list[tuple[int, int]]:
-    """(start, stop) of consecutive, near-equal parts of range(n_cols), one per worker.
+def column_parts(n_cols: int, col_len: int) -> list[tuple[int, int]]:
+    """(start, stop) of consecutive, near-equal parts of range(n_cols), to run at once.
 
-    Every part holds at least two columns, as in column_blocks, so there are
-    at most n_cols // 2 parts (one for fewer than four columns).
+    There is one part per worker, as far as the parts keep rows wide enough
+    to share the cores (see _threads) and at least two columns each (see
+    column_blocks); one part when the columns are too few.
     """
-    parts = max(1, min(workers(), n_cols // 2))
+    parts = _threads(lambda k: n_cols // k, col_len)
     bounds = [n_cols * k // parts for k in range(parts + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-_POOL = None  # (size, ThreadPoolExecutor) of map_columns, made on first use
-
-
-def map_columns(fn, blocks) -> list:
+def map_columns(fn, blocks, at_once: int | None = None) -> list:
     """fn(slice(start, stop)) for every (start, stop) of blocks, in block order.
 
-    The blocks run on a pool of workers() threads, so at most that many at a
-    time; numpy releases the GIL on the long rows of the sweeps.  The first
+    The blocks run on threads, at most workers() (and at_once) at a time;
+    numpy releases the GIL on the long rows of the sweeps.  The first
     exception of fn, in block order, reaches the caller once no block runs
-    any more; the blocks not started by then are dropped.  With one worker it
+    any more; the blocks not started by then are dropped.  With one thread it
     is a plain loop in the calling thread.  Each column's arithmetic does not
     depend on the others, so the results do not depend on the number of
-    workers, as long as every block holds at least two columns (see
-    column_blocks).  Call it from one thread at a time, and never from fn:
-    the pool is shared, and a nested call could wait on its own blocks.
+    threads, as long as every block holds at least two columns (see
+    column_blocks).
     """
-    global _POOL
     slices = [slice(start, stop) for start, stop in blocks]
-    n = workers()
-    if n == 1:
+    n = min(workers(), at_once or len(slices), len(slices))
+    if n <= 1:
         return [fn(cols) for cols in slices]
     # imported here: the CLI's other commands never load it
-    from concurrent.futures import ThreadPoolExecutor, wait
+    from concurrent.futures import ThreadPoolExecutor
 
-    if _POOL is None or _POOL[0] != n:
-        if _POOL is not None:
-            _POOL[1].shutdown()
-        _POOL = (n, ThreadPoolExecutor(n, thread_name_prefix="looplab-columns"))
-    futures = [_POOL[1].submit(fn, cols) for cols in slices]
-    try:
-        return [f.result() for f in futures]
-    finally:
-        for f in futures:
-            f.cancel()
-        wait(futures)
+    with ThreadPoolExecutor(n, thread_name_prefix="looplab-columns") as pool:
+        futures = [pool.submit(fn, cols) for cols in slices]
+        try:
+            return [f.result() for f in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def map_column_blocks(fn, n_cols: int, col_nbytes: int, col_len: int) -> list:
+    """map_columns of fn over consecutive column blocks of range(n_cols), within COLUMN_BYTES.
+
+    A column takes col_nbytes and has col_len modes.  As many blocks run at
+    once as the budget holds with rows wide enough to share the cores (see
+    _threads).  A block holds its worker's share of the budget, widened to
+    the rows that many threads need.
+    """
+    budget = COLUMN_BYTES // max(1, col_nbytes)  # columns in flight
+    at_once = _threads(lambda k: budget // k, col_len)
+    shared = -(-at_once * SHARED_ROW // max(1, col_len))
+    cols = min(budget // at_once, max(budget // workers(), shared))
+    return map_columns(fn, column_blocks(n_cols, col_nbytes, cols), at_once)
 
 
 def _over_2h(x: np.ndarray, h: float) -> None:
     """x /= 2h in place.
 
     numpy divides a complex a + bi by the real 2h as (a + b*0) * (1/(2h))
-    and (b - a*0) * (1/(2h)), so a complex x is scaled through its float view
-    by 1/(2h): the same values at a real multiply's cost, with only the sign
-    of a zero part free to differ.
+    and (b - a*0) * (1/(2h)), with 1/(2h) formed in x's precision, so a
+    complex x is scaled through its float view by that factor: the same
+    values at a real multiply's cost, with only the sign of a zero part free
+    to differ.
     """
     if x.dtype.kind == "c":
-        x = x.view(float)
-        np.multiply(x, 1.0 / (2.0 * h), out=x)
+        real = x.real.dtype.type
+        x = x.view(real)
+        np.multiply(x, real(1.0) / real(2.0 * h), out=x)
     else:
         np.divide(x, 2.0 * h, out=x)
 

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from . import coverage, cylinder
+from . import coverage
 from .coverage import tracked
 from .cylinder import (
     BoundaryData,
@@ -31,7 +31,6 @@ from .cylinder import (
     aps_boundary,
     apply_D,
     block_rows,
-    column_blocks,
     column_parts,
     cyl_norm,
     decompose,
@@ -43,6 +42,7 @@ from .cylinder import (
     l21_batch,
     l21_density,
     l2_batch,
+    map_column_blocks,
     map_columns,
     mode_scratch,
     p_op,
@@ -405,14 +405,17 @@ def _boundary_half_norm_batch(values: np.ndarray, N: int) -> np.ndarray:
     )
 
 
-def _column_maxima(n_cols: int, col_nbytes: int, ratios) -> list[float]:
+def _column_maxima(n_cols: int, col_shape: tuple[int, int], ratios) -> list[float]:
     """Largest value over all batch columns of each per-column ratio.
 
-    ratios(cols) returns the ratios of the batch columns in the slice cols; it
-    runs once per column block, on the column workers, and each ratio is then
+    ratios(cols) returns the ratios of the batch columns in the slice cols,
+    whose fields hold complex (nodes, modes) = col_shape a column; it runs
+    once per column block, on the column workers, and each ratio is then
     reduced over all columns at once.
     """
-    parts = map_columns(ratios, column_blocks(n_cols, col_nbytes, cylinder.workers()))
+    nodes, modes = col_shape
+    col_nbytes = nodes * modes * np.dtype(complex).itemsize
+    parts = map_column_blocks(ratios, n_cols, col_nbytes, modes)
     return [float(np.max(np.concatenate(per_block))) for per_block in zip(*parts)]
 
 
@@ -483,7 +486,7 @@ def _right_inverse_errors(rng, N: int, eps: float) -> tuple[float, float]:
     """Worst relative D P g - g residual and worst prescribed P g trace at one eps.
 
     One hundred random smooth forcings on a refined grid, drawn as ten chunks
-    of ten and probed together, one column part per column worker.
+    of ten and probed together, in column parts on the column workers.
     """
     lam = lambda_of_modes(N).astype(float)
     w = sobolev_weights(0.5, N)[:, None]
@@ -491,7 +494,7 @@ def _right_inverse_errors(rng, N: int, eps: float) -> tuple[float, float]:
     M_ref = max(2048, int(np.ceil(12000 * eps)))
     chunks = [_smooth_field_coeffs(rng, N, 10) for _ in range(10)]
     coeffs = [np.concatenate(c, axis=1) for c in zip(*chunks)]
-    parts = column_parts(coeffs[0].shape[1])
+    parts = column_parts(coeffs[0].shape[1], len(lam))
 
     def probe(cols):
         part = [c[:, cols] for c in coeffs]
@@ -520,7 +523,7 @@ def _uniformity_estimates(rng, N: int, M_t: int, eps: float) -> tuple[float, ...
     m_eff = max(M_t, int(np.ceil(10 * N * eps)))
     h = eps / m_eff
     times = np.linspace(0.0, eps, m_eff + 1)
-    col_nbytes = (m_eff + 1) * (2 * N + 1) * np.dtype(complex).itemsize
+    col_shape = (m_eff + 1, 2 * N + 1)
 
     def smooth_fields(coeffs, cols):
         out = np.empty((m_eff + 1, 2 * N + 1, cols.stop - cols.start), complex)
@@ -538,7 +541,7 @@ def _uniformity_estimates(rng, N: int, M_t: int, eps: float) -> tuple[float, ...
         qv = kernel_q_values(plus[:, cols], minus[:, cols], lam, times, eps)
         return (l21_batch(qv, h, l21_weight) / c_half[cols],)
 
-    (est_q,) = _column_maxima(c.shape[1], col_nbytes, q_ratios)
+    (est_q,) = _column_maxima(c.shape[1], col_shape, q_ratios)
 
     # P and the restriction bound: per-mode constant probes (c0 = e_n and
     # c1 = c2 = 0, which the fill reproduces exactly) + smooth mixes
@@ -554,7 +557,7 @@ def _uniformity_estimates(rng, N: int, M_t: int, eps: float) -> tuple[float, ...
         g_l2 = l2_batch(g, h)
         return l21_batch(pv, h, l21_weight) / g_l2, _boundary_half_norm_batch(pv, N) / g_l2
 
-    est_p, est_r = _column_maxima(forcing[0].shape[1], col_nbytes, p_ratios)
+    est_p, est_r = _column_maxima(forcing[0].shape[1], col_shape, p_ratios)
 
     # mixed L4 bound
     c2 = gaussian_loop(100, N, rng).coeffs
@@ -569,7 +572,7 @@ def _uniformity_estimates(rng, N: int, M_t: int, eps: float) -> tuple[float, ...
         u2 += kernel_p_values(g2, lam, h)
         return (_l4_batch(u2, h, N) / (c2_half[cols] + l2_batch(g2, h)),)
 
-    (est_mix,) = _column_maxima(c2.shape[1], col_nbytes, mixed_ratios)
+    (est_mix,) = _column_maxima(c2.shape[1], col_shape, mixed_ratios)
     return est_p, est_q, est_r, est_mix
 
 
@@ -1056,7 +1059,6 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
         rng = config.rng("aps.end_vanishing")
         n_sq = mode_numbers(N).astype(float) ** 2
         worst = 0.0
-        col_nbytes = (M_t + 1) * (2 * N + 1) * np.dtype(complex).itemsize
         for eps in (0.5, 0.1, 0.01):
             h = eps / M_t
             tau = np.linspace(0.0, 1.0, M_t + 1)
@@ -1074,7 +1076,7 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
                     rhs = eps * grad_sq**2
                     return (lhs / rhs,)
 
-                (chunk_worst,) = _column_maxima(250, col_nbytes, ratios)
+                (chunk_worst,) = _column_maxima(250, (M_t + 1, 2 * N + 1), ratios)
                 worst = max(worst, chunk_worst)
         yield CheckRecord(
             "aps.end_vanishing_l4",

@@ -296,7 +296,8 @@ class TestBlockHelpers:
                 rows = cylinder.dt_derivative_rows(values, H, start, stop)
                 assert same_bytes(rows, whole[start:stop])
 
-    @pytest.mark.parametrize("h", (H, 0.3, 1e-5))
+    # at h = 0.007, 1/(2h) in single precision is not 1/(2h) rounded from double
+    @pytest.mark.parametrize("h", (H, 0.3, 1e-5, 0.007))
     def test_derivative_on_signed_zeros(self, h):
         # a complex field is scaled by 1/(2h) through its float view, which
         # gives numpy's complex division by the real 2h but for the sign of a
@@ -315,6 +316,13 @@ class TestBlockHelpers:
         for start, stop in ((0, 3), (2, 7), (6, 9)):
             rows = cylinder.dt_derivative_rows(values, h, start, stop)
             assert np.array_equal(rows, ref[start:stop])
+        # a single-precision field is scaled by 1/(2h) formed in single
+        # precision, as its division forms it
+        single = values.astype(np.complex64)
+        ref = ref_dt_derivative(single, h)
+        du = dt_derivative(single, h)
+        assert du.dtype == np.complex64 and np.array_equal(du, ref)
+        assert same_bytes(np.abs(du) ** 2, np.abs(ref) ** 2)
         # a real field still divides, with the bytes of the whole-array form
         real = values.real.copy()
         assert same_bytes(dt_derivative(real, h), ref_dt_derivative(real, h))
@@ -510,21 +518,27 @@ class TestUniformityBlocked:
 
 @pytest.fixture(params=[1, 2, 3], ids=["workers1", "workers2", "workers3"])
 def n_workers(request, monkeypatch):
-    """Run the column sweeps with a given number of workers, whatever the CPU count."""
+    """Run the column sweeps with a given number of workers, whatever the CPU count.
+
+    Rows of one element may run beside others, so the small fields of these
+    tests split into parts and blocks as the wide fields of the suite do.
+    """
     monkeypatch.setattr(cylinder, "workers", lambda: request.param)
+    monkeypatch.setattr(cylinder, "SHARED_ROW", 1)
     return request.param
 
 
 @pytest.fixture
 def column_calls(monkeypatch):
-    """The column ranges of every map_columns call the harness makes."""
-    calls = []
+    """(column ranges, at_once) of every map_columns call the harness makes."""
+    calls, map_columns = [], cylinder.map_columns
 
-    def spy(fn, blocks):
+    def spy(fn, blocks, at_once=None):
         blocks = list(blocks)
-        calls.append(blocks)
-        return cylinder.map_columns(fn, blocks)
+        calls.append((blocks, at_once))
+        return map_columns(fn, blocks, at_once)
 
+    monkeypatch.setattr(cylinder, "map_columns", spy)
     monkeypatch.setattr(harness, "map_columns", spy)
     return calls
 
@@ -535,26 +549,90 @@ def assert_parts(blocks, n_cols):
     assert min(b - a for a, b in blocks) >= min(2, n_cols)
 
 
+def in_flight(col_nbytes, col_len):
+    """(column ranges, at_once) of map_column_blocks over 300 columns."""
+    calls = []
+
+    def record(fn, blocks, at_once=None):
+        calls.append((list(blocks), at_once))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cylinder, "map_columns", record)
+        cylinder.map_column_blocks(None, 300, col_nbytes, col_len)
+    ((blocks, at_once),) = calls
+    return blocks, at_once
+
+
 class TestColumnWorkers:
     """The column sweeps give the same bytes and the same draws at every worker count."""
 
     def test_workers(self):
         assert 1 <= cylinder.workers() <= (os.cpu_count() or 1)
 
-    def test_parts_and_blocks(self, n_workers):
+    def test_parts_and_blocks(self, n_workers, monkeypatch):
+        monkeypatch.setattr(cylinder, "SHARED_ROW", 4)
         for n_cols in range(1, 40):
-            parts = cylinder.column_parts(n_cols)
-            assert_parts(parts, n_cols)
-            assert len(parts) == max(1, min(n_workers, n_cols // 2))
-            for col_nbytes in (1, 48, cylinder.COLUMN_BYTES // 5):
-                blocks = list(cylinder.column_blocks(n_cols, col_nbytes, n_workers))
+            for col_len in (1, 2, 5):
+                parts = cylinder.column_parts(n_cols, col_len)
+                assert_parts(parts, n_cols)
+                k = len(parts)
+                assert 1 <= k <= n_workers
+                # k parts keep rows of k * SHARED_ROW elements, and k + 1 would not
+                assert k == 1 or min(b - a for a, b in parts) * col_len >= 4 * k
+                wider = n_cols // (k + 1)
+                assert k == n_workers or wider < 2 or wider * col_len < 4 * (k + 1)
+            for cols in (1, 2, 3, 5):
+                blocks = list(cylinder.column_blocks(n_cols, 48, cols))
                 assert_parts(blocks, n_cols)
-                # each block fits its share of the budget, unless it is at the
-                # two-column minimum or holds a merged one-column remainder
-                share = cylinder.COLUMN_BYTES // n_workers
+                # cols columns a block, at least two, and a one-column
+                # remainder merged into the last
+                width = max(2, cols)
                 for k, (a, b) in enumerate(blocks):
-                    fits = (b - a - (k == len(blocks) - 1)) * col_nbytes <= share
-                    assert fits or b - a <= 3
+                    last = k == len(blocks) - 1
+                    assert b - a == width or (last and b - a in (n_cols % width, width + 1))
+
+    @pytest.mark.parametrize("shared_row", (1, 20, 200))
+    @pytest.mark.parametrize(
+        "col_nbytes", (48, cylinder.COLUMN_BYTES // 30, cylinder.COLUMN_BYTES // 3)
+    )
+    def test_blocks_in_flight(self, n_workers, monkeypatch, shared_row, col_nbytes):
+        monkeypatch.setattr(cylinder, "SHARED_ROW", shared_row)
+        blocks, at_once = in_flight(col_nbytes, 2)
+        assert_parts(blocks, 300)
+        assert 1 <= at_once <= n_workers
+        width = blocks[0][1]
+        budget = cylinder.COLUMN_BYTES // col_nbytes  # columns
+        # the blocks in flight keep the budget (unless at two columns) ...
+        assert at_once * width <= budget or width == 2
+        # ... and rows of at_once * SHARED_ROW elements (of two modes a column)
+        assert at_once == 1 or width * 2 >= at_once * shared_row
+        # as many run at once as the budget holds with rows that wide
+        wider = budget // (at_once + 1)
+        assert at_once == n_workers or wider < 2 or wider * 2 < (at_once + 1) * shared_row
+        # and a block is no wider than its worker's share or those rows need
+        needed = -(-at_once * shared_row // 2)
+        assert width <= max(2, budget // n_workers, needed) or width == 300
+
+    @pytest.mark.parametrize("cpus", (2, 8, 50))
+    def test_rows_stay_shared_on_many_cpus(self, monkeypatch, cpus):
+        # the aps suite at N = 32: probe parts and column blocks that run
+        # beside others keep sector rows (32 or 33 of the 65 modes) of more
+        # than 500 elements, on which numpy drops the GIL, and rows of
+        # SHARED_ROW elements per thread in flight, whatever the CPU count
+        monkeypatch.setattr(cylinder, "workers", lambda: cpus)
+        parts = cylinder.column_parts(100, 65)
+        width = min(b - a for a, b in parts)
+        assert 2 <= len(parts) <= 3
+        assert width * 32 > 500 and width * 65 >= len(parts) * cylinder.SHARED_ROW
+        # m_eff = 320, 160 and 64 nodes at eps = 1, 0.5 and <= 0.1
+        for nodes, most in ((321, 1), (161, 2), (65, 3)):
+            col_nbytes = nodes * 65 * 16
+            blocks, at_once = in_flight(col_nbytes, 65)
+            width = min(b - a for a, b in blocks[:-1])
+            assert at_once * width * col_nbytes <= cylinder.COLUMN_BYTES
+            assert at_once == min(cpus, most)
+            assert at_once == 1 or width * 32 > 500
+            assert width * 65 >= at_once * cylinder.SHARED_ROW
 
     def test_map_columns(self, n_workers):
         seen = []
@@ -566,6 +644,9 @@ class TestColumnWorkers:
         blocks = [(0, 2), (2, 5), (5, 7), (7, 10)]
         assert cylinder.map_columns(fn, iter(blocks)) == blocks
         assert all(seen) == (n_workers == 1)
+        seen.clear()
+        assert cylinder.map_columns(fn, blocks, at_once=1) == blocks
+        assert all(seen)
         assert cylinder.map_columns(fn, []) == []
 
         def fails(cols):
@@ -591,14 +672,18 @@ class TestColumnWorkers:
         with pytest.raises(ArithmeticError, match="first part"):
             cylinder.map_columns(slow_after_failure, blocks)
         assert running == []
+        # and no thread of the sweep outlives the call
+        assert not [t for t in threading.enumerate() if t.name.startswith("looplab-columns")]
 
     def test_more_workers_than_cores(self, monkeypatch):
         # many short blocks on more threads than cores, switching threads
         # often: every column still gets the bytes of the serial sweep
-        monkeypatch.setattr(cylinder, "workers", lambda: (os.cpu_count() or 1) + 2)
+        n = (os.cpu_count() or 1) + 2
+        monkeypatch.setattr(cylinder, "workers", lambda: n)
+        monkeypatch.setattr(cylinder, "SHARED_ROW", 1)
         eps = 0.001
         col_nbytes = (max(16, int(np.ceil(10 * N * eps))) + 1) * (2 * N + 1) * 16
-        monkeypatch.setattr(cylinder, "COLUMN_BYTES", 2 * col_nbytes)
+        monkeypatch.setattr(cylinder, "COLUMN_BYTES", 2 * n * col_nbytes)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -622,17 +707,18 @@ class TestColumnWorkers:
         assert rng.standard_normal() == next_draw
         # no public operation runs, in a worker or elsewhere
         assert coverage.counts() == counts
-        (parts,) = column_calls
+        ((parts, _),) = column_calls
         assert len(parts) == min(n_workers, 50)
         assert_parts(parts, 100)
 
-    @pytest.mark.parametrize("cols", (3, None), ids=["cols3", "default"])
+    @pytest.mark.parametrize("cols", (6, None), ids=["cols6", "default"])
     def test_uniformity_estimates(self, n_workers, column_calls, monkeypatch, cols):
         M_t = 16
         for eps in (1.0, 0.001):
             m_eff = max(M_t, int(np.ceil(10 * N * eps)))
             col_nbytes = (m_eff + 1) * (2 * N + 1) * 16
             if cols is not None:
+                # blocks of 6, 3 and 2 columns: 1009 % 6 = 1009 % 3 = 1009 % 2 = 1
                 monkeypatch.setattr(cylinder, "COLUMN_BYTES", cols * col_nbytes)
             column_calls.clear()
             rng, rng_ref = np.random.default_rng(20), np.random.default_rng(20)
@@ -644,23 +730,24 @@ class TestColumnWorkers:
             assert coverage.counts() == counts
             # the Q, P/restriction and mixed L^4 sweeps, each over its whole batch
             assert len(column_calls) == 3
-            for blocks, n_cols in zip(column_calls, (2 * N + 1001, 2 * N + 1001, 100)):
+            for (blocks, at_once), n_cols in zip(column_calls, (2 * N + 1001, 2 * N + 1001, 100)):
                 assert_parts(blocks, n_cols)
+                assert at_once == n_workers
                 share = max(2, cylinder.COLUMN_BYTES // n_workers // col_nbytes)
                 assert max(b - a for a, b in blocks) <= share + 1
 
     def test_column_maxima(self, n_workers, monkeypatch):
         modes = 32
         field = random_field(23, (17, 2 * modes + 1, 11))
-        col_nbytes = field[:, :, 0].nbytes
-        monkeypatch.setattr(cylinder, "COLUMN_BYTES", 3 * col_nbytes)
+        monkeypatch.setattr(cylinder, "COLUMN_BYTES", 6 * field[:, :, 0].nbytes)
 
         def ratios(cols):
             part = field[:, :, cols]
             return l2_batch(part, H), harness._l4_batch(part, H, modes) / l2_batch(part, H)
 
         whole = ratios(slice(None))
-        assert harness._column_maxima(11, col_nbytes, ratios) == [float(np.max(r)) for r in whole]
+        maxima = harness._column_maxima(11, field.shape[:2], ratios)
+        assert maxima == [float(np.max(r)) for r in whole]
 
     def test_aps_groups(self, n_workers, monkeypatch):
         # every group of a small aps suite against its serial run, and
@@ -695,8 +782,9 @@ class TestColumnWorkers:
         assert "aps.right_inverse_residual" not in names
         assert "aps.uniformity_p_variation" in names and "aps.end_vanishing_l4" in names
 
-    def test_cli_import_leaves_the_pool_unloaded(self):
-        # the pool is made on first use; importing the CLI must not load it
+    def test_cli_import_leaves_concurrent_futures_unloaded(self):
+        # only a column sweep that needs threads imports it; importing the
+        # CLI must not, or every command would pay for it
         src = os.path.dirname(os.path.dirname(harness.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         code = "import sys, looplab.cli; print('concurrent.futures' in sys.modules)"
@@ -776,8 +864,10 @@ class TestStreamingMemory:
     @pytest.mark.parametrize("workers", (1, 3))
     def test_peaks_at_other_worker_counts(self, monkeypatch, workers):
         # tracemalloc sees the allocations of every worker thread; the
-        # blocks in flight share the budgets, so the bounds above hold
+        # blocks in flight share the budgets, so the bounds above hold, also
+        # when rows of any width run beside others: the most blocks in flight
         monkeypatch.setattr(cylinder, "workers", lambda: workers)
+        monkeypatch.setattr(cylinder, "SHARED_ROW", 1)
         _, peak = self.peak(harness._uniformity_estimates, np.random.default_rng(18), 32, 64, 1.0)
         assert peak < 80 * 2**20
         _, peak = self.peak(harness._right_inverse_errors, np.random.default_rng(19), 32, 0.001)
