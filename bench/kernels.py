@@ -47,7 +47,7 @@ from pathlib import Path
 # eps = 1 and eps <= 0.1, and the whole aps.uniformity batch at eps = 1.
 # Neither check builds such a field: aps.right_inverse streams its forcings
 # and P images through time blocks, and aps.uniformity builds its batch in
-# blocks of columns (cylinder.column_blocks)
+# blocks of columns (cylinder.map_columns)
 APS_SHAPES = ((12001, 65, 10), (2049, 65, 10), (321, 65, 1065))
 
 

@@ -231,16 +231,16 @@ def time_blocks(n_rows: int, rows: int):
 # Bytes of all column blocks in flight.  The aps sweeps build their batch
 # fields (M+1, modes, batch) one block of whole batch columns at a time, so
 # that no field of the whole batch is ever alive; the blocks that run at the
-# same time share this budget (see map_column_blocks)
+# same time share this budget (see map_columns)
 COLUMN_BYTES = 1 << 23
 
 # Elements of a time row, per thread in flight.  The sweeps step through
 # time one row at a time, and the Python work of every row holds the GIL,
-# so k column blocks or parts run at once only with rows of k * SHARED_ROW
-# elements each (see _threads); narrower ones on more threads mostly take
-# turns.  A sector sweep covers about half the modes, so the rows of two
-# threads hold 512 elements or more a sector: numpy releases the GIL on
-# ufunc loops over more than 500 elements
+# so k column blocks run at once only with rows of k * SHARED_ROW elements
+# each (see map_columns); narrower ones on more threads mostly take turns.
+# A sector sweep covers about half the modes, so the rows of two threads
+# hold 512 elements or more a sector: numpy releases the GIL on ufunc loops
+# over more than 500 elements
 SHARED_ROW = 512
 
 
@@ -253,84 +253,47 @@ def workers() -> int:
     return max(1, n)
 
 
-def _threads(width, col_len: int) -> int:
-    """Column ranges to run at once: the largest k <= workers() for which k
-    ranges of width(k) columns, col_len modes a column, hold at least two
-    columns and rows of k * SHARED_ROW elements each (one at the least)."""
-    k = workers()
-    while k > 1 and (width(k) < 2 or width(k) * col_len < k * SHARED_ROW):
+def map_columns(fn, n_cols: int, col_nbytes: int, col_len: int) -> list:
+    """fn(cols) for consecutive column blocks cols of range(n_cols), in block order.
+
+    A column has col_len modes and takes col_nbytes; 0 marks a sweep whose
+    memory does not grow with its block.  k blocks run at once, on threads:
+    the most, up to workers(), for which the budget's k-th part keeps two
+    columns and rows of k * SHARED_ROW elements.  They share COLUMN_BYTES,
+    each at most its worker's share unless those rows need more.  The blocks
+    are near-equal and as few as keep them that narrow, but hold two columns
+    or more, and rows that wide when k > 1: numpy sums the modes of a
+    one-column batch pairwise, not in sequence.  Each column's arithmetic
+    then does not depend on the others, so the results do not depend on the
+    plan.  The first exception of fn, in block order, reaches the caller
+    once no block runs any more; the blocks not started by then are
+    dropped.  With one thread it is a plain loop in the calling thread.
+    """
+    n = workers()
+    budget = min(n_cols, COLUMN_BYTES // col_nbytes) if col_nbytes else n_cols
+    share = COLUMN_BYTES // n // col_nbytes if col_nbytes else n_cols
+    k = n
+    while k > 1 and (budget // k < 2 or budget // k * col_len < k * SHARED_ROW):
         k -= 1
-    return k
-
-
-def column_blocks(n_cols: int, col_nbytes: int, cols: int = 0):
-    """(start, stop) of consecutive blocks of batch columns covering range(n_cols).
-
-    A block holds cols columns, or the whole columns that fit in COLUMN_BYTES
-    when cols is 0, but never fewer than two: numpy sums the modes of a
-    one-column batch pairwise, not in sequence, which changes bits.  So a
-    one-column remainder joins the block before it.
-    """
-    cols = max(2, cols or COLUMN_BYTES // max(1, col_nbytes))
-    start = 0
-    for stop in [*range(cols, n_cols - 1, cols), n_cols]:
-        yield start, stop
-        start = stop
-
-
-def column_parts(n_cols: int, col_len: int) -> list[tuple[int, int]]:
-    """(start, stop) of consecutive, near-equal parts of range(n_cols), to run at once.
-
-    There is one part per worker, as far as the parts keep rows wide enough
-    to share the cores (see _threads) and at least two columns each (see
-    column_blocks); one part when the columns are too few.
-    """
-    parts = _threads(lambda k: n_cols // k, col_len)
-    bounds = [n_cols * k // parts for k in range(parts + 1)]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
-def map_columns(fn, blocks, at_once: int | None = None) -> list:
-    """fn(slice(start, stop)) for every (start, stop) of blocks, in block order.
-
-    The blocks run on threads, at most workers() (and at_once) at a time;
-    numpy releases the GIL on the long rows of the sweeps.  The first
-    exception of fn, in block order, reaches the caller once no block runs
-    any more; the blocks not started by then are dropped.  With one thread it
-    is a plain loop in the calling thread.  Each column's arithmetic does not
-    depend on the others, so the results do not depend on the number of
-    threads, as long as every block holds at least two columns (see
-    column_blocks).
-    """
-    slices = [slice(start, stop) for start, stop in blocks]
-    n = min(workers(), at_once or len(slices), len(slices))
-    if n <= 1:
-        return [fn(cols) for cols in slices]
+    wide = -(-k * SHARED_ROW // col_len)  # columns of a row of k * SHARED_ROW elements
+    cols = max(1, min(-(-budget // k), max(share, wide)))
+    least = max(2, wide) if k > 1 else 2
+    n_blocks = max(1, min(-(-n_cols // cols), n_cols // least))
+    bounds = [n_cols * i // n_blocks for i in range(n_blocks + 1)]
+    blocks = [slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
+    k = min(k, n_blocks)
+    if k == 1:
+        return [fn(block) for block in blocks]
     # imported here: the CLI's other commands never load it
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(n, thread_name_prefix="looplab-columns") as pool:
-        futures = [pool.submit(fn, cols) for cols in slices]
+    with ThreadPoolExecutor(k, thread_name_prefix="looplab-columns") as pool:
+        futures = [pool.submit(fn, block) for block in blocks]
         try:
             return [f.result() for f in futures]
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
-
-
-def map_column_blocks(fn, n_cols: int, col_nbytes: int, col_len: int) -> list:
-    """map_columns of fn over consecutive column blocks of range(n_cols), within COLUMN_BYTES.
-
-    A column takes col_nbytes and has col_len modes.  As many blocks run at
-    once as the budget holds with rows wide enough to share the cores (see
-    _threads).  A block holds its worker's share of the budget, widened to
-    the rows that many threads need.
-    """
-    budget = COLUMN_BYTES // max(1, col_nbytes)  # columns in flight
-    at_once = _threads(lambda k: budget // k, col_len)
-    shared = -(-at_once * SHARED_ROW // max(1, col_len))
-    cols = min(budget // at_once, max(budget // workers(), shared))
-    return map_columns(fn, column_blocks(n_cols, col_nbytes, cols), at_once)
 
 
 def _over_2h(x: np.ndarray, h: float) -> None:

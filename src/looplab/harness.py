@@ -31,7 +31,6 @@ from .cylinder import (
     aps_boundary,
     apply_D,
     block_rows,
-    column_parts,
     cyl_norm,
     decompose,
     dt_derivative_rows,
@@ -42,7 +41,6 @@ from .cylinder import (
     l21_batch,
     l21_density,
     l2_batch,
-    map_column_blocks,
     map_columns,
     mode_scratch,
     p_op,
@@ -380,9 +378,9 @@ def _random_smooth_fields(rng, N: int, M_t: int, batch: int) -> np.ndarray:
     return _fill_smooth_fields(_smooth_field_coeffs(rng, N, batch), M_t, out)
 
 
-def _half_norm_batch(coeffs: np.ndarray, N: int) -> np.ndarray:
-    w = sobolev_weights(0.5, N)
-    return np.sqrt(np.sum(w[:, None] * np.abs(coeffs) ** 2, axis=0))
+def _half_norm_sq(coeffs: np.ndarray, N: int) -> np.ndarray:
+    """Squared half-norm sum_n w_n |c_n|^2 of every batch column of coeffs (2N+1, batch)."""
+    return np.sum(sobolev_weights(0.5, N)[:, None] * np.abs(coeffs) ** 2, axis=0)
 
 
 def _l4_batch(values: np.ndarray, h: float, N: int) -> np.ndarray:
@@ -396,15 +394,6 @@ def _l4_batch(values: np.ndarray, h: float, N: int) -> np.ndarray:
     return time_trapezoid(quartic, h) ** 0.25
 
 
-def _boundary_half_norm_batch(values: np.ndarray, N: int) -> np.ndarray:
-    """Half-norm of the full boundary trace (both ends) per batch column."""
-    w = sobolev_weights(0.5, N)[:, None]
-    return np.sqrt(
-        np.sum(w * np.abs(values[0]) ** 2, axis=0)
-        + np.sum(w * np.abs(values[-1]) ** 2, axis=0)
-    )
-
-
 def _column_maxima(n_cols: int, col_shape: tuple[int, int], ratios) -> list[float]:
     """Largest value over all batch columns of each per-column ratio.
 
@@ -415,11 +404,11 @@ def _column_maxima(n_cols: int, col_shape: tuple[int, int], ratios) -> list[floa
     """
     nodes, modes = col_shape
     col_nbytes = nodes * modes * np.dtype(complex).itemsize
-    parts = map_column_blocks(ratios, n_cols, col_nbytes, modes)
+    parts = map_columns(ratios, n_cols, col_nbytes, modes)
     return [float(np.max(np.concatenate(per_block))) for per_block in zip(*parts)]
 
 
-def _right_inverse_probe(coeffs, lam: np.ndarray, h: float, M: int, parts: int = 1):
+def _right_inverse_probe(coeffs, lam: np.ndarray, h: float, M: int, batch: int | None = None):
     """D P g - g relative to g in L^2, per batch column, and the rows t = 0 and t = M h of P g.
 
     g holds the smooth forcings of coeffs on M time steps.  Each spectral
@@ -429,10 +418,11 @@ def _right_inverse_probe(coeffs, lam: np.ndarray, h: float, M: int, parts: int =
     the whole batch is ever made.  The residual lags the sweep by one row, so
     that each residual row has both neighbours for its time derivative; the
     buffers carry the last three rows of P g and of g into the next block.
-    When coeffs is one of `parts` column parts probed at the same time, its
-    time blocks are as long as those of the whole batch, so all parts
-    together hold the scratch of one probe.
+    When coeffs is one column block of a batch of `batch` columns probed at
+    the same time, its time blocks are as long as those of the whole batch,
+    so all blocks together hold the scratch of one probe.
     """
+    batch = batch or coeffs[0].shape[1]
     tau = np.linspace(0.0, 1.0, M + 1)[:, None, None]
     # node densities of |D P g - g|^2 and |g|^2, summed over the modes sector by sector
     densities = [np.zeros((M + 1,) + coeffs[0].shape[1:]) for _ in range(2)]
@@ -440,13 +430,14 @@ def _right_inverse_probe(coeffs, lam: np.ndarray, h: float, M: int, parts: int =
     for sector, forward in sector_sweeps(lam):
         sector_coeffs = [c[sector] for c in coeffs]
         row = sector_coeffs[0].shape
-        rows = block_rows(M, parts * sector_coeffs[0].nbytes)
+        rows = block_rows(M, row[0] * batch * np.dtype(complex).itemsize)
         sweep = SectorSweep(lam, h, sector, forward, row, complex, rows)
         # complex copies of the real factors give the products numpy forms
         # when it casts them, without casting every block
         lam_u = lam[sector][:, None].astype(complex)
         t = sweep_order(tau, forward)
         t, t_sq = t.astype(complex), (t**2).astype(complex)
+        sweep_densities = [sweep_order(d, forward) for d in densities]
         # buffer row i holds sweep row start - 2 + i of the current block
         u, g = (np.empty((rows + 3,) + row, complex) for _ in range(2))
         quad, du, lam_du = (np.empty((rows + 2,) + row, complex) for _ in range(3))
@@ -461,18 +452,20 @@ def _right_inverse_probe(coeffs, lam: np.ndarray, h: float, M: int, parts: int =
             sweep.advance(u[2 : 3 + m], g[2 : 3 + m])
             lo, hi = done, stop - 1 if stop < M else M + 1
             if hi > lo:
-                # the rows lo:hi with their halo, in time order; the one-sided
-                # stencil of the first row reads the two rows after it
+                # the rows lo:hi with their halo; the one-sided stencil of
+                # the first row reads the two rows after it.  Against the
+                # sweep of the lambda < 0 sector time runs backward, so its
+                # derivative there is the negated one in sweep order
                 w_lo, w_hi = max(lo - 1, 0), min(max(hi + 1, 3), M + 1)
-                window = sweep_order(u[w_lo - off : w_hi - off], forward)
-                a, b = (lo - w_lo, hi - w_lo) if forward else (w_hi - hi, w_hi - lo)
-                g_rows = sweep_order(g[lo - off : hi - off], forward)
+                window, a, b = u[w_lo - off : w_hi - off], lo - w_lo, hi - w_lo
+                g_rows = g[lo - off : hi - off]
                 r = dt_derivative_rows(window, h, a, b, out=du[: hi - lo])
+                if not forward:
+                    np.negative(r, out=r)
                 r += np.multiply(lam_u, window[a:b], out=lam_du[: hi - lo])
                 r -= g_rows
-                nodes = slice(lo, hi) if forward else slice(M + 1 - hi, M + 1 - lo)
-                for x, density in zip((r, g_rows), densities):
-                    add_l2_rows(x, scratch, density[nodes])
+                for x, density in zip((r, g_rows), sweep_densities):
+                    add_l2_rows(x, scratch, density[lo:hi])
                 done = hi
             u[:3], g[:3] = u[m : m + 3], g[m : m + 3]
         first, last = sweep_order(ends, forward)
@@ -486,26 +479,25 @@ def _right_inverse_errors(rng, N: int, eps: float) -> tuple[float, float]:
     """Worst relative D P g - g residual and worst prescribed P g trace at one eps.
 
     One hundred random smooth forcings on a refined grid, drawn as ten chunks
-    of ten and probed together, in column parts on the column workers.
+    of ten and probed together, in column blocks on the column workers.
     """
     lam = lambda_of_modes(N).astype(float)
-    w = sobolev_weights(0.5, N)[:, None]
     plus_mask = (mode_numbers(N) <= 0)[:, None]
     M_ref = max(2048, int(np.ceil(12000 * eps)))
     chunks = [_smooth_field_coeffs(rng, N, 10) for _ in range(10)]
     coeffs = [np.concatenate(c, axis=1) for c in zip(*chunks)]
-    parts = column_parts(coeffs[0].shape[1], len(lam))
+    batch = coeffs[0].shape[1]
 
     def probe(cols):
         part = [c[:, cols] for c in coeffs]
-        return _right_inverse_probe(part, lam, eps / M_ref, M_ref, len(parts))
+        return _right_inverse_probe(part, lam, eps / M_ref, M_ref, batch)
 
-    probed = map_columns(probe, parts)
+    probed = map_columns(probe, batch, 0, len(lam))
     rel = np.concatenate([r for r, _ in probed])
     ends = np.concatenate([e for _, e in probed], axis=2)
     # prescribed boundary components of P g vanish
-    trace0 = np.sqrt(np.sum(w * plus_mask * np.abs(ends[0]) ** 2, axis=0))
-    trace1 = np.sqrt(np.sum(w * ~plus_mask * np.abs(ends[1]) ** 2, axis=0))
+    trace0 = np.sqrt(_half_norm_sq(np.where(plus_mask, ends[0], 0), N))
+    trace1 = np.sqrt(_half_norm_sq(np.where(plus_mask, 0, ends[1]), N))
     return float(np.max(rel)), max(float(np.max(trace0)), float(np.max(trace1)))
 
 
@@ -535,7 +527,7 @@ def _uniformity_estimates(rng, N: int, M_t: int, eps: float) -> tuple[float, ...
     c = np.concatenate([probes, mixes], axis=1)
     plus = np.where(plus_modes, c, 0.0)
     minus = np.where(~plus_modes, c, 0.0)
-    c_half = _half_norm_batch(c, N)
+    c_half = np.sqrt(_half_norm_sq(c, N))
 
     def q_ratios(cols):
         qv = kernel_q_values(plus[:, cols], minus[:, cols], lam, times, eps)
@@ -555,7 +547,8 @@ def _uniformity_estimates(rng, N: int, M_t: int, eps: float) -> tuple[float, ...
         g = smooth_fields(forcing, cols)
         pv = kernel_p_values(g, lam, h)
         g_l2 = l2_batch(g, h)
-        return l21_batch(pv, h, l21_weight) / g_l2, _boundary_half_norm_batch(pv, N) / g_l2
+        trace = np.sqrt(_half_norm_sq(pv[0], N) + _half_norm_sq(pv[-1], N))
+        return l21_batch(pv, h, l21_weight) / g_l2, trace / g_l2
 
     est_p, est_r = _column_maxima(forcing[0].shape[1], col_shape, p_ratios)
 
@@ -563,7 +556,7 @@ def _uniformity_estimates(rng, N: int, M_t: int, eps: float) -> tuple[float, ...
     c2 = gaussian_loop(100, N, rng).coeffs
     plus2 = np.where(plus_modes, c2, 0.0)
     minus2 = np.where(~plus_modes, c2, 0.0)
-    c2_half = _half_norm_batch(c2, N)
+    c2_half = np.sqrt(_half_norm_sq(c2, N))
     smooth2 = _smooth_field_coeffs(rng, N, 100)
 
     def mixed_ratios(cols):
@@ -1416,7 +1409,7 @@ def _suite_flow(config: Config) -> list[CheckRecord]:
         worst = -np.inf
         lo_seen, hi_seen = np.inf, -np.inf
         for _ in range(1000):
-            vals = _random_smooth_fields(rng, N, M_t, 1)[:, :, :1]
+            vals = _random_smooth_fields(rng, N, M_t, 1)
             u = CylinderMap(1, N, 0.4, M_t, vals)
             ratio = energy(m_quad, u) / cyl_norm(u, "L2_1") ** 2
             lo_seen, hi_seen = min(lo_seen, ratio), max(hi_seen, ratio)

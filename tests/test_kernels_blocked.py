@@ -8,6 +8,7 @@ stencils of the time derivative.  The column sweeps must give the same bytes
 and make the same random draws at every number of column workers.
 """
 
+import concurrent.futures
 import functools
 import json
 import os
@@ -184,6 +185,18 @@ def ref_right_inverse_errors(N, eps, seed):
     return worst_rel, worst_trace, rng.standard_normal()
 
 
+def ref_half_norm(coeffs, N):
+    w = sobolev_weights(0.5, N)
+    return np.sqrt(np.sum(w[:, None] * np.abs(coeffs) ** 2, axis=0))
+
+
+def ref_boundary_half_norm(values, N):
+    w = sobolev_weights(0.5, N)[:, None]
+    return np.sqrt(
+        np.sum(w * np.abs(values[0]) ** 2, axis=0) + np.sum(w * np.abs(values[-1]) ** 2, axis=0)
+    )
+
+
 def ref_l4_batch(values, h, N):
     sampled = theta_values(np.swapaxes(values, 1, 2)[..., None], N)[..., 0]
     return time_trapezoid(np.mean(np.abs(sampled) ** 4, axis=-1), h) ** 0.25
@@ -202,7 +215,7 @@ def ref_uniformity_estimates(rng, N, M_t, eps):
     plus = np.where((mode_numbers(N) <= 0)[:, None], c, 0.0)
     minus = np.where((mode_numbers(N) > 0)[:, None], c, 0.0)
     qv = kernel_q_values(plus, minus, lam, times, eps)
-    est_q = float(np.max(l21_batch(qv, h, l21_weight) / harness._half_norm_batch(c, N)))
+    est_q = float(np.max(l21_batch(qv, h, l21_weight) / ref_half_norm(c, N)))
     n_probes = probes.shape[1]
     g_vals = np.empty((m_eff + 1, 2 * N + 1, n_probes + 1000), complex)
     g_vals[:, :, :n_probes] = probes
@@ -210,13 +223,13 @@ def ref_uniformity_estimates(rng, N, M_t, eps):
     pv = kernel_p_values(g_vals, lam, h)
     g_l2 = l2_batch(g_vals, h)
     est_p = float(np.max(l21_batch(pv, h, l21_weight) / g_l2))
-    est_r = float(np.max(harness._boundary_half_norm_batch(pv, N) / g_l2))
+    est_r = float(np.max(ref_boundary_half_norm(pv, N) / g_l2))
     c2 = gaussian_loop(100, N, rng).coeffs
     plus2 = np.where((mode_numbers(N) <= 0)[:, None], c2, 0.0)
     minus2 = np.where((mode_numbers(N) > 0)[:, None], c2, 0.0)
     g2 = ref_random_smooth_fields(rng, N, m_eff, 100)
     u2 = kernel_q_values(plus2, minus2, lam, times, eps) + kernel_p_values(g2, lam, h)
-    denom = harness._half_norm_batch(c2, N) + l2_batch(g2, h)
+    denom = ref_half_norm(c2, N) + l2_batch(g2, h)
     est_mix = float(np.max(harness._l4_batch(u2, h, N) / denom))
     return est_p, est_q, est_r, est_mix
 
@@ -235,6 +248,59 @@ def same_bytes(a, b):
 def random_field(seed, shape):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def column_plan(n_cols, col_nbytes, col_len):
+    """The column blocks map_columns runs, in order, and the threads it opens (1: none)."""
+    blocks, threads = [], [1]
+
+    class InCallingThread:
+        """A ThreadPoolExecutor stand-in that runs each block as it is submitted."""
+
+        def __init__(self, n, thread_name_prefix=""):
+            threads.append(n)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    def record(cols):
+        blocks.append((cols.start, cols.stop))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(concurrent.futures, "ThreadPoolExecutor", InCallingThread)
+        cylinder.map_columns(record, n_cols, col_nbytes, col_len)
+    return blocks, threads[-1]
+
+
+def assert_plan(blocks, k, n_cols, col_nbytes, col_len, n_workers):
+    """The planning rule of map_columns, with the SHARED_ROW and COLUMN_BYTES in force."""
+    # the blocks cover the columns in order, at least two columns each, near-equal
+    assert [i for a, b in blocks for i in range(a, b)] == list(range(n_cols))
+    widths = [b - a for a, b in blocks]
+    assert min(widths) >= min(2, n_cols) and max(widths) - min(widths) <= 1
+    budget = min(n_cols, cylinder.COLUMN_BYTES // col_nbytes) if col_nbytes else n_cols
+
+    def shares_rows(j):  # j blocks of the budget's j-th part hold two columns and wide rows
+        return budget // j >= 2 and budget // j * col_len >= j * cylinder.SHARED_ROW
+
+    # at most k blocks at once, k as many as keep rows of k * SHARED_ROW elements,
+    # and every block keeps those rows
+    assert 1 <= k <= min(n_workers, len(blocks))
+    assert k == 1 or shares_rows(k)
+    assert k == min(n_workers, len(blocks)) or not shares_rows(k + 1)
+    least = max(2, -(-k * cylinder.SHARED_ROW // col_len)) if k > 1 else 2
+    assert min(widths) >= min(least, n_cols)
+    # the blocks in flight stay within COLUMN_BYTES plus fewer than k columns,
+    # unless one block more would be narrower than that
+    assert not col_nbytes or k * max(widths) < budget + k or n_cols // (len(blocks) + 1) < least
 
 
 @pytest.fixture(params=[1, 2, 7, None], ids=["rows1", "rows2", "rows7", "default"])
@@ -268,23 +334,16 @@ class TestBlockHelpers:
 
     @pytest.mark.parametrize("budget", (1, 2, 4))  # whole columns in COLUMN_BYTES
     def test_column_blocks(self, monkeypatch, budget):
+        # one worker: one block at a time, within the budget but for the
+        # two-column floor
+        monkeypatch.setattr(cylinder, "workers", lambda: 1)
         col_nbytes = 48
         monkeypatch.setattr(cylinder, "COLUMN_BYTES", budget * col_nbytes + col_nbytes - 1)
-        cols = max(2, budget)
         for n in (2, 3, budget + 1, 2 * budget + 1, 7 * budget):
-            blocks = list(cylinder.column_blocks(n, col_nbytes))
-            assert [i for a, b in blocks for i in range(a, b)] == list(range(n))
-            widths = [b - a for a, b in blocks]
-            assert min(widths) >= 2
-            # only the two-column minimum and a merged one-column remainder
-            # take a block past the budget
-            merged = n > cols and n % cols == 1
-            for k, width in enumerate(widths):
-                last = k == len(widths) - 1
-                assert width <= cols + (last and merged)
-                within = width * col_nbytes <= cylinder.COLUMN_BYTES
-                assert within or cols > budget or (last and merged)
-        assert list(cylinder.column_blocks(1, col_nbytes)) == [(0, 1)]
+            blocks, k = column_plan(n, col_nbytes, 65)
+            assert_plan(blocks, k, n, col_nbytes, 65, 1)
+            assert k == 1 and len(blocks) == max(1, min(-(-n // budget), n // 2))
+        assert column_plan(1, col_nbytes, 65) == ([(0, 1)], 1)
 
     @pytest.mark.parametrize("n_nodes", (3, 4, 9, 23))
     def test_derivative_rows_match_whole_field(self, n_nodes):
@@ -477,8 +536,8 @@ class TestUniformityBlocked:
 
     @pytest.mark.parametrize("cols", (3, None), ids=["cols3", "default"])
     def test_estimates_bit_identical(self, monkeypatch, cols):
-        # three columns per block leave a one-column remainder in both the
-        # 1009-column and the 100-column batch; it joins the block before it
+        # a budget of three columns splits the 1009-column and the 100-column
+        # batch into near-equal blocks of two and three columns
         M_t = 16
         for eps in (1.0, 0.5, 0.1, 0.01, 0.001):
             if cols is not None:
@@ -500,17 +559,20 @@ class TestUniformityBlocked:
         col_nbytes = field[:, :, 0].nbytes
         monkeypatch.setattr(cylinder, "COLUMN_BYTES", 3 * col_nbytes)
 
+        monkeypatch.setattr(cylinder, "workers", lambda: 1)
+
         def norms(values):
             return (
                 l2_batch(values, H),
                 l21_batch(values, H, sobolev_weights(1, modes)),
-                harness._boundary_half_norm_batch(values, modes),
+                np.sqrt(harness._half_norm_sq(values[0], modes)),
+                np.sqrt(harness._half_norm_sq(values[-1], modes)),
                 harness._l4_batch(values, H, modes),
             )
 
         whole = norms(field)
-        blocks = list(cylinder.column_blocks(10, col_nbytes))
-        assert blocks == [(0, 3), (3, 6), (6, 10)]
+        blocks, _ = column_plan(10, col_nbytes, 2 * modes + 1)
+        assert blocks == [(0, 2), (2, 5), (5, 7), (7, 10)]
         for start, stop in blocks:
             for part, ref in zip(norms(np.ascontiguousarray(field[:, :, start:stop])), whole):
                 assert same_bytes(part, ref[start:stop])
@@ -530,37 +592,38 @@ def n_workers(request, monkeypatch):
 
 @pytest.fixture
 def column_calls(monkeypatch):
-    """(column ranges, at_once) of every map_columns call the harness makes."""
+    """(blocks, threads) of the plan of every map_columns call the harness makes."""
     calls, map_columns = [], cylinder.map_columns
 
-    def spy(fn, blocks, at_once=None):
-        blocks = list(blocks)
-        calls.append((blocks, at_once))
-        return map_columns(fn, blocks, at_once)
+    def spy(fn, *plan):
+        calls.append(column_plan(*plan))
+        return map_columns(fn, *plan)
 
-    monkeypatch.setattr(cylinder, "map_columns", spy)
     monkeypatch.setattr(harness, "map_columns", spy)
     return calls
 
 
 def assert_parts(blocks, n_cols):
-    """Every part holds at least two columns, and the parts cover the columns in order."""
+    """Every block holds at least two columns, and the blocks cover the columns in order."""
     assert [i for a, b in blocks for i in range(a, b)] == list(range(n_cols))
     assert min(b - a for a, b in blocks) >= min(2, n_cols)
 
 
-def in_flight(col_nbytes, col_len):
-    """(column ranges, at_once) of map_column_blocks over 300 columns."""
-    calls = []
-
-    def record(fn, blocks, at_once=None):
-        calls.append((list(blocks), at_once))
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cylinder, "map_columns", record)
-        cylinder.map_column_blocks(None, 300, col_nbytes, col_len)
-    ((blocks, at_once),) = calls
-    return blocks, at_once
+# (columns, nodes) and (block count, threads) on 1, 2, 3, 8 and 50 CPUs of
+# the default aps sweeps at N = 32 (65 modes): the right-inverse probe (no
+# nodes: its memory does not grow with its blocks), the uniformity Q and
+# P/restriction sweeps and the mixed L^4 sweep at m_eff = 320, 160 and 64,
+# and end_vanishing
+APS_PLANS = {
+    "probe": ((100, 0), [(1, 1), (2, 2), (3, 3), (3, 3), (3, 3)]),
+    "uniformity_320": ((1065, 321), [(43, 1), (89, 1), (134, 1), (134, 1), (134, 1)]),
+    "uniformity_160": ((1065, 161), [(22, 1), (43, 2), (66, 2), (66, 2), (66, 2)]),
+    "uniformity_64": ((1065, 65), [(9, 1), (18, 2), (26, 3), (44, 3), (44, 3)]),
+    "mixed_l4_320": ((100, 321), [(4, 1), (9, 1), (13, 1), (13, 1), (13, 1)]),
+    "mixed_l4_160": ((100, 161), [(2, 1), (4, 2), (6, 2), (6, 2), (6, 2)]),
+    "mixed_l4_64": ((100, 65), [(1, 1), (2, 2), (3, 3), (4, 3), (4, 3)]),
+    "end_vanishing": ((250, 65), [(3, 1), (5, 2), (7, 3), (10, 3), (10, 3)]),
+}
 
 
 class TestColumnWorkers:
@@ -571,25 +634,12 @@ class TestColumnWorkers:
 
     def test_parts_and_blocks(self, n_workers, monkeypatch):
         monkeypatch.setattr(cylinder, "SHARED_ROW", 4)
+        monkeypatch.setattr(cylinder, "COLUMN_BYTES", 12 * 48)
         for n_cols in range(1, 40):
             for col_len in (1, 2, 5):
-                parts = cylinder.column_parts(n_cols, col_len)
-                assert_parts(parts, n_cols)
-                k = len(parts)
-                assert 1 <= k <= n_workers
-                # k parts keep rows of k * SHARED_ROW elements, and k + 1 would not
-                assert k == 1 or min(b - a for a, b in parts) * col_len >= 4 * k
-                wider = n_cols // (k + 1)
-                assert k == n_workers or wider < 2 or wider * col_len < 4 * (k + 1)
-            for cols in (1, 2, 3, 5):
-                blocks = list(cylinder.column_blocks(n_cols, 48, cols))
-                assert_parts(blocks, n_cols)
-                # cols columns a block, at least two, and a one-column
-                # remainder merged into the last
-                width = max(2, cols)
-                for k, (a, b) in enumerate(blocks):
-                    last = k == len(blocks) - 1
-                    assert b - a == width or (last and b - a in (n_cols % width, width + 1))
+                for col_nbytes in (0, 48, 5 * 48, 13 * 48):
+                    blocks, k = column_plan(n_cols, col_nbytes, col_len)
+                    assert_plan(blocks, k, n_cols, col_nbytes, col_len, n_workers)
 
     @pytest.mark.parametrize("shared_row", (1, 20, 200))
     @pytest.mark.parametrize(
@@ -597,65 +647,59 @@ class TestColumnWorkers:
     )
     def test_blocks_in_flight(self, n_workers, monkeypatch, shared_row, col_nbytes):
         monkeypatch.setattr(cylinder, "SHARED_ROW", shared_row)
-        blocks, at_once = in_flight(col_nbytes, 2)
-        assert_parts(blocks, 300)
-        assert 1 <= at_once <= n_workers
-        width = blocks[0][1]
-        budget = cylinder.COLUMN_BYTES // col_nbytes  # columns
-        # the blocks in flight keep the budget (unless at two columns) ...
-        assert at_once * width <= budget or width == 2
-        # ... and rows of at_once * SHARED_ROW elements (of two modes a column)
-        assert at_once == 1 or width * 2 >= at_once * shared_row
-        # as many run at once as the budget holds with rows that wide
-        wider = budget // (at_once + 1)
-        assert at_once == n_workers or wider < 2 or wider * 2 < (at_once + 1) * shared_row
-        # and a block is no wider than its worker's share or those rows need
-        needed = -(-at_once * shared_row // 2)
-        assert width <= max(2, budget // n_workers, needed) or width == 300
+        blocks, k = column_plan(300, col_nbytes, 2)
+        assert_plan(blocks, k, 300, col_nbytes, 2, n_workers)
+        # a block is no wider than its worker's share, or than the rows of
+        # k * SHARED_ROW elements (of two modes a column) need
+        share = cylinder.COLUMN_BYTES // n_workers // col_nbytes
+        assert max(b - a for a, b in blocks) <= max(3, share, -(-k * shared_row // 2))
 
     @pytest.mark.parametrize("cpus", (2, 8, 50))
     def test_rows_stay_shared_on_many_cpus(self, monkeypatch, cpus):
-        # the aps suite at N = 32: probe parts and column blocks that run
+        # the aps suite at N = 32: probe blocks and column blocks that run
         # beside others keep sector rows (32 or 33 of the 65 modes) of more
         # than 500 elements, on which numpy drops the GIL, and rows of
         # SHARED_ROW elements per thread in flight, whatever the CPU count
         monkeypatch.setattr(cylinder, "workers", lambda: cpus)
-        parts = cylinder.column_parts(100, 65)
-        width = min(b - a for a, b in parts)
-        assert 2 <= len(parts) <= 3
-        assert width * 32 > 500 and width * 65 >= len(parts) * cylinder.SHARED_ROW
-        # m_eff = 320, 160 and 64 nodes at eps = 1, 0.5 and <= 0.1
-        for nodes, most in ((321, 1), (161, 2), (65, 3)):
+        for (n_cols, nodes), _ in APS_PLANS.values():
             col_nbytes = nodes * 65 * 16
-            blocks, at_once = in_flight(col_nbytes, 65)
-            width = min(b - a for a, b in blocks[:-1])
-            assert at_once * width * col_nbytes <= cylinder.COLUMN_BYTES
-            assert at_once == min(cpus, most)
-            assert at_once == 1 or width * 32 > 500
-            assert width * 65 >= at_once * cylinder.SHARED_ROW
+            blocks, k = column_plan(n_cols, col_nbytes, 65)
+            assert_plan(blocks, k, n_cols, col_nbytes, 65, cpus)
+            assert k <= 3 and (k == 1 or min(b - a for a, b in blocks) * 32 > 500)
 
-    def test_map_columns(self, n_workers):
+    @pytest.mark.parametrize("cpus", (1, 2, 3, 8, 50))
+    def test_aps_plans(self, monkeypatch, cpus):
+        monkeypatch.setattr(cylinder, "workers", lambda: cpus)
+        column = (1, 2, 3, 8, 50).index(cpus)
+        for name, ((n_cols, nodes), plans) in APS_PLANS.items():
+            col_nbytes = nodes * 65 * 16
+            blocks, k = column_plan(n_cols, col_nbytes, 65)
+            assert (len(blocks), k) == plans[column], name
+
+    def test_map_columns(self, n_workers, monkeypatch):
         seen = []
 
         def fn(cols):
             seen.append(threading.current_thread() is threading.main_thread())
             return cols.start, cols.stop
 
-        blocks = [(0, 2), (2, 5), (5, 7), (7, 10)]
-        assert cylinder.map_columns(fn, iter(blocks)) == blocks
+        # one block per worker: rows of one element may run beside others
+        blocks = [(10 * k // n_workers, 10 * (k + 1) // n_workers) for k in range(n_workers)]
+        assert cylinder.map_columns(fn, 10, 0, 1) == blocks
         assert all(seen) == (n_workers == 1)
         seen.clear()
-        assert cylinder.map_columns(fn, blocks, at_once=1) == blocks
+        # a budget of two columns runs one block at a time, in the calling thread
+        with monkeypatch.context() as mp:
+            mp.setattr(cylinder, "COLUMN_BYTES", 2 * 48)
+            assert cylinder.map_columns(fn, 10, 48, 1) == [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10)]
         assert all(seen)
-        assert cylinder.map_columns(fn, []) == []
 
         def fails(cols):
-            if cols.start == 5:
-                raise ArithmeticError("column part 5:7")
-            return cols.start
+            raise ArithmeticError(f"column block {cols.start}:{cols.stop}")
 
-        with pytest.raises(ArithmeticError, match="5:7"):
-            cylinder.map_columns(fails, blocks)
+        # the first exception in block order
+        with pytest.raises(ArithmeticError, match=f"^column block 0:{blocks[0][1]}$"):
+            cylinder.map_columns(fails, 10, 0, 1)
 
         # no block still runs when the exception arrives
         running, lock = [], threading.Lock()
@@ -670,7 +714,7 @@ class TestColumnWorkers:
                 running.remove(cols.start)
 
         with pytest.raises(ArithmeticError, match="first part"):
-            cylinder.map_columns(slow_after_failure, blocks)
+            cylinder.map_columns(slow_after_failure, 10, 0, 1)
         assert running == []
         # and no thread of the sweep outlives the call
         assert not [t for t in threading.enumerate() if t.name.startswith("looplab-columns")]
@@ -707,8 +751,8 @@ class TestColumnWorkers:
         assert rng.standard_normal() == next_draw
         # no public operation runs, in a worker or elsewhere
         assert coverage.counts() == counts
-        ((parts, _),) = column_calls
-        assert len(parts) == min(n_workers, 50)
+        ((parts, threads),) = column_calls
+        assert len(parts) == threads == n_workers
         assert_parts(parts, 100)
 
     @pytest.mark.parametrize("cols", (6, None), ids=["cols6", "default"])
@@ -718,7 +762,7 @@ class TestColumnWorkers:
             m_eff = max(M_t, int(np.ceil(10 * N * eps)))
             col_nbytes = (m_eff + 1) * (2 * N + 1) * 16
             if cols is not None:
-                # blocks of 6, 3 and 2 columns: 1009 % 6 = 1009 % 3 = 1009 % 2 = 1
+                # a budget of six columns: a worker's share of 6, 3 or 2 columns
                 monkeypatch.setattr(cylinder, "COLUMN_BYTES", cols * col_nbytes)
             column_calls.clear()
             rng, rng_ref = np.random.default_rng(20), np.random.default_rng(20)
@@ -730,9 +774,9 @@ class TestColumnWorkers:
             assert coverage.counts() == counts
             # the Q, P/restriction and mixed L^4 sweeps, each over its whole batch
             assert len(column_calls) == 3
-            for (blocks, at_once), n_cols in zip(column_calls, (2 * N + 1001, 2 * N + 1001, 100)):
+            for (blocks, threads), n_cols in zip(column_calls, (2 * N + 1001, 2 * N + 1001, 100)):
                 assert_parts(blocks, n_cols)
-                assert at_once == n_workers
+                assert threads == n_workers
                 share = max(2, cylinder.COLUMN_BYTES // n_workers // col_nbytes)
                 assert max(b - a for a, b in blocks) <= share + 1
 
