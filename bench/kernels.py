@@ -46,8 +46,9 @@ from pathlib import Path
 # (nodes, modes, batch): ten forcings on the aps.right_inverse grids at
 # eps = 1 and eps <= 0.1, and the whole aps.uniformity batch at eps = 1.
 # Neither check builds such a field: aps.right_inverse streams its forcings
-# and P images through time blocks, and aps.uniformity builds its batch in
-# blocks of columns (cylinder.map_columns)
+# and P images through time blocks (cylinder.right_inverse_residual), and
+# aps.uniformity builds and reduces its batch in blocks of columns
+# (cylinder.smooth_fields and cylinder.column_maxima)
 APS_SHAPES = ((12001, 65, 10), (2049, 65, 10), (321, 65, 1065))
 
 

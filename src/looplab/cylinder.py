@@ -296,6 +296,20 @@ def map_columns(fn, n_cols: int, col_nbytes: int, col_len: int) -> list:
             raise
 
 
+def column_maxima(n_cols: int, col_shape: tuple[int, int], ratios) -> list[float]:
+    """Largest value over all batch columns of each per-column ratio.
+
+    ratios(cols) returns the ratios of the batch columns in the slice cols,
+    whose fields hold complex (nodes, modes) = col_shape a column; it runs
+    once per column block, on the column workers, and each ratio is then
+    reduced over all columns at once.
+    """
+    nodes, modes = col_shape
+    col_nbytes = nodes * modes * np.dtype(complex).itemsize
+    parts = map_columns(ratios, n_cols, col_nbytes, modes)
+    return [float(np.max(np.concatenate(per_block))) for per_block in zip(*parts)]
+
+
 def _over_2h(x: np.ndarray, h: float) -> None:
     """x /= 2h in place.
 
@@ -424,6 +438,17 @@ def l21_batch(values: np.ndarray, h: float, weight: np.ndarray) -> np.ndarray:
 def l2_norm(values: np.ndarray, h: float) -> float:
     """L^2 norm of one field (M+1, 2N+1, d), its modes x coordinates as one column."""
     return float(l2_batch(values.reshape(len(values), -1, 1), h)[0])
+
+
+def l4_batch(values: np.ndarray, h: float, N: int) -> np.ndarray:
+    """L^4 norm over [0, T] x S^1 of every batch column of values, one time block at a time."""
+    rows = block_rows(len(values), values[0].nbytes)
+    quartic = np.empty((len(values), values.shape[2]))
+    for start, stop in time_blocks(len(values), rows):
+        # reorder to (rows, batch, modes, 1) so the theta axis lands second-to-last
+        sampled = theta_values(np.swapaxes(values[start:stop], 1, 2)[..., None], N)[..., 0]
+        quartic[start:stop] = np.mean(np.abs(sampled) ** 4, axis=-1)
+    return time_trapezoid(quartic, h) ** 0.25
 
 
 # -- low-level kernels (arrays in, arrays out; trailing axes broadcast) ----------
@@ -555,6 +580,116 @@ def kernel_p_values(g_values: np.ndarray, lam: np.ndarray, h: float) -> np.ndarr
         for start, stop in time_blocks(n_steps, rows):
             sweep.advance(o[start : stop + 1], g[start : stop + 1])
     return out
+
+
+# -- smooth batch fields and the right-inverse residual -------------------------
+
+
+def _smooth_rows(coeffs, tau: np.ndarray, tau_sq: np.ndarray, out: np.ndarray, quad) -> np.ndarray:
+    """Rows c0 + c1 tau + c2 tau^2 of smooth fields into out, at node times tau (rows, 1, 1).
+
+    quad is complex scratch of at least as many rows as out.
+    """
+    c0, c1, c2 = coeffs
+    np.multiply(c1, tau, out=out)
+    out += c0
+    out += np.multiply(c2, tau_sq, out=quad[: len(out)])
+    return out
+
+
+def smooth_fields(coeffs, M: int, cols=slice(None)) -> np.ndarray:
+    """Smooth fields (M+1, modes, columns) of the batch columns cols of coeffs = (c0, c1, c2).
+
+    Each coefficient block has shape (modes, batch); node j holds
+    c0 + c1 tau + c2 tau^2 with tau = j / M.  The field is written one time
+    block at a time.
+    """
+    coeffs = [c[:, cols] for c in coeffs]
+    out = np.empty((M + 1,) + coeffs[0].shape, complex)
+    tau = np.linspace(0.0, 1.0, M + 1)[:, None, None]
+    tau_sq = tau**2
+    rows = block_rows(M + 1, out[0].nbytes)
+    quad = np.empty((rows,) + out.shape[1:], complex)
+    for start, stop in time_blocks(M + 1, rows):
+        _smooth_rows(coeffs, tau[start:stop], tau_sq[start:stop], out[start:stop], quad)
+    return out
+
+
+def _right_inverse_block(coeffs, lam: np.ndarray, h: float, M: int, batch: int) -> np.ndarray:
+    """D P g - g relative to g in L^2, per batch column of one column block.
+
+    g holds the smooth forcings of coeffs on M time steps.  Each spectral
+    sector is streamed once in its sweep direction, one time block at a time:
+    a block forms its forcing rows, advances P over them and adds the
+    sector's |D P g - g|^2 and |g|^2 to the node densities, so no field of
+    the whole batch is ever made.  The residual lags the sweep by one row, so
+    that each residual row has both neighbours for its time derivative; the
+    buffers carry the last three rows of P g and of g into the next block.
+    coeffs is one column block of a batch of `batch` columns probed at the
+    same time; its time blocks are as long as those of the whole batch, so
+    all blocks together hold the scratch of one probe.
+    """
+    tau = np.linspace(0.0, 1.0, M + 1)[:, None, None]
+    # node densities of |D P g - g|^2 and |g|^2, summed over the modes sector by sector
+    densities = [np.zeros((M + 1,) + coeffs[0].shape[1:]) for _ in range(2)]
+    for sector, forward in sector_sweeps(lam):
+        sector_coeffs = [c[sector] for c in coeffs]
+        row = sector_coeffs[0].shape
+        rows = block_rows(M, row[0] * batch * np.dtype(complex).itemsize)
+        sweep = SectorSweep(lam, h, sector, forward, row, complex, rows)
+        # complex copies of the real factors give the products numpy forms
+        # when it casts them, without casting every block
+        lam_u = lam[sector][:, None].astype(complex)
+        t = sweep_order(tau, forward)
+        t, t_sq = t.astype(complex), (t**2).astype(complex)
+        sweep_densities = [sweep_order(d, forward) for d in densities]
+        # buffer row i holds sweep row start - 2 + i of the current block
+        u, g = (np.empty((rows + 3,) + row, complex) for _ in range(2))
+        quad, du, lam_du = (np.empty((rows + 2,) + row, complex) for _ in range(3))
+        scratch = mode_scratch(rows + 2, (1 + row[0],) + row[1:])
+        u[2] = 0.0
+        _smooth_rows(sector_coeffs, t[:1], t_sq[:1], g[2:3], quad)
+        done = 0  # residual rows, in sweep order, already added
+        for start, stop in time_blocks(M, rows):
+            m, off = stop - start, start - 2
+            new_rows = slice(start + 1, stop + 1)
+            _smooth_rows(sector_coeffs, t[new_rows], t_sq[new_rows], g[3 : 3 + m], quad)
+            sweep.advance(u[2 : 3 + m], g[2 : 3 + m])
+            lo, hi = done, stop - 1 if stop < M else M + 1
+            if hi > lo:
+                # the rows lo:hi with their halo; the one-sided stencil of
+                # the first row reads the two rows after it.  Against the
+                # sweep of the lambda < 0 sector time runs backward, so its
+                # derivative there is the negated one in sweep order
+                w_lo, w_hi = max(lo - 1, 0), min(max(hi + 1, 3), M + 1)
+                window, a, b = u[w_lo - off : w_hi - off], lo - w_lo, hi - w_lo
+                g_rows = g[lo - off : hi - off]
+                r = dt_derivative_rows(window, h, a, b, out=du[: hi - lo])
+                if not forward:
+                    np.negative(r, out=r)
+                r += np.multiply(lam_u, window[a:b], out=lam_du[: hi - lo])
+                r -= g_rows
+                for x, density in zip((r, g_rows), sweep_densities):
+                    add_l2_rows(x, scratch, density[lo:hi])
+                done = hi
+            u[:3], g[:3] = u[m : m + 3], g[m : m + 3]
+    r_density, g_density = densities
+    return np.sqrt(time_trapezoid(r_density, h)) / np.sqrt(time_trapezoid(g_density, h))
+
+
+def right_inverse_residual(coeffs, lam: np.ndarray, h: float, M: int) -> np.ndarray:
+    """|D P g - g| / |g| in L^2 per batch column, g the smooth fields of coeffs on M steps of h.
+
+    coeffs = (c0, c1, c2) as in smooth_fields.  The columns run in blocks on
+    the column workers (map_columns), each block streamed through time
+    blocks without making its forcing field or its P image.
+    """
+    batch = coeffs[0].shape[1]
+
+    def probe(cols):
+        return _right_inverse_block([c[:, cols] for c in coeffs], lam, h, M, batch)
+
+    return np.concatenate(map_columns(probe, batch, 0, len(lam)))
 
 
 # -- public operations ------------------------------------------------------------

@@ -37,9 +37,8 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
 
 
 def _smoothstep_d(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    inside = (t > 0) & (t < 1)
-    return np.where(inside, 30.0 * t**2 * (1.0 - t) ** 2, 0.0)
+    """Derivative 30 t^2 (1 - t)^2 of the quintic smoothstep, of t in [0, 1]."""
+    return 30.0 * t**2 * (1.0 - t) ** 2
 
 
 def _smoothstep_int(t: np.ndarray) -> np.ndarray:
@@ -111,9 +110,7 @@ class HamiltonianModel:
         s = np.asarray(s, dtype=float)
         if self.variant == "pure_quadratic":
             return np.zeros_like(s)
-        width = self.s1 - self.s0
-        t = (s - self.s0) / width
-        return self.slope * _smoothstep_d(t) / width
+        return self.slope * _smoothstep_d(self._ramp(s)) / (self.s1 - self.s0)
 
 
 # -- pointwise evaluations ------------------------------------------------------

@@ -26,14 +26,11 @@ from .coverage import tracked
 from .cylinder import (
     BoundaryData,
     CylinderMap,
-    SectorSweep,
-    add_l2_rows,
     aps_boundary,
     apply_D,
-    block_rows,
+    column_maxima,
     cyl_norm,
     decompose,
-    dt_derivative_rows,
     energy,
     kernel_dt_mass,
     kernel_p_values,
@@ -41,13 +38,11 @@ from .cylinder import (
     l21_batch,
     l21_density,
     l2_batch,
-    map_columns,
-    mode_scratch,
+    l4_batch,
     p_op,
     q_op,
-    sector_sweeps,
-    sweep_order,
-    time_blocks,
+    right_inverse_residual,
+    smooth_fields,
     time_trapezoid,
     trace_defect_sq,
 )
@@ -341,163 +336,28 @@ def _smooth_field_coeffs(rng, N: int, batch: int) -> list[np.ndarray]:
     ]
 
 
-def _smooth_rows(coeffs, tau: np.ndarray, tau_sq: np.ndarray, out: np.ndarray, quad) -> np.ndarray:
-    """Rows c0 + c1 tau + c2 tau^2 of smooth fields into out, at node times tau (rows, 1, 1).
-
-    quad is complex scratch of at least as many rows as out.
-    """
-    c0, c1, c2 = coeffs
-    np.multiply(c1, tau, out=out)
-    out += c0
-    out += np.multiply(c2, tau_sq, out=quad[: len(out)])
-    return out
-
-
-def _fill_smooth_fields(coeffs, M_t: int, out: np.ndarray, cols=slice(None)) -> np.ndarray:
-    """Write the fields of the batch columns `cols` of coeffs into out, block by block.
-
-    Each node holds c0 + c1 tau + c2 tau^2 with tau = j / M_t; out has shape
-    (M_t+1, 2N+1, number of columns in cols).
-    """
-    coeffs = [c[:, cols] for c in coeffs]
-    tau = np.linspace(0.0, 1.0, M_t + 1)[:, None, None]
-    tau_sq = tau**2
-    rows = block_rows(M_t + 1, out[0].nbytes)
-    quad = np.empty((rows,) + out.shape[1:], complex)
-    for start, stop in time_blocks(M_t + 1, rows):
-        _smooth_rows(coeffs, tau[start:stop], tau_sq[start:stop], out[start:stop], quad)
-    return out
-
-
-def _random_smooth_fields(rng, N: int, M_t: int, batch: int) -> np.ndarray:
-    """Fields (M_t+1, 2N+1, batch): random quadratic t-profiles per mode.
-
-    Written block by block into a new array.
-    """
-    out = np.empty((M_t + 1, 2 * N + 1, batch), complex)
-    return _fill_smooth_fields(_smooth_field_coeffs(rng, N, batch), M_t, out)
-
-
 def _half_norm_sq(coeffs: np.ndarray, N: int) -> np.ndarray:
     """Squared half-norm sum_n w_n |c_n|^2 of every batch column of coeffs (2N+1, batch)."""
     return np.sum(sobolev_weights(0.5, N)[:, None] * np.abs(coeffs) ** 2, axis=0)
 
 
-def _l4_batch(values: np.ndarray, h: float, N: int) -> np.ndarray:
-    """L^4 norm over [0, T] x S^1 of every batch column of values, one time block at a time."""
-    rows = block_rows(len(values), values[0].nbytes)
-    quartic = np.empty((len(values), values.shape[2]))
-    for start, stop in time_blocks(len(values), rows):
-        # reorder to (rows, batch, modes, 1) so the theta axis lands second-to-last
-        sampled = theta_values(np.swapaxes(values[start:stop], 1, 2)[..., None], N)[..., 0]
-        quartic[start:stop] = np.mean(np.abs(sampled) ** 4, axis=-1)
-    return time_trapezoid(quartic, h) ** 0.25
-
-
-def _column_maxima(n_cols: int, col_shape: tuple[int, int], ratios) -> list[float]:
-    """Largest value over all batch columns of each per-column ratio.
-
-    ratios(cols) returns the ratios of the batch columns in the slice cols,
-    whose fields hold complex (nodes, modes) = col_shape a column; it runs
-    once per column block, on the column workers, and each ratio is then
-    reduced over all columns at once.
-    """
-    nodes, modes = col_shape
-    col_nbytes = nodes * modes * np.dtype(complex).itemsize
-    parts = map_columns(ratios, n_cols, col_nbytes, modes)
-    return [float(np.max(np.concatenate(per_block))) for per_block in zip(*parts)]
-
-
-def _right_inverse_probe(coeffs, lam: np.ndarray, h: float, M: int, batch: int | None = None):
-    """D P g - g relative to g in L^2, per batch column, and the rows t = 0 and t = M h of P g.
-
-    g holds the smooth forcings of coeffs on M time steps.  Each spectral
-    sector is streamed once in its sweep direction, one time block at a time:
-    a block forms its forcing rows, advances P over them and adds the
-    sector's |D P g - g|^2 and |g|^2 to the node densities, so no field of
-    the whole batch is ever made.  The residual lags the sweep by one row, so
-    that each residual row has both neighbours for its time derivative; the
-    buffers carry the last three rows of P g and of g into the next block.
-    When coeffs is one column block of a batch of `batch` columns probed at
-    the same time, its time blocks are as long as those of the whole batch,
-    so all blocks together hold the scratch of one probe.
-    """
-    batch = batch or coeffs[0].shape[1]
-    tau = np.linspace(0.0, 1.0, M + 1)[:, None, None]
-    # node densities of |D P g - g|^2 and |g|^2, summed over the modes sector by sector
-    densities = [np.zeros((M + 1,) + coeffs[0].shape[1:]) for _ in range(2)]
-    ends = np.empty((2,) + coeffs[0].shape, complex)
-    for sector, forward in sector_sweeps(lam):
-        sector_coeffs = [c[sector] for c in coeffs]
-        row = sector_coeffs[0].shape
-        rows = block_rows(M, row[0] * batch * np.dtype(complex).itemsize)
-        sweep = SectorSweep(lam, h, sector, forward, row, complex, rows)
-        # complex copies of the real factors give the products numpy forms
-        # when it casts them, without casting every block
-        lam_u = lam[sector][:, None].astype(complex)
-        t = sweep_order(tau, forward)
-        t, t_sq = t.astype(complex), (t**2).astype(complex)
-        sweep_densities = [sweep_order(d, forward) for d in densities]
-        # buffer row i holds sweep row start - 2 + i of the current block
-        u, g = (np.empty((rows + 3,) + row, complex) for _ in range(2))
-        quad, du, lam_du = (np.empty((rows + 2,) + row, complex) for _ in range(3))
-        scratch = mode_scratch(rows + 2, (1 + row[0],) + row[1:])
-        u[2] = 0.0
-        _smooth_rows(sector_coeffs, t[:1], t_sq[:1], g[2:3], quad)
-        done = 0  # residual rows, in sweep order, already added
-        for start, stop in time_blocks(M, rows):
-            m, off = stop - start, start - 2
-            new_rows = slice(start + 1, stop + 1)
-            _smooth_rows(sector_coeffs, t[new_rows], t_sq[new_rows], g[3 : 3 + m], quad)
-            sweep.advance(u[2 : 3 + m], g[2 : 3 + m])
-            lo, hi = done, stop - 1 if stop < M else M + 1
-            if hi > lo:
-                # the rows lo:hi with their halo; the one-sided stencil of
-                # the first row reads the two rows after it.  Against the
-                # sweep of the lambda < 0 sector time runs backward, so its
-                # derivative there is the negated one in sweep order
-                w_lo, w_hi = max(lo - 1, 0), min(max(hi + 1, 3), M + 1)
-                window, a, b = u[w_lo - off : w_hi - off], lo - w_lo, hi - w_lo
-                g_rows = g[lo - off : hi - off]
-                r = dt_derivative_rows(window, h, a, b, out=du[: hi - lo])
-                if not forward:
-                    np.negative(r, out=r)
-                r += np.multiply(lam_u, window[a:b], out=lam_du[: hi - lo])
-                r -= g_rows
-                for x, density in zip((r, g_rows), sweep_densities):
-                    add_l2_rows(x, scratch, density[lo:hi])
-                done = hi
-            u[:3], g[:3] = u[m : m + 3], g[m : m + 3]
-        first, last = sweep_order(ends, forward)
-        first[sector], last[sector] = 0.0, u[2]
-    r_density, g_density = densities
-    rel = np.sqrt(time_trapezoid(r_density, h)) / np.sqrt(time_trapezoid(g_density, h))
-    return rel, ends
-
-
-def _right_inverse_errors(rng, N: int, eps: float) -> tuple[float, float]:
+def _right_inverse_errors(rng, N: int, M_t: int, eps: float) -> tuple[float, float]:
     """Worst relative D P g - g residual and worst prescribed P g trace at one eps.
 
     One hundred random smooth forcings on a refined grid, drawn as ten chunks
-    of ten and probed together, in column blocks on the column workers.
+    of ten and probed together.  The traces are those of P applied to the
+    first chunk on the M_t grid, a field small next to the probe's scratch.
     """
     lam = lambda_of_modes(N).astype(float)
     plus_mask = (mode_numbers(N) <= 0)[:, None]
     M_ref = max(2048, int(np.ceil(12000 * eps)))
     chunks = [_smooth_field_coeffs(rng, N, 10) for _ in range(10)]
     coeffs = [np.concatenate(c, axis=1) for c in zip(*chunks)]
-    batch = coeffs[0].shape[1]
-
-    def probe(cols):
-        part = [c[:, cols] for c in coeffs]
-        return _right_inverse_probe(part, lam, eps / M_ref, M_ref, batch)
-
-    probed = map_columns(probe, batch, 0, len(lam))
-    rel = np.concatenate([r for r, _ in probed])
-    ends = np.concatenate([e for _, e in probed], axis=2)
+    rel = right_inverse_residual(coeffs, lam, eps / M_ref, M_ref)
     # prescribed boundary components of P g vanish
-    trace0 = np.sqrt(_half_norm_sq(np.where(plus_mask, ends[0], 0), N))
-    trace1 = np.sqrt(_half_norm_sq(np.where(plus_mask, 0, ends[1]), N))
+    pv = kernel_p_values(smooth_fields(chunks[0], M_t), lam, eps / M_t)
+    trace0 = np.sqrt(_half_norm_sq(np.where(plus_mask, pv[0], 0), N))
+    trace1 = np.sqrt(_half_norm_sq(np.where(plus_mask, 0, pv[-1]), N))
     return float(np.max(rel)), max(float(np.max(trace0)), float(np.max(trace1)))
 
 
@@ -517,10 +377,6 @@ def _uniformity_estimates(rng, N: int, M_t: int, eps: float) -> tuple[float, ...
     times = np.linspace(0.0, eps, m_eff + 1)
     col_shape = (m_eff + 1, 2 * N + 1)
 
-    def smooth_fields(coeffs, cols):
-        out = np.empty((m_eff + 1, 2 * N + 1, cols.stop - cols.start), complex)
-        return _fill_smooth_fields(coeffs, m_eff, out, cols)
-
     # Q: per-mode unit probes (the exact extremizers) plus random mixes
     mixes = gaussian_loop(1000, N, rng).coeffs
     probes = np.eye(2 * N + 1)
@@ -533,7 +389,7 @@ def _uniformity_estimates(rng, N: int, M_t: int, eps: float) -> tuple[float, ...
         qv = kernel_q_values(plus[:, cols], minus[:, cols], lam, times, eps)
         return (l21_batch(qv, h, l21_weight) / c_half[cols],)
 
-    (est_q,) = _column_maxima(c.shape[1], col_shape, q_ratios)
+    (est_q,) = column_maxima(c.shape[1], col_shape, q_ratios)
 
     # P and the restriction bound: per-mode constant probes (c0 = e_n and
     # c1 = c2 = 0, which the fill reproduces exactly) + smooth mixes
@@ -544,13 +400,13 @@ def _uniformity_estimates(rng, N: int, M_t: int, eps: float) -> tuple[float, ...
     ]
 
     def p_ratios(cols):
-        g = smooth_fields(forcing, cols)
+        g = smooth_fields(forcing, m_eff, cols)
         pv = kernel_p_values(g, lam, h)
         g_l2 = l2_batch(g, h)
         trace = np.sqrt(_half_norm_sq(pv[0], N) + _half_norm_sq(pv[-1], N))
         return l21_batch(pv, h, l21_weight) / g_l2, trace / g_l2
 
-    est_p, est_r = _column_maxima(forcing[0].shape[1], col_shape, p_ratios)
+    est_p, est_r = column_maxima(forcing[0].shape[1], col_shape, p_ratios)
 
     # mixed L4 bound
     c2 = gaussian_loop(100, N, rng).coeffs
@@ -560,12 +416,12 @@ def _uniformity_estimates(rng, N: int, M_t: int, eps: float) -> tuple[float, ...
     smooth2 = _smooth_field_coeffs(rng, N, 100)
 
     def mixed_ratios(cols):
-        g2 = smooth_fields(smooth2, cols)
+        g2 = smooth_fields(smooth2, m_eff, cols)
         u2 = kernel_q_values(plus2[:, cols], minus2[:, cols], lam, times, eps)
         u2 += kernel_p_values(g2, lam, h)
-        return (_l4_batch(u2, h, N) / (c2_half[cols] + l2_batch(g2, h)),)
+        return (l4_batch(u2, h, N) / (c2_half[cols] + l2_batch(g2, h)),)
 
-    (est_mix,) = _column_maxima(c2.shape[1], col_shape, mixed_ratios)
+    (est_mix,) = column_maxima(c2.shape[1], col_shape, mixed_ratios)
     return est_p, est_q, est_r, est_mix
 
 
@@ -936,7 +792,7 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
         rng = config.rng("aps.right_inverse")
         worst_rel = worst_trace = 0.0
         for eps in config.eps_list:
-            rel, trace = _right_inverse_errors(rng, N, eps)
+            rel, trace = _right_inverse_errors(rng, N, M_t, eps)
             worst_rel, worst_trace = max(worst_rel, rel), max(worst_trace, trace)
         yield CheckRecord(
             "aps.right_inverse_residual",
@@ -1061,15 +917,14 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
                 window = (tau if chunk % 2 == 0 else 1.0 - tau)[:, None, None]
 
                 def ratios(cols):
-                    f = np.empty((M_t + 1, 2 * N + 1, cols.stop - cols.start), complex)
-                    _fill_smooth_fields(coeffs, M_t, f, cols)
+                    f = smooth_fields(coeffs, M_t, cols)
                     f *= window
-                    lhs = _l4_batch(f, h, N) ** 4
+                    lhs = l4_batch(f, h, N) ** 4
                     grad_sq = time_trapezoid(l21_density(f, h, n_sq), h)
                     rhs = eps * grad_sq**2
                     return (lhs / rhs,)
 
-                (chunk_worst,) = _column_maxima(250, (M_t + 1, 2 * N + 1), ratios)
+                (chunk_worst,) = column_maxima(250, (M_t + 1, 2 * N + 1), ratios)
                 worst = max(worst, chunk_worst)
         yield CheckRecord(
             "aps.end_vanishing_l4",
@@ -1409,7 +1264,7 @@ def _suite_flow(config: Config) -> list[CheckRecord]:
         worst = -np.inf
         lo_seen, hi_seen = np.inf, -np.inf
         for _ in range(1000):
-            vals = _random_smooth_fields(rng, N, M_t, 1)
+            vals = smooth_fields(_smooth_field_coeffs(rng, N, 1), M_t)
             u = CylinderMap(1, N, 0.4, M_t, vals)
             ratio = energy(m_quad, u) / cyl_norm(u, "L2_1") ** 2
             lo_seen, hi_seen = min(lo_seen, ratio), max(hi_seen, ratio)

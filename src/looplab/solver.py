@@ -207,11 +207,7 @@ def collar_solve(m: HamiltonianModel, b: Loop, eps: float, tol: float = 1e-11) -
 
 @tracked("solver.h_eps_sensitivity")
 def h_eps_sensitivity(
-    m: HamiltonianModel,
-    beta: BoundaryData,
-    eps: float,
-    delta_beta: BoundaryData,
-    tol: float = 1e-11,
+    m: HamiltonianModel, beta: BoundaryData, eps: float, delta_beta: BoundaryData
 ) -> float:
     """Finite-difference sensitivity of the fixed point to the boundary data.
 
@@ -220,8 +216,8 @@ def h_eps_sensitivity(
     denom = delta_beta.norm()
     if denom == 0:
         raise ValueError("delta_beta must be nonzero")
-    base = picard_solve(m, beta, None, eps, tol=tol)
-    bumped = picard_solve(m, beta + delta_beta, None, eps, tol=tol)
+    base = picard_solve(m, beta, None, eps)
+    bumped = picard_solve(m, beta + delta_beta, None, eps)
     h = base.v.dt
     return l2_norm(bumped.v.values - base.v.values, h) / denom
 

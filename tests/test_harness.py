@@ -154,6 +154,26 @@ class TestSuites:
         assert records["aps.uniformity_q_variation"].computed > 10.0
         assert records["aps.uniformity_q_no_growth"].passed
 
+    def test_right_inverse_boundary_reads_p(self, tmp_path, monkeypatch):
+        # the prescribed end traces come from P itself: a P whose lambda >= 0
+        # rows at t = 0 do not vanish fails aps.right_inverse_boundary
+        cfg = Config(N=4, M_t=8, eps_list=(0.1, 0.01), seed=11, output_dir=str(tmp_path))
+
+        def run_aps():
+            return {r.name: r for r in run_suite(cfg, "aps", write=False).records}
+
+        assert run_aps()["aps.right_inverse_boundary"].computed == 0.0
+
+        original = harness.kernel_p_values
+
+        def nonzero_start(g_values, lam, h):
+            out = original(g_values, lam, h)
+            out[0, lam >= 0] += 1.0
+            return out
+
+        monkeypatch.setattr(harness, "kernel_p_values", nonzero_start)
+        assert not run_aps()["aps.right_inverse_boundary"].passed
+
     def test_group_error_keeps_later_groups(self, fast_config, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("scan unavailable")

@@ -31,8 +31,11 @@ from looplab.cylinder import (
     l21_batch,
     l21_density,
     l2_batch,
+    l4_batch,
+    map_columns,
     phi1,
     phi2,
+    smooth_fields,
     time_trapezoid,
 )
 from looplab.harness import Config
@@ -96,13 +99,20 @@ def ref_kernel_p_values(g_values, lam, h):
     return out
 
 
-def ref_random_smooth_fields(rng, N, M_t, batch):
-    tau = np.linspace(0.0, 1.0, M_t + 1)[:, None, None]
-    cs = [
+def ref_smooth_coeffs(rng, N, batch):
+    return [
         rng.standard_normal((2 * N + 1, batch)) + 1j * rng.standard_normal((2 * N + 1, batch))
         for _ in range(3)
     ]
+
+
+def ref_smooth_field(cs, M_t):
+    tau = np.linspace(0.0, 1.0, M_t + 1)[:, None, None]
     return cs[0][None] + cs[1][None] * tau + cs[2][None] * tau**2
+
+
+def ref_random_smooth_fields(rng, N, M_t, batch):
+    return ref_smooth_field(ref_smooth_coeffs(rng, N, batch), M_t)
 
 
 def ref_l2_batch(values, h):
@@ -163,10 +173,11 @@ def ref_end_vanishing(config):
 
 
 @functools.lru_cache
-def ref_right_inverse_errors(N, eps, seed):
+def ref_right_inverse_errors(N, M_t, eps, seed):
     """The right-inverse errors at one eps, and the rng's next draw.
 
-    Each chunk of ten forcings is one whole field, as in the unstreamed probe.
+    Each chunk of ten forcings is one whole field, as in the unstreamed probe;
+    the traces are those of P on the first chunk's fields on the M_t grid.
     """
     rng = np.random.default_rng(seed)
     lam = lambda_of_modes(N).astype(float)
@@ -174,14 +185,16 @@ def ref_right_inverse_errors(N, eps, seed):
     plus_mask = (mode_numbers(N) <= 0)[:, None]
     M_ref = max(2048, int(np.ceil(12000 * eps)))
     h = eps / M_ref
-    worst_rel = worst_trace = 0.0
-    for _ in range(10):
-        g = ref_random_smooth_fields(rng, N, M_ref, 10)
+    worst_rel = 0.0
+    chunks = [ref_smooth_coeffs(rng, N, 10) for _ in range(10)]
+    for cs in chunks:
+        g = ref_smooth_field(cs, M_ref)
         u = ref_kernel_p_values(g, lam, h)
         worst_rel = max(worst_rel, float(np.max(ref_right_inverse_residual(g, u, lam, h))))
-        trace0 = np.sqrt(np.sum(w * plus_mask * np.abs(u[0]) ** 2, axis=0))
-        trace1 = np.sqrt(np.sum(w * ~plus_mask * np.abs(u[-1]) ** 2, axis=0))
-        worst_trace = max(worst_trace, float(np.max(trace0)), float(np.max(trace1)))
+    u = ref_kernel_p_values(ref_smooth_field(chunks[0], M_t), lam, eps / M_t)
+    trace0 = np.sqrt(np.sum(w * plus_mask * np.abs(u[0]) ** 2, axis=0))
+    trace1 = np.sqrt(np.sum(w * ~plus_mask * np.abs(u[-1]) ** 2, axis=0))
+    worst_trace = max(float(np.max(trace0)), float(np.max(trace1)))
     return worst_rel, worst_trace, rng.standard_normal()
 
 
@@ -230,7 +243,7 @@ def ref_uniformity_estimates(rng, N, M_t, eps):
     g2 = ref_random_smooth_fields(rng, N, m_eff, 100)
     u2 = kernel_q_values(plus2, minus2, lam, times, eps) + kernel_p_values(g2, lam, h)
     denom = ref_half_norm(c2, N) + l2_batch(g2, h)
-    est_mix = float(np.max(harness._l4_batch(u2, h, N) / denom))
+    est_mix = float(np.max(l4_batch(u2, h, N) / denom))
     return est_p, est_q, est_r, est_mix
 
 
@@ -276,7 +289,7 @@ def column_plan(n_cols, col_nbytes, col_len):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(concurrent.futures, "ThreadPoolExecutor", InCallingThread)
-        cylinder.map_columns(record, n_cols, col_nbytes, col_len)
+        map_columns(record, n_cols, col_nbytes, col_len)
     return blocks, threads[-1]
 
 
@@ -493,7 +506,7 @@ class TestHarnessHelpers:
     def test_l4_batch_bit_identical(self, blocks_of, n_nodes, modes):
         values = random_field(24 + n_nodes, (n_nodes, 2 * modes + 1, 3))
         blocks_of(values[0].nbytes)
-        assert same_bytes(harness._l4_batch(values, H, modes), ref_l4_batch(values, H, modes))
+        assert same_bytes(l4_batch(values, H, modes), ref_l4_batch(values, H, modes))
 
     @pytest.mark.parametrize("n_nodes", NODES)
     def test_right_inverse_residual(self, blocks_of, n_nodes):
@@ -502,18 +515,17 @@ class TestHarnessHelpers:
         coeffs = harness._smooth_field_coeffs(np.random.default_rng(12), N, 3)
         g = ref_random_smooth_fields(np.random.default_rng(12), N, n_nodes - 1, 3)
         blocks_of((N + 1) * 3 * 16)  # rows of the lambda >= 0 sector
-        rel, ends = harness._right_inverse_probe(coeffs, lam, H, n_nodes - 1)
+        rel = cylinder.right_inverse_residual(coeffs, lam, H, n_nodes - 1)
         u = ref_kernel_p_values(g, lam, H)
         assert same_bytes(rel, ref_right_inverse_residual(g, u, lam, H))
-        assert same_bytes(ends, u[[0, -1]])
 
     @pytest.mark.parametrize("eps", (0.5, 0.001))
     def test_right_inverse_errors(self, blocks_of, eps):
         # all hundred forcings in one streamed pass against ten whole chunk fields
         blocks_of((N + 1) * 100 * 16)  # rows of the lambda >= 0 sector
         rng = np.random.default_rng(22)
-        worst_rel, worst_trace, next_draw = ref_right_inverse_errors(N, eps, 22)
-        assert harness._right_inverse_errors(rng, N, eps) == (worst_rel, worst_trace)
+        worst_rel, worst_trace, next_draw = ref_right_inverse_errors(N, 16, eps, 22)
+        assert harness._right_inverse_errors(rng, N, 16, eps) == (worst_rel, worst_trace)
         # the same draws, in the same order
         assert rng.standard_normal() == next_draw
 
@@ -521,13 +533,11 @@ class TestHarnessHelpers:
     def test_random_smooth_fields(self, blocks_of, batch):
         n_nodes = 23
         blocks_of((2 * N + 1) * batch * 16)
-        new = harness._random_smooth_fields(np.random.default_rng(13), N, n_nodes - 1, batch)
-        ref = ref_random_smooth_fields(np.random.default_rng(13), N, n_nodes - 1, batch)
-        assert same_bytes(new, ref)
-        # one column slice of drawn coefficients, as the column blocks fill them
         coeffs = harness._smooth_field_coeffs(np.random.default_rng(13), N, batch)
-        part = np.empty((n_nodes, 2 * N + 1, batch - batch // 2), complex)
-        harness._fill_smooth_fields(coeffs, n_nodes - 1, part, slice(batch // 2, batch))
+        ref = ref_random_smooth_fields(np.random.default_rng(13), N, n_nodes - 1, batch)
+        assert same_bytes(smooth_fields(coeffs, n_nodes - 1), ref)
+        # one column slice of drawn coefficients, as the column blocks build them
+        part = smooth_fields(coeffs, n_nodes - 1, slice(batch // 2, batch))
         assert same_bytes(part, ref[:, :, batch // 2 :])
 
 
@@ -567,7 +577,7 @@ class TestUniformityBlocked:
                 l21_batch(values, H, sobolev_weights(1, modes)),
                 np.sqrt(harness._half_norm_sq(values[0], modes)),
                 np.sqrt(harness._half_norm_sq(values[-1], modes)),
-                harness._l4_batch(values, H, modes),
+                l4_batch(values, H, modes),
             )
 
         whole = norms(field)
@@ -592,14 +602,14 @@ def n_workers(request, monkeypatch):
 
 @pytest.fixture
 def column_calls(monkeypatch):
-    """(blocks, threads) of the plan of every map_columns call the harness makes."""
-    calls, map_columns = [], cylinder.map_columns
+    """(blocks, threads) of the plan of every map_columns call the aps sweeps make."""
+    calls = []
 
     def spy(fn, *plan):
         calls.append(column_plan(*plan))
         return map_columns(fn, *plan)
 
-    monkeypatch.setattr(harness, "map_columns", spy)
+    monkeypatch.setattr(cylinder, "map_columns", spy)
     return calls
 
 
@@ -732,11 +742,11 @@ class TestColumnWorkers:
         sys.setswitchinterval(1e-5)
         try:
             estimates = harness._uniformity_estimates(np.random.default_rng(24), N, 16, eps)
-            errors = harness._right_inverse_errors(np.random.default_rng(22), N, eps)
+            errors = harness._right_inverse_errors(np.random.default_rng(22), N, 16, eps)
         finally:
             sys.setswitchinterval(interval)
         assert estimates == ref_uniformity_estimates(np.random.default_rng(24), N, 16, eps)
-        assert errors == ref_right_inverse_errors(N, eps, 22)[:2]
+        assert errors == ref_right_inverse_errors(N, 16, eps, 22)[:2]
 
     @pytest.mark.parametrize("rows", (7, None), ids=["rows7", "default"])
     @pytest.mark.parametrize("eps", (0.5, 0.001))
@@ -745,9 +755,9 @@ class TestColumnWorkers:
             # rows of the lambda >= 0 sector of all parts together
             monkeypatch.setattr(cylinder, "BLOCK_BYTES", rows * (N + 1) * 100 * 16)
         rng = np.random.default_rng(22)
-        worst_rel, worst_trace, next_draw = ref_right_inverse_errors(N, eps, 22)
+        worst_rel, worst_trace, next_draw = ref_right_inverse_errors(N, 16, eps, 22)
         counts = coverage.counts()
-        assert harness._right_inverse_errors(rng, N, eps) == (worst_rel, worst_trace)
+        assert harness._right_inverse_errors(rng, N, 16, eps) == (worst_rel, worst_trace)
         assert rng.standard_normal() == next_draw
         # no public operation runs, in a worker or elsewhere
         assert coverage.counts() == counts
@@ -787,10 +797,10 @@ class TestColumnWorkers:
 
         def ratios(cols):
             part = field[:, :, cols]
-            return l2_batch(part, H), harness._l4_batch(part, H, modes) / l2_batch(part, H)
+            return l2_batch(part, H), l4_batch(part, H, modes) / l2_batch(part, H)
 
         whole = ratios(slice(None))
-        maxima = harness._column_maxima(11, field.shape[:2], ratios)
+        maxima = cylinder.column_maxima(11, field.shape[:2], ratios)
         assert maxima == [float(np.max(r)) for r in whole]
 
     def test_aps_groups(self, n_workers, monkeypatch):
@@ -807,7 +817,7 @@ class TestColumnWorkers:
         assert records == report()
 
     def test_failing_part_is_a_group_error(self, n_workers, monkeypatch):
-        probe, calls, lock = harness._right_inverse_probe, [], threading.Lock()
+        probe, calls, lock = cylinder._right_inverse_block, [], threading.Lock()
 
         def second_part_fails(coeffs, *args):
             with lock:
@@ -817,7 +827,7 @@ class TestColumnWorkers:
                 raise FloatingPointError("probe part 2")
             return probe(coeffs, *args)
 
-        monkeypatch.setattr(harness, "_right_inverse_probe", second_part_fails)
+        monkeypatch.setattr(cylinder, "_right_inverse_block", second_part_fails)
         records = harness._suite_aps(Config(N=4, M_t=8, eps_list=(0.1, 0.01)))
         names = [r.name for r in records]
         (error,) = [r for r in records if r.name == "aps.right_inverse.error"]
@@ -900,9 +910,9 @@ class TestStreamingMemory:
         # stays under one (2049, 65, 10) field, and at eps = 1, where one such
         # field of ten forcings would take 125 MB, under 64 MiB
         field_nbytes = 2049 * 65 * 10 * 16
-        _, peak = self.peak(harness._right_inverse_errors, np.random.default_rng(19), 32, 0.001)
+        _, peak = self.peak(harness._right_inverse_errors, np.random.default_rng(19), 32, 64, 0.001)
         assert peak < field_nbytes
-        _, peak = self.peak(harness._right_inverse_errors, np.random.default_rng(19), 32, 1.0)
+        _, peak = self.peak(harness._right_inverse_errors, np.random.default_rng(19), 32, 64, 1.0)
         assert peak < 64 * 2**20
 
     @pytest.mark.parametrize("workers", (1, 3))
@@ -914,5 +924,5 @@ class TestStreamingMemory:
         monkeypatch.setattr(cylinder, "SHARED_ROW", 1)
         _, peak = self.peak(harness._uniformity_estimates, np.random.default_rng(18), 32, 64, 1.0)
         assert peak < 80 * 2**20
-        _, peak = self.peak(harness._right_inverse_errors, np.random.default_rng(19), 32, 0.001)
+        _, peak = self.peak(harness._right_inverse_errors, np.random.default_rng(19), 32, 64, 0.001)
         assert peak < 2049 * 65 * 10 * 16
