@@ -10,7 +10,8 @@ call and reported as the median and the interquartile range (IQR), with the
 samples.  Four groups are timed:
 
 * kernels: kernel_p_values, kernel_q_values and the cylinder L^2_1 norm
-  l21_batch at the aps shapes (nodes x modes x batch);
+  l21_batch at the aps shapes (nodes x modes x batch), and kernel_p_values
+  over the basis 1, tau, tau^2 that the aps Gram forms sweep;
 * guards: each check group of `run_suite(Config(seed=2026), "aps")`, run
   on its own through `harness._run_groups` and keyed `aps.<group>`;
 * nonlinearity: seconds per call of one grad H evaluation on the theta grid
@@ -28,8 +29,7 @@ Whole `lab` runs, with their wall time and peak RSS, are measured by
 perfbench/run.py.
 
 The result is stored under --label in the --out JSON file, beside the labels
-already there, with the core count, column workers, numpy version and CPU
-model.
+already there, with the core count, numpy version and CPU model.
 """
 
 from __future__ import annotations
@@ -45,11 +45,12 @@ from pathlib import Path
 
 # (nodes, modes, batch): ten forcings on the aps.right_inverse grids at
 # eps = 1 and eps <= 0.1, and the whole aps.uniformity batch at eps = 1.
-# Neither check builds such a field: aps.right_inverse streams its forcings
-# and P images through time blocks (cylinder.right_inverse_residual), and
-# aps.uniformity builds and reduces its batch in blocks of columns
-# (cylinder.smooth_fields and cylinder.column_maxima)
+# Neither check builds such a field: both reduce their batches through
+# per-mode Gram forms of one P sweep over the real basis 1, tau, tau^2 in
+# every mode, a broadcast (nodes, modes, 3) view, timed at BASIS_SHAPE (the
+# aps.right_inverse grid at eps = 1)
 APS_SHAPES = ((12001, 65, 10), (2049, 65, 10), (321, 65, 1065))
+BASIS_SHAPE = (12001, 65, 3)
 
 
 def summary(samples: list[float]) -> dict:
@@ -96,6 +97,15 @@ def time_kernels(repeats: int) -> dict:
         )
         out[f"l21_batch[{shape}]"] = timed(lambda: l21_batch(field, h, weight), repeats)
         del field
+    nodes, modes, _ = BASIS_SHAPE
+    lam = lambda_of_modes((modes - 1) // 2).astype(float)
+    tau = np.linspace(0.0, 1.0, nodes)
+    powers = np.stack([np.ones_like(tau), tau, tau**2], axis=1)[:, None]
+    basis = np.broadcast_to(powers, BASIS_SHAPE)
+    shape = "x".join(map(str, BASIS_SHAPE))
+    out[f"kernel_p_values[{shape} basis]"] = timed(
+        lambda: kernel_p_values(basis, lam, 1.0 / (nodes - 1)), repeats
+    )
     return out
 
 
@@ -195,8 +205,6 @@ def time_descent(repeats: int) -> dict:
 def environment() -> dict:
     import numpy as np
 
-    from looplab import cylinder
-
     model = platform.processor()
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as f:
@@ -210,8 +218,6 @@ def environment() -> dict:
         "cpu": model,
         "numpy": np.__version__,
         "python": platform.python_version(),
-        # threads of the aps column sweeps; checkouts without them run serially
-        "workers": cylinder.workers() if hasattr(cylinder, "workers") else 1,
     }
 
 

@@ -25,7 +25,6 @@ piecewise-linear forcing, so accuracy is uniform in lambda * eps.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,88 +227,6 @@ def time_blocks(n_rows: int, rows: int):
         yield start, min(start + rows, n_rows)
 
 
-# Bytes of all column blocks in flight.  The aps sweeps build their batch
-# fields (M+1, modes, batch) one block of whole batch columns at a time, so
-# that no field of the whole batch is ever alive; the blocks that run at the
-# same time share this budget (see map_columns)
-COLUMN_BYTES = 1 << 23
-
-# Elements of a time row, per thread in flight.  The sweeps step through
-# time one row at a time, and the Python work of every row holds the GIL,
-# so k column blocks run at once only with rows of k * SHARED_ROW elements
-# each (see map_columns); narrower ones on more threads mostly take turns.
-# A sector sweep covers about half the modes, so the rows of two threads
-# hold 512 elements or more a sector: numpy releases the GIL on ufunc loops
-# over more than 500 elements
-SHARED_ROW = 512
-
-
-def workers() -> int:
-    """Threads for the column sweeps: one per CPU this process may run on."""
-    try:
-        n = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity on this platform
-        n = os.cpu_count() or 1
-    return max(1, n)
-
-
-def map_columns(fn, n_cols: int, col_nbytes: int, col_len: int) -> list:
-    """fn(cols) for consecutive column blocks cols of range(n_cols), in block order.
-
-    A column has col_len modes and takes col_nbytes; 0 marks a sweep whose
-    memory does not grow with its block.  k blocks run at once, on threads:
-    the most, up to workers(), for which the budget's k-th part keeps two
-    columns and rows of k * SHARED_ROW elements.  They share COLUMN_BYTES,
-    each at most its worker's share unless those rows need more.  The blocks
-    are near-equal and as few as keep them that narrow, but hold two columns
-    or more, and rows that wide when k > 1: numpy sums the modes of a
-    one-column batch pairwise, not in sequence.  Each column's arithmetic
-    then does not depend on the others, so the results do not depend on the
-    plan.  The first exception of fn, in block order, reaches the caller
-    once no block runs any more; the blocks not started by then are
-    dropped.  With one thread it is a plain loop in the calling thread.
-    """
-    n = workers()
-    budget = min(n_cols, COLUMN_BYTES // col_nbytes) if col_nbytes else n_cols
-    share = COLUMN_BYTES // n // col_nbytes if col_nbytes else n_cols
-    k = n
-    while k > 1 and (budget // k < 2 or budget // k * col_len < k * SHARED_ROW):
-        k -= 1
-    wide = -(-k * SHARED_ROW // col_len)  # columns of a row of k * SHARED_ROW elements
-    cols = max(1, min(-(-budget // k), max(share, wide)))
-    least = max(2, wide) if k > 1 else 2
-    n_blocks = max(1, min(-(-n_cols // cols), n_cols // least))
-    bounds = [n_cols * i // n_blocks for i in range(n_blocks + 1)]
-    blocks = [slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
-    k = min(k, n_blocks)
-    if k == 1:
-        return [fn(block) for block in blocks]
-    # imported here: the CLI's other commands never load it
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(k, thread_name_prefix="looplab-columns") as pool:
-        futures = [pool.submit(fn, block) for block in blocks]
-        try:
-            return [f.result() for f in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-
-
-def column_maxima(n_cols: int, col_shape: tuple[int, int], ratios) -> list[float]:
-    """Largest value over all batch columns of each per-column ratio.
-
-    ratios(cols) returns the ratios of the batch columns in the slice cols,
-    whose fields hold complex (nodes, modes) = col_shape a column; it runs
-    once per column block, on the column workers, and each ratio is then
-    reduced over all columns at once.
-    """
-    nodes, modes = col_shape
-    col_nbytes = nodes * modes * np.dtype(complex).itemsize
-    parts = map_columns(ratios, n_cols, col_nbytes, modes)
-    return [float(np.max(np.concatenate(per_block))) for per_block in zip(*parts)]
-
-
 def _over_2h(x: np.ndarray, h: float) -> None:
     """x /= 2h in place.
 
@@ -386,32 +303,13 @@ def mode_scratch(rows: int, row_shape) -> np.ndarray:
     return np.empty((modes, rows) + batch).swapaxes(0, 1)
 
 
-def l2_rows(block: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """L^2 density sum_n |u_n|^2 of a block of rows into out, via a float scratch buffer."""
-    return np.sum(_abs_sq(block, scratch[: len(block)]), axis=1, out=out)
-
-
-def add_l2_rows(block: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Add the L^2 density sum_n |u_n|^2 of a block of rows to out.
-
-    The sum runs in mode order and starts from out, so for a batch of two or
-    more columns a density built up sector by sector has the bits of one sum
-    over all modes.  scratch comes from mode_scratch with one leading slot,
-    for out, ahead of the block's modes.
-    """
-    x = scratch[: len(block)]
-    x[:, 0] = out
-    _abs_sq(block, x[:, 1:])
-    return np.sum(x, axis=1, out=out)
-
-
 def l2_batch(values: np.ndarray, h: float) -> np.ndarray:
     """L^2 norm over [0, T] x S^1 of every batch column of values."""
     rows = block_rows(len(values), values[0].nbytes)
     sq = mode_scratch(rows, values.shape[1:])
     density = np.empty((len(values),) + values.shape[2:])
     for start, stop in time_blocks(len(values), rows):
-        l2_rows(values[start:stop], sq, density[start:stop])
+        np.sum(_abs_sq(values[start:stop], sq[: stop - start]), axis=1, out=density[start:stop])
     return np.sqrt(time_trapezoid(density, h))
 
 
@@ -440,14 +338,19 @@ def l2_norm(values: np.ndarray, h: float) -> float:
     return float(l2_batch(values.reshape(len(values), -1, 1), h)[0])
 
 
+def _l4_rows(block: np.ndarray, N: int) -> np.ndarray:
+    """Quartic density mean_theta |u|^4 (rows, batch) of a block of rows (rows, modes, batch)."""
+    # reorder to (rows, batch, modes, 1) so the theta axis lands second-to-last
+    sampled = theta_values(np.swapaxes(block, 1, 2)[..., None], N)[..., 0]
+    return np.mean(np.abs(sampled) ** 4, axis=-1)
+
+
 def l4_batch(values: np.ndarray, h: float, N: int) -> np.ndarray:
     """L^4 norm over [0, T] x S^1 of every batch column of values, one time block at a time."""
     rows = block_rows(len(values), values[0].nbytes)
     quartic = np.empty((len(values), values.shape[2]))
     for start, stop in time_blocks(len(values), rows):
-        # reorder to (rows, batch, modes, 1) so the theta axis lands second-to-last
-        sampled = theta_values(np.swapaxes(values[start:stop], 1, 2)[..., None], N)[..., 0]
-        quartic[start:stop] = np.mean(np.abs(sampled) ** 4, axis=-1)
+        quartic[start:stop] = _l4_rows(values[start:stop], N)
     return time_trapezoid(quartic, h) ** 0.25
 
 
@@ -494,202 +397,173 @@ def kernel_q_values(
     return out
 
 
-class SectorSweep:
-    """The Duhamel recurrence of P on one spectral sector, one block of rows at a time.
-
-    The lambda >= 0 sector integrates forward from t = 0 and the lambda < 0
-    sector backward from the far end.  Rows are taken in sweep order: callers
-    pass the backward sector's rows as reversed-time views, so both sectors
-    advance with increasing row index.  The weights are computed on all modes
-    of lam and then cut to the sector, and are full rows of the given shape
-    and dtype, so that no step broadcasts or casts; a complex row holds the
-    promoted real weight, which gives the same products as the real one.
-    """
-
-    def __init__(self, lam, h: float, sector: slice, forward: bool, row_shape, dtype, rows: int):
-        w = ((-lam if forward else lam) * h).reshape((len(lam),) + (1,) * (len(row_shape) - 1))
-        p1, p2 = phi1(w), phi2(w)
-        # out[j+1] = (decay out[j] + a g[j]) + b g[j+1] forward in time,
-        # out[j] = decay out[j+1] - (a g[j] + b g[j+1]) backward
-        a, b = (h * (p1 - p2), h * p2) if forward else (h * p2, h * (p1 - p2))
-        self.decay, self.a, self.b = (
-            np.broadcast_to(wt[sector], row_shape).astype(dtype) for wt in (np.exp(w), a, b)
-        )
-        self.forward = forward
-        self.A, self.B = (np.empty((rows,) + tuple(row_shape), dtype) for _ in range(2))
-
-    def advance(self, u: np.ndarray, g: np.ndarray) -> None:
-        """Write u[1:] from u[0] and the forcing rows g, both in sweep order.
-
-        u and g have one row more than the block has steps.
-        """
-        m = len(u) - 1
-        # a step is two or three in-place ufunc calls on one row; local names
-        # and positional outputs keep the per-call overhead down on short rows
-        multiply, add, subtract = np.multiply, np.add, np.subtract
-        A, B = self.A[:m], self.B[:m]
-        decay = self.decay
-        if self.forward:
-            multiply(self.a, g[:m], A)
-            multiply(self.b, g[1:], B)
-            for prev, cur, a_k, b_k in zip(u[:m], u[1:], A, B):
-                multiply(decay, prev, cur)
-                add(cur, a_k, cur)
-                add(cur, b_k, cur)
-        else:
-            # in time order the forcing of a step is a g[j] + b g[j+1], with
-            # g[j] the row after g[j+1] in sweep order
-            multiply(self.a, g[1:], A)
-            multiply(self.b, g[:m], B)
-            add(A, B, A)
-            for prev, cur, f_k in zip(u[:m], u[1:], A):
-                multiply(decay, prev, cur)
-                subtract(cur, f_k, cur)
-
-
-def sector_sweeps(lam: np.ndarray):
-    """(sector slice, forward) of the lambda >= 0 and the lambda < 0 sector of lam."""
-    n_fwd = _sector_split(lam)
-    return (slice(0, n_fwd), True), (slice(n_fwd, len(lam)), False)
-
-
-def sweep_order(values: np.ndarray, forward: bool) -> np.ndarray:
-    """values (time first) in a sector's sweep order: itself, or its reversed-time view."""
-    return values if forward else values[::-1]
-
-
 def kernel_p_values(g_values: np.ndarray, lam: np.ndarray, h: float) -> np.ndarray:
     """Duhamel integrals of g (shape (M_t+1, modes, ...)) against e^{-lambda (t-tau)}.
 
     lambda >= 0 modes integrate forward from t = 0, lambda < 0 modes backward
     from the far end; the quadrature is exact for piecewise-linear g, which
     keeps the accuracy uniform in lambda * h.  Each sector's sweep runs in
-    place over its own slice of modes, with its forcing products formed one
-    time block at a time.
+    place over its own slice of modes, the backward one over reversed-time
+    views, with its forcing products formed one time block at a time.
     """
     out = np.empty_like(g_values)
     n_steps = g_values.shape[0] - 1
     rows = block_rows(n_steps, g_values[0].nbytes)
-    for sector, forward in sector_sweeps(lam):
-        o = sweep_order(out[:, sector], forward)
-        g = sweep_order(g_values[:, sector], forward)
-        o[0] = 0.0
-        if not o.size:
+    n_fwd = _sector_split(lam)
+    # a step is two or three in-place ufunc calls on one row; local names
+    # and positional outputs keep the per-call overhead down on short rows
+    multiply, add, subtract = np.multiply, np.add, np.subtract
+    for sector, forward in ((slice(0, n_fwd), True), (slice(n_fwd, len(lam)), False)):
+        u, g = out[:, sector], g_values[:, sector]
+        if not forward:
+            u, g = u[::-1], g[::-1]
+        u[0] = 0.0
+        if not u.size:
             continue
-        sweep = SectorSweep(lam, h, sector, forward, o.shape[1:], out.dtype, rows)
+        # the weights are computed on all modes of lam, then cut to the sector
+        # and made full rows of out's dtype, so that no step broadcasts or
+        # casts; a complex row holds the promoted real weight, which gives
+        # the same products as the real one
+        row = u.shape[1:]
+        w = ((-lam if forward else lam) * h).reshape((len(lam),) + (1,) * (len(row) - 1))
+        p1, p2 = phi1(w), phi2(w)
+        # out[j+1] = (decay out[j] + a g[j]) + b g[j+1] forward in time,
+        # out[j] = decay out[j+1] - (a g[j] + b g[j+1]) backward
+        a, b = (h * (p1 - p2), h * p2) if forward else (h * p2, h * (p1 - p2))
+        decay, a, b = (
+            np.broadcast_to(wt[sector], row).astype(out.dtype) for wt in (np.exp(w), a, b)
+        )
+        A, B = (np.empty((rows,) + row, out.dtype) for _ in range(2))
         for start, stop in time_blocks(n_steps, rows):
-            sweep.advance(o[start : stop + 1], g[start : stop + 1])
+            m, us, gs = stop - start, u[start : stop + 1], g[start : stop + 1]
+            if forward:
+                multiply(a, gs[:m], A[:m])
+                multiply(b, gs[1:], B[:m])
+                for prev, cur, a_k, b_k in zip(us[:m], us[1:], A, B):
+                    multiply(decay, prev, cur)
+                    add(cur, a_k, cur)
+                    add(cur, b_k, cur)
+            else:
+                # in time order the forcing of a step is a g[j] + b g[j+1],
+                # with g[j] the row after g[j+1] in sweep order
+                multiply(a, gs[1:], A[:m])
+                multiply(b, gs[:m], B[:m])
+                add(A[:m], B[:m], A[:m])
+                for prev, cur, f_k in zip(us[:m], us[1:], A):
+                    multiply(decay, prev, cur)
+                    subtract(cur, f_k, cur)
     return out
 
 
-# -- smooth batch fields and the right-inverse residual -------------------------
+# -- smooth batch fields and their per-mode Gram forms ---------------------------
+
+# Every random forcing of the aps checks is g = c0 + c1 tau + c2 tau^2 at the
+# nodes tau = j / M, with one coefficient block (modes, batch) per power.  P,
+# D and every norm weight act mode by mode, so P g = sum_k c_k P[tau^k] per
+# mode, and each squared norm of a batch column (of g, P g, d_t P g, the
+# residual D P g - g or an end trace) is sum_n c_n^H G_n c_n, with a real
+# symmetric 3 x 3 Gram matrix G_n per mode built from one P sweep over the
+# basis 1, tau, tau^2.
 
 
-def _smooth_rows(coeffs, tau: np.ndarray, tau_sq: np.ndarray, out: np.ndarray, quad) -> np.ndarray:
-    """Rows c0 + c1 tau + c2 tau^2 of smooth fields into out, at node times tau (rows, 1, 1).
+def tau_powers(M: int) -> np.ndarray:
+    """The basis 1, tau, tau^2 at the nodes tau = j / M, shape (M+1, 3)."""
+    tau = np.linspace(0.0, 1.0, M + 1)
+    return np.stack([np.ones_like(tau), tau, tau**2], axis=1)
 
-    quad is complex scratch of at least as many rows as out.
+
+def smooth_fields(coeffs, M: int) -> np.ndarray:
+    """Smooth fields (M+1, modes, batch) of coeffs = (c0, c1, c2), each (modes, batch).
+
+    Node j holds c0 + c1 tau + c2 tau^2 with tau = j / M; the field is
+    written one time block at a time.
     """
     c0, c1, c2 = coeffs
-    np.multiply(c1, tau, out=out)
-    out += c0
-    out += np.multiply(c2, tau_sq, out=quad[: len(out)])
-    return out
-
-
-def smooth_fields(coeffs, M: int, cols=slice(None)) -> np.ndarray:
-    """Smooth fields (M+1, modes, columns) of the batch columns cols of coeffs = (c0, c1, c2).
-
-    Each coefficient block has shape (modes, batch); node j holds
-    c0 + c1 tau + c2 tau^2 with tau = j / M.  The field is written one time
-    block at a time.
-    """
-    coeffs = [c[:, cols] for c in coeffs]
-    out = np.empty((M + 1,) + coeffs[0].shape, complex)
-    tau = np.linspace(0.0, 1.0, M + 1)[:, None, None]
-    tau_sq = tau**2
+    out = np.empty((M + 1,) + c0.shape, complex)
+    _, tau, tau_sq = tau_powers(M).T[:, :, None, None]
     rows = block_rows(M + 1, out[0].nbytes)
     quad = np.empty((rows,) + out.shape[1:], complex)
     for start, stop in time_blocks(M + 1, rows):
-        _smooth_rows(coeffs, tau[start:stop], tau_sq[start:stop], out[start:stop], quad)
+        o = out[start:stop]
+        np.multiply(c1, tau[start:stop], out=o)
+        o += c0
+        o += np.multiply(c2, tau_sq[start:stop], out=quad[: stop - start])
     return out
 
 
-def _right_inverse_block(coeffs, lam: np.ndarray, h: float, M: int, batch: int) -> np.ndarray:
-    """D P g - g relative to g in L^2, per batch column of one column block.
+def basis_p_values(lam: np.ndarray, h: float, M: int) -> np.ndarray:
+    """P[tau^k] in every mode, shape (M+1, modes, 3): one sweep over a broadcast basis."""
+    powers = tau_powers(M)[:, None, :]
+    return kernel_p_values(np.broadcast_to(powers, (M + 1, len(lam), 3)), lam, h)
 
-    g holds the smooth forcings of coeffs on M time steps.  Each spectral
-    sector is streamed once in its sweep direction, one time block at a time:
-    a block forms its forcing rows, advances P over them and adds the
-    sector's |D P g - g|^2 and |g|^2 to the node densities, so no field of
-    the whole batch is ever made.  The residual lags the sweep by one row, so
-    that each residual row has both neighbours for its time derivative; the
-    buffers carry the last three rows of P g and of g into the next block.
-    coeffs is one column block of a batch of `batch` columns probed at the
-    same time; its time blocks are as long as those of the whole batch, so
-    all blocks together hold the scratch of one probe.
+
+def _outer(row: np.ndarray) -> np.ndarray:
+    """Per-mode outer products (modes, k, k) of a row (modes, k)."""
+    return row[:, :, None] * row[:, None, :]
+
+
+def mode_gram(blocks, h: float) -> np.ndarray:
+    """Per-mode Gram matrices int X_n X_n^T dt (trapezoid rule), shape (modes, k, k).
+
+    blocks yields the real field X (nodes, modes, k) as consecutive time
+    blocks; a whole field is passed as [X].
     """
-    tau = np.linspace(0.0, 1.0, M + 1)[:, None, None]
-    # node densities of |D P g - g|^2 and |g|^2, summed over the modes sector by sector
-    densities = [np.zeros((M + 1,) + coeffs[0].shape[1:]) for _ in range(2)]
-    for sector, forward in sector_sweeps(lam):
-        sector_coeffs = [c[sector] for c in coeffs]
-        row = sector_coeffs[0].shape
-        rows = block_rows(M, row[0] * batch * np.dtype(complex).itemsize)
-        sweep = SectorSweep(lam, h, sector, forward, row, complex, rows)
-        # complex copies of the real factors give the products numpy forms
-        # when it casts them, without casting every block
-        lam_u = lam[sector][:, None].astype(complex)
-        t = sweep_order(tau, forward)
-        t, t_sq = t.astype(complex), (t**2).astype(complex)
-        sweep_densities = [sweep_order(d, forward) for d in densities]
-        # buffer row i holds sweep row start - 2 + i of the current block
-        u, g = (np.empty((rows + 3,) + row, complex) for _ in range(2))
-        quad, du, lam_du = (np.empty((rows + 2,) + row, complex) for _ in range(3))
-        scratch = mode_scratch(rows + 2, (1 + row[0],) + row[1:])
-        u[2] = 0.0
-        _smooth_rows(sector_coeffs, t[:1], t_sq[:1], g[2:3], quad)
-        done = 0  # residual rows, in sweep order, already added
-        for start, stop in time_blocks(M, rows):
-            m, off = stop - start, start - 2
-            new_rows = slice(start + 1, stop + 1)
-            _smooth_rows(sector_coeffs, t[new_rows], t_sq[new_rows], g[3 : 3 + m], quad)
-            sweep.advance(u[2 : 3 + m], g[2 : 3 + m])
-            lo, hi = done, stop - 1 if stop < M else M + 1
-            if hi > lo:
-                # the rows lo:hi with their halo; the one-sided stencil of
-                # the first row reads the two rows after it.  Against the
-                # sweep of the lambda < 0 sector time runs backward, so its
-                # derivative there is the negated one in sweep order
-                w_lo, w_hi = max(lo - 1, 0), min(max(hi + 1, 3), M + 1)
-                window, a, b = u[w_lo - off : w_hi - off], lo - w_lo, hi - w_lo
-                g_rows = g[lo - off : hi - off]
-                r = dt_derivative_rows(window, h, a, b, out=du[: hi - lo])
-                if not forward:
-                    np.negative(r, out=r)
-                r += np.multiply(lam_u, window[a:b], out=lam_du[: hi - lo])
-                r -= g_rows
-                for x, density in zip((r, g_rows), sweep_densities):
-                    add_l2_rows(x, scratch, density[lo:hi])
-                done = hi
-            u[:3], g[:3] = u[m : m + 3], g[m : m + 3]
-    r_density, g_density = densities
-    return np.sqrt(time_trapezoid(r_density, h)) / np.sqrt(time_trapezoid(g_density, h))
+    total = first = 0.0
+    for i, x in enumerate(blocks):
+        total = total + np.einsum("jnk,jnl->nkl", x, x)
+        if i == 0:
+            first = _outer(x[0])
+        last = _outer(x[-1])
+    return h * (total - 0.5 * (first + last))
 
 
-def right_inverse_residual(coeffs, lam: np.ndarray, h: float, M: int) -> np.ndarray:
-    """|D P g - g| / |g| in L^2 per batch column, g the smooth fields of coeffs on M steps of h.
+def residual_gram(basis_p: np.ndarray, lam: np.ndarray, h: float) -> np.ndarray:
+    """mode_gram of the right-inverse residuals D P[tau^k] - tau^k of basis_p_values.
 
-    coeffs = (c0, c1, c2) as in smooth_fields.  The columns run in blocks on
-    the column workers (map_columns), each block streamed through time
-    blocks without making its forcing field or its P image.
+    The residual rows are formed one time block at a time, their time
+    derivative read with a one-row halo.
     """
-    batch = coeffs[0].shape[1]
+    n = len(basis_p)
+    powers = tau_powers(n - 1)[:, None, :]
+    rows = block_rows(n, basis_p[0].nbytes)
 
-    def probe(cols):
-        return _right_inverse_block([c[:, cols] for c in coeffs], lam, h, M, batch)
+    def residual_blocks():
+        for start, stop in time_blocks(n, rows):
+            r = dt_derivative_rows(basis_p, h, start, stop)
+            r += lam[:, None] * basis_p[start:stop]
+            r -= powers[start:stop]
+            yield r
 
-    return np.concatenate(map_columns(probe, batch, 0, len(lam)))
+    return mode_gram(residual_blocks(), h)
+
+
+def quadratic_forms(gram: np.ndarray, coeffs) -> np.ndarray:
+    """sum_n c_n^H G_n c_n per batch column, with c_n = (c0[n], c1[n], c2[n]).
+
+    gram (modes, 3, 3), or (1, 3, 3) for one matrix shared by every mode, is
+    real symmetric, so the form is that of the real parts plus that of the
+    imaginary parts.
+    """
+    c = np.stack(coeffs, axis=-1)  # (modes, batch, 3)
+    return sum(np.sum(x * (x @ gram), axis=(0, 2)) for x in (c.real, c.imag))
+
+
+def l4_combination(basis: np.ndarray, coeffs, h: float, N: int) -> np.ndarray:
+    """L^4 norm per batch column of the field sum_k c_k[n] X[:, n, k].
+
+    basis X is real (nodes, modes, K) and coeffs holds K blocks (modes,
+    batch); the field is formed and reduced one time block at a time.
+    """
+    n_nodes, batch = len(basis), coeffs[0].shape[1]
+    rows = block_rows(n_nodes, basis.shape[1] * batch * np.dtype(complex).itemsize)
+    quartic = np.empty((n_nodes, batch))
+    for start, stop in time_blocks(n_nodes, rows):
+        x = basis[start:stop]
+        u = x[:, :, 0, None] * coeffs[0]
+        for k in range(1, len(coeffs)):
+            u += x[:, :, k, None] * coeffs[k]
+        quartic[start:stop] = _l4_rows(u, N)
+    return time_trapezoid(quartic, h) ** 0.25
 
 
 # -- public operations ------------------------------------------------------------

@@ -28,21 +28,24 @@ from .cylinder import (
     CylinderMap,
     aps_boundary,
     apply_D,
-    column_maxima,
+    basis_p_values,
     cyl_norm,
     decompose,
+    dt_derivative,
     energy,
     kernel_dt_mass,
     kernel_p_values,
     kernel_q_values,
-    l21_batch,
     l21_density,
-    l2_batch,
     l4_batch,
+    l4_combination,
+    mode_gram,
     p_op,
     q_op,
-    right_inverse_residual,
+    quadratic_forms,
+    residual_gram,
     smooth_fields,
+    tau_powers,
     time_trapezoid,
     trace_defect_sq,
 )
@@ -345,15 +348,19 @@ def _right_inverse_errors(rng, N: int, M_t: int, eps: float) -> tuple[float, flo
     """Worst relative D P g - g residual and worst prescribed P g trace at one eps.
 
     One hundred random smooth forcings on a refined grid, drawn as ten chunks
-    of ten and probed together.  The traces are those of P applied to the
-    first chunk on the M_t grid, a field small next to the probe's scratch.
+    of ten.  Each squared residual is a Gram form of the residuals of P's
+    basis sweeps.  The traces are those of P applied to the first chunk on
+    the M_t grid.
     """
     lam = lambda_of_modes(N).astype(float)
     plus_mask = (mode_numbers(N) <= 0)[:, None]
     M_ref = max(2048, int(np.ceil(12000 * eps)))
+    h = eps / M_ref
     chunks = [_smooth_field_coeffs(rng, N, 10) for _ in range(10)]
     coeffs = [np.concatenate(c, axis=1) for c in zip(*chunks)]
-    rel = right_inverse_residual(coeffs, lam, eps / M_ref, M_ref)
+    r_sq = quadratic_forms(residual_gram(basis_p_values(lam, h, M_ref), lam, h), coeffs)
+    g_sq = quadratic_forms(mode_gram([tau_powers(M_ref)[:, None]], h), coeffs)
+    rel = np.sqrt(r_sq) / np.sqrt(g_sq)
     # prescribed boundary components of P g vanish
     pv = kernel_p_values(smooth_fields(chunks[0], M_t), lam, eps / M_t)
     trace0 = np.sqrt(_half_norm_sq(np.where(plus_mask, pv[0], 0), N))
@@ -361,67 +368,69 @@ def _right_inverse_errors(rng, N: int, M_t: int, eps: float) -> tuple[float, flo
     return float(np.max(rel)), max(float(np.max(trace0)), float(np.max(trace1)))
 
 
-def _uniformity_estimates(rng, N: int, M_t: int, eps: float) -> tuple[float, ...]:
-    """Sampled norm ratios (P, Q, restriction, mixed L4) at one eps.
+def _uniformity_grams(N: int, M_t: int, eps: float) -> dict:
+    """The per-mode Gram forms of the uniformity ratios at one eps.
 
-    The random coefficients are drawn whole and in a fixed order; the node
-    values are built and reduced one column block at a time.
+    For forcings g = c0 + c1 tau + c2 tau^2: "g" is the Gram of |g|^2 in L^2,
+    one (1, 3, 3) matrix for every mode; "p" that of |P g|^2 in L^2_1; and
+    "trace" that of the squared half-norms of P g at both ends.  Q is
+    diagonal: "q" holds |Q e_n|^2 in L^2_1 per mode.  "mixed" stacks the
+    unit Q field and P's basis sweeps (nodes, modes, 4), the basis of the
+    mixed L^4 fields, on time steps of "h".
     """
     lam = lambda_of_modes(N).astype(float)
-    plus_modes = (mode_numbers(N) <= 0)[:, None]
-    l21_weight = sobolev_weights(1, N)
     # resolve the stiffest transient (lambda * h <= 0.1) so the
     # estimates measure the operators, not the grid
     m_eff = max(M_t, int(np.ceil(10 * N * eps)))
     h = eps / m_eff
-    times = np.linspace(0.0, eps, m_eff + 1)
-    col_shape = (m_eff + 1, 2 * N + 1)
+    ones = np.ones(2 * N + 1)
+    q_unit = kernel_q_values(ones, ones, lam, np.linspace(0.0, eps, m_eff + 1), eps)
+    basis = basis_p_values(lam, h, m_eff)
+    l21_weight = sobolev_weights(1, N)
+    ends = basis[[0, -1]]
+    return {
+        "g": mode_gram([tau_powers(m_eff)[:, None]], h),
+        "p": l21_weight[:, None, None] * mode_gram([basis], h)
+        + mode_gram([dt_derivative(basis, h)], h),
+        "trace": sobolev_weights(0.5, N)[:, None, None] * np.einsum("jnk,jnl->nkl", ends, ends),
+        "q": time_trapezoid(l21_weight * q_unit**2 + dt_derivative(q_unit, h) ** 2, h),
+        "mixed": np.concatenate([q_unit[:, :, None], basis], axis=2),
+        "h": h,
+    }
+
+
+def _uniformity_estimates(rng, N: int, M_t: int, eps: float) -> tuple[float, ...]:
+    """Sampled norm ratios (P, Q, restriction, mixed L4) at one eps.
+
+    The random coefficients are drawn whole and in a fixed order.  Every
+    squared norm is a Gram form of _uniformity_grams; only the mixed L4
+    fields are formed, one time block at a time.
+    """
+    grams = _uniformity_grams(N, M_t, eps)
 
     # Q: per-mode unit probes (the exact extremizers) plus random mixes
-    mixes = gaussian_loop(1000, N, rng).coeffs
     probes = np.eye(2 * N + 1)
-    c = np.concatenate([probes, mixes], axis=1)
-    plus = np.where(plus_modes, c, 0.0)
-    minus = np.where(~plus_modes, c, 0.0)
-    c_half = np.sqrt(_half_norm_sq(c, N))
-
-    def q_ratios(cols):
-        qv = kernel_q_values(plus[:, cols], minus[:, cols], lam, times, eps)
-        return (l21_batch(qv, h, l21_weight) / c_half[cols],)
-
-    (est_q,) = column_maxima(c.shape[1], col_shape, q_ratios)
+    c = np.concatenate([probes, gaussian_loop(1000, N, rng).coeffs], axis=1)
+    q_l21 = np.sqrt(np.sum(grams["q"][:, None] * np.abs(c) ** 2, axis=0))
+    est_q = float(np.max(q_l21 / np.sqrt(_half_norm_sq(c, N))))
 
     # P and the restriction bound: per-mode constant probes (c0 = e_n and
-    # c1 = c2 = 0, which the fill reproduces exactly) + smooth mixes
+    # c1 = c2 = 0) + smooth mixes
     zeros = np.zeros_like(probes)
     forcing = [
         np.concatenate([probe, mix], axis=1)
         for probe, mix in zip((probes, zeros, zeros), _smooth_field_coeffs(rng, N, 1000))
     ]
+    g_l2 = np.sqrt(quadratic_forms(grams["g"], forcing))
+    est_p = float(np.max(np.sqrt(quadratic_forms(grams["p"], forcing)) / g_l2))
+    est_r = float(np.max(np.sqrt(quadratic_forms(grams["trace"], forcing)) / g_l2))
 
-    def p_ratios(cols):
-        g = smooth_fields(forcing, m_eff, cols)
-        pv = kernel_p_values(g, lam, h)
-        g_l2 = l2_batch(g, h)
-        trace = np.sqrt(_half_norm_sq(pv[0], N) + _half_norm_sq(pv[-1], N))
-        return l21_batch(pv, h, l21_weight) / g_l2, trace / g_l2
-
-    est_p, est_r = column_maxima(forcing[0].shape[1], col_shape, p_ratios)
-
-    # mixed L4 bound
+    # mixed L4 bound on Q c2 + P g2
     c2 = gaussian_loop(100, N, rng).coeffs
-    plus2 = np.where(plus_modes, c2, 0.0)
-    minus2 = np.where(~plus_modes, c2, 0.0)
-    c2_half = np.sqrt(_half_norm_sq(c2, N))
     smooth2 = _smooth_field_coeffs(rng, N, 100)
-
-    def mixed_ratios(cols):
-        g2 = smooth_fields(smooth2, m_eff, cols)
-        u2 = kernel_q_values(plus2[:, cols], minus2[:, cols], lam, times, eps)
-        u2 += kernel_p_values(g2, lam, h)
-        return (l4_batch(u2, h, N) / (c2_half[cols] + l2_batch(g2, h)),)
-
-    (est_mix,) = column_maxima(c2.shape[1], col_shape, mixed_ratios)
+    u_l4 = l4_combination(grams["mixed"], [c2] + smooth2, grams["h"], N)
+    denom = np.sqrt(_half_norm_sq(c2, N)) + np.sqrt(quadratic_forms(grams["g"], smooth2))
+    est_mix = float(np.max(u_l4 / denom))
     return est_p, est_q, est_r, est_mix
 
 
@@ -912,20 +921,13 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
             h = eps / M_t
             tau = np.linspace(0.0, 1.0, M_t + 1)
             for chunk in range(4):
-                coeffs = _smooth_field_coeffs(rng, N, 250)
+                f = smooth_fields(_smooth_field_coeffs(rng, N, 250), M_t)
                 # alternate which end the window kills
-                window = (tau if chunk % 2 == 0 else 1.0 - tau)[:, None, None]
-
-                def ratios(cols):
-                    f = smooth_fields(coeffs, M_t, cols)
-                    f *= window
-                    lhs = l4_batch(f, h, N) ** 4
-                    grad_sq = time_trapezoid(l21_density(f, h, n_sq), h)
-                    rhs = eps * grad_sq**2
-                    return (lhs / rhs,)
-
-                (chunk_worst,) = column_maxima(250, (M_t + 1, 2 * N + 1), ratios)
-                worst = max(worst, chunk_worst)
+                f *= (tau if chunk % 2 == 0 else 1.0 - tau)[:, None, None]
+                lhs = l4_batch(f, h, N) ** 4
+                grad_sq = time_trapezoid(l21_density(f, h, n_sq), h)
+                rhs = eps * grad_sq**2
+                worst = max(worst, float(np.max(lhs / rhs)))
         yield CheckRecord(
             "aps.end_vanishing_l4",
             "int |f|^4 <= eps (int |grad f|^2)^2 for fields vanishing at one end",

@@ -4,10 +4,12 @@ Each criterion prints one PASS/FAIL line (run pytest with -s to see them
 live; they also appear in captured output).  The criteria consume the
 records of a single full verification run at the default configuration
 (N = 32, M_t = 64), so the numbers asserted here are exactly the numbers
-in the shipped report.
+in the shipped report.  The same report is compared with the golden report
+in tests/golden (see the end of this module).
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,3 +196,97 @@ def test_criterion_11_determinism_and_coverage(full_run):
         missing = [k for k, v in report.coverage_counts.items() if v == 0]
         print(f"    uncovered operations: {missing}")
     assert ok, "criterion 11 failed: " + ", ".join(p.name for p in pieces if not p.passed)
+
+
+# -- golden report ------------------------------------------------------------------
+#
+# tests/golden/report_all.json is the report of run_suite(Config(seed=2026),
+# "all") with the default output_dir.  The fixture's report must match it:
+# names, anchors, bounds, pass flags and every key exactly, and every value
+# exactly too, except those tests/golden/drift.json lists with a relative
+# allowance.  On a numpy or BLAS other than the one drift.json records, every
+# value is compared at its allowance, or at other_environment_rel.  Margins
+# are bound - computed and are checked as such.
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _blas() -> str:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25 has no dict form
+        return "unknown"
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
+def _mismatches(gold, run, rel_of, path=()):
+    """Paths at which run differs from gold: in structure, or by more than rel_of(path)."""
+    if isinstance(gold, dict):
+        if not isinstance(run, dict) or gold.keys() != run.keys():
+            return [path]
+        return [m for k in gold for m in _mismatches(gold[k], run[k], rel_of, path + (k,))]
+    if isinstance(gold, list):
+        if not isinstance(run, list) or len(gold) != len(run):
+            return [path]
+        pairs = enumerate(zip(gold, run))
+        return [m for i, (g, r) in pairs for m in _mismatches(g, r, rel_of, path + (i,))]
+    rel = rel_of(path)
+    numbers = all(type(v) in (int, float) for v in (gold, run))
+    if gold == run or (rel is not None and numbers and abs(run - gold) <= rel * abs(gold)):
+        return []
+    return [path]
+
+
+@pytest.fixture(scope="module")
+def golden(full_run):
+    """(golden report, this run's report, rel_of) with checks keyed by name and no margins."""
+    _, report = full_run
+    gold = json.loads((GOLDEN / "report_all.json").read_text())
+    drift = json.loads((GOLDEN / "drift.json").read_text())
+    run = json.loads(report.to_json())
+    run["config"]["output_dir"] = gold["config"]["output_dir"]
+    env = {"numpy": np.__version__, "blas": _blas()}
+    same_env = env == drift["environment"]
+    if not same_env:
+        print(f"[GOLDEN] numpy/BLAS {env} is not the golden {drift['environment']}: "
+              f"values compared at the drift allowances")
+        run["environment"]["platform_note"] = gold["environment"]["platform_note"]
+    allowed = {(e["check"], key): e["rel"] for e in drift["entries"] for key in e["values"]}
+    default = None if same_env else drift["other_environment_rel"]
+
+    def rel_of(path):
+        if path[0] != "checks":
+            return default
+        name, key = path[1], ".".join(map(str, path[2:4]))
+        return None if key == "bound" else allowed.get((name, key), default)
+
+    for r in (gold, run):
+        checks = {}
+        for c in r["checks"]:
+            assert c["margin"] == c["bound"] - c["computed"], c["name"]
+            checks[c["name"]] = {k: v for k, v in c.items() if k != "margin"}
+        r["checks"] = checks
+    return gold, run, rel_of
+
+
+def test_golden_structure(golden):
+    gold, run, _ = golden
+    assert list(run["checks"]) == list(gold["checks"])
+    for name, g in gold["checks"].items():
+        r = run["checks"][name]
+        for key in ("anchor", "bound", "passed"):
+            assert r[key] == g[key], (name, key)
+        assert r["details"].keys() == g["details"].keys(), name
+    assert run["coverage"].keys() == gold["coverage"].keys()
+
+
+def test_golden_values(golden):
+    gold, run, rel_of = golden
+    gold, run = (dict(r, coverage=None) for r in (gold, run))
+    assert _mismatches(gold, run, rel_of) == []
+
+
+def test_golden_coverage_counts(golden):
+    gold, run, _ = golden
+    assert run["coverage"] == gold["coverage"]
+

@@ -1,21 +1,16 @@
 """The streamed aps kernels and norms against their whole-array forms.
 
 The reference functions below evaluate every expression over the whole field
-at once.  The streamed versions in looplab must give the same bytes: the
-comparisons use tobytes(), so even the sign of a zero counts.  Shrinking
-BLOCK_BYTES to a few rows puts block edges next to both one-sided end
-stencils of the time derivative.  The column sweeps must give the same bytes
-and make the same random draws at every number of column workers.
+at once.  The streamed kernels and norms in looplab must give the same
+bytes: the comparisons use tobytes(), so even the sign of a zero counts.
+Shrinking BLOCK_BYTES to a few rows puts block edges next to both one-sided
+end stencils of the time derivative.  The aps ratios that looplab computes
+as per-mode Gram forms of P's basis sweeps sum the same terms in another
+order, so they are held to the whole-array references at stated relative
+allowances, and must make the same random draws in the same order.
 """
 
-import concurrent.futures
 import functools
-import json
-import os
-import subprocess
-import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -32,7 +27,6 @@ from looplab.cylinder import (
     l21_density,
     l2_batch,
     l4_batch,
-    map_columns,
     phi1,
     phi2,
     smooth_fields,
@@ -263,59 +257,6 @@ def random_field(seed, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def column_plan(n_cols, col_nbytes, col_len):
-    """The column blocks map_columns runs, in order, and the threads it opens (1: none)."""
-    blocks, threads = [], [1]
-
-    class InCallingThread:
-        """A ThreadPoolExecutor stand-in that runs each block as it is submitted."""
-
-        def __init__(self, n, thread_name_prefix=""):
-            threads.append(n)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
-
-    def record(cols):
-        blocks.append((cols.start, cols.stop))
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(concurrent.futures, "ThreadPoolExecutor", InCallingThread)
-        map_columns(record, n_cols, col_nbytes, col_len)
-    return blocks, threads[-1]
-
-
-def assert_plan(blocks, k, n_cols, col_nbytes, col_len, n_workers):
-    """The planning rule of map_columns, with the SHARED_ROW and COLUMN_BYTES in force."""
-    # the blocks cover the columns in order, at least two columns each, near-equal
-    assert [i for a, b in blocks for i in range(a, b)] == list(range(n_cols))
-    widths = [b - a for a, b in blocks]
-    assert min(widths) >= min(2, n_cols) and max(widths) - min(widths) <= 1
-    budget = min(n_cols, cylinder.COLUMN_BYTES // col_nbytes) if col_nbytes else n_cols
-
-    def shares_rows(j):  # j blocks of the budget's j-th part hold two columns and wide rows
-        return budget // j >= 2 and budget // j * col_len >= j * cylinder.SHARED_ROW
-
-    # at most k blocks at once, k as many as keep rows of k * SHARED_ROW elements,
-    # and every block keeps those rows
-    assert 1 <= k <= min(n_workers, len(blocks))
-    assert k == 1 or shares_rows(k)
-    assert k == min(n_workers, len(blocks)) or not shares_rows(k + 1)
-    least = max(2, -(-k * cylinder.SHARED_ROW // col_len)) if k > 1 else 2
-    assert min(widths) >= min(least, n_cols)
-    # the blocks in flight stay within COLUMN_BYTES plus fewer than k columns,
-    # unless one block more would be narrower than that
-    assert not col_nbytes or k * max(widths) < budget + k or n_cols // (len(blocks) + 1) < least
-
-
 @pytest.fixture(params=[1, 2, 7, None], ids=["rows1", "rows2", "rows7", "default"])
 def blocks_of(request, monkeypatch):
     """Set BLOCK_BYTES to a whole number of rows of a given row size."""
@@ -344,19 +285,6 @@ class TestBlockHelpers:
         monkeypatch.setattr(cylinder, "BLOCK_BYTES", 1)
         rows = cylinder.block_rows(3, 16)
         assert list(cylinder.time_blocks(3, rows)) == [(0, 1), (1, 2), (2, 3)]
-
-    @pytest.mark.parametrize("budget", (1, 2, 4))  # whole columns in COLUMN_BYTES
-    def test_column_blocks(self, monkeypatch, budget):
-        # one worker: one block at a time, within the budget but for the
-        # two-column floor
-        monkeypatch.setattr(cylinder, "workers", lambda: 1)
-        col_nbytes = 48
-        monkeypatch.setattr(cylinder, "COLUMN_BYTES", budget * col_nbytes + col_nbytes - 1)
-        for n in (2, 3, budget + 1, 2 * budget + 1, 7 * budget):
-            blocks, k = column_plan(n, col_nbytes, 65)
-            assert_plan(blocks, k, n, col_nbytes, 65, 1)
-            assert k == 1 and len(blocks) == max(1, min(-(-n // budget), n // 2))
-        assert column_plan(1, col_nbytes, 65) == ([(0, 1)], 1)
 
     @pytest.mark.parametrize("n_nodes", (3, 4, 9, 23))
     def test_derivative_rows_match_whole_field(self, n_nodes):
@@ -422,6 +350,17 @@ class TestKernelP:
         blocks_of(g[0].nbytes)
         for lam in (np.array([2.0, 1.0, 0.0]), np.array([-1.0, -2.0, -3.0])):
             assert same_bytes(kernel_p_values(g, lam, H), ref_kernel_p_values(g, lam, H))
+
+    @pytest.mark.parametrize("n_nodes", NODES)
+    def test_basis_sweep(self, blocks_of, n_nodes):
+        # P over the broadcast basis 1, tau, tau^2 gives the bytes of P over
+        # that basis written out in every mode
+        lam = lambda_of_modes(N).astype(float)
+        tau = np.linspace(0.0, 1.0, n_nodes)
+        full = np.repeat(np.stack([np.ones_like(tau), tau, tau**2], axis=1)[:, None], 2 * N + 1, 1)
+        blocks_of(full[0].nbytes)
+        basis_p = cylinder.basis_p_values(lam, H, n_nodes - 1)
+        assert same_bytes(basis_p, ref_kernel_p_values(full, lam, H))
 
     def test_rejects_unsorted_sectors(self):
         g = random_field(7, (9, 3))
@@ -510,24 +449,39 @@ class TestHarnessHelpers:
 
     @pytest.mark.parametrize("n_nodes", NODES)
     def test_right_inverse_residual(self, blocks_of, n_nodes):
-        # short sweeps: at the default block size one block holds a whole sector
+        # |D P g - g| / |g| as Gram forms of P's basis sweep, its residual
+        # rows streamed in time blocks, against the whole fields.  On these
+        # short grids the residual is about 1e-3 |g|, and the time derivative
+        # divides the rounding of P g by 2h: the Gram forms move it by at most
+        # 1.5e-13 relative, within an allowance of 1e-11
         lam = lambda_of_modes(N).astype(float)
+        M = n_nodes - 1
         coeffs = harness._smooth_field_coeffs(np.random.default_rng(12), N, 3)
-        g = ref_random_smooth_fields(np.random.default_rng(12), N, n_nodes - 1, 3)
-        blocks_of((N + 1) * 3 * 16)  # rows of the lambda >= 0 sector
-        rel = cylinder.right_inverse_residual(coeffs, lam, H, n_nodes - 1)
-        u = ref_kernel_p_values(g, lam, H)
-        assert same_bytes(rel, ref_right_inverse_residual(g, u, lam, H))
+        g = ref_random_smooth_fields(np.random.default_rng(12), N, M, 3)
+        blocks_of((2 * N + 1) * 3 * 8)  # rows of the basis sweep
+        gram = cylinder.residual_gram(cylinder.basis_p_values(lam, H, M), lam, H)
+        g_gram = cylinder.mode_gram([cylinder.tau_powers(M)[:, None]], H)
+        forms = [cylinder.quadratic_forms(gr, coeffs) for gr in (gram, g_gram)]
+        rel = np.sqrt(forms[0] / forms[1])
+        ref = ref_right_inverse_residual(g, ref_kernel_p_values(g, lam, H), lam, H)
+        np.testing.assert_allclose(rel, ref, rtol=1e-11, atol=0)
 
     @pytest.mark.parametrize("eps", (0.5, 0.001))
     def test_right_inverse_errors(self, blocks_of, eps):
-        # all hundred forcings in one streamed pass against ten whole chunk fields
-        blocks_of((N + 1) * 100 * 16)  # rows of the lambda >= 0 sector
+        # all hundred forcings as Gram forms against ten whole chunk fields.
+        # The worst residual is 2.7e-8 |g| at eps = 0.5 and 1.6e-7 |g| at
+        # eps = 0.001, a cancellation in which the time derivative divides
+        # the rounding of P g by 2h: it moves by up to 6.4e-8 relative,
+        # within an allowance of 1e-6.  The traces keep their bytes
+        blocks_of((2 * N + 1) * 3 * 8)  # rows of the basis sweep
         rng = np.random.default_rng(22)
         worst_rel, worst_trace, next_draw = ref_right_inverse_errors(N, 16, eps, 22)
-        assert harness._right_inverse_errors(rng, N, 16, eps) == (worst_rel, worst_trace)
-        # the same draws, in the same order
+        counts = coverage.counts()
+        rel, trace = harness._right_inverse_errors(rng, N, 16, eps)
+        assert rel == pytest.approx(worst_rel, rel=1e-6, abs=0) and trace == worst_trace
+        # the same draws, in the same order, and no public operation runs
         assert rng.standard_normal() == next_draw
+        assert coverage.counts() == counts
 
     @pytest.mark.parametrize("batch", (1, 4))
     def test_random_smooth_fields(self, blocks_of, batch):
@@ -536,316 +490,138 @@ class TestHarnessHelpers:
         coeffs = harness._smooth_field_coeffs(np.random.default_rng(13), N, batch)
         ref = ref_random_smooth_fields(np.random.default_rng(13), N, n_nodes - 1, batch)
         assert same_bytes(smooth_fields(coeffs, n_nodes - 1), ref)
-        # one column slice of drawn coefficients, as the column blocks build them
-        part = smooth_fields(coeffs, n_nodes - 1, slice(batch // 2, batch))
-        assert same_bytes(part, ref[:, :, batch // 2 :])
 
 
-class TestUniformityBlocked:
-    """The uniformity estimates, built one column block at a time, against whole batches."""
+class TestGramForms:
+    """Per-mode Gram forms against the fields they stand for."""
 
-    @pytest.mark.parametrize("cols", (3, None), ids=["cols3", "default"])
-    def test_estimates_bit_identical(self, monkeypatch, cols):
-        # a budget of three columns splits the 1009-column and the 100-column
-        # batch into near-equal blocks of two and three columns
-        M_t = 16
-        for eps in (1.0, 0.5, 0.1, 0.01, 0.001):
-            if cols is not None:
-                m_eff = max(M_t, int(np.ceil(10 * N * eps)))
-                col_nbytes = (m_eff + 1) * (2 * N + 1) * 16
-                monkeypatch.setattr(cylinder, "COLUMN_BYTES", cols * col_nbytes)
-            rng, rng_ref = np.random.default_rng(20), np.random.default_rng(20)
-            assert harness._uniformity_estimates(rng, N, M_t, eps) == ref_uniformity_estimates(
-                rng_ref, N, M_t, eps
-            )
-            # the same draws, in the same order
-            assert rng.standard_normal() == rng_ref.standard_normal()
+    @pytest.mark.parametrize("n_nodes", NODES)
+    def test_mode_gram_in_blocks(self, n_nodes):
+        # the trapezoid rule on per-node outer products, in time blocks of any
+        # size; entries may cancel, so the allowance is relative to the largest
+        x = np.random.default_rng(n_nodes).standard_normal((n_nodes, 2 * N + 1, 3))
+        ref = time_trapezoid(x[:, :, :, None] * x[:, :, None, :], H)
+        for rows in (1, 2, 7, n_nodes):
+            blocks = [x[a:b] for a, b in cylinder.time_blocks(n_nodes, rows)]
+            gram = cylinder.mode_gram(blocks, H)
+            np.testing.assert_allclose(gram, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
 
-    def test_block_columns_reduce_as_in_the_whole_batch(self, monkeypatch):
-        # every per-column norm of a column block is that column's norm in the
-        # whole batch; a one-column block would sum its modes pairwise instead
-        modes = 32
-        field = random_field(21, (17, 2 * modes + 1, 10))
-        col_nbytes = field[:, :, 0].nbytes
-        monkeypatch.setattr(cylinder, "COLUMN_BYTES", 3 * col_nbytes)
+    def test_quadratic_forms(self):
+        # sum_n c_n^H G_n c_n is the squared L^2 norm of the field sum_k c_k X_k,
+        # and a (1, 3, 3) Gram serves every mode
+        rng = np.random.default_rng(25)
+        x = rng.standard_normal((17, 2 * N + 1, 3))
+        coeffs = harness._smooth_field_coeffs(rng, N, 5)
+        field = sum(x[:, :, k, None] * c for k, c in enumerate(coeffs))
+        forms = cylinder.quadratic_forms(cylinder.mode_gram([x], H), coeffs)
+        np.testing.assert_allclose(forms, ref_l2_batch(field, H) ** 2, rtol=1e-14, atol=0)
+        shared = np.broadcast_to(x[:, :1], x.shape)
+        field = sum(shared[:, :, k, None] * c for k, c in enumerate(coeffs))
+        forms = cylinder.quadratic_forms(cylinder.mode_gram([x[:, :1]], H), coeffs)
+        np.testing.assert_allclose(forms, ref_l2_batch(field, H) ** 2, rtol=1e-14, atol=0)
 
-        monkeypatch.setattr(cylinder, "workers", lambda: 1)
-
-        def norms(values):
-            return (
-                l2_batch(values, H),
-                l21_batch(values, H, sobolev_weights(1, modes)),
-                np.sqrt(harness._half_norm_sq(values[0], modes)),
-                np.sqrt(harness._half_norm_sq(values[-1], modes)),
-                l4_batch(values, H, modes),
-            )
-
-        whole = norms(field)
-        blocks, _ = column_plan(10, col_nbytes, 2 * modes + 1)
-        assert blocks == [(0, 2), (2, 5), (5, 7), (7, 10)]
-        for start, stop in blocks:
-            for part, ref in zip(norms(np.ascontiguousarray(field[:, :, start:stop])), whole):
-                assert same_bytes(part, ref[start:stop])
+    @pytest.mark.parametrize("n_nodes", NODES)
+    def test_l4_combination(self, blocks_of, n_nodes):
+        # the field sum_k c_k X_k, formed one time block at a time, has the
+        # L^4 norms of the whole field summed in the same order
+        rng = np.random.default_rng(26 + n_nodes)
+        basis = rng.standard_normal((n_nodes, 2 * N + 1, 4))
+        coeffs = [random_field(27 + k, (2 * N + 1, 3)) for k in range(4)]
+        field = basis[:, :, 0, None] * coeffs[0]
+        for k in range(1, 4):
+            field = field + basis[:, :, k, None] * coeffs[k]
+        blocks_of(field[0].nbytes)
+        assert same_bytes(cylinder.l4_combination(basis, coeffs, H, N), ref_l4_batch(field, H, N))
 
 
-@pytest.fixture(params=[1, 2, 3], ids=["workers1", "workers2", "workers3"])
-def n_workers(request, monkeypatch):
-    """Run the column sweeps with a given number of workers, whatever the CPU count.
+@functools.lru_cache
+def suite_uniformity():
+    """(eps, Gram forms, estimates) of the default config's uniformity sweep, in its draw order."""
+    config = Config()
+    rng = config.rng("aps.uniformity")
+    return [
+        (
+            eps,
+            harness._uniformity_grams(config.N, config.M_t, eps),
+            harness._uniformity_estimates(rng, config.N, config.M_t, eps),
+        )
+        for eps in config.eps_list
+    ]
 
-    Rows of one element may run beside others, so the small fields of these
-    tests split into parts and blocks as the wide fields of the suite do.
+
+def span_supremum(gram, g_gram):
+    """Largest ratio sqrt(c^T G_n c / c^T G^g c) over all modes n and real c.
+
+    It is the square root of the largest eigenvalue of the pencils
+    (G_n, G^g): with G^g = L L^T, those of L^-1 G_n L^-T.
     """
-    monkeypatch.setattr(cylinder, "workers", lambda: request.param)
-    monkeypatch.setattr(cylinder, "SHARED_ROW", 1)
-    return request.param
+    inv = np.linalg.inv(np.linalg.cholesky(g_gram[0]))
+    return float(np.sqrt(np.max(np.linalg.eigvalsh(inv @ gram @ inv.T))))
 
 
-@pytest.fixture
-def column_calls(monkeypatch):
-    """(blocks, threads) of the plan of every map_columns call the aps sweeps make."""
-    calls = []
+class TestUniformityGrams:
+    """The uniformity estimates as Gram forms, against whole batches and exact suprema."""
 
-    def spy(fn, *plan):
-        calls.append(column_plan(*plan))
-        return map_columns(fn, *plan)
-
-    monkeypatch.setattr(cylinder, "map_columns", spy)
-    return calls
-
-
-def assert_parts(blocks, n_cols):
-    """Every block holds at least two columns, and the blocks cover the columns in order."""
-    assert [i for a, b in blocks for i in range(a, b)] == list(range(n_cols))
-    assert min(b - a for a, b in blocks) >= min(2, n_cols)
-
-
-# (columns, nodes) and (block count, threads) on 1, 2, 3, 8 and 50 CPUs of
-# the default aps sweeps at N = 32 (65 modes): the right-inverse probe (no
-# nodes: its memory does not grow with its blocks), the uniformity Q and
-# P/restriction sweeps and the mixed L^4 sweep at m_eff = 320, 160 and 64,
-# and end_vanishing
-APS_PLANS = {
-    "probe": ((100, 0), [(1, 1), (2, 2), (3, 3), (3, 3), (3, 3)]),
-    "uniformity_320": ((1065, 321), [(43, 1), (89, 1), (134, 1), (134, 1), (134, 1)]),
-    "uniformity_160": ((1065, 161), [(22, 1), (43, 2), (66, 2), (66, 2), (66, 2)]),
-    "uniformity_64": ((1065, 65), [(9, 1), (18, 2), (26, 3), (44, 3), (44, 3)]),
-    "mixed_l4_320": ((100, 321), [(4, 1), (9, 1), (13, 1), (13, 1), (13, 1)]),
-    "mixed_l4_160": ((100, 161), [(2, 1), (4, 2), (6, 2), (6, 2), (6, 2)]),
-    "mixed_l4_64": ((100, 65), [(1, 1), (2, 2), (3, 3), (4, 3), (4, 3)]),
-    "end_vanishing": ((250, 65), [(3, 1), (5, 2), (7, 3), (10, 3), (10, 3)]),
-}
-
-
-class TestColumnWorkers:
-    """The column sweeps give the same bytes and the same draws at every worker count."""
-
-    def test_workers(self):
-        assert 1 <= cylinder.workers() <= (os.cpu_count() or 1)
-
-    def test_parts_and_blocks(self, n_workers, monkeypatch):
-        monkeypatch.setattr(cylinder, "SHARED_ROW", 4)
-        monkeypatch.setattr(cylinder, "COLUMN_BYTES", 12 * 48)
-        for n_cols in range(1, 40):
-            for col_len in (1, 2, 5):
-                for col_nbytes in (0, 48, 5 * 48, 13 * 48):
-                    blocks, k = column_plan(n_cols, col_nbytes, col_len)
-                    assert_plan(blocks, k, n_cols, col_nbytes, col_len, n_workers)
-
-    @pytest.mark.parametrize("shared_row", (1, 20, 200))
-    @pytest.mark.parametrize(
-        "col_nbytes", (48, cylinder.COLUMN_BYTES // 30, cylinder.COLUMN_BYTES // 3)
-    )
-    def test_blocks_in_flight(self, n_workers, monkeypatch, shared_row, col_nbytes):
-        monkeypatch.setattr(cylinder, "SHARED_ROW", shared_row)
-        blocks, k = column_plan(300, col_nbytes, 2)
-        assert_plan(blocks, k, 300, col_nbytes, 2, n_workers)
-        # a block is no wider than its worker's share, or than the rows of
-        # k * SHARED_ROW elements (of two modes a column) need
-        share = cylinder.COLUMN_BYTES // n_workers // col_nbytes
-        assert max(b - a for a, b in blocks) <= max(3, share, -(-k * shared_row // 2))
-
-    @pytest.mark.parametrize("cpus", (2, 8, 50))
-    def test_rows_stay_shared_on_many_cpus(self, monkeypatch, cpus):
-        # the aps suite at N = 32: probe blocks and column blocks that run
-        # beside others keep sector rows (32 or 33 of the 65 modes) of more
-        # than 500 elements, on which numpy drops the GIL, and rows of
-        # SHARED_ROW elements per thread in flight, whatever the CPU count
-        monkeypatch.setattr(cylinder, "workers", lambda: cpus)
-        for (n_cols, nodes), _ in APS_PLANS.values():
-            col_nbytes = nodes * 65 * 16
-            blocks, k = column_plan(n_cols, col_nbytes, 65)
-            assert_plan(blocks, k, n_cols, col_nbytes, 65, cpus)
-            assert k <= 3 and (k == 1 or min(b - a for a, b in blocks) * 32 > 500)
-
-    @pytest.mark.parametrize("cpus", (1, 2, 3, 8, 50))
-    def test_aps_plans(self, monkeypatch, cpus):
-        monkeypatch.setattr(cylinder, "workers", lambda: cpus)
-        column = (1, 2, 3, 8, 50).index(cpus)
-        for name, ((n_cols, nodes), plans) in APS_PLANS.items():
-            col_nbytes = nodes * 65 * 16
-            blocks, k = column_plan(n_cols, col_nbytes, 65)
-            assert (len(blocks), k) == plans[column], name
-
-    def test_map_columns(self, n_workers, monkeypatch):
-        seen = []
-
-        def fn(cols):
-            seen.append(threading.current_thread() is threading.main_thread())
-            return cols.start, cols.stop
-
-        # one block per worker: rows of one element may run beside others
-        blocks = [(10 * k // n_workers, 10 * (k + 1) // n_workers) for k in range(n_workers)]
-        assert cylinder.map_columns(fn, 10, 0, 1) == blocks
-        assert all(seen) == (n_workers == 1)
-        seen.clear()
-        # a budget of two columns runs one block at a time, in the calling thread
-        with monkeypatch.context() as mp:
-            mp.setattr(cylinder, "COLUMN_BYTES", 2 * 48)
-            assert cylinder.map_columns(fn, 10, 48, 1) == [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10)]
-        assert all(seen)
-
-        def fails(cols):
-            raise ArithmeticError(f"column block {cols.start}:{cols.stop}")
-
-        # the first exception in block order
-        with pytest.raises(ArithmeticError, match=f"^column block 0:{blocks[0][1]}$"):
-            cylinder.map_columns(fails, 10, 0, 1)
-
-        # no block still runs when the exception arrives
-        running, lock = [], threading.Lock()
-
-        def slow_after_failure(cols):
-            if cols.start == 0:
-                raise ArithmeticError("first part")
-            with lock:
-                running.append(cols.start)
-            time.sleep(0.05)
-            with lock:
-                running.remove(cols.start)
-
-        with pytest.raises(ArithmeticError, match="first part"):
-            cylinder.map_columns(slow_after_failure, 10, 0, 1)
-        assert running == []
-        # and no thread of the sweep outlives the call
-        assert not [t for t in threading.enumerate() if t.name.startswith("looplab-columns")]
-
-    def test_more_workers_than_cores(self, monkeypatch):
-        # many short blocks on more threads than cores, switching threads
-        # often: every column still gets the bytes of the serial sweep
-        n = (os.cpu_count() or 1) + 2
-        monkeypatch.setattr(cylinder, "workers", lambda: n)
-        monkeypatch.setattr(cylinder, "SHARED_ROW", 1)
-        eps = 0.001
-        col_nbytes = (max(16, int(np.ceil(10 * N * eps))) + 1) * (2 * N + 1) * 16
-        monkeypatch.setattr(cylinder, "COLUMN_BYTES", 2 * n * col_nbytes)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            estimates = harness._uniformity_estimates(np.random.default_rng(24), N, 16, eps)
-            errors = harness._right_inverse_errors(np.random.default_rng(22), N, 16, eps)
-        finally:
-            sys.setswitchinterval(interval)
-        assert estimates == ref_uniformity_estimates(np.random.default_rng(24), N, 16, eps)
-        assert errors == ref_right_inverse_errors(N, 16, eps, 22)[:2]
-
-    @pytest.mark.parametrize("rows", (7, None), ids=["rows7", "default"])
-    @pytest.mark.parametrize("eps", (0.5, 0.001))
-    def test_right_inverse_errors(self, n_workers, column_calls, monkeypatch, rows, eps):
-        if rows is not None:
-            # rows of the lambda >= 0 sector of all parts together
-            monkeypatch.setattr(cylinder, "BLOCK_BYTES", rows * (N + 1) * 100 * 16)
-        rng = np.random.default_rng(22)
-        worst_rel, worst_trace, next_draw = ref_right_inverse_errors(N, 16, eps, 22)
-        counts = coverage.counts()
-        assert harness._right_inverse_errors(rng, N, 16, eps) == (worst_rel, worst_trace)
-        assert rng.standard_normal() == next_draw
-        # no public operation runs, in a worker or elsewhere
-        assert coverage.counts() == counts
-        ((parts, threads),) = column_calls
-        assert len(parts) == threads == n_workers
-        assert_parts(parts, 100)
-
-    @pytest.mark.parametrize("cols", (6, None), ids=["cols6", "default"])
-    def test_uniformity_estimates(self, n_workers, column_calls, monkeypatch, cols):
+    def test_estimates_against_whole_batches(self, blocks_of):
+        # each squared norm sums the terms of its whole-batch reference in
+        # another order, per mode before over time, with no cancellation: the
+        # estimates move by at most 4.4e-16 relative, within 1e-14
         M_t = 16
-        for eps in (1.0, 0.001):
-            m_eff = max(M_t, int(np.ceil(10 * N * eps)))
-            col_nbytes = (m_eff + 1) * (2 * N + 1) * 16
-            if cols is not None:
-                # a budget of six columns: a worker's share of 6, 3 or 2 columns
-                monkeypatch.setattr(cylinder, "COLUMN_BYTES", cols * col_nbytes)
-            column_calls.clear()
+        blocks_of((2 * N + 1) * 100 * 16)  # rows of the mixed L^4 fields
+        for eps in (1.0, 0.5, 0.1, 0.01, 0.001):
             rng, rng_ref = np.random.default_rng(20), np.random.default_rng(20)
             counts = coverage.counts()
-            assert harness._uniformity_estimates(rng, N, M_t, eps) == ref_uniformity_estimates(
-                rng_ref, N, M_t, eps
-            )
+            estimates = harness._uniformity_estimates(rng, N, M_t, eps)
+            ref = ref_uniformity_estimates(rng_ref, N, M_t, eps)
+            assert estimates == pytest.approx(ref, rel=1e-14, abs=0)
+            # the same draws, in the same order, and no public operation runs
             assert rng.standard_normal() == rng_ref.standard_normal()
             assert coverage.counts() == counts
-            # the Q, P/restriction and mixed L^4 sweeps, each over its whole batch
-            assert len(column_calls) == 3
-            for (blocks, threads), n_cols in zip(column_calls, (2 * N + 1001, 2 * N + 1001, 100)):
-                assert_parts(blocks, n_cols)
-                assert threads == n_workers
-                share = max(2, cylinder.COLUMN_BYTES // n_workers // col_nbytes)
-                assert max(b - a for a, b in blocks) <= share + 1
 
-    def test_column_maxima(self, n_workers, monkeypatch):
-        modes = 32
-        field = random_field(23, (17, 2 * modes + 1, 11))
-        monkeypatch.setattr(cylinder, "COLUMN_BYTES", 6 * field[:, :, 0].nbytes)
+    def test_p_and_restriction_below_span_suprema(self):
+        # over the span of 1, tau, tau^2 in each mode the largest P and
+        # restriction ratios are exact: a ratio of sums over modes never
+        # beats its best mode, and the best of a mode is the largest
+        # eigenvalue of a 3 x 3 symmetric-definite pencil (Rayleigh-Ritz).
+        # The sampled estimates, whose probes and mixes lie in that span,
+        # stay below it, and fall short by up to 10%
+        suprema = {}
+        for eps, grams, (est_p, _, est_r, _) in suite_uniformity():
+            sup_p = span_supremum(grams["p"], grams["g"])
+            sup_r = span_supremum(grams["trace"], grams["g"])
+            assert est_p <= sup_p * (1 + 1e-12) and est_r <= sup_r * (1 + 1e-12)
+            suprema[eps] = (est_p, sup_p, est_r, sup_r)
+        assert suprema[1.0][:2] == pytest.approx((1.1547, 1.1854), abs=1e-4)
+        assert suprema[0.1][2:] == pytest.approx((0.6380, 0.7051), abs=1e-4)
 
-        def ratios(cols):
-            part = field[:, :, cols]
-            return l2_batch(part, H), l4_batch(part, H, modes) / l2_batch(part, H)
+    def test_q_estimate_is_the_probe_maximum(self):
+        # Q is diagonal, so a mix of modes never beats its best mode: the
+        # unit probes reach the largest ratio sqrt(q_n / w_n)
+        w = sobolev_weights(0.5, 32)
+        for _, grams, (_, est_q, _, _) in suite_uniformity():
+            assert est_q == pytest.approx(float(np.max(np.sqrt(grams["q"] / w))), rel=1e-12, abs=0)
 
-        whole = ratios(slice(None))
-        maxima = cylinder.column_maxima(11, field.shape[:2], ratios)
-        assert maxima == [float(np.max(r)) for r in whole]
 
-    def test_aps_groups(self, n_workers, monkeypatch):
-        # every group of a small aps suite against its serial run, and
-        # end_vanishing against whole fields
+class TestApsGroups:
+    def test_end_vanishing_against_whole_fields(self):
+        # each chunk of 250 fields is formed whole, with the bytes of the
+        # whole-array expressions
         config = Config(N=4, M_t=8, eps_list=(0.1, 0.01))
+        records = {r.name: r for r in harness._suite_aps(config)}
+        assert records["aps.end_vanishing_l4"].computed == ref_end_vanishing(config)
 
-        def report():
-            return json.dumps([r.to_json_dict() for r in harness._suite_aps(config)])
+    def test_failing_gram_is_a_group_error(self, monkeypatch):
+        def fails(*args):
+            raise FloatingPointError("residual Gram")
 
-        records = report()
-        assert json.loads(records)[-1]["computed"] == ref_end_vanishing(config)
-        monkeypatch.setattr(cylinder, "workers", lambda: 1)
-        assert records == report()
-
-    def test_failing_part_is_a_group_error(self, n_workers, monkeypatch):
-        probe, calls, lock = cylinder._right_inverse_block, [], threading.Lock()
-
-        def second_part_fails(coeffs, *args):
-            with lock:
-                calls.append(len(calls) + 1)
-                k = calls[-1]
-            if k == 2:
-                raise FloatingPointError("probe part 2")
-            return probe(coeffs, *args)
-
-        monkeypatch.setattr(cylinder, "_right_inverse_block", second_part_fails)
+        monkeypatch.setattr(harness, "residual_gram", fails)
         records = harness._suite_aps(Config(N=4, M_t=8, eps_list=(0.1, 0.01)))
         names = [r.name for r in records]
         (error,) = [r for r in records if r.name == "aps.right_inverse.error"]
-        assert error.details == {"exception": "FloatingPointError: probe part 2"}
+        assert error.details == {"exception": "FloatingPointError: residual Gram"}
         assert not error.passed
         assert "aps.right_inverse_residual" not in names
         assert "aps.uniformity_p_variation" in names and "aps.end_vanishing_l4" in names
-
-    def test_cli_import_leaves_concurrent_futures_unloaded(self):
-        # only a column sweep that needs threads imports it; importing the
-        # CLI must not, or every command would pay for it
-        src = os.path.dirname(os.path.dirname(harness.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        code = "import sys, looplab.cli; print('concurrent.futures' in sys.modules)"
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "False"
 
 
 class TestCylNorm:
@@ -899,30 +675,19 @@ class TestStreamingMemory:
         assert peak < 1.25 * out.nbytes
 
     def test_uniformity_estimates_peak(self):
-        # at eps = 1 a probe set of the whole batch is one (321, 65, 1065)
-        # field of 355 MB; the column blocks, and the time blocks of the L^4
-        # norm, keep the peak under 80 MiB
+        # at eps = 1 a probe set of the whole batch would be one
+        # (321, 65, 1065) field of 355 MB; the Gram forms need only P's basis
+        # sweep, and the mixed L^4 fields are formed one time block at a time
         _, peak = self.peak(harness._uniformity_estimates, np.random.default_rng(18), 32, 64, 1.0)
         assert peak < 80 * 2**20
 
     def test_right_inverse_streams(self):
-        # no forcing field or P image is ever made: at eps = 0.001 the peak
-        # stays under one (2049, 65, 10) field, and at eps = 1, where one such
-        # field of ten forcings would take 125 MB, under 64 MiB
+        # no forcing field or P image of the batch is ever made, only P's
+        # basis sweep (nodes, 65, 3): at eps = 0.001 the peak stays under one
+        # (2049, 65, 10) field, and at eps = 1, where one such field of ten
+        # forcings would take 125 MB, under 64 MiB
         field_nbytes = 2049 * 65 * 10 * 16
         _, peak = self.peak(harness._right_inverse_errors, np.random.default_rng(19), 32, 64, 0.001)
         assert peak < field_nbytes
         _, peak = self.peak(harness._right_inverse_errors, np.random.default_rng(19), 32, 64, 1.0)
         assert peak < 64 * 2**20
-
-    @pytest.mark.parametrize("workers", (1, 3))
-    def test_peaks_at_other_worker_counts(self, monkeypatch, workers):
-        # tracemalloc sees the allocations of every worker thread; the
-        # blocks in flight share the budgets, so the bounds above hold, also
-        # when rows of any width run beside others: the most blocks in flight
-        monkeypatch.setattr(cylinder, "workers", lambda: workers)
-        monkeypatch.setattr(cylinder, "SHARED_ROW", 1)
-        _, peak = self.peak(harness._uniformity_estimates, np.random.default_rng(18), 32, 64, 1.0)
-        assert peak < 80 * 2**20
-        _, peak = self.peak(harness._right_inverse_errors, np.random.default_rng(19), 32, 64, 0.001)
-        assert peak < 2049 * 65 * 10 * 16
