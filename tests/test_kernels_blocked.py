@@ -11,6 +11,11 @@ allowances, and must make the same random draws in the same order.
 """
 
 import functools
+import json
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -534,6 +539,38 @@ class TestGramForms:
         assert same_bytes(cylinder.l4_combination(basis, coeffs, H, N), ref_l4_batch(field, H, N))
 
 
+class TestUniformityBlocked:
+    """The uniformity estimates, their fields streamed in time blocks, against whole batches."""
+
+    @pytest.mark.parametrize("cols", (3, None), ids=["cols3", "default"])
+    def test_estimates_bit_identical(self, monkeypatch, cols):
+        # only P's basis sweeps and the mixed L^4 fields are streamed, and
+        # their bytes do not depend on the block size: a BLOCK_BYTES of three
+        # whole columns (one row a block of the 100-column mixed L^4 fields)
+        # or the default gives the bytes of one row a block.  Each squared
+        # norm sums the terms of its whole-batch reference in another order,
+        # per mode before over time, with no cancellation: the estimates move
+        # by at most 4.4e-16 relative, within 1e-14
+        M_t = 16
+        for eps in (1.0, 0.5, 0.1, 0.01, 0.001):
+            with monkeypatch.context() as mp:
+                mp.setattr(cylinder, "BLOCK_BYTES", 1)
+                one_row = harness._uniformity_estimates(np.random.default_rng(20), N, M_t, eps)
+            if cols is not None:
+                m_eff = max(M_t, int(np.ceil(10 * N * eps)))
+                col_nbytes = (m_eff + 1) * (2 * N + 1) * 16
+                monkeypatch.setattr(cylinder, "BLOCK_BYTES", cols * col_nbytes)
+            rng, rng_ref = np.random.default_rng(20), np.random.default_rng(20)
+            counts = coverage.counts()
+            estimates = harness._uniformity_estimates(rng, N, M_t, eps)
+            assert same_bytes(estimates, one_row)
+            ref = ref_uniformity_estimates(rng_ref, N, M_t, eps)
+            assert estimates == pytest.approx(ref, rel=1e-14, abs=0)
+            # the same draws, in the same order, and no public operation runs
+            assert rng.standard_normal() == rng_ref.standard_normal()
+            assert coverage.counts() == counts
+
+
 @functools.lru_cache
 def suite_uniformity():
     """(eps, Gram forms, estimates) of the default config's uniformity sweep, in its draw order."""
@@ -560,23 +597,7 @@ def span_supremum(gram, g_gram):
 
 
 class TestUniformityGrams:
-    """The uniformity estimates as Gram forms, against whole batches and exact suprema."""
-
-    def test_estimates_against_whole_batches(self, blocks_of):
-        # each squared norm sums the terms of its whole-batch reference in
-        # another order, per mode before over time, with no cancellation: the
-        # estimates move by at most 4.4e-16 relative, within 1e-14
-        M_t = 16
-        blocks_of((2 * N + 1) * 100 * 16)  # rows of the mixed L^4 fields
-        for eps in (1.0, 0.5, 0.1, 0.01, 0.001):
-            rng, rng_ref = np.random.default_rng(20), np.random.default_rng(20)
-            counts = coverage.counts()
-            estimates = harness._uniformity_estimates(rng, N, M_t, eps)
-            ref = ref_uniformity_estimates(rng_ref, N, M_t, eps)
-            assert estimates == pytest.approx(ref, rel=1e-14, abs=0)
-            # the same draws, in the same order, and no public operation runs
-            assert rng.standard_normal() == rng_ref.standard_normal()
-            assert coverage.counts() == counts
+    """The uniformity estimates as Gram forms, against exact suprema."""
 
     def test_p_and_restriction_below_span_suprema(self):
         # over the span of 1, tau, tau^2 in each mode the largest P and
@@ -602,26 +623,134 @@ class TestUniformityGrams:
             assert est_q == pytest.approx(float(np.max(np.sqrt(grams["q"] / w))), rel=1e-12, abs=0)
 
 
-class TestApsGroups:
-    def test_end_vanishing_against_whole_fields(self):
-        # each chunk of 250 fields is formed whole, with the bytes of the
-        # whole-array expressions
+@pytest.fixture(params=[1, 2, 3], ids=["workers1", "workers2", "workers3"])
+def n_workers(request):
+    """Threads of the caller that run the aps sweeps at once."""
+    return request.param
+
+
+def in_threads(n, fn):
+    """[fn(0), ..., fn(n - 1)], each call in its own thread, all started together."""
+    results, errors = [None] * n, []
+    start = threading.Barrier(n)
+
+    def run(i):
+        start.wait()
+        try:
+            results[i] = fn(i)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def aps_report(config):
+    return json.dumps([r.to_json_dict() for r in harness._suite_aps(config)])
+
+
+class TestColumnWorkers:
+    """The aps sweeps keep no state between calls: threads of the caller that
+    run them at once get the bytes and the draws of one serial run."""
+
+    @pytest.mark.parametrize("rows", (7, None), ids=["rows7", "default"])
+    @pytest.mark.parametrize("eps", (0.5, 0.001))
+    def test_right_inverse_errors(self, n_workers, monkeypatch, rows, eps):
+        if rows is not None:
+            # rows of the basis sweep and of its residual blocks
+            monkeypatch.setattr(cylinder, "BLOCK_BYTES", rows * (2 * N + 1) * 3 * 8)
+        worst_rel, worst_trace, next_draw = ref_right_inverse_errors(N, 16, eps, 22)
+        serial = harness._right_inverse_errors(np.random.default_rng(22), N, 16, eps)
+        assert serial[0] == pytest.approx(worst_rel, rel=1e-6, abs=0) and serial[1] == worst_trace
+        counts = coverage.counts()
+
+        def run(i):
+            rng = np.random.default_rng(22)
+            return harness._right_inverse_errors(rng, N, 16, eps), rng.standard_normal()
+
+        for errors, draw in in_threads(n_workers, run):
+            assert same_bytes(errors, serial) and draw == next_draw
+        # no public operation runs, in any thread
+        assert coverage.counts() == counts
+
+    @pytest.mark.parametrize("cols", (6, None), ids=["cols6", "default"])
+    def test_uniformity_estimates(self, n_workers, monkeypatch, cols):
+        M_t = 16
+        for eps in (1.0, 0.001):
+            if cols is not None:
+                # six whole columns: the 100-column mixed L^4 fields stream
+                # one or two rows a block
+                m_eff = max(M_t, int(np.ceil(10 * N * eps)))
+                monkeypatch.setattr(cylinder, "BLOCK_BYTES", cols * (m_eff + 1) * (2 * N + 1) * 16)
+            rng_ref = np.random.default_rng(20)
+            ref = ref_uniformity_estimates(rng_ref, N, M_t, eps)
+            next_draw = rng_ref.standard_normal()
+            serial = harness._uniformity_estimates(np.random.default_rng(20), N, M_t, eps)
+            assert serial == pytest.approx(ref, rel=1e-14, abs=0)
+            counts = coverage.counts()
+
+            def run(i, eps=eps):
+                rng = np.random.default_rng(20)
+                return harness._uniformity_estimates(rng, N, M_t, eps), rng.standard_normal()
+
+            for estimates, draw in in_threads(n_workers, run):
+                assert same_bytes(estimates, serial) and draw == next_draw
+            assert coverage.counts() == counts
+
+    def test_aps_groups(self, n_workers):
+        # every group of a small aps suite in each thread against its serial
+        # run, and end_vanishing, each chunk of 250 fields formed whole,
+        # against whole fields
         config = Config(N=4, M_t=8, eps_list=(0.1, 0.01))
-        records = {r.name: r for r in harness._suite_aps(config)}
-        assert records["aps.end_vanishing_l4"].computed == ref_end_vanishing(config)
+        serial = aps_report(config)
+        assert json.loads(serial)[-1]["computed"] == ref_end_vanishing(config)
+        assert in_threads(n_workers, lambda i: aps_report(config)) == [serial] * n_workers
 
-    def test_failing_gram_is_a_group_error(self, monkeypatch):
-        def fails(*args):
-            raise FloatingPointError("residual Gram")
+    def test_failing_part_is_a_group_error(self, n_workers, monkeypatch):
+        # in the first thread the residual Gram of the second eps fails: its
+        # right-inverse group alone becomes an error record, and the other
+        # threads' suites keep the bytes of the serial run
+        config = Config(N=4, M_t=8, eps_list=(0.1, 0.01))
+        serial = aps_report(config)
+        gram, local = harness.residual_gram, threading.local()
 
-        monkeypatch.setattr(harness, "residual_gram", fails)
-        records = harness._suite_aps(Config(N=4, M_t=8, eps_list=(0.1, 0.01)))
+        def second_part_fails(*args):
+            local.calls += 1
+            if local.fails and local.calls == 2:
+                raise FloatingPointError("residual Gram 2")
+            return gram(*args)
+
+        def run(i):
+            local.fails, local.calls = i == 0, 0
+            return harness._suite_aps(config)
+
+        monkeypatch.setattr(harness, "residual_gram", second_part_fails)
+        records, *others = in_threads(n_workers, run)
         names = [r.name for r in records]
         (error,) = [r for r in records if r.name == "aps.right_inverse.error"]
-        assert error.details == {"exception": "FloatingPointError: residual Gram"}
+        assert error.details == {"exception": "FloatingPointError: residual Gram 2"}
         assert not error.passed
         assert "aps.right_inverse_residual" not in names
         assert "aps.uniformity_p_variation" in names and "aps.end_vanishing_l4" in names
+        for other in others:
+            assert json.dumps([r.to_json_dict() for r in other]) == serial
+
+    def test_cli_import_leaves_concurrent_futures_unloaded(self):
+        # no module of the package needs it; importing the CLI must not
+        # load it, or every command would pay for it
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, looplab.cli; print('concurrent.futures' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestCylNorm:
