@@ -1,5 +1,5 @@
-"""Time the aps cylinder kernels, the aps checks, the nonlinearity layer and
-the beta descent.
+"""Time the aps basis sweep, the aps checks, the nonlinearity layer and the
+beta descent.
 
     python bench/kernels.py --label after --out BENCH.json [--src DIR] [--repeats 5]
 
@@ -9,9 +9,9 @@ timing is taken with time.perf_counter over --repeats runs after one warm-up
 call and reported as the median and the interquartile range (IQR), with the
 samples.  Four groups are timed:
 
-* kernels: kernel_p_values, kernel_q_values and the cylinder L^2_1 norm
-  l21_batch at the aps shapes (nodes x modes x batch), and kernel_p_values
-  over the basis 1, tau, tau^2 that the aps Gram forms sweep;
+* kernels: kernel_p_values over the basis 1, tau, tau^2 that the aps Gram
+  forms sweep, a broadcast (nodes, modes, 3) view on the aps.right_inverse
+  grid at eps = 1 (BASIS_SHAPE), the largest sweep of the aps suite;
 * guards: each check group of `run_suite(Config(seed=2026), "aps")`, run
   on its own through `harness._run_groups` and keyed `aps.<group>`;
 * nonlinearity: seconds per call of one grad H evaluation on the theta grid
@@ -43,13 +43,7 @@ import sys
 import time
 from pathlib import Path
 
-# (nodes, modes, batch): ten forcings on the aps.right_inverse grids at
-# eps = 1 and eps <= 0.1, and the whole aps.uniformity batch at eps = 1.
-# Neither check builds such a field: both reduce their batches through
-# per-mode Gram forms of one P sweep over the real basis 1, tau, tau^2 in
-# every mode, a broadcast (nodes, modes, 3) view, timed at BASIS_SHAPE (the
-# aps.right_inverse grid at eps = 1)
-APS_SHAPES = ((12001, 65, 10), (2049, 65, 10), (321, 65, 1065))
+# (nodes, modes, 3): P's basis sweep on the aps.right_inverse grid at eps = 1
 BASIS_SHAPE = (12001, 65, 3)
 
 
@@ -71,42 +65,14 @@ def timed(fn, repeats: int, calls: int = 1) -> dict:
 
 
 def time_kernels(repeats: int) -> dict:
-    import numpy as np
+    from looplab.cylinder import basis_p_values
+    from looplab.loops import lambda_of_modes
 
-    from looplab.cylinder import kernel_p_values, kernel_q_values, l21_batch
-    from looplab.loops import lambda_of_modes, mode_numbers, sobolev_weights
-
-    out = {}
-    for nodes, modes, batch in APS_SHAPES:
-        N = (modes - 1) // 2
-        lam = lambda_of_modes(N).astype(float)
-        weight = sobolev_weights(1, N)
-        h = 1.0 / (nodes - 1)
-        times = np.linspace(0.0, 1.0, nodes)
-        rng = np.random.default_rng(2026)
-        field = rng.standard_normal((nodes, modes, batch)) + 1j * rng.standard_normal(
-            (nodes, modes, batch)
-        )
-        coeffs = field[0]
-        plus = np.where((mode_numbers(N) <= 0)[:, None], coeffs, 0.0)
-        minus = np.where((mode_numbers(N) > 0)[:, None], coeffs, 0.0)
-        shape = f"{nodes}x{modes}x{batch}"
-        out[f"kernel_p_values[{shape}]"] = timed(lambda: kernel_p_values(field, lam, h), repeats)
-        out[f"kernel_q_values[{shape}]"] = timed(
-            lambda: kernel_q_values(plus, minus, lam, times, 1.0), repeats
-        )
-        out[f"l21_batch[{shape}]"] = timed(lambda: l21_batch(field, h, weight), repeats)
-        del field
     nodes, modes, _ = BASIS_SHAPE
     lam = lambda_of_modes((modes - 1) // 2).astype(float)
-    tau = np.linspace(0.0, 1.0, nodes)
-    powers = np.stack([np.ones_like(tau), tau, tau**2], axis=1)[:, None]
-    basis = np.broadcast_to(powers, BASIS_SHAPE)
     shape = "x".join(map(str, BASIS_SHAPE))
-    out[f"kernel_p_values[{shape} basis]"] = timed(
-        lambda: kernel_p_values(basis, lam, 1.0 / (nodes - 1)), repeats
-    )
-    return out
+    sweep = timed(lambda: basis_p_values(lam, 1.0 / (nodes - 1), nodes - 1), repeats)
+    return {f"kernel_p_values[{shape} basis]": sweep}
 
 
 def time_nonlinearity(repeats: int) -> dict:

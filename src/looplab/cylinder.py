@@ -24,7 +24,6 @@ piecewise-linear forcing, so accuracy is uniform in lambda * eps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,10 +207,10 @@ def combine(bd: BoundaryData) -> Loop:
 
 # -- shared finite-difference / quadrature helpers -------------------------------
 
-# Bytes of one time block.  The aps kernels and norms stream their fields
-# through blocks of whole time rows that fit in a core's L2 cache, and work in
-# per-block scratch buffers: fresh block-sized temporaries cost more in page
-# faults than the arithmetic on them
+# Bytes of one time block.  The aps kernels stream their fields through blocks
+# of whole time rows that fit in a core's L2 cache, and work in per-block
+# scratch buffers: fresh block-sized temporaries cost more in page faults than
+# the arithmetic on them
 BLOCK_BYTES = 1 << 20
 
 
@@ -275,83 +274,9 @@ def time_trapezoid(node_values: np.ndarray, h: float) -> np.ndarray:
     return h * (np.sum(node_values, axis=0) - 0.5 * (node_values[0] + node_values[-1]))
 
 
-# -- L^2 and L^2_1 norms of node values ------------------------------------------
-
-# The norms walk node values (M+1, modes, batch...) in time blocks, building the
-# node density (M+1, batch...) in block-sized scratch buffers; one trapezoid
-# rule then integrates it.  One field (M+1, 2N+1, d) is one batch column.
-
-
-def _abs_sq(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """|z|^2 into out, computed as np.abs(z) ** 2 computes it."""
-    np.abs(z, out=out)
-    return np.square(out, out=out)
-
-
-def mode_scratch(rows: int, row_shape) -> np.ndarray:
-    """Float scratch (rows,) + row_shape for the per-mode terms of a mode sum over axis 1.
-
-    For a batch of two or more columns the buffer is mode-major in memory:
-    numpy then adds the modes of each node in sequence, as it does on the
-    contiguous layout, but with one long inner loop over rows and columns.  A
-    one-column batch keeps the contiguous layout, on which numpy sums the
-    modes pairwise instead.
-    """
-    modes, batch = row_shape[0], tuple(row_shape[1:])
-    if math.prod(batch) < 2:
-        return np.empty((rows, modes) + batch)
-    return np.empty((modes, rows) + batch).swapaxes(0, 1)
-
-
-def l2_batch(values: np.ndarray, h: float) -> np.ndarray:
-    """L^2 norm over [0, T] x S^1 of every batch column of values."""
-    rows = block_rows(len(values), values[0].nbytes)
-    sq = mode_scratch(rows, values.shape[1:])
-    density = np.empty((len(values),) + values.shape[2:])
-    for start, stop in time_blocks(len(values), rows):
-        np.sum(_abs_sq(values[start:stop], sq[: stop - start]), axis=1, out=density[start:stop])
-    return np.sqrt(time_trapezoid(density, h))
-
-
-def l21_density(values: np.ndarray, h: float, weight: np.ndarray) -> np.ndarray:
-    """Node density sum_n w_n |u_n|^2 + |d_t u_n|^2 of every batch column of values."""
-    weight = weight.reshape((-1,) + (1,) * (values.ndim - 2))
-    rows = block_rows(len(values), values[0].nbytes)
-    du = np.empty((rows,) + values.shape[1:], values.dtype)
-    sq, du_sq = mode_scratch(rows, values.shape[1:]), np.empty(du.shape)
-    density = np.empty((len(values),) + values.shape[2:])
-    for start, stop in time_blocks(len(values), rows):
-        m = stop - start
-        x = np.multiply(weight, _abs_sq(values[start:stop], sq[:m]), out=sq[:m])
-        x += _abs_sq(dt_derivative_rows(values, h, start, stop, out=du[:m]), du_sq[:m])
-        np.sum(x, axis=1, out=density[start:stop])
-    return density
-
-
-def l21_batch(values: np.ndarray, h: float, weight: np.ndarray) -> np.ndarray:
-    """Weighted L^2_1 norm of every batch column of values; weight has one entry per mode."""
-    return np.sqrt(time_trapezoid(l21_density(values, h, weight), h))
-
-
 def l2_norm(values: np.ndarray, h: float) -> float:
-    """L^2 norm of one field (M+1, 2N+1, d), its modes x coordinates as one column."""
-    return float(l2_batch(values.reshape(len(values), -1, 1), h)[0])
-
-
-def _l4_rows(block: np.ndarray, N: int) -> np.ndarray:
-    """Quartic density mean_theta |u|^4 (rows, batch) of a block of rows (rows, modes, batch)."""
-    # reorder to (rows, batch, modes, 1) so the theta axis lands second-to-last
-    sampled = theta_values(np.swapaxes(block, 1, 2)[..., None], N)[..., 0]
-    return np.mean(np.abs(sampled) ** 4, axis=-1)
-
-
-def l4_batch(values: np.ndarray, h: float, N: int) -> np.ndarray:
-    """L^4 norm over [0, T] x S^1 of every batch column of values, one time block at a time."""
-    rows = block_rows(len(values), values[0].nbytes)
-    quartic = np.empty((len(values), values.shape[2]))
-    for start, stop in time_blocks(len(values), rows):
-        quartic[start:stop] = _l4_rows(values[start:stop], N)
-    return time_trapezoid(quartic, h) ** 0.25
+    """L^2 norm of one field (M+1, 2N+1, d), summed jointly over modes and coordinates."""
+    return float(np.sqrt(time_trapezoid(np.sum(np.abs(values) ** 2, axis=(1, 2)), h)))
 
 
 # -- low-level kernels (arrays in, arrays out; trailing axes broadcast) ----------
@@ -475,20 +400,11 @@ def tau_powers(M: int) -> np.ndarray:
 def smooth_fields(coeffs, M: int) -> np.ndarray:
     """Smooth fields (M+1, modes, batch) of coeffs = (c0, c1, c2), each (modes, batch).
 
-    Node j holds c0 + c1 tau + c2 tau^2 with tau = j / M; the field is
-    written one time block at a time.
+    Node j holds c0 + c1 tau + c2 tau^2 with tau = j / M.
     """
     c0, c1, c2 = coeffs
-    out = np.empty((M + 1,) + c0.shape, complex)
     _, tau, tau_sq = tau_powers(M).T[:, :, None, None]
-    rows = block_rows(M + 1, out[0].nbytes)
-    quad = np.empty((rows,) + out.shape[1:], complex)
-    for start, stop in time_blocks(M + 1, rows):
-        o = out[start:stop]
-        np.multiply(c1, tau[start:stop], out=o)
-        o += c0
-        o += np.multiply(c2, tau_sq[start:stop], out=quad[: stop - start])
-    return out
+    return c0 + c1 * tau + c2 * tau_sq
 
 
 def basis_p_values(lam: np.ndarray, h: float, M: int) -> np.ndarray:
@@ -546,6 +462,13 @@ def quadratic_forms(gram: np.ndarray, coeffs) -> np.ndarray:
     """
     c = np.stack(coeffs, axis=-1)  # (modes, batch, 3)
     return sum(np.sum(x * (x @ gram), axis=(0, 2)) for x in (c.real, c.imag))
+
+
+def _l4_rows(block: np.ndarray, N: int) -> np.ndarray:
+    """Quartic density mean_theta |u|^4 (rows, batch) of a block of rows (rows, modes, batch)."""
+    # reorder to (rows, batch, modes, 1) so the theta axis lands second-to-last
+    sampled = theta_values(np.swapaxes(block, 1, 2)[..., None], N)[..., 0]
+    return np.mean(np.abs(sampled) ** 4, axis=-1)
 
 
 def l4_combination(basis: np.ndarray, coeffs, h: float, N: int) -> np.ndarray:
@@ -613,9 +536,10 @@ def cyl_norm(u: CylinderMap, which: str) -> float:
     if which == "L2":
         return l2_norm(u.values, h)
     if which == "L2_1":
-        # one column of modes x coordinates: each mode's weight once per coordinate
-        weight = np.repeat(sobolev_weights(1, u.N), u.d)
-        return float(l21_batch(u.values.reshape(u.M_t + 1, -1, 1), h, weight)[0])
+        weight = sobolev_weights(1, u.N)[None, :, None]
+        du = dt_derivative(u.values, h)
+        density = np.sum(weight * np.abs(u.values) ** 2 + np.abs(du) ** 2, axis=(1, 2))
+        return float(np.sqrt(time_trapezoid(density, h)))
     if which == "L4":
         grid = theta_values(u.values, u.N)
         quartic = np.mean(np.sum(np.abs(grid) ** 2, axis=-1) ** 2, axis=1)

@@ -1,7 +1,7 @@
-"""The streamed aps kernels and norms against their whole-array forms.
+"""The streamed aps kernels and the cylinder norms against their whole-array forms.
 
 The reference functions below evaluate every expression over the whole field
-at once.  The streamed kernels and norms in looplab must give the same
+at once.  The streamed kernels and the norms in looplab must give the same
 bytes: the comparisons use tobytes(), so even the sign of a zero counts.
 Shrinking BLOCK_BYTES to a few rows puts block edges next to both one-sided
 end stencils of the time derivative.  The aps ratios that looplab computes
@@ -28,10 +28,7 @@ from looplab.cylinder import (
     dt_derivative,
     kernel_p_values,
     kernel_q_values,
-    l21_batch,
-    l21_density,
-    l2_batch,
-    l4_batch,
+    l2_norm,
     phi1,
     phi2,
     smooth_fields,
@@ -217,7 +214,6 @@ def ref_l4_batch(values, h, N):
 def ref_uniformity_estimates(rng, N, M_t, eps):
     """The uniformity estimates at one eps, each probe set one field of its whole batch."""
     lam = lambda_of_modes(N).astype(float)
-    l21_weight = sobolev_weights(1, N)
     m_eff = max(M_t, int(np.ceil(10 * N * eps)))
     h = eps / m_eff
     times = np.linspace(0.0, eps, m_eff + 1)
@@ -227,22 +223,22 @@ def ref_uniformity_estimates(rng, N, M_t, eps):
     plus = np.where((mode_numbers(N) <= 0)[:, None], c, 0.0)
     minus = np.where((mode_numbers(N) > 0)[:, None], c, 0.0)
     qv = kernel_q_values(plus, minus, lam, times, eps)
-    est_q = float(np.max(l21_batch(qv, h, l21_weight) / ref_half_norm(c, N)))
+    est_q = float(np.max(ref_l21_batch(qv, h, N) / ref_half_norm(c, N)))
     n_probes = probes.shape[1]
     g_vals = np.empty((m_eff + 1, 2 * N + 1, n_probes + 1000), complex)
     g_vals[:, :, :n_probes] = probes
     g_vals[:, :, n_probes:] = ref_random_smooth_fields(rng, N, m_eff, 1000)
     pv = kernel_p_values(g_vals, lam, h)
-    g_l2 = l2_batch(g_vals, h)
-    est_p = float(np.max(l21_batch(pv, h, l21_weight) / g_l2))
+    g_l2 = ref_l2_batch(g_vals, h)
+    est_p = float(np.max(ref_l21_batch(pv, h, N) / g_l2))
     est_r = float(np.max(ref_boundary_half_norm(pv, N) / g_l2))
     c2 = gaussian_loop(100, N, rng).coeffs
     plus2 = np.where((mode_numbers(N) <= 0)[:, None], c2, 0.0)
     minus2 = np.where((mode_numbers(N) > 0)[:, None], c2, 0.0)
     g2 = ref_random_smooth_fields(rng, N, m_eff, 100)
     u2 = kernel_q_values(plus2, minus2, lam, times, eps) + kernel_p_values(g2, lam, h)
-    denom = ref_half_norm(c2, N) + l2_batch(g2, h)
-    est_mix = float(np.max(l4_batch(u2, h, N) / denom))
+    denom = ref_half_norm(c2, N) + ref_l2_batch(g2, h)
+    est_mix = float(np.max(ref_l4_batch(u2, h, N) / denom))
     return est_p, est_q, est_r, est_mix
 
 
@@ -425,32 +421,30 @@ class TestKernelQ:
 
 class TestHarnessHelpers:
     @pytest.mark.parametrize("n_nodes", NODES)
-    @pytest.mark.parametrize("batch", (1, 2, 3))
-    def test_norms_bit_identical(self, blocks_of, n_nodes, batch):
-        values = random_field(11 + n_nodes, (n_nodes, 2 * N + 1, batch))
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    def test_norms_bit_identical(self, blocks_of, n_nodes, d):
+        # the single-field norms are whole-array expressions: l2_norm, which
+        # the Picard solver calls directly, and cyl_norm "L2_1" sum modes and
+        # coordinates jointly, with the bytes of the reference at any BLOCK_BYTES
+        values = random_field(11 + n_nodes, (n_nodes, 2 * N + 1, d))
         blocks_of(values[0].nbytes)
-        assert same_bytes(l2_batch(values, H), ref_l2_batch(values, H))
-        assert same_bytes(
-            l21_batch(values, H, sobolev_weights(1, N)), ref_l21_batch(values, H, N)
-        )
-        n_sq = mode_numbers(N).astype(float) ** 2
-        assert same_bytes(l21_density(values, H, n_sq), ref_gradient_density(values, H, N))
+        l2, l21 = ref_cyl_norms(values, H, N)
+        assert same_bytes(l2_norm(values, H), l2)
+        u = CylinderMap(d, N, H * (n_nodes - 1), n_nodes - 1, values)
+        assert same_bytes(cyl_norm(u, "L2_1"), l21)
 
     def test_norms_on_probe_fields(self, blocks_of):
+        # one field whose coordinates are Q's one-hot probes, signed zeros and
+        # random mixes: the norms keep the bytes of the reference
         lam = lambda_of_modes(N).astype(float)
         times = np.linspace(0.0, 0.1, 10)
         _, plus, minus = signed_zero_coeffs(3)
         qv = kernel_q_values(plus, minus, lam, times, 0.1)
         blocks_of(qv[0].nbytes)
-        h = times[1]
-        assert same_bytes(l21_batch(qv, h, sobolev_weights(1, N)), ref_l21_batch(qv, h, N))
-
-    @pytest.mark.parametrize("n_nodes", NODES)
-    @pytest.mark.parametrize("modes", (N, 32))
-    def test_l4_batch_bit_identical(self, blocks_of, n_nodes, modes):
-        values = random_field(24 + n_nodes, (n_nodes, 2 * modes + 1, 3))
-        blocks_of(values[0].nbytes)
-        assert same_bytes(l4_batch(values, H, modes), ref_l4_batch(values, H, modes))
+        u = CylinderMap(qv.shape[2], N, 0.1, 9, qv)
+        l2, l21 = ref_cyl_norms(qv, u.dt, N)
+        assert same_bytes(cyl_norm(u, "L2"), l2)
+        assert same_bytes(cyl_norm(u, "L2_1"), l21)
 
     @pytest.mark.parametrize("n_nodes", NODES)
     def test_right_inverse_residual(self, blocks_of, n_nodes):
@@ -524,6 +518,21 @@ class TestGramForms:
         field = sum(shared[:, :, k, None] * c for k, c in enumerate(coeffs))
         forms = cylinder.quadratic_forms(cylinder.mode_gram([x[:, :1]], H), coeffs)
         np.testing.assert_allclose(forms, ref_l2_batch(field, H) ** 2, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("window", ("tau", "1-tau"))
+    @pytest.mark.parametrize("n_nodes", NODES)
+    def test_windowed_gradient_gram(self, n_nodes, window):
+        # int |grad f|^2 of the fields f = w (c0 + c1 tau + c2 tau^2) of
+        # aps.end_vanishing, as Gram forms of the windowed basis w (1, tau,
+        # tau^2), against the whole fields: sums of squares in another order
+        tau = np.linspace(0.0, 1.0, n_nodes)[:, None, None]
+        w = tau if window == "tau" else 1.0 - tau
+        basis = w * cylinder.tau_powers(n_nodes - 1)[:, None]
+        coeffs = harness._smooth_field_coeffs(np.random.default_rng(28), N, 5)
+        f = w * ref_smooth_field(coeffs, n_nodes - 1)
+        forms = cylinder.quadratic_forms(harness._gradient_gram(basis, N, H), coeffs)
+        ref = time_trapezoid(ref_gradient_density(f, H, N), H)
+        np.testing.assert_allclose(forms, ref, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("n_nodes", NODES)
     def test_l4_combination(self, blocks_of, n_nodes):
@@ -655,6 +664,20 @@ def aps_report(config):
     return json.dumps([r.to_json_dict() for r in harness._suite_aps(config)])
 
 
+def aps_group(monkeypatch, config, name):
+    """The check group `name` of config's aps suite, unrun."""
+    groups = {}
+
+    def collect(suite, gs):
+        groups.update((g.__name__, g) for g in gs)
+        return []
+
+    with monkeypatch.context() as mp:
+        mp.setattr(harness, "_run_groups", collect)
+        harness._suite_aps(config)
+    return groups[name]
+
+
 class TestColumnWorkers:
     """The aps sweeps keep no state between calls: threads of the caller that
     run them at once get the bytes and the draws of one serial run."""
@@ -705,11 +728,13 @@ class TestColumnWorkers:
 
     def test_aps_groups(self, n_workers):
         # every group of a small aps suite in each thread against its serial
-        # run, and end_vanishing, each chunk of 250 fields formed whole,
-        # against whole fields
+        # run, and end_vanishing against whole fields.  Its gradient is a
+        # per-mode Gram form and its L^4 field sum_k c_k X_k on the windowed
+        # basis, sums without cancellation in another order: within 1e-14
         config = Config(N=4, M_t=8, eps_list=(0.1, 0.01))
         serial = aps_report(config)
-        assert json.loads(serial)[-1]["computed"] == ref_end_vanishing(config)
+        computed = json.loads(serial)[-1]["computed"]
+        assert computed == pytest.approx(ref_end_vanishing(config), rel=1e-14, abs=0)
         assert in_threads(n_workers, lambda i: aps_report(config)) == [serial] * n_workers
 
     def test_failing_part_is_a_group_error(self, n_workers, monkeypatch):
@@ -754,7 +779,7 @@ class TestColumnWorkers:
 
 
 class TestCylNorm:
-    """cyl_norm reduces one field as a single batch column of modes x coordinates."""
+    """cyl_norm sums one field's modes and coordinates jointly."""
 
     @pytest.mark.parametrize("n_nodes", NODES)
     @pytest.mark.parametrize("d", (1, 2))
@@ -778,7 +803,7 @@ class TestRandomLoops:
 
 
 class TestStreamingMemory:
-    """Peak traced allocations: the norms and the sweeps stream their field."""
+    """Peak traced allocations: the sweeps stream their fields or reduce them to Gram forms."""
 
     SHAPE = (2049, 65, 10)
 
@@ -792,11 +817,6 @@ class TestStreamingMemory:
             tracemalloc.stop()
         return result, peak
 
-    def test_l21_batch_peak(self):
-        values = random_field(14, self.SHAPE)
-        _, peak = self.peak(l21_batch, values, 1e-4, sobolev_weights(1, 32))
-        assert peak < 0.25 * values.nbytes
-
     def test_kernel_p_values_peak(self):
         g = random_field(15, self.SHAPE)
         lam = lambda_of_modes(32).astype(float)
@@ -809,6 +829,14 @@ class TestStreamingMemory:
         # sweep, and the mixed L^4 fields are formed one time block at a time
         _, peak = self.peak(harness._uniformity_estimates, np.random.default_rng(18), 32, 64, 1.0)
         assert peak < 80 * 2**20
+
+    def test_end_vanishing_peak(self, monkeypatch):
+        # at the default config a chunk of 250 fields is 17 MB; only the L^4
+        # fields are formed, one time block at a time, and the gradient is a
+        # Gram form of the windowed basis (65, 1, 3)
+        group = aps_group(monkeypatch, Config(), "end_vanishing")
+        (record,), peak = self.peak(lambda: list(group()))
+        assert record.name == "aps.end_vanishing_l4" and peak < 8 * 2**20
 
     def test_right_inverse_streams(self):
         # no forcing field or P image of the batch is ever made, only P's
