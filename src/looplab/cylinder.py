@@ -208,9 +208,9 @@ def combine(bd: BoundaryData) -> Loop:
 # -- shared finite-difference / quadrature helpers -------------------------------
 
 # Bytes of one time block.  The aps kernels stream their fields through blocks
-# of whole time rows that fit in a core's L2 cache, and work in per-block
-# scratch buffers: fresh block-sized temporaries cost more in page faults than
-# the arithmetic on them
+# of whole time rows that fit in a core's L2 cache.  kernel_p_values writes
+# each block's forcing products into two scratch buffers made once per
+# sector; residual_gram and l4_combination allocate new arrays for every block
 BLOCK_BYTES = 1 << 20
 
 
@@ -226,41 +226,19 @@ def time_blocks(n_rows: int, rows: int):
         yield start, min(start + rows, n_rows)
 
 
-def _over_2h(x: np.ndarray, h: float) -> None:
-    """x /= 2h in place.
-
-    numpy divides a complex a + bi by the real 2h as (a + b*0) * (1/(2h))
-    and (b - a*0) * (1/(2h)), with 1/(2h) formed in x's precision, so a
-    complex x is scaled through its float view by that factor: the same
-    values at a real multiply's cost, with only the sign of a zero part free
-    to differ.
-    """
-    if x.dtype.kind == "c":
-        real = x.real.dtype.type
-        x = x.view(real)
-        np.multiply(x, real(1.0) / real(2.0 * h), out=x)
-    else:
-        np.divide(x, 2.0 * h, out=x)
-
-
-def dt_derivative_rows(
-    values: np.ndarray, h: float, start: int, stop: int, out: np.ndarray | None = None
-) -> np.ndarray:
+def dt_derivative_rows(values: np.ndarray, h: float, start: int, stop: int) -> np.ndarray:
     """Rows start:stop of dt_derivative(values, h), read with a one-row halo."""
     n = len(values)
-    if out is None:
-        out = np.empty((stop - start,) + values.shape[1:], values.dtype)
+    out = np.empty((stop - start,) + values.shape[1:], values.dtype)
     lo, hi = max(start, 1), min(stop, n - 1)
     if lo < hi:
         inner = out[lo - start : hi - start]
         np.subtract(values[lo + 1 : hi + 1], values[lo - 1 : hi - 1], out=inner)
-        _over_2h(inner, h)
+        inner /= 2.0 * h
     if start == 0:
-        out[0] = -3.0 * values[0] + 4.0 * values[1] - values[2]
-        _over_2h(out[:1], h)
+        out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
     if stop == n:
-        out[-1] = 3.0 * values[-1] - 4.0 * values[-2] + values[-3]
-        _over_2h(out[-1:], h)
+        out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
     return out
 
 
@@ -299,27 +277,17 @@ def kernel_q_values(
 ) -> np.ndarray:
     """Node values of Q applied to spectral data blocks of shape (modes, ...).
 
-    Each sector multiplies only its own coefficients by its exponential; the
-    other sector's coefficients enter through their product with a zero factor,
-    which is the same at every node and fixes the sign of zero outputs.
+    Mode by mode, the plus coefficients take the factor -e^{-lambda t} where
+    lambda >= 0 and the minus coefficients e^{(eps - t) lambda} where
+    lambda < 0; each mode's other coefficients enter through their product
+    with a zero factor, which fixes the sign of zero outputs.
     """
-    n_fwd = _sector_split(lam)
-    fwd, bwd = slice(None, n_fwd), slice(n_fwd, None)
-    tt = times[:, None]
-    trailing = np.broadcast_shapes(plus_coeffs.shape, minus_coeffs.shape)
-    out = np.empty(
-        (len(times),) + trailing, np.result_type(plus_coeffs, minus_coeffs, float)
-    )
-    expand = (slice(None), slice(None)) + (None,) * (len(trailing) - 1)
+    tt, lam_row = times[:, None], lam[None, :]
     # the exponents are <= 0 for times in [0, eps]; outside it the clip caps them at 0
-    plus_factor = -np.exp(np.minimum(-lam[None, fwd] * tt, 0.0))
-    minus_factor = np.exp(np.minimum((eps - tt) * lam[None, bwd], 0.0))
-    out_f, out_b = out[:, fwd], out[:, bwd]
-    np.multiply(plus_factor[expand], plus_coeffs[None, fwd], out=out_f)
-    out_f += 0.0 * minus_coeffs[None, fwd]
-    np.multiply(minus_factor[expand], minus_coeffs[None, bwd], out=out_b)
-    out_b += 0.0 * plus_coeffs[None, bwd]
-    return out
+    plus_factor = np.where(lam_row >= 0, -np.exp(np.minimum(-lam_row * tt, 0.0)), 0.0)
+    minus_factor = np.where(lam_row < 0, np.exp(np.minimum((eps - tt) * lam_row, 0.0)), 0.0)
+    shape = plus_factor.shape + (1,) * (plus_coeffs.ndim - 1)
+    return plus_factor.reshape(shape) * plus_coeffs + minus_factor.reshape(shape) * minus_coeffs
 
 
 def kernel_p_values(g_values: np.ndarray, lam: np.ndarray, h: float) -> np.ndarray:

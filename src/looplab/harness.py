@@ -106,6 +106,8 @@ class Config:
     def __post_init__(self):
         if self.N < 4 or self.M_t < 8:
             raise ValueError("need N >= 4 and M_t >= 8")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         # the aps sweeps take ratios and log-log slopes across eps
         eps = self.eps_list
         if not all(0 < e < np.inf for e in eps) or len(set(eps)) < 2:
@@ -146,6 +148,9 @@ def _typed(hint, value, label: str):
     if origin in (list, tuple) and isinstance(value, (list, tuple)):
         return origin(_typed(args[0], v, f"{label}[{i}]") for i, v in enumerate(value))
     if hint is float and type(value) in (int, float):
+        # false for NaN, the infinities and integers beyond the float range
+        if not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{label} must be a finite float, got {value!r}")
         return float(value)
     if hint in (int, bool, str) and type(value) is hint:
         return value
@@ -366,6 +371,15 @@ def _right_inverse_errors(rng, N: int, M_t: int, eps: float) -> tuple[float, flo
     return float(np.max(rel)), max(float(np.max(trace0)), float(np.max(trace1)))
 
 
+def _sobolev_gram(basis: np.ndarray, weight: np.ndarray, h: float) -> np.ndarray:
+    """Per-mode Gram (modes, k, k) of int |d_t f|^2 + sum_n weight_n |f_n|^2.
+
+    The fields are f_n = sum_k c_k[n] X[:, n, k] on a real basis X (nodes,
+    modes, k), or (nodes, 1, k) for one basis shared by every mode.
+    """
+    return weight[:, None, None] * mode_gram([basis], h) + mode_gram([dt_derivative(basis, h)], h)
+
+
 def _uniformity_grams(N: int, M_t: int, eps: float) -> dict:
     """The per-mode Gram forms of the uniformity ratios at one eps.
 
@@ -388,8 +402,7 @@ def _uniformity_grams(N: int, M_t: int, eps: float) -> dict:
     ends = basis[[0, -1]]
     return {
         "g": mode_gram([tau_powers(m_eff)[:, None]], h),
-        "p": l21_weight[:, None, None] * mode_gram([basis], h)
-        + mode_gram([dt_derivative(basis, h)], h),
+        "p": _sobolev_gram(basis, l21_weight, h),
         "trace": sobolev_weights(0.5, N)[:, None, None] * np.einsum("jnk,jnl->nkl", ends, ends),
         "q": time_trapezoid(l21_weight * q_unit**2 + dt_derivative(q_unit, h) ** 2, h),
         "mixed": np.concatenate([q_unit[:, :, None], basis], axis=2),
@@ -430,16 +443,6 @@ def _uniformity_estimates(rng, N: int, M_t: int, eps: float) -> tuple[float, ...
     denom = np.sqrt(_half_norm_sq(c2, N)) + np.sqrt(quadratic_forms(grams["g"], smooth2))
     est_mix = float(np.max(u_l4 / denom))
     return est_p, est_q, est_r, est_mix
-
-
-def _gradient_gram(basis: np.ndarray, N: int, h: float) -> np.ndarray:
-    """Per-mode Gram (2N+1, k, k) of int |grad f|^2 = int |d_t f|^2 + sum_n n^2 |f_n|^2.
-
-    The fields are f_n = sum_k c_k[n] X_k on a real basis X (nodes, 1, k)
-    shared by every mode.
-    """
-    n_sq = mode_numbers(N).astype(float) ** 2
-    return n_sq[:, None, None] * mode_gram([basis], h) + mode_gram([dt_derivative(basis, h)], h)
 
 
 def _trend_slope(eps_values: np.ndarray, estimates: np.ndarray) -> float:
@@ -927,13 +930,15 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
         # the fields w (c0 + c1 tau + c2 tau^2) on the real windowed basis
         # w (1, tau, tau^2), alternating which end the window w kills
         windows = [(w[:, None] * tau_powers(M_t))[:, None] for w in (tau, 1.0 - tau)]
+        # int |grad f|^2 = int |d_t f|^2 + sum_n n^2 |f_n|^2
+        n_sq = mode_numbers(N).astype(float) ** 2
         worst = 0.0
         for eps in (0.5, 0.1, 0.01):
             h = eps / M_t
             for chunk in range(4):
                 coeffs = _smooth_field_coeffs(rng, N, 250)
                 x = windows[chunk % 2]
-                grad_sq = quadratic_forms(_gradient_gram(x, N, h), coeffs)
+                grad_sq = quadratic_forms(_sobolev_gram(x, n_sq, h), coeffs)
                 basis = np.broadcast_to(x, (M_t + 1, 2 * N + 1, 3))
                 lhs = l4_combination(basis, coeffs, h, N) ** 4
                 worst = max(worst, float(np.max(lhs / (eps * grad_sq**2))))

@@ -374,6 +374,13 @@ class TestCli:
             # and negative counts
             ("scan-alpha", {"N": 8, "samples": -1, "descent_steps": 2}),
             ("check-cycles", {"N": 8, "samples": 2, "descent_steps": -1}),
+            ("verify", {"N": 8, "seed": -1}),
+            # non-finite numbers, which json.load reads from NaN and Infinity
+            ("flow", {"model": {"s1": float("inf")}, "N": 8, "seed_modes": [{"n": 1, "re": 0.5}],
+                      "T": 0.01}),
+            ("find-orbit", {"model": {"eps_H": float("nan")}, "N": 16, "winding": 1}),
+            ("solve-cylinder", {"model": {"eps_H": float("inf")}, "N": 8, "beta_modes": modes}),
+            ("flow", {"N": 8, "T": 10**400, "seed_modes": modes}),  # no float holds it
         ):
             path = self._write(tmp_path, "cmd.json", dict(obj, output_dir=str(tmp_path / "o")))
             assert cli_main([command, "--config", path]) == 2, (command, obj)

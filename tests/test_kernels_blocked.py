@@ -300,9 +300,9 @@ class TestBlockHelpers:
     # at h = 0.007, 1/(2h) in single precision is not 1/(2h) rounded from double
     @pytest.mark.parametrize("h", (H, 0.3, 1e-5, 0.007))
     def test_derivative_on_signed_zeros(self, h):
-        # a complex field is scaled by 1/(2h) through its float view, which
-        # gives numpy's complex division by the real 2h but for the sign of a
-        # zero part: equal values, and |d_t u|^2 with the same bytes
+        # every stencil divides by 2h as the whole-array form does, so complex
+        # double, complex single and real fields keep its bytes, signed zeros
+        # included, in whole fields and in row blocks
         zeros = [complex(sr * 0.0, si * 0.0) for sr in (1, -1) for si in (1, -1)]
         values = random_field(31, (9, 2 * N + 1, 8))
         values[:, :, :4] = zeros  # the same signed zero at every node
@@ -310,23 +310,14 @@ class TestBlockHelpers:
         values[:, 5, 5] = complex(-0.0, 1.5)  # constant in time: zero differences
         values[:, 6, 6] = complex(2.5, -0.0)
         values[[0, -1], 7, 7] = complex(0.0, -0.0)  # zeros at the one-sided ends
-        ref = ref_dt_derivative(values, h)
-        du = dt_derivative(values, h)
-        assert du.dtype == ref.dtype and np.array_equal(du, ref)
-        assert same_bytes(np.abs(du) ** 2, np.abs(ref) ** 2)
-        for start, stop in ((0, 3), (2, 7), (6, 9)):
-            rows = cylinder.dt_derivative_rows(values, h, start, stop)
-            assert np.array_equal(rows, ref[start:stop])
-        # a single-precision field is scaled by 1/(2h) formed in single
-        # precision, as its division forms it
-        single = values.astype(np.complex64)
-        ref = ref_dt_derivative(single, h)
-        du = dt_derivative(single, h)
-        assert du.dtype == np.complex64 and np.array_equal(du, ref)
-        assert same_bytes(np.abs(du) ** 2, np.abs(ref) ** 2)
-        # a real field still divides, with the bytes of the whole-array form
-        real = values.real.copy()
-        assert same_bytes(dt_derivative(real, h), ref_dt_derivative(real, h))
+        # real parts +0, +0, -0, -0, ...: some centered differences are -0 + 2i
+        values[:, 8, 7] = [complex((-1) ** (j // 2) * 0.0, j) for j in range(9)]
+        for field in (values, values.astype(np.complex64), values.real.copy()):
+            ref = ref_dt_derivative(field, h)
+            assert same_bytes(dt_derivative(field, h), ref)
+            for start, stop in ((0, 3), (2, 7), (6, 9)):
+                rows = cylinder.dt_derivative_rows(field, h, start, stop)
+                assert same_bytes(rows, ref[start:stop])
 
 
 class TestKernelP:
@@ -418,6 +409,18 @@ class TestKernelQ:
             kernel_q_values(c, -c, lam, times, 0.2), ref_kernel_q_values(c, -c, lam, times, 0.2)
         )
 
+    def test_modes_in_any_order(self):
+        # Q acts mode by mode, so permuted lam and coefficients give the
+        # permuted bytes, also when the lambda < 0 modes come first
+        lam = lambda_of_modes(N).astype(float)
+        times = np.linspace(0.0, 0.3, 9)
+        _, plus, minus = signed_zero_coeffs(3)
+        perm = np.random.default_rng(31).permutation(2 * N + 1)
+        assert lam[perm][0] < 0
+        out = kernel_q_values(plus, minus, lam, times, 0.3)
+        permuted = kernel_q_values(plus[perm], minus[perm], lam[perm], times, 0.3)
+        assert same_bytes(permuted, out[:, perm])
+
 
 class TestHarnessHelpers:
     @pytest.mark.parametrize("n_nodes", NODES)
@@ -433,14 +436,13 @@ class TestHarnessHelpers:
         u = CylinderMap(d, N, H * (n_nodes - 1), n_nodes - 1, values)
         assert same_bytes(cyl_norm(u, "L2_1"), l21)
 
-    def test_norms_on_probe_fields(self, blocks_of):
+    def test_norms_on_probe_fields(self):
         # one field whose coordinates are Q's one-hot probes, signed zeros and
         # random mixes: the norms keep the bytes of the reference
         lam = lambda_of_modes(N).astype(float)
         times = np.linspace(0.0, 0.1, 10)
         _, plus, minus = signed_zero_coeffs(3)
         qv = kernel_q_values(plus, minus, lam, times, 0.1)
-        blocks_of(qv[0].nbytes)
         u = CylinderMap(qv.shape[2], N, 0.1, 9, qv)
         l2, l21 = ref_cyl_norms(qv, u.dt, N)
         assert same_bytes(cyl_norm(u, "L2"), l2)
@@ -530,7 +532,8 @@ class TestGramForms:
         basis = w * cylinder.tau_powers(n_nodes - 1)[:, None]
         coeffs = harness._smooth_field_coeffs(np.random.default_rng(28), N, 5)
         f = w * ref_smooth_field(coeffs, n_nodes - 1)
-        forms = cylinder.quadratic_forms(harness._gradient_gram(basis, N, H), coeffs)
+        n_sq = mode_numbers(N).astype(float) ** 2
+        forms = cylinder.quadratic_forms(harness._sobolev_gram(basis, n_sq, H), coeffs)
         ref = time_trapezoid(ref_gradient_density(f, H, N), H)
         np.testing.assert_allclose(forms, ref, rtol=1e-14, atol=0)
 
