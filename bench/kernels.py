@@ -83,7 +83,7 @@ def time_nonlinearity(repeats: int) -> dict:
     m = hamiltonian.HamiltonianModel()
 
     def grad_h(c, N):
-        return hamiltonian.grad_h_modes(m, loops.theta_values(c, N), N)
+        return hamiltonian.grad_h_modes(m, c)
 
     def loop(N, modes):
         rng = np.random.default_rng(2026)

@@ -117,7 +117,7 @@ def _cmd_verify(cfg: Config, out_dir: str, args) -> int:
 def _cmd_solve_cylinder(cfg: SolveCylinder, out_dir: str, args) -> int:
     b = _loop_from_modes_spec(cfg.beta_modes, cfg.d, cfg.N)
     try:
-        res = picard_solve(cfg.model, decompose(b), None, cfg.eps, tol=cfg.tol, M_t=cfg.M_t)
+        res = picard_solve(cfg.model, decompose(b), cfg.eps, tol=cfg.tol, M_t=cfg.M_t)
     except SolverError as exc:
         print(f"solve failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

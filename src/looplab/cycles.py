@@ -148,7 +148,7 @@ def _descent_step(
         return np.sqrt(block_sums(w * np.abs(block) ** 2))
 
     gamma = c[active]
-    g = np.where(plus, n * gamma - grad_h_modes(m, theta_values(gamma, N), N), 0.0)
+    g = np.where(plus, n * gamma - grad_h_modes(m, gamma), 0.0)
     # remove the radial component in the half-norm metric
     radial = block_sums(w * (g * gamma.conj()).real) / alpha**2
     direction = g - gamma * radial[:, None, None]
@@ -190,8 +190,9 @@ def estimate_beta(
     """Minimum of the action over the alpha-sphere in the plus sector.
 
     Projected gradient descent constrained to the sphere, from `samples`
-    random starts plus the distinguished point alpha * e_plus.  Raises
-    NegativeBeta when the estimate is nonpositive.
+    random starts plus the distinguished point alpha * e_plus.  For alpha > 0
+    raises NegativeBeta when the estimate is nonpositive; alpha = 0 returns
+    0.0, since that sphere is the zero loop alone.
 
     All starts descend together as one (starts, 2N+1, d) block.  Each row
     keeps its own action value and step, and runs its own backtracking line
@@ -232,22 +233,21 @@ def scan_alpha(
     seed: int = 0,
     N: int = 32,
 ) -> tuple[float, float, list[dict]]:
-    """Scan alpha over a log grid and return the beta-maximizing alpha."""
+    """Scan alpha over a log grid for the largest beta > 0 (NegativeBeta if there is none)."""
     if alphas is None:
         alphas = np.geomspace(0.05, 2.0, 12)
     if len(alphas) == 0:
         raise ValueError("alphas must not be empty")
     table = []
-    best_alpha, best_beta = None, -np.inf
+    best_alpha, best_beta = None, 0.0
     for a in alphas:
         try:
             beta = estimate_beta(
                 m, float(a), samples=samples, descent_steps=descent_steps, seed=seed, N=N
             )
         except NegativeBeta as exc:
-            table.append({"alpha": float(a), "beta": float(exc.value), "positive": False})
-            continue
-        table.append({"alpha": float(a), "beta": beta, "positive": True})
+            beta = float(exc.value)
+        table.append({"alpha": float(a), "beta": beta, "positive": beta > 0})
         if beta > best_beta:
             best_alpha, best_beta = float(a), beta
     if best_alpha is None:
@@ -377,7 +377,7 @@ def _newton_matrix(m: HamiltonianModel, gamma: Loop) -> tuple[np.ndarray, np.nda
     N, d = gamma.N, gamma.d
     n = mode_numbers(N).astype(float)
     vals = theta_values(gamma.coeffs, N)
-    residual_block = n[:, None] * gamma.coeffs - grad_h_modes(m, vals, N)
+    residual_block = n[:, None] * gamma.coeffs - grad_h_modes(m, gamma.coeffs)
     s = np.sum(np.abs(vals) ** 2, axis=-1)
     hp = m.h_prime(s)
     hpp = m.h_second(s)
@@ -421,6 +421,10 @@ def find_critical_point(
     orbits.  A blown-up flow is retried with half the time, then FlowBlowup.
     An orbit with action below the supplied beta is flagged, not rejected.
     """
+    if flow_time < 0:
+        raise ValueError(f"flow_time must be nonnegative, got {flow_time!r}")
+    if newton_tol < 0:
+        raise ValueError(f"newton_tol must be nonnegative, got {newton_tol!r}")
     d, N = seed_loop.d, seed_loop.N
     dt = 0.09 / N
     gamma = seed_loop

@@ -303,6 +303,11 @@ def kernel_p_values(g_values: np.ndarray, lam: np.ndarray, h: float) -> np.ndarr
     n_steps = g_values.shape[0] - 1
     rows = block_rows(n_steps, g_values[0].nbytes)
     n_fwd = _sector_split(lam)
+    # both sweeps step with w = -|lambda| h on every mode: the decay e^w, and
+    # the weights of the forcing at the start and at the end of a sweep step
+    w = (-np.abs(lam) * h).reshape((len(lam),) + (1,) * (g_values.ndim - 2))
+    p2 = phi2(w)
+    weights = (np.exp(w), h * (phi1(w) - p2), h * p2)
     # a step is two or three in-place ufunc calls on one row; local names
     # and positional outputs keep the per-call overhead down on short rows
     multiply, add, subtract = np.multiply, np.add, np.subtract
@@ -313,34 +318,24 @@ def kernel_p_values(g_values: np.ndarray, lam: np.ndarray, h: float) -> np.ndarr
         u[0] = 0.0
         if not u.size:
             continue
-        # the weights are computed on all modes of lam, then cut to the sector
-        # and made full rows of out's dtype, so that no step broadcasts or
-        # casts; a complex row holds the promoted real weight, which gives
-        # the same products as the real one
+        # the weights are cut to the sector and made full rows of out's dtype,
+        # so that no step broadcasts or casts; a complex row holds the
+        # promoted real weight, which gives the same products as the real one
         row = u.shape[1:]
-        w = ((-lam if forward else lam) * h).reshape((len(lam),) + (1,) * (len(row) - 1))
-        p1, p2 = phi1(w), phi2(w)
-        # out[j+1] = (decay out[j] + a g[j]) + b g[j+1] forward in time,
-        # out[j] = decay out[j+1] - (a g[j] + b g[j+1]) backward
-        a, b = (h * (p1 - p2), h * p2) if forward else (h * p2, h * (p1 - p2))
-        decay, a, b = (
-            np.broadcast_to(wt[sector], row).astype(out.dtype) for wt in (np.exp(w), a, b)
-        )
+        decay, a, b = (np.broadcast_to(wt[sector], row).astype(out.dtype) for wt in weights)
         A, B = (np.empty((rows,) + row, out.dtype) for _ in range(2))
         for start, stop in time_blocks(n_steps, rows):
             m, us, gs = stop - start, u[start : stop + 1], g[start : stop + 1]
+            multiply(a, gs[:m], A[:m])
+            multiply(b, gs[1:], B[:m])
             if forward:
-                multiply(a, gs[:m], A[:m])
-                multiply(b, gs[1:], B[:m])
+                # out[j+1] = (decay out[j] + a g[j]) + b g[j+1]
                 for prev, cur, a_k, b_k in zip(us[:m], us[1:], A, B):
                     multiply(decay, prev, cur)
                     add(cur, a_k, cur)
                     add(cur, b_k, cur)
             else:
-                # in time order the forcing of a step is a g[j] + b g[j+1],
-                # with g[j] the row after g[j+1] in sweep order
-                multiply(a, gs[1:], A[:m])
-                multiply(b, gs[:m], B[:m])
+                # out[j] = decay out[j+1] - (a g[j+1] + b g[j])
                 add(A[:m], B[:m], A[:m])
                 for prev, cur, f_k in zip(us[:m], us[1:], A):
                     multiply(decay, prev, cur)
@@ -522,8 +517,7 @@ def energy(m: HamiltonianModel, u: CylinderMap) -> float:
     du = dt_derivative(u.values, h)
     n = mode_numbers(u.N).astype(float)
     u_theta = (1j * n)[None, :, None] * u.values
-    xh_modes = 1j * grad_h_modes(m, theta_values(u.values, u.N), u.N)
-    defect = u_theta - xh_modes
+    defect = u_theta - 1j * grad_h_modes(m, u.values)
     density = np.sum(np.abs(du) ** 2 + np.abs(defect) ** 2, axis=(1, 2))
     return float(0.5 * time_trapezoid(density, h))
 

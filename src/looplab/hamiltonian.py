@@ -140,9 +140,10 @@ def eval_XH(m: HamiltonianModel, x: np.ndarray) -> np.ndarray:
     return 1j * eval_gradH(m, x)
 
 
-def grad_h_modes(m: HamiltonianModel, grid: np.ndarray, N: int) -> np.ndarray:
-    """Modes |n| <= N of grad H applied pointwise to theta-grid values (..., M, d)."""
-    return synthesize_values(eval_gradH(m, grid), N)
+def grad_h_modes(m: HamiltonianModel, coeffs: np.ndarray) -> np.ndarray:
+    """Modes |n| <= N of grad H on coefficient blocks (..., 2N+1, d) sampled by theta_values."""
+    N = (coeffs.shape[-2] - 1) // 2
+    return synthesize_values(eval_gradH(m, theta_values(coeffs, N)), N)
 
 
 @tracked("hamiltonian.k_factor")
@@ -203,9 +204,8 @@ def action(m: HamiltonianModel, gamma: Loop) -> float:
 @tracked("hamiltonian.grad_action")
 def grad_action(m: HamiltonianModel, gamma: Loop) -> Loop:
     """Formal L^2 gradient: mode n of -J gamma' - grad H(gamma) is n c_n - (grad H o gamma)_n."""
-    grad_modes = grad_h_modes(m, theta_values(gamma.coeffs, gamma.N), gamma.N)
     n = gamma.modes.astype(float)
-    return Loop(gamma.d, gamma.N, n[:, None] * gamma.coeffs - grad_modes)
+    return Loop(gamma.d, gamma.N, n[:, None] * gamma.coeffs - grad_h_modes(m, gamma.coeffs))
 
 
 # -- linear/compact splitting ---------------------------------------------------

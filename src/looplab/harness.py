@@ -75,7 +75,6 @@ from .loops import (
     sobolev_weights,
     synthesize,
     theta_points,
-    theta_values,
 )
 from .solver import (
     BallExit,
@@ -972,7 +971,7 @@ def _suite_contraction(config: Config) -> list[CheckRecord]:
             for _ in range(10):
                 b = gaussian_loop(1, N, rng)
                 b = (0.1 / sobolev_norm(b, 0.5)) * b
-                res = picard_solve(m, decompose(b), None, eps, M_t=128)
+                res = picard_solve(m, decompose(b), eps, M_t=128)
                 solved.append(res)
                 worst_ratio = max(worst_ratio, res.contraction_ratio)
                 worst_residual = max(worst_residual, res.residual)
@@ -996,7 +995,7 @@ def _suite_contraction(config: Config) -> list[CheckRecord]:
         )
         norms = []
         for k in range(2, 11):
-            res = picard_solve(m, beta, None, 2.0**-k, M_t=128)
+            res = picard_solve(m, beta, 2.0**-k, M_t=128)
             solved.append(res)
             norms.append(res.v_norm)
         yield CheckRecord(
@@ -1027,7 +1026,7 @@ def _suite_contraction(config: Config) -> list[CheckRecord]:
             plus0=Loop.from_modes(1, N, {-1: 0.8}), minus_end=Loop.zero(1, N)
         )
         sols = {
-            mt: picard_solve(m, beta, None, 0.1, tol=1e-13, M_t=mt) for mt in (32, 64, 128)
+            mt: picard_solve(m, beta, 0.1, tol=1e-13, M_t=mt) for mt in (32, 64, 128)
         }
         d1 = float(np.max(np.abs(sols[32].u.values - sols[64].u.values[::2])))
         d2 = float(np.max(np.abs(sols[64].u.values - sols[128].u.values[::2])))
@@ -1046,7 +1045,7 @@ def _suite_contraction(config: Config) -> list[CheckRecord]:
             plus0=Loop.from_modes(1, N, {-1: 0.7}), minus_end=Loop.zero(1, N)
         )
         eps, mt = 0.1, 64
-        base = picard_solve(m, beta, None, eps, M_t=mt)
+        base = picard_solve(m, beta, eps, M_t=mt)
         rng = config.rng("contraction.uniqueness")
         v = 1e-3 * (
             rng.standard_normal(base.v.values.shape)
@@ -1055,7 +1054,7 @@ def _suite_contraction(config: Config) -> list[CheckRecord]:
         q = q_op(beta, eps, M_t=mt)
         for _ in range(80):
             u = q + p_op(CylinderMap(1, N, eps, mt, v))
-            v = -grad_h_modes(m, theta_values(u.values, N), N)
+            v = -grad_h_modes(m, u.values)
         dist = float(np.max(np.abs(v - base.v.values)))
         yield CheckRecord(
             "contraction.uniqueness",
@@ -1120,7 +1119,7 @@ def _suite_contraction(config: Config) -> list[CheckRecord]:
             plus0=Loop.from_modes(1, N, {-1: 1e3}), minus_end=Loop.zero(1, N)
         )
         try:
-            picard_solve(m, beta, None, 0.5)
+            picard_solve(m, beta, 0.5)
             failed_loudly = 0.0 + 1.0
         except (BallExit, ContractionFailure):
             failed_loudly = 0.0

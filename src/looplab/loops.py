@@ -229,13 +229,14 @@ def _check_grid(M: int, N: int) -> None:
         raise ValueError(f"grid size M={M} must be >= 2N+2 = {2 * N + 2}")
 
 
+# The bridge puts mode n >= 0 at index n of the M-point spectrum and n < 0 at
+# M + n, by two slice copies, so that it returns C-ordered blocks
 def sample_coeffs(coeffs: np.ndarray, N: int, M: int) -> np.ndarray:
     """Evaluate a coefficient block (..., 2N+1, d) on the M-point theta grid."""
     _check_grid(M, N)
-    shape = coeffs.shape[:-2] + (M,) + coeffs.shape[-1:]
-    spec = np.zeros(shape, complex)
-    n = mode_numbers(N)
-    spec[..., n % M, :] = coeffs
+    spec = np.zeros(coeffs.shape[:-2] + (M,) + coeffs.shape[-1:], complex)
+    spec[..., : N + 1, :] = coeffs[..., N:, :]
+    spec[..., M - N :, :] = coeffs[..., :N, :]
     return np.fft.ifft(spec, axis=-2) * M
 
 
@@ -243,9 +244,8 @@ def synthesize_values(values: np.ndarray, N: int) -> np.ndarray:
     """Fourier coefficients |n| <= N of grid values (..., M, d)."""
     M = values.shape[-2]
     _check_grid(M, N)
-    spec = np.fft.fft(values, axis=-2) / M
-    n = mode_numbers(N)
-    return spec[..., n % M, :]
+    spec = np.fft.fft(values, axis=-2)
+    return np.concatenate((spec[..., M - N :, :], spec[..., : N + 1, :]), axis=-2) / M
 
 
 def theta_values(coeffs: np.ndarray, N: int) -> np.ndarray:

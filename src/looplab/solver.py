@@ -1,9 +1,9 @@
 """Picard solver for the perturbed Cauchy-Riemann equation and gradient flow.
 
-The cylinder equation d/dt u + J d/dtheta u + grad H(u) = g is solved on
+The cylinder equation d/dt u + J d/dtheta u + grad H(u) = 0 is solved on
 short cylinders with mixed APS data through the fixed point of
 
-    v  |->  g - grad H(Q(beta) + P(v)),
+    v  |->  -grad H(Q(beta) + P(v)),
 
 starting at v = 0; the solution is u = Q(beta) + P(v*).  The iteration is
 monitored: successive-ratio growth raises ContractionFailure, leaving the
@@ -36,7 +36,7 @@ from .cylinder import (
     q_op,
 )
 from .hamiltonian import HamiltonianModel, action, grad_h_modes, k_factor_constant
-from .loops import Loop, mode_numbers, theta_points, theta_values
+from .loops import Loop, mode_numbers, theta_points
 
 
 MAX_ITER = 200  # Picard iteration budget
@@ -122,29 +122,24 @@ class PushforwardResult:
 def picard_solve(
     m: HamiltonianModel,
     beta: BoundaryData,
-    g: CylinderMap | None,
     eps: float,
     tol: float = 1e-11,
     M_t: int = 64,
 ) -> SolveResult:
-    """Solve d/dt u + J d/dtheta u + grad H(u) = g with mixed APS data beta.
+    """Solve d/dt u + J d/dtheta u + grad H(u) = 0 with mixed APS data beta.
 
-    Iterates v <- g - grad H(q_op(beta) + p_op(v)) from v = 0 until the L^2
+    Iterates v <- -grad H(q_op(beta) + p_op(v)) from v = 0 until the L^2
     increment drops below tol.  Raises ContractionFailure after three
     consecutive non-contracting steps, BallExit outside radius 1/(8C),
     MaxIterExceeded past the budget.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if tol < 0:
+        raise ValueError(f"tol must be nonnegative, got {tol!r}")
     d, N = beta.d, beta.N
     q = q_op(beta, eps, M_t=M_t)
     h = q.dt
-    if g is not None:
-        if (g.d, g.N, g.M_t) != (d, N, M_t) or not np.isclose(g.T, eps):
-            raise ValueError("forcing term g does not match the solve grid")
-        g_vals = g.values
-    else:
-        g_vals = np.zeros_like(q.values)
 
     C = k_factor_constant(m)
     ball = 1.0 / (8.0 * C)
@@ -157,7 +152,7 @@ def picard_solve(
 
     for iterations in range(1, MAX_ITER + 1):
         u = q + p_op(CylinderMap(d, N, eps, M_t, v_vals))
-        v_next = g_vals - grad_h_modes(m, theta_values(u.values, N), N)
+        v_next = -grad_h_modes(m, u.values)
         inc = l2_norm(v_next - v_vals, h)
         v_norm = l2_norm(v_next, h)
         if not np.isfinite(inc) or v_norm > ball:
@@ -183,8 +178,7 @@ def picard_solve(
     u = q + p_op(v)
     # the linear part D u equals v at the nodes by construction, so the PDE
     # residual at the nodes is the fixed-point defect
-    residual_vals = v_vals + grad_h_modes(m, theta_values(u.values, N), N) - g_vals
-    residual = l2_norm(residual_vals, h)
+    residual = l2_norm(v_vals + grad_h_modes(m, u.values), h)
     return SolveResult(
         u=u,
         v=v,
@@ -202,7 +196,7 @@ def picard_solve(
 @tracked("solver.collar_solve")
 def collar_solve(m: HamiltonianModel, b: Loop, eps: float, tol: float = 1e-11) -> SolveResult:
     """Unique small-energy solution whose mixed boundary value is carried by b."""
-    return picard_solve(m, decompose(b), None, eps, tol=tol)
+    return picard_solve(m, decompose(b), eps, tol=tol)
 
 
 @tracked("solver.h_eps_sensitivity")
@@ -216,8 +210,8 @@ def h_eps_sensitivity(
     denom = delta_beta.norm()
     if denom == 0:
         raise ValueError("delta_beta must be nonzero")
-    base = picard_solve(m, beta, None, eps)
-    bumped = picard_solve(m, beta + delta_beta, None, eps)
+    base = picard_solve(m, beta, eps)
+    bumped = picard_solve(m, beta + delta_beta, eps)
     h = base.v.dt
     return l2_norm(bumped.v.values - base.v.values, h) / denom
 

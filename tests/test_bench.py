@@ -21,3 +21,16 @@ def test_time_kernels_runs():
     ((name, stats),) = load_bench().time_kernels(2).items()
     assert name == "kernel_p_values[12001x65x3 basis]"
     assert len(stats["samples"]) == 2 and stats["median"] > 0
+
+
+def test_time_nonlinearity_runs():
+    out = load_bench().time_nonlinearity(2)
+    assert sorted(out) == [
+        "_newton_matrix[N=32]",
+        "flow_trajectory_step[N=32]",
+        "flow_trajectory_step[N=8]",
+        "grad_h_modes[N=128]",
+        "grad_h_modes[N=32]",
+        "grad_h_modes[N=8]",
+    ]
+    assert all(len(stats["samples"]) == 2 and stats["median"] > 0 for stats in out.values())

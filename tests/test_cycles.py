@@ -119,6 +119,17 @@ class TestBetaEstimate:
         assert np.isfinite(exc.value.value)
         assert exc.value.value == max(betas)
 
+    def test_zero_alpha_is_not_admissible(self, model):
+        # beta(0) = 0 comes back without NegativeBeta, but only beta > 0 counts
+        kw = dict(samples=4, descent_steps=20, seed=0, N=8)
+        alpha, beta, table = scan_alpha(model, alphas=[0.0, 0.3], **kw)
+        assert (alpha, beta) == (0.3, estimate_beta(model, 0.3, **kw))
+        assert [row["positive"] for row in table] == [False, True]
+        assert table[0]["beta"] == 0.0
+        with pytest.raises(NegativeBeta) as exc:
+            scan_alpha(model, alphas=[0.0, 3.0], **kw)
+        assert exc.value.value == 0.0
+
     def test_scan_produces_positive_window(self, model, geometry):
         alpha_star, beta_star, table = geometry
         assert beta_star > 0

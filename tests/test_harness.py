@@ -375,6 +375,11 @@ class TestCli:
             ("scan-alpha", {"N": 8, "samples": -1, "descent_steps": 2}),
             ("check-cycles", {"N": 8, "samples": 2, "descent_steps": -1}),
             ("verify", {"N": 8, "seed": -1}),
+            # and negative tolerances and flow times, which used to skip the
+            # flow, or run the whole iteration budget and exit 1
+            ("find-orbit", {"N": 8, "flow_time": -1}),
+            ("find-orbit", {"N": 8, "newton_tol": -1e-10}),
+            ("solve-cylinder", {"N": 8, "tol": -1, "beta_modes": modes}),
             # non-finite numbers, which json.load reads from NaN and Infinity
             ("flow", {"model": {"s1": float("inf")}, "N": 8, "seed_modes": [{"n": 1, "re": 0.5}],
                       "T": 0.01}),
@@ -390,6 +395,17 @@ class TestCli:
         assert not (tmp_path / "o").exists()
         zero_dt = self._write(tmp_path, "dt.json", {"N": 8, "dt": 0, "seed_modes": modes})
         assert cli_main(["flow", "--config", zero_dt, "--out", str(tmp_path / "flow")]) == 2
+
+    def test_scan_alpha_without_positive_beta_exit_1(self, tmp_path, capsys):
+        # alpha = 0 gives beta = 0, which used to be chosen as alpha*
+        cfg = self._write(
+            tmp_path, "scan.json",
+            {"N": 8, "samples": 4, "descent_steps": 20, "alphas": [0.0, 3.0],
+             "output_dir": str(tmp_path / "o")},
+        )
+        assert cli_main(["scan-alpha", "--config", cfg]) == 1
+        assert "no admissible alpha found" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "obj", [{"tolerances": {"exact": 1e-12}}, {"tolerances": {}}, {"M_theta": 128}]

@@ -485,9 +485,8 @@ class TestHarnessHelpers:
         assert coverage.counts() == counts
 
     @pytest.mark.parametrize("batch", (1, 4))
-    def test_random_smooth_fields(self, blocks_of, batch):
+    def test_random_smooth_fields(self, batch):
         n_nodes = 23
-        blocks_of((2 * N + 1) * batch * 16)
         coeffs = harness._smooth_field_coeffs(np.random.default_rng(13), N, batch)
         ref = ref_random_smooth_fields(np.random.default_rng(13), N, n_nodes - 1, batch)
         assert same_bytes(smooth_fields(coeffs, n_nodes - 1), ref)

@@ -12,8 +12,10 @@ from looplab.loops import (
     inner,
     project,
     sample,
+    sample_coeffs,
     sobolev_norm,
     synthesize,
+    synthesize_values,
 )
 
 
@@ -107,7 +109,45 @@ class TestApsProjection:
         )
 
 
+def ref_sample_coeffs(coeffs, N, M):
+    """sample_coeffs in its n % M scatter form."""
+    spec = np.zeros(coeffs.shape[:-2] + (M,) + coeffs.shape[-1:], complex)
+    spec[..., np.arange(-N, N + 1) % M, :] = coeffs
+    return np.fft.ifft(spec, axis=-2) * M
+
+
+def ref_synthesize_values(values, N):
+    """synthesize_values in its n % M gather form."""
+    M = values.shape[-2]
+    spec = np.fft.fft(values, axis=-2) / M
+    return spec[..., np.arange(-N, N + 1) % M, :]
+
+
+def same_bytes(new, ref):
+    return new.shape == ref.shape and new.dtype == ref.dtype and new.tobytes() == ref.tobytes()
+
+
 class TestSamplingBridge:
+    @pytest.mark.parametrize("lead", [(), (5,), (3, 4)], ids=("loop", "lead5", "lead3x4"))
+    @pytest.mark.parametrize("grid", ("2N+2", "4N", "odd"))
+    def test_slice_copies_match_modulo_forms(self, grid, lead):
+        # both directions keep the bits of the n % M forms, and every block
+        # comes back C-ordered, which the gather form is not under a leading axis
+        N, d = 6, 2
+        M = {"2N+2": 2 * N + 2, "4N": 4 * N, "odd": 2 * N + 3}[grid]
+        rng = np.random.default_rng(M + len(lead))
+        coeffs = rng.standard_normal(lead + (2 * N + 1, d)) + 1j * rng.standard_normal(
+            lead + (2 * N + 1, d)
+        )
+        values = sample_coeffs(coeffs, N, M)
+        assert same_bytes(values, ref_sample_coeffs(coeffs, N, M))
+        assert values.flags.c_contiguous
+        grid_values = rng.standard_normal(lead + (M, d)) + 1j * rng.standard_normal(lead + (M, d))
+        for vals in (values, grid_values):
+            out = synthesize_values(vals, N)
+            assert same_bytes(out, ref_synthesize_values(vals, N))
+            assert out.flags.c_contiguous
+
     def test_roundtrip(self):
         rng = np.random.default_rng(12)
         g = gaussian_loop(2, 8, rng)

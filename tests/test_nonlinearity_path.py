@@ -179,7 +179,7 @@ def test_theta_grid_is_4n():
 @pytest.mark.parametrize("N", NS)
 def test_grad_h_modes_matches_solver_copy(N, d, lead, m):
     c = coefficient_block(N, d, lead)
-    new = grad_h_modes(m, theta_values(c, N), N)
+    new = grad_h_modes(m, c)
     assert new.shape == lead + (2 * N + 1, d)
     assert_same_bytes(new, old_solver_grad_h_modes(m, c, N))
 
@@ -190,7 +190,7 @@ def test_grad_h_modes_matches_solver_copy(N, d, lead, m):
 def test_energy_xh_modes(N, d, lead):
     m = MODELS[0]
     c = coefficient_block(N, d, lead, seed=1)
-    new = 1j * grad_h_modes(m, theta_values(c, N), N)
+    new = 1j * grad_h_modes(m, c)
     assert_same_bytes(new, old_energy_xh_modes(m, c, N))
 
 
