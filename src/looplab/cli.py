@@ -26,7 +26,7 @@ from .harness import (
     write_json,
 )
 from .hamiltonian import HamiltonianModel
-from .loops import Loop, sobolev_norm
+from .loops import Loop
 from .solver import Blowup, SolverError, flow_trajectory, picard_solve
 from . import cycles as cyc
 
@@ -168,9 +168,7 @@ def _cmd_find_orbit(cfg: FindOrbit, out_dir: str, args) -> int:
             raise ValueError("alpha scales the default seed; give seed_modes or alpha, not both")
         seed = _loop_from_modes_spec(cfg.seed_modes, 1, N)
     else:
-        alpha = 1.0 if cfg.alpha is None else cfg.alpha
-        mode_norm = sobolev_norm(Loop.from_modes(1, N, {winding: 1.0}), 0.5)
-        seed = Loop.from_modes(1, N, {winding: alpha / mode_norm})
+        seed = cyc.winding_seed(1.0 if cfg.alpha is None else cfg.alpha, winding, N)
     try:
         found = cyc.find_critical_point(m, seed, flow_time=cfg.flow_time, newton_tol=cfg.newton_tol)
         has_oracle = m.variant == "bump" and 0 < winding < 2 * m.slope
@@ -218,8 +216,7 @@ def _cmd_check_cycles(cfg: CheckCycles, out_dir: str, args) -> int:
     alpha_star, beta_star, _ = cyc.scan_alpha(
         m, samples=cfg.samples, descent_steps=cfg.descent_steps, seed=seed, N=N
     )
-    tau_star = cyc.derive_tau(m, samples=240, seed=seed + 1, N=N)
-    boundary_max = cyc.check_sigma_boundary(m, tau_star, samples=240, seed=seed + 1, N=N)
+    tau_star, boundary_max = cyc.derive_tau(m, samples=240, seed=seed + 1, N=N)
     tv = cyc.transversality_check(alpha_star, max(tau_star, alpha_star), N=N)
     ok = beta_star > 0 and boundary_max <= 0 and tv["sigma_min"] > 0 and tv["intersection_dim"] == 1
     write_json(

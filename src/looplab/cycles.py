@@ -65,6 +65,11 @@ def e_plus(d: int = 1, N: int = 32) -> Loop:
     return Loop.from_modes(d, N, {1: 1.0})
 
 
+def winding_seed(alpha: float, k: int, N: int) -> Loop:
+    """Mode-k circle of half-norm alpha in C: alpha / sqrt(max(|k|, 1)) on mode k."""
+    return Loop.from_modes(1, N, {k: alpha / np.sqrt(max(abs(k), 1))})
+
+
 # -- cycle samplers ----------------------------------------------------------------
 
 
@@ -271,12 +276,18 @@ def check_sigma_boundary(
     return float(max(np.max(action_values(m, coeffs[i : i + _BOUNDARY_ROWS])) for i in blocks))
 
 
-def derive_tau(m: HamiltonianModel, samples: int = 180, seed: int = 1, N: int = 32) -> float:
-    """Double tau from 1 until the box boundary action maximum is nonpositive."""
+def derive_tau(
+    m: HamiltonianModel, samples: int = 180, seed: int = 1, N: int = 32
+) -> tuple[float, float]:
+    """Double tau from 1 until the box boundary action maximum is nonpositive.
+
+    Returns that tau and the maximum measured there.
+    """
     tau = 1.0
     for _ in range(_TAU_DOUBLINGS):
-        if check_sigma_boundary(m, tau, samples=samples, seed=seed, N=N) <= 0:
-            return tau
+        boundary_max = check_sigma_boundary(m, tau, samples=samples, seed=seed, N=N)
+        if boundary_max <= 0:
+            return tau, boundary_max
         tau *= 2.0
     raise RuntimeError(f"no admissible tau found up to {tau}")
 
@@ -301,8 +312,7 @@ def rho(x):
 def perturb(sigma_point: Loop, v: Loop) -> Loop:
     """sigma_point + rho(||sigma_point||^2_{1/2}) v, with v in the unit L^2_2 ball."""
     sigma_point._check(v)
-    n = mode_numbers(v.N).astype(float)
-    w2 = (1.0 + n**2) ** 2
+    w2 = sobolev_weights(1, v.N) ** 2
     ball = float(np.sum(w2[:, None] * np.abs(v.coeffs) ** 2))
     if ball > 1.0 + 1e-12:
         raise ValueError(f"perturbation lies outside the unit L^2_2 ball ({ball:.4g} > 1)")

@@ -33,6 +33,7 @@ from .hamiltonian import HamiltonianModel, grad_h_modes
 from .loops import (
     Loop,
     aps_project,
+    frozen_block,
     lambda_of_modes,
     mode_numbers,
     sobolev_norm,
@@ -87,14 +88,8 @@ class CylinderMap:
             raise ValueError("cylinder length T must be positive")
         if self.M_t < 8:
             raise ValueError("need at least M_t >= 8 time intervals")
-        v = np.array(self.values, dtype=complex)
-        expected = (self.M_t + 1, 2 * self.N + 1, self.d)
-        if v.shape != expected:
-            raise ValueError(f"values must have shape {expected}, got {v.shape}")
-        if not np.all(np.isfinite(v.view(float))):
-            raise ValueError("cylinder values must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        shape = (self.M_t + 1, 2 * self.N + 1, self.d)
+        object.__setattr__(self, "values", frozen_block(self.values, shape, "cylinder values"))
 
     @staticmethod
     def zero(d: int, N: int, T: float, M_t: int) -> "CylinderMap":
@@ -178,14 +173,6 @@ class BoundaryData:
 
     def __add__(self, other: "BoundaryData") -> "BoundaryData":
         return BoundaryData(self.plus0 + other.plus0, self.minus_end + other.minus_end)
-
-    def __sub__(self, other: "BoundaryData") -> "BoundaryData":
-        return BoundaryData(self.plus0 - other.plus0, self.minus_end - other.minus_end)
-
-    def __mul__(self, a: complex) -> "BoundaryData":
-        return BoundaryData(a * self.plus0, a * self.minus_end)
-
-    __rmul__ = __mul__
 
 
 def decompose(b: Loop) -> BoundaryData:

@@ -1068,8 +1068,8 @@ def _suite_contraction(config: Config) -> list[CheckRecord]:
         orbit = cyc.radial_orbit_oracle(m, 1).loop
         res = collar_solve(m, orbit, 4e-4, tol=1e-13)
         worst_rest = max(
-            float(np.max(np.abs(res.rest_0().coeffs - orbit.coeffs))),
-            float(np.max(np.abs(res.rest_end().coeffs - orbit.coeffs))),
+            float(np.max(np.abs(res.u.rest_0().coeffs - orbit.coeffs))),
+            float(np.max(np.abs(res.u.rest_end().coeffs - orbit.coeffs))),
         )
         yield CheckRecord(
             "contraction.collar_orbit_restrictions",
@@ -1345,9 +1345,8 @@ def _suite_orbits(config: Config) -> list[CheckRecord]:
 
     def sigma_boundary():
         """box boundary"""
-        tau_star = cyc.derive_tau(m, samples=240, seed=config.seed + 1, N=N)
+        tau_star, worst = cyc.derive_tau(m, samples=240, seed=config.seed + 1, N=N)
         state["tau_star"] = tau_star
-        worst = cyc.check_sigma_boundary(m, tau_star, samples=240, seed=config.seed + 1, N=N)
         yield CheckRecord(
             "orbits.sigma_boundary_nonpositive",
             "CSD <= 0 on the boundary of the tau-box for tau large",
@@ -1382,10 +1381,7 @@ def _suite_orbits(config: Config) -> list[CheckRecord]:
         beta_star = state.get("beta_star", 0.0)
         for k in (1, 2):
             oracle = cyc.radial_orbit_oracle(m, k)
-            if k == 1:
-                seed_loop = alpha_star * cyc.e_plus(1, N)
-            else:
-                seed_loop = Loop.from_modes(1, N, {2: alpha_star / np.sqrt(2)})
+            seed_loop = cyc.winding_seed(alpha_star, k, N)
             found = cyc.find_critical_point(
                 m, seed_loop, flow_time=1.0, newton_tol=1e-11, beta=beta_star
             )
@@ -1454,8 +1450,7 @@ def _suite_orbits(config: Config) -> list[CheckRecord]:
     def perturbation():
         """perturbation map"""
         rng = config.rng("orbits.perturbation")
-        n = mode_numbers(8).astype(float)
-        w2 = (1.0 + n**2) ** 2
+        w2 = sobolev_weights(1, 8) ** 2
         points, moved = [], []
         for scale in (0.05, 0.5, 5.0, 50.0):
             for _ in range(250):

@@ -15,6 +15,10 @@ Two splittings of the mode range are used throughout:
 
 Values on a theta-grid are reached through an FFT bridge (`sample` /
 `synthesize`) used for pointwise nonlinearities.
+
+Loops and cylinder fields store their blocks through `frozen_block`: a
+read-only, C-ordered complex copy, whatever the layout of the input, so
+that later sums over a block always run in the same order.
 """
 
 from __future__ import annotations
@@ -71,6 +75,17 @@ def sobolev_weights(order: float, N: int) -> np.ndarray:
     raise ValueError(f"unsupported Sobolev order {order!r}; use 0, 0.5 or 1")
 
 
+def frozen_block(values, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Read-only C-ordered complex copy of values, checked for shape and finiteness."""
+    block = np.array(values, dtype=complex, order="C")
+    if block.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {block.shape}")
+    if not np.all(np.isfinite(block.view(float))):
+        raise ValueError(f"{what} must be finite")
+    block.setflags(write=False)
+    return block
+
+
 @dataclass(frozen=True)
 class Loop:
     """A truncated Fourier loop: coeffs[N + n] is c_n in C^d."""
@@ -82,15 +97,7 @@ class Loop:
     def __post_init__(self):
         if self.d < 1 or self.N < 1:
             raise ValueError("Loop needs d >= 1 and N >= 1")
-        c = np.array(self.coeffs, dtype=complex)
-        if c.shape != (2 * self.N + 1, self.d):
-            raise ValueError(
-                f"coefficient block must have shape {(2 * self.N + 1, self.d)}, "
-                f"got {c.shape}"
-            )
-        if not np.all(np.isfinite(c.view(float))):
-            raise ValueError("loop coefficients must be finite")
-        c.setflags(write=False)
+        c = frozen_block(self.coeffs, (2 * self.N + 1, self.d), "loop coefficients")
         object.__setattr__(self, "coeffs", c)
 
     # -- constructors -------------------------------------------------------
@@ -146,9 +153,6 @@ class Loop:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Loop":
-        return Loop(self.d, self.N, -self.coeffs)
-
     def allclose(self, other: "Loop", atol: float = LOOP_ATOL) -> bool:
         self._check(other)
         return bool(np.max(np.abs(self.coeffs - other.coeffs)) <= atol)
@@ -186,29 +190,26 @@ def inner(gamma: Loop, delta: Loop, order: float = 0) -> float:
 # -- polarization and APS projections -----------------------------------------
 
 
-def _sector_mask(N: int, positive: bool) -> np.ndarray:
-    n = mode_numbers(N)
-    return (n > 0) if positive else (n <= 0)
+def _keep_sector(gamma: Loop, sector: str, plus_is_positive: bool) -> Loop:
+    """gamma with the modes outside `sector` set to 0: 'plus' is n > 0 if
+    plus_is_positive, else n <= 0, and 'minus' is the other side."""
+    if sector not in ("plus", "minus"):
+        raise ValueError("sector must be 'plus' or 'minus'")
+    positive = (sector == "plus") == plus_is_positive
+    keep = (mode_numbers(gamma.N) > 0) == positive
+    return Loop(gamma.d, gamma.N, np.where(keep[:, None], gamma.coeffs, 0.0))
 
 
 @tracked("loopspace.project")
 def project(gamma: Loop, sector: str) -> Loop:
     """Polarization projection: 'plus' keeps modes n > 0, 'minus' keeps n <= 0."""
-    if sector not in ("plus", "minus"):
-        raise ValueError("sector must be 'plus' or 'minus'")
-    mask = _sector_mask(gamma.N, positive=(sector == "plus"))
-    c = np.where(mask[:, None], gamma.coeffs, 0.0)
-    return Loop(gamma.d, gamma.N, c)
+    return _keep_sector(gamma, sector, plus_is_positive=True)
 
 
 @tracked("loopspace.aps_project")
 def aps_project(gamma: Loop, sector: str) -> Loop:
     """Spectral projection of L: 'plus' keeps lambda >= 0 (n <= 0), 'minus' lambda < 0."""
-    if sector not in ("plus", "minus"):
-        raise ValueError("sector must be 'plus' or 'minus'")
-    mask = _sector_mask(gamma.N, positive=(sector == "minus"))
-    c = np.where(mask[:, None], gamma.coeffs, 0.0)
-    return Loop(gamma.d, gamma.N, c)
+    return _keep_sector(gamma, sector, plus_is_positive=False)
 
 
 # -- FFT bridge ---------------------------------------------------------------

@@ -86,12 +86,6 @@ class SolveResult:
     ball_radius: float
     v_norm: float
 
-    def rest_0(self) -> Loop:
-        return self.u.rest_0()
-
-    def rest_end(self) -> Loop:
-        return self.u.rest_end()
-
 
 @dataclass(frozen=True)
 class FlowTrace:

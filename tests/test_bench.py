@@ -34,3 +34,13 @@ def test_time_nonlinearity_runs():
         "grad_h_modes[N=8]",
     ]
     assert all(len(stats["samples"]) == 2 and stats["median"] > 0 for stats in out.values())
+
+
+def test_time_descent_runs():
+    out = load_bench().time_descent(2)
+    assert sorted(out) == [
+        "descent_step[B=49,N=32]_s",
+        "estimate_beta[N=32]_s",
+        "scan_alpha[N=32]_s",
+    ]
+    assert all(len(stats["samples"]) == 2 and stats["median"] > 0 for stats in out.values())

@@ -17,6 +17,7 @@ from looplab.cycles import (
     sample_sigma,
     scan_alpha,
     transversality_check,
+    winding_seed,
 )
 from looplab.hamiltonian import HamiltonianModel, action, grad_action
 from looplab.loops import Loop, gaussian_loop, mode_numbers, project, sobolev_norm
@@ -71,6 +72,21 @@ class TestSamplers:
         e = e_plus(1, 16)
         point = 0.0 * project(e, "minus") + 0.6 * e
         assert point.allclose(0.6 * e, atol=0)
+
+
+class TestWindingSeed:
+    @pytest.mark.parametrize("k", (-2, 0, 1, 2))
+    def test_half_norm_alpha_in_the_bits_of_the_forms_it_replaced(self, k):
+        alpha, N = 1.43017, 8
+        seed = winding_seed(alpha, k, N)
+        assert sobolev_norm(seed, 0.5) == pytest.approx(alpha, rel=1e-15)
+        unit = sobolev_norm(Loop.from_modes(1, N, {k: 1.0}), 0.5)
+        forms = [Loop.from_modes(1, N, {k: alpha / unit})]
+        if k == 1:
+            forms.append(alpha * e_plus(1, N))
+        if k == 2:
+            forms.append(Loop.from_modes(1, N, {2: alpha / np.sqrt(2)}))
+        assert all(seed.coeffs.tobytes() == form.coeffs.tobytes() for form in forms)
 
 
 class TestBetaEstimate:
@@ -154,8 +170,8 @@ class TestSigmaBoundary:
         assert val < 0
 
     def test_derived_tau_admissible(self, model):
-        tau = derive_tau(model, samples=120, seed=16)
-        assert check_sigma_boundary(model, tau, samples=120, seed=16) <= 0
+        tau, worst = derive_tau(model, samples=120, seed=16)
+        assert worst == check_sigma_boundary(model, tau, samples=120, seed=16) <= 0
 
 
 class TestPerturbation:

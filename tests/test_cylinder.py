@@ -353,6 +353,15 @@ def write_field_csv(u: CylinderMap, path) -> None:
     write_csv(path, *mode_table(u.values, u.times, coord=u.d > 1))
 
 
+class TestBlockLayout:
+    def test_fortran_ordered_values_are_stored_c_ordered(self):
+        rng = np.random.default_rng(17)
+        v = rng.standard_normal((9, 9, 3)) + 1j * rng.standard_normal((9, 9, 3))
+        u = CylinderMap(3, 4, 0.1, 8, np.asfortranarray(v))
+        assert u.values.tobytes() == CylinderMap(3, 4, 0.1, 8, v).values.tobytes()
+        assert u.values.flags.c_contiguous and not u.values.flags.writeable
+
+
 class TestSerialization:
     def test_json_roundtrip(self, tmp_path):
         rng = np.random.default_rng(37)

@@ -200,6 +200,24 @@ class TestInner:
             Loop.zero(1, 3) + Loop.zero(2, 3)
 
 
+class TestBlockLayout:
+    @pytest.mark.parametrize("layout", ("fortran", "transposed", "strided"))
+    def test_any_layout_stores_the_c_ordered_block(self, layout):
+        rng = np.random.default_rng(16)
+        c = rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))
+        rows = np.zeros((18, 2), complex)
+        rows[::2] = c
+        block = {
+            "fortran": np.asfortranarray(c),
+            "transposed": np.ascontiguousarray(c.T).T,
+            "strided": rows[::2],
+        }[layout]
+        assert not block.flags.c_contiguous
+        g = Loop(2, 4, block)
+        assert same_bytes(g.coeffs, Loop(2, 4, c).coeffs)
+        assert g.coeffs.flags.c_contiguous and not g.coeffs.flags.writeable
+
+
 class TestSerialization:
     def test_json_roundtrip(self, tmp_path):
         rng = np.random.default_rng(15)

@@ -103,8 +103,8 @@ class TestCollar:
 
         orbit = radial_orbit_oracle(model, 1).loop
         res = collar_solve(model, orbit, 4e-4, tol=1e-13)
-        assert np.max(np.abs(res.rest_0().coeffs - orbit.coeffs)) <= 1e-6
-        assert np.max(np.abs(res.rest_end().coeffs - orbit.coeffs)) <= 1e-6
+        assert np.max(np.abs(res.u.rest_0().coeffs - orbit.coeffs)) <= 1e-6
+        assert np.max(np.abs(res.u.rest_end().coeffs - orbit.coeffs)) <= 1e-6
         assert res.energy <= 1e-10
 
     def test_fixed_point_norm_decreases_with_eps(self, model):
