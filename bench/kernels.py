@@ -16,9 +16,10 @@ samples.  Four groups are timed:
   on its own through `harness._run_groups` and keyed `aps.<group>`;
 * nonlinearity: seconds per call of one grad H evaluation on the theta grid
   (sample, grad H, synthesize) at N = 8, 32 and 128, of one flow_trajectory
-  step at N = 8 (configs/flow.json) and at N = 32 (find-orbit's T = 1,
-  dt = 0.09/32) and of one Newton Jacobian (cycles._newton_matrix) at
-  N = 32.  Each sample is a batch of calls divided by its size;
+  step at N = 8 (configs/flow.json), at N = 32 (find-orbit's T = 1,
+  dt = 0.09/32) and at N = 128, and of one Newton Jacobian
+  (cycles._newton_matrix) at N = 32.  Each sample is a batch of calls
+  divided by its size;
 * descent: the projected descent of the beta estimate at N = 32, seed 2026:
   one first descent step (cycles._descent_step) of the block of all 49
   starts at alpha = 1.43, each sample a batch of 20 calls on fresh copies of
@@ -96,10 +97,12 @@ def time_nonlinearity(repeats: int) -> dict:
         c = loop(N, {1: 1.2, 2: 0.3j}).coeffs
         out[f"grad_h_modes[N={N}]"] = timed(lambda: grad_h(c, N), repeats, calls=2000)
     # the trajectory of configs/flow.json: 1000 steps of dt = 5e-4 per call;
-    # the flow of configs/find_orbit.json: 356 steps of T = 1, dt = 0.09/32
+    # the flow of configs/find_orbit.json: 356 steps of T = 1, dt = 0.09/32;
+    # 128 steps of dt = 0.09/128 at N = 128, past the dense step's crossover
     flows = (
         ("N=8", loop(8, {1: 0.55, 2: 0.3j, 3: 0.1}), 0.5, 0.0005),
         ("N=32", loops.Loop.from_modes(1, 32, {1: 1.4}), 1.0, 0.09 / 32),
+        ("N=128", loops.Loop.from_modes(1, 128, {1: 1.4}), 0.09, 0.09 / 128),
     )
     for name, start, T, dt in flows:
         steps = len(solver.flow_trajectory(m, start, T, dt).times) - 1

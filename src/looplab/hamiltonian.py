@@ -99,13 +99,6 @@ class HamiltonianModel:
             return np.full_like(s, self.slope)
         return self.slope * _smoothstep(self._ramp(s))
 
-    def h_and_slope(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(h(s), h'(s)) bit for bit, from one clipped ramp coordinate; s a float array."""
-        if self.variant == "pure_quadratic":
-            return self.slope * s, np.full_like(s, self.slope)
-        t = self._ramp(s)
-        return self._h_bump(s, t), self.slope * _smoothstep(t)
-
     def h_second(self, s):
         s = np.asarray(s, dtype=float)
         if self.variant == "pure_quadratic":

@@ -203,10 +203,11 @@ def test_criterion_11_determinism_and_coverage(full_run):
 # tests/golden/report_all.json is the report of run_suite(Config(seed=2026),
 # "all") with the default output_dir.  The fixture's report must match it:
 # names, anchors, bounds, pass flags and every key exactly, and every value
-# exactly too, except those tests/golden/drift.json lists with a relative
-# allowance.  On a numpy or BLAS other than the one drift.json records, every
-# value is compared at its allowance, or at other_environment_rel.  Margins
-# are bound - computed and are checked as such.
+# exactly too, except those tests/golden/drift.json lists with an allowance:
+# relative ("rel"), or absolute ("abs") for errors at round-off level, whose
+# golden value may be 0.  On a numpy or BLAS other than the one drift.json
+# records, every value is compared at its allowance, or at
+# other_environment_rel.  Margins are bound - computed and are checked as such.
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -219,27 +220,35 @@ def _blas() -> str:
     return f"{blas.get('name')} {blas.get('version')}"
 
 
-def _mismatches(gold, run, rel_of, path=()):
-    """Paths at which run differs from gold: in structure, or by more than rel_of(path)."""
+def _mismatches(gold, run, allowance_of, path=()):
+    """Paths at which run differs from gold: in structure, or past allowance_of(path).
+
+    allowance_of gives None (exact) or (rel, abs): a number may move by
+    max(rel |gold|, abs).
+    """
     if isinstance(gold, dict):
         if not isinstance(run, dict) or gold.keys() != run.keys():
             return [path]
-        return [m for k in gold for m in _mismatches(gold[k], run[k], rel_of, path + (k,))]
+        return [m for k in gold for m in _mismatches(gold[k], run[k], allowance_of, path + (k,))]
     if isinstance(gold, list):
         if not isinstance(run, list) or len(gold) != len(run):
             return [path]
         pairs = enumerate(zip(gold, run))
-        return [m for i, (g, r) in pairs for m in _mismatches(g, r, rel_of, path + (i,))]
-    rel = rel_of(path)
+        return [m for i, (g, r) in pairs for m in _mismatches(g, r, allowance_of, path + (i,))]
+    allowance = allowance_of(path)
     numbers = all(type(v) in (int, float) for v in (gold, run))
-    if gold == run or (rel is not None and numbers and abs(run - gold) <= rel * abs(gold)):
+    if gold == run or (
+        allowance is not None
+        and numbers
+        and abs(run - gold) <= max(allowance[0] * abs(gold), allowance[1])
+    ):
         return []
     return [path]
 
 
 @pytest.fixture(scope="module")
 def golden(full_run):
-    """(golden report, this run's report, rel_of) with checks keyed by name and no margins."""
+    """(golden report, this run's report, allowance_of), checks keyed by name, no margins."""
     _, report = full_run
     gold = json.loads((GOLDEN / "report_all.json").read_text())
     drift = json.loads((GOLDEN / "drift.json").read_text())
@@ -251,10 +260,14 @@ def golden(full_run):
         print(f"[GOLDEN] numpy/BLAS {env} is not the golden {drift['environment']}: "
               f"values compared at the drift allowances")
         run["environment"]["platform_note"] = gold["environment"]["platform_note"]
-    allowed = {(e["check"], key): e["rel"] for e in drift["entries"] for key in e["values"]}
-    default = None if same_env else drift["other_environment_rel"]
+    allowed = {
+        (e["check"], key): (e.get("rel", 0.0), e.get("abs", 0.0))
+        for e in drift["entries"]
+        for key in e["values"]
+    }
+    default = None if same_env else (drift["other_environment_rel"], 0.0)
 
-    def rel_of(path):
+    def allowance_of(path):
         if path[0] != "checks":
             return default
         name, key = path[1], ".".join(map(str, path[2:4]))
@@ -266,7 +279,7 @@ def golden(full_run):
             assert c["margin"] == c["bound"] - c["computed"], c["name"]
             checks[c["name"]] = {k: v for k, v in c.items() if k != "margin"}
         r["checks"] = checks
-    return gold, run, rel_of
+    return gold, run, allowance_of
 
 
 def test_golden_structure(golden):
@@ -281,9 +294,9 @@ def test_golden_structure(golden):
 
 
 def test_golden_values(golden):
-    gold, run, rel_of = golden
+    gold, run, allowance_of = golden
     gold, run = (dict(r, coverage=None) for r in (gold, run))
-    assert _mismatches(gold, run, rel_of) == []
+    assert _mismatches(gold, run, allowance_of) == []
 
 
 def test_golden_coverage_counts(golden):

@@ -27,6 +27,7 @@ def test_time_nonlinearity_runs():
     out = load_bench().time_nonlinearity(2)
     assert sorted(out) == [
         "_newton_matrix[N=32]",
+        "flow_trajectory_step[N=128]",
         "flow_trajectory_step[N=32]",
         "flow_trajectory_step[N=8]",
         "grad_h_modes[N=128]",
