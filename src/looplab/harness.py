@@ -6,11 +6,19 @@ bound, the margin (bound - computed, nonnegative iff the check passes) and
 an anchor string stating the identity or inequality under test.  Runs are
 deterministic: all randomness derives from the config seed, reports carry
 no timestamps, and rerunning a config reproduces the report byte for byte.
-"""
 
+Each suite declares its checks once, in its table `CHECKS[suite]`: for each
+check group, the name, anchor and bound of every check the group computes.
+A group yields `(name, computed, details)` per check and returns the outputs
+that later groups take as arguments.  `_run_groups` runs the groups and builds
+every record; a declared check whose value did not arrive is recorded as not
+run, a failure with computed = inf, so no check passes on a value that
+nothing computed.
+"""
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import os
 import sys
@@ -308,24 +316,53 @@ class Report:
         return lines
 
 
-def _run_groups(suite: str, groups) -> list[CheckRecord]:
-    """Run check groups in order and collect the records they yield.
+# CHECKS[suite] maps each check group of the suite, by name, to the rows
+# (name, anchor, bound) of the checks it yields, in report order; a check's
+# record is named `<suite>.<name>`.
+CHECKS: dict[str, dict[str, list[tuple[str, str, float]]]] = {}
 
-    A group that raises keeps the records it yielded so far and adds the
-    failing record `<suite>.<group>.error`, anchored by the group's docstring.
+
+def _run_groups(suite: str, groups) -> list[CheckRecord]:
+    """Run check groups in order and build the records of their declared checks.
+
+    A group's parameters name earlier groups; it is called with their return
+    values.  Each row of CHECKS[suite][group] becomes one record, in table
+    order.  A declared check that did not arrive, because its group raised,
+    stopped short or lacks an input whose producer failed, is recorded as not
+    run: computed inf, the row's anchor and bound, and details {"not_run":
+    reason}.  A group that raises, or yields a name its rows do not declare,
+    adds the failing record `<suite>.<group>.error`, anchored by its docstring.
     """
     records: list[CheckRecord] = []
+    outputs: dict = {}
     for group in groups:
-        try:
-            for record in group():
-                records.append(record)
-        except Exception as exc:  # failure isolation: record, keep going
+        rows = CHECKS[suite].get(group.__name__, [])
+        inputs = list(inspect.signature(group).parameters)
+        missing = [name for name in inputs if name not in outputs]
+        arrived, error = {}, None
+        if missing:
+            reason = f"no output from {missing[0]}"
+        else:
+            reason = f"{group.__name__} did not yield it"
+            try:
+                checks = group(*(outputs[name] for name in inputs))
+                while True:
+                    name, computed, details = next(checks)
+                    if name not in {row[0] for row in rows}:
+                        raise ValueError(f"undeclared check {suite}.{name}")
+                    arrived[name] = computed, details
+            except StopIteration as stop:  # the group's return value
+                outputs[group.__name__] = stop.value
+            except Exception as exc:  # failure isolation: record, keep going
+                error = f"{type(exc).__name__}: {exc}"
+                reason = f"{group.__name__} raised {error}"
+        for name, anchor, bound in rows:
+            computed, details = arrived.get(name, (np.inf, {"not_run": reason}))
+            records.append(CheckRecord(f"{suite}.{name}", anchor, computed, bound, details))
+        if error:
             records.append(CheckRecord(
-                f"{suite}.{group.__name__}.error",
-                group.__doc__,
-                np.inf,
-                0.0,
-                details={"exception": f"{type(exc).__name__}: {exc}"},
+                f"{suite}.{group.__name__}.error", group.__doc__, np.inf, 0.0,
+                details={"exception": error},
             ))
     return records
 
@@ -455,6 +492,53 @@ def _trend_slope(eps_values: np.ndarray, estimates: np.ndarray) -> float:
 # -- norms suite -------------------------------------------------------------------
 
 
+CHECKS["norms"] = {
+    "parseval": [("parseval", "sum_n |c_n|^2 = int |gamma|^2 dtheta/2pi", 1e-10)],
+    "half_norm_single_mode": [
+        ("half_norm_single_mode", "||gamma||^2_{1/2} = sum |c_n|^2 |n| + |c_0|^2", 1e-13),
+    ],
+    "projections": [
+        ("projection_partition", "Pi+ + Pi- = id", 0.0),
+        ("projection_annihilate", "Pi- Pi+ = 0", 0.0),
+        ("projection_monotone", "||Pi gamma||_{1/2} <= ||gamma||_{1/2}", 0.0),
+        ("aps_plus_is_polarization_minus",
+         "spectral projection lambda >= 0 keeps modes n <= 0", 0.0),
+    ],
+    "sampling_roundtrip": [
+        ("sampling_roundtrip", "synthesize(sample(gamma, M >= 2N+2)) = gamma", 1e-12),
+    ],
+    "inner_consistency": [
+        ("inner_consistency", "inner(g, g, k) = ||g||_k^2 and symmetry", 1e-13),
+    ],
+    "gradient_finite_difference": [
+        ("gradient_finite_difference",
+         "grad CSD = -J gamma' - grad H(gamma), paired against central differences", 1e-5),
+    ],
+    "action_closed_forms": [
+        ("action_radial_closed_form", "CSD(r e^{ik theta}) = k r^2 / 2 - h(r^2)", 1e-12),
+    ],
+    "splitting": [
+        ("splitting_exact", "X_H = c u + X_{H_c} with c = 2(1+eps) i", 1e-13),
+        ("splitting_nonresonant_flag", "c not in i Z when 2(1+eps) is not an integer", 0.5),
+        ("compact_part_support", "X_{H_c} = 0 for |x|^2 >= s1", 0.0),
+        ("compact_part_l2_continuity",
+         "||X_{H_c}(u1) - X_{H_c}(u2)||_{L^2} <= C ||u1 - u2||_{L^2}", 0.0),
+    ],
+    "k_factor": [
+        ("k_factor_exact", "X_H(x) = K(x) x with K = 2h'(|x|^2) J", 0.0),
+        ("k_factor_linear_bound", "|K(x)| <= C |x| with K(0) = 0", 0.0),
+        ("k_factor_product_lipschitz", "|K(x) x - K(y) y| <= 2C (|x| + |y|) |x - y|", 0.0),
+    ],
+    "nonlinear_l4": [
+        ("nonlinear_lipschitz_l4",
+         "||X_H(a) - X_H(b)||_{L^2} <= 2C (||a||_{L^4} + ||b||_{L^4}) ||a - b||_{L^4}", 0.0),
+    ],
+    "hamiltonian_gradient_fd": [
+        ("hamiltonian_gradient_fd", "grad H = 2 h'(|x|^2) x against central differences", 1e-6),
+    ],
+}
+
+
 def _suite_norms(config: Config) -> list[CheckRecord]:
     m = config.model
     N, d = config.N, 1
@@ -472,22 +556,12 @@ def _suite_norms(config: Config) -> list[CheckRecord]:
             quad = float(np.mean(np.sum(np.abs(vals) ** 2, axis=1)))
             nrm = sobolev_norm(g, 0) ** 2
             worst = max(worst, abs(nrm - quad) / nrm)
-        yield CheckRecord(
-            "norms.parseval",
-            "sum_n |c_n|^2 = int |gamma|^2 dtheta/2pi",
-            worst,
-            1e-10,
-        )
+        yield "parseval", worst, {}
 
     def half_norm_single_mode():
         """half norm"""
         g = Loop.from_modes(1, N, {2: 3.0})
-        yield CheckRecord(
-            "norms.half_norm_single_mode",
-            "||gamma||^2_{1/2} = sum |c_n|^2 |n| + |c_0|^2",
-            abs(sobolev_norm(g, 0.5) ** 2 - 18.0),
-            1e-13,
-        )
+        yield "half_norm_single_mode", abs(sobolev_norm(g, 0.5) ** 2 - 18.0), {}
 
     def projections():
         """projections"""
@@ -506,20 +580,10 @@ def _suite_norms(config: Config) -> list[CheckRecord]:
             )
             diff = aps_project(g, "plus") - project(g, "minus")
             worst_aps = max(worst_aps, float(np.max(np.abs(diff.coeffs))))
-        yield CheckRecord("norms.projection_partition", "Pi+ + Pi- = id", worst_partition, 0.0)
-        yield CheckRecord("norms.projection_annihilate", "Pi- Pi+ = 0", worst_annihilate, 0.0)
-        yield CheckRecord(
-            "norms.projection_monotone",
-            "||Pi gamma||_{1/2} <= ||gamma||_{1/2}",
-            worst_monotone,
-            0.0,
-        )
-        yield CheckRecord(
-            "norms.aps_plus_is_polarization_minus",
-            "spectral projection lambda >= 0 keeps modes n <= 0",
-            worst_aps,
-            0.0,
-        )
+        yield "projection_partition", worst_partition, {}
+        yield "projection_annihilate", worst_annihilate, {}
+        yield "projection_monotone", worst_monotone, {}
+        yield "aps_plus_is_polarization_minus", worst_aps, {}
 
     def sampling_roundtrip():
         """fft bridge"""
@@ -528,12 +592,7 @@ def _suite_norms(config: Config) -> list[CheckRecord]:
             g = gaussian_loop(d, N, rng)
             back = synthesize(sample(g, theta_points(N)), N)
             worst = max(worst, float(np.max(np.abs(back.coeffs - g.coeffs))))
-        yield CheckRecord(
-            "norms.sampling_roundtrip",
-            "synthesize(sample(gamma, M >= 2N+2)) = gamma",
-            worst,
-            1e-12,
-        )
+        yield "sampling_roundtrip", worst, {}
 
     def inner_consistency():
         """inner products"""
@@ -545,12 +604,7 @@ def _suite_norms(config: Config) -> list[CheckRecord]:
                 nrm = sobolev_norm(g, order) ** 2
                 worst = max(worst, abs(inner(g, g, order) - nrm) / (1 + nrm))
                 worst = max(worst, abs(inner(g, h, order) - inner(h, g, order)))
-        yield CheckRecord(
-            "norms.inner_consistency",
-            "inner(g, g, k) = ||g||_k^2 and symmetry",
-            worst,
-            1e-13,
-        )
+        yield "inner_consistency", worst, {}
 
     def gradient_finite_difference():
         """gradient fd"""
@@ -563,12 +617,7 @@ def _suite_norms(config: Config) -> list[CheckRecord]:
             pairing = inner(grad_action(m, g), delta, 0)
             fd = (action(m, g + h * delta) - action(m, g - h * delta)) / (2 * h)
             worst = max(worst, abs(pairing - fd) / (1 + abs(pairing)))
-        yield CheckRecord(
-            "norms.gradient_finite_difference",
-            "grad CSD = -J gamma' - grad H(gamma), paired against central differences",
-            worst,
-            1e-5,
-        )
+        yield "gradient_finite_difference", worst, {}
 
     def action_closed_forms():
         """radial action"""
@@ -577,12 +626,7 @@ def _suite_norms(config: Config) -> list[CheckRecord]:
             g = Loop.from_modes(1, N, {k: r})
             expected = 0.5 * k * r**2 - float(m.h(r**2))
             worst = max(worst, abs(action(m, g) - expected))
-        yield CheckRecord(
-            "norms.action_radial_closed_form",
-            "CSD(r e^{ik theta}) = k r^2 / 2 - h(r^2)",
-            worst,
-            1e-12,
-        )
+        yield "action_radial_closed_form", worst, {}
 
     def splitting():
         """linear/compact splitting"""
@@ -590,26 +634,11 @@ def _suite_norms(config: Config) -> list[CheckRecord]:
         x = 2.5 * (rng.standard_normal((500, 1)) + 1j * rng.standard_normal((500, 1)))
         recon = spl.c * x + eval_compact_part(spl, x)
         worst = float(np.max(np.abs(recon - eval_XH(m, x))))
-        yield CheckRecord(
-            "norms.splitting_exact",
-            "X_H = c u + X_{H_c} with c = 2(1+eps) i",
-            worst,
-            1e-13,
-        )
-        yield CheckRecord(
-            "norms.splitting_nonresonant_flag",
-            "c not in i Z when 2(1+eps) is not an integer",
-            0.0 if spl.nonresonant else 1.0,
-            0.5,
-            details={"c_imag": 2.0 * m.slope},
-        )
+        yield "splitting_exact", worst, {}
+        flag = 0.0 if spl.nonresonant else 1.0
+        yield "splitting_nonresonant_flag", flag, {"c_imag": 2.0 * m.slope}
         far = np.array([[3.0 + 0.5j]])
-        yield CheckRecord(
-            "norms.compact_part_support",
-            "X_{H_c} = 0 for |x|^2 >= s1",
-            float(np.max(np.abs(eval_compact_part(spl, far)))),
-            0.0,
-        )
+        yield "compact_part_support", float(np.max(np.abs(eval_compact_part(spl, far)))), {}
         # L^2 continuity of the compact part on loop samples
         C = spl.lipschitz_bound()
         worst_ratio = 0.0
@@ -622,13 +651,7 @@ def _suite_norms(config: Config) -> list[CheckRecord]:
             )
             rhs = C * np.sqrt(np.mean(np.sum(np.abs(xa - xb) ** 2, axis=1)))
             worst_ratio = max(worst_ratio, lhs - rhs)
-        yield CheckRecord(
-            "norms.compact_part_l2_continuity",
-            "||X_{H_c}(u1) - X_{H_c}(u2)||_{L^2} <= C ||u1 - u2||_{L^2}",
-            worst_ratio,
-            0.0,
-            details={"lipschitz_bound": C},
-        )
+        yield "compact_part_l2_continuity", worst_ratio, {"lipschitz_bound": C}
 
     def k_factor():
         """K factorization"""
@@ -637,28 +660,15 @@ def _suite_norms(config: Config) -> list[CheckRecord]:
         y = 3.0 * (rng.standard_normal((10_000, 1)) + 1j * rng.standard_normal((10_000, 1)))
         kap = eval_k_factor(m, x)
         exact = float(np.max(np.abs(kap[:, None] * 1j * x - eval_XH(m, x))))
-        yield CheckRecord(
-            "norms.k_factor_exact", "X_H(x) = K(x) x with K = 2h'(|x|^2) J", exact, 0.0
-        )
+        yield "k_factor_exact", exact, {}
         r = np.sqrt(np.sum(np.abs(x) ** 2, axis=1))
         bound_defect = float(np.max(kap - C * r))
-        yield CheckRecord(
-            "norms.k_factor_linear_bound",
-            "|K(x)| <= C |x| with K(0) = 0",
-            bound_defect,
-            0.0,
-            details={"C": C},
-        )
+        yield "k_factor_linear_bound", bound_defect, {"C": C}
         lhs = np.sqrt(np.sum(np.abs(eval_XH(m, x) - eval_XH(m, y)) ** 2, axis=1))
         ry = np.sqrt(np.sum(np.abs(y) ** 2, axis=1))
         dxy = np.sqrt(np.sum(np.abs(x - y) ** 2, axis=1))
         prod_defect = float(np.max(lhs - 2 * C * (r + ry) * dxy))
-        yield CheckRecord(
-            "norms.k_factor_product_lipschitz",
-            "|K(x) x - K(y) y| <= 2C (|x| + |y|) |x - y|",
-            prod_defect,
-            0.0,
-        )
+        yield "k_factor_product_lipschitz", prod_defect, {}
 
     def nonlinear_l4():
         """L4 Lipschitz"""
@@ -672,13 +682,7 @@ def _suite_norms(config: Config) -> list[CheckRecord]:
             nb = np.mean(np.sum(np.abs(b) ** 2, axis=-1) ** 2) ** 0.25
             nd = np.mean(np.sum(np.abs(a - b) ** 2, axis=-1) ** 2) ** 0.25
             worst = max(worst, lhs - 2 * C * (na + nb) * nd)
-        yield CheckRecord(
-            "norms.nonlinear_lipschitz_l4",
-            "||X_H(a) - X_H(b)||_{L^2} <= 2C (||a||_{L^4} + ||b||_{L^4}) ||a - b||_{L^4}",
-            worst,
-            0.0,
-            details={"C": C},
-        )
+        yield "nonlinear_lipschitz_l4", worst, {"C": C}
 
     def hamiltonian_gradient_fd():
         """pointwise gradient fd"""
@@ -697,12 +701,7 @@ def _suite_norms(config: Config) -> list[CheckRecord]:
                 ) / (2 * h)
                 exact = (g * np.conj(direction)).real
                 worst = max(worst, abs(fd - exact) / (1 + abs(exact)))
-        yield CheckRecord(
-            "norms.hamiltonian_gradient_fd",
-            "grad H = 2 h'(|x|^2) x against central differences",
-            worst,
-            1e-6,
-        )
+        yield "hamiltonian_gradient_fd", worst, {}
 
     return _run_groups("norms", (
         parseval, half_norm_single_mode, projections, sampling_roundtrip, inner_consistency,
@@ -712,6 +711,51 @@ def _suite_norms(config: Config) -> list[CheckRecord]:
 
 
 # -- aps suite ----------------------------------------------------------------------
+
+
+# the aps.q_kernel_of_d grid follows from its bound
+_Q_KERNEL_BOUND = 1e-3
+
+CHECKS["aps"] = {
+    "mode_identities": [
+        ("q_boundary_defect_closed_form",
+         "||phi - Q(phi)|_{eps}||^2_{1/2} = lambda (1 - e^{-eps lambda})^2", 1e-10),
+        ("q_dt_mass_closed_form", "2 int |d_t Q(phi)|^2 = lambda (1 - e^{-2 eps lambda})", 1e-6),
+        ("q_defect_inequality",
+         "lambda (1 - e^{-eps lambda})^2 <= lambda (1 - e^{-2 eps lambda})", 0.0),
+    ],
+    "q_right_inverse": [
+        ("q_boundary_right_inverse", "aps_boundary(Q(beta)) = beta exactly per mode", 1e-12),
+        ("q_kernel_of_d", "D Q(beta) = 0 (finite-difference defect on a grid with "
+         "lambda_max^3 h^2 / 3 <= bound / 4)", _Q_KERNEL_BOUND),
+    ],
+    "right_inverse": [
+        ("right_inverse_residual", "D P g = g (relative L^2 residual on refined grids)", 1e-6),
+        ("right_inverse_boundary", "-Pi+ r_0(P g) = 0 and Pi- r_eps(P g) = 0", 1e-10),
+    ],
+    "uniformity": [
+        row
+        for label in ("p", "q", "restriction", "mixed_l4")
+        for row in (
+            (f"uniformity_{label}_variation", (
+                "operator norm estimates divided by t_N(eps) = sqrt(1 - e^{-2 eps N}) vary "
+                "by < 4x across the eps sweep" if label in ("q", "restriction") else
+                "operator norm estimates vary by < 4x across the eps sweep"
+            ), 4.0),
+            (f"uniformity_{label}_no_growth",
+             "no growth trend as eps -> 0 (log-log slope >= -0.2)", 0.2),
+        )
+    ],
+    "q_l4_smallness": [
+        ("q_l4_smallness_monotone", "||Q_eps(beta)||_{L^4} decreases along eps = 2^-k", 0.0),
+        ("q_l4_smallness_final",
+         "Q_eps(beta) -> 0 as eps -> 0: final quartic mass below 5% of initial", 0.05),
+    ],
+    "end_vanishing": [
+        ("end_vanishing_l4",
+         "int |f|^4 <= eps (int |grad f|^2)^2 for fields vanishing at one end", 1.0),
+    ],
+}
 
 
 def _suite_aps(config: Config) -> list[CheckRecord]:
@@ -735,31 +779,14 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
                 worst_defect = max(worst_defect, abs(defect - expected_defect))
                 worst_mass = max(worst_mass, abs(mass - expected_mass))
                 min_margin = min(min_margin, expected_mass - defect)
-        yield CheckRecord(
-            "aps.q_boundary_defect_closed_form",
-            "||phi - Q(phi)|_{eps}||^2_{1/2} = lambda (1 - e^{-eps lambda})^2",
-            worst_defect,
-            1e-10,
-        )
-        yield CheckRecord(
-            "aps.q_dt_mass_closed_form",
-            "2 int |d_t Q(phi)|^2 = lambda (1 - e^{-2 eps lambda})",
-            worst_mass,
-            1e-6,
-        )
-        yield CheckRecord(
-            "aps.q_defect_inequality",
-            "lambda (1 - e^{-eps lambda})^2 <= lambda (1 - e^{-2 eps lambda})",
-            -min_margin,
-            0.0,
-            details={"min_margin": float(min_margin)},
-        )
+        yield "q_boundary_defect_closed_form", worst_defect, {}
+        yield "q_dt_mass_closed_form", worst_mass, {}
+        yield "q_defect_inequality", -min_margin, {"min_margin": float(min_margin)}
 
     def q_right_inverse():
         """boundary of Q"""
         rng = config.rng("aps.q_identity")
         worst_id = 0.0
-        kernel_bound = 1e-3
         kernel_details = {"eps": [], "m_fine": [], "defect": [], "defect_half_grid": [],
                           "observed_order": []}
 
@@ -780,7 +807,7 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
             # Q lands in the kernel of D.  The one-sided end stencil of
             # dt_derivative leaves a relative defect of about lambda_max^3 h^2 / 3
             # on the fastest mode; the grid keeps that at a quarter of the bound
-            m_fine = max(M_t, int(np.ceil(N * eps * np.sqrt(4 * N / (3 * kernel_bound)))))
+            m_fine = max(M_t, int(np.ceil(N * eps * np.sqrt(4 * N / (3 * _Q_KERNEL_BOUND)))))
             beta = decompose(gaussian_loop(1, N, rng))
             rel = kernel_defect(beta, eps, m_fine)
             rel_half = kernel_defect(beta, eps, m_fine // 2)
@@ -791,20 +818,8 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
             kernel_details["observed_order"].append(
                 float(np.log(rel_half / rel) / np.log(m_fine / (m_fine // 2)))
             )
-        yield CheckRecord(
-            "aps.q_boundary_right_inverse",
-            "aps_boundary(Q(beta)) = beta exactly per mode",
-            worst_id,
-            1e-12,
-        )
-        yield CheckRecord(
-            "aps.q_kernel_of_d",
-            "D Q(beta) = 0 (finite-difference defect on a grid with "
-            "lambda_max^3 h^2 / 3 <= bound / 4)",
-            max(kernel_details["defect"]),
-            kernel_bound,
-            details=kernel_details,
-        )
+        yield "q_boundary_right_inverse", worst_id, {}
+        yield "q_kernel_of_d", max(kernel_details["defect"]), kernel_details
 
     def right_inverse():
         """D P = id"""
@@ -813,18 +828,8 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
         for eps in config.eps_list:
             rel, trace = _right_inverse_errors(rng, N, M_t, eps)
             worst_rel, worst_trace = max(worst_rel, rel), max(worst_trace, trace)
-        yield CheckRecord(
-            "aps.right_inverse_residual",
-            "D P g = g (relative L^2 residual on refined grids)",
-            worst_rel,
-            1e-6,
-        )
-        yield CheckRecord(
-            "aps.right_inverse_boundary",
-            "-Pi+ r_0(P g) = 0 and Pi- r_eps(P g) = 0",
-            worst_trace,
-            1e-10,
-        )
+        yield "right_inverse_residual", worst_rel, {}
+        yield "right_inverse_boundary", worst_trace, {}
 
     def uniformity():
         """norms independent of eps"""
@@ -852,31 +857,17 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
         }
         for label, est in (("p", est_p), ("q", est_q), ("restriction", est_r), ("mixed_l4", est_mix)):
             net = est
-            anchor = "operator norm estimates vary by < 4x across the eps sweep"
             record_details = details if label == "p" else {
                 "estimates": est,
                 "truncation_variation_floor": floor,
             }
             if label in ("q", "restriction"):
                 net = list(map(float, np.asarray(est) / t_n))
-                anchor = ("operator norm estimates divided by t_N(eps) = "
-                          "sqrt(1 - e^{-2 eps N}) vary by < 4x across the eps sweep")
                 record_details["truncation_factor"] = list(map(float, t_n))
                 record_details["net_estimates"] = net
-            yield CheckRecord(
-                f"aps.uniformity_{label}_variation",
-                anchor,
-                max(net) / min(net),
-                4.0,
-                details=record_details,
-            )
-            yield CheckRecord(
-                f"aps.uniformity_{label}_no_growth",
-                "no growth trend as eps -> 0 (log-log slope >= -0.2)",
-                -_trend_slope(eps_values, np.asarray(est)),
-                0.2,
-                details={"slope": _trend_slope(eps_values, np.asarray(est))},
-            )
+            yield f"uniformity_{label}_variation", max(net) / min(net), record_details
+            slope = _trend_slope(eps_values, np.asarray(est))
+            yield f"uniformity_{label}_no_growth", -slope, {"slope": slope}
 
     def q_l4_smallness():
         """Q -> 0 in L4"""
@@ -908,19 +899,8 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
             worst_monotone = max(worst_monotone, float(np.max(np.diff(norms))))
             worst_final_mass = max(worst_final_mass, (norms[-1] / norms[0]) ** 4)
             curves.append([float(v) for v in norms])
-        yield CheckRecord(
-            "aps.q_l4_smallness_monotone",
-            "||Q_eps(beta)||_{L^4} decreases along eps = 2^-k",
-            worst_monotone,
-            0.0,
-        )
-        yield CheckRecord(
-            "aps.q_l4_smallness_final",
-            "Q_eps(beta) -> 0 as eps -> 0: final quartic mass below 5% of initial",
-            worst_final_mass,
-            0.05,
-            details={"curves": curves},
-        )
+        yield "q_l4_smallness_monotone", worst_monotone, {}
+        yield "q_l4_smallness_final", worst_final_mass, {"curves": curves}
 
     def end_vanishing():
         """anisotropic Sobolev L4 bound"""
@@ -941,12 +921,7 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
                 basis = np.broadcast_to(x, (M_t + 1, 2 * N + 1, 3))
                 lhs = l4_combination(basis, coeffs, h, N) ** 4
                 worst = max(worst, float(np.max(lhs / (eps * grad_sq**2))))
-        yield CheckRecord(
-            "aps.end_vanishing_l4",
-            "int |f|^4 <= eps (int |grad f|^2)^2 for fields vanishing at one end",
-            worst,
-            1.0,
-        )
+        yield "end_vanishing_l4", worst, {}
 
     return _run_groups("aps", (
         mode_identities, q_right_inverse, right_inverse, uniformity, q_l4_smallness,
@@ -957,15 +932,52 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
 # -- contraction suite ----------------------------------------------------------------
 
 
+CHECKS["contraction"] = {
+    "small_data": [
+        ("small_data_ratio",
+         "Picard contracts with ratio <= 1/2 for ||beta||_{1/2} <= 0.1, eps <= 0.05", 0.5),
+        ("small_data_residual", "PDE residual of the fixed point below 1e-8", 1e-8),
+    ],
+    "engaged_sweep": [
+        ("vstar_monotone", "||v*|| decreases monotonically along eps = 2^-k (fixed data)", 0.0),
+    ],
+    "energy_identity": [
+        ("energy_identity", "CSD(u(eps)) - CSD(u(0)) = E(u) on every solved cylinder", 1e-5),
+    ],
+    "grid_convergence": [
+        ("grid_convergence",
+         "doubling M_t shrinks the solution change by ~4 (second order)", 1.0),
+    ],
+    "uniqueness": [
+        ("uniqueness", "distinct Picard starts reach the same small-energy fixed point",
+         10 * 1e-11),  # ten times the Picard stopping tolerance
+    ],
+    "collar_orbit": [
+        ("collar_orbit_restrictions",
+         "the collar solution through orbit data restricts to the orbit", 1e-6),
+        ("collar_orbit_energy", "t-independent orbit cylinders carry no energy", 1e-10),
+    ],
+    "sensitivity": [
+        ("sensitivity_decreasing",
+         "|D_beta fixed-point| -> 0 as eps -> 0 (finite-difference sweep)", 0.0),
+        ("sensitivity_first_order",
+         "doubling the probe leaves the sensitivity ratio invariant to 1%", 0.01),
+    ],
+    "failure_modes": [
+        ("large_data_detected",
+         "huge boundary data exits the 1/(8C) ball or stops contracting", 0.5),
+    ],
+}
+
+
 def _suite_contraction(config: Config) -> list[CheckRecord]:
     m = config.model
     N = config.N
 
-    solved = []
-
     def small_data():
         """small-data contraction"""
         rng = config.rng("contraction.small")
+        solved = []
         worst_ratio = worst_residual = 0.0
         for eps in (0.05, 0.02):
             for _ in range(10):
@@ -975,50 +987,30 @@ def _suite_contraction(config: Config) -> list[CheckRecord]:
                 solved.append(res)
                 worst_ratio = max(worst_ratio, res.contraction_ratio)
                 worst_residual = max(worst_residual, res.residual)
-        yield CheckRecord(
-            "contraction.small_data_ratio",
-            "Picard contracts with ratio <= 1/2 for ||beta||_{1/2} <= 0.1, eps <= 0.05",
-            worst_ratio,
-            0.5,
-        )
-        yield CheckRecord(
-            "contraction.small_data_residual",
-            "PDE residual of the fixed point below 1e-8",
-            worst_residual,
-            1e-8,
-        )
+        yield "small_data_ratio", worst_ratio, {}
+        yield "small_data_residual", worst_residual, {}
+        return solved
 
     def engaged_sweep():
         """fixed-point norm sweep"""
         beta = BoundaryData(
             plus0=Loop.from_modes(1, N, {-1: 0.9}), minus_end=Loop.zero(1, N)
         )
-        norms = []
-        for k in range(2, 11):
-            res = picard_solve(m, beta, 2.0**-k, M_t=128)
-            solved.append(res)
-            norms.append(res.v_norm)
-        yield CheckRecord(
-            "contraction.vstar_monotone",
-            "||v*|| decreases monotonically along eps = 2^-k (fixed data)",
-            float(np.max(np.diff(norms))),
-            0.0,
-            details={"eps": [2.0**-k for k in range(2, 11)], "v_norm": norms},
-        )
+        solved = [picard_solve(m, beta, 2.0**-k, M_t=128) for k in range(2, 11)]
+        norms = [res.v_norm for res in solved]
+        yield "vstar_monotone", float(np.max(np.diff(norms))), {
+            "eps": [2.0**-k for k in range(2, 11)], "v_norm": norms
+        }
+        return solved
 
-    def energy_identity():
+    def energy_identity(small_data, engaged_sweep):
         """energy identity"""
         worst = 0.0
-        for res in solved:
+        for res in small_data + engaged_sweep:
             delta = res.action_out - res.action_in
             defect = abs(delta - res.energy) / (1 + abs(res.energy))
             worst = max(worst, defect)
-        yield CheckRecord(
-            "contraction.energy_identity",
-            "CSD(u(eps)) - CSD(u(0)) = E(u) on every solved cylinder",
-            worst,
-            1e-5,
-        )
+        yield "energy_identity", worst, {}
 
     def grid_convergence():
         """O(h^2) convergence"""
@@ -1031,13 +1023,7 @@ def _suite_contraction(config: Config) -> list[CheckRecord]:
         d1 = float(np.max(np.abs(sols[32].u.values - sols[64].u.values[::2])))
         d2 = float(np.max(np.abs(sols[64].u.values - sols[128].u.values[::2])))
         ratio = d1 / d2
-        yield CheckRecord(
-            "contraction.grid_convergence",
-            "doubling M_t shrinks the solution change by ~4 (second order)",
-            abs(ratio - 4.0),
-            1.0,
-            details={"ratio": ratio},
-        )
+        yield "grid_convergence", abs(ratio - 4.0), {"ratio": ratio}
 
     def uniqueness():
         """unique small-energy solution"""
@@ -1056,12 +1042,7 @@ def _suite_contraction(config: Config) -> list[CheckRecord]:
             u = q + p_op(CylinderMap(1, N, eps, mt, v))
             v = -grad_h_modes(m, u.values)
         dist = float(np.max(np.abs(v - base.v.values)))
-        yield CheckRecord(
-            "contraction.uniqueness",
-            "distinct Picard starts reach the same small-energy fixed point",
-            dist,
-            10 * 1e-11,  # ten times the Picard stopping tolerance
-        )
+        yield "uniqueness", dist, {}
 
     def collar_orbit():
         """orbit collar"""
@@ -1071,18 +1052,8 @@ def _suite_contraction(config: Config) -> list[CheckRecord]:
             float(np.max(np.abs(res.u.rest_0().coeffs - orbit.coeffs))),
             float(np.max(np.abs(res.u.rest_end().coeffs - orbit.coeffs))),
         )
-        yield CheckRecord(
-            "contraction.collar_orbit_restrictions",
-            "the collar solution through orbit data restricts to the orbit",
-            worst_rest,
-            1e-6,
-        )
-        yield CheckRecord(
-            "contraction.collar_orbit_energy",
-            "t-independent orbit cylinders carry no energy",
-            res.energy,
-            1e-10,
-        )
+        yield "collar_orbit_restrictions", worst_rest, {}
+        yield "collar_orbit_energy", res.energy, {}
 
     def sensitivity():
         """boundary-data sensitivity"""
@@ -1093,25 +1064,16 @@ def _suite_contraction(config: Config) -> list[CheckRecord]:
             plus0=Loop.from_modes(1, N, {-2: 0.05}), minus_end=Loop.zero(1, N)
         )
         vals = [h_eps_sensitivity(m, beta, 2.0**-k, db) for k in range(2, 9)]
-        yield CheckRecord(
-            "contraction.sensitivity_decreasing",
-            "|D_beta fixed-point| -> 0 as eps -> 0 (finite-difference sweep)",
-            float(np.max(np.diff(vals))),
-            0.0,
-            details={"eps": [2.0**-k for k in range(2, 9)], "sensitivity": vals},
-        )
+        yield "sensitivity_decreasing", float(np.max(np.diff(vals))), {
+            "eps": [2.0**-k for k in range(2, 9)], "sensitivity": vals
+        }
         s_small = h_eps_sensitivity(m, beta, 0.1, BoundaryData(
             plus0=Loop.from_modes(1, N, {-2: 0.01}), minus_end=Loop.zero(1, N)
         ))
         s_double = h_eps_sensitivity(m, beta, 0.1, BoundaryData(
             plus0=Loop.from_modes(1, N, {-2: 0.02}), minus_end=Loop.zero(1, N)
         ))
-        yield CheckRecord(
-            "contraction.sensitivity_first_order",
-            "doubling the probe leaves the sensitivity ratio invariant to 1%",
-            abs(s_double / s_small - 1.0),
-            0.01,
-        )
+        yield "sensitivity_first_order", abs(s_double / s_small - 1.0), {}
 
     def failure_modes():
         """loud failure"""
@@ -1120,15 +1082,10 @@ def _suite_contraction(config: Config) -> list[CheckRecord]:
         )
         try:
             picard_solve(m, beta, 0.5)
-            failed_loudly = 0.0 + 1.0
+            failed_loudly = 1.0
         except (BallExit, ContractionFailure):
             failed_loudly = 0.0
-        yield CheckRecord(
-            "contraction.large_data_detected",
-            "huge boundary data exits the 1/(8C) ball or stops contracting",
-            failed_loudly,
-            0.5,
-        )
+        yield "large_data_detected", failed_loudly, {}
 
     return _run_groups("contraction", (
         small_data, engaged_sweep, energy_identity, grid_convergence, uniqueness,
@@ -1137,6 +1094,43 @@ def _suite_contraction(config: Config) -> list[CheckRecord]:
 
 
 # -- flow suite -------------------------------------------------------------------------
+
+
+CHECKS["flow"] = {
+    "linear": [
+        ("linear_energy_closed_form", "single growing mode: E = (n/2) alpha^2 (e^{2nT} - 1)", 1e-8),
+        ("linear_energy_identity",
+         "CSD(u(t)) - CSD(u(0)) = E(u) at every node of the linear trajectory", 1e-8),
+    ],
+    "orbit_stationary": [
+        ("orbit_stationary", "critical orbits are fixed points of the upward flow", 1e-8),
+    ],
+    "nonlinear_identity": [
+        ("nonlinear_energy_identity",
+         "CSD(u(t)) - CSD(u(0)) = E(u) at every node through the bump region", 1e-5),
+        ("actions_nondecreasing", "the action is nondecreasing along the upward flow", 1e-12),
+    ],
+    "semigroup": [
+        ("semigroup_flat_region", "flow_step composes exactly where the flow is linear", 1e-12),
+    ],
+    "pushforward": [
+        ("pushforward_identity_at_zero_time", "GF_0 is the identity on cycle points", 0.0),
+        ("pushforward_actions_increase",
+         "actions strictly increase along the flow off critical points", 0.0),
+        ("pushforward_blowup_recorded",
+         "per-point blowups are recorded without failing the batch", 0.5),
+    ],
+    "equivalence_nonresonant": [
+        ("equivalence_bounds",
+         "E(u)/||u||^2_{L^2_1} within per-mode bounds from |i n - c|^2", 1e-12),
+        ("equivalence_positive_lower_bound",
+         "c = 2.2i: min_n (n - 2.2)^2 = 0.04 at n = 2 gives m >= 0.04/10", 1e-15),
+    ],
+    "equivalence_resonant": [
+        ("equivalence_resonant_degenerates",
+         "c = 2i: the resonant mode carries energy 0, the lower bound collapses", 1e-12),
+    ],
+}
 
 
 def _suite_flow(config: Config) -> list[CheckRecord]:
@@ -1149,19 +1143,10 @@ def _suite_flow(config: Config) -> list[CheckRecord]:
         g = Loop.from_modes(1, 8, {n: alpha})
         trace = flow_trajectory(m, g, T, 1e-3)
         expected = 0.5 * n * alpha**2 * (np.exp(2 * n * trace.times) - 1)
-        yield CheckRecord(
-            "flow.linear_energy_closed_form",
-            "single growing mode: E = (n/2) alpha^2 (e^{2nT} - 1)",
-            float(np.max(np.abs(trace.cumulative_energy - expected))),
-            1e-8,
-        )
+        error = float(np.max(np.abs(trace.cumulative_energy - expected)))
+        yield "linear_energy_closed_form", error, {}
         defect = np.abs((trace.actions - trace.actions[0]) - trace.cumulative_energy)
-        yield CheckRecord(
-            "flow.linear_energy_identity",
-            "CSD(u(t)) - CSD(u(0)) = E(u) at every node of the linear trajectory",
-            float(np.max(defect)),
-            1e-8,
-        )
+        yield "linear_energy_identity", float(np.max(defect)), {}
 
     def orbit_stationary():
         """orbit stationarity"""
@@ -1169,12 +1154,7 @@ def _suite_flow(config: Config) -> list[CheckRecord]:
         radius = cyc.radial_orbit_oracle(m, 1).radius
         loop = Loop.from_modes(1, 12, {1: radius})
         trace = flow_trajectory(m, loop, 1.0, 0.09 / 12)
-        yield CheckRecord(
-            "flow.orbit_stationary",
-            "critical orbits are fixed points of the upward flow",
-            float(np.max(np.abs(trace.final.coeffs - loop.coeffs))),
-            1e-8,
-        )
+        yield "orbit_stationary", float(np.max(np.abs(trace.final.coeffs - loop.coeffs))), {}
 
     def nonlinear_identity():
         """nonlinear energy identity"""
@@ -1185,37 +1165,21 @@ def _suite_flow(config: Config) -> list[CheckRecord]:
             (trace.actions - trace.actions[0]) - trace.cumulative_energy
         ) / (1 + trace.cumulative_energy)
         defect = float(np.max(per_node))
-        yield CheckRecord(
-            "flow.nonlinear_energy_identity",
-            "CSD(u(t)) - CSD(u(0)) = E(u) at every node through the bump region",
-            defect,
-            1e-5,
-            details={
-                "E": float(E),
-                "curve_t": [float(t) for t in trace.times[::2500]],
-                "curve_action": [float(a) for a in trace.actions[::2500]],
-                "curve_energy": [float(e) for e in trace.cumulative_energy[::2500]],
-                "curve_norm": [float(v) for v in trace.norms[::2500]],
-            },
-        )
-        yield CheckRecord(
-            "flow.actions_nondecreasing",
-            "the action is nondecreasing along the upward flow",
-            float(np.max(-np.diff(trace.actions))),
-            1e-12,
-        )
+        yield "nonlinear_energy_identity", defect, {
+            "E": float(E),
+            "curve_t": [float(t) for t in trace.times[::2500]],
+            "curve_action": [float(a) for a in trace.actions[::2500]],
+            "curve_energy": [float(e) for e in trace.cumulative_energy[::2500]],
+            "curve_norm": [float(v) for v in trace.norms[::2500]],
+        }
+        yield "actions_nondecreasing", float(np.max(-np.diff(trace.actions))), {}
 
     def semigroup():
         """linear semigroup"""
         g = Loop.from_modes(1, 8, {1: 0.1, 3: 0.02j, -2: 0.05})
         two = flow_step(m, flow_step(m, g, 0.005), 0.005)
         one = flow_step(m, g, 0.01)
-        yield CheckRecord(
-            "flow.semigroup_flat_region",
-            "flow_step composes exactly where the flow is linear",
-            float(np.max(np.abs(two.coeffs - one.coeffs))),
-            1e-12,
-        )
+        yield "semigroup_flat_region", float(np.max(np.abs(two.coeffs - one.coeffs))), {}
 
     def pushforward():
         """cycle pushforward"""
@@ -1224,22 +1188,12 @@ def _suite_flow(config: Config) -> list[CheckRecord]:
         worst_id = max(
             float(np.max(np.abs(r.final.coeffs - p.coeffs))) for r, p in zip(out_id, pts)
         )
-        yield CheckRecord(
-            "flow.pushforward_identity_at_zero_time",
-            "GF_0 is the identity on cycle points",
-            worst_id,
-            0.0,
-        )
+        yield "pushforward_identity_at_zero_time", worst_id, {}
         out = gf_pushforward(m, pts, 0.05, 1e-4)
         min_gain = min(
             action(m, r.final) - action(m, p) for r, p in zip(out, pts) if r.ok
         )
-        yield CheckRecord(
-            "flow.pushforward_actions_increase",
-            "actions strictly increase along the flow off critical points",
-            -min_gain,
-            0.0,
-        )
+        yield "pushforward_actions_increase", -min_gain, {}
         rng = config.rng("flow.blowup")
         wild = project(gaussian_loop(1, N, rng), "plus")
         wild = (0.45 / sobolev_norm(wild, 0.5)) * wild
@@ -1249,13 +1203,7 @@ def _suite_flow(config: Config) -> list[CheckRecord]:
         t_wild = max(2.5, 60.0 / N)
         res = gf_pushforward(m, [wild, tame], t_wild, 0.09 / N)
         ok = (not res[0].ok and res[0].blowup_time is not None) and res[1].ok
-        yield CheckRecord(
-            "flow.pushforward_blowup_recorded",
-            "per-point blowups are recorded without failing the batch",
-            0.0 if ok else 1.0,
-            0.5,
-            details={"blowup_time": res[0].blowup_time},
-        )
+        yield "pushforward_blowup_recorded", 0.0 if ok else 1.0, {"blowup_time": res[0].blowup_time}
 
     # energy vs L^2_1 norm equivalence for the linear (pure quadratic) model.
     # With X_H = c u, the energy density per mode n is |u_n'|^2 + (n - im c)^2
@@ -1284,20 +1232,8 @@ def _suite_flow(config: Config) -> list[CheckRecord]:
             ratio = energy(m_quad, u) / cyl_norm(u, "L2_1") ** 2
             lo_seen, hi_seen = min(lo_seen, ratio), max(hi_seen, ratio)
             worst = max(worst, lo - ratio, ratio - hi)
-        yield CheckRecord(
-            "flow.equivalence_bounds",
-            "E(u)/||u||^2_{L^2_1} within per-mode bounds from |i n - c|^2",
-            worst,
-            1e-12,
-            details={"m": lo, "M": hi, "seen": [lo_seen, hi_seen]},
-        )
-        yield CheckRecord(
-            "flow.equivalence_positive_lower_bound",
-            "c = 2.2i: min_n (n - 2.2)^2 = 0.04 at n = 2 gives m >= 0.04/10",
-            0.04 * 0.1 - lo,
-            1e-15,
-            details={"m": lo},
-        )
+        yield "equivalence_bounds", worst, {"m": lo, "M": hi, "seen": [lo_seen, hi_seen]}
+        yield "equivalence_positive_lower_bound", 0.04 * 0.1 - lo, {"m": lo}
 
     def equivalence_resonant():
         """resonant counterexample"""
@@ -1307,13 +1243,9 @@ def _suite_flow(config: Config) -> list[CheckRecord]:
         vals[:, N + 2, 0] = 1.0  # resonant mode n = 2, constant in t
         u = CylinderMap(1, N, 0.4, M_t, vals)
         ratio = energy(m_res, u) / cyl_norm(u, "L2_1") ** 2
-        yield CheckRecord(
-            "flow.equivalence_resonant_degenerates",
-            "c = 2i: the resonant mode carries energy 0, the lower bound collapses",
-            max(ratio, lo),
-            1e-12,
-            details={"resonant_ratio": float(ratio), "resonant_lower_bound": lo},
-        )
+        yield "equivalence_resonant_degenerates", max(ratio, lo), {
+            "resonant_ratio": float(ratio), "resonant_lower_bound": lo
+        }
 
     return _run_groups("flow", (
         linear, orbit_stationary, nonlinear_identity, semigroup, pushforward,
@@ -1324,94 +1256,98 @@ def _suite_flow(config: Config) -> list[CheckRecord]:
 # -- orbits suite ---------------------------------------------------------------------
 
 
+CHECKS["orbits"] = {
+    "alpha_scan": [
+        ("beta_positive",
+         "there exist alpha, beta > 0 with CSD >= beta on the alpha-sphere", 0.0),
+    ],
+    "sigma_boundary": [
+        ("sigma_boundary_nonpositive",
+         "CSD <= 0 on the boundary of the tau-box for tau large", 0.0),
+    ],
+    "transversality": [
+        ("transversality_full_rank",
+         "the sphere and box tangents span the truncation at alpha e+", -1e-12),
+        ("intersection_unique", "the families meet exactly in the single point alpha e+", 0.0),
+    ],
+    "windings": [
+        row
+        for k in (1, 2)
+        for row in (
+            (f"winding{k}_radius", "found orbit radius matches the scalar bisection oracle", 1e-6),
+            (f"winding{k}_action", "found orbit action matches k r^2 / 2 - h(r^2)", 1e-6),
+            (f"winding{k}_gradient", "the found loop is critical: ||grad CSD|| <= 1e-8", 1e-8),
+            (f"winding{k}_above_beta", "critical point with CSD >= beta", 1e-6),
+        )
+    ],
+    "oracle": [
+        ("oracle_criticality", "2 h'(r^2) = k at the oracle radius", 1e-8),
+        ("oracle_action_form", "oracle action equals the radial closed form", 1e-6),
+        ("oracle_no_root_detected",
+         "windings outside (0, 2(1+eps)) have no radial orbit", 0.5),
+    ],
+    "perturbation": [
+        ("perturbation_action_bounded",
+         "|CSD(F(x, v)) - CSD(x)| bounded independent of x", 10.0),
+        ("rho_values", "rho = 1 on [-1, 1] and 1/x^2 outside [-2, 2]", 1e-14),
+    ],
+    "sigma_faces": [
+        ("sigma_boundary_faces",
+         "boundary samples sit on ||gamma^-|| = tau or s in {0, tau}", 1e-12),
+    ],
+}
+
+
 def _suite_orbits(config: Config) -> list[CheckRecord]:
     m = config.model
     N = config.N
-    state: dict = {}
 
     def alpha_scan():
         """sphere minimum scan"""
         alpha_star, beta_star, table = cyc.scan_alpha(
             m, samples=48, descent_steps=120, seed=config.seed, N=N
         )
-        state["alpha_star"], state["beta_star"] = alpha_star, beta_star
-        yield CheckRecord(
-            "orbits.beta_positive",
-            "there exist alpha, beta > 0 with CSD >= beta on the alpha-sphere",
-            -beta_star,
-            0.0,
-            details={"alpha_star": alpha_star, "beta_star": beta_star, "table": table},
-        )
+        yield "beta_positive", -beta_star, {
+            "alpha_star": alpha_star, "beta_star": beta_star, "table": table
+        }
+        return alpha_star, beta_star
 
     def sigma_boundary():
         """box boundary"""
         tau_star, worst = cyc.derive_tau(m, samples=240, seed=config.seed + 1, N=N)
-        state["tau_star"] = tau_star
-        yield CheckRecord(
-            "orbits.sigma_boundary_nonpositive",
-            "CSD <= 0 on the boundary of the tau-box for tau large",
-            worst,
-            0.0,
-            details={"tau_star": tau_star},
-        )
+        yield "sigma_boundary_nonpositive", worst, {"tau_star": tau_star}
+        return tau_star
 
-    def transversality():
+    def transversality(alpha_scan, sigma_boundary):
         """transverse intersection"""
-        alpha_star = state.get("alpha_star", 1.0)
-        tau_star = max(state.get("tau_star", 2.0), alpha_star)
-        out = cyc.transversality_check(alpha_star, tau_star, N=N)
-        yield CheckRecord(
-            "orbits.transversality_full_rank",
-            "the sphere and box tangents span the truncation at alpha e+",
-            -out["sigma_min"],
-            -1e-12,
-            details={"sigma_min": out["sigma_min"], "sigma_max": out["sigma_max"]},
-        )
-        yield CheckRecord(
-            "orbits.intersection_unique",
-            "the families meet exactly in the single point alpha e+",
-            abs(out["intersection_dim"] - 1),
-            0.0,
-            details={"s_at_intersection": out["s_at_intersection"]},
-        )
+        alpha_star, _ = alpha_scan
+        out = cyc.transversality_check(alpha_star, max(sigma_boundary, alpha_star), N=N)
+        yield "transversality_full_rank", -out["sigma_min"], {
+            "sigma_min": out["sigma_min"], "sigma_max": out["sigma_max"]
+        }
+        yield "intersection_unique", abs(out["intersection_dim"] - 1), {
+            "s_at_intersection": out["s_at_intersection"]
+        }
 
-    def windings():
+    def windings(alpha_scan):
         """orbit existence and oracle match"""
-        alpha_star = state.get("alpha_star", 1.0)
-        beta_star = state.get("beta_star", 0.0)
+        alpha_star, beta_star = alpha_scan
         for k in (1, 2):
             oracle = cyc.radial_orbit_oracle(m, k)
             seed_loop = cyc.winding_seed(alpha_star, k, N)
             found = cyc.find_critical_point(
                 m, seed_loop, flow_time=1.0, newton_tol=1e-11, beta=beta_star
             )
-            yield CheckRecord(
-                f"orbits.winding{k}_radius",
-                "found orbit radius matches the scalar bisection oracle",
-                abs(found.radius - oracle.radius),
-                1e-6,
-                details={"found": found.radius, "oracle": oracle.radius},
-            )
-            yield CheckRecord(
-                f"orbits.winding{k}_action",
-                "found orbit action matches k r^2 / 2 - h(r^2)",
-                abs(found.action - oracle.action),
-                1e-6,
-                details={"found": found.action, "oracle": oracle.action},
-            )
-            yield CheckRecord(
-                f"orbits.winding{k}_gradient",
-                "the found loop is critical: ||grad CSD|| <= 1e-8",
-                found.gradient_norm,
-                1e-8,
-            )
-            yield CheckRecord(
-                f"orbits.winding{k}_above_beta",
-                "critical point with CSD >= beta",
-                beta_star - found.action,
-                1e-6,
-                details={"flagged_below_beta": found.action_below_beta},
-            )
+            yield f"winding{k}_radius", abs(found.radius - oracle.radius), {
+                "found": found.radius, "oracle": oracle.radius
+            }
+            yield f"winding{k}_action", abs(found.action - oracle.action), {
+                "found": found.action, "oracle": oracle.action
+            }
+            yield f"winding{k}_gradient", found.gradient_norm, {}
+            yield f"winding{k}_above_beta", beta_star - found.action, {
+                "flagged_below_beta": found.action_below_beta
+            }
 
     def oracle():
         """oracle internals"""
@@ -1423,29 +1359,14 @@ def _suite_orbits(config: Config) -> list[CheckRecord]:
                 worst_action,
                 abs(orb.action - (0.5 * k * orb.radius**2 - float(m.h(orb.radius**2)))),
             )
-        yield CheckRecord(
-            "orbits.oracle_criticality",
-            "2 h'(r^2) = k at the oracle radius",
-            worst_root,
-            1e-8,
-        )
-        yield CheckRecord(
-            "orbits.oracle_action_form",
-            "oracle action equals the radial closed form",
-            worst_action,
-            1e-6,
-        )
+        yield "oracle_criticality", worst_root, {}
+        yield "oracle_action_form", worst_action, {}
         try:
             cyc.radial_orbit_oracle(m, 3)
             no_root_raised = 1.0
         except cyc.NoRoot:
             no_root_raised = 0.0
-        yield CheckRecord(
-            "orbits.oracle_no_root_detected",
-            "windings outside (0, 2(1+eps)) have no radial orbit",
-            no_root_raised,
-            0.5,
-        )
+        yield "oracle_no_root_detected", no_root_raised, {}
 
     def perturbation():
         """perturbation map"""
@@ -1461,18 +1382,8 @@ def _suite_orbits(config: Config) -> list[CheckRecord]:
                 points.append(g.coeffs)
                 moved.append(cyc.perturb(g, v).coeffs)
         gap = action_values(m, np.stack(moved)) - action_values(m, np.stack(points))
-        yield CheckRecord(
-            "orbits.perturbation_action_bounded",
-            "|CSD(F(x, v)) - CSD(x)| bounded independent of x",
-            float(np.max(np.abs(gap))),
-            10.0,
-        )
-        yield CheckRecord(
-            "orbits.rho_values",
-            "rho = 1 on [-1, 1] and 1/x^2 outside [-2, 2]",
-            abs(cyc.rho(0.5) - 1.0) + abs(cyc.rho(3.0) - 1.0 / 9.0),
-            1e-14,
-        )
+        yield "perturbation_action_bounded", float(np.max(np.abs(gap))), {}
+        yield "rho_values", abs(cyc.rho(0.5) - 1.0) + abs(cyc.rho(3.0) - 1.0 / 9.0), {}
 
     def sigma_faces():
         """box boundary sampler"""
@@ -1483,12 +1394,7 @@ def _suite_orbits(config: Config) -> list[CheckRecord]:
             s = float(project(p, "plus").mode(1)[0].real)
             on_face = min(abs(minus_norm - 1.5), abs(s), abs(s - 1.5))
             worst = max(worst, on_face)
-        yield CheckRecord(
-            "orbits.sigma_boundary_faces",
-            "boundary samples sit on ||gamma^-|| = tau or s in {0, tau}",
-            worst,
-            1e-12,
-        )
+        yield "sigma_boundary_faces", worst, {}
 
     return _run_groups("orbits", (
         alpha_scan, sigma_boundary, transversality, windings, oracle, perturbation,
@@ -1551,35 +1457,33 @@ def run_suite(config: Config, suite: str = "all", write: bool = True) -> Report:
 
 @tracked("harness.emit_plots_data")
 def emit_plots_data(records: list[CheckRecord], out_dir) -> list[str]:
-    """Write the sweep curves of the check records as CSV files for external plotting."""
-    by_name = {r.name: r for r in records}
+    """Write the sweep curves of the check records as CSV files for external plotting.
+
+    A curve whose record is absent or was not run gives a header-only file.
+    """
+    details = {r.name: r.details for r in records}
+
+    def series(name, *keys):
+        return [details.get(name, {}).get(key, []) for key in keys]
 
     # the p record carries the eps grid and all four estimate series
-    aps = by_name.get("aps.uniformity_p_variation")
+    operators = ("p", "q", "restriction", "mixed_l4")
+    eps, *estimates = series("aps.uniformity_p_variation", "eps", *operators)
     aps_rows = [
         [op, f"{e:.12g}", f"{v:.17g}"]
-        for op in ("p", "q", "restriction", "mixed_l4")
-        for e, v in zip(aps.details["eps"], aps.details[op])
-    ] if aps else []
-
-    vrec = by_name.get("contraction.vstar_monotone")
-    srec = by_name.get("contraction.sensitivity_decreasing")
-    contraction_rows = []
-    if vrec and "eps" in vrec.details:
-        sens = dict(
-            zip(srec.details.get("eps", []), srec.details.get("sensitivity", []))
-        ) if srec else {}
-        contraction_rows = [
-            [f"{e:.12g}", f"{v:.17g}", f"{sens.get(e, float('nan')):.17g}"]
-            for e, v in zip(vrec.details["eps"], vrec.details["v_norm"])
-        ]
-
-    flow = by_name.get("flow.nonlinear_energy_identity")
-    has_curve = flow and "curve_t" in flow.details
-    curve = [
-        flow.details[key] if has_curve else []
-        for key in ("curve_t", "curve_action", "curve_energy", "curve_norm")
+        for op, values in zip(operators, estimates)
+        for e, v in zip(eps, values)
     ]
+
+    sens = dict(zip(*series("contraction.sensitivity_decreasing", "eps", "sensitivity")))
+    contraction_rows = [
+        [f"{e:.12g}", f"{v:.17g}", f"{sens.get(e, float('nan')):.17g}"]
+        for e, v in zip(*series("contraction.vstar_monotone", "eps", "v_norm"))
+    ]
+
+    curve = series(
+        "flow.nonlinear_energy_identity", "curve_t", "curve_action", "curve_energy", "curve_norm"
+    )
 
     written = []
     for name, (header, rows) in (

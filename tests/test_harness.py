@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from looplab import coverage, cycles, harness
+from looplab import coverage, cycles, hamiltonian, harness
 from looplab.cli import COMMANDS, main as cli_main
-from looplab.harness import Config, emit_plots_data, from_json, run_suite
+from looplab.harness import CheckRecord, Config, emit_plots_data, from_json, run_suite
 from looplab.loops import theta_points
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -184,26 +184,118 @@ class TestSuites:
         assert error.anchor == "sphere minimum scan"
         assert (error.computed, error.bound, error.passed) == (np.inf, 0.0, False)
         assert error.details == {"exception": "RuntimeError: scan unavailable"}
-        assert "orbits.beta_positive" not in records
-        # the later groups still report, from their fallback alpha and beta
-        for name in ("orbits.sigma_boundary_nonpositive", "orbits.transversality_full_rank",
-                     "orbits.winding1_radius", "orbits.oracle_criticality",
-                     "orbits.rho_values", "orbits.sigma_boundary_faces"):
-            assert name in records, name
-        assert not any(n.endswith(".error") for n in records if n != "orbits.alpha_scan.error")
+        beta = records["orbits.beta_positive"]
+        assert (beta.computed, beta.bound, beta.passed) == (np.inf, 0.0, False)
+        assert beta.anchor == "there exist alpha, beta > 0 with CSD >= beta on the alpha-sphere"
+        assert beta.details == {"not_run": "alpha_scan raised RuntimeError: scan unavailable"}
+        # the groups that take the scan's alpha and beta are not run, instead
+        # of running on default values; the later groups still report
+        consumers = ["orbits.transversality_full_rank", "orbits.intersection_unique"] + [
+            f"orbits.winding{k}_{part}"
+            for k in (1, 2) for part in ("radius", "action", "gradient", "above_beta")
+        ]
+        for name in consumers:
+            assert records[name].computed == np.inf and not records[name].passed, name
+            assert records[name].details == {"not_run": "no output from alpha_scan"}, name
+        for name in ("orbits.sigma_boundary_nonpositive", "orbits.oracle_criticality",
+                     "orbits.oracle_action_form", "orbits.oracle_no_root_detected",
+                     "orbits.perturbation_action_bounded", "orbits.rho_values",
+                     "orbits.sigma_boundary_faces"):
+            assert records[name].passed, name
+        assert len(records) == 19  # the 18 declared checks and the error record
+
+    def test_failed_picard_fails_its_consumers(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("no solve")
+
+        cfg = Config(N=8, M_t=16, seed=11, output_dir=str(tmp_path))
+        monkeypatch.setattr(harness, "picard_solve", broken)
+        records = {r.name: r for r in run_suite(cfg, "contraction", write=False).records}
+        for name in ("small_data_ratio", "small_data_residual", "vstar_monotone"):
+            record = records[f"contraction.{name}"]
+            assert record.computed == np.inf and not record.passed, name
+            assert "RuntimeError: no solve" in record.details["not_run"], name
+        energy = records["contraction.energy_identity"]
+        assert (energy.computed, energy.bound, energy.passed) == (np.inf, 1e-5, False)
+        assert energy.details == {"not_run": "no output from small_data"}
+        assert "contraction.energy_identity.error" not in records
+
+    def test_group_raising_partway_fails_the_rest(self, fast_config, monkeypatch):
+        # splitting yields three checks before it needs the Lipschitz bound
+        def broken(self):
+            raise FloatingPointError("no bound")
+
+        monkeypatch.setattr(hamiltonian.Splitting, "lipschitz_bound", broken)
+        rep = run_suite(fast_config, "norms", write=False)
+        records = {r.name: r for r in rep.records}
+        for name in ("splitting_exact", "splitting_nonresonant_flag", "compact_part_support"):
+            assert records[f"norms.{name}"].passed, name
+        rest = records["norms.compact_part_l2_continuity"]
+        assert (rest.computed, rest.bound, rest.passed) == (np.inf, 0.0, False)
+        assert rest.details == {"not_run": "splitting raised FloatingPointError: no bound"}
+        error = records["norms.splitting.error"]
+        assert error.details == {"exception": "FloatingPointError: no bound"}
+        assert [r.name for r in rep.records if not r.passed] == [
+            "norms.compact_part_l2_continuity", "norms.splitting.error"
+        ]
+
+    def test_undeclared_or_missing_names(self, monkeypatch):
+        monkeypatch.setitem(harness.CHECKS, "demo", {
+            "stray": [("declared", "anchor", 1.0)],
+            "short": [("first", "one", 1.0), ("second", "two", 2.0)],
+        })
+
+        def stray():
+            """stray names"""
+            yield "undeclared", 0.0, {}
+
+        def short():
+            """stops early"""
+            yield "first", 0.5, {"x": 1}
+
+        records = harness._run_groups("demo", (stray, short))
+        undeclared = "ValueError: undeclared check demo.undeclared"
+        assert [(r.name, r.computed, r.bound, r.details) for r in records] == [
+            ("demo.declared", np.inf, 1.0, {"not_run": f"stray raised {undeclared}"}),
+            ("demo.stray.error", np.inf, 0.0, {"exception": undeclared}),
+            ("demo.first", 0.5, 1.0, {"x": 1}),
+            ("demo.second", np.inf, 2.0, {"not_run": "short did not yield it"}),
+        ]
+
+
+class TestCheckTables:
+    def test_declared_names_match_the_golden_report(self):
+        golden = Path(__file__).resolve().parent / "golden" / "report_all.json"
+        names = {check["name"] for check in json.loads(golden.read_text())["checks"]}
+        declared = [
+            f"{suite}.{name}"
+            for suite, table in harness.CHECKS.items()
+            for rows in table.values()
+            for name, _, _ in rows
+        ]
+        assert len(names) == 78 and len(declared) == 78
+        assert set(declared) == names
+        assert set(harness.CHECKS) == set(harness.SUITES)
 
 
 class TestPlotsData:
     def test_empty_report_gives_headers(self, tmp_path):
-        files = emit_plots_data([], str(tmp_path))
-        for path in files:
-            lines = open(path).read().strip().splitlines()
-            assert len(lines) == 1  # header only
-        assert {os.path.basename(p) for p in files} == {
-            "aps_sweep.csv",
-            "contraction_sweep.csv",
-            "flow_curve.csv",
-        }
+        # no records, or the sweep records recorded as not run
+        not_run = [
+            CheckRecord(name, "anchor", np.inf, 1.0, {"not_run": "no output from producer"})
+            for name in ("aps.uniformity_p_variation", "contraction.vstar_monotone",
+                         "contraction.sensitivity_decreasing", "flow.nonlinear_energy_identity")
+        ]
+        for i, records in enumerate(([], not_run)):
+            files = emit_plots_data(records, str(tmp_path / str(i)))
+            for path in files:
+                lines = open(path).read().strip().splitlines()
+                assert len(lines) == 1  # header only
+            assert {os.path.basename(p) for p in files} == {
+                "aps_sweep.csv",
+                "contraction_sweep.csv",
+                "flow_curve.csv",
+            }
 
     def test_rerun_identical_files(self, tmp_path, fast_config):
         rep = run_suite(fast_config, "contraction", write=False)

@@ -741,8 +741,9 @@ class TestColumnWorkers:
 
     def test_failing_part_is_a_group_error(self, n_workers, monkeypatch):
         # in the first thread the residual Gram of the second eps fails: its
-        # right-inverse group alone becomes an error record, and the other
-        # threads' suites keep the bytes of the serial run
+        # right-inverse group alone adds an error record and records its
+        # checks as not run, and the other threads' suites keep the bytes of
+        # the serial run
         config = Config(N=4, M_t=8, eps_list=(0.1, 0.01))
         serial = aps_report(config)
         gram, local = harness.residual_gram, threading.local()
@@ -763,7 +764,11 @@ class TestColumnWorkers:
         (error,) = [r for r in records if r.name == "aps.right_inverse.error"]
         assert error.details == {"exception": "FloatingPointError: residual Gram 2"}
         assert not error.passed
-        assert "aps.right_inverse_residual" not in names
+        (residual,) = [r for r in records if r.name == "aps.right_inverse_residual"]
+        assert residual.computed == np.inf and not residual.passed
+        assert residual.details == {
+            "not_run": "right_inverse raised FloatingPointError: residual Gram 2"
+        }
         assert "aps.uniformity_p_variation" in names and "aps.end_vanishing_l4" in names
         for other in others:
             assert json.dumps([r.to_json_dict() for r in other]) == serial
@@ -837,7 +842,7 @@ class TestStreamingMemory:
         # fields are formed, one time block at a time, and the gradient is a
         # Gram form of the windowed basis (65, 1, 3)
         group = aps_group(monkeypatch, Config(), "end_vanishing")
-        (record,), peak = self.peak(lambda: list(group()))
+        (record,), peak = self.peak(lambda: harness._run_groups("aps", (group,)))
         assert record.name == "aps.end_vanishing_l4" and peak < 8 * 2**20
 
     def test_right_inverse_streams(self):
