@@ -30,6 +30,7 @@ from .loops import (
     mode_numbers,
     project,
     sobolev_norm,
+    sobolev_sq,
     sobolev_weights,
     synthesize_values,
     theta_values,
@@ -148,16 +149,12 @@ def _descent_step(
     n = mode_numbers(N).astype(float)[:, None]
     plus = (mode_numbers(N) > 0)[:, None]
     w = sobolev_weights(0.5, N)[:, None]
-
-    def half_norms(block):
-        return np.sqrt(block_sums(w * np.abs(block) ** 2))
-
     gamma = c[active]
     g = np.where(plus, n * gamma - grad_h_modes(m, gamma), 0.0)
     # remove the radial component in the half-norm metric
     radial = block_sums(w * (g * gamma.conj()).real) / alpha**2
     direction = g - gamma * radial[:, None, None]
-    dir_norm = half_norms(direction)
+    dir_norm = np.sqrt(sobolev_sq(direction, 0.5))
     moving = dir_norm > 1e-14 * (1.0 + alpha)
     active, gamma = active[moving], gamma[moving]
     direction, dir_norm = direction[moving], dir_norm[moving]
@@ -169,7 +166,7 @@ def _descent_step(
         candidate = gamma[searching] - direction[searching] * (
             step[rows] / dir_norm[searching]
         )[:, None, None]
-        nrm = half_norms(candidate)
+        nrm = np.sqrt(sobolev_sq(candidate, 0.5))
         scaled = nrm > 0
         candidate[scaled] = candidate[scaled] * (alpha / nrm[scaled])[:, None, None]
         cand_value = action_values(m, candidate)
@@ -312,8 +309,7 @@ def rho(x):
 def perturb(sigma_point: Loop, v: Loop) -> Loop:
     """sigma_point + rho(||sigma_point||^2_{1/2}) v, with v in the unit L^2_2 ball."""
     sigma_point._check(v)
-    w2 = sobolev_weights(1, v.N) ** 2
-    ball = float(np.sum(w2[:, None] * np.abs(v.coeffs) ** 2))
+    ball = float(sobolev_sq(v.coeffs, 2))
     if ball > 1.0 + 1e-12:
         raise ValueError(f"perturbation lies outside the unit L^2_2 ball ({ball:.4g} > 1)")
     scale = rho(sobolev_norm(sigma_point, 0.5) ** 2)

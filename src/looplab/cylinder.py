@@ -424,11 +424,12 @@ def _l4_rows(block: np.ndarray, N: int) -> np.ndarray:
 def l4_combination(basis: np.ndarray, coeffs, h: float, N: int) -> np.ndarray:
     """L^4 norm per batch column of the field sum_k c_k[n] X[:, n, k].
 
-    basis X is real (nodes, modes, K) and coeffs holds K blocks (modes,
-    batch); the field is formed and reduced one time block at a time.
+    basis X is real (nodes, modes, K), or (nodes, 1, K) when every mode
+    shares it, and coeffs holds K blocks (modes, batch); the field is formed
+    and reduced one time block at a time.
     """
     n_nodes, batch = len(basis), coeffs[0].shape[1]
-    rows = block_rows(n_nodes, basis.shape[1] * batch * np.dtype(complex).itemsize)
+    rows = block_rows(n_nodes, coeffs[0].size * np.dtype(complex).itemsize)
     quartic = np.empty((n_nodes, batch))
     for start, stop in time_blocks(n_nodes, rows):
         x = basis[start:stop]

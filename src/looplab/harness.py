@@ -80,6 +80,7 @@ from .loops import (
     project,
     sample,
     sobolev_norm,
+    sobolev_sq,
     sobolev_weights,
     synthesize,
     theta_points,
@@ -367,6 +368,11 @@ def _run_groups(suite: str, groups) -> list[CheckRecord]:
     return records
 
 
+def _mode_data(N: int, n: int, a: float) -> BoundaryData:
+    """Boundary data a e^{i n theta} at t = 0 and zero at the far end, in C^1."""
+    return BoundaryData(plus0=Loop.from_modes(1, N, {n: a}), minus_end=Loop.zero(1, N))
+
+
 # -- batch helpers for the sweep checks ------------------------------------------
 
 
@@ -380,7 +386,7 @@ def _smooth_field_coeffs(rng, N: int, batch: int) -> list[np.ndarray]:
 
 def _half_norm_sq(coeffs: np.ndarray, N: int) -> np.ndarray:
     """Squared half-norm sum_n w_n |c_n|^2 of every batch column of coeffs (2N+1, batch)."""
-    return np.sum(sobolev_weights(0.5, N)[:, None] * np.abs(coeffs) ** 2, axis=0)
+    return sobolev_sq(coeffs.T[..., None], 0.5)
 
 
 def _right_inverse_errors(rng, N: int, M_t: int, eps: float) -> tuple[float, float]:
@@ -768,9 +774,7 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
         min_margin = np.inf
         for eps in (0.5, 0.1, 0.01):
             for lam in range(1, N + 1):
-                beta = BoundaryData(
-                    plus0=Loop.from_modes(1, N, {-lam: 1.0}), minus_end=Loop.zero(1, N)
-                )
+                beta = _mode_data(N, -lam, 1.0)
                 u = q_op(beta, eps, M_t=M_t)
                 defect = trace_defect_sq(u)
                 expected_defect = lam * (1 - np.exp(-eps * lam)) ** 2
@@ -918,8 +922,7 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
                 coeffs = _smooth_field_coeffs(rng, N, 250)
                 x = windows[chunk % 2]
                 grad_sq = quadratic_forms(_sobolev_gram(x, n_sq, h), coeffs)
-                basis = np.broadcast_to(x, (M_t + 1, 2 * N + 1, 3))
-                lhs = l4_combination(basis, coeffs, h, N) ** 4
+                lhs = l4_combination(x, coeffs, h, N) ** 4
                 worst = max(worst, float(np.max(lhs / (eps * grad_sq**2))))
         yield "end_vanishing_l4", worst, {}
 
@@ -993,9 +996,7 @@ def _suite_contraction(config: Config) -> list[CheckRecord]:
 
     def engaged_sweep():
         """fixed-point norm sweep"""
-        beta = BoundaryData(
-            plus0=Loop.from_modes(1, N, {-1: 0.9}), minus_end=Loop.zero(1, N)
-        )
+        beta = _mode_data(N, -1, 0.9)
         solved = [picard_solve(m, beta, 2.0**-k, M_t=128) for k in range(2, 11)]
         norms = [res.v_norm for res in solved]
         yield "vstar_monotone", float(np.max(np.diff(norms))), {
@@ -1014,9 +1015,7 @@ def _suite_contraction(config: Config) -> list[CheckRecord]:
 
     def grid_convergence():
         """O(h^2) convergence"""
-        beta = BoundaryData(
-            plus0=Loop.from_modes(1, N, {-1: 0.8}), minus_end=Loop.zero(1, N)
-        )
+        beta = _mode_data(N, -1, 0.8)
         sols = {
             mt: picard_solve(m, beta, 0.1, tol=1e-13, M_t=mt) for mt in (32, 64, 128)
         }
@@ -1027,9 +1026,7 @@ def _suite_contraction(config: Config) -> list[CheckRecord]:
 
     def uniqueness():
         """unique small-energy solution"""
-        beta = BoundaryData(
-            plus0=Loop.from_modes(1, N, {-1: 0.7}), minus_end=Loop.zero(1, N)
-        )
+        beta = _mode_data(N, -1, 0.7)
         eps, mt = 0.1, 64
         base = picard_solve(m, beta, eps, M_t=mt)
         rng = config.rng("contraction.uniqueness")
@@ -1057,29 +1054,19 @@ def _suite_contraction(config: Config) -> list[CheckRecord]:
 
     def sensitivity():
         """boundary-data sensitivity"""
-        beta = BoundaryData(
-            plus0=Loop.from_modes(1, N, {-1: 0.9}), minus_end=Loop.zero(1, N)
-        )
-        db = BoundaryData(
-            plus0=Loop.from_modes(1, N, {-2: 0.05}), minus_end=Loop.zero(1, N)
-        )
+        beta = _mode_data(N, -1, 0.9)
+        db = _mode_data(N, -2, 0.05)
         vals = [h_eps_sensitivity(m, beta, 2.0**-k, db) for k in range(2, 9)]
         yield "sensitivity_decreasing", float(np.max(np.diff(vals))), {
             "eps": [2.0**-k for k in range(2, 9)], "sensitivity": vals
         }
-        s_small = h_eps_sensitivity(m, beta, 0.1, BoundaryData(
-            plus0=Loop.from_modes(1, N, {-2: 0.01}), minus_end=Loop.zero(1, N)
-        ))
-        s_double = h_eps_sensitivity(m, beta, 0.1, BoundaryData(
-            plus0=Loop.from_modes(1, N, {-2: 0.02}), minus_end=Loop.zero(1, N)
-        ))
+        s_small = h_eps_sensitivity(m, beta, 0.1, _mode_data(N, -2, 0.01))
+        s_double = h_eps_sensitivity(m, beta, 0.1, _mode_data(N, -2, 0.02))
         yield "sensitivity_first_order", abs(s_double / s_small - 1.0), {}
 
     def failure_modes():
         """loud failure"""
-        beta = BoundaryData(
-            plus0=Loop.from_modes(1, N, {-1: 1e3}), minus_end=Loop.zero(1, N)
-        )
+        beta = _mode_data(N, -1, 1e3)
         try:
             picard_solve(m, beta, 0.5)
             failed_loudly = 1.0
@@ -1371,13 +1358,12 @@ def _suite_orbits(config: Config) -> list[CheckRecord]:
     def perturbation():
         """perturbation map"""
         rng = config.rng("orbits.perturbation")
-        w2 = sobolev_weights(1, 8) ** 2
         points, moved = [], []
         for scale in (0.05, 0.5, 5.0, 50.0):
             for _ in range(250):
                 g = gaussian_loop(1, 8, rng, scale=scale)
                 v = gaussian_loop(1, 8, rng)
-                ball = np.sqrt(np.sum(w2[:, None] * np.abs(v.coeffs) ** 2))
+                ball = np.sqrt(sobolev_sq(v.coeffs, 2))
                 v = (0.999 / ball) * v
                 points.append(g.coeffs)
                 moved.append(cyc.perturb(g, v).coeffs)

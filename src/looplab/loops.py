@@ -62,7 +62,10 @@ def lambda_of_modes(N: int) -> np.ndarray:
 
 
 def sobolev_weights(order: float, N: int) -> np.ndarray:
-    """Mode weights for the L^2 (0), L^2_{1/2} (0.5) and L^2_1 (1) norms."""
+    """Mode weights for the L^2 (0), L^2_{1/2} (0.5), L^2_1 (1) and L^2_2 (2) norms.
+
+    The L^2_2 weight (1 + n^2)^2 is the square of the L^2_1 weight.
+    """
     n = mode_numbers(N)
     if order == 0:
         return np.ones_like(n, dtype=float)
@@ -72,7 +75,9 @@ def sobolev_weights(order: float, N: int) -> np.ndarray:
         return w
     if order == 1:
         return 1.0 + n.astype(float) ** 2
-    raise ValueError(f"unsupported Sobolev order {order!r}; use 0, 0.5 or 1")
+    if order == 2:
+        return sobolev_weights(1, N) ** 2
+    raise ValueError(f"unsupported Sobolev order {order!r}; use 0, 0.5, 1 or 2")
 
 
 def frozen_block(values, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -163,9 +168,8 @@ class Loop:
 
 @tracked("loopspace.sobolev_norm")
 def sobolev_norm(gamma: Loop, order: float) -> float:
-    """Sobolev norm of the loop: order 0, 1/2 (|n| weight, +1 on c_0) or 1."""
-    w = sobolev_weights(order, gamma.N)
-    return float(np.sqrt(np.sum(w[:, None] * np.abs(gamma.coeffs) ** 2)))
+    """Sobolev norm of the loop: order 0, 1/2 (|n| weight, +1 on c_0), 1 or 2."""
+    return float(np.sqrt(sobolev_sq(gamma.coeffs, order)))
 
 
 def block_sums(x: np.ndarray) -> np.ndarray:
@@ -175,6 +179,12 @@ def block_sums(x: np.ndarray) -> np.ndarray:
     each block sums bit-identically to np.sum of that block on its own.
     """
     return x.reshape(x.shape[:-2] + (-1,)).sum(axis=-1)
+
+
+def sobolev_sq(coeffs: np.ndarray, order: float) -> np.ndarray:
+    """Squared Sobolev norm of each (2N+1, d) block of a stack (..., 2N+1, d)."""
+    N = (coeffs.shape[-2] - 1) // 2
+    return block_sums(sobolev_weights(order, N)[:, None] * np.abs(coeffs) ** 2)
 
 
 @tracked("loopspace.inner")

@@ -37,7 +37,7 @@ from .cylinder import (
     q_op,
 )
 from .hamiltonian import HamiltonianModel, action, action_values, grad_h_modes, k_factor_constant
-from .loops import Loop, block_sums, mode_numbers, sample_coeffs, synthesize_values, theta_points
+from .loops import Loop, mode_numbers, sample_coeffs, sobolev_sq, synthesize_values, theta_points
 
 
 MAX_ITER = 200  # Picard iteration budget
@@ -250,12 +250,6 @@ def _etd_step(m: HamiltonianModel, ops: tuple, c: np.ndarray) -> np.ndarray:
     return grow * c + A @ (m.h_prime(s)[:, None] * x)
 
 
-def _node_norms(nodes: np.ndarray) -> np.ndarray:
-    """L^2 norm of each coefficient block of a stack (..., 2N+1, d); inf past overflow."""
-    with np.errstate(over="ignore"):
-        return np.sqrt(block_sums(np.abs(nodes) ** 2))
-
-
 @tracked("solver.flow_step")
 def flow_step(m: HamiltonianModel, gamma: Loop, dt: float) -> Loop:
     """One ETD step of the upward flow d/dt c_n = n c_n - (grad H)_n.
@@ -264,8 +258,9 @@ def flow_step(m: HamiltonianModel, gamma: Loop, dt: float) -> Loop:
     it, raises Blowup at time 0 when gamma fails the overflow guard.
     """
     _check_flow_dt(dt, gamma.N)
-    if not _node_norms(gamma.coeffs) <= BLOWUP_NORM:
-        raise Blowup(0.0)
+    with np.errstate(over="ignore"):  # inf past overflow
+        if not np.sqrt(sobolev_sq(gamma.coeffs, 0)) <= BLOWUP_NORM:
+            raise Blowup(0.0)
     return Loop(gamma.d, gamma.N, _etd_step(m, _etd_operators(gamma.N, dt), gamma.coeffs))
 
 
@@ -334,13 +329,13 @@ def flow_trajectory(m: HamiltonianModel, gamma: Loop, T: float, dt: float) -> Fl
                 nodes[j] = c
                 if start + j < steps:
                     c = _etd_step(m, ops, c)
-        norms[start:stop] = _node_norms(nodes)
+            norms[start:stop] = np.sqrt(sobolev_sq(nodes, 0))
         failed = np.flatnonzero(~(norms[start:stop] <= BLOWUP_NORM))
         passed = int(failed[0]) if len(failed) else len(nodes)
         if passed:
             actions[start : start + passed] = action_values(m, nodes[:passed])
             grad = n * nodes[:passed] - grad_h_modes(m, nodes[:passed])
-            grad_sq[start : start + passed] = block_sums(np.abs(grad) ** 2)
+            grad_sq[start : start + passed] = sobolev_sq(grad, 0)
         if passed < len(nodes):
             k = start + passed
             partial = FlowTrace(

@@ -210,6 +210,31 @@ class TestPExactOracle:
         # the prescribed ends are exact zeros
         assert np.all(u[0, lam >= 0] == 0) and np.all(u[-1, lam < 0] == 0)
 
+    @pytest.mark.parametrize("eps", (1e-3, 0.1, 1.0))
+    def test_basis_sweep_closed_form(self, eps):
+        # P[1] and P[tau] of basis_p_values on the grids of the aps right
+        # inverse check: t phi1(-lam t) and (t^2/eps) phi2(-lam t) for
+        # lam >= 0, and -(eps - t) phi1(-|lam| (eps - t)) for P[1] at lam < 0
+        from looplab import cylinder
+        from looplab.loops import lambda_of_modes
+
+        N = 32
+        M = max(2048, int(np.ceil(12000 * eps)))
+        h = eps / M
+        lam = lambda_of_modes(N).astype(float)
+        t = (h * np.arange(M + 1))[:, None]
+        pv = cylinder.basis_p_values(lam, h, M)
+        fwd, bwd = lam >= 0, lam < 0
+        s = eps - t
+        oracles = [
+            (pv[:, fwd, 0], t * cylinder.phi1(-lam[fwd] * t)),
+            (pv[:, fwd, 1], (t**2 / eps) * cylinder.phi2(-lam[fwd] * t)),
+            (pv[:, bwd, 0], -s * cylinder.phi1(-np.abs(lam[bwd]) * s)),
+        ]
+        for got, exact in oracles:
+            scale = np.max(np.abs(exact), axis=0)
+            assert np.all(np.max(np.abs(got - exact), axis=0) <= 1e-11 * scale)
+
 
 class TestBoundaryData:
     def test_decompose_combine_roundtrip(self):

@@ -548,6 +548,13 @@ class TestGramForms:
             field = field + basis[:, :, k, None] * coeffs[k]
         blocks_of(field[0].nbytes)
         assert same_bytes(cylinder.l4_combination(basis, coeffs, H, N), ref_l4_batch(field, H, N))
+        # a basis shared by every mode, (nodes, 1, K), in the time blocks of
+        # the full field, has the bytes of its broadcast
+        shared = basis[:, :1]
+        assert same_bytes(
+            cylinder.l4_combination(shared, coeffs, H, N),
+            cylinder.l4_combination(np.broadcast_to(shared, basis.shape), coeffs, H, N),
+        )
 
 
 class TestUniformityBlocked:

@@ -14,6 +14,8 @@ from looplab.loops import (
     sample,
     sample_coeffs,
     sobolev_norm,
+    sobolev_sq,
+    sobolev_weights,
     synthesize,
     synthesize_values,
 )
@@ -34,7 +36,7 @@ class TestSobolevNorm:
 
     def test_zero_loop_all_orders(self):
         z = Loop.zero(2, 5)
-        for order in (0, 0.5, 1):
+        for order in (0, 0.5, 1, 2):
             assert sobolev_norm(z, order) == 0.0
 
     def test_zero_mode_weight(self):
@@ -58,6 +60,32 @@ class TestSobolevNorm:
         g = Loop.zero(1, 2)
         with pytest.raises(ValueError):
             sobolev_norm(g, 0.25)
+        with pytest.raises(ValueError):
+            sobolev_sq(np.ones((2, 5, 1), complex), 3)
+
+    @pytest.mark.parametrize("order", (0, 0.5, 1, 2))
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    @pytest.mark.parametrize("lead", ((), (5,), (2, 3)), ids=["block", "stack", "grid"])
+    def test_sobolev_sq_per_block(self, order, d, lead):
+        # each block of a stack has the bytes of sobolev_norm of its loop and
+        # of the weighted sum over that block alone
+        N = 7
+        rng = np.random.default_rng(40 + d + 3 * len(lead))
+        shape = lead + (2 * N + 1, d)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        sq = sobolev_sq(c, order)
+        assert sq.shape == lead
+        w = sobolev_weights(order, N)[:, None]
+        for idx in np.ndindex(*lead):
+            root = float(np.sqrt(sq[idx])).hex()
+            assert root == sobolev_norm(Loop(d, N, c[idx]), order).hex()
+            assert root == float(np.sqrt(np.sum(w * np.abs(c[idx]) ** 2))).hex()
+
+    def test_order_two_weight(self):
+        # the L^2_2 weight (1 + n^2)^2 is the square of the L^2_1 weight, bit for bit
+        w2 = sobolev_weights(2, 9)
+        assert w2.tobytes() == (sobolev_weights(1, 9) ** 2).tobytes()
+        assert np.array_equal(w2, (1.0 + np.arange(-9, 10) ** 2) ** 2)
 
 
 class TestProjections:
