@@ -282,6 +282,9 @@ def main(argv=None) -> int:
     except cyc.NegativeBeta as exc:  # scan-alpha and check-cycles
         print(f"no admissible alpha found: {exc}", file=sys.stderr)
         return 1
+    except cyc.NoAdmissibleTau as exc:  # check-cycles
+        print(f"no admissible tau found: {exc}", file=sys.stderr)
+        return 1
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -13,13 +13,11 @@ from typing import Callable, TypeVar
 F = TypeVar("F", bound=Callable)
 
 _COUNTS: dict[str, int] = {}
-_REGISTERED: set[str] = set()
 
 
 def tracked(name: str) -> Callable[[F], F]:
     """Register ``name`` and count each call of the decorated function."""
 
-    _REGISTERED.add(name)
     _COUNTS.setdefault(name, 0)
 
     def deco(fn: F) -> F:
@@ -34,7 +32,7 @@ def tracked(name: str) -> Callable[[F], F]:
 
 
 def registered_ops() -> list[str]:
-    return sorted(_REGISTERED)
+    return sorted(_COUNTS)
 
 
 def counts() -> dict[str, int]:

@@ -22,16 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverage import tracked
-from .hamiltonian import HamiltonianModel, action, action_values, grad_action, grad_h_modes
+from .hamiltonian import HamiltonianModel, action, action_values, grad_action, grad_action_values
 from .loops import (
     Loop,
-    block_sums,
     gaussian_loop,
+    inner_values,
     mode_numbers,
     project,
     sobolev_norm,
     sobolev_sq,
-    sobolev_weights,
     synthesize_values,
     theta_values,
 )
@@ -48,6 +47,14 @@ class NegativeBeta(Exception):
     def __init__(self, value: float):
         super().__init__(f"sphere action minimum is nonpositive: {value:.6g}")
         self.value = value
+
+
+class NoAdmissibleTau(Exception):
+    """The box boundary action maximum stayed positive at every tau derive_tau tried."""
+
+    def __init__(self, tau: float, value: float):
+        super().__init__(f"box boundary maximum {value:.6g} > 0 at tau = {tau:g}, the last tried")
+        self.tau, self.value = tau, value
 
 
 class NewtonDivergence(Exception):
@@ -146,13 +153,11 @@ def _descent_step(
     Updates c, value and step in place and returns the rows still descending.
     """
     N = (c.shape[-2] - 1) // 2
-    n = mode_numbers(N).astype(float)[:, None]
     plus = (mode_numbers(N) > 0)[:, None]
-    w = sobolev_weights(0.5, N)[:, None]
     gamma = c[active]
-    g = np.where(plus, n * gamma - grad_h_modes(m, gamma), 0.0)
+    g = np.where(plus, grad_action_values(m, gamma), 0.0)
     # remove the radial component in the half-norm metric
-    radial = block_sums(w * (g * gamma.conj()).real) / alpha**2
+    radial = inner_values(g, gamma, 0.5) / alpha**2
     direction = g - gamma * radial[:, None, None]
     dir_norm = np.sqrt(sobolev_sq(direction, 0.5))
     moving = dir_norm > 1e-14 * (1.0 + alpha)
@@ -278,7 +283,8 @@ def derive_tau(
 ) -> tuple[float, float]:
     """Double tau from 1 until the box boundary action maximum is nonpositive.
 
-    Returns that tau and the maximum measured there.
+    Returns that tau and the maximum measured there; raises NoAdmissibleTau
+    when none of the _TAU_DOUBLINGS values of tau is admissible.
     """
     tau = 1.0
     for _ in range(_TAU_DOUBLINGS):
@@ -286,7 +292,7 @@ def derive_tau(
         if boundary_max <= 0:
             return tau, boundary_max
         tau *= 2.0
-    raise RuntimeError(f"no admissible tau found up to {tau}")
+    raise NoAdmissibleTau(tau / 2.0, boundary_max)
 
 
 # -- perturbation map ----------------------------------------------------------------
@@ -383,7 +389,7 @@ def _newton_matrix(m: HamiltonianModel, gamma: Loop) -> tuple[np.ndarray, np.nda
     N, d = gamma.N, gamma.d
     n = mode_numbers(N).astype(float)
     vals = theta_values(gamma.coeffs, N)
-    residual_block = n[:, None] * gamma.coeffs - grad_h_modes(m, gamma.coeffs)
+    residual_block = grad_action_values(m, gamma.coeffs)
     s = np.sum(np.abs(vals) ** 2, axis=-1)
     hp = m.h_prime(s)
     hpp = m.h_second(s)

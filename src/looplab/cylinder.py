@@ -29,13 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coverage import tracked
-from .hamiltonian import HamiltonianModel, grad_h_modes
+from .hamiltonian import HamiltonianModel, grad_action_values
 from .loops import (
     Loop,
     aps_project,
     frozen_block,
     lambda_of_modes,
-    mode_numbers,
     sobolev_norm,
     sobolev_weights,
     theta_values,
@@ -500,13 +499,10 @@ def cyl_norm(u: CylinderMap, which: str) -> float:
 
 @tracked("cylinder.energy")
 def energy(m: HamiltonianModel, u: CylinderMap) -> float:
-    """E(u) = 1/2 int (|u_t|^2 + |u_theta - X_H(u)|^2) dtheta/2pi dt."""
+    """E(u) = 1/2 int (|u_t|^2 + |grad CSD(u(t))|^2), grad CSD = -J (u_theta - X_H(u))."""
     h = u.dt
     du = dt_derivative(u.values, h)
-    n = mode_numbers(u.N).astype(float)
-    u_theta = (1j * n)[None, :, None] * u.values
-    defect = u_theta - 1j * grad_h_modes(m, u.values)
-    density = np.sum(np.abs(du) ** 2 + np.abs(defect) ** 2, axis=(1, 2))
+    density = np.sum(np.abs(du) ** 2 + np.abs(grad_action_values(m, u.values)) ** 2, axis=(1, 2))
     return float(0.5 * time_trapezoid(density, h))
 
 

@@ -188,6 +188,12 @@ def action_values(m: HamiltonianModel, coeffs: np.ndarray) -> np.ndarray:
     return quad - np.mean(eval_H(m, theta_values(coeffs, N)), axis=-1)
 
 
+def grad_action_values(m: HamiltonianModel, coeffs: np.ndarray) -> np.ndarray:
+    """L^2 gradient n c_n - (grad H)_n of CSD_H for each block of a stack (..., 2N+1, d)."""
+    N = (coeffs.shape[-2] - 1) // 2
+    return mode_numbers(N).astype(float)[:, None] * coeffs - grad_h_modes(m, coeffs)
+
+
 @tracked("hamiltonian.action")
 def action(m: HamiltonianModel, gamma: Loop) -> float:
     """CSD_H(gamma) = 1/2 sum_n n |c_n|^2 - mean_j H(gamma(theta_j)); see action_values."""
@@ -197,8 +203,7 @@ def action(m: HamiltonianModel, gamma: Loop) -> float:
 @tracked("hamiltonian.grad_action")
 def grad_action(m: HamiltonianModel, gamma: Loop) -> Loop:
     """Formal L^2 gradient: mode n of -J gamma' - grad H(gamma) is n c_n - (grad H o gamma)_n."""
-    n = gamma.modes.astype(float)
-    return Loop(gamma.d, gamma.N, n[:, None] * gamma.coeffs - grad_h_modes(m, gamma.coeffs))
+    return Loop(gamma.d, gamma.N, grad_action_values(m, gamma.coeffs))
 
 
 # -- linear/compact splitting ---------------------------------------------------

@@ -384,7 +384,7 @@ def _smooth_field_coeffs(rng, N: int, batch: int) -> list[np.ndarray]:
     ]
 
 
-def _half_norm_sq(coeffs: np.ndarray, N: int) -> np.ndarray:
+def _half_norm_sq(coeffs: np.ndarray) -> np.ndarray:
     """Squared half-norm sum_n w_n |c_n|^2 of every batch column of coeffs (2N+1, batch)."""
     return sobolev_sq(coeffs.T[..., None], 0.5)
 
@@ -408,8 +408,8 @@ def _right_inverse_errors(rng, N: int, M_t: int, eps: float) -> tuple[float, flo
     rel = np.sqrt(r_sq) / np.sqrt(g_sq)
     # prescribed boundary components of P g vanish
     pv = kernel_p_values(smooth_fields(chunks[0], M_t), lam, eps / M_t)
-    trace0 = np.sqrt(_half_norm_sq(np.where(plus_mask, pv[0], 0), N))
-    trace1 = np.sqrt(_half_norm_sq(np.where(plus_mask, 0, pv[-1]), N))
+    trace0 = np.sqrt(_half_norm_sq(np.where(plus_mask, pv[0], 0)))
+    trace1 = np.sqrt(_half_norm_sq(np.where(plus_mask, 0, pv[-1])))
     return float(np.max(rel)), max(float(np.max(trace0)), float(np.max(trace1)))
 
 
@@ -465,7 +465,7 @@ def _uniformity_estimates(rng, N: int, M_t: int, eps: float) -> tuple[float, ...
     probes = np.eye(2 * N + 1)
     c = np.concatenate([probes, gaussian_loop(1000, N, rng).coeffs], axis=1)
     q_l21 = np.sqrt(np.sum(grams["q"][:, None] * np.abs(c) ** 2, axis=0))
-    est_q = float(np.max(q_l21 / np.sqrt(_half_norm_sq(c, N))))
+    est_q = float(np.max(q_l21 / np.sqrt(_half_norm_sq(c))))
 
     # P and the restriction bound: per-mode constant probes (c0 = e_n and
     # c1 = c2 = 0) + smooth mixes
@@ -482,7 +482,7 @@ def _uniformity_estimates(rng, N: int, M_t: int, eps: float) -> tuple[float, ...
     c2 = gaussian_loop(100, N, rng).coeffs
     smooth2 = _smooth_field_coeffs(rng, N, 100)
     u_l4 = l4_combination(grams["mixed"], [c2] + smooth2, grams["h"], N)
-    denom = np.sqrt(_half_norm_sq(c2, N)) + np.sqrt(quadratic_forms(grams["g"], smooth2))
+    denom = np.sqrt(_half_norm_sq(c2)) + np.sqrt(quadratic_forms(grams["g"], smooth2))
     est_mix = float(np.max(u_l4 / denom))
     return est_p, est_q, est_r, est_mix
 

@@ -187,14 +187,19 @@ def sobolev_sq(coeffs: np.ndarray, order: float) -> np.ndarray:
     return block_sums(sobolev_weights(order, N)[:, None] * np.abs(coeffs) ** 2)
 
 
+def inner_values(a: np.ndarray, b: np.ndarray, order: float) -> np.ndarray:
+    """Real Sobolev pairing of each pair of (2N+1, d) blocks of two stacks (..., 2N+1, d)."""
+    N = (a.shape[-2] - 1) // 2
+    return block_sums(sobolev_weights(order, N)[:, None] * (a * b.conj()).real)
+
+
 @tracked("loopspace.inner")
 def inner(gamma: Loop, delta: Loop, order: float = 0) -> float:
     """Real inner product inducing sobolev_norm: inner(g, g, k) = norm(g, k)^2."""
     gamma._check(delta)
     if order not in (0, 0.5):
         raise ValueError("inner supports orders 0 and 0.5")
-    w = sobolev_weights(order, gamma.N)
-    return float(np.sum(w[:, None] * (gamma.coeffs * delta.coeffs.conj()).real))
+    return float(inner_values(gamma.coeffs, delta.coeffs, order))
 
 
 # -- polarization and APS projections -----------------------------------------

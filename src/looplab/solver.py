@@ -10,7 +10,7 @@ monitored: successive-ratio growth raises ContractionFailure, leaving the
 ball of radius 1/(8C) (C the recorded Sobolev-Lipschitz constant of the
 nonlinearity) raises BallExit.
 
-The upward gradient flow d/dt c_n = n c_n - (grad H)_n is integrated with
+The upward gradient flow d/dt c = grad_action_values(c) is integrated with
 the first-order exponential scheme c <- e^{n dt} c - dt phi1(n dt) grad H,
 exact on the stiff diagonal part.  A trajectory is a lean stepper, whose
 dense theta matrices cost O(N^2) a step and beat the FFT pair up to about
@@ -36,7 +36,8 @@ from .cylinder import (
     phi1,
     q_op,
 )
-from .hamiltonian import HamiltonianModel, action, action_values, grad_h_modes, k_factor_constant
+from .hamiltonian import HamiltonianModel, action, action_values, grad_action_values
+from .hamiltonian import grad_h_modes, k_factor_constant
 from .loops import Loop, mode_numbers, sample_coeffs, sobolev_sq, synthesize_values, theta_points
 
 
@@ -292,7 +293,7 @@ def flow_trajectory(m: HamiltonianModel, gamma: Loop, T: float, dt: float) -> Fl
     trajectory, which on solutions equals the action increment.  The nodes
     are stepped one by one into a buffer of _NODE_BLOCK rows, and each
     block of nodes gets its norms, actions (action_values) and
-    ||grad CSD||^2 (n c - grad_h_modes) in one call each; those values do
+    ||grad CSD||^2 (grad_action_values) in one call each; those values do
     not depend on the block.  Raises Blowup at the first node whose L^2 norm passes the
     overflow guard, with the trace of the nodes before it attached (its
     final loop is the last of them, or gamma when there is none); the steps
@@ -304,14 +305,11 @@ def flow_trajectory(m: HamiltonianModel, gamma: Loop, T: float, dt: float) -> Fl
         raise ValueError(f"flow step dt must be positive, got {dt!r}")
     d, N = gamma.d, gamma.N
 
-    steps = max(int(round(T / dt)), 0) if T > 0 else 0
-    if T > 0 and steps == 0:
-        steps = 1
+    steps = max(int(round(T / dt)), 1) if T > 0 else 0
     dt_eff = T / steps if steps else dt
     if steps:
         _check_flow_dt(dt_eff, N)
     ops = _etd_operators(N, dt_eff)
-    n = mode_numbers(N).astype(float)[:, None]
 
     times = np.arange(steps + 1) * dt_eff
     actions = np.zeros(steps + 1)
@@ -334,8 +332,7 @@ def flow_trajectory(m: HamiltonianModel, gamma: Loop, T: float, dt: float) -> Fl
         passed = int(failed[0]) if len(failed) else len(nodes)
         if passed:
             actions[start : start + passed] = action_values(m, nodes[:passed])
-            grad = n * nodes[:passed] - grad_h_modes(m, nodes[:passed])
-            grad_sq[start : start + passed] = sobolev_sq(grad, 0)
+            grad_sq[start : start + passed] = sobolev_sq(grad_action_values(m, nodes[:passed]), 0)
         if passed < len(nodes):
             k = start + passed
             partial = FlowTrace(

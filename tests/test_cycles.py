@@ -4,6 +4,7 @@ import pytest
 from looplab.cycles import (
     FlowBlowup,
     NegativeBeta,
+    NoAdmissibleTau,
     NoRoot,
     check_sigma_boundary,
     derive_tau,
@@ -172,6 +173,14 @@ class TestSigmaBoundary:
     def test_derived_tau_admissible(self, model):
         tau, worst = derive_tau(model, samples=120, seed=16)
         assert worst == check_sigma_boundary(model, tau, samples=120, seed=16) <= 0
+
+    def test_no_admissible_tau_raises(self):
+        # a core this wide keeps the boundary action positive up to the last doubling
+        wide = HamiltonianModel(s0=1e8, s1=2e8)
+        with pytest.raises(NoAdmissibleTau) as exc:
+            derive_tau(wide, samples=4, seed=1, N=8)
+        assert exc.value.tau == 2048.0
+        assert exc.value.value == check_sigma_boundary(wide, 2048.0, samples=4, seed=1, N=8) > 0
 
 
 class TestPerturbation:

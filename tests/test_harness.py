@@ -580,6 +580,18 @@ class TestCli:
         assert "Traceback" not in err and "-inf" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_check_cycles_without_admissible_tau_exit_1(self, tmp_path, capsys):
+        # a core this wide keeps the box boundary action positive at every tau tried
+        cfg = self._write(
+            tmp_path, "cyc.json",
+            {"model": {"s0": 1e8, "s1": 2e8}, "N": 8, "samples": 4, "descent_steps": 5},
+        )
+        assert cli_main(["check-cycles", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("no admissible tau found: ") and err.count("\n") == 1
+        assert "tau = 2048," in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_failing_suite_exit_1(self, tmp_path, monkeypatch):
         cfg = self._write(
             tmp_path, "cfg.json", {"N": 8, "seed": 11, "output_dir": str(tmp_path / "o")}

@@ -640,6 +640,17 @@ class TestUniformityGrams:
         for _, grams, (_, est_q, _, _) in suite_uniformity():
             assert est_q == pytest.approx(float(np.max(np.sqrt(grams["q"] / w))), rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("eps", Config().eps_list)
+    def test_q_gram_closed_form(self, eps):
+        # Q e_n is e^{-|n| s} in the distance s to its prescribed end, so
+        # |Q e_n|^2 in L^2_1 is (1 + 2 n^2)(1 - e^{-2|n| eps}) / (2|n|), and eps at n = 0
+        N = 32
+        n = np.abs(mode_numbers(N)).astype(float)
+        exact = np.full(2 * N + 1, eps)
+        nz = n > 0
+        exact[nz] = (1 + 2 * n[nz] ** 2) * -np.expm1(-2 * n[nz] * eps) / (2 * n[nz])
+        assert harness._uniformity_grams(N, 64, eps)["q"] == pytest.approx(exact, rel=1e-2, abs=0)
+
 
 @pytest.fixture(params=[1, 2, 3], ids=["workers1", "workers2", "workers3"])
 def n_workers(request):

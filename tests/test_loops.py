@@ -10,6 +10,7 @@ from looplab.loops import (
     aps_project,
     gaussian_loop,
     inner,
+    inner_values,
     project,
     sample,
     sample_coeffs,
@@ -220,6 +221,23 @@ class TestInner:
         g = gaussian_loop(2, 6, rng)
         h = gaussian_loop(2, 6, rng)
         assert abs(inner(g, h, 0) - inner(h, g, 0)) <= 1e-14
+
+    @pytest.mark.parametrize("order", (0, 0.5))
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)], ids=("loop", "lead5", "lead2x3"))
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    def test_inner_values_per_block(self, d, lead, order):
+        # each block pairs with the bytes of inner and of the whole-block sum
+        rng = np.random.default_rng(15 + d)
+        N = 6
+        shape = lead + (2 * N + 1, d)
+        a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+        values = inner_values(a, b, order)
+        assert values.shape == lead
+        w = sobolev_weights(order, N)[:, None]
+        for idx in np.ndindex(lead):
+            whole = np.sum(w * (a[idx] * b[idx].conj()).real)
+            paired = inner(Loop(d, N, a[idx]), Loop(d, N, b[idx]), order)
+            assert repr(float(values[idx])) == repr(paired) == repr(float(whole))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

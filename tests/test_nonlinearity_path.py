@@ -29,6 +29,7 @@ from looplab.hamiltonian import (
     eval_H,
     eval_XH,
     grad_action,
+    grad_action_values,
     grad_h_modes,
 )
 from looplab.loops import (
@@ -170,6 +171,17 @@ def old_energy_xh_modes(m, values, N):
     return synthesize_values(eval_XH(m, grid), N)
 
 
+def old_energy_defect_form(m, u):
+    """cylinder.energy with the density |u_theta - X_H(u)|^2 in place of |grad CSD|^2."""
+    h = u.dt
+    du = dt_derivative(u.values, h)
+    n = np.arange(-u.N, u.N + 1).astype(float)
+    u_theta = (1j * n)[None, :, None] * u.values
+    defect = u_theta - 1j * grad_h_modes(m, u.values)
+    density = np.sum(np.abs(du) ** 2 + np.abs(defect) ** 2, axis=(1, 2))
+    return float(0.5 * time_trapezoid(density, h))
+
+
 def old_energy(m, u):
     """cylinder.energy as a whole."""
     h = u.dt
@@ -218,6 +230,29 @@ def test_energy(N, d):
     m = MODELS[0]
     u = CylinderMap(d, N, 0.1, 8, coefficient_block(N, d, (9,), seed=2))
     assert_same_bytes(energy(m, u), old_energy(m, u))
+
+
+@pytest.mark.parametrize("m", MODELS, ids=("bump", "pure_quadratic"))
+@pytest.mark.parametrize("d", DS)
+@pytest.mark.parametrize("N", NS)
+def test_energy_is_the_defect_form(N, d, m):
+    # u_theta - X_H(u) = i (n u - grad H), and |.| ignores the sign and order of the parts
+    u = CylinderMap(d, N, 0.1, 8, coefficient_block(N, d, (9,), seed=5))
+    assert_same_bytes(energy(m, u), old_energy_defect_form(m, u))
+
+
+@pytest.mark.parametrize("m", MODELS, ids=("bump", "pure_quadratic"))
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)], ids=("loop", "lead5", "lead2x3"))
+@pytest.mark.parametrize("d", (1, 2, 3))
+@pytest.mark.parametrize("N", NS)
+def test_grad_action_values_per_block(N, d, lead, m):
+    c = coefficient_block(N, d, lead, seed=6)
+    new = grad_action_values(m, c)
+    assert new.shape == c.shape
+    for idx in np.ndindex(lead):
+        gamma = Loop(d, N, c[idx])
+        assert_same_bytes(new[idx], grad_action(m, gamma).coeffs)
+        assert_same_bytes(new[idx], old_grad_action(m, gamma))
 
 
 @pytest.mark.parametrize("d", DS)
