@@ -11,7 +11,11 @@ samples.  Four groups are timed:
 
 * kernels: kernel_p_values over the basis 1, tau, tau^2 that the aps Gram
   forms sweep, a broadcast (nodes, modes, 3) view on the aps.right_inverse
-  grid at eps = 1 (BASIS_SHAPE), the largest sweep of the aps suite;
+  grid at eps = 1 (BASIS_SHAPE), the largest sweep of the aps suite; and
+  the L^4 norms of one aps.end_vanishing chunk, 250 fields on the windowed
+  basis tau (1, tau, tau^2) with (65, 250) coefficient blocks at N = 32
+  (L4_CHUNK).  A checkout without cylinder.l4_shared_basis times that chunk
+  through l4_combination on the (nodes, 1, 3) basis it used before;
 * guards: each check group of `run_suite(Config(seed=2026), "aps")`, run
   on its own through `harness._run_groups` and keyed `aps.<group>`;
 * nonlinearity: seconds per call of one grad H evaluation on the theta grid
@@ -46,6 +50,9 @@ from pathlib import Path
 
 # (nodes, modes, 3): P's basis sweep on the aps.right_inverse grid at eps = 1
 BASIS_SHAPE = (12001, 65, 3)
+# (modes, batch) coefficient blocks of one aps.end_vanishing chunk at the
+# default N = 32 and M_t = 64
+L4_CHUNK = (65, 250)
 
 
 def summary(samples: list[float]) -> dict:
@@ -66,14 +73,32 @@ def timed(fn, repeats: int, calls: int = 1) -> dict:
 
 
 def time_kernels(repeats: int) -> dict:
-    from looplab.cylinder import basis_p_values
+    import numpy as np
+
+    from looplab import cylinder
     from looplab.loops import lambda_of_modes
 
     nodes, modes, _ = BASIS_SHAPE
     lam = lambda_of_modes((modes - 1) // 2).astype(float)
     shape = "x".join(map(str, BASIS_SHAPE))
-    sweep = timed(lambda: basis_p_values(lam, 1.0 / (nodes - 1), nodes - 1), repeats)
-    return {f"kernel_p_values[{shape} basis]": sweep}
+    sweep = timed(lambda: cylinder.basis_p_values(lam, 1.0 / (nodes - 1), nodes - 1), repeats)
+
+    modes, batch = L4_CHUNK
+    N, M_t = (modes - 1) // 2, 64
+    rng = np.random.default_rng(2026)
+    coeffs = [rng.standard_normal(L4_CHUNK) + 1j * rng.standard_normal(L4_CHUNK) for _ in range(3)]
+    tau = np.linspace(0.0, 1.0, M_t + 1)
+    basis = tau[:, None] * cylinder.tau_powers(M_t)
+    if hasattr(cylinder, "l4_shared_basis"):
+        def chunk():
+            return cylinder.l4_shared_basis(basis, coeffs, 0.5 / M_t, N)
+    else:
+        def chunk():
+            return cylinder.l4_combination(basis[:, None], coeffs, 0.5 / M_t, N)
+    return {
+        f"kernel_p_values[{shape} basis]": sweep,
+        f"end_vanishing_l4_chunk[{modes}x{batch} N={N}]": timed(chunk, repeats),
+    }
 
 
 def time_nonlinearity(repeats: int) -> dict:

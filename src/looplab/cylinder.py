@@ -195,8 +195,10 @@ def combine(bd: BoundaryData) -> Loop:
 
 # Bytes of one time block.  The aps kernels stream their fields through blocks
 # of whole time rows that fit in a core's L2 cache.  kernel_p_values writes
-# each block's forcing products into two scratch buffers made once per
-# sector; residual_gram and l4_combination allocate new arrays for every block
+# each block's forcing products into two scratch buffers made once per call,
+# one of which also carries the blocks of its time reversal; residual_gram
+# and l4_combination allocate new arrays for every block.  l4_shared_basis
+# forms no field, so it has no time blocks
 BLOCK_BYTES = 1 << 20
 
 
@@ -281,51 +283,61 @@ def kernel_p_values(g_values: np.ndarray, lam: np.ndarray, h: float) -> np.ndarr
 
     lambda >= 0 modes integrate forward from t = 0, lambda < 0 modes backward
     from the far end; the quadrature is exact for piecewise-linear g, which
-    keeps the accuracy uniform in lambda * h.  Each sector's sweep runs in
-    place over its own slice of modes, the backward one over reversed-time
-    views, with its forcing products formed one time block at a time.
+    keeps the accuracy uniform in lambda * h.  One sweep steps both sectors
+    in place: during it, row j of out holds the forward sector at t_j and the
+    backward sector at t_{M_t - j}, and the backward sector is put back in
+    time order after it.  The forcing products are formed one time block at
+    a time, the backward ones read through reversed-time views of g.
     """
     out = np.empty_like(g_values)
     n_steps = g_values.shape[0] - 1
     rows = block_rows(n_steps, g_values[0].nbytes)
     n_fwd = _sector_split(lam)
-    # both sweeps step with w = -|lambda| h on every mode: the decay e^w, and
-    # the weights of the forcing at the start and at the end of a sweep step
+    fwd, bwd = slice(0, n_fwd), slice(n_fwd, len(lam))
+    g_bwd = g_values[:, bwd][::-1]
+    # both sectors step with w = -|lambda| h: the decay e^w, and the weights
+    # of the forcing at the start and at the end of a sweep step.  They are
+    # made full rows of out's dtype and memory layout (out follows g's, which
+    # for a broadcast basis puts the modes innermost), so that every step
+    # runs on contiguous rows and nothing broadcasts or casts; a complex row
+    # holds the promoted real weight, which gives the same products as the
+    # real one
     w = (-np.abs(lam) * h).reshape((len(lam),) + (1,) * (g_values.ndim - 2))
     p2 = phi2(w)
-    weights = (np.exp(w), h * (phi1(w) - p2), h * p2)
-    # a step is two or three in-place ufunc calls on one row; local names
-    # and positional outputs keep the per-call overhead down on short rows
-    multiply, add, subtract = np.multiply, np.add, np.subtract
-    for sector, forward in ((slice(0, n_fwd), True), (slice(n_fwd, len(lam)), False)):
-        u, g = out[:, sector], g_values[:, sector]
-        if not forward:
-            u, g = u[::-1], g[::-1]
-        u[0] = 0.0
-        if not u.size:
-            continue
-        # the weights are cut to the sector and made full rows of out's dtype,
-        # so that no step broadcasts or casts; a complex row holds the
-        # promoted real weight, which gives the same products as the real one
-        row = u.shape[1:]
-        decay, a, b = (np.broadcast_to(wt[sector], row).astype(out.dtype) for wt in weights)
-        A, B = (np.empty((rows,) + row, out.dtype) for _ in range(2))
-        for start, stop in time_blocks(n_steps, rows):
-            m, us, gs = stop - start, u[start : stop + 1], g[start : stop + 1]
-            multiply(a, gs[:m], A[:m])
-            multiply(b, gs[1:], B[:m])
-            if forward:
-                # out[j+1] = (decay out[j] + a g[j]) + b g[j+1]
-                for prev, cur, a_k, b_k in zip(us[:m], us[1:], A, B):
-                    multiply(decay, prev, cur)
-                    add(cur, a_k, cur)
-                    add(cur, b_k, cur)
-            else:
-                # out[j] = decay out[j+1] - (a g[j+1] + b g[j])
-                add(A[:m], B[:m], A[:m])
-                for prev, cur, f_k in zip(us[:m], us[1:], A):
-                    multiply(decay, prev, cur)
-                    subtract(cur, f_k, cur)
+    decay, a, b = (np.empty_like(out[0]) for _ in range(3))
+    for full, wt in zip((decay, a, b), (np.exp(w), h * (phi1(w) - p2), h * p2)):
+        full[...] = wt
+    A, B = (np.empty_like(out[:rows]) for _ in range(2))
+    # local names and positional outputs keep the per-call overhead down
+    multiply, add, negative = np.multiply, np.add, np.negative
+    out[0] = 0.0
+    for start, stop in time_blocks(n_steps, rows):
+        m, us = stop - start, out[start : stop + 1]
+        multiply(a[fwd], g_values[start:stop, fwd], A[:m, fwd])
+        multiply(b[fwd], g_values[start + 1 : stop + 1, fwd], B[:m, fwd])
+        # the backward forcing enters as A = -(a g + b g) with B = -0.0; as
+        # x + (-0.0) == x for every x, each row below is the same three calls
+        # and keeps the bytes of decay out[j+1] - (a g[j+1] + b g[j])
+        A_b, B_b = A[:m, bwd], B[:m, bwd]
+        multiply(a[bwd], g_bwd[start:stop], A_b)
+        multiply(b[bwd], g_bwd[start + 1 : stop + 1], B_b)
+        add(A_b, B_b, A_b)
+        negative(A_b, A_b)
+        B_b[...] = -0.0
+        # out[j+1] = (decay out[j] + A[j]) + B[j]
+        for prev, cur, a_k, b_k in zip(us[:m], us[1:], A, B):
+            multiply(decay, prev, cur)
+            add(cur, a_k, cur)
+            add(cur, b_k, cur)
+    # put the backward sector back in time order, one pair of blocks at a
+    # time through A's backward part
+    top = out[:, bwd]
+    bottom = top[::-1]
+    for start, stop in time_blocks(len(out) // 2, rows):
+        tmp = A[: stop - start, bwd]
+        tmp[...] = top[start:stop]
+        top[start:stop] = bottom[start:stop]
+        bottom[start:stop] = tmp
     return out
 
 
@@ -423,9 +435,9 @@ def _l4_rows(block: np.ndarray, N: int) -> np.ndarray:
 def l4_combination(basis: np.ndarray, coeffs, h: float, N: int) -> np.ndarray:
     """L^4 norm per batch column of the field sum_k c_k[n] X[:, n, k].
 
-    basis X is real (nodes, modes, K), or (nodes, 1, K) when every mode
-    shares it, and coeffs holds K blocks (modes, batch); the field is formed
-    and reduced one time block at a time.
+    basis X is real (nodes, modes, K) and depends on the mode, and coeffs
+    holds K blocks (modes, batch); the field is formed and reduced one time
+    block at a time.  A basis shared by every mode goes to l4_shared_basis.
     """
     n_nodes, batch = len(basis), coeffs[0].shape[1]
     rows = block_rows(n_nodes, coeffs[0].size * np.dtype(complex).itemsize)
@@ -437,6 +449,34 @@ def l4_combination(basis: np.ndarray, coeffs, h: float, N: int) -> np.ndarray:
             u += x[:, :, k, None] * coeffs[k]
         quartic[start:stop] = _l4_rows(u, N)
     return time_trapezoid(quartic, h) ** 0.25
+
+
+def l4_shared_basis(basis: np.ndarray, coeffs, h: float, N: int) -> np.ndarray:
+    """L^4 norm per batch column of the field sum_k c_k[n] X[:, k].
+
+    basis X is real (nodes, K) and shared by every mode, and coeffs holds K
+    blocks (modes, batch).  With s_k the theta samples of c_k, |u(t, theta)|^2
+    is sum_p y_p(t) G_p(theta) over the pairs p = (k <= l), where
+    y_p = (2 - delta_kl) x_k x_l and G_p = Re(s_k conj s_l).  So
+    int mean_theta |u|^4 dt = mean_theta sum_pq Y_pq G_p G_q, with the
+    trapezoid rule Y_pq of y_p y_q: each block is sampled once, and no field
+    is formed.
+    """
+    samples = [theta_values(c.T[..., None], N)[..., 0] for c in coeffs]  # (batch, M)
+    pairs = [(k, l) for k in range(len(coeffs)) for l in range(k, len(coeffs))]
+    y = np.stack([(1.0 if k == l else 2.0) * basis[:, k] * basis[:, l] for k, l in pairs], axis=1)
+    Y = time_trapezoid(y[:, :, None] * y[:, None, :], h)
+    G = [
+        samples[k].real * samples[l].real + samples[k].imag * samples[l].imag for k, l in pairs
+    ]
+    quartic = np.zeros_like(G[0])
+    for p, G_p in enumerate(G):
+        # sum_q Y_pq G_q, one (batch, M) array at a time
+        row = Y[p, 0] * G[0]
+        for q in range(1, len(G)):
+            row += Y[p, q] * G[q]
+        quartic += G_p * row
+    return np.mean(quartic, axis=-1) ** 0.25
 
 
 # -- public operations ------------------------------------------------------------

@@ -109,6 +109,32 @@ class TestSuites:
         assert [r.name for r in rep.records] == [r.name for r in ref.records]
         assert [r.name for r in rep.records if not r.passed] == ["norms.sampling_roundtrip"]
 
+    def test_unwritten_all_report_needs_no_plots_data(self, fast_config, monkeypatch):
+        # every op but one exercised by stand-in suites: a run that writes
+        # nothing does not need emit_plots_data for complete coverage, one
+        # that writes runs it, and any other op left at zero still fails
+        def exercise(*skipped):
+            def suite(config):
+                for op in coverage.registered_ops():
+                    if op not in skipped and op != "harness.emit_plots_data":
+                        coverage._COUNTS[op] += 1
+                return []
+
+            for name in harness.SUITES:
+                monkeypatch.setitem(harness._SUITE_FUNCTIONS, name, suite)
+
+        exercise()
+        rep = run_suite(fast_config, "all", write=False)
+        assert rep.coverage_counts["harness.emit_plots_data"] == 0
+        assert rep.coverage_complete and rep.passed
+        rep = run_suite(fast_config, "all", write=True)
+        assert rep.coverage_counts["harness.emit_plots_data"] == 1
+        assert rep.coverage_complete and rep.passed
+        exercise("cylinder.p_op")
+        for write in (False, True):
+            rep = run_suite(fast_config, "all", write=write)
+            assert not rep.coverage_complete and not rep.passed
+
     def test_report_written(self, fast_config):
         rep = run_suite(fast_config, "norms", write=True)
         path = os.path.join(fast_config.output_dir, "report_norms.json")

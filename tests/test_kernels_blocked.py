@@ -337,6 +337,26 @@ class TestKernelP:
         for h in (1e-6, 0.3, 40.0):
             assert same_bytes(kernel_p_values(g, lam, h), ref_kernel_p_values(g, lam, h))
 
+    @pytest.mark.parametrize("n_nodes", (2, 3))
+    def test_fewest_nodes(self, blocks_of, n_nodes):
+        # the backward sector is put back in time order by swapping rows j
+        # and M_t - j: one pair at two nodes, one pair and a middle row at three
+        lam = lambda_of_modes(N).astype(float)
+        g = random_field(40 + n_nodes, (n_nodes, 2 * N + 1, 3))
+        blocks_of(g[0].nbytes)
+        assert same_bytes(kernel_p_values(g, lam, H), ref_kernel_p_values(g, lam, H))
+
+    def test_signed_zero_forcing(self, blocks_of):
+        # forcing columns of exact +0.0 and -0.0 in each sector, beside
+        # random ones: the backward steps add A = -(a g + b g) and B = -0.0,
+        # and must keep the zero signs of decay out - (a g + b g)
+        lam = lambda_of_modes(N).astype(float)
+        g = random_field(42, (9, 2 * N + 1, 6))
+        g[:, :, :4] = [complex(sr * 0.0, si * 0.0) for sr in (1, -1) for si in (1, -1)]
+        for field in (g, g.real.copy()):
+            blocks_of(field[0].nbytes)
+            assert same_bytes(kernel_p_values(field, lam, H), ref_kernel_p_values(field, lam, H))
+
     def test_one_sector_only(self, blocks_of):
         g = random_field(6, (9, 3, 2))
         blocks_of(g[0].nbytes)
@@ -548,12 +568,42 @@ class TestGramForms:
             field = field + basis[:, :, k, None] * coeffs[k]
         blocks_of(field[0].nbytes)
         assert same_bytes(cylinder.l4_combination(basis, coeffs, H, N), ref_l4_batch(field, H, N))
-        # a basis shared by every mode, (nodes, 1, K), in the time blocks of
-        # the full field, has the bytes of its broadcast
-        shared = basis[:, :1]
-        assert same_bytes(
-            cylinder.l4_combination(shared, coeffs, H, N),
-            cylinder.l4_combination(np.broadcast_to(shared, basis.shape), coeffs, H, N),
+        # a basis shared by every mode goes through the quartic form of
+        # l4_shared_basis: within 1e-14 of l4_combination on its broadcast
+        shared = basis[:, 0]
+        np.testing.assert_allclose(
+            cylinder.l4_shared_basis(shared, coeffs, H, N),
+            cylinder.l4_combination(np.broadcast_to(shared[:, None], basis.shape), coeffs, H, N),
+            rtol=1e-14,
+            atol=0,
+        )
+
+    @pytest.mark.parametrize("window", ("tau", "1-tau"))
+    @pytest.mark.parametrize("n_nodes", NODES)
+    def test_l4_shared_basis_windows(self, n_nodes, window):
+        # the fields w (c0 + c1 tau + c2 tau^2) of aps.end_vanishing as the
+        # quartic form of the windowed basis w (1, tau, tau^2), against the
+        # L^4 norms of the whole fields: the same terms summed in another order
+        tau = np.linspace(0.0, 1.0, n_nodes)
+        w = tau if window == "tau" else 1.0 - tau
+        basis = w[:, None] * cylinder.tau_powers(n_nodes - 1)
+        coeffs = harness._smooth_field_coeffs(np.random.default_rng(29), N, 5)
+        field = w[:, None, None] * ref_smooth_field(coeffs, n_nodes - 1)
+        np.testing.assert_allclose(
+            cylinder.l4_shared_basis(basis, coeffs, H, N), ref_l4_batch(field, H, N),
+            rtol=1e-14, atol=0,
+        )
+
+    @pytest.mark.parametrize("K", (1, 2, 3))
+    def test_l4_shared_basis_random(self, K):
+        # a random real basis (nodes, K) shared by every mode, against the
+        # L^4 norms of the whole field sum_k c_k X_k
+        basis = np.random.default_rng(30 + K).standard_normal((23, K))
+        coeffs = [random_field(31 + k, (2 * N + 1, 5)) for k in range(K)]
+        field = sum(basis[:, k, None, None] * c for k, c in enumerate(coeffs))
+        np.testing.assert_allclose(
+            cylinder.l4_shared_basis(basis, coeffs, H, N), ref_l4_batch(field, H, N),
+            rtol=1e-14, atol=0,
         )
 
 
@@ -749,8 +799,8 @@ class TestColumnWorkers:
     def test_aps_groups(self, n_workers):
         # every group of a small aps suite in each thread against its serial
         # run, and end_vanishing against whole fields.  Its gradient is a
-        # per-mode Gram form and its L^4 field sum_k c_k X_k on the windowed
-        # basis, sums without cancellation in another order: within 1e-14
+        # per-mode Gram form and its L^4 norm a quartic form of the windowed
+        # basis, the same terms summed in another order: within 1e-14
         config = Config(N=4, M_t=8, eps_list=(0.1, 0.01))
         serial = aps_report(config)
         computed = json.loads(serial)[-1]["computed"]
@@ -856,9 +906,10 @@ class TestStreamingMemory:
         assert peak < 80 * 2**20
 
     def test_end_vanishing_peak(self, monkeypatch):
-        # at the default config a chunk of 250 fields is 17 MB; only the L^4
-        # fields are formed, one time block at a time, and the gradient is a
-        # Gram form of the windowed basis (65, 1, 3)
+        # at the default config a chunk of 250 fields is 17 MB; no field is
+        # formed: the L^4 norms are a quartic form of the theta samples of
+        # the coefficient blocks, and the gradient a Gram form of the
+        # windowed basis (65, 1, 3)
         group = aps_group(monkeypatch, Config(), "end_vanishing")
         (record,), peak = self.peak(lambda: harness._run_groups("aps", (group,)))
         assert record.name == "aps.end_vanishing_l4" and peak < 8 * 2**20
