@@ -1,5 +1,5 @@
-"""Time the aps basis sweep, the aps checks, the nonlinearity layer and the
-beta descent.
+"""Time the aps basis sweep and residual Gram, the aps checks, the nonlinearity
+layer and the beta descent.
 
     python bench/kernels.py --label after --out BENCH.json [--src DIR] [--repeats 5]
 
@@ -11,7 +11,12 @@ samples.  Four groups are timed:
 
 * kernels: kernel_p_values over the basis 1, tau, tau^2 that the aps Gram
   forms sweep, a broadcast (nodes, modes, 3) view on the aps.right_inverse
-  grid at eps = 1 (BASIS_SHAPE), the largest sweep of the aps suite; and
+  grid at eps = 1 (BASIS_SHAPE), the largest sweep of the aps suite; the
+  right-inverse residual Gram on that grid, which streams the sweep
+  (cylinder.residual_gram(lam, h, M); a checkout whose residual_gram takes
+  the whole sweep times basis_p_values and residual_gram together); each
+  of these two with its tracemalloc peak in MiB (traced_peak_mib), taken
+  in one more call; and
   the L^4 norms of one aps.end_vanishing chunk, 250 fields on the windowed
   basis tau (1, tau, tau^2) with (65, 250) coefficient blocks at N = 32
   (L4_CHUNK).  A checkout without cylinder.l4_shared_basis times that chunk
@@ -40,12 +45,14 @@ already there, with the core count, numpy version and CPU model.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 # (nodes, modes, 3): P's basis sweep on the aps.right_inverse grid at eps = 1
@@ -72,6 +79,17 @@ def timed(fn, repeats: int, calls: int = 1) -> dict:
     return summary(samples)
 
 
+def traced_peak_mib(fn) -> float:
+    """tracemalloc peak of one call of fn, in MiB."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def time_kernels(repeats: int) -> dict:
     import numpy as np
 
@@ -81,7 +99,17 @@ def time_kernels(repeats: int) -> dict:
     nodes, modes, _ = BASIS_SHAPE
     lam = lambda_of_modes((modes - 1) // 2).astype(float)
     shape = "x".join(map(str, BASIS_SHAPE))
-    sweep = timed(lambda: cylinder.basis_p_values(lam, 1.0 / (nodes - 1), nodes - 1), repeats)
+    M, h = nodes - 1, 1.0 / (nodes - 1)
+
+    def sweep():
+        return cylinder.basis_p_values(lam, h, M)
+
+    if "basis_p" in inspect.signature(cylinder.residual_gram).parameters:
+        def gram():
+            return cylinder.residual_gram(cylinder.basis_p_values(lam, h, M), lam, h)
+    else:
+        def gram():
+            return cylinder.residual_gram(lam, h, M)
 
     modes, batch = L4_CHUNK
     N, M_t = (modes - 1) // 2, 64
@@ -96,7 +124,12 @@ def time_kernels(repeats: int) -> dict:
         def chunk():
             return cylinder.l4_combination(basis[:, None], coeffs, 0.5 / M_t, N)
     return {
-        f"kernel_p_values[{shape} basis]": sweep,
+        f"kernel_p_values[{shape} basis]": {
+            **timed(sweep, repeats), "traced_peak_mib": traced_peak_mib(sweep)
+        },
+        f"residual_gram[{shape} streamed]": {
+            **timed(gram, repeats), "traced_peak_mib": traced_peak_mib(gram)
+        },
         f"end_vanishing_l4_chunk[{modes}x{batch} N={N}]": timed(chunk, repeats),
     }
 
@@ -241,7 +274,8 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(data, indent=2) + "\n")
     for group in ("kernels_s", "guards_s"):
         for name, stats in result[group].items():
-            print(f"{name:40s} median {stats['median']:8.3f} s  IQR {stats['iqr']:.3f} s")
+            peak = f"  peak {stats['traced_peak_mib']:.1f} MiB" if "traced_peak_mib" in stats else ""
+            print(f"{name:40s} median {stats['median']:8.3f} s  IQR {stats['iqr']:.3f} s{peak}")
     for name, stats in result["nonlinearity_s"].items():
         print(f"{name:40s} median {stats['median'] * 1e6:8.1f} us  IQR {stats['iqr'] * 1e6:.1f} us")
     for name, stats in result["descent"].items():

@@ -37,6 +37,7 @@ from .loops import (
     lambda_of_modes,
     sobolev_norm,
     sobolev_weights,
+    theta_points,
     theta_values,
 )
 
@@ -194,11 +195,12 @@ def combine(bd: BoundaryData) -> Loop:
 # -- shared finite-difference / quadrature helpers -------------------------------
 
 # Bytes of one time block.  The aps kernels stream their fields through blocks
-# of whole time rows that fit in a core's L2 cache.  kernel_p_values writes
-# each block's forcing products into two scratch buffers made once per call,
-# one of which also carries the blocks of its time reversal; residual_gram
-# and l4_combination allocate new arrays for every block.  l4_shared_basis
-# forms no field, so it has no time blocks
+# of whole time rows that fit in a core's L2 cache.  P's sweep writes each
+# block's forcing products into two scratch buffers made once per call;
+# residual_gram keeps a window of two blocks of sweep rows and allocates its
+# residual rows per block, l4_combination its theta samples, and
+# quadratic_forms runs its batch in column chunks of this size.
+# l4_shared_basis forms no field, so it has no time blocks
 BLOCK_BYTES = 1 << 20
 
 
@@ -212,6 +214,20 @@ def time_blocks(n_rows: int, rows: int):
     """(start, stop) of consecutive blocks of `rows` rows covering range(n_rows)."""
     for start in range(0, n_rows, rows):
         yield start, min(start + rows, n_rows)
+
+
+def column_chunks(n_cols: int, col_nbytes: int):
+    """(start, stop) of consecutive column chunks covering range(n_cols) that fit
+    BLOCK_BYTES, each of at least two columns when n_cols >= 2.
+
+    numpy reduces the (modes, 1, k) products of a single column as one
+    contiguous run, in another order than a column of a wider batch, so a
+    lone last column joins the chunk before it.
+    """
+    starts = list(range(0, n_cols, max(2, block_rows(n_cols, col_nbytes))))
+    if len(starts) > 1 and n_cols - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n_cols]))
 
 
 def dt_derivative_rows(values: np.ndarray, h: float, start: int, stop: int) -> np.ndarray:
@@ -268,51 +284,55 @@ def kernel_q_values(
     Mode by mode, the plus coefficients take the factor -e^{-lambda t} where
     lambda >= 0 and the minus coefficients e^{(eps - t) lambda} where
     lambda < 0; each mode's other coefficients enter through their product
-    with a zero factor, which fixes the sign of zero outputs.
+    with a zero factor, which fixes the sign of zero outputs.  The minus
+    products are added in place, and each factor is dropped once used.
     """
     tt, lam_row = times[:, None], lam[None, :]
+    shape = (len(times), len(lam)) + (1,) * (plus_coeffs.ndim - 1)
     # the exponents are <= 0 for times in [0, eps]; outside it the clip caps them at 0
-    plus_factor = np.where(lam_row >= 0, -np.exp(np.minimum(-lam_row * tt, 0.0)), 0.0)
-    minus_factor = np.where(lam_row < 0, np.exp(np.minimum((eps - tt) * lam_row, 0.0)), 0.0)
-    shape = plus_factor.shape + (1,) * (plus_coeffs.ndim - 1)
-    return plus_factor.reshape(shape) * plus_coeffs + minus_factor.reshape(shape) * minus_coeffs
+    factor = np.where(lam_row >= 0, -np.exp(np.minimum(-lam_row * tt, 0.0)), 0.0)
+    out = factor.reshape(shape) * plus_coeffs
+    factor = np.where(lam_row < 0, np.exp(np.minimum((eps - tt) * lam_row, 0.0)), 0.0)
+    minus = factor.reshape(shape) * minus_coeffs
+    # real plus and complex minus coefficients promote as the sum would
+    out = out.astype(np.result_type(out, minus), copy=False)
+    out += minus
+    return out
 
 
-def kernel_p_values(g_values: np.ndarray, lam: np.ndarray, h: float) -> np.ndarray:
-    """Duhamel integrals of g (shape (M_t+1, modes, ...)) against e^{-lambda (t-tau)}.
+def _p_sweep(g_values: np.ndarray, lam: np.ndarray, h: float, rows: int, window):
+    """P's recurrence over both sectors at once, at most `rows` sweep steps a block.
 
-    lambda >= 0 modes integrate forward from t = 0, lambda < 0 modes backward
-    from the far end; the quadrature is exact for piecewise-linear g, which
-    keeps the accuracy uniform in lambda * h.  One sweep steps both sectors
-    in place: during it, row j of out holds the forward sector at t_j and the
-    backward sector at t_{M_t - j}, and the backward sector is put back in
-    time order after it.  The forcing products are formed one time block at
-    a time, the backward ones read through reversed-time views of g.
+    Sweep row j holds the forward sector at t_j and the backward sector at
+    t_{M_t - j}; row 0 is zero.  For each block of steps [start, stop),
+    window(start, stop) returns rows start..stop of an array whose first row
+    holds sweep row start; rows start+1..stop are written after it in place,
+    and then stop is yielded.  The forcing products are formed one
+    block at a time, the backward ones read through reversed-time views of g.
     """
-    out = np.empty_like(g_values)
     n_steps = g_values.shape[0] - 1
-    rows = block_rows(n_steps, g_values[0].nbytes)
     n_fwd = _sector_split(lam)
     fwd, bwd = slice(0, n_fwd), slice(n_fwd, len(lam))
     g_bwd = g_values[:, bwd][::-1]
     # both sectors step with w = -|lambda| h: the decay e^w, and the weights
     # of the forcing at the start and at the end of a sweep step.  They are
-    # made full rows of out's dtype and memory layout (out follows g's, which
-    # for a broadcast basis puts the modes innermost), so that every step
-    # runs on contiguous rows and nothing broadcasts or casts; a complex row
-    # holds the promoted real weight, which gives the same products as the
-    # real one
+    # made full rows of g's dtype and memory layout (which for a broadcast
+    # basis puts the modes innermost), so that every step runs on contiguous
+    # rows of a window of that layout and nothing broadcasts or casts; a
+    # complex row holds the promoted real weight, which gives the same
+    # products as the real one
     w = (-np.abs(lam) * h).reshape((len(lam),) + (1,) * (g_values.ndim - 2))
     p2 = phi2(w)
-    decay, a, b = (np.empty_like(out[0]) for _ in range(3))
+    decay, a, b = (np.empty_like(g_values[0]) for _ in range(3))
     for full, wt in zip((decay, a, b), (np.exp(w), h * (phi1(w) - p2), h * p2)):
         full[...] = wt
-    A, B = (np.empty_like(out[:rows]) for _ in range(2))
+    A, B = (np.empty_like(g_values[:rows]) for _ in range(2))
     # local names and positional outputs keep the per-call overhead down
     multiply, add, negative = np.multiply, np.add, np.negative
-    out[0] = 0.0
     for start, stop in time_blocks(n_steps, rows):
-        m, us = stop - start, out[start : stop + 1]
+        m, us = stop - start, window(start, stop)
+        if start == 0:
+            us[0] = 0.0
         multiply(a[fwd], g_values[start:stop, fwd], A[:m, fwd])
         multiply(b[fwd], g_values[start + 1 : stop + 1, fwd], B[:m, fwd])
         # the backward forcing enters as A = -(a g + b g) with B = -0.0; as
@@ -329,15 +349,31 @@ def kernel_p_values(g_values: np.ndarray, lam: np.ndarray, h: float) -> np.ndarr
             multiply(decay, prev, cur)
             add(cur, a_k, cur)
             add(cur, b_k, cur)
-    # put the backward sector back in time order, one pair of blocks at a
-    # time through A's backward part
-    top = out[:, bwd]
+        yield stop
+
+
+def kernel_p_values(g_values: np.ndarray, lam: np.ndarray, h: float) -> np.ndarray:
+    """Duhamel integrals of g (shape (M_t+1, modes, ...)) against e^{-lambda (t-tau)}.
+
+    lambda >= 0 modes integrate forward from t = 0, lambda < 0 modes backward
+    from the far end; the quadrature is exact for piecewise-linear g, which
+    keeps the accuracy uniform in lambda * h.  One sweep (_p_sweep) steps
+    both sectors in place in out, whose row j holds the forward sector at t_j
+    and the backward sector at t_{M_t - j}; the backward sector is put back
+    in time order after it, one pair of blocks at a time.
+    """
+    out = np.empty_like(g_values)
+    rows = block_rows(g_values.shape[0] - 1, g_values[0].nbytes)
+    for _ in _p_sweep(g_values, lam, h, rows, lambda start, stop: out[start : stop + 1]):
+        pass
+    top = out[:, _sector_split(lam) :]
     bottom = top[::-1]
+    tmp = np.empty_like(top[:rows])
     for start, stop in time_blocks(len(out) // 2, rows):
-        tmp = A[: stop - start, bwd]
-        tmp[...] = top[start:stop]
+        m = stop - start
+        tmp[:m] = top[start:stop]
         top[start:stop] = bottom[start:stop]
-        bottom[start:stop] = tmp
+        bottom[start:stop] = tmp[:m]
     return out
 
 
@@ -379,39 +415,124 @@ def _outer(row: np.ndarray) -> np.ndarray:
     return row[:, :, None] * row[:, None, :]
 
 
+def _block_gram(x: np.ndarray) -> np.ndarray:
+    """sum_j X_jn X_jn^T per mode of one time block x (rows, modes, k).
+
+    On a block of two or more modes whose rows are its outermost axis in
+    memory, einsum("jnk,jnl->nkl", x, x) adds each entry's products to 0 row
+    by row in time order; one (rows, modes) product per pair k <= l, reduced
+    over the rows, gives its bytes in a quarter of its time.  Each mode's
+    sums run over its own rows alone, so a block of some of the modes gives
+    the bytes of those modes in the block of all of them.  Other blocks,
+    whose sums einsum or the reduction run in other orders, go through
+    einsum.
+    """
+    if x.shape[1] == 1 or abs(x.strides[0]) < max(abs(s) for s in x.strides[1:]):
+        return np.einsum("jnk,jnl->nkl", x, x)
+    k = x.shape[2]
+    out = np.empty((x.shape[1], k, k))
+    for a in range(k):
+        for b in range(a, k):
+            products = x[:, :, a] * x[:, :, b]
+            out[:, a, b] = out[:, b, a] = np.add.reduce(products, axis=0, initial=0.0)
+    return out
+
+
+def _trapezoid_gram(block_grams, first: np.ndarray, last: np.ndarray, h: float) -> np.ndarray:
+    """The trapezoid rule from the _block_gram of consecutive time blocks, in
+    time order, and the first and last rows of the field."""
+    total = 0.0
+    for gram in block_grams:
+        total = total + gram
+    return h * (total - 0.5 * (_outer(first) + _outer(last)))
+
+
 def mode_gram(blocks, h: float) -> np.ndarray:
     """Per-mode Gram matrices int X_n X_n^T dt (trapezoid rule), shape (modes, k, k).
 
     blocks yields the real field X (nodes, modes, k) as consecutive time
     blocks; a whole field is passed as [X].
     """
-    total = first = 0.0
-    for i, x in enumerate(blocks):
-        total = total + np.einsum("jnk,jnl->nkl", x, x)
-        if i == 0:
-            first = _outer(x[0])
-        last = _outer(x[-1])
-    return h * (total - 0.5 * (first + last))
+    grams = []
+    for x in blocks:
+        if not grams:
+            first = x[0].copy()
+        grams.append(_block_gram(x))
+    return _trapezoid_gram(grams, first, x[-1], h)
 
 
-def residual_gram(basis_p: np.ndarray, lam: np.ndarray, h: float) -> np.ndarray:
-    """mode_gram of the right-inverse residuals D P[tau^k] - tau^k of basis_p_values.
+def _halo(start: int, stop: int, n: int) -> tuple[int, int]:
+    """First and last of the n rows that dt_derivative_rows reads for rows start:stop."""
+    first, last = max(start - 1, 0), min(stop, n - 1)
+    if start == 0:
+        last = max(last, 2)
+    if stop == n:
+        first = min(first, n - 3)
+    return first, last
 
-    The residual rows are formed one time block at a time, their time
-    derivative read with a one-row halo.
+
+def residual_gram(lam: np.ndarray, h: float, M: int) -> np.ndarray:
+    """mode_gram of the right-inverse residuals D P[tau^k] - tau^k on M steps,
+    formed while P's sweep over the basis 1, tau, tau^2 runs; no sweep is kept.
+
+    The residual rows of each sector come in the time blocks of a whole
+    (M+1, modes, 3) sweep, each formed as soon as the sweep has passed every
+    row its time derivative reads, from a window of the last two blocks of
+    sweep rows.  Forward rows arrive in time order; backward ones arrive
+    reversed and are read through reversed views, and their block Grams are
+    summed in time order at the end.  So the Gram keeps the bytes of
+    mode_gram over the residual blocks of basis_p_values.
     """
-    n = len(basis_p)
-    powers = tau_powers(n - 1)[:, None, :]
-    rows = block_rows(n, basis_p[0].nbytes)
+    n = M + 1
+    powers = tau_powers(M)[:, None, :]
+    basis = np.broadcast_to(powers, (n, len(lam), 3))
+    rows = block_rows(n, basis[0].nbytes)
+    n_fwd = _sector_split(lam)
+    blocks = list(time_blocks(n, rows))
+    # per sector: its modes, whether its sweep runs backward in time, its time
+    # blocks in the order the sweep completes them, its block Grams keyed by
+    # their start, and its first and last residual rows
+    sectors = [
+        (slice(0, n_fwd), False, list(blocks), {}, [None, None]),
+        (slice(n_fwd, len(lam)), True, blocks[::-1], {}, [None, None]),
+    ]
+    # the window holds sweep rows base..; when a block does not fit, it keeps
+    # the block's first row and the `rows` rows before it, which hold every
+    # row a pending time block still reads
+    win = np.empty_like(basis[: 2 * rows + 2])
+    base = 0
 
-    def residual_blocks():
-        for start, stop in time_blocks(n, rows):
-            r = dt_derivative_rows(basis_p, h, start, stop)
-            r += lam[:, None] * basis_p[start:stop]
-            r -= powers[start:stop]
-            yield r
+    def window(start, stop):
+        nonlocal base
+        if stop - base >= len(win):
+            keep = start - rows
+            win[: start + 1 - keep] = win[keep - base : start + 1 - base]
+            base = keep
+        return win[start - base : stop + 1 - base]
 
-    return mode_gram(residual_blocks(), h)
+    for swept in _p_sweep(basis, lam, h, rows, window):
+        for modes, backward, pending, grams, ends in sectors:
+            while pending:
+                start, stop = pending[0]
+                first, last = _halo(start, stop, n)
+                lo, hi = (M - last, M - first) if backward else (first, last)
+                if hi > swept:
+                    break
+                del pending[0]
+                vals = win[lo - base : hi + 1 - base, modes]
+                vals = vals[::-1] if backward else vals  # in time order
+                r = dt_derivative_rows(vals, h, start - first, stop - first)
+                r += lam[modes, None] * vals[start - first : stop - first]
+                r -= powers[start:stop]
+                grams[start] = _block_gram(r)
+                if start == 0:
+                    ends[0] = r[0].copy()
+                if stop == n:
+                    ends[1] = r[-1].copy()
+    return np.concatenate([
+        _trapezoid_gram([grams[start] for start, _ in blocks], *ends, h)
+        for _, _, _, grams, ends in sectors
+    ])
 
 
 def quadratic_forms(gram: np.ndarray, coeffs) -> np.ndarray:
@@ -419,10 +540,14 @@ def quadratic_forms(gram: np.ndarray, coeffs) -> np.ndarray:
 
     gram (modes, 3, 3), or (1, 3, 3) for one matrix shared by every mode, is
     real symmetric, so the form is that of the real parts plus that of the
-    imaginary parts.
+    imaginary parts.  The batch runs in column chunks (column_chunks).
     """
-    c = np.stack(coeffs, axis=-1)  # (modes, batch, 3)
-    return sum(np.sum(x * (x @ gram), axis=(0, 2)) for x in (c.real, c.imag))
+    modes, n_cols = coeffs[0].shape
+    out = np.empty(n_cols)
+    for start, stop in column_chunks(n_cols, modes * len(coeffs) * np.dtype(complex).itemsize):
+        c = np.stack([ck[:, start:stop] for ck in coeffs], axis=-1)  # (modes, cols, 3)
+        out[start:stop] = sum(np.sum(x * (x @ gram), axis=(0, 2)) for x in (c.real, c.imag))
+    return out
 
 
 def _l4_rows(block: np.ndarray, N: int) -> np.ndarray:
@@ -437,10 +562,11 @@ def l4_combination(basis: np.ndarray, coeffs, h: float, N: int) -> np.ndarray:
 
     basis X is real (nodes, modes, K) and depends on the mode, and coeffs
     holds K blocks (modes, batch); the field is formed and reduced one time
-    block at a time.  A basis shared by every mode goes to l4_shared_basis.
+    block at a time, sized by its theta samples (batch, theta_points(N)) per
+    row.  A basis shared by every mode goes to l4_shared_basis.
     """
     n_nodes, batch = len(basis), coeffs[0].shape[1]
-    rows = block_rows(n_nodes, coeffs[0].size * np.dtype(complex).itemsize)
+    rows = block_rows(n_nodes, batch * theta_points(N) * np.dtype(complex).itemsize)
     quartic = np.empty((n_nodes, batch))
     for start, stop in time_blocks(n_nodes, rows):
         x = basis[start:stop]
@@ -486,8 +612,8 @@ def l4_shared_basis(basis: np.ndarray, coeffs, h: float, N: int) -> np.ndarray:
 def apply_D(u: CylinderMap) -> CylinderMap:
     """D u = du/dt + L u, per mode u_n' + lambda_n u_n with lambda_n = -n."""
     lam = lambda_of_modes(u.N).astype(float)
-    du = dt_derivative(u.values, u.dt)
-    vals = du + lam[None, :, None] * u.values
+    vals = dt_derivative(u.values, u.dt)
+    vals += lam[None, :, None] * u.values
     return CylinderMap(u.d, u.N, u.T, u.M_t, vals)
 
 

@@ -22,8 +22,12 @@ def test_time_kernels_runs():
     assert sorted(out) == [
         "end_vanishing_l4_chunk[65x250 N=32]",
         "kernel_p_values[12001x65x3 basis]",
+        "residual_gram[12001x65x3 streamed]",
     ]
     assert all(len(stats["samples"]) == 2 and stats["median"] > 0 for stats in out.values())
+    # the streamed Gram holds less than the whole basis sweep it reduces
+    sweep = out["kernel_p_values[12001x65x3 basis]"]["traced_peak_mib"]
+    assert 0 < out["residual_gram[12001x65x3 streamed]"]["traced_peak_mib"] < sweep
 
 
 def test_time_nonlinearity_runs():

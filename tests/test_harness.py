@@ -246,6 +246,26 @@ class TestSuites:
         assert energy.details == {"not_run": "no output from small_data"}
         assert "contraction.energy_identity.error" not in records
 
+    def test_contraction_producers_hold_no_arrays(self, monkeypatch):
+        # energy_identity reads (action_in, action_out, energy) of each
+        # solve; its producers return those numbers, not the solves with
+        # their u and v fields
+        groups = {}
+        monkeypatch.setattr(
+            harness, "_run_groups", lambda suite, gs: groups.update((g.__name__, g) for g in gs)
+        )
+        harness._suite_contraction(Config(N=8, M_t=16, seed=11))
+        for name, solves in (("small_data", 20), ("engaged_sweep", 9)):
+            checks = groups[name]()
+            with pytest.raises(StopIteration) as stop:
+                while True:
+                    next(checks)
+            output = stop.value.value
+            assert len(output) == solves, name
+            assert all(
+                len(row) == 3 and all(isinstance(x, float) for x in row) for row in output
+            ), name
+
     def test_group_raising_partway_fails_the_rest(self, fast_config, monkeypatch):
         # splitting yields three checks before it needs the Lipschitz bound
         def broken(self):

@@ -194,6 +194,21 @@ def ref_right_inverse_errors(N, M_t, eps, seed):
     return worst_rel, worst_trace, rng.standard_normal()
 
 
+def ref_residual_gram(lam, h, M, rows):
+    """residual_gram from the whole sweep: the residual field D P[tau^k] - tau^k
+    of ref_kernel_p_values over the basis written out in every mode, its
+    per-mode Gram summed over time blocks of `rows` rows in time order."""
+    n = M + 1
+    powers = cylinder.tau_powers(M)[:, None, :]
+    p = ref_kernel_p_values(np.repeat(powers, len(lam), axis=1), lam, h)
+    r = ref_dt_derivative(p, h) + lam[:, None] * p - powers
+    total = 0.0
+    for start, stop in cylinder.time_blocks(n, rows):
+        total = total + np.einsum("jnk,jnl->nkl", r[start:stop], r[start:stop])
+    first, last = (x[:, :, None] * x[:, None, :] for x in (r[0], r[-1]))
+    return h * (total - 0.5 * (first + last))
+
+
 def ref_half_norm(coeffs, N):
     w = sobolev_weights(0.5, N)
     return np.sqrt(np.sum(w[:, None] * np.abs(coeffs) ** 2, axis=0))
@@ -286,6 +301,17 @@ class TestBlockHelpers:
         monkeypatch.setattr(cylinder, "BLOCK_BYTES", 1)
         rows = cylinder.block_rows(3, 16)
         assert list(cylinder.time_blocks(3, rows)) == [(0, 1), (1, 2), (2, 3)]
+
+    def test_column_chunks(self, monkeypatch):
+        # chunks cover the columns once, and none holds a single column
+        # unless the batch does: a lone last column joins the chunk before it
+        monkeypatch.setattr(cylinder, "BLOCK_BYTES", 3 * 16)
+        assert cylinder.column_chunks(10, 16) == [(0, 3), (3, 6), (6, 10)]
+        assert cylinder.column_chunks(9, 16) == [(0, 3), (3, 6), (6, 9)]
+        assert cylinder.column_chunks(1, 16) == [(0, 1)]
+        monkeypatch.setattr(cylinder, "BLOCK_BYTES", 1)
+        assert cylinder.column_chunks(5, 16) == [(0, 2), (2, 5)]
+        assert cylinder.column_chunks(4, 16) == [(0, 2), (2, 4)]
 
     @pytest.mark.parametrize("n_nodes", (3, 4, 9, 23))
     def test_derivative_rows_match_whole_field(self, n_nodes):
@@ -393,6 +419,38 @@ def signed_zero_coeffs(batch):
     return c, plus, minus
 
 
+class TestResidualGram:
+    """The residual Gram, formed while P's basis sweep runs, against the whole sweep."""
+
+    # (M, rows): time blocks of one row put edges beside both one-sided end
+    # stencils; blocks of 2, 3, 5 and 7 rows on 8 to 23 steps put edges next
+    # to them and at and beside the middle row, where the backward sector's
+    # reversed blocks cross the forward sector's; None is the default size
+    @pytest.mark.parametrize("M", (2, 3, 8, 9, 15, 16, 22))
+    @pytest.mark.parametrize("rows", (1, 2, 3, 5, 7, None))
+    def test_bit_identical(self, monkeypatch, M, rows):
+        # forward rows arrive in time order, backward rows reversed: both
+        # sectors keep the bytes of the whole sweep's Gram on the same blocks
+        lam = lambda_of_modes(N).astype(float)
+        row_nbytes = (2 * N + 1) * 3 * 8
+        if rows is not None:
+            monkeypatch.setattr(cylinder, "BLOCK_BYTES", rows * row_nbytes)
+        n_fwd = int(np.count_nonzero(lam >= 0))
+        for h in (H, 1e-5, 0.3):
+            gram = cylinder.residual_gram(lam, h, M)
+            ref = ref_residual_gram(lam, h, M, cylinder.block_rows(M + 1, row_nbytes))
+            assert same_bytes(gram[:n_fwd], ref[:n_fwd])
+            assert same_bytes(gram[n_fwd:], ref[n_fwd:])
+
+    @pytest.mark.parametrize("rows", (1, 2, None))
+    def test_one_sector_only(self, monkeypatch, rows):
+        for lam in (np.array([2.0, 1.0, 0.0]), np.array([-1.0, -2.0, -3.0])):
+            if rows is not None:
+                monkeypatch.setattr(cylinder, "BLOCK_BYTES", rows * len(lam) * 3 * 8)
+            ref = ref_residual_gram(lam, H, 9, cylinder.block_rows(10, len(lam) * 3 * 8))
+            assert same_bytes(cylinder.residual_gram(lam, H, 9), ref)
+
+
 class TestKernelQ:
     @pytest.mark.parametrize("eps", (1.0, 0.01))
     def test_bit_identical_on_probes_and_signed_zeros(self, eps):
@@ -471,7 +529,8 @@ class TestHarnessHelpers:
     @pytest.mark.parametrize("n_nodes", NODES)
     def test_right_inverse_residual(self, blocks_of, n_nodes):
         # |D P g - g| / |g| as Gram forms of P's basis sweep, its residual
-        # rows streamed in time blocks, against the whole fields.  On these
+        # rows formed in time blocks while the sweep runs, against the whole
+        # fields.  On these
         # short grids the residual is about 1e-3 |g|, and the time derivative
         # divides the rounding of P g by 2h: the Gram forms move it by at most
         # 1.5e-13 relative, within an allowance of 1e-11
@@ -480,7 +539,7 @@ class TestHarnessHelpers:
         coeffs = harness._smooth_field_coeffs(np.random.default_rng(12), N, 3)
         g = ref_random_smooth_fields(np.random.default_rng(12), N, M, 3)
         blocks_of((2 * N + 1) * 3 * 8)  # rows of the basis sweep
-        gram = cylinder.residual_gram(cylinder.basis_p_values(lam, H, M), lam, H)
+        gram = cylinder.residual_gram(lam, H, M)
         g_gram = cylinder.mode_gram([cylinder.tau_powers(M)[:, None]], H)
         forms = [cylinder.quadratic_forms(gr, coeffs) for gr in (gram, g_gram)]
         rel = np.sqrt(forms[0] / forms[1])
@@ -539,6 +598,35 @@ class TestGramForms:
         field = sum(shared[:, :, k, None] * c for k, c in enumerate(coeffs))
         forms = cylinder.quadratic_forms(cylinder.mode_gram([x[:, :1]], H), coeffs)
         np.testing.assert_allclose(forms, ref_l2_batch(field, H) ** 2, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("modes", (1, 2, 9))
+    @pytest.mark.parametrize("n_rows", (1, 2, 23))
+    def test_block_gram_is_einsum(self, modes, n_rows):
+        # the per-pair products reduced over the rows give the bytes of
+        # einsum, on contiguous, strided and reversed blocks, with exact and
+        # signed zeros among the values
+        x = np.random.default_rng(35 + modes + n_rows).standard_normal((n_rows, modes, 4))
+        x[:, :, 1] = 0.0
+        x[::2, :, 2] = -0.0
+        x[:, :, 3] = -np.abs(x[:, :, 3])  # its products with column 1 are all -0.0
+        for block in (x, x[:, :, :3], x[::-1, ::-1], np.asfortranarray(x)):
+            ref = np.einsum("jnk,jnl->nkl", block, block)
+            assert same_bytes(cylinder._block_gram(block), ref)
+
+    @pytest.mark.parametrize("cols", (1, 2, 3, 7, None), ids=lambda c: f"cols{c}")
+    @pytest.mark.parametrize("batch", (1, 2, 22))
+    def test_quadratic_forms_in_column_chunks(self, monkeypatch, cols, batch):
+        # column chunks of any size give the bytes of the whole batch's forms,
+        # per-mode and shared Grams alike
+        rng = np.random.default_rng(34)
+        gram = cylinder.mode_gram([rng.standard_normal((17, 2 * N + 1, 3))], H)
+        coeffs = harness._smooth_field_coeffs(rng, N, batch)
+        c = np.stack(coeffs, axis=-1)
+        if cols is not None:
+            monkeypatch.setattr(cylinder, "BLOCK_BYTES", cols * (2 * N + 1) * 3 * 16)
+        for g in (gram, gram[:1]):
+            whole = sum(np.sum(x * (x @ g), axis=(0, 2)) for x in (c.real, c.imag))
+            assert same_bytes(cylinder.quadratic_forms(g, coeffs), whole)
 
     @pytest.mark.parametrize("window", ("tau", "1-tau"))
     @pytest.mark.parametrize("n_nodes", NODES)
@@ -901,9 +989,23 @@ class TestStreamingMemory:
     def test_uniformity_estimates_peak(self):
         # at eps = 1 a probe set of the whole batch would be one
         # (321, 65, 1065) field of 355 MB; the Gram forms need only P's basis
-        # sweep, and the mixed L^4 fields are formed one time block at a time
+        # sweep, their 1065 columns run in column chunks, and the mixed L^4
+        # fields are formed one time block of theta samples at a time: 8.2 MiB
         _, peak = self.peak(harness._uniformity_estimates, np.random.default_rng(18), 32, 64, 1.0)
-        assert peak < 80 * 2**20
+        assert peak < 9 * 2**20
+
+    def test_q_kernel_defect_peak(self, monkeypatch):
+        # the group peaks in the kernel defect at eps = 0.5, on its m_fine =
+        # 3305 grid: Q beta, D Q beta and the read-only copy of D Q beta that
+        # apply_D returns, three (3306, 65, 1) fields, and a finiteness mask;
+        # Q and D add their second terms in place
+        config = Config()
+        group = aps_group(monkeypatch, config, "q_right_inverse")
+        records, peak = self.peak(lambda: harness._run_groups("aps", (group,)))
+        kernel = next(r for r in records if r.name == "aps.q_kernel_of_d")
+        m_fine = max(kernel.details["m_fine"])
+        assert m_fine == 3305
+        assert peak < 3.5 * (m_fine + 1) * (2 * config.N + 1) * 16
 
     def test_end_vanishing_peak(self, monkeypatch):
         # at the default config a chunk of 250 fields is 17 MB; no field is
@@ -915,12 +1017,13 @@ class TestStreamingMemory:
         assert record.name == "aps.end_vanishing_l4" and peak < 8 * 2**20
 
     def test_right_inverse_streams(self):
-        # no forcing field or P image of the batch is ever made, only P's
-        # basis sweep (nodes, 65, 3): at eps = 0.001 the peak stays under one
-        # (2049, 65, 10) field, and at eps = 1, where one such field of ten
-        # forcings would take 125 MB, under 64 MiB
+        # no forcing field or P image of the batch is ever made, and P's
+        # basis sweep is reduced to the residual Gram while it runs: at
+        # eps = 0.001 the peak stays under one (2049, 65, 10) field, and at
+        # eps = 1, where one such field of ten forcings would take 125 MB and
+        # the whole basis sweep (12001, 65, 3) 17.9 MiB, under 10 MiB
         field_nbytes = 2049 * 65 * 10 * 16
         _, peak = self.peak(harness._right_inverse_errors, np.random.default_rng(19), 32, 64, 0.001)
         assert peak < field_nbytes
         _, peak = self.peak(harness._right_inverse_errors, np.random.default_rng(19), 32, 64, 1.0)
-        assert peak < 64 * 2**20
+        assert peak < 10 * 2**20
