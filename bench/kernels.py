@@ -13,14 +13,11 @@ samples.  Four groups are timed:
   forms sweep, a broadcast (nodes, modes, 3) view on the aps.right_inverse
   grid at eps = 1 (BASIS_SHAPE), the largest sweep of the aps suite; the
   right-inverse residual Gram on that grid, which streams the sweep
-  (cylinder.residual_gram(lam, h, M); a checkout whose residual_gram takes
-  the whole sweep times basis_p_values and residual_gram together); each
-  of these two with its tracemalloc peak in MiB (traced_peak_mib), taken
-  in one more call; and
+  (cylinder.residual_gram(lam, h, M)); each of these two with its
+  tracemalloc peak in MiB (traced_peak_mib), taken in one more call; and
   the L^4 norms of one aps.end_vanishing chunk, 250 fields on the windowed
   basis tau (1, tau, tau^2) with (65, 250) coefficient blocks at N = 32
-  (L4_CHUNK).  A checkout without cylinder.l4_shared_basis times that chunk
-  through l4_combination on the (nodes, 1, 3) basis it used before;
+  (L4_CHUNK);
 * guards: each check group of `run_suite(Config(seed=2026), "aps")`, run
   on its own through `harness._run_groups` and keyed `aps.<group>`;
 * nonlinearity: seconds per call of one grad H evaluation on the theta grid
@@ -45,7 +42,6 @@ already there, with the core count, numpy version and CPU model.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -104,12 +100,8 @@ def time_kernels(repeats: int) -> dict:
     def sweep():
         return cylinder.basis_p_values(lam, h, M)
 
-    if "basis_p" in inspect.signature(cylinder.residual_gram).parameters:
-        def gram():
-            return cylinder.residual_gram(cylinder.basis_p_values(lam, h, M), lam, h)
-    else:
-        def gram():
-            return cylinder.residual_gram(lam, h, M)
+    def gram():
+        return cylinder.residual_gram(lam, h, M)
 
     modes, batch = L4_CHUNK
     N, M_t = (modes - 1) // 2, 64
@@ -117,12 +109,10 @@ def time_kernels(repeats: int) -> dict:
     coeffs = [rng.standard_normal(L4_CHUNK) + 1j * rng.standard_normal(L4_CHUNK) for _ in range(3)]
     tau = np.linspace(0.0, 1.0, M_t + 1)
     basis = tau[:, None] * cylinder.tau_powers(M_t)
-    if hasattr(cylinder, "l4_shared_basis"):
-        def chunk():
-            return cylinder.l4_shared_basis(basis, coeffs, 0.5 / M_t, N)
-    else:
-        def chunk():
-            return cylinder.l4_combination(basis[:, None], coeffs, 0.5 / M_t, N)
+
+    def chunk():
+        return cylinder.l4_shared_basis(basis, coeffs, 0.5 / M_t, N)
+
     return {
         f"kernel_p_values[{shape} basis]": {
             **timed(sweep, repeats), "traced_peak_mib": traced_peak_mib(sweep)
@@ -173,6 +163,7 @@ def time_nonlinearity(repeats: int) -> dict:
 
 def time_guards(repeats: int) -> dict:
     from looplab import harness
+    from looplab.files import Config
 
     samples: dict[str, list[float]] = {}
 
@@ -193,7 +184,7 @@ def time_guards(repeats: int) -> dict:
     harness._run_groups = patched
     try:
         for _ in range(repeats + 1):
-            harness.run_suite(harness.Config(seed=2026), "aps", write=False)
+            harness.run_suite(Config(seed=2026), "aps", write=False)
     finally:
         harness._run_groups = run_groups
     # the first suite run is the warm-up

@@ -9,24 +9,25 @@ integrator, and the cycle geometry (sphere and box families) whose
 intersection theory detects periodic orbits.
 """
 
-from .loops import Loop, SpectralConvention, CONVENTION
-from .hamiltonian import HamiltonianModel, Splitting
-from .cylinder import CylinderMap, BoundaryData
-from .solver import SolveResult, FlowTrace
-from .cycles import OrbitResult
+import importlib
+
+# the exported names of each module; the module loads when one of its names is
+# first used, so `import looplab.files` loads only what files imports
+_EXPORTS = {
+    "loops": ("Loop", "SpectralConvention", "CONVENTION"),
+    "hamiltonian": ("HamiltonianModel", "Splitting"),
+    "cylinder": ("CylinderMap", "BoundaryData"),
+    "solver": ("SolveResult", "FlowTrace"),
+    "cycles": ("OrbitResult",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Loop",
-    "SpectralConvention",
-    "CONVENTION",
-    "HamiltonianModel",
-    "Splitting",
-    "CylinderMap",
-    "BoundaryData",
-    "SolveResult",
-    "FlowTrace",
-    "OrbitResult",
-    "__version__",
-]
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)

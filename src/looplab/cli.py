@@ -2,7 +2,7 @@
 
 Subcommands: verify, solve-cylinder, flow, find-orbit, scan-alpha,
 check-cycles.  Exit codes: 0 all checks pass, 1 a check failed, 2 usage or
-configuration error.
+configuration error.  The config schemas and file writers are in `files`.
 """
 
 from __future__ import annotations
@@ -11,84 +11,28 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cylinder import decompose
-from .harness import (
+from .files import (
+    CheckCycles,
     Config,
+    FindOrbit,
+    Flow,
+    ModeEntry,
+    ScanAlpha,
+    SolveCylinder,
     flow_table,
     from_json,
     mode_table,
-    run_suite,
     write_csv,
     write_json,
 )
-from .hamiltonian import HamiltonianModel
+from .harness import run_suite
 from .loops import Loop
 from .solver import Blowup, SolverError, flow_trajectory, picard_solve
 from . import cycles as cyc
-
-
-# One dataclass per subcommand: its fields are the config keys the subcommand
-# reads, and `from_json` checks their names and types.
-
-
-@dataclass
-class ModeEntry:
-    """One Fourier coefficient of a loop: re + i im at mode n, coordinate coord."""
-
-    n: int
-    coord: int = 0
-    re: float = 0.0
-    im: float = 0.0
-
-
-@dataclass(kw_only=True)
-class Subcommand:
-    model: HamiltonianModel = field(default_factory=HamiltonianModel)
-    N: int = 32
-    output_dir: str = "lab_out"
-
-
-@dataclass(kw_only=True)
-class SolveCylinder(Subcommand):
-    beta_modes: list[ModeEntry]
-    d: int = 1
-    eps: float = 0.05
-    tol: float = 1e-11
-    M_t: int = 64
-    write_field_csv: bool = False
-
-
-@dataclass(kw_only=True)
-class Flow(Subcommand):
-    seed_modes: list[ModeEntry]
-    d: int = 1
-    T: float = 0.5
-    dt: float | None = None  # None: 0.09 / N
-
-
-@dataclass(kw_only=True)
-class FindOrbit(Subcommand):
-    seed_modes: list[ModeEntry] | None = None  # None: alpha times the winding mode
-    winding: int = 1
-    flow_time: float = 1.0
-    newton_tol: float = 1e-10
-    alpha: float | None = None  # None: 1.0; only without seed_modes
-
-
-@dataclass(kw_only=True)
-class CheckCycles(Subcommand):
-    seed: int = 2026
-    samples: int = 48
-    descent_steps: int = 120
-
-
-@dataclass(kw_only=True)
-class ScanAlpha(CheckCycles):
-    alphas: list[float] | None = None
 
 
 def _loop_from_modes_spec(spec: list[ModeEntry], d: int, N: int) -> Loop:

@@ -124,14 +124,6 @@ class CylinderMap:
             raise ValueError("cylinder shape mismatch")
         return CylinderMap(self.d, self.N, self.T, self.M_t, self.values + other.values)
 
-    def __sub__(self, other: "CylinderMap") -> "CylinderMap":
-        return self + (-1.0) * other
-
-    def __mul__(self, a: complex) -> "CylinderMap":
-        return CylinderMap(self.d, self.N, self.T, self.M_t, self.values * a)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
 class BoundaryData:
@@ -447,18 +439,10 @@ def _trapezoid_gram(block_grams, first: np.ndarray, last: np.ndarray, h: float) 
     return h * (total - 0.5 * (_outer(first) + _outer(last)))
 
 
-def mode_gram(blocks, h: float) -> np.ndarray:
-    """Per-mode Gram matrices int X_n X_n^T dt (trapezoid rule), shape (modes, k, k).
-
-    blocks yields the real field X (nodes, modes, k) as consecutive time
-    blocks; a whole field is passed as [X].
-    """
-    grams = []
-    for x in blocks:
-        if not grams:
-            first = x[0].copy()
-        grams.append(_block_gram(x))
-    return _trapezoid_gram(grams, first, x[-1], h)
+def mode_gram(x: np.ndarray, h: float) -> np.ndarray:
+    """Per-mode Gram matrices int X_n X_n^T dt (trapezoid rule) of the real
+    field X (nodes, modes, k), shape (modes, k, k)."""
+    return _trapezoid_gram([_block_gram(x)], x[0], x[-1], h)
 
 
 def _halo(start: int, stop: int, n: int) -> tuple[int, int]:
@@ -481,7 +465,7 @@ def residual_gram(lam: np.ndarray, h: float, M: int) -> np.ndarray:
     sweep rows.  Forward rows arrive in time order; backward ones arrive
     reversed and are read through reversed views, and their block Grams are
     summed in time order at the end.  So the Gram keeps the bytes of
-    mode_gram over the residual blocks of basis_p_values.
+    _trapezoid_gram over the _block_grams of the residual blocks of basis_p_values.
     """
     n = M + 1
     powers = tau_powers(M)[:, None, :]
@@ -696,8 +680,3 @@ def kernel_dt_mass(u: CylinderMap) -> float:
     weight = (1.0 - np.exp(-2.0 * lam_nz * h)) / (2.0 * lam_nz)
     per_mode = np.sum(left_sq * weight[None, :], axis=0)
     return float(np.sum(lam_nz**2 * per_mode))
-
-
-def boundary_trace_half_norm_sq(u: CylinderMap) -> float:
-    """Squared L^2_{1/2} norm of the full boundary trace (both end circles)."""
-    return sobolev_norm(u.rest_0(), 0.5) ** 2 + sobolev_norm(u.rest_end(), 0.5) ** 2

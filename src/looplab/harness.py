@@ -1,4 +1,4 @@
-"""Verification harness: configurations, check suites, reports, sweep CSVs.
+"""Verification harness: the check suites, their reports and sweep CSVs.
 
 Every quantitative claim the package implements is re-run here as a named
 check with an explicit bound; a report row records the computed value, the
@@ -17,15 +17,11 @@ nothing computed.
 """
 from __future__ import annotations
 
-import csv
 import inspect
 import json
 import os
 import sys
-import types
-import typing
-import zlib
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -56,6 +52,7 @@ from .cylinder import (
     time_trapezoid,
     trace_defect_sq,
 )
+from .files import _JSON_FORMAT, Config, flow_table, write_csv, write_json
 from .hamiltonian import (
     HamiltonianModel,
     action,
@@ -99,138 +96,6 @@ from .solver import (
 from . import cycles as cyc
 
 SUITES = ("norms", "aps", "contraction", "flow", "orbits")
-
-
-@dataclass
-class Config:
-    """Run configuration; identical configs produce byte-identical reports."""
-
-    model: HamiltonianModel = field(default_factory=HamiltonianModel)
-    N: int = 32
-    M_t: int = 64
-    eps_list: tuple[float, ...] = (1.0, 0.5, 0.1, 0.01, 0.001)
-    seed: int = 2026
-    output_dir: str = "lab_out"
-
-    def __post_init__(self):
-        if self.N < 4 or self.M_t < 8:
-            raise ValueError("need N >= 4 and M_t >= 8")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        # the aps sweeps take ratios and log-log slopes across eps
-        eps = self.eps_list
-        if not all(0 < e < np.inf for e in eps) or len(set(eps)) < 2:
-            raise ValueError(
-                f"eps_list needs finite positive values, at least two of them distinct; "
-                f"got {list(eps)!r}"
-            )
-
-    def rng(self, label: str) -> np.random.Generator:
-        return np.random.default_rng(
-            (self.seed * 1000003 + zlib.crc32(label.encode())) % 2**63
-        )
-
-
-def from_json(cls, obj, label: str):
-    """Build the dataclass `cls` from the JSON object `obj` (`label` in errors).
-
-    Keys must name fields, and fields without a default must be given.  Values
-    must match the type hints: JSON integers for int, numbers for float (never
-    booleans), null for `T | None`, arrays for lists, objects for dataclasses.
-    """
-    if not isinstance(obj, dict):
-        raise TypeError(f"{label} must be a JSON object, got {obj!r}")
-    unknown = set(obj) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ValueError(f"unknown {label} keys: {sorted(unknown)}")
-    hints = typing.get_type_hints(cls)
-    return cls(**{key: _typed(hints[key], value, key) for key, value in obj.items()})
-
-
-def _typed(hint, value, label: str):
-    """`value` checked against `hint` as `from_json` describes."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if is_dataclass(hint):
-        return from_json(hint, value, label)
-    if origin is types.UnionType:  # T | None
-        return None if value is None else _typed(args[0], value, label)
-    if origin in (list, tuple) and isinstance(value, (list, tuple)):
-        return origin(_typed(args[0], v, f"{label}[{i}]") for i, v in enumerate(value))
-    if hint is float and type(value) in (int, float):
-        # false for NaN, the infinities and integers beyond the float range
-        if not abs(value) <= sys.float_info.max:
-            raise ValueError(f"{label} must be a finite float, got {value!r}")
-        return float(value)
-    if hint in (int, bool, str) and type(value) is hint:
-        return value
-    if hint is np.ndarray and isinstance(value, list):
-        pairs = np.asarray(value, dtype=float)
-        if pairs.ndim and pairs.shape[-1] == 2:  # the [re, im] pairs write_json writes
-            return pairs.view(complex)[..., 0]
-    raise TypeError(f"{label} must be {getattr(hint, '__name__', hint)}, got {value!r}")
-
-
-# -- output files: every file the lab writes goes through write_json or write_csv
-
-
-def _json_default(obj):
-    """A dataclass as its fields, a complex array as nested [re, im] pairs."""
-    if is_dataclass(obj):
-        return {f.name: getattr(obj, f.name) for f in fields(obj)}
-    if isinstance(obj, np.ndarray) and obj.dtype == complex:
-        return np.stack((obj.real, obj.imag), axis=-1).tolist()
-    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
-
-
-_JSON_FORMAT = dict(indent=2, sort_keys=True, default=_json_default)
-
-
-def write_json(path, obj) -> None:
-    """Write obj as indented, key-sorted JSON, streamed into the file."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, **_JSON_FORMAT)
-
-
-def write_csv(path, header, rows) -> None:
-    """Write the header row, then the rows."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def flow_table(times, actions, energies, norms):
-    """Header and rows of flow_trace.csv and flow_curve.csv."""
-    rows = (
-        [f"{t:.12g}", f"{a:.17g}", f"{e:.17g}", f"{v:.17g}"]
-        for t, a, e, v in zip(times, actions, energies, norms)
-    )
-    return ["t", "action", "cumulative_energy", "norm"], rows
-
-
-def mode_table(values: np.ndarray, times=None, coord: bool = True):
-    """Header and rows `mode, [coord,] [t,] re, im` of loop coefficients
-    (2N+1, d), or with `times` of node values (len(times), 2N+1, d).
-
-    Rows run mode by mode, then coordinate, then time.
-    """
-    header = ["mode"] + (["coord"] if coord else [])
-    if times is None:  # one node, no t column
-        values, nodes = values[None], [[]]
-        header += ["re", "im"]
-    else:
-        nodes = [[f"{t:.12g}"] for t in times]
-        header += ["t", "re", "im"]
-    N = (values.shape[1] - 1) // 2
-    rows = (
-        [int(n)] + ([c] if coord else []) + node + [f"{z.real:.17g}", f"{z.imag:.17g}"]
-        for i, n in enumerate(mode_numbers(N))
-        for c in range(values.shape[2])
-        for node, z in zip(nodes, values[:, i, c])
-    )
-    return header, rows
 
 
 @dataclass
@@ -405,7 +270,7 @@ def _right_inverse_errors(rng, N: int, M_t: int, eps: float) -> tuple[float, flo
     chunks = [_smooth_field_coeffs(rng, N, 10) for _ in range(10)]
     coeffs = [np.concatenate(c, axis=1) for c in zip(*chunks)]
     r_sq = quadratic_forms(residual_gram(lam, h, M_ref), coeffs)
-    g_sq = quadratic_forms(mode_gram([tau_powers(M_ref)[:, None]], h), coeffs)
+    g_sq = quadratic_forms(mode_gram(tau_powers(M_ref)[:, None], h), coeffs)
     rel = np.sqrt(r_sq) / np.sqrt(g_sq)
     # prescribed boundary components of P g vanish
     pv = kernel_p_values(smooth_fields(chunks[0], M_t), lam, eps / M_t)
@@ -420,7 +285,7 @@ def _sobolev_gram(basis: np.ndarray, weight: np.ndarray, h: float) -> np.ndarray
     The fields are f_n = sum_k c_k[n] X[:, n, k] on a real basis X (nodes,
     modes, k), or (nodes, 1, k) for one basis shared by every mode.
     """
-    return weight[:, None, None] * mode_gram([basis], h) + mode_gram([dt_derivative(basis, h)], h)
+    return weight[:, None, None] * mode_gram(basis, h) + mode_gram(dt_derivative(basis, h), h)
 
 
 def _uniformity_grams(N: int, M_t: int, eps: float) -> dict:
@@ -444,7 +309,7 @@ def _uniformity_grams(N: int, M_t: int, eps: float) -> dict:
     l21_weight = sobolev_weights(1, N)
     ends = basis[[0, -1]]
     return {
-        "g": mode_gram([tau_powers(m_eff)[:, None]], h),
+        "g": mode_gram(tau_powers(m_eff)[:, None], h),
         "p": _sobolev_gram(basis, l21_weight, h),
         "trace": sobolev_weights(0.5, N)[:, None, None] * np.einsum("jnk,jnl->nkl", ends, ends),
         "q": time_trapezoid(l21_weight * q_unit**2 + dt_derivative(q_unit, h) ** 2, h),

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from looplab.harness import Config, run_suite
+from looplab.files import Config
+from looplab.harness import run_suite
 
 SEED = 2026
 

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -8,7 +10,8 @@ import pytest
 
 from looplab import coverage, cycles, hamiltonian, harness
 from looplab.cli import COMMANDS, main as cli_main
-from looplab.harness import CheckRecord, Config, emit_plots_data, from_json, run_suite
+from looplab.files import Config, from_json
+from looplab.harness import CheckRecord, emit_plots_data, run_suite
 from looplab.loops import theta_points
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -28,8 +31,9 @@ def _break_sampling_roundtrip(monkeypatch):
 class TestConfig:
     def test_defaults_fill_in(self):
         cfg = Config()
+        # model, N and output_dir come first, inherited from files.Subcommand
         assert [f.name for f in fields(cfg)] == [
-            "model", "N", "M_t", "eps_list", "seed", "output_dir"
+            "model", "N", "output_dir", "M_t", "eps_list", "seed"
         ]
         assert (cfg.N, cfg.M_t, cfg.seed) == (32, 64, 2026)
         assert cfg.eps_list == (1.0, 0.5, 0.1, 0.01, 0.001)
@@ -78,6 +82,19 @@ class TestConfig:
         cfg = from_json(Config, {"eps_list": [1, 0.5], "model": {"s1": 4}}, "config")
         assert cfg.eps_list == (1.0, 0.5) and type(cfg.eps_list[0]) is float
         assert type(cfg.model.s1) is float
+
+    def test_files_loads_no_check_module(self):
+        # configs and output files need loops and the Hamiltonian, never the checks
+        code = "import json, sys, looplab.files; print(json.dumps(sorted(sys.modules)))"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        loaded = set(json.loads(out))
+        assert "looplab.files" in loaded
+        for name in ("harness", "cylinder", "solver", "cycles"):
+            assert f"looplab.{name}" not in loaded
 
 
 class TestSuites:

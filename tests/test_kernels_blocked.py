@@ -34,7 +34,7 @@ from looplab.cylinder import (
     smooth_fields,
     time_trapezoid,
 )
-from looplab.harness import Config
+from looplab.files import Config
 from looplab.loops import (
     Loop,
     gaussian_loop,
@@ -540,7 +540,7 @@ class TestHarnessHelpers:
         g = ref_random_smooth_fields(np.random.default_rng(12), N, M, 3)
         blocks_of((2 * N + 1) * 3 * 8)  # rows of the basis sweep
         gram = cylinder.residual_gram(lam, H, M)
-        g_gram = cylinder.mode_gram([cylinder.tau_powers(M)[:, None]], H)
+        g_gram = cylinder.mode_gram(cylinder.tau_powers(M)[:, None], H)
         forms = [cylinder.quadratic_forms(gr, coeffs) for gr in (gram, g_gram)]
         rel = np.sqrt(forms[0] / forms[1])
         ref = ref_right_inverse_residual(g, ref_kernel_p_values(g, lam, H), lam, H)
@@ -576,13 +576,14 @@ class TestGramForms:
 
     @pytest.mark.parametrize("n_nodes", NODES)
     def test_mode_gram_in_blocks(self, n_nodes):
-        # the trapezoid rule on per-node outer products, in time blocks of any
-        # size; entries may cancel, so the allowance is relative to the largest
+        # the trapezoid rule on per-node outer products, from the Grams of
+        # time blocks of any size as residual_gram sums them; entries may
+        # cancel, so the allowance is relative to the largest
         x = np.random.default_rng(n_nodes).standard_normal((n_nodes, 2 * N + 1, 3))
         ref = time_trapezoid(x[:, :, :, None] * x[:, :, None, :], H)
         for rows in (1, 2, 7, n_nodes):
-            blocks = [x[a:b] for a, b in cylinder.time_blocks(n_nodes, rows)]
-            gram = cylinder.mode_gram(blocks, H)
+            grams = [cylinder._block_gram(x[a:b]) for a, b in cylinder.time_blocks(n_nodes, rows)]
+            gram = cylinder._trapezoid_gram(grams, x[0], x[-1], H)
             np.testing.assert_allclose(gram, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
 
     def test_quadratic_forms(self):
@@ -592,11 +593,11 @@ class TestGramForms:
         x = rng.standard_normal((17, 2 * N + 1, 3))
         coeffs = harness._smooth_field_coeffs(rng, N, 5)
         field = sum(x[:, :, k, None] * c for k, c in enumerate(coeffs))
-        forms = cylinder.quadratic_forms(cylinder.mode_gram([x], H), coeffs)
+        forms = cylinder.quadratic_forms(cylinder.mode_gram(x, H), coeffs)
         np.testing.assert_allclose(forms, ref_l2_batch(field, H) ** 2, rtol=1e-14, atol=0)
         shared = np.broadcast_to(x[:, :1], x.shape)
         field = sum(shared[:, :, k, None] * c for k, c in enumerate(coeffs))
-        forms = cylinder.quadratic_forms(cylinder.mode_gram([x[:, :1]], H), coeffs)
+        forms = cylinder.quadratic_forms(cylinder.mode_gram(x[:, :1], H), coeffs)
         np.testing.assert_allclose(forms, ref_l2_batch(field, H) ** 2, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("modes", (1, 2, 9))
@@ -619,7 +620,7 @@ class TestGramForms:
         # column chunks of any size give the bytes of the whole batch's forms,
         # per-mode and shared Grams alike
         rng = np.random.default_rng(34)
-        gram = cylinder.mode_gram([rng.standard_normal((17, 2 * N + 1, 3))], H)
+        gram = cylinder.mode_gram(rng.standard_normal((17, 2 * N + 1, 3)), H)
         coeffs = harness._smooth_field_coeffs(rng, N, batch)
         c = np.stack(coeffs, axis=-1)
         if cols is not None:

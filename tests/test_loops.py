@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from looplab.harness import from_json, write_json
+from looplab.files import from_json, write_json
 from looplab.loops import (
     Loop,
     aps_project,
