@@ -93,7 +93,7 @@ def time_kernels(repeats: int) -> dict:
     from looplab.loops import lambda_of_modes
 
     nodes, modes, _ = BASIS_SHAPE
-    lam = lambda_of_modes((modes - 1) // 2).astype(float)
+    lam = lambda_of_modes((modes - 1) // 2)
     shape = "x".join(map(str, BASIS_SHAPE))
     M, h = nodes - 1, 1.0 / (nodes - 1)
 
@@ -111,7 +111,7 @@ def time_kernels(repeats: int) -> dict:
     basis = tau[:, None] * cylinder.tau_powers(M_t)
 
     def chunk():
-        return cylinder.l4_shared_basis(basis, coeffs, 0.5 / M_t, N)
+        return cylinder.l4_shared_basis(basis, coeffs, 0.5 / M_t)
 
     return {
         f"kernel_p_values[{shape} basis]": {
@@ -131,19 +131,19 @@ def time_nonlinearity(repeats: int) -> dict:
 
     m = hamiltonian.HamiltonianModel()
 
-    def grad_h(c, N):
+    def grad_h(c):
         return hamiltonian.grad_h_modes(m, c)
 
     def loop(N, modes):
         rng = np.random.default_rng(2026)
         shape = (2 * N + 1, 1)
         noise = 0.01 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        return loops.Loop.from_modes(1, N, modes) + loops.Loop(1, N, noise)
+        return loops.Loop.from_modes(1, N, modes) + loops.Loop(noise)
 
     out = {}
     for N in (8, 32, 128):
         c = loop(N, {1: 1.2, 2: 0.3j}).coeffs
-        out[f"grad_h_modes[N={N}]"] = timed(lambda: grad_h(c, N), repeats, calls=2000)
+        out[f"grad_h_modes[N={N}]"] = timed(lambda: grad_h(c), repeats, calls=2000)
     # the trajectory of configs/flow.json: 1000 steps of dt = 5e-4 per call;
     # the flow of configs/find_orbit.json: 356 steps of T = 1, dt = 0.09/32;
     # 128 steps of dt = 0.09/128 at N = 128, past the dense step's crossover

@@ -41,7 +41,7 @@ def _loop_from_modes_spec(spec: list[ModeEntry], d: int, N: int) -> Loop:
         if abs(entry.n) > N or not (0 <= entry.coord < d):
             raise ValueError(f"mode entry out of range: {entry}")
         coeffs[N + entry.n, entry.coord] = complex(entry.re, entry.im)
-    return Loop(d, N, coeffs)
+    return Loop(coeffs)
 
 
 # Each handler takes its subcommand's config, the output directory (`--out`,

@@ -25,6 +25,7 @@ from .coverage import tracked
 from .hamiltonian import HamiltonianModel, action, action_values, grad_action, grad_action_values
 from .loops import (
     Loop,
+    block_N,
     gaussian_loop,
     inner_values,
     mode_numbers,
@@ -152,8 +153,7 @@ def _descent_step(
 
     Updates c, value and step in place and returns the rows still descending.
     """
-    N = (c.shape[-2] - 1) // 2
-    plus = (mode_numbers(N) > 0)[:, None]
+    plus = (mode_numbers(block_N(c)) > 0)[:, None]
     gamma = c[active]
     g = np.where(plus, grad_action_values(m, gamma), 0.0)
     # remove the radial component in the half-norm metric
@@ -388,7 +388,7 @@ def _newton_matrix(m: HamiltonianModel, gamma: Loop) -> tuple[np.ndarray, np.nda
     """Residual and dense real Jacobian of R(c) = {n c_n - (grad H o gamma)_n}."""
     N, d = gamma.N, gamma.d
     n = mode_numbers(N).astype(float)
-    vals = theta_values(gamma.coeffs, N)
+    vals = theta_values(gamma.coeffs)
     residual_block = grad_action_values(m, gamma.coeffs)
     s = np.sum(np.abs(vals) ** 2, axis=-1)
     hp = m.h_prime(s)
@@ -400,7 +400,7 @@ def _newton_matrix(m: HamiltonianModel, gamma: Loop) -> tuple[np.ndarray, np.nda
     basis[:n_entries] = eye
     basis[n_entries:] = 1j * eye
 
-    w_vals = theta_values(basis, N)  # (B, M, d)
+    w_vals = theta_values(basis)  # (B, M, d)
     cross = np.sum((vals.conj()[None] * w_vals).real, axis=-1)  # Re<x, w>
     hess_vals = (2.0 * hp)[None, :, None] * w_vals + (4.0 * hpp)[None, :, None] * cross[
         :, :, None
@@ -437,8 +437,7 @@ def find_critical_point(
         raise ValueError(f"flow_time must be nonnegative, got {flow_time!r}")
     if newton_tol < 0:
         raise ValueError(f"newton_tol must be nonnegative, got {newton_tol!r}")
-    d, N = seed_loop.d, seed_loop.N
-    dt = 0.09 / N
+    dt = 0.09 / seed_loop.N
     gamma = seed_loop
     if flow_time > 0 and sobolev_norm(seed_loop, 0) > 0:
         t = flow_time
@@ -455,7 +454,7 @@ def find_critical_point(
     iterations = 0
     initial_norm = None
     for iterations in range(0, _MAX_NEWTON + 1):
-        current = Loop(d, N, c)
+        current = Loop(c)
         res, jac = _newton_matrix(m, current)
         res_norm = float(np.linalg.norm(res))
         if initial_norm is None:
@@ -469,10 +468,9 @@ def find_critical_point(
                 f"no convergence to {newton_tol:.3g} in {_MAX_NEWTON} Newton steps"
             )
         step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-        n_entries = (2 * N + 1) * d
-        c = c + (step[:n_entries] + 1j * step[n_entries:]).reshape(2 * N + 1, d)
+        c = c + (step[: c.size] + 1j * step[c.size :]).reshape(c.shape)
 
-    final = Loop(d, N, c)
+    final = Loop(c)
     radius = sobolev_norm(final, 0)
     if radius <= 1e-6:
         winding = 0

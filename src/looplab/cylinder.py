@@ -1,9 +1,9 @@
 """Fields on the cylinder [0, eps] x S^1 and the APS boundary value problem.
 
 A cylinder field is modal in theta and nodal in t: values[j] holds the full
-mode vector {u_n(t_j)} at t_j = j * T / M_t.  The operator under study is
-D = d/dt + L with L = J d/dtheta, which acts per mode as u_n' + lambda_n u_n
-with lambda_n = -n.
+mode vector {u_n(t_j)} at t_j = j * T / M_t, and the block (M_t + 1, 2N + 1, d)
+fixes d, N and M_t.  The operator under study is D = d/dt + L with
+L = J d/dtheta, which acts per mode as u_n' + lambda_n u_n with lambda_n = -n.
 
 Mixed APS boundary data prescribes the nonnegative spectral part of L at
 t = 0 and the negative part at t = eps, through the boundary operator
@@ -33,6 +33,7 @@ from .hamiltonian import HamiltonianModel, grad_action_values
 from .loops import (
     Loop,
     aps_project,
+    block_N,
     frozen_block,
     lambda_of_modes,
     sobolev_norm,
@@ -77,28 +78,31 @@ class CylinderMap:
     t_j = j T / M_t, so restriction to a node is a well-formed Loop.
     """
 
-    d: int
-    N: int
     T: float
-    M_t: int
     values: np.ndarray = field(repr=False)
+    d: int = field(init=False)
+    N: int = field(init=False)
+    M_t: int = field(init=False)
 
     def __post_init__(self):
         if self.T <= 0:
             raise ValueError("cylinder length T must be positive")
-        if self.M_t < 8:
+        values = frozen_block(self.values, 3, "cylinder values")
+        if len(values) < 9:
             raise ValueError("need at least M_t >= 8 time intervals")
-        shape = (self.M_t + 1, 2 * self.N + 1, self.d)
-        object.__setattr__(self, "values", frozen_block(self.values, shape, "cylinder values"))
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "d", values.shape[2])
+        object.__setattr__(self, "N", block_N(values))
+        object.__setattr__(self, "M_t", len(values) - 1)
 
     @staticmethod
     def zero(d: int, N: int, T: float, M_t: int) -> "CylinderMap":
-        return CylinderMap(d, N, T, M_t, np.zeros((M_t + 1, 2 * N + 1, d), complex))
+        return CylinderMap(T, np.zeros((M_t + 1, 2 * N + 1, d), complex))
 
     @staticmethod
     def constant(loop: Loop, T: float, M_t: int) -> "CylinderMap":
         vals = np.broadcast_to(loop.coeffs, (M_t + 1,) + loop.coeffs.shape)
-        return CylinderMap(loop.d, loop.N, T, M_t, vals.copy())
+        return CylinderMap(T, vals.copy())
 
     @property
     def times(self) -> np.ndarray:
@@ -109,7 +113,7 @@ class CylinderMap:
         return self.T / self.M_t
 
     def restrict(self, j: int) -> Loop:
-        return Loop(self.d, self.N, self.values[j])
+        return Loop(self.values[j])
 
     def rest_0(self) -> Loop:
         return self.restrict(0)
@@ -118,11 +122,9 @@ class CylinderMap:
         return self.restrict(self.M_t)
 
     def __add__(self, other: "CylinderMap") -> "CylinderMap":
-        if (self.d, self.N, self.M_t) != (other.d, other.N, other.M_t) or not np.isclose(
-            self.T, other.T
-        ):
+        if self.values.shape != other.values.shape or not np.isclose(self.T, other.T):
             raise ValueError("cylinder shape mismatch")
-        return CylinderMap(self.d, self.N, self.T, self.M_t, self.values + other.values)
+        return CylinderMap(self.T, self.values + other.values)
 
 
 @dataclass(frozen=True)
@@ -142,10 +144,6 @@ class BoundaryData:
             raise ValueError("plus0 must be supported on modes n <= 0")
         if np.any(aps_project(self.minus_end, "plus").coeffs != 0):
             raise ValueError("minus_end must be supported on modes n > 0")
-
-    @property
-    def d(self) -> int:
-        return self.plus0.d
 
     @property
     def N(self) -> int:
@@ -534,34 +532,35 @@ def quadratic_forms(gram: np.ndarray, coeffs) -> np.ndarray:
     return out
 
 
-def _l4_rows(block: np.ndarray, N: int) -> np.ndarray:
+def _l4_rows(block: np.ndarray) -> np.ndarray:
     """Quartic density mean_theta |u|^4 (rows, batch) of a block of rows (rows, modes, batch)."""
     # reorder to (rows, batch, modes, 1) so the theta axis lands second-to-last
-    sampled = theta_values(np.swapaxes(block, 1, 2)[..., None], N)[..., 0]
+    sampled = theta_values(np.swapaxes(block, 1, 2)[..., None])[..., 0]
     return np.mean(np.abs(sampled) ** 4, axis=-1)
 
 
-def l4_combination(basis: np.ndarray, coeffs, h: float, N: int) -> np.ndarray:
+def l4_combination(basis: np.ndarray, coeffs, h: float) -> np.ndarray:
     """L^4 norm per batch column of the field sum_k c_k[n] X[:, n, k].
 
-    basis X is real (nodes, modes, K) and depends on the mode, and coeffs
-    holds K blocks (modes, batch); the field is formed and reduced one time
+    basis X is real (nodes, 2N+1, K) and depends on the mode, and coeffs
+    holds K blocks (2N+1, batch); the field is formed and reduced one time
     block at a time, sized by its theta samples (batch, theta_points(N)) per
     row.  A basis shared by every mode goes to l4_shared_basis.
     """
     n_nodes, batch = len(basis), coeffs[0].shape[1]
-    rows = block_rows(n_nodes, batch * theta_points(N) * np.dtype(complex).itemsize)
+    M = theta_points(block_N(coeffs[0]))
+    rows = block_rows(n_nodes, batch * M * np.dtype(complex).itemsize)
     quartic = np.empty((n_nodes, batch))
     for start, stop in time_blocks(n_nodes, rows):
         x = basis[start:stop]
         u = x[:, :, 0, None] * coeffs[0]
         for k in range(1, len(coeffs)):
             u += x[:, :, k, None] * coeffs[k]
-        quartic[start:stop] = _l4_rows(u, N)
+        quartic[start:stop] = _l4_rows(u)
     return time_trapezoid(quartic, h) ** 0.25
 
 
-def l4_shared_basis(basis: np.ndarray, coeffs, h: float, N: int) -> np.ndarray:
+def l4_shared_basis(basis: np.ndarray, coeffs, h: float) -> np.ndarray:
     """L^4 norm per batch column of the field sum_k c_k[n] X[:, k].
 
     basis X is real (nodes, K) and shared by every mode, and coeffs holds K
@@ -572,7 +571,7 @@ def l4_shared_basis(basis: np.ndarray, coeffs, h: float, N: int) -> np.ndarray:
     trapezoid rule Y_pq of y_p y_q: each block is sampled once, and no field
     is formed.
     """
-    samples = [theta_values(c.T[..., None], N)[..., 0] for c in coeffs]  # (batch, M)
+    samples = [theta_values(c.T[..., None])[..., 0] for c in coeffs]  # (batch, M)
     pairs = [(k, l) for k in range(len(coeffs)) for l in range(k, len(coeffs))]
     y = np.stack([(1.0 if k == l else 2.0) * basis[:, k] * basis[:, l] for k, l in pairs], axis=1)
     Y = time_trapezoid(y[:, :, None] * y[:, None, :], h)
@@ -595,10 +594,10 @@ def l4_shared_basis(basis: np.ndarray, coeffs, h: float, N: int) -> np.ndarray:
 @tracked("cylinder.apply_D")
 def apply_D(u: CylinderMap) -> CylinderMap:
     """D u = du/dt + L u, per mode u_n' + lambda_n u_n with lambda_n = -n."""
-    lam = lambda_of_modes(u.N).astype(float)
+    lam = lambda_of_modes(u.N)
     vals = dt_derivative(u.values, u.dt)
     vals += lam[None, :, None] * u.values
-    return CylinderMap(u.d, u.N, u.T, u.M_t, vals)
+    return CylinderMap(u.T, vals)
 
 
 @tracked("cylinder.q_op")
@@ -606,18 +605,17 @@ def q_op(beta: BoundaryData, eps: float, M_t: int = 64) -> CylinderMap:
     """Kernel element of D with the prescribed mixed boundary data."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    lam = lambda_of_modes(beta.N).astype(float)
+    lam = lambda_of_modes(beta.N)
     times = np.linspace(0.0, eps, M_t + 1)
     vals = kernel_q_values(beta.plus0.coeffs, beta.minus_end.coeffs, lam, times, eps)
-    return CylinderMap(beta.d, beta.N, eps, M_t, vals)
+    return CylinderMap(eps, vals)
 
 
 @tracked("cylinder.p_op")
 def p_op(g: CylinderMap) -> CylinderMap:
     """Right inverse of D with vanishing mixed boundary data, applied to g."""
-    lam = lambda_of_modes(g.N).astype(float)
-    vals = kernel_p_values(g.values, lam, g.dt)
-    return CylinderMap(g.d, g.N, g.T, g.M_t, vals)
+    vals = kernel_p_values(g.values, lambda_of_modes(g.N), g.dt)
+    return CylinderMap(g.T, vals)
 
 
 @tracked("cylinder.aps_boundary")
@@ -631,20 +629,18 @@ def aps_boundary(u: CylinderMap) -> BoundaryData:
 
 @tracked("cylinder.cyl_norm")
 def cyl_norm(u: CylinderMap, which: str) -> float:
-    """Cylinder norms: L2, L2_1 (|u|^2 + |u_t|^2 + |u_theta|^2) or L4."""
+    """Cylinder norms: L2_1 (|u|^2 + |u_t|^2 + |u_theta|^2) or L4; l2_norm gives L2."""
     h = u.dt
-    if which == "L2":
-        return l2_norm(u.values, h)
     if which == "L2_1":
         weight = sobolev_weights(1, u.N)[None, :, None]
         du = dt_derivative(u.values, h)
         density = np.sum(weight * np.abs(u.values) ** 2 + np.abs(du) ** 2, axis=(1, 2))
         return float(np.sqrt(time_trapezoid(density, h)))
     if which == "L4":
-        grid = theta_values(u.values, u.N)
+        grid = theta_values(u.values)
         quartic = np.mean(np.sum(np.abs(grid) ** 2, axis=-1) ** 2, axis=1)
         return float(time_trapezoid(quartic, h) ** 0.25)
-    raise ValueError("which must be one of 'L2', 'L2_1', 'L4'")
+    raise ValueError("which must be one of 'L2_1', 'L4'")
 
 
 @tracked("cylinder.energy")
@@ -672,7 +668,7 @@ def kernel_dt_mass(u: CylinderMap) -> float:
     pure exponential on each interval, so the integral has a closed form in
     the node values; no finite differences enter.
     """
-    lam = lambda_of_modes(u.N).astype(float)
+    lam = lambda_of_modes(u.N)
     h = u.dt
     nz = lam != 0
     lam_nz = lam[nz]

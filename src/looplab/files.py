@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 import numpy as np
 
 from .hamiltonian import HamiltonianModel
-from .loops import mode_numbers
+from .loops import block_N, mode_numbers
 
 # -- config schemas: one dataclass per subcommand; its fields are the config
 # keys the subcommand reads, and `from_json` checks their names and types
@@ -112,6 +112,7 @@ def from_json(cls, obj, label: str):
     Keys must name fields, and fields without a default must be given.  Values
     must match the type hints: JSON integers for int, numbers for float (never
     booleans), null for `T | None`, arrays for lists, objects for dataclasses.
+    A field the class reads off an array (init=False) must match that array.
     """
     if not isinstance(obj, dict):
         raise TypeError(f"{label} must be a JSON object, got {obj!r}")
@@ -119,7 +120,13 @@ def from_json(cls, obj, label: str):
     if unknown:
         raise ValueError(f"unknown {label} keys: {sorted(unknown)}")
     hints = typing.get_type_hints(cls)
-    return cls(**{key: _typed(hints[key], value, key) for key, value in obj.items()})
+    given = {key: _typed(hints[key], value, key) for key, value in obj.items()}
+    derived = {f.name for f in fields(cls) if not f.init}
+    out = cls(**{key: value for key, value in given.items() if key not in derived})
+    wrong = sorted(key for key in derived & set(given) if given[key] != getattr(out, key))
+    if wrong:
+        raise ValueError(f"{label} keys {wrong} disagree with its array")
+    return out
 
 
 def _typed(hint, value, label: str):
@@ -199,10 +206,9 @@ def mode_table(values: np.ndarray, times=None, coord: bool = True):
     else:
         nodes = [[f"{t:.12g}"] for t in times]
         header += ["t", "re", "im"]
-    N = (values.shape[1] - 1) // 2
     rows = (
         [int(n)] + ([c] if coord else []) + node + [f"{z.real:.17g}", f"{z.imag:.17g}"]
-        for i, n in enumerate(mode_numbers(N))
+        for i, n in enumerate(mode_numbers(block_N(values)))
         for c in range(values.shape[2])
         for node, z in zip(nodes, values[:, i, c])
     )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverage import tracked
-from .loops import Loop, block_sums, mode_numbers, synthesize_values, theta_values
+from .loops import Loop, block_N, block_sums, mode_numbers, synthesize_values, theta_values
 
 _PROFILE_GRID = 20001  # sampling density for recorded constants
 
@@ -135,8 +135,7 @@ def eval_XH(m: HamiltonianModel, x: np.ndarray) -> np.ndarray:
 
 def grad_h_modes(m: HamiltonianModel, coeffs: np.ndarray) -> np.ndarray:
     """Modes |n| <= N of grad H on coefficient blocks (..., 2N+1, d) sampled by theta_values."""
-    N = (coeffs.shape[-2] - 1) // 2
-    return synthesize_values(eval_gradH(m, theta_values(coeffs, N)), N)
+    return synthesize_values(eval_gradH(m, theta_values(coeffs)), block_N(coeffs))
 
 
 @tracked("hamiltonian.k_factor")
@@ -182,16 +181,15 @@ def action_values(m: HamiltonianModel, coeffs: np.ndarray) -> np.ndarray:
     contiguous last axis, so each block's value is bit-identical to that of
     the block on its own.
     """
-    N = (coeffs.shape[-2] - 1) // 2
-    n = mode_numbers(N).astype(float)
+    n = mode_numbers(block_N(coeffs)).astype(float)
     quad = 0.5 * block_sums(n[:, None] * np.abs(coeffs) ** 2)
-    return quad - np.mean(eval_H(m, theta_values(coeffs, N)), axis=-1)
+    return quad - np.mean(eval_H(m, theta_values(coeffs)), axis=-1)
 
 
 def grad_action_values(m: HamiltonianModel, coeffs: np.ndarray) -> np.ndarray:
     """L^2 gradient n c_n - (grad H)_n of CSD_H for each block of a stack (..., 2N+1, d)."""
-    N = (coeffs.shape[-2] - 1) // 2
-    return mode_numbers(N).astype(float)[:, None] * coeffs - grad_h_modes(m, coeffs)
+    n = mode_numbers(block_N(coeffs)).astype(float)
+    return n[:, None] * coeffs - grad_h_modes(m, coeffs)
 
 
 @tracked("hamiltonian.action")
@@ -203,7 +201,7 @@ def action(m: HamiltonianModel, gamma: Loop) -> float:
 @tracked("hamiltonian.grad_action")
 def grad_action(m: HamiltonianModel, gamma: Loop) -> Loop:
     """Formal L^2 gradient: mode n of -J gamma' - grad H(gamma) is n c_n - (grad H o gamma)_n."""
-    return Loop(gamma.d, gamma.N, grad_action_values(m, gamma.coeffs))
+    return Loop(grad_action_values(m, gamma.coeffs))
 
 
 # -- linear/compact splitting ---------------------------------------------------

@@ -71,6 +71,7 @@ from .loops import (
     CONVENTION,
     Loop,
     aps_project,
+    gaussian_block,
     gaussian_loop,
     inner,
     lambda_of_modes,
@@ -244,10 +245,7 @@ def _mode_data(N: int, n: int, a: float) -> BoundaryData:
 
 def _smooth_field_coeffs(rng, N: int, batch: int) -> list[np.ndarray]:
     """The coefficients c0, c1, c2, each (2N+1, batch), of random smooth fields."""
-    return [
-        rng.standard_normal((2 * N + 1, batch)) + 1j * rng.standard_normal((2 * N + 1, batch))
-        for _ in range(3)
-    ]
+    return [gaussian_block(rng, (2 * N + 1, batch)) for _ in range(3)]
 
 
 def _half_norm_sq(coeffs: np.ndarray) -> np.ndarray:
@@ -263,7 +261,7 @@ def _right_inverse_errors(rng, N: int, M_t: int, eps: float) -> tuple[float, flo
     basis sweep, formed while the sweep runs (residual_gram).  The traces
     are those of P applied to the first chunk on the M_t grid.
     """
-    lam = lambda_of_modes(N).astype(float)
+    lam = lambda_of_modes(N)
     plus_mask = (mode_numbers(N) <= 0)[:, None]
     M_ref = max(2048, int(np.ceil(12000 * eps)))
     h = eps / M_ref
@@ -298,7 +296,7 @@ def _uniformity_grams(N: int, M_t: int, eps: float) -> dict:
     unit Q field and P's basis sweeps (nodes, modes, 4), the basis of the
     mixed L^4 fields, on time steps of "h".
     """
-    lam = lambda_of_modes(N).astype(float)
+    lam = lambda_of_modes(N)
     # resolve the stiffest transient (lambda * h <= 0.1) so the
     # estimates measure the operators, not the grid
     m_eff = max(M_t, int(np.ceil(10 * N * eps)))
@@ -329,7 +327,7 @@ def _uniformity_estimates(rng, N: int, M_t: int, eps: float) -> tuple[float, ...
 
     # Q: per-mode unit probes (the exact extremizers) plus random mixes
     probes = np.eye(2 * N + 1)
-    c = np.concatenate([probes, gaussian_loop(1000, N, rng).coeffs], axis=1)
+    c = np.concatenate([probes, gaussian_block(rng, (2 * N + 1, 1000))], axis=1)
     q_l21 = np.sqrt(np.sum(grams["q"][:, None] * np.abs(c) ** 2, axis=0))
     est_q = float(np.max(q_l21 / np.sqrt(_half_norm_sq(c))))
 
@@ -345,9 +343,9 @@ def _uniformity_estimates(rng, N: int, M_t: int, eps: float) -> tuple[float, ...
     est_r = float(np.max(np.sqrt(quadratic_forms(grams["trace"], forcing)) / g_l2))
 
     # mixed L4 bound on Q c2 + P g2
-    c2 = gaussian_loop(100, N, rng).coeffs
+    c2 = gaussian_block(rng, (2 * N + 1, 100))
     smooth2 = _smooth_field_coeffs(rng, N, 100)
-    u_l4 = l4_combination(grams["mixed"], [c2] + smooth2, grams["h"], N)
+    u_l4 = l4_combination(grams["mixed"], [c2] + smooth2, grams["h"])
     denom = np.sqrt(_half_norm_sq(c2)) + np.sqrt(quadratic_forms(grams["g"], smooth2))
     est_mix = float(np.max(u_l4 / denom))
     return est_p, est_q, est_r, est_mix
@@ -753,7 +751,7 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
         # only the limit, not each step, is controlled)
         mixed = gaussian_loop(1, N, rng, max_mode=8).coeffs
         mixed = np.where((mode_numbers(N) <= 0)[:, None], mixed, 0.0)
-        betas.append(Loop(1, N, mixed))
+        betas.append(Loop(mixed))
         worst_monotone = -np.inf
         worst_final_mass = 0.0
         curves = []
@@ -788,7 +786,7 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
                 coeffs = _smooth_field_coeffs(rng, N, 250)
                 x = windows[chunk % 2]
                 grad_sq = quadratic_forms(_sobolev_gram(x[:, None], n_sq, h), coeffs)
-                lhs = l4_shared_basis(x, coeffs, h, N) ** 4
+                lhs = l4_shared_basis(x, coeffs, h) ** 4
                 worst = max(worst, float(np.max(lhs / (eps * grad_sq**2))))
         yield "end_vanishing_l4", worst, {}
 
@@ -906,7 +904,7 @@ def _suite_contraction(config: Config) -> list[CheckRecord]:
         )
         q = q_op(beta, eps, M_t=mt)
         for _ in range(80):
-            u = q + p_op(CylinderMap(1, N, eps, mt, v))
+            u = q + p_op(CylinderMap(eps, v))
             v = -grad_h_modes(m, u.values)
         dist = float(np.max(np.abs(v - base.v.values)))
         yield "uniqueness", dist, {}
@@ -1085,7 +1083,7 @@ def _suite_flow(config: Config) -> list[CheckRecord]:
         lo_seen, hi_seen = np.inf, -np.inf
         for _ in range(1000):
             vals = smooth_fields(_smooth_field_coeffs(rng, N, 1), M_t)
-            u = CylinderMap(1, N, 0.4, M_t, vals)
+            u = CylinderMap(0.4, vals)
             ratio = energy(m_quad, u) / cyl_norm(u, "L2_1") ** 2
             lo_seen, hi_seen = min(lo_seen, ratio), max(hi_seen, ratio)
             worst = max(worst, lo - ratio, ratio - hi)
@@ -1098,7 +1096,7 @@ def _suite_flow(config: Config) -> list[CheckRecord]:
         lo, hi = bounds_for(2.0)
         vals = np.zeros((M_t + 1, 2 * N + 1, 1), complex)
         vals[:, N + 2, 0] = 1.0  # resonant mode n = 2, constant in t
-        u = CylinderMap(1, N, 0.4, M_t, vals)
+        u = CylinderMap(0.4, vals)
         ratio = energy(m_res, u) / cyl_norm(u, "L2_1") ** 2
         yield "equivalence_resonant_degenerates", max(ratio, lo), {
             "resonant_ratio": float(ratio), "resonant_lower_bound": lo

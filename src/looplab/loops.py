@@ -16,9 +16,11 @@ Two splittings of the mode range are used throughout:
 Values on a theta-grid are reached through an FFT bridge (`sample` /
 `synthesize`) used for pointwise nonlinearities.
 
-Loops and cylinder fields store their blocks through `frozen_block`: a
-read-only, C-ordered complex copy, whatever the layout of the input, so
-that later sums over a block always run in the same order.
+A block's shape is read off its array: axis -2 holds the 2N+1 modes
+(`block_N`) and axis -1 the d coordinates, so no function takes d or N
+beside a block.  Loops and cylinder fields store their blocks through
+`frozen_block`: a read-only, C-ordered complex copy, whatever the layout of
+the input, so that later sums over a block always run in the same order.
 """
 
 from __future__ import annotations
@@ -57,8 +59,13 @@ def mode_numbers(N: int) -> np.ndarray:
 
 
 def lambda_of_modes(N: int) -> np.ndarray:
-    """Eigenvalues of L = J d/dtheta in storage order (lambda_n = -n)."""
-    return -mode_numbers(N)
+    """Eigenvalues of L = J d/dtheta in storage order (lambda_n = -n), as floats."""
+    return (-mode_numbers(N)).astype(float)
+
+
+def block_N(block: np.ndarray) -> int:
+    """N of a block (..., 2N+1, d), whose axis -2 holds the modes c_{-N}..c_N."""
+    return (block.shape[-2] - 1) // 2
 
 
 def sobolev_weights(order: float, N: int) -> np.ndarray:
@@ -80,11 +87,13 @@ def sobolev_weights(order: float, N: int) -> np.ndarray:
     raise ValueError(f"unsupported Sobolev order {order!r}; use 0, 0.5, 1 or 2")
 
 
-def frozen_block(values, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """Read-only C-ordered complex copy of values, checked for shape and finiteness."""
+def frozen_block(values, ndim: int, what: str) -> np.ndarray:
+    """Read-only C-ordered complex copy of values (..., 2N+1, d), checked to have
+    ndim axes, N >= 1, d >= 1 and finite entries."""
     block = np.array(values, dtype=complex, order="C")
-    if block.shape != shape:
-        raise ValueError(f"{what} must have shape {shape}, got {block.shape}")
+    modes, d = block.shape[-2:] if block.ndim == ndim else (0, 0)
+    if modes < 3 or modes % 2 == 0 or d < 1:
+        raise ValueError(f"{what} need {ndim} axes, 2N+1 >= 3 modes, d >= 1; got {block.shape}")
     if not np.all(np.isfinite(block.view(float))):
         raise ValueError(f"{what} must be finite")
     block.setflags(write=False)
@@ -93,23 +102,23 @@ def frozen_block(values, shape: tuple[int, ...], what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Loop:
-    """A truncated Fourier loop: coeffs[N + n] is c_n in C^d."""
+    """A truncated Fourier loop: coeffs[N + n] is c_n in C^d; d and N are read off coeffs."""
 
-    d: int
-    N: int
     coeffs: np.ndarray = field(repr=False)
+    d: int = field(init=False)
+    N: int = field(init=False)
 
     def __post_init__(self):
-        if self.d < 1 or self.N < 1:
-            raise ValueError("Loop needs d >= 1 and N >= 1")
-        c = frozen_block(self.coeffs, (2 * self.N + 1, self.d), "loop coefficients")
+        c = frozen_block(self.coeffs, 2, "loop coefficients")
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "d", c.shape[1])
+        object.__setattr__(self, "N", block_N(c))
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def zero(d: int, N: int) -> "Loop":
-        return Loop(d, N, np.zeros((2 * N + 1, d), complex))
+        return Loop(np.zeros((2 * N + 1, d), complex))
 
     @staticmethod
     def from_modes(d: int, N: int, modes: dict[int, np.ndarray | complex]) -> "Loop":
@@ -123,7 +132,7 @@ class Loop:
                 c[N + n, 0] = v
             else:
                 c[N + n, :] = v
-        return Loop(d, N, c)
+        return Loop(c)
 
     # -- accessors ----------------------------------------------------------
 
@@ -139,22 +148,19 @@ class Loop:
     # -- arithmetic (shape-checked) ------------------------------------------
 
     def _check(self, other: "Loop") -> None:
-        if self.d != other.d or self.N != other.N:
-            raise ValueError(
-                f"loop shape mismatch: (d={self.d}, N={self.N}) vs "
-                f"(d={other.d}, N={other.N})"
-            )
+        if self.coeffs.shape != other.coeffs.shape:
+            raise ValueError(f"loop shape mismatch: {self.coeffs.shape} vs {other.coeffs.shape}")
 
     def __add__(self, other: "Loop") -> "Loop":
         self._check(other)
-        return Loop(self.d, self.N, self.coeffs + other.coeffs)
+        return Loop(self.coeffs + other.coeffs)
 
     def __sub__(self, other: "Loop") -> "Loop":
         self._check(other)
-        return Loop(self.d, self.N, self.coeffs - other.coeffs)
+        return Loop(self.coeffs - other.coeffs)
 
     def __mul__(self, a: complex) -> "Loop":
-        return Loop(self.d, self.N, self.coeffs * a)
+        return Loop(self.coeffs * a)
 
     __rmul__ = __mul__
 
@@ -183,14 +189,12 @@ def block_sums(x: np.ndarray) -> np.ndarray:
 
 def sobolev_sq(coeffs: np.ndarray, order: float) -> np.ndarray:
     """Squared Sobolev norm of each (2N+1, d) block of a stack (..., 2N+1, d)."""
-    N = (coeffs.shape[-2] - 1) // 2
-    return block_sums(sobolev_weights(order, N)[:, None] * np.abs(coeffs) ** 2)
+    return block_sums(sobolev_weights(order, block_N(coeffs))[:, None] * np.abs(coeffs) ** 2)
 
 
 def inner_values(a: np.ndarray, b: np.ndarray, order: float) -> np.ndarray:
     """Real Sobolev pairing of each pair of (2N+1, d) blocks of two stacks (..., 2N+1, d)."""
-    N = (a.shape[-2] - 1) // 2
-    return block_sums(sobolev_weights(order, N)[:, None] * (a * b.conj()).real)
+    return block_sums(sobolev_weights(order, block_N(a))[:, None] * (a * b.conj()).real)
 
 
 @tracked("loopspace.inner")
@@ -212,7 +216,7 @@ def _keep_sector(gamma: Loop, sector: str, plus_is_positive: bool) -> Loop:
         raise ValueError("sector must be 'plus' or 'minus'")
     positive = (sector == "plus") == plus_is_positive
     keep = (mode_numbers(gamma.N) > 0) == positive
-    return Loop(gamma.d, gamma.N, np.where(keep[:, None], gamma.coeffs, 0.0))
+    return Loop(np.where(keep[:, None], gamma.coeffs, 0.0))
 
 
 @tracked("loopspace.project")
@@ -247,8 +251,9 @@ def _check_grid(M: int, N: int) -> None:
 
 # The bridge puts mode n >= 0 at index n of the M-point spectrum and n < 0 at
 # M + n, by two slice copies, so that it returns C-ordered blocks
-def sample_coeffs(coeffs: np.ndarray, N: int, M: int) -> np.ndarray:
+def sample_coeffs(coeffs: np.ndarray, M: int) -> np.ndarray:
     """Evaluate a coefficient block (..., 2N+1, d) on the M-point theta grid."""
+    N = block_N(coeffs)
     _check_grid(M, N)
     spec = np.zeros(coeffs.shape[:-2] + (M,) + coeffs.shape[-1:], complex)
     spec[..., : N + 1, :] = coeffs[..., N:, :]
@@ -264,15 +269,15 @@ def synthesize_values(values: np.ndarray, N: int) -> np.ndarray:
     return np.concatenate((spec[..., M - N :, :], spec[..., : N + 1, :]), axis=-2) / M
 
 
-def theta_values(coeffs: np.ndarray, N: int) -> np.ndarray:
+def theta_values(coeffs: np.ndarray) -> np.ndarray:
     """Values of a coefficient block (..., 2N+1, d) on the theta_points(N) grid."""
-    return sample_coeffs(coeffs, N, theta_points(N))
+    return sample_coeffs(coeffs, theta_points(block_N(coeffs)))
 
 
 @tracked("loopspace.sample")
 def sample(gamma: Loop, M: int) -> np.ndarray:
     """Values gamma(theta_j) at theta_j = 2 pi j / M, shape (M, d)."""
-    return sample_coeffs(gamma.coeffs, gamma.N, M)
+    return sample_coeffs(gamma.coeffs, M)
 
 
 @tracked("loopspace.synthesize")
@@ -281,20 +286,23 @@ def synthesize(values: np.ndarray, N: int) -> Loop:
     values = np.asarray(values, dtype=complex)
     if values.ndim == 1:
         values = values[:, None]
-    return Loop(values.shape[1], N, synthesize_values(values, N))
+    return Loop(synthesize_values(values, N))
 
 
 # -- random loops (deterministic given rng) -----------------------------------
+
+
+def gaussian_block(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """iid complex Gaussians a + i b of the given shape, all of a drawn before b."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def gaussian_loop(
     d: int, N: int, rng: np.random.Generator, scale: float = 1.0, max_mode: int | None = None
 ) -> Loop:
     """Loop with iid complex Gaussian coefficients (optionally band-limited)."""
-    c = scale * (
-        rng.standard_normal((2 * N + 1, d)) + 1j * rng.standard_normal((2 * N + 1, d))
-    )
+    c = scale * gaussian_block(rng, (2 * N + 1, d))
     if max_mode is not None:
         mask = np.abs(mode_numbers(N)) <= max_mode
         c = np.where(mask[:, None], c, 0.0)
-    return Loop(d, N, c)
+    return Loop(c)

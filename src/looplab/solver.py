@@ -134,7 +134,6 @@ def picard_solve(
         raise ValueError("eps must be positive")
     if tol < 0:
         raise ValueError(f"tol must be nonnegative, got {tol!r}")
-    d, N = beta.d, beta.N
     q = q_op(beta, eps, M_t=M_t)
     h = q.dt
 
@@ -148,7 +147,7 @@ def picard_solve(
     iterations = 0
 
     for iterations in range(1, MAX_ITER + 1):
-        u = q + p_op(CylinderMap(d, N, eps, M_t, v_vals))
+        u = q + p_op(CylinderMap(eps, v_vals))
         v_next = -grad_h_modes(m, u.values)
         inc = l2_norm(v_next - v_vals, h)
         v_norm = l2_norm(v_next, h)
@@ -171,7 +170,7 @@ def picard_solve(
     else:
         raise MaxIterExceeded(f"no convergence to {tol:.3g} in {MAX_ITER} iterations")
 
-    v = CylinderMap(d, N, eps, M_t, v_vals)
+    v = CylinderMap(eps, v_vals)
     u = q + p_op(v)
     # the linear part D u equals v at the nodes by construction, so the PDE
     # residual at the nodes is the fixed-point defect
@@ -239,7 +238,7 @@ def _etd_operators(N: int, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """
     M = theta_points(N)
     grow, weight = (w[:, None] for w in _etd_coefficients(N, dt))
-    S = sample_coeffs(np.eye(2 * N + 1, dtype=complex), N, M)
+    S = sample_coeffs(np.eye(2 * N + 1, dtype=complex), M)
     return S, -2.0 * weight * synthesize_values(np.eye(M, dtype=complex), N), grow
 
 
@@ -262,7 +261,7 @@ def flow_step(m: HamiltonianModel, gamma: Loop, dt: float) -> Loop:
     with np.errstate(over="ignore"):  # inf past overflow
         if not np.sqrt(sobolev_sq(gamma.coeffs, 0)) <= BLOWUP_NORM:
             raise Blowup(0.0)
-    return Loop(gamma.d, gamma.N, _etd_step(m, _etd_operators(gamma.N, dt), gamma.coeffs))
+    return Loop(_etd_step(m, _etd_operators(gamma.N, dt), gamma.coeffs))
 
 
 def _cumulative_simpson(g: np.ndarray, h: float) -> np.ndarray:
@@ -303,7 +302,7 @@ def flow_trajectory(m: HamiltonianModel, gamma: Loop, T: float, dt: float) -> Fl
         raise ValueError("flow time must be nonnegative")
     if not dt > 0:
         raise ValueError(f"flow step dt must be positive, got {dt!r}")
-    d, N = gamma.d, gamma.N
+    N = gamma.N
 
     steps = max(int(round(T / dt)), 1) if T > 0 else 0
     dt_eff = T / steps if steps else dt
@@ -316,7 +315,7 @@ def flow_trajectory(m: HamiltonianModel, gamma: Loop, T: float, dt: float) -> Fl
     grad_sq = np.zeros(steps + 1)
     norms = np.zeros(steps + 1)
 
-    buffer = np.empty((min(_NODE_BLOCK, steps + 1), 2 * N + 1, d), complex)
+    buffer = np.empty((min(_NODE_BLOCK, steps + 1),) + gamma.coeffs.shape, complex)
     c = before = gamma.coeffs
     for start in range(0, steps + 1, len(buffer)):
         nodes = buffer[: steps + 1 - start]
@@ -340,7 +339,7 @@ def flow_trajectory(m: HamiltonianModel, gamma: Loop, T: float, dt: float) -> Fl
                 actions=actions[:k],
                 cumulative_energy=_cumulative_simpson(grad_sq[:k], dt_eff),
                 norms=norms[:k],
-                final=Loop(d, N, nodes[passed - 1] if passed else before),
+                final=Loop(nodes[passed - 1] if passed else before),
             )
             raise Blowup(k * dt_eff, partial)
         before = nodes[-1].copy()
@@ -350,7 +349,7 @@ def flow_trajectory(m: HamiltonianModel, gamma: Loop, T: float, dt: float) -> Fl
         actions=actions,
         cumulative_energy=_cumulative_simpson(grad_sq, dt_eff),
         norms=norms,
-        final=Loop(d, N, c),
+        final=Loop(c),
     )
 
 

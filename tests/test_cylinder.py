@@ -41,7 +41,7 @@ class TestApplyD:
         for n in range(-N, N + 1):
             lam = -n
             vals[:, N + n, 0] = np.exp(-lam * times)
-        u = CylinderMap(1, N, T, M_t, vals)
+        u = CylinderMap(T, vals)
         res = apply_D(u)
         coarse = np.max(np.abs(res.values))
         # refined grid shrinks the defect by the square of the refinement
@@ -50,7 +50,7 @@ class TestApplyD:
         vals2 = np.zeros((M_t2 + 1, 2 * N + 1, 1), complex)
         for n in range(-N, N + 1):
             vals2[:, N + n, 0] = np.exp(n * times2)
-        fine = np.max(np.abs(apply_D(CylinderMap(1, N, T, M_t2, vals2)).values))
+        fine = np.max(np.abs(apply_D(CylinderMap(T, vals2)).values))
         assert coarse < 2e-2
         assert coarse / fine == pytest.approx(16, rel=0.35)
 
@@ -111,7 +111,7 @@ class TestPOp:
         N, M_t, eps = 4, 64, 0.8
         vals = np.zeros((M_t + 1, 2 * N + 1, 1), complex)
         vals[:, N - 2, 0] = 1.0
-        u = p_op(CylinderMap(1, N, eps, M_t, vals))
+        u = p_op(CylinderMap(eps, vals))
         times = u.times
         expected = (1 - np.exp(-2 * times)) / 2
         assert np.allclose(u.values[:, N - 2, 0], expected, atol=1e-12)
@@ -122,7 +122,7 @@ class TestPOp:
         vals = rng.standard_normal((M_t + 1, 2 * N + 1, 1)) + 1j * rng.standard_normal(
             (M_t + 1, 2 * N + 1, 1)
         )
-        u = p_op(CylinderMap(1, N, eps, M_t, vals))
+        u = p_op(CylinderMap(eps, vals))
         bd = aps_boundary(u)
         assert bd.norm() <= 1e-10
 
@@ -140,9 +140,9 @@ class TestPOp:
         c2 = rng.standard_normal((2 * N + 1, 1)) + 1j * rng.standard_normal((2 * N + 1, 1))
         tau = (times / eps)[:, None, None]
         vals = c0[None] + c1[None] * tau + c2[None] * tau**2
-        g = CylinderMap(1, N, eps, M_t, vals)
+        g = CylinderMap(eps, vals)
         residual = apply_D(p_op(g)).values - g.values
-        rel = l2_norm(residual, g.dt) / cyl_norm(g, "L2")
+        rel = l2_norm(residual, g.dt) / l2_norm(g.values, g.dt)
         assert rel <= 1e-6
 
 
@@ -192,7 +192,7 @@ class TestPExactOracle:
         N = 4
         h = 1.0 / 16
         eps = h * (n_nodes - 1)
-        lam = lambda_of_modes(N).astype(float)
+        lam = lambda_of_modes(N)
         times = np.linspace(0.0, eps, n_nodes)
         rng = np.random.default_rng(n_nodes + 10 * len(trailing))
         shape = (2 * N + 1,) + trailing
@@ -221,7 +221,7 @@ class TestPExactOracle:
         N = 32
         M = max(2048, int(np.ceil(12000 * eps)))
         h = eps / M
-        lam = lambda_of_modes(N).astype(float)
+        lam = lambda_of_modes(N)
         t = (h * np.arange(M + 1))[:, None]
         pv = cylinder.basis_p_values(lam, h, M)
         fwd, bwd = lam >= 0, lam < 0
@@ -275,14 +275,15 @@ class TestBoundaryData:
 class TestNorms:
     def test_zero_field(self):
         u = CylinderMap.zero(2, 4, 0.3, 16)
-        for which in ("L2", "L2_1", "L4"):
+        assert l2_norm(u.values, u.dt) == 0
+        for which in ("L2_1", "L4"):
             assert cyl_norm(u, which) == 0
 
     def test_constant_field_l2(self):
         v = 1.5 - 2.0j
         T = 0.7
         u = CylinderMap.constant(Loop.from_modes(1, 4, {0: v}), T, 32)
-        assert cyl_norm(u, "L2") == pytest.approx(abs(v) * np.sqrt(T), rel=1e-12)
+        assert l2_norm(u.values, u.dt) == pytest.approx(abs(v) * np.sqrt(T), rel=1e-12)
 
     def test_single_mode_closed_forms(self):
         # u_2(t) = a + b t on [0, T]; all three norms have closed forms and
@@ -293,7 +294,7 @@ class TestNorms:
         times = np.linspace(0, T, M_t + 1)
         vals = np.zeros((M_t + 1, 2 * N + 1, 1), complex)
         vals[:, N + n, 0] = a + b * times
-        u = CylinderMap(1, N, T, M_t, vals)
+        u = CylinderMap(T, vals)
 
         def poly_int(p):  # integral over [0, T] of (a + b t)^p
             ts = np.linspace(0, T, 40001)
@@ -302,7 +303,7 @@ class TestNorms:
         l2 = np.sqrt(poly_int(2))
         l2_1 = np.sqrt((1 + n**2) * poly_int(2) + b**2 * T)
         l4 = poly_int(4) ** 0.25
-        assert cyl_norm(u, "L2") == pytest.approx(l2, rel=1e-8)
+        assert l2_norm(u.values, u.dt) == pytest.approx(l2, rel=1e-8)
         assert cyl_norm(u, "L2_1") == pytest.approx(l2_1, rel=1e-8)
         assert cyl_norm(u, "L4") == pytest.approx(l4, rel=1e-8)
 
@@ -322,7 +323,7 @@ class TestEnergy:
         times = np.linspace(0, T, M_t + 1)
         vals = np.zeros((M_t + 1, 2 * N + 1, 1), complex)
         vals[:, N + n, 0] = alpha * np.exp(n * times)
-        u = CylinderMap(1, N, T, M_t, vals)
+        u = CylinderMap(T, vals)
         expected = 0.5 * n * alpha**2 * (np.exp(2 * n * T) - 1)
         assert energy(m, u) == pytest.approx(expected, rel=1e-8, abs=1e-8)
 
@@ -377,9 +378,29 @@ class TestBlockLayout:
     def test_fortran_ordered_values_are_stored_c_ordered(self):
         rng = np.random.default_rng(17)
         v = rng.standard_normal((9, 9, 3)) + 1j * rng.standard_normal((9, 9, 3))
-        u = CylinderMap(3, 4, 0.1, 8, np.asfortranarray(v))
-        assert u.values.tobytes() == CylinderMap(3, 4, 0.1, 8, v).values.tobytes()
+        u = CylinderMap(0.1, np.asfortranarray(v))
+        assert u.values.tobytes() == CylinderMap(0.1, v).values.tobytes()
         assert u.values.flags.c_contiguous and not u.values.flags.writeable
+
+    def test_reads_d_N_and_M_t_off_its_values(self):
+        u = CylinderMap(0.2, np.zeros((17, 9, 2)))
+        assert (u.d, u.N, u.M_t, u.dt) == (2, 4, 16, 0.2 / 16)
+
+    @pytest.mark.parametrize(
+        "shape", [(9, 9), (9, 8, 1), (9, 1, 1), (9, 9, 0), (8, 9, 1)],
+        ids=["2-D", "even modes", "N=0", "d=0", "M_t=7"],
+    )
+    def test_rejects_blocks_of_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="cylinder values|M_t >= 8"):
+            CylinderMap(0.1, np.zeros(shape, complex))
+
+    def test_rejects_nonfinite_values_and_nonpositive_T(self):
+        vals = np.zeros((9, 9, 1), complex)
+        with pytest.raises(ValueError, match="T must be positive"):
+            CylinderMap(0.0, vals)
+        vals[4, 4, 0] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            CylinderMap(0.1, vals)
 
 
 class TestSerialization:
@@ -388,13 +409,22 @@ class TestSerialization:
         vals = rng.standard_normal((17, 9, 2)) + 1j * rng.standard_normal((17, 9, 2))
         vals[0, 0, 0] = complex(-0.0, -0.0)
         vals[5, 3, 1] = complex(0.0, -0.0)
-        u = CylinderMap(2, 4, 0.25, 16, vals)
+        u = CylinderMap(0.25, vals)
         path = tmp_path / "field.json"
         write_json(path, u)
         back = from_json(CylinderMap, json.loads(path.read_text()), "field")
         assert (back.d, back.N, back.T, back.M_t) == (u.d, u.N, u.T, u.M_t)
         # bit for bit, signed zeros included
         assert back.values.tobytes() == u.values.tobytes()
+
+    @pytest.mark.parametrize("key", ["d", "N", "M_t"])
+    def test_rejects_shape_keys_that_disagree_with_the_values(self, tmp_path, key):
+        path = tmp_path / "field.json"
+        write_json(path, CylinderMap(0.25, np.ones((9, 5, 2), complex)))
+        obj = json.loads(path.read_text())
+        obj[key] += 1
+        with pytest.raises(ValueError, match=rf"\['{key}'\] disagree"):
+            from_json(CylinderMap, obj, "field")
 
     def test_csv_export(self, tmp_path):
         u = CylinderMap.constant(Loop.from_modes(1, 2, {1: 1.0 + 2.0j}), 0.1, 8)
@@ -409,7 +439,7 @@ class TestSerialization:
         rng = np.random.default_rng(41 + d)
         vals = rng.standard_normal((9, 7, d)) + 1j * rng.standard_normal((9, 7, d))
         vals[2, 1, d - 1] = complex(-0.0, 0.0)
-        u = CylinderMap(d, 3, 0.3, 8, vals)
+        u = CylinderMap(0.3, vals)
         write_field_csv(u, tmp_path / "new.csv")
         old_field_csv(u, tmp_path / "old.csv")
         new = (tmp_path / "new.csv").read_bytes()

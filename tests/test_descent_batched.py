@@ -220,5 +220,5 @@ def test_action_values_rows_match_action(model, d, N):
     values = action_values(m, block)
     assert values.shape == (7,)
     for row, value in zip(block, values):
-        gamma = Loop(d, N, row)
+        gamma = Loop(row)
         assert repr(float(value)) == repr(old_action(m, gamma)) == repr(action(m, gamma))

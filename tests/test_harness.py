@@ -551,6 +551,15 @@ class TestCli:
         zero_dt = self._write(tmp_path, "dt.json", {"N": 8, "dt": 0, "seed_modes": modes})
         assert cli_main(["flow", "--config", zero_dt, "--out", str(tmp_path / "flow")]) == 2
 
+    @pytest.mark.parametrize("key", ["d", "N"])
+    def test_solve_cylinder_empty_block_exit_2(self, tmp_path, key, capsys):
+        # no mode entry, so the check of the coefficient block itself rejects it
+        obj = {key: 0, "beta_modes": [], "output_dir": str(tmp_path / "o")}
+        assert cli_main(["solve-cylinder", "--config", self._write(tmp_path, "s.json", obj)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "loop coefficients" in err
+        assert not (tmp_path / "o").exists()
+
     def test_scan_alpha_without_positive_beta_exit_1(self, tmp_path, capsys):
         # alpha = 0 gives beta = 0, which used to be chosen as alpha*
         cfg = self._write(

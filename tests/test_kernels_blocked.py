@@ -164,7 +164,7 @@ def ref_end_vanishing(config):
             f = ref_random_smooth_fields(rng, N, M_t, 250)
             f = f * (tau if chunk % 2 == 0 else 1.0 - tau)[:, None, None]
             grad_sq = time_trapezoid(ref_gradient_density(f, h, N), h)
-            worst = max(worst, float(np.max(ref_l4_batch(f, h, N) ** 4 / (eps * grad_sq**2))))
+            worst = max(worst, float(np.max(ref_l4_batch(f, h) ** 4 / (eps * grad_sq**2))))
     return worst
 
 
@@ -176,7 +176,7 @@ def ref_right_inverse_errors(N, M_t, eps, seed):
     the traces are those of P on the first chunk's fields on the M_t grid.
     """
     rng = np.random.default_rng(seed)
-    lam = lambda_of_modes(N).astype(float)
+    lam = lambda_of_modes(N)
     w = sobolev_weights(0.5, N)[:, None]
     plus_mask = (mode_numbers(N) <= 0)[:, None]
     M_ref = max(2048, int(np.ceil(12000 * eps)))
@@ -221,14 +221,14 @@ def ref_boundary_half_norm(values, N):
     )
 
 
-def ref_l4_batch(values, h, N):
-    sampled = theta_values(np.swapaxes(values, 1, 2)[..., None], N)[..., 0]
+def ref_l4_batch(values, h):
+    sampled = theta_values(np.swapaxes(values, 1, 2)[..., None])[..., 0]
     return time_trapezoid(np.mean(np.abs(sampled) ** 4, axis=-1), h) ** 0.25
 
 
 def ref_uniformity_estimates(rng, N, M_t, eps):
     """The uniformity estimates at one eps, each probe set one field of its whole batch."""
-    lam = lambda_of_modes(N).astype(float)
+    lam = lambda_of_modes(N)
     m_eff = max(M_t, int(np.ceil(10 * N * eps)))
     h = eps / m_eff
     times = np.linspace(0.0, eps, m_eff + 1)
@@ -253,7 +253,7 @@ def ref_uniformity_estimates(rng, N, M_t, eps):
     g2 = ref_random_smooth_fields(rng, N, m_eff, 100)
     u2 = kernel_q_values(plus2, minus2, lam, times, eps) + kernel_p_values(g2, lam, h)
     denom = ref_half_norm(c2, N) + ref_l2_batch(g2, h)
-    est_mix = float(np.max(ref_l4_batch(u2, h, N) / denom))
+    est_mix = float(np.max(ref_l4_batch(u2, h) / denom))
     return est_p, est_q, est_r, est_mix
 
 
@@ -350,13 +350,13 @@ class TestKernelP:
     @pytest.mark.parametrize("n_nodes", NODES)
     @pytest.mark.parametrize("trailing", TRAILING)
     def test_bit_identical(self, blocks_of, n_nodes, trailing):
-        lam = lambda_of_modes(N).astype(float)
+        lam = lambda_of_modes(N)
         g = random_field(n_nodes + len(trailing), (n_nodes, 2 * N + 1) + trailing)
         blocks_of(g[0].nbytes)
         assert same_bytes(kernel_p_values(g, lam, H), ref_kernel_p_values(g, lam, H))
 
     def test_stiff_steps_and_strided_input(self, blocks_of):
-        lam = lambda_of_modes(N).astype(float)
+        lam = lambda_of_modes(N)
         field = random_field(5, (16, 2 * N + 1, 8))
         g = field[:, :, 2:7]  # a view, as a slice of a wider batch
         blocks_of(g[0].nbytes)
@@ -367,7 +367,7 @@ class TestKernelP:
     def test_fewest_nodes(self, blocks_of, n_nodes):
         # the backward sector is put back in time order by swapping rows j
         # and M_t - j: one pair at two nodes, one pair and a middle row at three
-        lam = lambda_of_modes(N).astype(float)
+        lam = lambda_of_modes(N)
         g = random_field(40 + n_nodes, (n_nodes, 2 * N + 1, 3))
         blocks_of(g[0].nbytes)
         assert same_bytes(kernel_p_values(g, lam, H), ref_kernel_p_values(g, lam, H))
@@ -376,7 +376,7 @@ class TestKernelP:
         # forcing columns of exact +0.0 and -0.0 in each sector, beside
         # random ones: the backward steps add A = -(a g + b g) and B = -0.0,
         # and must keep the zero signs of decay out - (a g + b g)
-        lam = lambda_of_modes(N).astype(float)
+        lam = lambda_of_modes(N)
         g = random_field(42, (9, 2 * N + 1, 6))
         g[:, :, :4] = [complex(sr * 0.0, si * 0.0) for sr in (1, -1) for si in (1, -1)]
         for field in (g, g.real.copy()):
@@ -393,7 +393,7 @@ class TestKernelP:
     def test_basis_sweep(self, blocks_of, n_nodes):
         # P over the broadcast basis 1, tau, tau^2 gives the bytes of P over
         # that basis written out in every mode
-        lam = lambda_of_modes(N).astype(float)
+        lam = lambda_of_modes(N)
         tau = np.linspace(0.0, 1.0, n_nodes)
         full = np.repeat(np.stack([np.ones_like(tau), tau, tau**2], axis=1)[:, None], 2 * N + 1, 1)
         blocks_of(full[0].nbytes)
@@ -431,7 +431,7 @@ class TestResidualGram:
     def test_bit_identical(self, monkeypatch, M, rows):
         # forward rows arrive in time order, backward rows reversed: both
         # sectors keep the bytes of the whole sweep's Gram on the same blocks
-        lam = lambda_of_modes(N).astype(float)
+        lam = lambda_of_modes(N)
         row_nbytes = (2 * N + 1) * 3 * 8
         if rows is not None:
             monkeypatch.setattr(cylinder, "BLOCK_BYTES", rows * row_nbytes)
@@ -454,7 +454,7 @@ class TestResidualGram:
 class TestKernelQ:
     @pytest.mark.parametrize("eps", (1.0, 0.01))
     def test_bit_identical_on_probes_and_signed_zeros(self, eps):
-        lam = lambda_of_modes(N).astype(float)
+        lam = lambda_of_modes(N)
         times = np.linspace(0.0, eps, 17)
         c, plus, minus = signed_zero_coeffs(5)
         for p, m in ((plus, minus), (c, c), (-1.0 * plus, minus), (plus, -1.0 * c)):
@@ -470,17 +470,17 @@ class TestKernelQ:
         # decompose negates the plus slot, so its off-sector zeros are -0.0
         from looplab.cylinder import decompose
 
-        lam = lambda_of_modes(N).astype(float)
+        lam = lambda_of_modes(N)
         times = np.linspace(0.0, 0.5, 9)
         for coeffs in (random_field(9, (2 * N + 1, 2)), np.zeros((2 * N + 1, 2), complex)):
-            beta = decompose(Loop(2, N, coeffs))
+            beta = decompose(Loop(coeffs))
             p, m = beta.plus0.coeffs, beta.minus_end.coeffs
             assert same_bytes(
                 kernel_q_values(p, m, lam, times, 0.5), ref_kernel_q_values(p, m, lam, times, 0.5)
             )
 
     def test_real_coefficients(self):
-        lam = lambda_of_modes(N).astype(float)
+        lam = lambda_of_modes(N)
         times = np.linspace(0.0, 0.2, 9)
         c = np.random.default_rng(10).standard_normal((2 * N + 1, 3))
         assert same_bytes(
@@ -490,7 +490,7 @@ class TestKernelQ:
     def test_modes_in_any_order(self):
         # Q acts mode by mode, so permuted lam and coefficients give the
         # permuted bytes, also when the lambda < 0 modes come first
-        lam = lambda_of_modes(N).astype(float)
+        lam = lambda_of_modes(N)
         times = np.linspace(0.0, 0.3, 9)
         _, plus, minus = signed_zero_coeffs(3)
         perm = np.random.default_rng(31).permutation(2 * N + 1)
@@ -511,19 +511,19 @@ class TestHarnessHelpers:
         blocks_of(values[0].nbytes)
         l2, l21 = ref_cyl_norms(values, H, N)
         assert same_bytes(l2_norm(values, H), l2)
-        u = CylinderMap(d, N, H * (n_nodes - 1), n_nodes - 1, values)
+        u = CylinderMap(H * (n_nodes - 1), values)
         assert same_bytes(cyl_norm(u, "L2_1"), l21)
 
     def test_norms_on_probe_fields(self):
         # one field whose coordinates are Q's one-hot probes, signed zeros and
         # random mixes: the norms keep the bytes of the reference
-        lam = lambda_of_modes(N).astype(float)
+        lam = lambda_of_modes(N)
         times = np.linspace(0.0, 0.1, 10)
         _, plus, minus = signed_zero_coeffs(3)
         qv = kernel_q_values(plus, minus, lam, times, 0.1)
-        u = CylinderMap(qv.shape[2], N, 0.1, 9, qv)
+        u = CylinderMap(0.1, qv)
         l2, l21 = ref_cyl_norms(qv, u.dt, N)
-        assert same_bytes(cyl_norm(u, "L2"), l2)
+        assert same_bytes(l2_norm(u.values, u.dt), l2)
         assert same_bytes(cyl_norm(u, "L2_1"), l21)
 
     @pytest.mark.parametrize("n_nodes", NODES)
@@ -534,7 +534,7 @@ class TestHarnessHelpers:
         # short grids the residual is about 1e-3 |g|, and the time derivative
         # divides the rounding of P g by 2h: the Gram forms move it by at most
         # 1.5e-13 relative, within an allowance of 1e-11
-        lam = lambda_of_modes(N).astype(float)
+        lam = lambda_of_modes(N)
         M = n_nodes - 1
         coeffs = harness._smooth_field_coeffs(np.random.default_rng(12), N, 3)
         g = ref_random_smooth_fields(np.random.default_rng(12), N, M, 3)
@@ -656,13 +656,13 @@ class TestGramForms:
         for k in range(1, 4):
             field = field + basis[:, :, k, None] * coeffs[k]
         blocks_of(field[0].nbytes)
-        assert same_bytes(cylinder.l4_combination(basis, coeffs, H, N), ref_l4_batch(field, H, N))
+        assert same_bytes(cylinder.l4_combination(basis, coeffs, H), ref_l4_batch(field, H))
         # a basis shared by every mode goes through the quartic form of
         # l4_shared_basis: within 1e-14 of l4_combination on its broadcast
         shared = basis[:, 0]
         np.testing.assert_allclose(
-            cylinder.l4_shared_basis(shared, coeffs, H, N),
-            cylinder.l4_combination(np.broadcast_to(shared[:, None], basis.shape), coeffs, H, N),
+            cylinder.l4_shared_basis(shared, coeffs, H),
+            cylinder.l4_combination(np.broadcast_to(shared[:, None], basis.shape), coeffs, H),
             rtol=1e-14,
             atol=0,
         )
@@ -679,7 +679,7 @@ class TestGramForms:
         coeffs = harness._smooth_field_coeffs(np.random.default_rng(29), N, 5)
         field = w[:, None, None] * ref_smooth_field(coeffs, n_nodes - 1)
         np.testing.assert_allclose(
-            cylinder.l4_shared_basis(basis, coeffs, H, N), ref_l4_batch(field, H, N),
+            cylinder.l4_shared_basis(basis, coeffs, H), ref_l4_batch(field, H),
             rtol=1e-14, atol=0,
         )
 
@@ -691,7 +691,7 @@ class TestGramForms:
         coeffs = [random_field(31 + k, (2 * N + 1, 5)) for k in range(K)]
         field = sum(basis[:, k, None, None] * c for k, c in enumerate(coeffs))
         np.testing.assert_allclose(
-            cylinder.l4_shared_basis(basis, coeffs, H, N), ref_l4_batch(field, H, N),
+            cylinder.l4_shared_basis(basis, coeffs, H), ref_l4_batch(field, H),
             rtol=1e-14, atol=0,
         )
 
@@ -950,10 +950,10 @@ class TestCylNorm:
     @pytest.mark.parametrize("modes", (N, 32))  # long mode sums expose any reordering
     def test_l2_and_l21_bit_identical(self, blocks_of, n_nodes, d, modes):
         values = random_field(16 + n_nodes, (n_nodes, 2 * modes + 1, d))
-        u = CylinderMap(d, modes, H * (n_nodes - 1), n_nodes - 1, values)
+        u = CylinderMap(H * (n_nodes - 1), values)
         blocks_of(values[0].nbytes)
         l2, l21 = ref_cyl_norms(u.values, u.dt, modes)
-        assert same_bytes(cyl_norm(u, "L2"), l2)
+        assert same_bytes(l2_norm(u.values, u.dt), l2)
         assert same_bytes(cyl_norm(u, "L2_1"), l21)
 
 
@@ -983,7 +983,7 @@ class TestStreamingMemory:
 
     def test_kernel_p_values_peak(self):
         g = random_field(15, self.SHAPE)
-        lam = lambda_of_modes(32).astype(float)
+        lam = lambda_of_modes(32)
         out, peak = self.peak(kernel_p_values, g, lam, 1e-4)
         assert peak < 1.25 * out.nbytes
 

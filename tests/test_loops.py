@@ -8,6 +8,7 @@ from looplab.files import from_json, write_json
 from looplab.loops import (
     Loop,
     aps_project,
+    block_N,
     gaussian_loop,
     inner,
     inner_values,
@@ -79,7 +80,7 @@ class TestSobolevNorm:
         w = sobolev_weights(order, N)[:, None]
         for idx in np.ndindex(*lead):
             root = float(np.sqrt(sq[idx])).hex()
-            assert root == sobolev_norm(Loop(d, N, c[idx]), order).hex()
+            assert root == sobolev_norm(Loop(c[idx]), order).hex()
             assert root == float(np.sqrt(np.sum(w * np.abs(c[idx]) ** 2))).hex()
 
     def test_order_two_weight(self):
@@ -168,7 +169,7 @@ class TestSamplingBridge:
         coeffs = rng.standard_normal(lead + (2 * N + 1, d)) + 1j * rng.standard_normal(
             lead + (2 * N + 1, d)
         )
-        values = sample_coeffs(coeffs, N, M)
+        values = sample_coeffs(coeffs, M)
         assert same_bytes(values, ref_sample_coeffs(coeffs, N, M))
         assert values.flags.c_contiguous
         grid_values = rng.standard_normal(lead + (M, d)) + 1j * rng.standard_normal(lead + (M, d))
@@ -236,7 +237,7 @@ class TestInner:
         w = sobolev_weights(order, N)[:, None]
         for idx in np.ndindex(lead):
             whole = np.sum(w * (a[idx] * b[idx].conj()).real)
-            paired = inner(Loop(d, N, a[idx]), Loop(d, N, b[idx]), order)
+            paired = inner(Loop(a[idx]), Loop(b[idx]), order)
             assert repr(float(values[idx])) == repr(paired) == repr(float(whole))
 
     def test_shape_mismatch_rejected(self):
@@ -259,8 +260,8 @@ class TestBlockLayout:
             "strided": rows[::2],
         }[layout]
         assert not block.flags.c_contiguous
-        g = Loop(2, 4, block)
-        assert same_bytes(g.coeffs, Loop(2, 4, c).coeffs)
+        g = Loop(block)
+        assert same_bytes(g.coeffs, Loop(c).coeffs)
         assert g.coeffs.flags.c_contiguous and not g.coeffs.flags.writeable
 
 
@@ -270,7 +271,7 @@ class TestSerialization:
         c = gaussian_loop(2, 5, rng).coeffs.copy()
         c[0, 1] = complex(-0.0, 0.0)
         c[3, 0] = complex(0.0, -0.0)
-        g = Loop(2, 5, c)
+        g = Loop(c)
         path = tmp_path / "loop.json"
         write_json(path, g)
         back = from_json(Loop, json.loads(path.read_text()), "loop")
@@ -282,7 +283,43 @@ class TestSerialization:
         c = np.zeros((7, 1), complex)
         c[0, 0] = np.inf
         with pytest.raises(ValueError):
-            Loop(1, 3, c)
+            Loop(c)
+
+    @pytest.mark.parametrize("key", ["d", "N"])
+    def test_rejects_shape_keys_that_disagree_with_the_array(self, tmp_path, key):
+        path = tmp_path / "loop.json"
+        write_json(path, Loop(np.ones((7, 2), complex)))
+        obj = json.loads(path.read_text())
+        obj[key] += 1
+        with pytest.raises(ValueError, match=rf"\['{key}'\] disagree"):
+            from_json(Loop, obj, "loop")
+
+
+class TestBlockShape:
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+    def test_block_N_of_stacks(self, lead):
+        assert block_N(np.zeros(lead + (11, 2))) == 5
+
+    def test_loop_reads_d_and_N_off_its_coefficients(self):
+        g = Loop(np.zeros((9, 3)))
+        assert (g.d, g.N) == (3, 4)
+
+    @pytest.mark.parametrize(
+        "shape", [(9,), (9, 2, 1), (8, 2), (1, 2), (9, 0)],
+        ids=["1-D", "3-D", "even modes", "N=0", "d=0"],
+    )
+    def test_rejects_blocks_of_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="loop coefficients"):
+            Loop(np.zeros(shape, complex))
+
+    @pytest.mark.parametrize("d", [1, 3, 100, 1000])
+    def test_gaussian_draws_keep_the_stream(self, d):
+        # all real parts are drawn before the imaginary parts, so a seeded
+        # batch has the bytes of the two-draw form and the stream stays in step
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        c = gaussian_loop(d, 8, rng).coeffs
+        assert same_bytes(c, ref.standard_normal((17, d)) + 1j * ref.standard_normal((17, d)))
+        assert rng.standard_normal() == ref.standard_normal()
 
 
 @st.composite

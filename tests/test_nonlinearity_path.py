@@ -84,7 +84,7 @@ def assert_close(new, old, rel):
 
 def old_solver_grad_h_modes(m, values, N):
     """solver._grad_h_modes (Picard iteration, residual, flow_step, uniqueness)."""
-    grid = sample_coeffs(values, N, 4 * N)
+    grid = sample_coeffs(values, 4 * N)
     return synthesize_values(eval_gradH(m, grid), N)
 
 
@@ -126,7 +126,7 @@ def old_flow_nodes(m, c, N, T, dt):
         times[k], norms[k] = t_k, norm_k
         if not np.isfinite(norm_k) or norm_k > BLOWUP_NORM:
             return times[:k], actions[:k], grad_sq[:k], norms[:k], before, t_k, dt
-        grid = sample_coeffs(c, N, 4 * N)
+        grid = sample_coeffs(c, 4 * N)
         quad = 0.5 * float(np.sum(n[:, None] * np.abs(c) ** 2))
         actions[k] = quad - float(np.mean(m.h(np.sum(np.abs(grid) ** 2, axis=-1))))
         grad_modes = n[:, None] * c - synthesize_values(eval_gradH(m, grid), N)
@@ -159,7 +159,7 @@ def old_newton_residual(m, gamma):
     """Hand-expanded residual block of cycles._newton_matrix."""
     N = gamma.N
     n = np.arange(-N, N + 1).astype(float)
-    vals = sample_coeffs(gamma.coeffs, N, 4 * N)
+    vals = sample_coeffs(gamma.coeffs, 4 * N)
     s = np.sum(np.abs(vals) ** 2, axis=-1)
     hp = m.h_prime(s)
     return n[:, None] * gamma.coeffs - synthesize_values((2.0 * hp)[:, None] * vals, N)
@@ -167,7 +167,7 @@ def old_newton_residual(m, gamma):
 
 def old_energy_xh_modes(m, values, N):
     """X_H modes in cylinder.energy."""
-    grid = sample_coeffs(values, N, 4 * N)
+    grid = sample_coeffs(values, 4 * N)
     return synthesize_values(eval_XH(m, grid), N)
 
 
@@ -200,7 +200,7 @@ def test_theta_grid_is_4n():
     for N in NS:
         assert theta_points(N) == 4 * N
         c = coefficient_block(N, 2)
-        assert_same_bytes(theta_values(c, N), sample_coeffs(c, N, 4 * N))
+        assert_same_bytes(theta_values(c), sample_coeffs(c, 4 * N))
 
 
 @pytest.mark.parametrize("m", MODELS, ids=("bump", "pure_quadratic"))
@@ -228,7 +228,7 @@ def test_energy_xh_modes(N, d, lead):
 @pytest.mark.parametrize("N", NS)
 def test_energy(N, d):
     m = MODELS[0]
-    u = CylinderMap(d, N, 0.1, 8, coefficient_block(N, d, (9,), seed=2))
+    u = CylinderMap(0.1, coefficient_block(N, d, (9,), seed=2))
     assert_same_bytes(energy(m, u), old_energy(m, u))
 
 
@@ -237,7 +237,7 @@ def test_energy(N, d):
 @pytest.mark.parametrize("N", NS)
 def test_energy_is_the_defect_form(N, d, m):
     # u_theta - X_H(u) = i (n u - grad H), and |.| ignores the sign and order of the parts
-    u = CylinderMap(d, N, 0.1, 8, coefficient_block(N, d, (9,), seed=5))
+    u = CylinderMap(0.1, coefficient_block(N, d, (9,), seed=5))
     assert_same_bytes(energy(m, u), old_energy_defect_form(m, u))
 
 
@@ -250,7 +250,7 @@ def test_grad_action_values_per_block(N, d, lead, m):
     new = grad_action_values(m, c)
     assert new.shape == c.shape
     for idx in np.ndindex(lead):
-        gamma = Loop(d, N, c[idx])
+        gamma = Loop(c[idx])
         assert_same_bytes(new[idx], grad_action(m, gamma).coeffs)
         assert_same_bytes(new[idx], old_grad_action(m, gamma))
 
@@ -259,7 +259,7 @@ def test_grad_action_values_per_block(N, d, lead, m):
 @pytest.mark.parametrize("N", NS)
 def test_action_and_grad_action(N, d):
     for m in MODELS:
-        gamma = Loop(d, N, coefficient_block(N, d, seed=3))
+        gamma = Loop(coefficient_block(N, d, seed=3))
         assert_same_bytes(grad_action(m, gamma).coeffs, old_grad_action(m, gamma))
         assert_same_bytes(action(m, gamma), old_action(m, gamma))
 
@@ -268,7 +268,7 @@ def test_action_and_grad_action(N, d):
 @pytest.mark.parametrize("N", NS)
 def test_newton_residual(N, d):
     m = MODELS[0]
-    gamma = Loop(d, N, coefficient_block(N, d, seed=4))
+    gamma = Loop(coefficient_block(N, d, seed=4))
     residual, _ = _newton_matrix(m, gamma)
     assert_same_bytes(residual, _flatten_real(old_newton_residual(m, gamma)))
 
@@ -279,7 +279,7 @@ FLOW_REL = 1e-14  # the dense step against the FFT pair; measured at most 6.1e-1
 @pytest.mark.parametrize("d", DS)
 @pytest.mark.parametrize("N", NS)
 def test_flow_step(N, d):
-    gamma = Loop(d, N, coefficient_block(N, d, seed=5))
+    gamma = Loop(coefficient_block(N, d, seed=5))
     dt = 0.05 / N
     for m in MODELS:
         # flow_step is one step of the trajectory, bit for bit
@@ -300,7 +300,7 @@ def assert_same_trace(trace, old):
 @pytest.mark.parametrize("d", DS)
 @pytest.mark.parametrize("N", NS)
 def test_flow_trajectory(N, d):
-    gamma = Loop(d, N, coefficient_block(N, d, seed=6))
+    gamma = Loop(coefficient_block(N, d, seed=6))
     dt = 0.05 / N
     for m in MODELS:
         # 12 steps, no step (T = 0), and 12 steps of T / 12 for a T that dt does not divide
@@ -382,9 +382,9 @@ def test_etd_operators_match_fft_bridge(N, d):
     dt = 0.05 / N
     S, A, _ = _etd_operators(N, dt)
     c = coefficient_block(N, d, seed=8)
-    values = theta_values(coefficient_block(N, d, seed=9), N)
+    values = theta_values(coefficient_block(N, d, seed=9))
     weight = _etd_coefficients(N, dt)[1][:, None]
-    assert_close(S @ c, sample_coeffs(c, N, theta_points(N)), 1e-15)
+    assert_close(S @ c, sample_coeffs(c, theta_points(N)), 1e-15)
     assert_close(A @ values, -2.0 * weight * synthesize_values(values, N), 1e-15)
 
 

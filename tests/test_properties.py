@@ -49,7 +49,7 @@ def test_p_boundary_vanishes_property(b, eps):
     from looplab.cylinder import CylinderMap
 
     vals = np.broadcast_to(b.coeffs, (17,) + b.coeffs.shape).copy()
-    u = p_op(CylinderMap(b.d, b.N, eps, 16, vals))
+    u = p_op(CylinderMap(eps, vals))
     assert aps_boundary(u).norm() <= 1e-12
 
 

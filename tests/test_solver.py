@@ -87,7 +87,7 @@ class TestPicard:
         )
         q = q_op(beta, eps, M_t=M_t)
         for _ in range(60):
-            u = q + p_op(CylinderMap(1, beta.N, eps, M_t, v))
+            u = q + p_op(CylinderMap(eps, v))
             v = -grad_h_modes(model, u.values)
         dist = np.max(np.abs(v - base.v.values))
         assert dist <= 10 * tol
