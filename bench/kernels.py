@@ -19,7 +19,9 @@ samples.  Four groups are timed:
   basis tau (1, tau, tau^2) with (65, 250) coefficient blocks at N = 32
   (L4_CHUNK);
 * guards: each check group of `run_suite(Config(seed=2026), "aps")`, run
-  on its own through `harness._run_groups` and keyed `aps.<group>`;
+  on its own through `harness._run_groups` and keyed `aps.<group>`, with
+  its tracemalloc peak in MiB (traced_peak_mib), taken in one more suite
+  run;
 * nonlinearity: seconds per call of one grad H evaluation on the theta grid
   (sample, grad H, synthesize) at N = 8, 32 and 128, of one flow_trajectory
   step at N = 8 (configs/flow.json), at N = 32 (find-orbit's T = 1,
@@ -181,14 +183,29 @@ def time_guards(repeats: int) -> dict:
             records += clocked(f"{suite}.{group.__name__}", lambda: run_groups(suite, (group,)))
         return records
 
-    harness._run_groups = patched
+    peaks: dict[str, float] = {}
+
+    def traced(suite, groups):
+        records = []
+        for group in groups:
+            peaks[f"{suite}.{group.__name__}"] = traced_peak_mib(
+                lambda: records.extend(run_groups(suite, (group,)))
+            )
+        return records
+
     try:
+        harness._run_groups = patched
         for _ in range(repeats + 1):
             harness.run_suite(Config(seed=2026), "aps", write=False)
+        harness._run_groups = traced
+        harness.run_suite(Config(seed=2026), "aps", write=False)
     finally:
         harness._run_groups = run_groups
     # the first suite run is the warm-up
-    return {name: summary(values[1:]) for name, values in samples.items()}
+    return {
+        name: {**summary(values[1:]), "traced_peak_mib": peaks[name]}
+        for name, values in samples.items()
+    }
 
 
 def time_descent(repeats: int) -> dict:

@@ -37,9 +37,13 @@ from . import cycles as cyc
 
 def _loop_from_modes_spec(spec: list[ModeEntry], d: int, N: int) -> Loop:
     coeffs = np.zeros((2 * N + 1, d), complex)
+    given = set()
     for entry in spec:
         if abs(entry.n) > N or not (0 <= entry.coord < d):
             raise ValueError(f"mode entry out of range: {entry}")
+        if (entry.n, entry.coord) in given:
+            raise ValueError(f"mode entry repeats its n and coord: {entry}")
+        given.add((entry.n, entry.coord))
         coeffs[N + entry.n, entry.coord] = complex(entry.re, entry.im)
     return Loop(coeffs)
 

@@ -185,10 +185,11 @@ def combine(bd: BoundaryData) -> Loop:
 # -- shared finite-difference / quadrature helpers -------------------------------
 
 # Bytes of one time block.  The aps kernels stream their fields through blocks
-# of whole time rows that fit in a core's L2 cache.  P's sweep writes each
-# block's forcing products into two scratch buffers made once per call;
-# residual_gram keeps a window of two blocks of sweep rows and allocates its
-# residual rows per block, l4_combination its theta samples, and
+# of whole time rows that fit in a core's L2 cache.  P's sweep writes the
+# forcing products of sub-blocks of each block into two scratch buffers made
+# once per call; residual_gram keeps a window of two blocks of sweep rows and
+# allocates its residual rows per block, l4_combination its theta samples,
+# q_kernel_defect forms its windows of Q and D Q in this size, and
 # quadratic_forms runs its batch in column chunks of this size.
 # l4_shared_basis forms no field, so it has no time blocks
 BLOCK_BYTES = 1 << 20
@@ -239,6 +240,13 @@ def dt_derivative_rows(values: np.ndarray, h: float, start: int, stop: int) -> n
 def dt_derivative(values: np.ndarray, h: float) -> np.ndarray:
     """Second-order time derivative at nodes: centered inside, one-sided at ends."""
     return dt_derivative_rows(values, h, 0, len(values))
+
+
+def _d_rows(values: np.ndarray, lam: np.ndarray, h: float, start: int, stop: int) -> np.ndarray:
+    """Rows start:stop of D values = d_t values + lambda_n values, per mode of lam."""
+    out = dt_derivative_rows(values, h, start, stop)
+    out += lam[:, None] * values[start:stop]
+    return out
 
 
 def time_trapezoid(node_values: np.ndarray, h: float) -> np.ndarray:
@@ -297,8 +305,9 @@ def _p_sweep(g_values: np.ndarray, lam: np.ndarray, h: float, rows: int, window)
     t_{M_t - j}; row 0 is zero.  For each block of steps [start, stop),
     window(start, stop) returns rows start..stop of an array whose first row
     holds sweep row start; rows start+1..stop are written after it in place,
-    and then stop is yielded.  The forcing products are formed one
-    block at a time, the backward ones read through reversed-time views of g.
+    and then stop is yielded.  The forcing products are formed one sub-block
+    of a block at a time, the backward ones read through reversed-time views
+    of g.
     """
     n_steps = g_values.shape[0] - 1
     n_fwd = _sector_split(lam)
@@ -316,29 +325,34 @@ def _p_sweep(g_values: np.ndarray, lam: np.ndarray, h: float, rows: int, window)
     decay, a, b = (np.empty_like(g_values[0]) for _ in range(3))
     for full, wt in zip((decay, a, b), (np.exp(w), h * (phi1(w) - p2), h * p2)):
         full[...] = wt
-    A, B = (np.empty_like(g_values[:rows]) for _ in range(2))
+    # the forcing products A and B of a sub-block of a block's steps take a
+    # quarter of BLOCK_BYTES together; a small field is one sub-block
+    sub = block_rows(rows, 8 * g_values[0].nbytes)
+    A, B = (np.empty_like(g_values[:sub]) for _ in range(2))
     # local names and positional outputs keep the per-call overhead down
     multiply, add, negative = np.multiply, np.add, np.negative
     for start, stop in time_blocks(n_steps, rows):
-        m, us = stop - start, window(start, stop)
+        us = window(start, stop)
         if start == 0:
             us[0] = 0.0
-        multiply(a[fwd], g_values[start:stop, fwd], A[:m, fwd])
-        multiply(b[fwd], g_values[start + 1 : stop + 1, fwd], B[:m, fwd])
-        # the backward forcing enters as A = -(a g + b g) with B = -0.0; as
-        # x + (-0.0) == x for every x, each row below is the same three calls
-        # and keeps the bytes of decay out[j+1] - (a g[j+1] + b g[j])
-        A_b, B_b = A[:m, bwd], B[:m, bwd]
-        multiply(a[bwd], g_bwd[start:stop], A_b)
-        multiply(b[bwd], g_bwd[start + 1 : stop + 1], B_b)
-        add(A_b, B_b, A_b)
-        negative(A_b, A_b)
-        B_b[...] = -0.0
-        # out[j+1] = (decay out[j] + A[j]) + B[j]
-        for prev, cur, a_k, b_k in zip(us[:m], us[1:], A, B):
-            multiply(decay, prev, cur)
-            add(cur, a_k, cur)
-            add(cur, b_k, cur)
+        for lo, hi in time_blocks(stop - start, sub):
+            m, j = hi - lo, start + lo
+            multiply(a[fwd], g_values[j : j + m, fwd], A[:m, fwd])
+            multiply(b[fwd], g_values[j + 1 : j + m + 1, fwd], B[:m, fwd])
+            # the backward forcing enters as A = -(a g + b g) with B = -0.0; as
+            # x + (-0.0) == x for every x, each row below is the same three calls
+            # and keeps the bytes of decay out[j+1] - (a g[j+1] + b g[j])
+            A_b, B_b = A[:m, bwd], B[:m, bwd]
+            multiply(a[bwd], g_bwd[j : j + m], A_b)
+            multiply(b[bwd], g_bwd[j + 1 : j + m + 1], B_b)
+            add(A_b, B_b, A_b)
+            negative(A_b, A_b)
+            B_b[...] = -0.0
+            # out[j+1] = (decay out[j] + A[j]) + B[j]
+            for prev, cur, a_k, b_k in zip(us[lo:hi], us[lo + 1 : hi + 1], A, B):
+                multiply(decay, prev, cur)
+                add(cur, a_k, cur)
+                add(cur, b_k, cur)
         yield stop
 
 
@@ -503,8 +517,7 @@ def residual_gram(lam: np.ndarray, h: float, M: int) -> np.ndarray:
                 del pending[0]
                 vals = win[lo - base : hi + 1 - base, modes]
                 vals = vals[::-1] if backward else vals  # in time order
-                r = dt_derivative_rows(vals, h, start - first, stop - first)
-                r += lam[modes, None] * vals[start - first : stop - first]
+                r = _d_rows(vals, lam[modes], h, start - first, stop - first)
                 r -= powers[start:stop]
                 grams[start] = _block_gram(r)
                 if start == 0:
@@ -515,6 +528,38 @@ def residual_gram(lam: np.ndarray, h: float, M: int) -> np.ndarray:
         _trapezoid_gram([grams[start] for start, _ in blocks], *ends, h)
         for _, _, _, grams, ends in sectors
     ])
+
+
+def q_kernel_defect(beta: BoundaryData, eps: float, M: int) -> float:
+    """max |D Q beta| / max |Q beta| of u = q_op(beta, eps, M), bit for bit, with
+    no whole field formed.
+
+    Q and D Q are formed in windows of k steps, each a CylinderMap of Q's node
+    values on its k + 1 times passed to apply_D, whose three fields of a
+    window (Q, D Q and its frozen copy) fit in BLOCK_BYTES.  k is a power of
+    two, so the window's step (h k) / k is h bit for bit.  Windows start
+    every k - 1 steps and the last one ends at t = eps; the maximum of D Q
+    beta is taken over each window's interior rows, where the centered
+    stencil is that of the whole grid, and over the grid's end rows, whose
+    one-sided stencils the first and last windows share.  A grid of at most
+    k steps is one window of length eps.
+    """
+    lam = lambda_of_modes(beta.N)
+    times = np.linspace(0.0, eps, M + 1)
+    rows = max(9, BLOCK_BYTES // (3 * beta.plus0.coeffs.nbytes))
+    k = 1 << ((rows - 1).bit_length() - 1)
+    T = eps / M * k
+    if M <= k:
+        k, T = M, eps
+    top_u = top_du = 0.0
+    for start in list(range(0, M - k, k - 1)) + [M - k]:
+        u = CylinderMap(T, kernel_q_values(
+            beta.plus0.coeffs, beta.minus_end.coeffs, lam, times[start : start + k + 1], eps
+        ))
+        lo, hi = int(start > 0), k if start + k < M else k + 1
+        top_u = max(top_u, float(np.max(np.abs(u.values))))
+        top_du = max(top_du, float(np.max(np.abs(apply_D(u).values[lo:hi]))))
+    return top_du / top_u
 
 
 def quadratic_forms(gram: np.ndarray, coeffs) -> np.ndarray:
@@ -594,10 +639,7 @@ def l4_shared_basis(basis: np.ndarray, coeffs, h: float) -> np.ndarray:
 @tracked("cylinder.apply_D")
 def apply_D(u: CylinderMap) -> CylinderMap:
     """D u = du/dt + L u, per mode u_n' + lambda_n u_n with lambda_n = -n."""
-    lam = lambda_of_modes(u.N)
-    vals = dt_derivative(u.values, u.dt)
-    vals += lam[None, :, None] * u.values
-    return CylinderMap(u.T, vals)
+    return CylinderMap(u.T, _d_rows(u.values, lambda_of_modes(u.N), u.dt, 0, u.M_t + 1))
 
 
 @tracked("cylinder.q_op")

@@ -293,8 +293,16 @@ def synthesize(values: np.ndarray, N: int) -> Loop:
 
 
 def gaussian_block(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """iid complex Gaussians a + i b of the given shape, all of a drawn before b."""
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    """iid complex Gaussians a + i b of the given shape, all of a drawn before b.
+
+    a and then b are drawn through one real buffer into the complex output,
+    which holds the bytes of a + 1j * b.
+    """
+    out = np.empty(shape, complex)
+    buf = np.empty(shape)
+    out.real = rng.standard_normal(out=buf)
+    out.imag = rng.standard_normal(out=buf)
+    return out
 
 
 def gaussian_loop(

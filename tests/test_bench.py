@@ -30,6 +30,20 @@ def test_time_kernels_runs():
     assert 0 < out["residual_gram[12001x65x3 streamed]"]["traced_peak_mib"] < sweep
 
 
+def test_time_guards_runs():
+    out = load_bench().time_guards(2)
+    assert sorted(out) == [
+        "aps.end_vanishing",
+        "aps.mode_identities",
+        "aps.q_l4_smallness",
+        "aps.q_right_inverse",
+        "aps.right_inverse",
+        "aps.uniformity",
+    ]
+    assert all(len(stats["samples"]) == 2 and stats["median"] > 0 for stats in out.values())
+    assert all(stats["traced_peak_mib"] > 0 for stats in out.values())
+
+
 def test_time_nonlinearity_runs():
     out = load_bench().time_nonlinearity(2)
     assert sorted(out) == [

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from looplab import coverage, cycles, hamiltonian, harness
-from looplab.cli import COMMANDS, main as cli_main
-from looplab.files import Config, from_json
+from looplab.cli import COMMANDS, _loop_from_modes_spec, main as cli_main
+from looplab.files import Config, ModeEntry, from_json
 from looplab.harness import CheckRecord, emit_plots_data, run_suite
 from looplab.loops import theta_points
 
@@ -559,6 +559,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "loop coefficients" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        ("command", "key"),
+        [("solve-cylinder", "beta_modes"), ("flow", "seed_modes"), ("find-orbit", "seed_modes")],
+    )
+    def test_repeated_mode_entry_exit_2(self, tmp_path, command, key, capsys):
+        # a second entry for the same n and coord used to overwrite the first
+        modes = [{"n": 1, "re": 0.55}, {"n": 1, "re": 0.1}]
+        if command == "solve-cylinder":
+            modes = [{"n": -1, "re": 0.55}, {"n": -1, "im": 0.1}]
+        obj = {"N": 8, key: modes, "output_dir": str(tmp_path / "o")}
+        assert cli_main([command, "--config", self._write(tmp_path, "c.json", obj)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "mode entry repeats its n and coord" in err
+        assert f"n={modes[1]['n']}" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_one_mode_in_two_coordinates(self):
+        entries = [ModeEntry(n=1, coord=0, re=0.5), ModeEntry(n=1, coord=1, im=0.25)]
+        coeffs = _loop_from_modes_spec(entries, 2, 3).coeffs
+        assert coeffs[4].tolist() == [0.5, 0.25j] and np.count_nonzero(coeffs) == 2
 
     def test_scan_alpha_without_positive_beta_exit_1(self, tmp_path, capsys):
         # alpha = 0 gives beta = 0, which used to be chosen as alpha*

@@ -24,13 +24,16 @@ import pytest
 from looplab import coverage, cylinder, harness
 from looplab.cylinder import (
     CylinderMap,
+    apply_D,
     cyl_norm,
+    decompose,
     dt_derivative,
     kernel_p_values,
     kernel_q_values,
     l2_norm,
     phi1,
     phi2,
+    q_op,
     smooth_fields,
     time_trapezoid,
 )
@@ -400,6 +403,17 @@ class TestKernelP:
         basis_p = cylinder.basis_p_values(lam, H, n_nodes - 1)
         assert same_bytes(basis_p, ref_kernel_p_values(full, lam, H))
 
+    @pytest.mark.parametrize("rows", (20, 24, 30))
+    def test_forcing_sub_blocks(self, monkeypatch, rows):
+        # blocks of 20, 24 and 30 rows form their forcing products in
+        # sub-blocks of 2, 3 and 3 rows, the last of each block shorter when
+        # the block is; the sweep keeps its bytes
+        lam = lambda_of_modes(N)
+        for g in (random_field(43, (101, 2 * N + 1, 2)), random_field(44, (101, 2 * N + 1))):
+            monkeypatch.setattr(cylinder, "BLOCK_BYTES", rows * g[0].nbytes)
+            assert cylinder.block_rows(100, 8 * g[0].nbytes) == rows // 8
+            assert same_bytes(kernel_p_values(g, lam, H), ref_kernel_p_values(g, lam, H))
+
     def test_rejects_unsorted_sectors(self):
         g = random_field(7, (9, 3))
         with pytest.raises(ValueError, match="sector"):
@@ -441,6 +455,16 @@ class TestResidualGram:
             ref = ref_residual_gram(lam, h, M, cylinder.block_rows(M + 1, row_nbytes))
             assert same_bytes(gram[:n_fwd], ref[:n_fwd])
             assert same_bytes(gram[n_fwd:], ref[n_fwd:])
+
+    @pytest.mark.parametrize("rows", (20, 30))
+    def test_forcing_sub_blocks(self, monkeypatch, rows):
+        # P's sweep forms the forcing of each block in sub-blocks of 2 or 3
+        # rows; the sweep rows, and so the Gram, keep their bytes
+        lam = lambda_of_modes(N)
+        row_nbytes = (2 * N + 1) * 3 * 8
+        monkeypatch.setattr(cylinder, "BLOCK_BYTES", rows * row_nbytes)
+        ref = ref_residual_gram(lam, H, 100, rows)
+        assert same_bytes(cylinder.residual_gram(lam, H, 100), ref)
 
     @pytest.mark.parametrize("rows", (1, 2, None))
     def test_one_sector_only(self, monkeypatch, rows):
@@ -498,6 +522,53 @@ class TestKernelQ:
         out = kernel_q_values(plus, minus, lam, times, 0.3)
         permuted = kernel_q_values(plus[perm], minus[perm], lam[perm], times, 0.3)
         assert same_bytes(permuted, out[:, perm])
+
+
+class TestQKernelDefect:
+    """The kernel defect of Q, formed in windows through apply_D, against the whole field."""
+
+    @staticmethod
+    def whole(beta, eps, M):
+        u = q_op(beta, eps, M_t=M)
+        return float(np.max(np.abs(apply_D(u).values))) / float(np.max(np.abs(u.values)))
+
+    @staticmethod
+    def windows(monkeypatch):
+        """The number of steps of each window passed to apply_D, in call order."""
+        steps, original = [], cylinder.apply_D
+        monkeypatch.setattr(cylinder, "apply_D", lambda u: steps.append(u.M_t) or original(u))
+        return steps
+
+    # at N = 32 and d = 1 a window has k = 256 steps: 67 and 200 steps are
+    # one window, 256 steps exactly one, 510 and 765 whole multiples of
+    # k - 1, and 67, 662 and 3305 grids of aps.q_kernel_of_d
+    @pytest.mark.parametrize(("M", "n_windows"), (
+        (67, 1), (200, 1), (256, 1), (257, 2), (510, 2), (662, 3), (765, 3), (3305, 13),
+    ))
+    @pytest.mark.parametrize("eps", (0.5, 0.1, 0.01))
+    def test_bit_identical(self, monkeypatch, M, n_windows, eps):
+        betas = [decompose(gaussian_loop(1, 32, np.random.default_rng(seed))) for seed in range(2)]
+        refs = [self.whole(beta, eps, M) for beta in betas]
+        steps = self.windows(monkeypatch)
+        for beta, ref in zip(betas, refs):
+            assert same_bytes(cylinder.q_kernel_defect(beta, eps, M), ref)
+        assert steps == [min(M, 256)] * n_windows * 2
+
+    # windows of k = 8 steps (each blocks_of but the default) put window
+    # edges beside both one-sided end stencils, on grids of one window and
+    # of up to 128 windows
+    @pytest.mark.parametrize("M", (8, 9, 14, 15, 16, 22, 23, 100, 1025))
+    def test_small_windows(self, blocks_of, M):
+        beta = decompose(Loop(random_field(M, (2 * N + 1, 2))))
+        blocks_of(beta.plus0.coeffs.nbytes)
+        for eps in (0.5, 0.01):
+            assert same_bytes(cylinder.q_kernel_defect(beta, eps, M), self.whole(beta, eps, M))
+
+    def test_apply_D_is_the_whole_field_form(self):
+        # apply_D and residual_gram share one row kernel of D
+        u = CylinderMap(0.3, random_field(3, (17, 2 * N + 1, 2)))
+        ref = ref_dt_derivative(u.values, u.dt) + lambda_of_modes(N)[None, :, None] * u.values
+        assert same_bytes(apply_D(u).values, ref)
 
 
 class TestHarnessHelpers:
@@ -990,23 +1061,24 @@ class TestStreamingMemory:
     def test_uniformity_estimates_peak(self):
         # at eps = 1 a probe set of the whole batch would be one
         # (321, 65, 1065) field of 355 MB; the Gram forms need only P's basis
-        # sweep, their 1065 columns run in column chunks, and the mixed L^4
-        # fields are formed one time block of theta samples at a time: 8.2 MiB
+        # sweep, the probe and the mix columns are taken apart and run in
+        # column chunks, each drawn batch is let go before the next, and the
+        # mixed L^4 fields are formed one time block of theta samples at a
+        # time: 5.8 MiB, held under 6.25 MiB
         _, peak = self.peak(harness._uniformity_estimates, np.random.default_rng(18), 32, 64, 1.0)
-        assert peak < 9 * 2**20
+        assert peak < 6.25 * 2**20
 
     def test_q_kernel_defect_peak(self, monkeypatch):
-        # the group peaks in the kernel defect at eps = 0.5, on its m_fine =
-        # 3305 grid: Q beta, D Q beta and the read-only copy of D Q beta that
-        # apply_D returns, three (3306, 65, 1) fields, and a finiteness mask;
-        # Q and D add their second terms in place
+        # the kernel defect at eps = 0.5, on its m_fine = 3305 grid, is taken
+        # over windows of 256 steps: the group peaks at 1.95 MiB, under one
+        # (3306, 65, 1) field of 3.3 MiB
         config = Config()
         group = aps_group(monkeypatch, config, "q_right_inverse")
         records, peak = self.peak(lambda: harness._run_groups("aps", (group,)))
         kernel = next(r for r in records if r.name == "aps.q_kernel_of_d")
         m_fine = max(kernel.details["m_fine"])
         assert m_fine == 3305
-        assert peak < 3.5 * (m_fine + 1) * (2 * config.N + 1) * 16
+        assert peak < (m_fine + 1) * (2 * config.N + 1) * 16
 
     def test_end_vanishing_peak(self, monkeypatch):
         # at the default config a chunk of 250 fields is 17 MB; no field is
@@ -1022,9 +1094,10 @@ class TestStreamingMemory:
         # basis sweep is reduced to the residual Gram while it runs: at
         # eps = 0.001 the peak stays under one (2049, 65, 10) field, and at
         # eps = 1, where one such field of ten forcings would take 125 MB and
-        # the whole basis sweep (12001, 65, 3) 17.9 MiB, under 10 MiB
+        # the whole basis sweep (12001, 65, 3) 17.9 MiB, the sweep forms its
+        # forcing in sub-blocks: 4.85 MiB, held under 5.25 MiB
         field_nbytes = 2049 * 65 * 10 * 16
         _, peak = self.peak(harness._right_inverse_errors, np.random.default_rng(19), 32, 64, 0.001)
         assert peak < field_nbytes
         _, peak = self.peak(harness._right_inverse_errors, np.random.default_rng(19), 32, 64, 1.0)
-        assert peak < 10 * 2**20
+        assert peak < 5.25 * 2**20

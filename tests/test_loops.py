@@ -9,6 +9,7 @@ from looplab.loops import (
     Loop,
     aps_project,
     block_N,
+    gaussian_block,
     gaussian_loop,
     inner,
     inner_values,
@@ -319,6 +320,17 @@ class TestBlockShape:
         rng, ref = np.random.default_rng(7), np.random.default_rng(7)
         c = gaussian_loop(d, 8, rng).coeffs
         assert same_bytes(c, ref.standard_normal((17, d)) + 1j * ref.standard_normal((17, d)))
+        assert rng.standard_normal() == ref.standard_normal()
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("shape", [(1,), (17, 1), (65, 3), (65, 1000), (2, 3, 4)])
+    def test_gaussian_block_is_a_plus_i_b(self, seed, shape):
+        # a and b are drawn into the complex output through one real buffer;
+        # the bytes and the stream after the draws are those of a + 1j * b
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        c = gaussian_block(rng, shape)
+        assert c.dtype == complex and c.flags.c_contiguous
+        assert same_bytes(c, ref.standard_normal(shape) + 1j * ref.standard_normal(shape))
         assert rng.standard_normal() == ref.standard_normal()
 
 
