@@ -13,7 +13,9 @@ samples.  Four groups are timed:
   forms sweep, a broadcast (nodes, modes, 3) view on the aps.right_inverse
   grid at eps = 1 (BASIS_SHAPE), the largest sweep of the aps suite; the
   right-inverse residual Gram on that grid, which streams the sweep
-  (cylinder.residual_gram(lam, h, M)); each of these two with its
+  (cylinder.residual_gram(lam, h, M)); the kernel defect of Q on the
+  aps.q_kernel_of_d grid at eps = 0.5 (cylinder.q_kernel_defect on
+  Q_DEFECT_STEPS steps at N = 32); each of these three with its
   tracemalloc peak in MiB (traced_peak_mib), taken in one more call; and
   the L^4 norms of one aps.end_vanishing chunk, 250 fields on the windowed
   basis tau (1, tau, tau^2) with (65, 250) coefficient blocks at N = 32
@@ -55,6 +57,8 @@ from pathlib import Path
 
 # (nodes, modes, 3): P's basis sweep on the aps.right_inverse grid at eps = 1
 BASIS_SHAPE = (12001, 65, 3)
+# steps of the aps.q_kernel_of_d grid at eps = 0.5 and N = 32
+Q_DEFECT_STEPS = 3305
 # (modes, batch) coefficient blocks of one aps.end_vanishing chunk at the
 # default N = 32 and M_t = 64
 L4_CHUNK = (65, 250)
@@ -92,7 +96,7 @@ def time_kernels(repeats: int) -> dict:
     import numpy as np
 
     from looplab import cylinder
-    from looplab.loops import lambda_of_modes
+    from looplab.loops import gaussian_loop, lambda_of_modes
 
     nodes, modes, _ = BASIS_SHAPE
     lam = lambda_of_modes((modes - 1) // 2)
@@ -104,6 +108,11 @@ def time_kernels(repeats: int) -> dict:
 
     def gram():
         return cylinder.residual_gram(lam, h, M)
+
+    beta = cylinder.decompose(gaussian_loop(1, (modes - 1) // 2, np.random.default_rng(2026)))
+
+    def defect():
+        return cylinder.q_kernel_defect(beta, 0.5, Q_DEFECT_STEPS)
 
     modes, batch = L4_CHUNK
     N, M_t = (modes - 1) // 2, 64
@@ -121,6 +130,9 @@ def time_kernels(repeats: int) -> dict:
         },
         f"residual_gram[{shape} streamed]": {
             **timed(gram, repeats), "traced_peak_mib": traced_peak_mib(gram)
+        },
+        f"q_kernel_defect[{Q_DEFECT_STEPS + 1}x{len(lam)}x1 eps=0.5]": {
+            **timed(defect, repeats), "traced_peak_mib": traced_peak_mib(defect)
         },
         f"end_vanishing_l4_chunk[{modes}x{batch} N={N}]": timed(chunk, repeats),
     }

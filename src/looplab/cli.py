@@ -36,16 +36,17 @@ from . import cycles as cyc
 
 
 def _loop_from_modes_spec(spec: list[ModeEntry], d: int, N: int) -> Loop:
-    coeffs = np.zeros((2 * N + 1, d), complex)
+    """The loop of a config's mode entries; Loop.from_modes checks each n."""
+    modes: dict[int, np.ndarray] = {}
     given = set()
     for entry in spec:
-        if abs(entry.n) > N or not (0 <= entry.coord < d):
-            raise ValueError(f"mode entry out of range: {entry}")
+        if not 0 <= entry.coord < d:
+            raise ValueError(f"mode entry coord outside [0, {d}): {entry}")
         if (entry.n, entry.coord) in given:
             raise ValueError(f"mode entry repeats its n and coord: {entry}")
         given.add((entry.n, entry.coord))
-        coeffs[N + entry.n, entry.coord] = complex(entry.re, entry.im)
-    return Loop(coeffs)
+        modes.setdefault(entry.n, np.zeros(d, complex))[entry.coord] = complex(entry.re, entry.im)
+    return Loop.from_modes(d, N, modes)
 
 
 # Each handler takes its subcommand's config, the output directory (`--out`,

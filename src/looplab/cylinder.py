@@ -184,14 +184,13 @@ def combine(bd: BoundaryData) -> Loop:
 
 # -- shared finite-difference / quadrature helpers -------------------------------
 
-# Bytes of one time block.  The aps kernels stream their fields through blocks
-# of whole time rows that fit in a core's L2 cache.  P's sweep writes the
-# forcing products of sub-blocks of each block into two scratch buffers made
-# once per call; residual_gram keeps a window of two blocks of sweep rows and
-# allocates its residual rows per block, l4_combination its theta samples,
-# q_kernel_defect forms its windows of Q and D Q in this size, and
-# quadratic_forms runs its batch in column chunks of this size.
-# l4_shared_basis forms no field, so it has no time blocks
+# Bytes of one time block: a memory budget alone, which changes no computed
+# value.  The aps kernels stream their fields through blocks of whole time
+# rows that fit in a core's L2 cache: P's sweep forms its forcing in
+# sub-blocks, residual_gram keeps a window of two blocks of sweep rows,
+# _add_gram its product buffer, l4_combination its theta samples and
+# q_kernel_defect its halo blocks of Q and D Q in this size, and
+# quadratic_forms runs its batch in column chunks of this size
 BLOCK_BYTES = 1 << 20
 
 
@@ -224,7 +223,7 @@ def column_chunks(n_cols: int, col_nbytes: int):
 def dt_derivative_rows(values: np.ndarray, h: float, start: int, stop: int) -> np.ndarray:
     """Rows start:stop of dt_derivative(values, h), read with a one-row halo."""
     n = len(values)
-    out = np.empty((stop - start,) + values.shape[1:], values.dtype)
+    out = np.empty_like(values[start:stop])
     lo, hi = max(start, 1), min(stop, n - 1)
     if lo < hi:
         inner = out[lo - start : hi - start]
@@ -419,42 +418,39 @@ def _outer(row: np.ndarray) -> np.ndarray:
     return row[:, :, None] * row[:, None, :]
 
 
-def _block_gram(x: np.ndarray) -> np.ndarray:
-    """sum_j X_jn X_jn^T per mode of one time block x (rows, modes, k).
+def _add_gram(total: np.ndarray, x: np.ndarray) -> None:
+    """Add sum_j X_jn X_jn^T onto total (modes, k, k) per mode, one row j of the
+    real field x (rows, modes, k) after the other, in the order of its rows.
 
-    On a block of two or more modes whose rows are its outermost axis in
-    memory, einsum("jnk,jnl->nkl", x, x) adds each entry's products to 0 row
-    by row in time order; one (rows, modes) product per pair k <= l, reduced
-    over the rows, gives its bytes in a quarter of its time.  Each mode's
-    sums run over its own rows alone, so a block of some of the modes gives
-    the bytes of those modes in the block of all of them.  Other blocks,
-    whose sums einsum or the reduction run in other orders, go through
-    einsum.
+    Row 0 of a buffer carries the sum so far and the rows after it the
+    products of x's rows, for all k(k+1)/2 pairs a <= b of every mode; numpy
+    reduces a buffer of more than one entry a row over its first axis one row
+    after the other, so the sums do not depend on how the rows are split
+    between calls.  The buffer takes a quarter of BLOCK_BYTES.
     """
-    if x.shape[1] == 1 or abs(x.strides[0]) < max(abs(s) for s in x.strides[1:]):
-        return np.einsum("jnk,jnl->nkl", x, x)
-    k = x.shape[2]
-    out = np.empty((x.shape[1], k, k))
-    for a in range(k):
-        for b in range(a, k):
-            products = x[:, :, a] * x[:, :, b]
-            out[:, a, b] = out[:, b, a] = np.add.reduce(products, axis=0, initial=0.0)
-    return out
-
-
-def _trapezoid_gram(block_grams, first: np.ndarray, last: np.ndarray, h: float) -> np.ndarray:
-    """The trapezoid rule from the _block_gram of consecutive time blocks, in
-    time order, and the first and last rows of the field."""
-    total = 0.0
-    for gram in block_grams:
-        total = total + gram
-    return h * (total - 0.5 * (_outer(first) + _outer(last)))
+    modes, k = x.shape[1:]
+    pairs = [(a, b) for a in range(k) for b in range(a, k)]
+    rows = block_rows(len(x), 4 * len(pairs) * modes * 8)
+    buf = np.empty((rows + 1, len(pairs), modes))
+    for p, (a, b) in enumerate(pairs):
+        buf[0, p] = total[:, a, b]
+    for start, stop in time_blocks(len(x), rows):
+        m = stop - start
+        for p, (a, b) in enumerate(pairs):
+            np.multiply(x[start:stop, :, a], x[start:stop, :, b], out=buf[1 : m + 1, p])
+        buf[0] = np.add.reduce(buf[: m + 1], axis=0)
+    for p, (a, b) in enumerate(pairs):
+        total[:, a, b] = total[:, b, a] = buf[0, p]
 
 
 def mode_gram(x: np.ndarray, h: float) -> np.ndarray:
     """Per-mode Gram matrices int X_n X_n^T dt (trapezoid rule) of the real
-    field X (nodes, modes, k), shape (modes, k, k)."""
-    return _trapezoid_gram([_block_gram(x)], x[0], x[-1], h)
+    field X (nodes, modes, k), shape (modes, k, k); the sum runs over the
+    nodes in order (_add_gram)."""
+    _, modes, k = x.shape
+    total = np.zeros((modes, k, k))
+    _add_gram(total, x)
+    return h * (total - 0.5 * (_outer(x[0]) + _outer(x[-1])))
 
 
 def _halo(start: int, stop: int, n: int) -> tuple[int, int]:
@@ -474,10 +470,9 @@ def residual_gram(lam: np.ndarray, h: float, M: int) -> np.ndarray:
     The residual rows of each sector come in the time blocks of a whole
     (M+1, modes, 3) sweep, each formed as soon as the sweep has passed every
     row its time derivative reads, from a window of the last two blocks of
-    sweep rows.  Forward rows arrive in time order; backward ones arrive
-    reversed and are read through reversed views, and their block Grams are
-    summed in time order at the end.  So the Gram keeps the bytes of
-    _trapezoid_gram over the _block_grams of the residual blocks of basis_p_values.
+    sweep rows.  Each sector's Gram adds its rows in sweep order (_add_gram):
+    forward rows in time order, backward rows reversed, so the sums do not
+    depend on the blocks.
     """
     n = M + 1
     powers = tau_powers(M)[:, None, :]
@@ -486,11 +481,12 @@ def residual_gram(lam: np.ndarray, h: float, M: int) -> np.ndarray:
     n_fwd = _sector_split(lam)
     blocks = list(time_blocks(n, rows))
     # per sector: its modes, whether its sweep runs backward in time, its time
-    # blocks in the order the sweep completes them, its block Grams keyed by
-    # their start, and its first and last residual rows
+    # blocks in the order the sweep completes them, its Gram sum so far, and
+    # its first and last residual rows
     sectors = [
-        (slice(0, n_fwd), False, list(blocks), {}, [None, None]),
-        (slice(n_fwd, len(lam)), True, blocks[::-1], {}, [None, None]),
+        (slice(0, n_fwd), False, list(blocks), np.zeros((n_fwd, 3, 3)), [None, None]),
+        (slice(n_fwd, len(lam)), True, blocks[::-1], np.zeros((len(lam) - n_fwd, 3, 3)),
+         [None, None]),
     ]
     # the window holds sweep rows base..; when a block does not fit, it keeps
     # the block's first row and the `rows` rows before it, which hold every
@@ -507,7 +503,7 @@ def residual_gram(lam: np.ndarray, h: float, M: int) -> np.ndarray:
         return win[start - base : stop + 1 - base]
 
     for swept in _p_sweep(basis, lam, h, rows, window):
-        for modes, backward, pending, grams, ends in sectors:
+        for modes, backward, pending, total, ends in sectors:
             while pending:
                 start, stop = pending[0]
                 first, last = _halo(start, stop, n)
@@ -519,14 +515,14 @@ def residual_gram(lam: np.ndarray, h: float, M: int) -> np.ndarray:
                 vals = vals[::-1] if backward else vals  # in time order
                 r = _d_rows(vals, lam[modes], h, start - first, stop - first)
                 r -= powers[start:stop]
-                grams[start] = _block_gram(r)
+                _add_gram(total, r[::-1] if backward else r)
                 if start == 0:
                     ends[0] = r[0].copy()
                 if stop == n:
                     ends[1] = r[-1].copy()
     return np.concatenate([
-        _trapezoid_gram([grams[start] for start, _ in blocks], *ends, h)
-        for _, _, _, grams, ends in sectors
+        h * (total - 0.5 * (_outer(first) + _outer(last)))
+        for _, _, _, total, (first, last) in sectors
     ])
 
 
@@ -534,31 +530,33 @@ def q_kernel_defect(beta: BoundaryData, eps: float, M: int) -> float:
     """max |D Q beta| / max |Q beta| of u = q_op(beta, eps, M), bit for bit, with
     no whole field formed.
 
-    Q and D Q are formed in windows of k steps, each a CylinderMap of Q's node
-    values on its k + 1 times passed to apply_D, whose three fields of a
-    window (Q, D Q and its frozen copy) fit in BLOCK_BYTES.  k is a power of
-    two, so the window's step (h k) / k is h bit for bit.  Windows start
-    every k - 1 steps and the last one ends at t = eps; the maximum of D Q
-    beta is taken over each window's interior rows, where the centered
-    stencil is that of the whole grid, and over the grid's end rows, whose
-    one-sided stencils the first and last windows share.  A grid of at most
-    k steps is one window of length eps.
+    The rows after the first eight steps come in time blocks, each with Q
+    formed on its halo rows (kernel_q_values) and D by _d_rows at the grid's
+    step h, as in residual_gram; six block fields fit in BLOCK_BYTES.  The
+    first eight steps go through apply_D, so that the public operator runs,
+    and is counted, once per field whatever the blocks; 8 h is exact, so
+    that CylinderMap's step is h bit for bit.
     """
     lam = lambda_of_modes(beta.N)
     times = np.linspace(0.0, eps, M + 1)
-    rows = max(9, BLOCK_BYTES // (3 * beta.plus0.coeffs.nbytes))
-    k = 1 << ((rows - 1).bit_length() - 1)
-    T = eps / M * k
-    if M <= k:
-        k, T = M, eps
-    top_u = top_du = 0.0
-    for start in list(range(0, M - k, k - 1)) + [M - k]:
-        u = CylinderMap(T, kernel_q_values(
-            beta.plus0.coeffs, beta.minus_end.coeffs, lam, times[start : start + k + 1], eps
-        ))
-        lo, hi = int(start > 0), k if start + k < M else k + 1
-        top_u = max(top_u, float(np.max(np.abs(u.values))))
-        top_du = max(top_du, float(np.max(np.abs(apply_D(u).values[lo:hi]))))
+    h = eps / M
+
+    def q_rows(first, last):
+        return kernel_q_values(
+            beta.plus0.coeffs, beta.minus_end.coeffs, lam, times[first : last + 1], eps
+        )
+
+    head = q_rows(0, 8)
+    top_u = float(np.max(np.abs(head)))
+    top_du = float(np.max(np.abs(apply_D(CylinderMap(8 * h, head)).values[:8])))
+    rows = block_rows(M - 7, 6 * beta.plus0.coeffs.nbytes)
+    for start in range(8, M + 1, rows):
+        stop = min(start + rows, M + 1)
+        first, last = _halo(start, stop, M + 1)
+        u = q_rows(first, last)
+        top_u = max(top_u, float(np.max(np.abs(u))))
+        du = _d_rows(u, lam, h, start - first, stop - first)
+        top_du = max(top_du, float(np.max(np.abs(du))))
     return top_du / top_u
 
 

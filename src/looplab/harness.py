@@ -677,8 +677,8 @@ def _suite_aps(config: Config) -> list[CheckRecord]:
             # Q lands in the kernel of D.  The one-sided end stencil of
             # dt_derivative leaves a relative defect of about lambda_max^3 h^2 / 3
             # on the fastest mode; the grid keeps that at a quarter of the bound.
-            # The defect max |D Q beta| / max |Q beta| is taken over windows of
-            # the fine grid, each passed to apply_D, so no fine field is formed
+            # The defect max |D Q beta| / max |Q beta| is taken over time
+            # blocks of the fine grid, so no fine field is formed
             m_fine = max(M_t, int(np.ceil(N * eps * np.sqrt(4 * N / (3 * _Q_KERNEL_BOUND)))))
             beta = decompose(gaussian_loop(1, N, rng))
             rel = q_kernel_defect(beta, eps, m_fine)
@@ -1119,6 +1119,9 @@ CHECKS["orbits"] = {
     "alpha_scan": [
         ("beta_positive",
          "there exist alpha, beta > 0 with CSD >= beta on the alpha-sphere", 0.0),
+        ("beta_flat_core",
+         "beta = alpha^2 / 2 where the alpha-sphere lies in the flat core |x|^2 <= s0", 1e-12),
+        ("beta_below_quadratic", "beta <= alpha^2 / 2 at every alpha, since h >= 0", 0.0),
     ],
     "sigma_boundary": [
         ("sigma_boundary_nonpositive",
@@ -1169,6 +1172,18 @@ def _suite_orbits(config: Config) -> list[CheckRecord]:
         yield "beta_positive", -beta_star, {
             "alpha_star": alpha_star, "beta_star": beta_star, "table": table
         }
+        # a plus-sector loop with sum n |c_n|^2 = alpha^2 has sup |gamma|^2 <=
+        # alpha^2 H_N (Cauchy-Schwarz, H_N = sum_{n<=N} 1/n), so for alpha <=
+        # sqrt(s0 / H_N) the bump profile's h vanishes on the whole sphere
+        h_n = np.sum(1.0 / np.arange(1, N + 1))
+        limit = float(np.sqrt(m.s0 / h_n)) if m.variant == "bump" else 0.0
+        flat = [row for row in table if 0 < row["alpha"] <= limit]
+        deviation = [row["beta"] / (row["alpha"] ** 2 / 2) - 1.0 for row in flat]
+        yield "beta_flat_core", max(map(abs, deviation), default=0.0), {
+            "alpha_limit": limit, "alphas": [row["alpha"] for row in flat],
+            "relative_deviation": deviation,
+        }
+        yield "beta_below_quadratic", max(row["beta"] - row["alpha"] ** 2 / 2 for row in table), {}
         return alpha_star, beta_star
 
     def sigma_boundary():

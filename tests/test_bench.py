@@ -22,12 +22,16 @@ def test_time_kernels_runs():
     assert sorted(out) == [
         "end_vanishing_l4_chunk[65x250 N=32]",
         "kernel_p_values[12001x65x3 basis]",
+        "q_kernel_defect[3306x65x1 eps=0.5]",
         "residual_gram[12001x65x3 streamed]",
     ]
     assert all(len(stats["samples"]) == 2 and stats["median"] > 0 for stats in out.values())
     # the streamed Gram holds less than the whole basis sweep it reduces
     sweep = out["kernel_p_values[12001x65x3 basis]"]["traced_peak_mib"]
     assert 0 < out["residual_gram[12001x65x3 streamed]"]["traced_peak_mib"] < sweep
+    # and the kernel defect less than one (3306, 65, 1) complex field of Q
+    field_mib = 3306 * 65 * 16 / 2**20
+    assert 0 < out["q_kernel_defect[3306x65x1 eps=0.5]"]["traced_peak_mib"] < field_mib
 
 
 def test_time_guards_runs():

@@ -12,7 +12,7 @@ from looplab import coverage, cycles, hamiltonian, harness
 from looplab.cli import COMMANDS, _loop_from_modes_spec, main as cli_main
 from looplab.files import Config, ModeEntry, from_json
 from looplab.harness import CheckRecord, emit_plots_data, run_suite
-from looplab.loops import theta_points
+from looplab.loops import Loop, theta_points
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -230,7 +230,12 @@ class TestSuites:
         beta = records["orbits.beta_positive"]
         assert (beta.computed, beta.bound, beta.passed) == (np.inf, 0.0, False)
         assert beta.anchor == "there exist alpha, beta > 0 with CSD >= beta on the alpha-sphere"
-        assert beta.details == {"not_run": "alpha_scan raised RuntimeError: scan unavailable"}
+        for name in ("orbits.beta_positive", "orbits.beta_flat_core",
+                     "orbits.beta_below_quadratic"):
+            assert records[name].computed == np.inf and not records[name].passed, name
+            assert records[name].details == {
+                "not_run": "alpha_scan raised RuntimeError: scan unavailable"
+            }, name
         # the groups that take the scan's alpha and beta are not run, instead
         # of running on default values; the later groups still report
         consumers = ["orbits.transversality_full_rank", "orbits.intersection_unique"] + [
@@ -245,7 +250,7 @@ class TestSuites:
                      "orbits.perturbation_action_bounded", "orbits.rho_values",
                      "orbits.sigma_boundary_faces"):
             assert records[name].passed, name
-        assert len(records) == 19  # the 18 declared checks and the error record
+        assert len(records) == 21  # the 20 declared checks and the error record
 
     def test_failed_picard_fails_its_consumers(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
@@ -336,7 +341,7 @@ class TestCheckTables:
             for rows in table.values()
             for name, _, _ in rows
         ]
-        assert len(names) == 78 and len(declared) == 78
+        assert len(names) == 80 and len(declared) == 80
         assert set(declared) == names
         assert set(harness.CHECKS) == set(harness.SUITES)
 
@@ -575,6 +580,29 @@ class TestCli:
         assert err.count("\n") == 1 and "mode entry repeats its n and coord" in err
         assert f"n={modes[1]['n']}" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        ("command", "key", "n"),
+        [("solve-cylinder", "beta_modes", -9), ("flow", "seed_modes", 9),
+         ("find-orbit", "seed_modes", 12)],
+    )
+    def test_mode_entry_out_of_range_exit_2(self, tmp_path, command, key, n, capsys):
+        # the subcommands build their loops through Loop.from_modes, whose
+        # range check and error text every program-built loop shares
+        obj = {"N": 8, key: [{"n": n, "re": 0.5}], "output_dir": str(tmp_path / "o")}
+        assert cli_main([command, "--config", self._write(tmp_path, "c.json", obj)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"mode {n} outside [-8, 8]" in err
+        assert not (tmp_path / "o").exists()
+        with pytest.raises(ValueError, match=r"mode -9 outside \[-8, 8\]"):
+            Loop.from_modes(1, 8, {-9: 1.0})
+
+    def test_mode_entry_coord_out_of_range_exit_2(self, tmp_path, capsys):
+        obj = {"N": 8, "d": 2, "seed_modes": [{"n": 1, "coord": 2, "re": 0.5}],
+               "output_dir": str(tmp_path / "o")}
+        assert cli_main(["flow", "--config", self._write(tmp_path, "c.json", obj)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "mode entry coord outside [0, 2)" in err
 
     def test_one_mode_in_two_coordinates(self):
         entries = [ModeEntry(n=1, coord=0, re=0.5), ModeEntry(n=1, coord=1, im=0.25)]

@@ -197,17 +197,24 @@ def ref_right_inverse_errors(N, M_t, eps, seed):
     return worst_rel, worst_trace, rng.standard_normal()
 
 
-def ref_residual_gram(lam, h, M, rows):
+def ref_gram_sum(x, total=0.0):
+    """total plus sum_j x_jn x_jn^T per mode of x (rows, modes, k), added one
+    row after the other."""
+    for row in x:
+        total = total + row[:, :, None] * row[:, None, :]
+    return total
+
+
+def ref_residual_gram(lam, h, M):
     """residual_gram from the whole sweep: the residual field D P[tau^k] - tau^k
     of ref_kernel_p_values over the basis written out in every mode, its
-    per-mode Gram summed over time blocks of `rows` rows in time order."""
-    n = M + 1
+    per-mode Gram summed row by row in sweep order, forward in time on the
+    lambda >= 0 sector and backward on the lambda < 0 sector."""
     powers = cylinder.tau_powers(M)[:, None, :]
     p = ref_kernel_p_values(np.repeat(powers, len(lam), axis=1), lam, h)
     r = ref_dt_derivative(p, h) + lam[:, None] * p - powers
-    total = 0.0
-    for start, stop in cylinder.time_blocks(n, rows):
-        total = total + np.einsum("jnk,jnl->nkl", r[start:stop], r[start:stop])
+    n_fwd = int(np.count_nonzero(lam >= 0))
+    total = np.concatenate([ref_gram_sum(r[:, :n_fwd]), ref_gram_sum(r[::-1, n_fwd:])])
     first, last = (x[:, :, None] * x[:, None, :] for x in (r[0], r[-1]))
     return h * (total - 0.5 * (first + last))
 
@@ -444,7 +451,7 @@ class TestResidualGram:
     @pytest.mark.parametrize("rows", (1, 2, 3, 5, 7, None))
     def test_bit_identical(self, monkeypatch, M, rows):
         # forward rows arrive in time order, backward rows reversed: both
-        # sectors keep the bytes of the whole sweep's Gram on the same blocks
+        # sectors keep the bytes of the whole sweep's Gram summed row by row
         lam = lambda_of_modes(N)
         row_nbytes = (2 * N + 1) * 3 * 8
         if rows is not None:
@@ -452,9 +459,27 @@ class TestResidualGram:
         n_fwd = int(np.count_nonzero(lam >= 0))
         for h in (H, 1e-5, 0.3):
             gram = cylinder.residual_gram(lam, h, M)
-            ref = ref_residual_gram(lam, h, M, cylinder.block_rows(M + 1, row_nbytes))
+            ref = ref_residual_gram(lam, h, M)
             assert same_bytes(gram[:n_fwd], ref[:n_fwd])
             assert same_bytes(gram[n_fwd:], ref[n_fwd:])
+
+    @pytest.mark.parametrize(
+        "lam", ([1.0, 0.0, -1.0], [2.0, 1.0, 0.0, -1.0, -2.0]), ids=("1_mode_sector", "2_modes")
+    )
+    @pytest.mark.parametrize("M", (9, 100, 2000))
+    def test_one_result_across_row_counts(self, monkeypatch, lam, M):
+        # the Gram does not depend on the rows of the time blocks, also for a
+        # sector of one mode, whose reduce over a buffer of one entry a row
+        # numpy would sum pairwise
+        lam = np.array(lam)
+        grams = []
+        for rows in (1, 2, 3, 7, 64, None):
+            with monkeypatch.context() as mp:
+                if rows is not None:
+                    mp.setattr(cylinder, "BLOCK_BYTES", rows * len(lam) * 3 * 8)
+                grams.append(cylinder.residual_gram(lam, 1.0 / M, M).tobytes())
+        assert len(set(grams)) == 1
+        assert grams[0] == ref_residual_gram(lam, 1.0 / M, M).tobytes()
 
     @pytest.mark.parametrize("rows", (20, 30))
     def test_forcing_sub_blocks(self, monkeypatch, rows):
@@ -463,7 +488,7 @@ class TestResidualGram:
         lam = lambda_of_modes(N)
         row_nbytes = (2 * N + 1) * 3 * 8
         monkeypatch.setattr(cylinder, "BLOCK_BYTES", rows * row_nbytes)
-        ref = ref_residual_gram(lam, H, 100, rows)
+        ref = ref_residual_gram(lam, H, 100)
         assert same_bytes(cylinder.residual_gram(lam, H, 100), ref)
 
     @pytest.mark.parametrize("rows", (1, 2, None))
@@ -471,7 +496,7 @@ class TestResidualGram:
         for lam in (np.array([2.0, 1.0, 0.0]), np.array([-1.0, -2.0, -3.0])):
             if rows is not None:
                 monkeypatch.setattr(cylinder, "BLOCK_BYTES", rows * len(lam) * 3 * 8)
-            ref = ref_residual_gram(lam, H, 9, cylinder.block_rows(10, len(lam) * 3 * 8))
+            ref = ref_residual_gram(lam, H, 9)
             assert same_bytes(cylinder.residual_gram(lam, H, 9), ref)
 
 
@@ -525,7 +550,7 @@ class TestKernelQ:
 
 
 class TestQKernelDefect:
-    """The kernel defect of Q, formed in windows through apply_D, against the whole field."""
+    """The kernel defect of Q, formed in halo time blocks, against the whole field."""
 
     @staticmethod
     def whole(beta, eps, M):
@@ -533,15 +558,16 @@ class TestQKernelDefect:
         return float(np.max(np.abs(apply_D(u).values))) / float(np.max(np.abs(u.values)))
 
     @staticmethod
-    def windows(monkeypatch):
-        """The number of steps of each window passed to apply_D, in call order."""
+    def calls(monkeypatch):
+        """The number of steps of each field passed to apply_D, in call order."""
         steps, original = [], cylinder.apply_D
         monkeypatch.setattr(cylinder, "apply_D", lambda u: steps.append(u.M_t) or original(u))
         return steps
 
-    # at N = 32 and d = 1 a window has k = 256 steps: 67 and 200 steps are
-    # one window, 256 steps exactly one, 510 and 765 whole multiples of
-    # k - 1, and 67, 662 and 3305 grids of aps.q_kernel_of_d
+    # 67, 662 and 3305 steps are grids of aps.q_kernel_of_d; the others lie
+    # around 256 steps and its multiples.  n_windows counts the 256-step
+    # windows, one every 255 steps, that a grid spans: apply_D runs once per
+    # field, on its first eight steps, whatever that count
     @pytest.mark.parametrize(("M", "n_windows"), (
         (67, 1), (200, 1), (256, 1), (257, 2), (510, 2), (662, 3), (765, 3), (3305, 13),
     ))
@@ -549,23 +575,23 @@ class TestQKernelDefect:
     def test_bit_identical(self, monkeypatch, M, n_windows, eps):
         betas = [decompose(gaussian_loop(1, 32, np.random.default_rng(seed))) for seed in range(2)]
         refs = [self.whole(beta, eps, M) for beta in betas]
-        steps = self.windows(monkeypatch)
+        steps = self.calls(monkeypatch)
         for beta, ref in zip(betas, refs):
             assert same_bytes(cylinder.q_kernel_defect(beta, eps, M), ref)
-        assert steps == [min(M, 256)] * n_windows * 2
+        assert steps == [8, 8]
 
-    # windows of k = 8 steps (each blocks_of but the default) put window
-    # edges beside both one-sided end stencils, on grids of one window and
-    # of up to 128 windows
+    # blocks of 1, 2 and 7 rows (each blocks_of but the default) put block
+    # edges beside the first eight steps and both one-sided end stencils,
+    # on grids of one block and of up to 1018 blocks
     @pytest.mark.parametrize("M", (8, 9, 14, 15, 16, 22, 23, 100, 1025))
     def test_small_windows(self, blocks_of, M):
         beta = decompose(Loop(random_field(M, (2 * N + 1, 2))))
-        blocks_of(beta.plus0.coeffs.nbytes)
+        blocks_of(6 * beta.plus0.coeffs.nbytes)
         for eps in (0.5, 0.01):
             assert same_bytes(cylinder.q_kernel_defect(beta, eps, M), self.whole(beta, eps, M))
 
     def test_apply_D_is_the_whole_field_form(self):
-        # apply_D and residual_gram share one row kernel of D
+        # apply_D, residual_gram and q_kernel_defect share one row kernel of D
         u = CylinderMap(0.3, random_field(3, (17, 2 * N + 1, 2)))
         ref = ref_dt_derivative(u.values, u.dt) + lambda_of_modes(N)[None, :, None] * u.values
         assert same_bytes(apply_D(u).values, ref)
@@ -647,14 +673,33 @@ class TestGramForms:
 
     @pytest.mark.parametrize("n_nodes", NODES)
     def test_mode_gram_in_blocks(self, n_nodes):
-        # the trapezoid rule on per-node outer products, from the Grams of
-        # time blocks of any size as residual_gram sums them; entries may
-        # cancel, so the allowance is relative to the largest
-        x = np.random.default_rng(n_nodes).standard_normal((n_nodes, 2 * N + 1, 3))
-        ref = time_trapezoid(x[:, :, :, None] * x[:, :, None, :], H)
-        for rows in (1, 2, 7, n_nodes):
-            grams = [cylinder._block_gram(x[a:b]) for a, b in cylinder.time_blocks(n_nodes, rows)]
-            gram = cylinder._trapezoid_gram(grams, x[0], x[-1], H)
+        # _add_gram over any split of the rows gives the bytes of one call,
+        # which adds the rows one after the other, on contiguous, reversed and
+        # Fortran-ordered fields of one to nine modes, with exact and signed
+        # zeros among the values.  mode_gram is the trapezoid rule on
+        # per-node outer products; entries may cancel, so the allowance is
+        # relative to the largest
+        rng = np.random.default_rng(n_nodes)
+        for modes in (1, 2, 9):
+            x = rng.standard_normal((n_nodes, modes, 4))
+            x[:, :, 1] = 0.0
+            x[::2, :, 2] = -0.0
+            x[:, :, 3] = -np.abs(x[:, :, 3])  # its products with column 1 are all -0.0
+            start = rng.standard_normal((modes, 4, 4))
+            start = start + np.swapaxes(start, 1, 2)
+            for field in (x, x[:, :, :3], x[::-1, ::-1], np.asfortranarray(x)):
+                k = field.shape[2]
+                whole = start[:, :k, :k].copy()
+                cylinder._add_gram(whole, field)
+                assert same_bytes(whole, ref_gram_sum(field, start[:, :k, :k]))
+                for rows in (1, 2, 7):
+                    split = start[:, :k, :k].copy()
+                    for a, b in cylinder.time_blocks(n_nodes, rows):
+                        cylinder._add_gram(split, field[a:b])
+                    assert same_bytes(split, whole)
+            x = x[:, :, :3]
+            ref = time_trapezoid(x[:, :, :, None] * x[:, :, None, :], H)
+            gram = cylinder.mode_gram(x, H)
             np.testing.assert_allclose(gram, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
 
     def test_quadratic_forms(self):
@@ -670,20 +715,6 @@ class TestGramForms:
         field = sum(shared[:, :, k, None] * c for k, c in enumerate(coeffs))
         forms = cylinder.quadratic_forms(cylinder.mode_gram(x[:, :1], H), coeffs)
         np.testing.assert_allclose(forms, ref_l2_batch(field, H) ** 2, rtol=1e-14, atol=0)
-
-    @pytest.mark.parametrize("modes", (1, 2, 9))
-    @pytest.mark.parametrize("n_rows", (1, 2, 23))
-    def test_block_gram_is_einsum(self, modes, n_rows):
-        # the per-pair products reduced over the rows give the bytes of
-        # einsum, on contiguous, strided and reversed blocks, with exact and
-        # signed zeros among the values
-        x = np.random.default_rng(35 + modes + n_rows).standard_normal((n_rows, modes, 4))
-        x[:, :, 1] = 0.0
-        x[::2, :, 2] = -0.0
-        x[:, :, 3] = -np.abs(x[:, :, 3])  # its products with column 1 are all -0.0
-        for block in (x, x[:, :, :3], x[::-1, ::-1], np.asfortranarray(x)):
-            ref = np.einsum("jnk,jnl->nkl", block, block)
-            assert same_bytes(cylinder._block_gram(block), ref)
 
     @pytest.mark.parametrize("cols", (1, 2, 3, 7, None), ids=lambda c: f"cols{c}")
     @pytest.mark.parametrize("batch", (1, 2, 22))
@@ -908,6 +939,21 @@ def aps_group(monkeypatch, config, name):
     return groups[name]
 
 
+class TestBlockBudget:
+    """BLOCK_BYTES is a memory budget: it changes no byte of a report."""
+
+    def test_aps_report_does_not_follow_block_bytes(self, monkeypatch):
+        # the Gram sums run row by row in sweep order and the kernel defect
+        # applies the public apply_D once per field, whatever the time blocks
+        reports = []
+        for kib in (256, 1024, 4096, 16384):
+            monkeypatch.setattr(cylinder, "BLOCK_BYTES", kib << 10)
+            report = harness.run_suite(Config(seed=2026), "aps", write=False)
+            reports.append(json.dumps([[r.to_json_dict() for r in report.records],
+                                       report.coverage_counts]))
+        assert reports[1:] == reports[:1] * 3
+
+
 class TestColumnWorkers:
     """The aps sweeps keep no state between calls: threads of the caller that
     run them at once get the bytes and the draws of one serial run."""
@@ -1070,8 +1116,8 @@ class TestStreamingMemory:
 
     def test_q_kernel_defect_peak(self, monkeypatch):
         # the kernel defect at eps = 0.5, on its m_fine = 3305 grid, is taken
-        # over windows of 256 steps: the group peaks at 1.95 MiB, under one
-        # (3306, 65, 1) field of 3.3 MiB
+        # over halo time blocks of Q and D Q: the group peaks at 1.8 MiB,
+        # under one (3306, 65, 1) field of 3.3 MiB
         config = Config()
         group = aps_group(monkeypatch, config, "q_right_inverse")
         records, peak = self.peak(lambda: harness._run_groups("aps", (group,)))
@@ -1095,7 +1141,7 @@ class TestStreamingMemory:
         # eps = 0.001 the peak stays under one (2049, 65, 10) field, and at
         # eps = 1, where one such field of ten forcings would take 125 MB and
         # the whole basis sweep (12001, 65, 3) 17.9 MiB, the sweep forms its
-        # forcing in sub-blocks: 4.85 MiB, held under 5.25 MiB
+        # forcing in sub-blocks: 4.8 MiB, held under 5.25 MiB
         field_nbytes = 2049 * 65 * 10 * 16
         _, peak = self.peak(harness._right_inverse_errors, np.random.default_rng(19), 32, 64, 0.001)
         assert peak < field_nbytes
