@@ -187,10 +187,11 @@ def combine(bd: BoundaryData) -> Loop:
 # Bytes of one time block: a memory budget alone, which changes no computed
 # value.  The aps kernels stream their fields through blocks of whole time
 # rows that fit in a core's L2 cache: P's sweep forms its forcing in
-# sub-blocks, residual_gram keeps a window of two blocks of sweep rows,
-# _add_gram its product buffer, l4_combination its theta samples and
-# q_kernel_defect its halo blocks of Q and D Q in this size, and
-# quadratic_forms runs its batch in column chunks of this size
+# sub-blocks, residual_gram keeps a window of two blocks of sweep rows and
+# forms its residual rows one such sub-block at a time, _add_gram its
+# product buffer, l4_combination its theta samples and q_kernel_defect its
+# halo blocks of Q and D Q in this size, and quadratic_forms runs its batch
+# in column chunks of this size
 BLOCK_BYTES = 1 << 20
 
 
@@ -303,10 +304,10 @@ def _p_sweep(g_values: np.ndarray, lam: np.ndarray, h: float, rows: int, window)
     Sweep row j holds the forward sector at t_j and the backward sector at
     t_{M_t - j}; row 0 is zero.  For each block of steps [start, stop),
     window(start, stop) returns rows start..stop of an array whose first row
-    holds sweep row start; rows start+1..stop are written after it in place,
-    and then stop is yielded.  The forcing products are formed one sub-block
-    of a block at a time, the backward ones read through reversed-time views
-    of g.
+    holds sweep row start; rows start+1..stop are written after it in place.
+    The forcing products are formed one sub-block of a block at a time, the
+    backward ones read through reversed-time views of g, and once the rows
+    of a sub-block are written, the last sweep row written is yielded.
     """
     n_steps = g_values.shape[0] - 1
     n_fwd = _sector_split(lam)
@@ -352,7 +353,7 @@ def _p_sweep(g_values: np.ndarray, lam: np.ndarray, h: float, rows: int, window)
                 multiply(decay, prev, cur)
                 add(cur, a_k, cur)
                 add(cur, b_k, cur)
-        yield stop
+            yield j + m
 
 
 def kernel_p_values(g_values: np.ndarray, lam: np.ndarray, h: float) -> np.ndarray:
@@ -467,30 +468,28 @@ def residual_gram(lam: np.ndarray, h: float, M: int) -> np.ndarray:
     """mode_gram of the right-inverse residuals D P[tau^k] - tau^k on M steps,
     formed while P's sweep over the basis 1, tau, tau^2 runs; no sweep is kept.
 
-    The residual rows of each sector come in the time blocks of a whole
-    (M+1, modes, 3) sweep, each formed as soon as the sweep has passed every
-    row its time derivative reads, from a window of the last two blocks of
-    sweep rows.  Each sector's Gram adds its rows in sweep order (_add_gram):
-    forward rows in time order, backward rows reversed, so the sums do not
-    depend on the blocks.
+    The residual is read in the sweep's own frame, where t -> eps - t makes
+    each backward mode a forward one at |lambda|.  The stencils of
+    dt_derivative_rows are odd under time reversal and rounding is
+    sign-symmetric, so D at |lambda| of a backward sweep row is the exact
+    negative of D at lambda of its row in time order, and the products of
+    the Gram cannot see the sign.  Each stretch of sweep rows whose time
+    derivative the sweep has written is one _d_rows call over all modes,
+    from a window of the last two time blocks of sweep rows, and is added to
+    the Gram in sweep order (_add_gram): forward rows in time order,
+    backward rows reversed, so the sums do not depend on the blocks.
     """
     n = M + 1
     powers = tau_powers(M)[:, None, :]
     basis = np.broadcast_to(powers, (n, len(lam), 3))
     rows = block_rows(n, basis[0].nbytes)
     n_fwd = _sector_split(lam)
-    blocks = list(time_blocks(n, rows))
-    # per sector: its modes, whether its sweep runs backward in time, its time
-    # blocks in the order the sweep completes them, its Gram sum so far, and
-    # its first and last residual rows
-    sectors = [
-        (slice(0, n_fwd), False, list(blocks), np.zeros((n_fwd, 3, 3)), [None, None]),
-        (slice(n_fwd, len(lam)), True, blocks[::-1], np.zeros((len(lam) - n_fwd, 3, 3)),
-         [None, None]),
-    ]
+    abs_lam = np.abs(lam)
+    total = np.zeros((len(lam), 3, 3))
+    ends = []
     # the window holds sweep rows base..; when a block does not fit, it keeps
     # the block's first row and the `rows` rows before it, which hold every
-    # row a pending time block still reads
+    # row a stretch of residual rows still reads
     win = np.empty_like(basis[: 2 * rows + 2])
     base = 0
 
@@ -502,28 +501,22 @@ def residual_gram(lam: np.ndarray, h: float, M: int) -> np.ndarray:
             base = keep
         return win[start - base : stop + 1 - base]
 
+    done = 0
     for swept in _p_sweep(basis, lam, h, rows, window):
-        for modes, backward, pending, total, ends in sectors:
-            while pending:
-                start, stop = pending[0]
-                first, last = _halo(start, stop, n)
-                lo, hi = (M - last, M - first) if backward else (first, last)
-                if hi > swept:
-                    break
-                del pending[0]
-                vals = win[lo - base : hi + 1 - base, modes]
-                vals = vals[::-1] if backward else vals  # in time order
-                r = _d_rows(vals, lam[modes], h, start - first, stop - first)
-                r -= powers[start:stop]
-                _add_gram(total, r[::-1] if backward else r)
-                if start == 0:
-                    ends[0] = r[0].copy()
-                if stop == n:
-                    ends[1] = r[-1].copy()
-    return np.concatenate([
-        h * (total - 0.5 * (_outer(first) + _outer(last)))
-        for _, _, _, total, (first, last) in sectors
-    ])
+        stop = n if swept == M else swept
+        first, last = _halo(done, stop, n)
+        if last > swept:  # row 0's one-sided stencil reads sweep row 2
+            continue
+        r = _d_rows(win[first - base : last + 1 - base], abs_lam, h, done - first, stop - first)
+        r[:, :n_fwd] -= powers[done:stop]
+        r[:, n_fwd:] += powers[::-1][done:stop]
+        _add_gram(total, r)
+        if done == 0:
+            ends.append(_outer(r[0]))
+        if stop == n:
+            ends.append(_outer(r[-1]))
+        done = stop
+    return h * (total - 0.5 * (ends[0] + ends[1]))
 
 
 def q_kernel_defect(beta: BoundaryData, eps: float, M: int) -> float:

@@ -26,9 +26,11 @@ def test_time_kernels_runs():
         "residual_gram[12001x65x3 streamed]",
     ]
     assert all(len(stats["samples"]) == 2 and stats["median"] > 0 for stats in out.values())
-    # the streamed Gram holds less than the whole basis sweep it reduces
+    # the streamed Gram holds less than the whole basis sweep it reduces, and
+    # under 4 MiB, as it forms its residual rows one forcing sub-block at a time
     sweep = out["kernel_p_values[12001x65x3 basis]"]["traced_peak_mib"]
-    assert 0 < out["residual_gram[12001x65x3 streamed]"]["traced_peak_mib"] < sweep
+    gram = out["residual_gram[12001x65x3 streamed]"]["traced_peak_mib"]
+    assert 0 < gram < min(sweep, 4.0)
     # and the kernel defect less than one (3306, 65, 1) complex field of Q
     field_mib = 3306 * 65 * 16 / 2**20
     assert 0 < out["q_kernel_defect[3306x65x1 eps=0.5]"]["traced_peak_mib"] < field_mib

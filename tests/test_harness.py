@@ -103,6 +103,14 @@ class TestSuites:
         assert rep.passed
         assert all(np.isfinite(r.computed) for r in rep.records)
 
+    def test_smallest_grid_passes_every_check(self):
+        # N = 4 and M_t = 8 are the smallest values Config accepts: the
+        # q_kernel_of_d half grid keeps the 8 steps of apply_D's head, and
+        # q_l4_smallness keeps the test-set modes |n| <= N
+        rep = run_suite(Config(N=4, M_t=8, eps_list=(0.1, 0.01), seed=11), "all", write=False)
+        assert not [r.name for r in rep.records if not r.passed]
+        assert not [r.name for r in rep.records if r.name.endswith(".error")]
+
     def test_report_margins(self, fast_config):
         rep = run_suite(fast_config, "norms", write=False)
         for r in rep.records:

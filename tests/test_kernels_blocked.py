@@ -355,6 +355,28 @@ class TestBlockHelpers:
                 rows = cylinder.dt_derivative_rows(field, h, start, stop)
                 assert same_bytes(rows, ref[start:stop])
 
+    @pytest.mark.parametrize("n_nodes", (3, 4, 9, 23))
+    def test_reversed_rows_negate(self, n_nodes):
+        # the Gram reads the backward sector in sweep order, at |lambda|: on
+        # time-reversed rows, D at |lambda| = -lambda is the exact negative of
+        # D at lambda, row for row, in every block of rows and so at both
+        # one-sided end stencils.  Zeros may change sign, which no product of
+        # the Gram can see, so the rows are compared as values
+        lam = lambda_of_modes(N)
+        lam = lam[lam < 0]
+        values = random_field(47, (n_nodes, len(lam), 4))
+        values[:, 0, 0] = complex(-0.0, 0.0)  # signed zeros at every node
+        values[::2, 1, 1] = -0.0  # zeros between nonzero rows
+        values[:, 2, 2] = complex(2.5, -0.0)  # constant in time: zero differences
+        values[[0, -1], 3, 3] = complex(0.0, -0.0)  # zeros at the one-sided ends
+        for field in (values, values.astype(np.complex64), values.real.copy()):
+            whole = cylinder._d_rows(field, lam, H, 0, n_nodes)[::-1]
+            for start in range(n_nodes):
+                for stop in range(start + 1, n_nodes + 1):
+                    rows = cylinder._d_rows(field[::-1], np.abs(lam), H, start, stop)
+                    assert rows.dtype == whole.dtype
+                    assert np.array_equal(rows, -whole[start:stop])
+
 
 class TestKernelP:
     @pytest.mark.parametrize("n_nodes", NODES)
@@ -445,8 +467,8 @@ class TestResidualGram:
 
     # (M, rows): time blocks of one row put edges beside both one-sided end
     # stencils; blocks of 2, 3, 5 and 7 rows on 8 to 23 steps put edges next
-    # to them and at and beside the middle row, where the backward sector's
-    # reversed blocks cross the forward sector's; None is the default size
+    # to them and at and beside the middle row, where a forward row's time
+    # meets its backward mirror; None is the default size
     @pytest.mark.parametrize("M", (2, 3, 8, 9, 15, 16, 22))
     @pytest.mark.parametrize("rows", (1, 2, 3, 5, 7, None))
     def test_bit_identical(self, monkeypatch, M, rows):
