@@ -34,7 +34,10 @@ samples.  Four groups are timed:
   one first descent step (cycles._descent_step) of the block of all 49
   starts at alpha = 1.43, each sample a batch of 20 calls on fresh copies of
   the block, one whole estimate_beta at that alpha and one scan_alpha over
-  the default grid.
+  the default grid; beside them two counts of one such scan_alpha, the
+  action_values calls that cycles makes and the rows they evaluate (the
+  start blocks and the line-search candidates), and one sample_sigma of the
+  240 box boundary points that lab check-cycles samples at tau = 1.
 
 Whole `lab` runs, with their wall time and peak RSS, are measured by
 perfbench/run.py.
@@ -242,10 +245,28 @@ def time_descent(repeats: int) -> dict:
         cycles._descent_step(m, c.copy(), value.copy(), np.full(len(c), 0.1 * alpha),
                              np.arange(len(c)), alpha)
 
+    action_values, evaluated = cycles.action_values, []
+
+    def counted(model, coeffs):
+        evaluated.append(len(coeffs))
+        return action_values(model, coeffs)
+
+    try:
+        cycles.action_values = counted
+        cycles.scan_alpha(m, seed=2026, N=32)
+    finally:
+        cycles.action_values = action_values
+    e_plus = cycles.e_plus(1, 32)
+
     return {
         "descent_step[B=49,N=32]_s": timed(step, repeats, calls=20),
         "estimate_beta[N=32]_s": timed(beta, repeats),
         "scan_alpha[N=32]_s": timed(lambda: cycles.scan_alpha(m, seed=2026, N=32), repeats),
+        "scan_alpha[N=32]_action_values_calls": len(evaluated),
+        "scan_alpha[N=32]_action_values_rows": sum(evaluated),
+        "sample_sigma[240,N=32]_s": timed(
+            lambda: cycles.sample_sigma(1.0, e_plus, 240, 2027), repeats, calls=5
+        ),
     }
 
 
@@ -299,7 +320,10 @@ def main(argv=None) -> int:
     for name, stats in result["nonlinearity_s"].items():
         print(f"{name:40s} median {stats['median'] * 1e6:8.1f} us  IQR {stats['iqr'] * 1e6:.1f} us")
     for name, stats in result["descent"].items():
-        print(f"{name:40s} median {stats['median'] * 1e3:8.2f} ms  IQR {stats['iqr'] * 1e3:.2f} ms")
+        if isinstance(stats, int):
+            print(f"{name:40s} {stats:8d}")
+        else:
+            print(f"{name:40s} median {stats['median'] * 1e3:8.2f} ms  IQR {stats['iqr'] * 1e3:.2f} ms")
     return 0
 
 

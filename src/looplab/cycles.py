@@ -26,10 +26,9 @@ from .hamiltonian import HamiltonianModel, action, action_values, grad_action, g
 from .loops import (
     Loop,
     block_N,
-    gaussian_loop,
+    gaussian_block,
     inner_values,
     mode_numbers,
-    project,
     sobolev_norm,
     sobolev_sq,
     synthesize_values,
@@ -82,25 +81,56 @@ def winding_seed(alpha: float, k: int, N: int) -> Loop:
 # -- cycle samplers ----------------------------------------------------------------
 
 
+def _gamma_block(alpha: float, count: int, seed: int, d: int, N: int) -> np.ndarray:
+    """The (count, 2N+1, d) block of sample_gamma's loops."""
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
+    if count < 0:
+        raise ValueError(f"sample count must be nonnegative, got {count}")
+    if alpha == 0:
+        return np.zeros((count, 2 * N + 1, d), complex)
+    rng = np.random.default_rng(seed)
+    g = np.empty((count, 2 * N + 1, d), complex)
+    for row in g:  # one gaussian_loop draw per sample
+        row[...] = gaussian_block(rng, row.shape)
+    g[:, mode_numbers(N) <= 0] = 0.0  # the plus projection
+    nrm = np.sqrt(sobolev_sq(g, 0.5))
+    scaled = nrm != 0
+    g[scaled] = g[scaled] * (alpha / nrm[scaled])[:, None, None]
+    return g
+
+
+def _sigma_block(tau: float, e_plus_coeffs: np.ndarray, count: int, seed: int) -> np.ndarray:
+    """The (count, 2N+1, d) block of sample_sigma's boundary points."""
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    if count < 0:
+        raise ValueError(f"sample count must be nonnegative, got {count}")
+    rng = np.random.default_rng(seed)
+    direction = np.empty((count,) + e_plus_coeffs.shape, complex)
+    radius, s = np.empty(count), np.empty(count)
+    for i, row in enumerate(direction):
+        row[...] = gaussian_block(rng, row.shape)
+        face = i % 3
+        if face == 0:
+            radius[i], s[i] = tau, tau * rng.uniform()
+        elif face == 1:
+            radius[i], s[i] = tau * np.sqrt(rng.uniform()), 0.0
+        else:
+            radius[i], s[i] = tau * np.sqrt(rng.uniform()), tau
+    direction[:, mode_numbers(block_N(e_plus_coeffs)) > 0] = 0.0  # the minus projection
+    nrm = np.sqrt(sobolev_sq(direction, 0.5))
+    scaled = nrm > 0
+    direction[scaled] = direction[scaled] * (1.0 / nrm[scaled])[:, None, None]
+    return direction * radius[:, None, None] + e_plus_coeffs * s[:, None, None]
+
+
 @tracked("cycles.sample_gamma")
 def sample_gamma(
     alpha: float, count: int, seed: int, d: int = 1, N: int = 32
 ) -> list[Loop]:
     """Plus-polarized Gaussian loops rescaled to half-norm exactly alpha."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    if count < 0:
-        raise ValueError(f"sample count must be nonnegative, got {count}")
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        g = project(gaussian_loop(d, N, rng), "plus")
-        nrm = sobolev_norm(g, 0.5)
-        if nrm == 0 or alpha == 0:
-            out.append(Loop.zero(d, N) if alpha == 0 else g)
-            continue
-        out.append((alpha / nrm) * g)
-    return out
+    return [Loop(row) for row in _gamma_block(alpha, count, seed, d, N)]
 
 
 @tracked("cycles.sample_sigma")
@@ -110,33 +140,17 @@ def sample_sigma(tau: float, e_plus_loop: Loop, count: int, seed: int) -> list[L
     The samples sit on the three boundary faces ||gamma^-|| = tau, s = 0 and
     s = tau (cycled deterministically).
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    d, N = e_plus_loop.d, e_plus_loop.N
-    rng = np.random.default_rng(seed)
-    out = []
-    for i in range(count):
-        direction = project(gaussian_loop(d, N, rng), "minus")
-        nrm = sobolev_norm(direction, 0.5)
-        direction = (1.0 / nrm) * direction if nrm > 0 else direction
-        face = i % 3
-        if face == 0:
-            radius, s = tau, tau * rng.uniform()
-        elif face == 1:
-            radius, s = tau * np.sqrt(rng.uniform()), 0.0
-        else:
-            radius, s = tau * np.sqrt(rng.uniform()), tau
-        out.append(radius * direction + s * e_plus_loop)
-    return out
+    return [Loop(row) for row in _sigma_block(tau, e_plus_loop.coeffs, count, seed)]
 
 
 # -- sphere minimum and box boundary ------------------------------------------------
 
 
-#: rows per action_values call in check_sigma_boundary; one call over its
+#: rows per action_values call in cycles: the line-search windows of
+#: _descent_step and the blocks of check_sigma_boundary; one call over the
 #: 240 check-cycles rows raises the peak RSS of the five subcommands run in
 #: one process by about 0.6 MB
-_BOUNDARY_ROWS = 64
+_ACTION_ROWS = 64
 #: derive_tau doubles tau from 1 at most this many times
 _TAU_DOUBLINGS = 12
 
@@ -152,6 +166,14 @@ def _descent_step(
     """One projected descent step of the rows `active` of the block c.
 
     Updates c, value and step in place and returns the rows still descending.
+    The backtracking line search runs in windows: each row still searching
+    gets k = max(1, min(trials left, _ACTION_ROWS // rows searching))
+    consecutive trials, stacked row by row into one action_values call.
+    Trial j of a window uses the row's step halved j times.  A row takes
+    its first trial that lowers its value, with that trial's step times
+    1.3; a row with none carries its step halved k times into the next
+    window, and stops after 25 trials.  Every candidate row is formed
+    and evaluated exactly as the same trial of a row searching alone.
     """
     plus = (mode_numbers(block_N(c)) > 0)[:, None]
     gamma = c[active]
@@ -164,23 +186,33 @@ def _descent_step(
     active, gamma = active[moving], gamma[moving]
     direction, dir_norm = direction[moving], dir_norm[moving]
     searching = np.arange(active.size)  # positions in `active`
-    for _ in range(25):
-        if searching.size == 0:
-            break
+    trials_left = 25
+    while searching.size and trials_left:
+        k = max(1, min(trials_left, _ACTION_ROWS // searching.size))
         rows = active[searching]
-        candidate = gamma[searching] - direction[searching] * (
-            step[rows] / dir_norm[searching]
-        )[:, None, None]
+        # steps[r, j]: the step of row r halved j times, one halving at a time
+        halvings = np.full((rows.size, k), 0.5)
+        halvings[:, 0] = step[rows]
+        steps = np.multiply.accumulate(halvings, axis=1)
+        candidate = (
+            gamma[searching, None] - direction[searching, None]
+            * (steps / dir_norm[searching, None])[:, :, None, None]
+        ).reshape((-1,) + gamma.shape[1:])
         nrm = np.sqrt(sobolev_sq(candidate, 0.5))
         scaled = nrm > 0
         candidate[scaled] = candidate[scaled] * (alpha / nrm[scaled])[:, None, None]
         cand_value = action_values(m, candidate)
-        accept = cand_value < value[rows] - 1e-15
-        c[rows[accept]] = candidate[accept]
-        value[rows[accept]] = cand_value[accept]
-        step[rows[accept]] *= 1.3
-        step[rows[~accept]] *= 0.5
-        searching = searching[~accept]
+        accept = cand_value.reshape(rows.size, k) < value[rows, None] - 1e-15
+        took = accept.any(axis=1)
+        trial = accept.argmax(axis=1)[took]  # each accepting row's first accepting trial
+        win = rows[took]
+        pick = np.flatnonzero(took) * k + trial
+        c[win] = candidate[pick]
+        value[win] = cand_value[pick]
+        step[win] = steps[took, trial] * 1.3
+        step[rows[~took]] = steps[~took, -1] * 0.5
+        searching = searching[~took]
+        trials_left -= k
     return np.delete(active, searching)
 
 
@@ -201,12 +233,14 @@ def estimate_beta(
     raises NegativeBeta when the estimate is nonpositive; alpha = 0 returns
     0.0, since that sphere is the zero loop alone.
 
-    All starts descend together as one (starts, 2N+1, d) block.  Each row
-    keeps its own action value and step, and runs its own backtracking line
-    search (at most 25 trials); a row stops when its tangential gradient
-    vanishes or a search fails.  Every row sees the same operations in the
-    same order as a start descending alone, so the estimate does not depend
-    on how many starts share the block.
+    All starts descend together as one (starts, 2N+1, d) block: the rows of
+    sample_gamma's block, then alpha * e_plus.  Each row keeps its own
+    action value and step, and runs its own backtracking line search (at
+    most 25 trials, in the windows of _descent_step); a row stops when
+    its tangential gradient vanishes or a search fails.  Every row sees the
+    same operations in the same order as a start descending alone, one
+    trial at a time, so the estimate does not depend on how many starts
+    share the block or on how many trials share a window.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
@@ -214,9 +248,7 @@ def estimate_beta(
         raise ValueError(f"descent_steps must be nonnegative, got {descent_steps}")
     if alpha == 0:
         return 0.0
-    starts = sample_gamma(alpha, samples, seed, d=d, N=N)
-    starts.append(alpha * e_plus(d, N))
-    c = np.stack([gamma.coeffs for gamma in starts])
+    c = np.concatenate([_gamma_block(alpha, samples, seed, d, N), [(alpha * e_plus(d, N)).coeffs]])
     # values only ever decrease, so each row's final value is its minimum
     value = action_values(m, c)
     step = np.full(len(c), 0.1 * alpha)
@@ -245,6 +277,8 @@ def scan_alpha(
         alphas = np.geomspace(0.05, 2.0, 12)
     if len(alphas) == 0:
         raise ValueError("alphas must not be empty")
+    if any(float(a) < 0 for a in alphas):
+        raise ValueError("alpha must be nonnegative")
     table = []
     best_alpha, best_beta = None, 0.0
     for a in alphas:
@@ -272,10 +306,9 @@ def check_sigma_boundary(
     N: int = 32,
 ) -> float:
     """Maximum of the action over sampled boundary faces of the box family."""
-    pts = sample_sigma(tau, e_plus(d, N), samples, seed)
-    coeffs = np.stack([p.coeffs for p in pts])
-    blocks = range(0, len(coeffs), _BOUNDARY_ROWS)
-    return float(max(np.max(action_values(m, coeffs[i : i + _BOUNDARY_ROWS])) for i in blocks))
+    coeffs = _sigma_block(tau, e_plus(d, N).coeffs, samples, seed)
+    blocks = range(0, len(coeffs), _ACTION_ROWS)
+    return float(max(np.max(action_values(m, coeffs[i : i + _ACTION_ROWS])) for i in blocks))
 
 
 def derive_tau(

@@ -184,7 +184,7 @@ def block_sums(x: np.ndarray) -> np.ndarray:
     The sum runs along the contiguous last axis of the flattened block, so
     each block sums bit-identically to np.sum of that block on its own.
     """
-    return x.reshape(x.shape[:-2] + (-1,)).sum(axis=-1)
+    return x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],)).sum(axis=-1)
 
 
 def sobolev_sq(coeffs: np.ndarray, order: float) -> np.ndarray:

@@ -69,6 +69,14 @@ def test_time_descent_runs():
     assert sorted(out) == [
         "descent_step[B=49,N=32]_s",
         "estimate_beta[N=32]_s",
+        "sample_sigma[240,N=32]_s",
+        "scan_alpha[N=32]_action_values_calls",
+        "scan_alpha[N=32]_action_values_rows",
         "scan_alpha[N=32]_s",
     ]
-    assert all(len(stats["samples"]) == 2 and stats["median"] > 0 for stats in out.values())
+    timings = [stats for name, stats in out.items() if name.endswith("_s")]
+    assert all(len(stats["samples"]) == 2 and stats["median"] > 0 for stats in timings)
+    # the line-search windows: 766 calls over 35 406 rows, where one trial
+    # per call took 2117 calls over 27 204 rows
+    assert out["scan_alpha[N=32]_action_values_calls"] == 766
+    assert out["scan_alpha[N=32]_action_values_rows"] == 35406

@@ -111,6 +111,10 @@ class TestBetaEstimate:
         with pytest.raises(ValueError, match="count"):
             sample_gamma(0.5, -1, seed=3)
         with pytest.raises(ValueError, match="count"):
+            sample_sigma(1.0, e_plus(1, 8), -1, seed=3)
+        with pytest.raises(ValueError, match="tau"):
+            sample_sigma(0.0, e_plus(1, 8), 3, seed=3)
+        with pytest.raises(ValueError, match="count"):
             estimate_beta(model, 0.5, samples=-1, descent_steps=10, seed=3)
         with pytest.raises(ValueError, match="descent_steps"):
             estimate_beta(model, 0.5, samples=4, descent_steps=-1, seed=3)

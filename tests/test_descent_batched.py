@@ -1,17 +1,19 @@
 """The batched projected descent reproduces the per-start descent bit for bit.
 
 `estimate_beta` used to walk each start alone through validated `Loop`
-objects, and `check_sigma_boundary` evaluated one action per sample.  The
-reference functions below keep that per-start form as it was written; the
-tests require `repr`-identical estimates (or NegativeBeta values) from the
-batched code, over models, shapes, radii and step counts, and on the paths
-where a row stops early.
+objects, one line-search trial at a time, and `check_sigma_boundary`
+evaluated one action per sample; the samplers built their points as `Loop`
+arithmetic.  The reference functions below keep that per-start form as it
+was written; the tests require `repr`-identical estimates (or NegativeBeta
+values) from the batched code, over models, shapes, radii and step counts,
+on the paths where a row stops early, and whatever the line-search window
+budget `cycles._ACTION_ROWS`, and byte-identical sample blocks.
 """
 
 import numpy as np
 import pytest
 
-from looplab import cycles
+from looplab import coverage, cycles
 from looplab.cycles import (
     NegativeBeta,
     check_sigma_boundary,
@@ -23,7 +25,7 @@ from looplab.cycles import (
     scan_alpha,
 )
 from looplab.hamiltonian import HamiltonianModel, action, action_values, eval_H, grad_action
-from looplab.loops import Loop, inner, project, sample, sobolev_norm
+from looplab.loops import Loop, gaussian_loop, inner, project, sample, sobolev_norm
 
 MODELS = {
     "bump": HamiltonianModel(),
@@ -58,7 +60,7 @@ def old_estimate_beta(m, alpha, samples=48, descent_steps=120, seed=0, d=1, N=32
     if alpha == 0:
         return 0.0
     stops = [] if stops is None else stops
-    starts = sample_gamma(alpha, samples, seed, d=d, N=N)
+    starts = old_sample_gamma(alpha, samples, seed, d=d, N=N)
     starts.append(alpha * e_plus(d, N))
     best = np.inf
     for gamma in starts:
@@ -94,8 +96,42 @@ def old_estimate_beta(m, alpha, samples=48, descent_steps=120, seed=0, d=1, N=32
     return float(best)
 
 
+def old_sample_gamma(alpha, count, seed, d=1, N=32):
+    """cycles.sample_gamma as Loop arithmetic, one sample at a time."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        g = project(gaussian_loop(d, N, rng), "plus")
+        nrm = sobolev_norm(g, 0.5)
+        if nrm == 0 or alpha == 0:
+            out.append(Loop.zero(d, N) if alpha == 0 else g)
+            continue
+        out.append((alpha / nrm) * g)
+    return out
+
+
+def old_sample_sigma(tau, e_plus_loop, count, seed):
+    """cycles.sample_sigma as Loop arithmetic, one sample at a time."""
+    d, N = e_plus_loop.d, e_plus_loop.N
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        direction = project(gaussian_loop(d, N, rng), "minus")
+        nrm = sobolev_norm(direction, 0.5)
+        direction = (1.0 / nrm) * direction if nrm > 0 else direction
+        face = i % 3
+        if face == 0:
+            radius, s = tau, tau * rng.uniform()
+        elif face == 1:
+            radius, s = tau * np.sqrt(rng.uniform()), 0.0
+        else:
+            radius, s = tau * np.sqrt(rng.uniform()), tau
+        out.append(radius * direction + s * e_plus_loop)
+    return out
+
+
 def old_check_sigma_boundary(m, tau, samples=180, seed=1, d=1, N=32):
-    pts = sample_sigma(tau, e_plus(d, N), samples, seed)
+    pts = old_sample_sigma(tau, e_plus(d, N), samples, seed)
     return float(max(old_action(m, p) for p in pts))
 
 
@@ -163,6 +199,19 @@ def test_stop_on_failed_line_search():
     assert stops.count("search") == 5 and stops[-1] == "dir_norm"
 
 
+def test_more_starts_than_the_window_budget():
+    # 81 rows: the first window of each step holds one trial of every
+    # searching row, more rows than _ACTION_ROWS, and later windows several
+    # trials of the rows left
+    m, stops = MODELS["bump"], []
+    kwargs = dict(samples=80, descent_steps=40, seed=2026, N=8)
+    assert kwargs["samples"] + 1 > cycles._ACTION_ROWS
+    assert outcome(estimate_beta, m, 1.2, **kwargs) == outcome(
+        old_estimate_beta, m, 1.2, stops=stops, **kwargs
+    )
+    assert len(set(stops)) >= 2
+
+
 def test_rows_stop_at_different_steps():
     # a mixed block: some rows stop early while others keep descending
     m, stops = MODELS["bump"], []
@@ -188,6 +237,33 @@ def test_scan_alpha_table(N, monkeypatch):
 def test_empty_alpha_grid_is_an_error():
     with pytest.raises(ValueError):
         scan_alpha(MODELS["bump"], alphas=np.array([]), N=8)
+
+
+@pytest.mark.parametrize("N", (8, 32))
+def test_scan_alpha_table_follows_no_window_budget(N, monkeypatch):
+    # at _ACTION_ROWS = 1 every window holds one trial of each searching row,
+    # the search as it ran before the windows; at 10**6 one window holds all
+    # 25 trials of every row.  The coverage counts do not follow it either.
+    m, runs = MODELS["bump"], []
+    for rows in (1, 7, 64, 10**6):
+        monkeypatch.setattr(cycles, "_ACTION_ROWS", rows)
+        before = coverage.counts()
+        table = scan_alpha(m, seed=2026, N=N)
+        runs.append((repr(table), {k: n - before[k] for k, n in coverage.counts().items()}))
+    assert runs[1:] == runs[:1] * 3
+
+
+def test_negative_alpha_is_rejected_before_any_descent(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return estimate_beta(*args, **kwargs)
+
+    monkeypatch.setattr(cycles, "estimate_beta", counted)
+    with pytest.raises(ValueError, match="alpha must be nonnegative"):
+        scan_alpha(MODELS["bump"], alphas=[2.0, -1.0], N=8)
+    assert calls == []
 
 
 @pytest.mark.parametrize("tau", (0.5, 1.0, 2.0, 4.0))
@@ -222,3 +298,33 @@ def test_action_values_rows_match_action(model, d, N):
     for row, value in zip(block, values):
         gamma = Loop(row)
         assert repr(float(value)) == repr(old_action(m, gamma)) == repr(action(m, gamma))
+
+
+# -- the samplers --------------------------------------------------------------------
+
+
+def same_loops(new, old):
+    return [g.coeffs.tobytes() for g in new] == [g.coeffs.tobytes() for g in old] and all(
+        a.coeffs.shape == b.coeffs.shape for a, b in zip(new, old)
+    )
+
+
+@pytest.mark.parametrize("count", (0, 1, 7, 64))
+@pytest.mark.parametrize("alpha", (0.0, 0.3, 1.43))
+@pytest.mark.parametrize("d,N", ((1, 8), (2, 8), (1, 32), (2, 5)))
+def test_sample_gamma_matches_loop_form(d, N, alpha, count):
+    for seed in (0, 2026):
+        assert same_loops(
+            sample_gamma(alpha, count, seed, d=d, N=N), old_sample_gamma(alpha, count, seed, d=d, N=N)
+        )
+
+
+@pytest.mark.parametrize("count", (0, 1, 2, 3, 64, 240))
+@pytest.mark.parametrize("tau", (0.5, 2.0, 1024.0))
+@pytest.mark.parametrize("d,N", ((1, 8), (2, 8), (1, 32), (2, 5)))
+def test_sample_sigma_matches_loop_form(d, N, tau, count):
+    for seed in (1, 2027):
+        assert same_loops(
+            sample_sigma(tau, e_plus(d, N), count, seed),
+            old_sample_sigma(tau, e_plus(d, N), count, seed),
+        )

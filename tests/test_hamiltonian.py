@@ -3,6 +3,7 @@ import pytest
 
 from looplab.hamiltonian import (
     HamiltonianModel,
+    _smoothstep_int,
     action,
     eval_H,
     eval_XH,
@@ -71,6 +72,56 @@ class TestProfile:
         s = np.array([0.1, 3.0, 50.0])
         assert np.allclose(quad_model.h(s), 1.1 * s)
         assert quad_model.tail_offset == 0.0
+
+
+def old_h(m, s):
+    """HamiltonianModel.h of the bump variant as it was, evaluating every point."""
+    s = np.asarray(s, dtype=float)
+    t = m._ramp(s)
+    tail = np.where(s > m.s1, m.slope * (s - m.s1), 0.0)
+    return m.slope * (m.s1 - m.s0) * _smoothstep_int(t) + tail
+
+
+def same_result(a, b):
+    return type(a) is type(b) and np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestFlatCoreSkip:
+    """h evaluates only the points off the flat core, and gives the bytes (and the
+    type) of the formula evaluated at every point."""
+
+    MODELS = (HamiltonianModel(), HamiltonianModel(eps_H=0.3, s0=0.5, s1=2.0))
+
+    @staticmethod
+    def inputs(m):
+        rng = np.random.default_rng(34)
+        mixed = rng.uniform(-0.5, 1.5 * m.s1, 257)
+        mixed[::3] = rng.uniform(0.0, m.s0, mixed[::3].size)
+        return {
+            "all_core": np.linspace(0.0, m.s0, 64),
+            "mixed": mixed,
+            "mixed_2d": mixed[:256].reshape(16, 16),
+            "at_s0": np.array([m.s0, np.nextafter(m.s0, 0), np.nextafter(m.s0, 9)]),
+            "at_s1": np.array([m.s1, np.nextafter(m.s1, 0), np.nextafter(m.s1, 9)]),
+            "tail": np.linspace(m.s1, 10 * m.s1, 33),
+            "nan": np.array([np.nan, 0.1, np.nan, 1.0, 5.0]),
+            "empty": np.zeros(0),
+        }
+
+    @pytest.mark.parametrize("m", MODELS, ids=("default", "wide"))
+    def test_arrays(self, m):
+        for name, s in self.inputs(m).items():
+            assert same_result(m.h(s), old_h(m, s)), name
+
+    @pytest.mark.parametrize("m", MODELS, ids=("default", "wide"))
+    def test_zero_d(self, m):
+        for s in (0.0, 0.1, m.s0, 0.5 * (m.s0 + m.s1), m.s1, 3 * m.s1, np.nan):
+            for x in (s, np.float64(s), np.array(s)):
+                assert same_result(m.h(x), old_h(m, x)), s
+
+    def test_flat_core_is_positive_zero(self, model):
+        h = model.h(np.array([-1.0, 0.0, 0.1, model.s0]))
+        assert h.tobytes() == np.zeros(4).tobytes()
 
 
 class TestPointwiseFields:

@@ -14,14 +14,16 @@ times stay exact, as does flow_step against the one-step trajectory.  Its
 node diagnostics are bit-identical whatever the block they are taken in.
 """
 
+import json
 import warnings
 
 import numpy as np
 import pytest
 
-from looplab import solver
+from looplab import harness, solver
 from looplab.cycles import _flatten_real, _newton_matrix
 from looplab.cylinder import CylinderMap, dt_derivative, energy, time_trapezoid
+from looplab.files import Config
 from looplab.hamiltonian import (
     HamiltonianModel,
     action,
@@ -360,6 +362,19 @@ def test_flow_trajectory_node_blocks(block, monkeypatch):
             for key in ("times", "actions", "cumulative_energy", "norms"):
                 assert_same_bytes(getattr(trace, key), getattr(whole, key))
             assert_same_bytes(trace.final.coeffs, whole.final.coeffs)
+
+
+@pytest.mark.parametrize("suite", ("flow", "orbits", "contraction"))
+def test_suite_reports_do_not_follow_node_block(suite, monkeypatch):
+    """_NODE_BLOCK is a memory budget: it changes no byte of a suite's records
+    or coverage counts."""
+    reports = []
+    for block in (solver._NODE_BLOCK, 7):
+        monkeypatch.setattr(solver, "_NODE_BLOCK", block)
+        report = harness.run_suite(Config(seed=2026), suite, write=False)
+        reports.append(json.dumps([[r.to_json_dict() for r in report.records],
+                                   report.coverage_counts]))
+    assert reports[1] == reports[0]
 
 
 @pytest.mark.parametrize("N", (8, 32))
