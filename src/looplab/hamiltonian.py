@@ -83,31 +83,29 @@ class HamiltonianModel:
         return ((s - self.s0) / (self.s1 - self.s0)).clip(0.0, 1.0)
 
     def _h_bump(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """h of the bump variant at s, given the ramp coordinate t of s.
-
-        Only the points with t != 0 are evaluated.  On the flat core s <= s0
-        the clip gives t = +0.0, where the formula is +0.0 exactly; a NaN s
-        keeps t = NaN and takes the formula like any ramp or tail point.  A
-        0-d s takes the formula as it is: its t is a numpy scalar, whose
-        power numpy takes with the scalar pow, and that differs in the last
-        bit from the array power in about 5% of values.
-        """
-        if s.ndim == 0:
-            return self._h_formula(s, t)
-        out = np.zeros(s.shape)
-        off_core = t != 0
-        out[off_core] = self._h_formula(s[off_core], t[off_core])
-        return out
-
-    def _h_formula(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """h of the bump variant at s, given the ramp coordinate t of s."""
         tail = np.where(s > self.s1, self.slope * (s - self.s1), 0.0)
         return self.slope * (self.s1 - self.s0) * _smoothstep_int(t) + tail
 
     def h(self, s):
+        """h(s); the bump variant evaluates its formula only off the flat core.
+
+        On the flat core s <= s0 the clip gives t = +0.0, which is the
+        formula's value there, so t is kept as h and overwritten at the
+        points with t != 0 (a NaN s keeps t = NaN and takes the formula).
+        A 0-d s takes the formula as it is: its t is a numpy scalar, whose
+        power numpy takes with the scalar pow, and that differs in the last
+        bit from the array power in about 5% of values.
+        """
         s = np.asarray(s, dtype=float)
         if self.variant == "pure_quadratic":
             return self.slope * s
-        return self._h_bump(s, self._ramp(s))
+        t = self._ramp(s)
+        if s.ndim == 0:
+            return self._h_bump(s, t)
+        off_core = t != 0
+        t[off_core] = self._h_bump(s[off_core], t[off_core])
+        return t
 
     def h_prime(self, s):
         s = np.asarray(s, dtype=float)
