@@ -34,7 +34,8 @@ from .loops import (
     synthesize_values,
     theta_values,
 )
-from .solver import Blowup, flow_trajectory
+from .cylinder import time_blocks
+from .solver import Blowup, flow_trajectory, stack_rows
 
 
 class NoRoot(Exception):
@@ -81,6 +82,13 @@ def winding_seed(alpha: float, k: int, N: int) -> Loop:
 # -- cycle samplers ----------------------------------------------------------------
 
 
+def _rescale(x: np.ndarray, radius: float) -> None:
+    """Scale each row of the block x of nonzero half-norm to half-norm radius, in place."""
+    nrm = np.sqrt(sobolev_sq(x, 0.5))
+    scaled = nrm > 0
+    x[scaled] = x[scaled] * (radius / nrm[scaled])[:, None, None]
+
+
 def _gamma_block(alpha: float, count: int, seed: int, d: int, N: int) -> np.ndarray:
     """The (count, 2N+1, d) block of sample_gamma's loops."""
     if alpha < 0:
@@ -94,9 +102,7 @@ def _gamma_block(alpha: float, count: int, seed: int, d: int, N: int) -> np.ndar
     for row in g:  # one gaussian_loop draw per sample
         row[...] = gaussian_block(rng, row.shape)
     g[:, mode_numbers(N) <= 0] = 0.0  # the plus projection
-    nrm = np.sqrt(sobolev_sq(g, 0.5))
-    scaled = nrm != 0
-    g[scaled] = g[scaled] * (alpha / nrm[scaled])[:, None, None]
+    _rescale(g, alpha)
     return g
 
 
@@ -119,9 +125,7 @@ def _sigma_block(tau: float, e_plus_coeffs: np.ndarray, count: int, seed: int) -
         else:
             radius[i], s[i] = tau * np.sqrt(rng.uniform()), tau
     direction[:, mode_numbers(block_N(e_plus_coeffs)) > 0] = 0.0  # the minus projection
-    nrm = np.sqrt(sobolev_sq(direction, 0.5))
-    scaled = nrm > 0
-    direction[scaled] = direction[scaled] * (1.0 / nrm[scaled])[:, None, None]
+    _rescale(direction, 1.0)
     return direction * radius[:, None, None] + e_plus_coeffs * s[:, None, None]
 
 
@@ -146,11 +150,6 @@ def sample_sigma(tau: float, e_plus_loop: Loop, count: int, seed: int) -> list[L
 # -- sphere minimum and box boundary ------------------------------------------------
 
 
-#: rows per action_values call in cycles: the line-search windows of
-#: _descent_step and the blocks of check_sigma_boundary; one call over the
-#: 240 check-cycles rows raises the peak RSS of the five subcommands run in
-#: one process by about 0.6 MB
-_ACTION_ROWS = 64
 #: derive_tau doubles tau from 1 at most this many times
 _TAU_DOUBLINGS = 12
 
@@ -166,9 +165,9 @@ def _descent_step(
     """One projected descent step of the rows `active` of the block c.
 
     Updates c, value and step in place and returns the rows still descending.
-    The backtracking line search runs in windows: each row still searching
-    gets k = max(1, min(trials left, _ACTION_ROWS // rows searching))
-    consecutive trials, stacked row by row into one action_values call.
+    The backtracking line search runs in windows: each of the s rows still
+    searching gets k = max(1, stack_rows(s * trials left, c) // s) consecutive
+    trials, stacked row by row into one action_values call.
     Trial j of a window uses the row's step halved j times.  A row takes
     its first trial that lowers its value, with that trial's step times
     1.3; a row with none carries its step halved k times into the next
@@ -188,7 +187,7 @@ def _descent_step(
     searching = np.arange(active.size)  # positions in `active`
     trials_left = 25
     while searching.size and trials_left:
-        k = max(1, min(trials_left, _ACTION_ROWS // searching.size))
+        k = max(1, stack_rows(searching.size * trials_left, c) // searching.size)
         rows = active[searching]
         # steps[r, j]: the step of row r halved j times, one halving at a time
         halvings = np.full((rows.size, k), 0.5)
@@ -198,9 +197,7 @@ def _descent_step(
             gamma[searching, None] - direction[searching, None]
             * (steps / dir_norm[searching, None])[:, :, None, None]
         ).reshape((-1,) + gamma.shape[1:])
-        nrm = np.sqrt(sobolev_sq(candidate, 0.5))
-        scaled = nrm > 0
-        candidate[scaled] = candidate[scaled] * (alpha / nrm[scaled])[:, None, None]
+        _rescale(candidate, alpha)
         cand_value = action_values(m, candidate)
         accept = cand_value.reshape(rows.size, k) < value[rows, None] - 1e-15
         took = accept.any(axis=1)
@@ -306,9 +303,11 @@ def check_sigma_boundary(
     N: int = 32,
 ) -> float:
     """Maximum of the action over sampled boundary faces of the box family."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     coeffs = _sigma_block(tau, e_plus(d, N).coeffs, samples, seed)
-    blocks = range(0, len(coeffs), _ACTION_ROWS)
-    return float(max(np.max(action_values(m, coeffs[i : i + _ACTION_ROWS])) for i in blocks))
+    blocks = time_blocks(samples, stack_rows(samples, coeffs))
+    return float(max(np.max(action_values(m, coeffs[a:b])) for a, b in blocks))
 
 
 def derive_tau(

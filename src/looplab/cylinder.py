@@ -184,14 +184,16 @@ def combine(bd: BoundaryData) -> Loop:
 
 # -- shared finite-difference / quadrature helpers -------------------------------
 
-# Bytes of one time block: a memory budget alone, which changes no computed
-# value.  The aps kernels stream their fields through blocks of whole time
-# rows that fit in a core's L2 cache: P's sweep forms its forcing in
+# Bytes of one time block: the package's one memory budget, which changes no
+# computed value.  The aps kernels stream their fields through blocks of whole
+# time rows that fit in a core's L2 cache: P's sweep forms its forcing in
 # sub-blocks, residual_gram keeps a window of two blocks of sweep rows and
 # forms its residual rows one such sub-block at a time, _add_gram its
 # product buffer, l4_combination its theta samples and q_kernel_defect its
 # halo blocks of Q and D Q in this size, and quadratic_forms runs its batch
-# in column chunks of this size
+# in column chunks of this size.  The coefficient stacks of the flow's node
+# blocks and of the cycles' action_values calls take solver.stack_rows rows,
+# whose theta samples fill an eighth of it
 BLOCK_BYTES = 1 << 20
 
 

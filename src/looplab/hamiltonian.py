@@ -125,8 +125,8 @@ class HamiltonianModel:
 
 # The stack evaluations (grad_h_modes, action_values) take H and grad H
 # through the untracked _sq_radius and _grad_h, not eval_H and eval_gradH, so
-# that the coverage counts do not follow how a caller splits its stacks
-# (solver._NODE_BLOCK, cycles._ACTION_ROWS).
+# that the coverage counts do not follow how a caller splits its stacks, which
+# solver.stack_rows sizes from the one memory budget cylinder.BLOCK_BYTES.
 
 
 def _sq_radius(x: np.ndarray) -> np.ndarray:

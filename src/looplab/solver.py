@@ -29,6 +29,7 @@ from .coverage import tracked
 from .cylinder import (
     BoundaryData,
     CylinderMap,
+    block_rows,
     decompose,
     energy as cylinder_energy,
     l2_norm,
@@ -38,12 +39,18 @@ from .cylinder import (
 )
 from .hamiltonian import HamiltonianModel, action, action_values, grad_action_values
 from .hamiltonian import grad_h_modes, k_factor_constant
-from .loops import Loop, mode_numbers, sample_coeffs, sobolev_sq, synthesize_values, theta_points
+from .loops import Loop, block_N, mode_numbers, sample_coeffs, sobolev_sq, synthesize_values
+from .loops import theta_points
 
 
 MAX_ITER = 200  # Picard iteration budget
 BLOWUP_NORM = 1e8  # L^2 norm at which the upward flow counts as blown up
-_NODE_BLOCK = 256  # flow nodes whose diagnostics take one call
+
+
+def stack_rows(n_rows: int, block: np.ndarray) -> int:
+    """block_rows of a stack (..., 2N+1, d) whose theta samples fill BLOCK_BYTES / 8."""
+    samples = theta_points(block_N(block)) * block.shape[-1] * np.dtype(complex).itemsize
+    return block_rows(n_rows, 8 * samples)
 
 
 class SolverError(Exception):
@@ -290,10 +297,10 @@ def flow_trajectory(m: HamiltonianModel, gamma: Loop, T: float, dt: float) -> Fl
 
     cumulative_energy is the quadrature of ||grad CSD||_{L^2}^2 along the
     trajectory, which on solutions equals the action increment.  The nodes
-    are stepped one by one into a buffer of _NODE_BLOCK rows, and each
-    block of nodes gets its norms, actions (action_values) and
-    ||grad CSD||^2 (grad_action_values) in one call each; those values do
-    not depend on the block.  Raises Blowup at the first node whose L^2 norm passes the
+    are stepped one by one into a buffer of stack_rows rows, and each block
+    of nodes gets its norms, actions (action_values) and ||grad CSD||^2
+    (grad_action_values) in one call each; those values do not depend on
+    the block.  Raises Blowup at the first node whose L^2 norm passes the
     overflow guard, with the trace of the nodes before it attached (its
     final loop is the last of them, or gamma when there is none); the steps
     already taken past that node are discarded.
@@ -315,7 +322,12 @@ def flow_trajectory(m: HamiltonianModel, gamma: Loop, T: float, dt: float) -> Fl
     grad_sq = np.zeros(steps + 1)
     norms = np.zeros(steps + 1)
 
-    buffer = np.empty((min(_NODE_BLOCK, steps + 1),) + gamma.coeffs.shape, complex)
+    def trace(k: int, final: np.ndarray) -> FlowTrace:
+        """The trace of the first k nodes, ending on the loop final."""
+        cumulative = _cumulative_simpson(grad_sq[:k], dt_eff)
+        return FlowTrace(times[:k], actions[:k], cumulative, norms[:k], Loop(final))
+
+    buffer = np.empty((stack_rows(steps + 1, gamma.coeffs),) + gamma.coeffs.shape, complex)
     c = before = gamma.coeffs
     for start in range(0, steps + 1, len(buffer)):
         nodes = buffer[: steps + 1 - start]
@@ -334,23 +346,9 @@ def flow_trajectory(m: HamiltonianModel, gamma: Loop, T: float, dt: float) -> Fl
             grad_sq[start : start + passed] = sobolev_sq(grad_action_values(m, nodes[:passed]), 0)
         if passed < len(nodes):
             k = start + passed
-            partial = FlowTrace(
-                times=times[:k],
-                actions=actions[:k],
-                cumulative_energy=_cumulative_simpson(grad_sq[:k], dt_eff),
-                norms=norms[:k],
-                final=Loop(nodes[passed - 1] if passed else before),
-            )
-            raise Blowup(k * dt_eff, partial)
+            raise Blowup(k * dt_eff, trace(k, nodes[passed - 1] if passed else before))
         before = nodes[-1].copy()
-
-    return FlowTrace(
-        times=times,
-        actions=actions,
-        cumulative_energy=_cumulative_simpson(grad_sq, dt_eff),
-        norms=norms,
-        final=Loop(c),
-    )
+    return trace(steps + 1, c)
 
 
 @tracked("solver.gf_pushforward")

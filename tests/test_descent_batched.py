@@ -7,13 +7,13 @@ arithmetic.  The reference functions below keep that per-start form as it
 was written; the tests require `repr`-identical estimates (or NegativeBeta
 values) from the batched code, over models, shapes, radii and step counts,
 on the paths where a row stops early, and whatever the line-search window
-budget `cycles._ACTION_ROWS`, and byte-identical sample blocks.
+budget `cylinder.BLOCK_BYTES`, and byte-identical sample blocks.
 """
 
 import numpy as np
 import pytest
 
-from looplab import coverage, cycles
+from looplab import coverage, cycles, cylinder
 from looplab.cycles import (
     NegativeBeta,
     check_sigma_boundary,
@@ -25,7 +25,8 @@ from looplab.cycles import (
     scan_alpha,
 )
 from looplab.hamiltonian import HamiltonianModel, action, action_values, eval_H, grad_action
-from looplab.loops import Loop, gaussian_loop, inner, project, sample, sobolev_norm
+from looplab.loops import Loop, gaussian_loop, inner, project, sample, sobolev_norm, theta_points
+from looplab.solver import stack_rows
 
 MODELS = {
     "bump": HamiltonianModel(),
@@ -35,6 +36,11 @@ MODELS = {
 SHAPES = ((1, 5), (1, 8), (2, 8), (2, 16))
 ALPHAS = (0.2, 0.7, 1.43, 2.5)
 STEPS = (0, 1, 5, 120)
+
+
+def window_budget(rows, N):
+    """The BLOCK_BYTES at which a window holds `rows` candidate rows at N, d = 1."""
+    return rows * 8 * theta_points(N) * np.dtype(complex).itemsize
 
 
 # -- the per-start form ----------------------------------------------------------
@@ -199,13 +205,14 @@ def test_stop_on_failed_line_search():
     assert stops.count("search") == 5 and stops[-1] == "dir_norm"
 
 
-def test_more_starts_than_the_window_budget():
+def test_more_starts_than_the_window_budget(monkeypatch):
     # 81 rows: the first window of each step holds one trial of every
-    # searching row, more rows than _ACTION_ROWS, and later windows several
+    # searching row, more rows than a window of 64, and later windows several
     # trials of the rows left
     m, stops = MODELS["bump"], []
     kwargs = dict(samples=80, descent_steps=40, seed=2026, N=8)
-    assert kwargs["samples"] + 1 > cycles._ACTION_ROWS
+    monkeypatch.setattr(cylinder, "BLOCK_BYTES", window_budget(64, 8))
+    assert kwargs["samples"] + 1 > stack_rows(10**6, e_plus(1, 8).coeffs) == 64
     assert outcome(estimate_beta, m, 1.2, **kwargs) == outcome(
         old_estimate_beta, m, 1.2, stops=stops, **kwargs
     )
@@ -241,12 +248,13 @@ def test_empty_alpha_grid_is_an_error():
 
 @pytest.mark.parametrize("N", (8, 32))
 def test_scan_alpha_table_follows_no_window_budget(N, monkeypatch):
-    # at _ACTION_ROWS = 1 every window holds one trial of each searching row,
-    # the search as it ran before the windows; at 10**6 one window holds all
-    # 25 trials of every row.  The coverage counts do not follow it either.
+    # at a budget of one row every window holds one trial of each searching
+    # row, the search as it ran before the windows; at 10**6 rows one window
+    # holds all 25 trials of every row.  The coverage counts do not follow
+    # it either.
     m, runs = MODELS["bump"], []
     for rows in (1, 7, 64, 10**6):
-        monkeypatch.setattr(cycles, "_ACTION_ROWS", rows)
+        monkeypatch.setattr(cylinder, "BLOCK_BYTES", window_budget(rows, N))
         before = coverage.counts()
         table = scan_alpha(m, seed=2026, N=N)
         runs.append((repr(table), {k: n - before[k] for k, n in coverage.counts().items()}))
@@ -274,6 +282,16 @@ def test_check_sigma_boundary_matches_per_point(d, N, tau):
     assert repr(check_sigma_boundary(m, tau, **kwargs)) == repr(
         old_check_sigma_boundary(m, tau, **kwargs)
     )
+
+
+def test_empty_box_sample_is_an_error():
+    m = MODELS["bump"]
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            check_sigma_boundary(m, 1.0, samples=samples, N=8)
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            derive_tau(m, samples=samples, N=8)
+    assert sample_sigma(1.0, e_plus(1, 8), 0, seed=1) == []
 
 
 def test_derive_tau(monkeypatch):

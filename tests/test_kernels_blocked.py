@@ -17,6 +17,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +38,8 @@ from looplab.cylinder import (
     smooth_fields,
     time_trapezoid,
 )
-from looplab.files import Config
+from looplab.cycles import winding_seed
+from looplab.files import Config, FindOrbit, from_json
 from looplab.loops import (
     Loop,
     gaussian_loop,
@@ -46,6 +48,7 @@ from looplab.loops import (
     sobolev_weights,
     theta_values,
 )
+from looplab.solver import flow_trajectory
 
 # -- whole-array reference forms -------------------------------------------------
 
@@ -271,6 +274,7 @@ def ref_uniformity_estimates(rng, N, M_t, eps):
 
 N = 4
 H = 0.01
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def same_bytes(a, b):
@@ -964,16 +968,27 @@ def aps_group(monkeypatch, config, name):
 class TestBlockBudget:
     """BLOCK_BYTES is a memory budget: it changes no byte of a report."""
 
-    def test_aps_report_does_not_follow_block_bytes(self, monkeypatch):
-        # the Gram sums run row by row in sweep order and the kernel defect
-        # applies the public apply_D once per field, whatever the time blocks
+    # the aps Gram sums run row by row in sweep order and the kernel defect
+    # applies the public apply_D once per field, whatever the time blocks.
+    # The flow's node blocks and the descent's windows take stack_rows rows:
+    # 7 at N = 8, d = 1 in 28 KiB, 256 in the default 1 MiB; action_values
+    # and grad_h_modes count no call per block
+    BUDGETS = {
+        "aps": (256 << 10, 1 << 20, 4 << 20, 16 << 20),
+        "flow": (1 << 20, 28 << 10),
+        "orbits": (1 << 20, 28 << 10),
+        "contraction": (1 << 20, 28 << 10),
+    }
+
+    @pytest.mark.parametrize("suite", BUDGETS)
+    def test_report_does_not_follow_block_bytes(self, monkeypatch, suite):
         reports = []
-        for kib in (256, 1024, 4096, 16384):
-            monkeypatch.setattr(cylinder, "BLOCK_BYTES", kib << 10)
-            report = harness.run_suite(Config(seed=2026), "aps", write=False)
+        for budget in self.BUDGETS[suite]:
+            monkeypatch.setattr(cylinder, "BLOCK_BYTES", budget)
+            report = harness.run_suite(Config(seed=2026), suite, write=False)
             reports.append(json.dumps([[r.to_json_dict() for r in report.records],
                                        report.coverage_counts]))
-        assert reports[1:] == reports[:1] * 3
+        assert reports[1:] == reports[:1] * (len(reports) - 1)
 
 
 class TestColumnWorkers:
@@ -1156,6 +1171,18 @@ class TestStreamingMemory:
         group = aps_group(monkeypatch, Config(), "end_vanishing")
         (record,), peak = self.peak(lambda: harness._run_groups("aps", (group,)))
         assert record.name == "aps.end_vanishing_l4" and peak < 8 * 2**20
+
+    def test_flow_trajectory_peak(self):
+        # lab find-orbit's flow (N = 32, T = 1, dt = 0.09 / 32): its node
+        # blocks hold the stack_rows of an eighth of BLOCK_BYTES, 64 nodes,
+        # and their diagnostics peak at 0.88 MiB, where blocks of 256 nodes
+        # took 2.31 MiB
+        with open(CONFIGS / "find_orbit.json", encoding="utf-8") as f:
+            cfg = from_json(FindOrbit, json.load(f), "config")
+        seed, dt = winding_seed(cfg.alpha, cfg.winding, cfg.N), 0.09 / cfg.N
+        flow_trajectory(cfg.model, seed, dt, dt)  # one step first: one-off caches not counted
+        trace, peak = self.peak(flow_trajectory, cfg.model, seed, cfg.flow_time, dt)
+        assert len(trace.times) == 357 and peak < 2**20
 
     def test_right_inverse_streams(self):
         # no forcing field or P image of the batch is ever made, and P's

@@ -14,16 +14,14 @@ times stay exact, as does flow_step against the one-step trajectory.  Its
 node diagnostics are bit-identical whatever the block they are taken in.
 """
 
-import json
 import warnings
 
 import numpy as np
 import pytest
 
-from looplab import harness, solver
+from looplab import cylinder, solver
 from looplab.cycles import _flatten_real, _newton_matrix
 from looplab.cylinder import CylinderMap, dt_derivative, energy, time_trapezoid
-from looplab.files import Config
 from looplab.hamiltonian import (
     HamiltonianModel,
     action,
@@ -58,6 +56,7 @@ from looplab.solver import (
 NS = (4, 8, 32)
 DS = (1, 2)
 MODELS = (HamiltonianModel(), HamiltonianModel(eps_H=0.3, variant="pure_quadratic"))
+DEFAULT_BLOCK_BYTES = cylinder.BLOCK_BYTES
 
 
 def coefficient_block(N, d, lead=(), seed=0):
@@ -344,18 +343,24 @@ def flow_outcome(m, gamma, T, dt):
         return exc.trace, exc.time
 
 
-@pytest.mark.parametrize(
-    "block", [1, 2, 7, solver._NODE_BLOCK], ids=("rows1", "rows2", "rows7", "default")
-)
-def test_flow_trajectory_node_blocks(block, monkeypatch):
+def stack_budget(rows, gamma):
+    """The BLOCK_BYTES at which stack_rows gives `rows` rows of gamma's coefficient stack."""
+    return rows * 8 * theta_points(gamma.N) * gamma.d * np.dtype(complex).itemsize
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, None], ids=("rows1", "rows2", "rows7", "default"))
+def test_flow_trajectory_node_blocks(rows, monkeypatch):
     """Node diagnostics per block match those of one block holding every node."""
-    # 1001 nodes at N = 8, d = 2, and the guard firing inside the second default block
+    # 1001 nodes at N = 8, d = 2 (128 a default block), and the guard firing
+    # inside the fifth default block at N = 32 (64 a block)
     full = (Loop.from_modes(2, 8, {1: [0.55, 0.1j], -2: [0.3j, 0.2], 3: [0.1, 0.0]}), 0.5, 5e-4)
     for m in MODELS:
         for (gamma, T, dt), blows_up in ((full, False), (blowup_seed(), True)):
-            monkeypatch.setattr(solver, "_NODE_BLOCK", 10**6)
+            monkeypatch.setattr(cylinder, "BLOCK_BYTES", stack_budget(10**6, gamma))
             whole, whole_time = flow_outcome(m, gamma, T, dt)
-            monkeypatch.setattr(solver, "_NODE_BLOCK", block)
+            budget = DEFAULT_BLOCK_BYTES if rows is None else stack_budget(rows, gamma)
+            monkeypatch.setattr(cylinder, "BLOCK_BYTES", budget)
+            assert solver.stack_rows(10**6, gamma.coeffs) == (rows or 2048 // (gamma.N * gamma.d))
             trace, time = flow_outcome(m, gamma, T, dt)
             assert (whole_time is not None) == blows_up and len(whole.times) > 256
             assert time == whole_time
@@ -364,17 +369,18 @@ def test_flow_trajectory_node_blocks(block, monkeypatch):
             assert_same_bytes(trace.final.coeffs, whole.final.coeffs)
 
 
-@pytest.mark.parametrize("suite", ("flow", "orbits", "contraction"))
-def test_suite_reports_do_not_follow_node_block(suite, monkeypatch):
-    """_NODE_BLOCK is a memory budget: it changes no byte of a suite's records
-    or coverage counts."""
-    reports = []
-    for block in (solver._NODE_BLOCK, 7):
-        monkeypatch.setattr(solver, "_NODE_BLOCK", block)
-        report = harness.run_suite(Config(seed=2026), suite, write=False)
-        reports.append(json.dumps([[r.to_json_dict() for r in report.records],
-                                   report.coverage_counts]))
-    assert reports[1] == reports[0]
+@pytest.mark.parametrize("d", DS)
+@pytest.mark.parametrize("N", NS)
+def test_stack_rows_fill_an_eighth_of_block_bytes(N, d, monkeypatch):
+    # one row of a stack is 4N d complex theta samples: 64 rows at N = 32 and
+    # 256 at N = 8 for d = 1 in the default 1 MiB, at least one, at most n_rows
+    block = coefficient_block(N, d, lead=(3,))
+    assert solver.stack_rows(10**6, block) == 2**20 // (8 * 4 * N * d * 16)
+    assert solver.stack_rows(5, block) == 5
+    monkeypatch.setattr(cylinder, "BLOCK_BYTES", stack_budget(7, Loop(block[0])) + 1)
+    assert solver.stack_rows(10**6, block) == 7
+    monkeypatch.setattr(cylinder, "BLOCK_BYTES", 1)
+    assert solver.stack_rows(10**6, block) == 1
 
 
 @pytest.mark.parametrize("N", (8, 32))
