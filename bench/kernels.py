@@ -28,7 +28,8 @@ samples.  Four groups are timed:
   (sample, grad H, synthesize) at N = 8, 32 and 128, of one flow_trajectory
   step at N = 8 (configs/flow.json), at N = 32 (find-orbit's T = 1,
   dt = 0.09/32) and at N = 128, and of one Newton Jacobian
-  (cycles._newton_matrix) at N = 32.  Each sample is a batch of calls
+  (cycles._newton_matrix) at N = 32 with d = 1 and d = 2, each of these two
+  with its tracemalloc peak in MiB.  Each sample is a batch of calls
   divided by its size;
 * descent: the projected descent of the beta estimate at N = 32, seed 2026:
   one first descent step (cycles._descent_step) of the block of all 49
@@ -151,11 +152,11 @@ def time_nonlinearity(repeats: int) -> dict:
     def grad_h(c):
         return hamiltonian.grad_h_modes(m, c)
 
-    def loop(N, modes):
+    def loop(N, modes, d=1):
         rng = np.random.default_rng(2026)
-        shape = (2 * N + 1, 1)
+        shape = (2 * N + 1, d)
         noise = 0.01 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        return loops.Loop.from_modes(1, N, modes) + loops.Loop(noise)
+        return loops.Loop.from_modes(d, N, modes) + loops.Loop(noise)
 
     out = {}
     for N in (8, 32, 128):
@@ -173,8 +174,12 @@ def time_nonlinearity(repeats: int) -> dict:
         steps = len(solver.flow_trajectory(m, start, T, dt).times) - 1
         per_trajectory = timed(lambda: solver.flow_trajectory(m, start, T, dt), repeats, calls=2)
         out[f"flow_trajectory_step[{name}]"] = summary([t / steps for t in per_trajectory["samples"]])
-    gamma = loop(32, {1: 1.2})
-    out["_newton_matrix[N=32]"] = timed(lambda: cycles._newton_matrix(m, gamma), repeats, calls=20)
+    for name, d in (("N=32", 1), ("N=32,d=2", 2)):
+        gamma = loop(32, {1: 1.2}, d)
+        jacobian = lambda: cycles._newton_matrix(m, gamma)
+        out[f"_newton_matrix[{name}]"] = {
+            **timed(jacobian, repeats, calls=20), "traced_peak_mib": traced_peak_mib(jacobian)
+        }
     return out
 
 
@@ -318,7 +323,8 @@ def main(argv=None) -> int:
             peak = f"  peak {stats['traced_peak_mib']:.1f} MiB" if "traced_peak_mib" in stats else ""
             print(f"{name:40s} median {stats['median']:8.3f} s  IQR {stats['iqr']:.3f} s{peak}")
     for name, stats in result["nonlinearity_s"].items():
-        print(f"{name:40s} median {stats['median'] * 1e6:8.1f} us  IQR {stats['iqr'] * 1e6:.1f} us")
+        peak = f"  peak {stats['traced_peak_mib']:.2f} MiB" if "traced_peak_mib" in stats else ""
+        print(f"{name:40s} median {stats['median'] * 1e6:8.1f} us  IQR {stats['iqr'] * 1e6:.1f} us{peak}")
     for name, stats in result["descent"].items():
         if isinstance(stats, int):
             print(f"{name:40s} {stats:8d}")

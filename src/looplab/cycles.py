@@ -11,8 +11,9 @@ Two families of subsets of the loop space drive the existence argument:
 They intersect exactly in the single point alpha * e_plus, transversely on
 the finite truncation.  Critical points are produced by a short upward flow
 followed by Newton iteration on the mode-space residual n c_n - (grad H)_n,
-and checked against an independent scalar oracle: for radial Hamiltonians a
-circle of squared radius s with winding k is critical iff 2 h'(s) = k.
+whose Jacobian is the closed-form Hessian of the action, and checked against
+an independent scalar oracle: for radial Hamiltonians a circle of squared
+radius s with winding k is critical iff 2 h'(s) = k.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from .loops import (
     mode_numbers,
     sobolev_norm,
     sobolev_sq,
-    synthesize_values,
-    theta_values,
+    theta_matrices,
 )
 from .cylinder import time_blocks
 from .solver import Blowup, flow_trajectory, stack_rows
@@ -417,33 +417,35 @@ def _flatten_real(block: np.ndarray) -> np.ndarray:
 
 
 def _newton_matrix(m: HamiltonianModel, gamma: Loop) -> tuple[np.ndarray, np.ndarray]:
-    """Residual and dense real Jacobian of R(c) = {n c_n - (grad H o gamma)_n}."""
+    """Residual and dense real Jacobian of R(c) = {n c_n - (grad H o gamma)_n}.
+
+    The Jacobian is n minus the closed-form Hessian of the theta mean of H.
+    At a node value x, Hess H (w) = a w + b conj(w) with the d x d matrices
+    a = 2 h' I + 2 h'' x x^H and b = 2 h'' x x^T (h', h'' at |x|^2).  With
+    (S, Y) = theta_matrices(N), coordinate pair (i, j) gives the mode blocks
+    A_ij = Y a_ij S and B_ij = Y b_ij conj(S), and a direction u + i v maps
+    to (A + B) u + i (A - B) v.  In the layout of _flatten_real that is
+
+        J = diag(n, n) - [[Re(A + B), -Im(A - B)], [Im(A + B), Re(A - B)]].
+    """
     N, d = gamma.N, gamma.d
-    n = mode_numbers(N).astype(float)
-    vals = theta_values(gamma.coeffs)
-    residual_block = grad_action_values(m, gamma.coeffs)
-    s = np.sum(np.abs(vals) ** 2, axis=-1)
-    hp = m.h_prime(s)
-    hpp = m.h_second(s)
+    S, Y = theta_matrices(N)
+    x = S @ gamma.coeffs
+    s = np.sum(np.abs(x) ** 2, axis=-1)
+    hp, hpp = (2.0 * m.h_prime(s))[:, None, None], (2.0 * m.h_second(s))[:, None, None]
+    a = hp * np.eye(d) + hpp * x[:, :, None] * x.conj()[:, None, :]
+    b = hpp * x[:, :, None] * x[:, None, :]
 
-    n_entries = (2 * N + 1) * d
-    basis = np.zeros((2 * n_entries, 2 * N + 1, d), complex)
-    eye = np.eye(n_entries).reshape(n_entries, 2 * N + 1, d)
-    basis[:n_entries] = eye
-    basis[n_entries:] = 1j * eye
-
-    w_vals = theta_values(basis)  # (B, M, d)
-    cross = np.sum((vals.conj()[None] * w_vals).real, axis=-1)  # Re<x, w>
-    hess_vals = (2.0 * hp)[None, :, None] * w_vals + (4.0 * hpp)[None, :, None] * cross[
-        :, :, None
-    ] * vals[None]
-    hess_modes = synthesize_values(hess_vals, N)
-    columns = n[None, :, None] * basis - hess_modes  # (B, 2N+1, d)
-
-    # column b of the Jacobian is the flattened columns[b], as _flatten_real lays it out
-    B = 2 * n_entries
-    jac = np.concatenate([columns.real.reshape(B, -1), columns.imag.reshape(B, -1)], axis=1).T
-    return _flatten_real(residual_block), jac
+    K = 2 * N + 1
+    plus, minus = np.empty((2, K, d, K, d), complex)
+    for i, j in np.ndindex(d, d):
+        A = (Y * a[:, i, j]) @ S
+        B = (Y * b[:, i, j]) @ S.conj()
+        plus[:, i, :, j], minus[:, i, :, j] = A + B, A - B
+    plus, minus = plus.reshape(K * d, K * d), minus.reshape(K * d, K * d)
+    jac = -np.block([[plus.real, -minus.imag], [plus.imag, minus.real]])
+    jac[np.diag_indices_from(jac)] += np.tile(np.repeat(mode_numbers(N), d), 2)
+    return _flatten_real(grad_action_values(m, gamma.coeffs)), jac
 
 
 #: Newton steps, and halvings of a flow time that blew up, in find_critical_point

@@ -25,6 +25,7 @@ the input, so that later sums over a block always run in the same order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -272,6 +273,24 @@ def synthesize_values(values: np.ndarray, N: int) -> np.ndarray:
 def theta_values(coeffs: np.ndarray) -> np.ndarray:
     """Values of a coefficient block (..., 2N+1, d) on the theta_points(N) grid."""
     return sample_coeffs(coeffs, theta_points(block_N(coeffs)))
+
+
+@functools.cache
+def theta_matrices(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (S, Y) of the FFT bridge on the theta_points(N) grid, read-only.
+
+    S (M x 2N+1) is sample_coeffs and Y (2N+1 x M) synthesize_values, each
+    applied to the identity, so S @ c samples a block c (2N+1, d) and
+    Y @ v synthesizes grid values v (M, d).  The products cost O(N^2) per
+    column, against O(N log N) for the FFT pair, and are the faster of the
+    two up to about N = 32 on 2 cores.  They are formed once per N.
+    """
+    M = theta_points(N)
+    S = sample_coeffs(np.eye(2 * N + 1, dtype=complex), M)
+    Y = synthesize_values(np.eye(M, dtype=complex), N)
+    S.setflags(write=False)
+    Y.setflags(write=False)
+    return S, Y
 
 
 @tracked("loopspace.sample")

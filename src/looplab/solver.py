@@ -13,8 +13,9 @@ nonlinearity) raises BallExit.
 The upward gradient flow d/dt c = grad_action_values(c) is integrated with
 the first-order exponential scheme c <- e^{n dt} c - dt phi1(n dt) grad H,
 exact on the stiff diagonal part.  A trajectory is a lean stepper, whose
-dense theta matrices cost O(N^2) a step and beat the FFT pair up to about
-N = 32, and node diagnostics taken per block on the shared grad-H path.
+dense theta matrices (loops.theta_matrices) cost O(N^2) a step and beat the
+FFT pair up to about N = 32, and node diagnostics taken per block on the
+shared grad-H path.
 Growing plus-modes are the point of the polarization, so trajectories that
 overflow raise Blowup with the time of failure instead of being damped.
 """
@@ -39,8 +40,7 @@ from .cylinder import (
 )
 from .hamiltonian import HamiltonianModel, action, action_values, grad_action_values
 from .hamiltonian import grad_h_modes, k_factor_constant
-from .loops import Loop, block_N, mode_numbers, sample_coeffs, sobolev_sq, synthesize_values
-from .loops import theta_points
+from .loops import Loop, block_N, mode_numbers, sobolev_sq, theta_matrices, theta_points
 
 
 MAX_ITER = 200  # Picard iteration budget
@@ -237,16 +237,12 @@ def _etd_coefficients(N: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
 def _etd_operators(N: int, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense (S, A, grow) of one ETD step at step dt.
 
-    S (M x 2N+1) is sample_coeffs and A (2N+1 x M) synthesize_values, each
-    applied to the identity, with -2 dt phi1(n dt) folded into the rows of
-    A; grow is e^{n dt}.  The products cost O(N^2) per step, against
-    O(N log N) for the FFT pair, and are the faster of the two up to about
-    N = 32 on 2 cores.
+    S and Y are the theta_matrices of the FFT bridge, A is Y with
+    -2 dt phi1(n dt) folded into its rows, and grow is e^{n dt}.
     """
-    M = theta_points(N)
     grow, weight = (w[:, None] for w in _etd_coefficients(N, dt))
-    S = sample_coeffs(np.eye(2 * N + 1, dtype=complex), M)
-    return S, -2.0 * weight * synthesize_values(np.eye(M, dtype=complex), N), grow
+    S, Y = theta_matrices(N)
+    return S, -2.0 * weight * Y, grow
 
 
 def _etd_step(m: HamiltonianModel, ops: tuple, c: np.ndarray) -> np.ndarray:

@@ -53,6 +53,7 @@ def test_time_guards_runs():
 def test_time_nonlinearity_runs():
     out = load_bench().time_nonlinearity(2)
     assert sorted(out) == [
+        "_newton_matrix[N=32,d=2]",
         "_newton_matrix[N=32]",
         "flow_trajectory_step[N=128]",
         "flow_trajectory_step[N=32]",
@@ -62,6 +63,7 @@ def test_time_nonlinearity_runs():
         "grad_h_modes[N=8]",
     ]
     assert all(len(stats["samples"]) == 2 and stats["median"] > 0 for stats in out.values())
+    assert all(out[name]["traced_peak_mib"] > 0 for name in out if name.startswith("_newton"))
 
 
 def test_time_descent_runs():

@@ -3,6 +3,7 @@ import pytest
 
 from looplab.cycles import (
     FlowBlowup,
+    _newton_matrix,
     NegativeBeta,
     NoAdmissibleTau,
     NoRoot,
@@ -259,6 +260,24 @@ class TestOracle:
         assert orb.gradient_norm <= 1e-8
         assert abs(orb.action - (0.5 * 2 * orb.radius**2 - float(model.h(orb.radius**2)))) <= 1e-6
         assert 2 * model.h_prime(orb.radius**2) == pytest.approx(2.0, abs=1e-8)
+
+
+class TestMorseBott:
+    """The Newton Jacobian at a radial orbit is the Hessian of the action,
+    nondegenerate transverse to the orbit family {e^{ik theta} v : |v| = r},
+    a (2d - 1)-sphere in C^d (Bourgeois & Oancea 2009)."""
+
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    @pytest.mark.parametrize("k", (1, 2))
+    def test_nullity_is_the_orbit_family(self, model, k, d):
+        circle = Loop.from_modes(d, 32, {k: radial_orbit_oracle(model, k).radius})
+        _, jac = _newton_matrix(model, circle)
+        # measured: asymmetry 2.2e-15; next singular value 0.2142 (k = 1), 0.2597 (k = 2)
+        assert np.max(np.abs(jac - jac.T)) <= 1e-13
+        svals = np.sort(np.linalg.svd(jac, compute_uv=False))
+        nullity = 2 * d - 1
+        assert np.all(svals[:nullity] < 1e-8)
+        assert svals[nullity] >= 0.2
 
 
 class TestFinder:

@@ -21,6 +21,7 @@ from looplab.loops import (
     sobolev_weights,
     synthesize,
     synthesize_values,
+    theta_matrices,
 )
 
 
@@ -178,6 +179,14 @@ class TestSamplingBridge:
             out = synthesize_values(vals, N)
             assert same_bytes(out, ref_synthesize_values(vals, N))
             assert out.flags.c_contiguous
+
+    @pytest.mark.parametrize("N", (1, 8, 32))
+    def test_theta_matrices_are_the_bridge_on_the_identity(self, N):
+        S, Y = theta_matrices(N)
+        assert same_bytes(S, sample_coeffs(np.eye(2 * N + 1, dtype=complex), 4 * N))
+        assert same_bytes(Y, synthesize_values(np.eye(4 * N, dtype=complex), N))
+        # formed once per N and shared, so read-only
+        assert theta_matrices(N)[0] is S and not S.flags.writeable and not Y.flags.writeable
 
     def test_roundtrip(self):
         rng = np.random.default_rng(12)
