@@ -20,10 +20,10 @@ samples.  Four groups are timed:
   the L^4 norms of one aps.end_vanishing chunk, 250 fields on the windowed
   basis tau (1, tau, tau^2) with (65, 250) coefficient blocks at N = 32
   (L4_CHUNK);
-* guards: each check group of `run_suite(Config(seed=2026), "aps")`, run
-  on its own through `harness._run_groups` and keyed `aps.<group>`, with
-  its tracemalloc peak in MiB (traced_peak_mib), taken in one more suite
-  run;
+* guards: each check group of the aps suite at Config(seed=2026), read from
+  its table `harness.CHECKS["aps"]`, run on its own through
+  `harness._run_groups` in suite order and keyed `aps.<group>`, with its
+  tracemalloc peak in MiB (traced_peak_mib), taken in one more suite run;
 * nonlinearity: seconds per call of one grad H evaluation on the theta grid
   (sample, grad H, synthesize) at N = 8, 32 and 128, of one flow_trajectory
   step at N = 8 (configs/flow.json), at N = 32 (find-orbit's T = 1,
@@ -39,6 +39,12 @@ samples.  Four groups are timed:
   action_values calls that cycles makes and the rows they evaluate (the
   start blocks and the line-search candidates), and one sample_sigma of the
   240 box boundary points that lab check-cycles samples at tau = 1.
+
+The groups run in the order nonlinearity, descent, kernels, guards: the
+kernels and the guards free large arrays, which raises glibc's mmap
+threshold, so the small temporaries of the first two groups (those of
+cycles._newton_matrix above all) are timed in a fresh process's allocator
+state.
 
 Whole `lab` runs, with their wall time and peak RSS, are measured by
 perfbench/run.py.
@@ -187,43 +193,20 @@ def time_guards(repeats: int) -> dict:
     from looplab import harness
     from looplab.files import Config
 
-    samples: dict[str, list[float]] = {}
-
-    def clocked(name, run):
-        start = time.perf_counter()
-        result = run()
-        samples.setdefault(name, []).append(time.perf_counter() - start)
-        return result
-
-    run_groups = harness._run_groups
-
-    def patched(suite, groups):
-        records = []
-        for group in groups:
-            records += clocked(f"{suite}.{group.__name__}", lambda: run_groups(suite, (group,)))
-        return records
-
-    peaks: dict[str, float] = {}
-
-    def traced(suite, groups):
-        records = []
-        for group in groups:
-            peaks[f"{suite}.{group.__name__}"] = traced_peak_mib(
-                lambda: records.extend(run_groups(suite, (group,)))
-            )
-        return records
-
-    try:
-        harness._run_groups = patched
-        for _ in range(repeats + 1):
-            harness.run_suite(Config(seed=2026), "aps", write=False)
-        harness._run_groups = traced
-        harness.run_suite(Config(seed=2026), "aps", write=False)
-    finally:
-        harness._run_groups = run_groups
-    # the first suite run is the warm-up
+    config, table = Config(seed=2026), harness.CHECKS["aps"]
+    samples: dict[str, list[float]] = {name: [] for name in table}
+    # whole suites in run order, each group timed on its own; the first is the warm-up
+    for _ in range(repeats + 1):
+        for name, group in table.items():
+            start = time.perf_counter()
+            harness._run_groups("aps", config, [group])
+            samples[name].append(time.perf_counter() - start)
+    peaks = {
+        name: traced_peak_mib(lambda: harness._run_groups("aps", config, [group]))
+        for name, group in table.items()
+    }
     return {
-        name: {**summary(values[1:]), "traced_peak_mib": peaks[name]}
+        f"aps.{name}": {**summary(values[1:]), "traced_peak_mib": peaks[name]}
         for name, values in samples.items()
     }
 
@@ -310,10 +293,10 @@ def main(argv=None) -> int:
     result = {
         "env": environment(),
         "repeats": args.repeats,
-        "kernels_s": time_kernels(args.repeats),
-        "guards_s": time_guards(args.repeats),
         "nonlinearity_s": time_nonlinearity(args.repeats),
         "descent": time_descent(args.repeats),
+        "kernels_s": time_kernels(args.repeats),
+        "guards_s": time_guards(args.repeats),
     }
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data[args.label] = result

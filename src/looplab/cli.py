@@ -165,7 +165,7 @@ def _cmd_check_cycles(cfg: CheckCycles, out_dir: str, args) -> int:
     alpha_star, beta_star, _ = cyc.scan_alpha(
         m, samples=cfg.samples, descent_steps=cfg.descent_steps, seed=seed, N=N
     )
-    tau_star, boundary_max = cyc.derive_tau(m, samples=240, seed=seed + 1, N=N)
+    tau_star, boundary_max = cyc.derive_tau(m, seed=seed + 1, N=N)
     tv = cyc.transversality_check(alpha_star, max(tau_star, alpha_star), N=N)
     ok = beta_star > 0 and boundary_max <= 0 and tv["sigma_min"] > 0 and tv["intersection_dim"] == 1
     write_json(

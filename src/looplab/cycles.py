@@ -297,7 +297,7 @@ def scan_alpha(
 def check_sigma_boundary(
     m: HamiltonianModel,
     tau: float,
-    samples: int = 180,
+    samples: int = 240,
     seed: int = 1,
     d: int = 1,
     N: int = 32,
@@ -311,7 +311,7 @@ def check_sigma_boundary(
 
 
 def derive_tau(
-    m: HamiltonianModel, samples: int = 180, seed: int = 1, N: int = 32
+    m: HamiltonianModel, samples: int = 240, seed: int = 1, N: int = 32
 ) -> tuple[float, float]:
     """Double tau from 1 until the box boundary action maximum is nonpositive.
 

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import os
 import subprocess
@@ -276,17 +278,15 @@ class TestSuites:
         assert energy.details == {"not_run": "no output from small_data"}
         assert "contraction.energy_identity.error" not in records
 
-    def test_contraction_producers_hold_no_arrays(self, monkeypatch):
+    def test_contraction_producers_hold_no_arrays(self):
         # energy_identity reads (action_in, action_out, energy) of each
         # solve; its producers return those numbers, not the solves with
         # their u and v fields
-        groups = {}
-        monkeypatch.setattr(
-            harness, "_run_groups", lambda suite, gs: groups.update((g.__name__, g) for g in gs)
-        )
-        harness._suite_contraction(Config(N=8, M_t=16, seed=11))
+        config = Config(N=8, M_t=16, seed=11)
+        inputs = {"config": config, "m": config.model, "N": config.N}
         for name, solves in (("small_data", 20), ("engaged_sweep", 9)):
-            checks = groups[name]()
+            group, _ = harness.CHECKS["contraction"][name]
+            checks = group(**{p: inputs[p] for p in inspect.signature(group).parameters})
             with pytest.raises(StopIteration) as stop:
                 while True:
                     next(checks)
@@ -315,12 +315,7 @@ class TestSuites:
             "norms.compact_part_l2_continuity", "norms.splitting.error"
         ]
 
-    def test_undeclared_or_missing_names(self, monkeypatch):
-        monkeypatch.setitem(harness.CHECKS, "demo", {
-            "stray": [("declared", "anchor", 1.0)],
-            "short": [("first", "one", 1.0), ("second", "two", 2.0)],
-        })
-
+    def test_undeclared_or_missing_names(self):
         def stray():
             """stray names"""
             yield "undeclared", 0.0, {}
@@ -329,7 +324,10 @@ class TestSuites:
             """stops early"""
             yield "first", 0.5, {"x": 1}
 
-        records = harness._run_groups("demo", (stray, short))
+        records = harness._run_groups("demo", Config(), [
+            (stray, [("declared", "anchor", 1.0)]),
+            (short, [("first", "one", 1.0), ("second", "two", 2.0)]),
+        ])
         undeclared = "ValueError: undeclared check demo.undeclared"
         assert [(r.name, r.computed, r.bound, r.details) for r in records] == [
             ("demo.declared", np.inf, 1.0, {"not_run": f"stray raised {undeclared}"}),
@@ -346,12 +344,40 @@ class TestCheckTables:
         declared = [
             f"{suite}.{name}"
             for suite, table in harness.CHECKS.items()
-            for rows in table.values()
+            for _, rows in table.values()
             for name, _, _ in rows
         ]
         assert len(names) == 80 and len(declared) == 80
         assert set(declared) == names
         assert set(harness.CHECKS) == set(harness.SUITES)
+
+    def test_groups_are_wired(self):
+        # every parameter of a group names a suite input or an earlier group
+        # of its suite; group names are unique across suites, shadow no name
+        # that harness imports, and each is defined once, as a declared group
+        tree = ast.parse(Path(harness.__file__).read_text())
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        defined = sorted(
+            node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and any(ast.unparse(d).startswith("_group(") for d in node.decorator_list)
+        )
+        inputs = {"config", "m", "N", "M_t", "rng"}
+        names = []
+        for suite, table in harness.CHECKS.items():
+            earlier = set()
+            for name, (group, rows) in table.items():
+                assert group.__name__ == name and getattr(harness, name) is group
+                assert set(inspect.signature(group).parameters) <= inputs | earlier, name
+                assert rows and group.__doc__, name
+                earlier.add(name)
+            names += table
+        assert len(set(names)) == len(names) and sorted(names) == defined
+        assert not set(names) & (imported | inputs)
 
 
 class TestPlotsData:

@@ -947,22 +947,14 @@ def in_threads(n, fn):
     return results
 
 
+def aps_records(config, *names):
+    """The records of config's aps suite, or of its check groups `names` alone."""
+    table = harness.CHECKS["aps"]
+    return harness._run_groups("aps", config, [table[n] for n in names] or table.values())
+
+
 def aps_report(config):
-    return json.dumps([r.to_json_dict() for r in harness._suite_aps(config)])
-
-
-def aps_group(monkeypatch, config, name):
-    """The check group `name` of config's aps suite, unrun."""
-    groups = {}
-
-    def collect(suite, gs):
-        groups.update((g.__name__, g) for g in gs)
-        return []
-
-    with monkeypatch.context() as mp:
-        mp.setattr(harness, "_run_groups", collect)
-        harness._suite_aps(config)
-    return groups[name]
+    return json.dumps([r.to_json_dict() for r in aps_records(config)])
 
 
 class TestBlockBudget:
@@ -1067,7 +1059,7 @@ class TestColumnWorkers:
 
         def run(i):
             local.fails, local.calls = i == 0, 0
-            return harness._suite_aps(config)
+            return aps_records(config)
 
         monkeypatch.setattr(harness, "residual_gram", second_part_fails)
         records, *others = in_threads(n_workers, run)
@@ -1151,25 +1143,23 @@ class TestStreamingMemory:
         _, peak = self.peak(harness._uniformity_estimates, np.random.default_rng(18), 32, 64, 1.0)
         assert peak < 6.25 * 2**20
 
-    def test_q_kernel_defect_peak(self, monkeypatch):
+    def test_q_kernel_defect_peak(self):
         # the kernel defect at eps = 0.5, on its m_fine = 3305 grid, is taken
         # over halo time blocks of Q and D Q: the group peaks at 1.8 MiB,
         # under one (3306, 65, 1) field of 3.3 MiB
         config = Config()
-        group = aps_group(monkeypatch, config, "q_right_inverse")
-        records, peak = self.peak(lambda: harness._run_groups("aps", (group,)))
+        records, peak = self.peak(aps_records, config, "q_right_inverse")
         kernel = next(r for r in records if r.name == "aps.q_kernel_of_d")
         m_fine = max(kernel.details["m_fine"])
         assert m_fine == 3305
         assert peak < (m_fine + 1) * (2 * config.N + 1) * 16
 
-    def test_end_vanishing_peak(self, monkeypatch):
+    def test_end_vanishing_peak(self):
         # at the default config a chunk of 250 fields is 17 MB; no field is
         # formed: the L^4 norms are a quartic form of the theta samples of
         # the coefficient blocks, and the gradient a Gram form of the
         # windowed basis (65, 1, 3)
-        group = aps_group(monkeypatch, Config(), "end_vanishing")
-        (record,), peak = self.peak(lambda: harness._run_groups("aps", (group,)))
+        (record,), peak = self.peak(aps_records, Config(), "end_vanishing")
         assert record.name == "aps.end_vanishing_l4" and peak < 8 * 2**20
 
     def test_flow_trajectory_peak(self):
