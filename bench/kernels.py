@@ -11,7 +11,9 @@ samples.  Four groups are timed:
 
 * kernels: kernel_p_values over the basis 1, tau, tau^2 that the aps Gram
   forms sweep, a broadcast (nodes, modes, 3) view on the aps.right_inverse
-  grid at eps = 1 (BASIS_SHAPE), the largest sweep of the aps suite; the
+  grid at eps = 1 (BASIS_SHAPE), formed whole: no check does so since
+  residual_gram streams it, and it is the whole-sweep baseline that
+  test_time_kernels_runs compares the streamed Gram's peak against; the
   right-inverse residual Gram on that grid, which streams the sweep
   (cylinder.residual_gram(lam, h, M)); the kernel defect of Q on the
   aps.q_kernel_of_d grid at eps = 0.5 (cylinder.q_kernel_defect on

@@ -90,18 +90,16 @@ def _cmd_solve_cylinder(cfg: SolveCylinder, out_dir: str, args) -> int:
 
 def _cmd_flow(cfg: Flow, out_dir: str, args) -> int:
     seed = _loop_from_modes_spec(cfg.seed_modes, cfg.d, cfg.N)
-    dt = 0.09 / cfg.N if cfg.dt is None else cfg.dt
-    blowup = None
     try:
-        trace = flow_trajectory(cfg.model, seed, cfg.T, dt)
+        trace = flow_trajectory(cfg.model, seed, cfg.T, cfg.dt)
     except Blowup as exc:  # its partial trace is written all the same
-        blowup, trace = exc, exc.trace
+        trace = exc.trace
     write_csv(
         os.path.join(out_dir, "flow_trace.csv"),
         *flow_table(trace.times, trace.actions, trace.cumulative_energy, trace.norms),
     )
-    if blowup is not None:
-        print(f"flow blew up at t = {blowup.time:.6g}", file=sys.stderr)
+    if trace.blowup_time is not None:
+        print(f"flow blew up at t = {trace.blowup_time:.6g}", file=sys.stderr)
         return 1
     print(
         f"flow complete: action {trace.actions[0]:.6g} -> {trace.actions[-1]:.6g}, "
@@ -139,6 +137,15 @@ def _cmd_find_orbit(cfg: FindOrbit, out_dir: str, args) -> int:
         f"orbit: winding={found.winding} radius={found.radius:.8g} "
         f"action={found.action:.8g} gradient_norm={found.gradient_norm:.3g}"
     )
+    check = out.get("oracle")
+    if check and max(check["radius_error"], check["action_error"]) > cyc.ORACLE_ERROR_MAX:
+        # orbit.json and orbit_loop.csv are written all the same
+        print(
+            f"orbit misses the oracle by more than {cyc.ORACLE_ERROR_MAX:g}: radius_error "
+            f"{check['radius_error']:.3g}, action_error {check['action_error']:.3g}",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

@@ -356,6 +356,9 @@ def perturb(sigma_point: Loop, v: Loop) -> Loop:
 
 # -- orbit results --------------------------------------------------------------------
 
+#: largest radius or action error of a found orbit against radial_orbit_oracle
+ORACLE_ERROR_MAX = 1e-6
+
 
 @dataclass(frozen=True)
 class OrbitResult:
@@ -471,13 +474,12 @@ def find_critical_point(
         raise ValueError(f"flow_time must be nonnegative, got {flow_time!r}")
     if newton_tol < 0:
         raise ValueError(f"newton_tol must be nonnegative, got {newton_tol!r}")
-    dt = 0.09 / seed_loop.N
     gamma = seed_loop
     if flow_time > 0 and sobolev_norm(seed_loop, 0) > 0:
         t = flow_time
         for attempt in range(_FLOW_RETRIES + 1):
             try:
-                gamma = flow_trajectory(m, seed_loop, t, dt).final
+                gamma = flow_trajectory(m, seed_loop, t).final
                 break
             except Blowup:
                 t *= 0.5

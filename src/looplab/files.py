@@ -82,7 +82,7 @@ class Flow(Subcommand):
     seed_modes: list[ModeEntry]
     d: int = 1
     T: float = 0.5
-    dt: float | None = None  # None: 0.09 / N
+    dt: float | None = None  # None: the default step of flow_trajectory, 0.09 / N
 
 
 @dataclass(kw_only=True)

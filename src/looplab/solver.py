@@ -12,10 +12,12 @@ nonlinearity) raises BallExit.
 
 The upward gradient flow d/dt c = grad_action_values(c) is integrated with
 the first-order exponential scheme c <- e^{n dt} c - dt phi1(n dt) grad H,
-exact on the stiff diagonal part.  A trajectory is a lean stepper, whose
-dense theta matrices (loops.theta_matrices) cost O(N^2) a step and beat the
-FFT pair up to about N = 32, and node diagnostics taken per block on the
-shared grad-H path.
+exact on the stiff diagonal part.  flow_trajectory is the one place that
+steps, validates and defaults the flow (dt = 0.09 / N unless given); it is
+a lean stepper, whose dense theta matrices (loops.theta_matrices) cost
+O(N^2) a step and beat the FFT pair up to about N = 32, and node
+diagnostics taken per block on the shared grad-H path.  flow_step and
+gf_pushforward are views of it.
 Growing plus-modes are the point of the polarization, so trajectories that
 overflow raise Blowup with the time of failure instead of being damped.
 """
@@ -72,10 +74,10 @@ class MaxIterExceeded(SolverError):
 class Blowup(SolverError):
     """The upward flow exceeded the overflow guard (expected for generic data)."""
 
-    def __init__(self, time: float, trace: "FlowTrace | None" = None):
-        super().__init__(f"flow trajectory blew up at t = {time:.6g}")
-        self.time = time
-        self.trace = trace
+    def __init__(self, trace: "FlowTrace"):
+        super().__init__(f"flow trajectory blew up at t = {trace.blowup_time:.6g}")
+        self.time = trace.blowup_time
+        self.trace = trace  # the cut trace of the nodes before the guard fired
 
 
 # -- results ----------------------------------------------------------------------
@@ -106,17 +108,7 @@ class FlowTrace:
     cumulative_energy: np.ndarray
     norms: np.ndarray
     final: Loop
-
-
-@dataclass(frozen=True)
-class PushforwardResult:
-    """Per-point outcome of a batched flow; blowups are recorded, not fatal."""
-
-    point: Loop
-    ok: bool
-    final: Loop | None
-    trace: FlowTrace | None
-    blowup_time: float | None = None
+    blowup_time: float | None = None  # set on the cut trace a Blowup carries
 
 
 # -- contraction solver -------------------------------------------------------------
@@ -222,13 +214,6 @@ def h_eps_sensitivity(
 # -- upward gradient flow -------------------------------------------------------------
 
 
-def _check_flow_dt(dt: float, N: int) -> None:
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if dt > 0.1 / N + 1e-15:
-        raise ValueError(f"dt = {dt:.3g} exceeds the stability budget 0.1/N = {0.1 / N:.3g}")
-
-
 def _etd_coefficients(N: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
     n = mode_numbers(N).astype(float)
     return np.exp(n * dt), dt * phi1(n * dt)
@@ -257,14 +242,10 @@ def _etd_step(m: HamiltonianModel, ops: tuple, c: np.ndarray) -> np.ndarray:
 def flow_step(m: HamiltonianModel, gamma: Loop, dt: float) -> Loop:
     """One ETD step of the upward flow d/dt c_n = n c_n - (grad H)_n.
 
-    Bit for bit the final loop of flow_trajectory(m, gamma, dt, dt); like
-    it, raises Blowup at time 0 when gamma fails the overflow guard.
+    The final loop of flow_trajectory(m, gamma, dt, dt), whose checks and
+    Blowup it shares.
     """
-    _check_flow_dt(dt, gamma.N)
-    with np.errstate(over="ignore"):  # inf past overflow
-        if not np.sqrt(sobolev_sq(gamma.coeffs, 0)) <= BLOWUP_NORM:
-            raise Blowup(0.0)
-    return Loop(_etd_step(m, _etd_operators(gamma.N, dt), gamma.coeffs))
+    return flow_trajectory(m, gamma, dt, dt).final
 
 
 def _cumulative_simpson(g: np.ndarray, h: float) -> np.ndarray:
@@ -288,9 +269,13 @@ def _cumulative_simpson(g: np.ndarray, h: float) -> np.ndarray:
 
 
 @tracked("solver.flow_trajectory")
-def flow_trajectory(m: HamiltonianModel, gamma: Loop, T: float, dt: float) -> FlowTrace:
+def flow_trajectory(
+    m: HamiltonianModel, gamma: Loop, T: float, dt: float | None = None
+) -> FlowTrace:
     """Integrate the upward flow for time T, recording action and energy.
 
+    T is covered in round(T / dt) equal steps, at least one when T > 0; dt
+    defaults to 0.09 / N, inside the stability budget 0.1 / N.
     cumulative_energy is the quadrature of ||grad CSD||_{L^2}^2 along the
     trajectory, which on solutions equals the action increment.  The nodes
     are stepped one by one into a buffer of stack_rows rows, and each block
@@ -298,19 +283,22 @@ def flow_trajectory(m: HamiltonianModel, gamma: Loop, T: float, dt: float) -> Fl
     (grad_action_values) in one call each; those values do not depend on
     the block.  Raises Blowup at the first node whose L^2 norm passes the
     overflow guard, with the trace of the nodes before it attached (its
-    final loop is the last of them, or gamma when there is none); the steps
-    already taken past that node are discarded.
+    final loop is the last of them, or gamma when there is none, and its
+    blowup_time the time of the Blowup); the steps already taken past that
+    node are discarded.
     """
-    if T < 0:
-        raise ValueError("flow time must be nonnegative")
+    N = gamma.N
+    if dt is None:
+        dt = 0.09 / N
     if not dt > 0:
         raise ValueError(f"flow step dt must be positive, got {dt!r}")
-    N = gamma.N
+    if T < 0:
+        raise ValueError("flow time must be nonnegative")
 
     steps = max(int(round(T / dt)), 1) if T > 0 else 0
     dt_eff = T / steps if steps else dt
-    if steps:
-        _check_flow_dt(dt_eff, N)
+    if steps and dt_eff > 0.1 / N + 1e-15:
+        raise ValueError(f"dt = {dt_eff:.3g} exceeds the stability budget 0.1/N = {0.1 / N:.3g}")
     ops = _etd_operators(N, dt_eff)
 
     times = np.arange(steps + 1) * dt_eff
@@ -318,10 +306,10 @@ def flow_trajectory(m: HamiltonianModel, gamma: Loop, T: float, dt: float) -> Fl
     grad_sq = np.zeros(steps + 1)
     norms = np.zeros(steps + 1)
 
-    def trace(k: int, final: np.ndarray) -> FlowTrace:
+    def trace(k: int, final: np.ndarray, blowup_time: float | None = None) -> FlowTrace:
         """The trace of the first k nodes, ending on the loop final."""
         cumulative = _cumulative_simpson(grad_sq[:k], dt_eff)
-        return FlowTrace(times[:k], actions[:k], cumulative, norms[:k], Loop(final))
+        return FlowTrace(times[:k], actions[:k], cumulative, norms[:k], Loop(final), blowup_time)
 
     buffer = np.empty((stack_rows(steps + 1, gamma.coeffs),) + gamma.coeffs.shape, complex)
     c = before = gamma.coeffs
@@ -342,25 +330,21 @@ def flow_trajectory(m: HamiltonianModel, gamma: Loop, T: float, dt: float) -> Fl
             grad_sq[start : start + passed] = sobolev_sq(grad_action_values(m, nodes[:passed]), 0)
         if passed < len(nodes):
             k = start + passed
-            raise Blowup(k * dt_eff, trace(k, nodes[passed - 1] if passed else before))
+            raise Blowup(trace(k, nodes[passed - 1] if passed else before, k * dt_eff))
         before = nodes[-1].copy()
     return trace(steps + 1, c)
 
 
 @tracked("solver.gf_pushforward")
 def gf_pushforward(
-    m: HamiltonianModel, points: list[Loop], t: float, dt: float
-) -> list[PushforwardResult]:
-    """Flow every point for time t; individual blowups are embedded in the result."""
-    results = []
+    m: HamiltonianModel, points: list[Loop], t: float, dt: float | None = None
+) -> list[FlowTrace]:
+    """The flow_trajectory of every point for time t; a point that blows up
+    gives its Blowup's cut trace, whose blowup_time is set, and is not fatal."""
+    traces = []
     for p in points:
         try:
-            trace = flow_trajectory(m, p, t, dt)
-            results.append(PushforwardResult(point=p, ok=True, final=trace.final, trace=trace))
+            traces.append(flow_trajectory(m, p, t, dt))
         except Blowup as exc:
-            results.append(
-                PushforwardResult(
-                    point=p, ok=False, final=None, trace=exc.trace, blowup_time=exc.time
-                )
-            )
-    return results
+            traces.append(exc.trace)
+    return traces

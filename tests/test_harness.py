@@ -507,6 +507,18 @@ class TestCli:
         lines = (tmp_path / "o" / "orbit_loop.csv").read_text().splitlines()
         assert lines[0] == "mode,coord,re,im" and len(lines) == 1 + 33
 
+    def test_find_orbit_missing_its_oracle_exits_1(self, tmp_path, capsys):
+        # the seed flows out of the flat core and Newton lands on the trivial loop
+        cfg = self._write(tmp_path, "orbit.json", {"N": 8, "winding": 2, "alpha": 0.1})
+        code = cli_main(["find-orbit", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("orbit misses the oracle by more than 1e-06: ")
+        out = json.loads((tmp_path / "o" / "orbit.json").read_text())
+        assert out["winding"] == 0
+        assert out["oracle"]["radius_error"] > 1 and out["oracle"]["action_error"] > 1
+        assert (tmp_path / "o" / "orbit_loop.csv").exists()
+
     def test_scan_alpha(self, tmp_path):
         cfg = self._write(
             tmp_path,
@@ -696,6 +708,18 @@ class TestCli:
             cfg = self._write(tmp_path, "dt.json", {"N": 8, "dt": dt, "seed_modes": modes})
             assert cli_main(["flow", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
             assert not (tmp_path / "o").exists()
+
+    def test_flow_without_dt_steps_by_0_09_over_n(self, tmp_path):
+        traces = []
+        for dt in (None, 0.09 / 8):
+            cfg = self._write(
+                tmp_path, "flow.json",
+                {"N": 8, "T": 0.3, "dt": dt, "seed_modes": [{"n": 1, "re": 0.55}]},
+            )
+            out = tmp_path / f"o{len(traces)}"
+            assert cli_main(["flow", "--config", cfg, "--out", str(out)]) == 0
+            traces.append((out / "flow_trace.csv").read_bytes())
+        assert traces[0] == traces[1] and len(traces[0].splitlines()) == 1 + 28
 
     def test_flow_blowup_writes_partial_trace(self, tmp_path, capsys):
         cfg = self._write(

@@ -84,7 +84,7 @@ def assert_close(new, old, rel):
 
 
 def old_solver_grad_h_modes(m, values, N):
-    """solver._grad_h_modes (Picard iteration, residual, flow_step, uniqueness)."""
+    """The former solver._grad_h_modes, now hamiltonian.grad_h_modes (Picard, uniqueness)."""
     grid = sample_coeffs(values, 4 * N)
     return synthesize_values(eval_gradH(m, grid), N)
 

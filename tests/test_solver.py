@@ -18,6 +18,14 @@ from looplab.solver import (
 )
 
 
+def assert_same_trace(trace, expected):
+    """Two FlowTraces with the same bytes in every array and the same blowup time."""
+    for key in ("times", "actions", "cumulative_energy", "norms"):
+        assert getattr(trace, key).tobytes() == getattr(expected, key).tobytes()
+    assert trace.final.coeffs.tobytes() == expected.final.coeffs.tobytes()
+    assert trace.blowup_time == expected.blowup_time
+
+
 @pytest.fixture(scope="module")
 def model():
     return HamiltonianModel()
@@ -156,6 +164,20 @@ class TestFlow:
         one = flow_step(model, g, 0.01)
         assert two.allclose(one, atol=1e-12)
 
+    def test_step_past_the_guard_blows_up(self, model):
+        # the start passes the guard, its one step does not
+        g = Loop.from_modes(1, 8, {8: 0.999e8})
+        dt = 0.1 / 8
+        with pytest.raises(Blowup) as exc:
+            flow_step(model, g, dt)
+        assert exc.value.time == dt
+        assert exc.value.trace.blowup_time == dt and len(exc.value.trace.times) == 1
+
+    def test_default_dt_is_0_09_over_n(self, model):
+        for N, T in ((8, 0.3), (12, 0.25)):
+            g = Loop.from_modes(1, N, {1: 0.55, 2: 0.3j})
+            assert_same_trace(flow_trajectory(model, g, T), flow_trajectory(model, g, T, 0.09 / N))
+
     def test_dt_stability_guard(self, model):
         g = Loop.from_modes(1, 8, {1: 0.1})
         with pytest.raises(ValueError):
@@ -217,7 +239,7 @@ class TestPushforward:
         rng = np.random.default_rng(44)
         pts = [gaussian_loop(1, 8, rng, scale=0.1) for _ in range(3)]
         out = gf_pushforward(model, pts, 0.0, 1e-3)
-        assert all(r.ok for r in out)
+        assert all(r.blowup_time is None for r in out)
         for r, p in zip(out, pts):
             assert r.final.allclose(p, atol=0)
 
@@ -227,7 +249,7 @@ class TestPushforward:
         radius = radial_orbit_oracle(model, 1).radius
         pts = [Loop.from_modes(1, 12, {1: radius})]
         out = gf_pushforward(model, pts, 0.5, 0.09 / 12)
-        assert out[0].ok
+        assert out[0].blowup_time is None
         assert out[0].final.allclose(pts[0], atol=1e-9)
 
     def test_actions_increase_off_critical_points(self, model):
@@ -236,7 +258,7 @@ class TestPushforward:
         pts = sample_gamma(0.3, 4, seed=45, N=8)
         out = gf_pushforward(model, pts, 0.05, 1e-4)
         for r, p in zip(out, pts):
-            assert r.ok
+            assert r.blowup_time is None
             assert action(model, r.final) > action(model, p)
 
     def test_blowups_recorded_not_fatal(self, model):
@@ -245,5 +267,23 @@ class TestPushforward:
         wild = (0.45 / sobolev_norm(wild, 0.5)) * wild
         tame = Loop.from_modes(1, 32, {1: 0.01})
         out = gf_pushforward(model, [wild, tame], 2.5, 0.09 / 32)
-        assert not out[0].ok and out[0].blowup_time is not None
-        assert out[1].ok
+        assert out[0].blowup_time is not None
+        assert out[1].blowup_time is None
+
+    def test_traces_are_flow_trajectories(self, model):
+        # one trace per point, byte for byte that point's flow_trajectory,
+        # or the cut trace of its Blowup
+        rng = np.random.default_rng(46)
+        wild = project(gaussian_loop(1, 32, rng), "plus")
+        wild = (0.45 / sobolev_norm(wild, 0.5)) * wild
+        pts = [wild, Loop.from_modes(1, 32, {1: 0.01}), Loop.from_modes(1, 32, {1: 1.4})]
+        out = gf_pushforward(model, pts, 2.5)
+        assert len(out) == len(pts)
+        for r, p in zip(out, pts):
+            try:
+                expected = flow_trajectory(model, p, 2.5, 0.09 / 32)
+            except Blowup as exc:
+                expected = exc.trace
+                assert r.blowup_time == exc.time
+            assert_same_trace(r, expected)
+        assert [r.blowup_time is None for r in out] == [False, True, False]
