@@ -1,5 +1,5 @@
-"""Time the aps basis sweep and residual Gram, the aps checks, the nonlinearity
-layer and the beta descent.
+"""Time the aps basis sweep and residual Gram, the aps and flow checks, the
+nonlinearity layer and the beta descent.
 
     python bench/kernels.py --label after --out BENCH.json [--src DIR] [--repeats 5]
 
@@ -22,10 +22,11 @@ samples.  Four groups are timed:
   the L^4 norms of one aps.end_vanishing chunk, 250 fields on the windowed
   basis tau (1, tau, tau^2) with (65, 250) coefficient blocks at N = 32
   (L4_CHUNK);
-* guards: each check group of the aps suite at Config(seed=2026), read from
-  its table `harness.CHECKS["aps"]`, run on its own through
-  `harness._run_groups` in suite order and keyed `aps.<group>`, with its
-  tracemalloc peak in MiB (traced_peak_mib), taken in one more suite run;
+* guards: each check group of the aps and the flow suite at
+  Config(seed=2026), read from its table `harness.CHECKS[suite]`, run on its
+  own through `harness._run_groups` in suite order and keyed
+  `<suite>.<group>`, with its tracemalloc peak in MiB (traced_peak_mib),
+  taken in one more suite run;
 * nonlinearity: seconds per call of one grad H evaluation on the theta grid
   (sample, grad H, synthesize) at N = 8, 32 and 128, of one flow_trajectory
   step at N = 8 (configs/flow.json), at N = 32 (find-orbit's T = 1,
@@ -74,6 +75,9 @@ Q_DEFECT_STEPS = 3305
 # (modes, batch) coefficient blocks of one aps.end_vanishing chunk at the
 # default N = 32 and M_t = 64
 L4_CHUNK = (65, 250)
+# suites whose check groups time_guards times one by one; none of their
+# groups reads the output of another
+GUARD_SUITES = ("aps", "flow")
 
 
 def summary(samples: list[float]) -> dict:
@@ -195,22 +199,20 @@ def time_guards(repeats: int) -> dict:
     from looplab import harness
     from looplab.files import Config
 
-    config, table = Config(seed=2026), harness.CHECKS["aps"]
-    samples: dict[str, list[float]] = {name: [] for name in table}
-    # whole suites in run order, each group timed on its own; the first is the warm-up
-    for _ in range(repeats + 1):
+    config, out = Config(seed=2026), {}
+    for suite in GUARD_SUITES:
+        table = harness.CHECKS[suite]
+        samples: dict[str, list[float]] = {name: [] for name in table}
+        # whole suites in run order, each group timed on its own; the first is the warm-up
+        for _ in range(repeats + 1):
+            for name, group in table.items():
+                start = time.perf_counter()
+                harness._run_groups(suite, config, [group])
+                samples[name].append(time.perf_counter() - start)
         for name, group in table.items():
-            start = time.perf_counter()
-            harness._run_groups("aps", config, [group])
-            samples[name].append(time.perf_counter() - start)
-    peaks = {
-        name: traced_peak_mib(lambda: harness._run_groups("aps", config, [group]))
-        for name, group in table.items()
-    }
-    return {
-        f"aps.{name}": {**summary(values[1:]), "traced_peak_mib": peaks[name]}
-        for name, values in samples.items()
-    }
+            peak = traced_peak_mib(lambda: harness._run_groups(suite, config, [group]))
+            out[f"{suite}.{name}"] = {**summary(samples[name][1:]), "traced_peak_mib": peak}
+    return out
 
 
 def time_descent(repeats: int) -> dict:

@@ -95,7 +95,8 @@ class HamiltonianModel:
         points with t != 0 (a NaN s keeps t = NaN and takes the formula).
         A 0-d s takes the formula as it is: its t is a numpy scalar, whose
         power numpy takes with the scalar pow, and that differs in the last
-        bit from the array power in about 5% of values.
+        bit from the array power in about 5% of values.  s itself is never
+        written, so one s can feed both h and h_prime.
         """
         s = np.asarray(s, dtype=float)
         if self.variant == "pure_quadratic":
@@ -133,9 +134,17 @@ def _sq_radius(x: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(x) ** 2, axis=-1)
 
 
-def _grad_h(m: HamiltonianModel, x: np.ndarray) -> np.ndarray:
-    """2 h'(|x|^2) x of complex points x (..., d)."""
-    return (2.0 * m.h_prime(_sq_radius(x)))[..., None] * x
+def _grad_h(m: HamiltonianModel, x: np.ndarray, s=None) -> np.ndarray:
+    """2 h'(|x|^2) x of complex points x (..., d); s is |x|^2 when the caller has it."""
+    return (2.0 * m.h_prime(_sq_radius(x) if s is None else s))[..., None] * x
+
+
+def theta_samples(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The theta samples x = theta_values(coeffs) of a stack and their squared
+    radii |x|^2: what action_values, grad_h_modes and grad_action_values read
+    of it, so that a caller of several of them samples the stack once."""
+    x = theta_values(coeffs)
+    return x, _sq_radius(x)
 
 
 @tracked("hamiltonian.eval_H")
@@ -157,9 +166,11 @@ def eval_XH(m: HamiltonianModel, x: np.ndarray) -> np.ndarray:
     return 1j * eval_gradH(m, x)
 
 
-def grad_h_modes(m: HamiltonianModel, coeffs: np.ndarray) -> np.ndarray:
-    """Modes |n| <= N of grad H on coefficient blocks (..., 2N+1, d) sampled by theta_values."""
-    return synthesize_values(_grad_h(m, theta_values(coeffs)), block_N(coeffs))
+def grad_h_modes(m: HamiltonianModel, coeffs: np.ndarray, samples=None) -> np.ndarray:
+    """Modes |n| <= N of grad H on coefficient blocks (..., 2N+1, d) sampled by
+    theta_values; samples is their theta_samples when the caller has them."""
+    grad = _grad_h(m, theta_values(coeffs)) if samples is None else _grad_h(m, *samples)
+    return synthesize_values(grad, block_N(coeffs))
 
 
 @tracked("hamiltonian.k_factor")
@@ -196,24 +207,27 @@ def k_factor_constant(m: HamiltonianModel) -> float:
 # -- action functional ----------------------------------------------------------
 
 
-def action_values(m: HamiltonianModel, coeffs: np.ndarray) -> np.ndarray:
+def action_values(m: HamiltonianModel, coeffs: np.ndarray, samples=None) -> np.ndarray:
     """CSD_H of each coefficient block in a stack (..., 2N+1, d).
 
     The quadratic term 1/2 sum_n n |c_n|^2 is exact in modes; the H term is
     the rectangle rule (the trapezoid rule on a periodic grid) on
     theta_points(N) nodes under dtheta/2pi.  Both sums run along the
     contiguous last axis, so each block's value is bit-identical to that of
-    the block on its own.
+    the block on its own.  samples is the stack's theta_samples when the
+    caller has them.
     """
     n = mode_numbers(block_N(coeffs)).astype(float)
     quad = 0.5 * block_sums(n[:, None] * np.abs(coeffs) ** 2)
-    return quad - np.mean(m.h(_sq_radius(theta_values(coeffs))), axis=-1)
+    s = _sq_radius(theta_values(coeffs)) if samples is None else samples[1]
+    return quad - np.mean(m.h(s), axis=-1)
 
 
-def grad_action_values(m: HamiltonianModel, coeffs: np.ndarray) -> np.ndarray:
-    """L^2 gradient n c_n - (grad H)_n of CSD_H for each block of a stack (..., 2N+1, d)."""
+def grad_action_values(m: HamiltonianModel, coeffs: np.ndarray, samples=None) -> np.ndarray:
+    """L^2 gradient n c_n - (grad H)_n of CSD_H for each block of a stack (..., 2N+1, d);
+    samples as for grad_h_modes."""
     n = mode_numbers(block_N(coeffs)).astype(float)
-    return n[:, None] * coeffs - grad_h_modes(m, coeffs)
+    return n[:, None] * coeffs - grad_h_modes(m, coeffs, samples)
 
 
 @tracked("hamiltonian.action")

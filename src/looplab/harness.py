@@ -36,6 +36,7 @@ from .cylinder import (
     CylinderMap,
     aps_boundary,
     basis_p_values,
+    column_chunks,
     cyl_norm,
     decompose,
     dt_derivative,
@@ -1058,9 +1059,62 @@ def _bounds_for(N: int, c_im: float) -> tuple[float, float]:
     return float(np.min(lower)), float(np.max(upper))
 
 
+def _equivalence_grams(N: int, M_t: int, c_im: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode Grams (G_E, G_N) of E and ||.||^2_{L^2_1} of the pure-quadratic
+    model X_H = i c_im u, for fields c0 + c1 tau + c2 tau^2 on [0, 0.4].
+
+    E is half the form of |d_t u|^2 + (n - c_im)^2 |u_n|^2, as energy() sums
+    it, and the norm that of |d_t u|^2 + (1 + n^2) |u_n|^2, as cyl_norm does.
+    """
+    basis, h = tau_powers(M_t)[:, None], 0.4 / M_t
+    n = mode_numbers(N).astype(float)
+    return (
+        0.5 * _sobolev_gram(basis, (n - c_im) ** 2, h),
+        _sobolev_gram(basis, sobolev_weights(1, N), h),
+    )
+
+
+def _equivalence_forms(rng, N: int, g_energy, g_norm, fields: int):
+    """E and ||u||^2_{L^2_1}, as the forms g_energy and g_norm, of `fields`
+    random fields drawn one by one (_smooth_field_coeffs), and the first
+    four draws, kept for the operations under test.
+
+    The draws go into column chunks of their coefficients, each reduced to
+    its forms.  A chunk's working set (its three blocks, quadratic_forms'
+    stack of them and its real products) is three times its blocks and fits
+    BLOCK_BYTES.
+    """
+    modes = 2 * N + 1
+    energies, norms_sq, first = np.empty(fields), np.empty(fields), []
+    for start, stop in column_chunks(fields, 3 * 3 * modes * np.dtype(complex).itemsize):
+        coeffs = np.empty((3, modes, stop - start), complex)
+        for j in range(stop - start):
+            coeffs[:, :, j : j + 1] = draw = _smooth_field_coeffs(rng, N, 1)
+            if start + j < 4:
+                first.append(draw)
+        energies[start:stop] = quadratic_forms(g_energy, coeffs)
+        norms_sq[start:stop] = quadratic_forms(g_norm, coeffs)
+    return energies, norms_sq, first
+
+
+def _pencil_extremes(g_num: np.ndarray, g_den: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of the per-mode pencils (g_num_n, g_den_n),
+    with g_den positive definite: the exact extremes of the form ratio over the
+    span (Rayleigh-Ritz).  Each pencil is reduced by the Cholesky factor L of
+    g_den_n to the symmetric L^{-1} g_num_n L^{-T}."""
+    chol = np.linalg.cholesky(g_den)
+    half = np.linalg.solve(chol, g_num)  # L^{-1} G
+    eig = np.linalg.eigvalsh(np.linalg.solve(chol, np.swapaxes(half, 1, 2)))
+    return float(np.min(eig)), float(np.max(eig))
+
+
 @_group("flow", [
     ("equivalence_bounds",
      "E(u)/||u||^2_{L^2_1} within per-mode bounds from |i n - c|^2", 1e-12),
+    ("equivalence_bounds_attained",
+     "the exact extremes of E/||u||^2_{L^2_1} over the span of 1, tau, tau^2 are (m, M)", 1e-12),
+    ("equivalence_energy_oracle",
+     "energy and cyl_norm agree with the per-mode Gram forms on the first drawn fields", 1e-12),
     ("equivalence_positive_lower_bound",
      "c = 2.2i: min_n (n - 2.2)^2 = 0.04 at n = 2 gives m >= 0.04/10", 1e-15),
 ])
@@ -1069,16 +1123,25 @@ def equivalence_nonresonant(config, N, M_t):
     m_quad = HamiltonianModel(eps_H=0.1, variant="pure_quadratic")
     c_im = 2.0 * m_quad.slope
     lo, hi = _bounds_for(N, c_im)
+    g_energy, g_norm = _equivalence_grams(N, M_t, c_im)
     rng = config.rng("flow.equivalence")
-    worst = -np.inf
-    lo_seen, hi_seen = np.inf, -np.inf
-    for _ in range(1000):
-        vals = smooth_fields(_smooth_field_coeffs(rng, N, 1), M_t)
-        u = CylinderMap(0.4, vals)
-        ratio = energy(m_quad, u) / cyl_norm(u, "L2_1") ** 2
-        lo_seen, hi_seen = min(lo_seen, ratio), max(hi_seen, ratio)
-        worst = max(worst, lo - ratio, ratio - hi)
-    yield "equivalence_bounds", worst, {"m": lo, "M": hi, "seen": [lo_seen, hi_seen]}
+    energies, norms_sq, first = _equivalence_forms(rng, N, g_energy, g_norm, 1000)
+    ratio = energies / norms_sq
+    worst = float(max(np.max(lo - ratio), np.max(ratio - hi)))
+    seen = [float(np.min(ratio)), float(np.max(ratio))]
+    yield "equivalence_bounds", worst, {"m": lo, "M": hi, "seen": seen}
+    extremes = _pencil_extremes(g_energy, g_norm)
+    attained = max(abs(extremes[0] - lo), abs(extremes[1] - hi))
+    yield "equivalence_bounds_attained", attained, {"m": lo, "M": hi, "extremes": list(extremes)}
+    worst_oracle = 0.0
+    for j, draw in enumerate(first):
+        u = CylinderMap(0.4, smooth_fields(draw, M_t))
+        worst_oracle = max(
+            worst_oracle,
+            float(abs(energy(m_quad, u) - energies[j]) / energies[j]),
+            float(abs(cyl_norm(u, "L2_1") ** 2 - norms_sq[j]) / norms_sq[j]),
+        )
+    yield "equivalence_energy_oracle", worst_oracle, {"fields": len(first)}
     yield "equivalence_positive_lower_bound", 0.04 * 0.1 - lo, {"m": lo}
 
 

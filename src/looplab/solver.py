@@ -41,7 +41,7 @@ from .cylinder import (
     q_op,
 )
 from .hamiltonian import HamiltonianModel, action, action_values, grad_action_values
-from .hamiltonian import grad_h_modes, k_factor_constant
+from .hamiltonian import grad_h_modes, k_factor_constant, theta_samples
 from .loops import Loop, block_N, mode_numbers, sobolev_sq, theta_matrices, theta_points
 
 
@@ -280,12 +280,13 @@ def flow_trajectory(
     trajectory, which on solutions equals the action increment.  The nodes
     are stepped one by one into a buffer of stack_rows rows, and each block
     of nodes gets its norms, actions (action_values) and ||grad CSD||^2
-    (grad_action_values) in one call each; those values do not depend on
-    the block.  Raises Blowup at the first node whose L^2 norm passes the
-    overflow guard, with the trace of the nodes before it attached (its
-    final loop is the last of them, or gamma when there is none, and its
-    blowup_time the time of the Blowup); the steps already taken past that
-    node are discarded.
+    (grad_action_values) in one call each, both read from one theta
+    sampling (theta_samples); those values do not depend on the block.
+    Raises Blowup at the first node whose L^2 norm passes the overflow
+    guard, with the trace of the nodes before it attached (its final loop
+    is the last of them, or gamma when there is none, and its blowup_time
+    the time of the Blowup); the steps already taken past that node are
+    discarded.
     """
     N = gamma.N
     if dt is None:
@@ -326,8 +327,10 @@ def flow_trajectory(
         failed = np.flatnonzero(~(norms[start:stop] <= BLOWUP_NORM))
         passed = int(failed[0]) if len(failed) else len(nodes)
         if passed:
-            actions[start : start + passed] = action_values(m, nodes[:passed])
-            grad_sq[start : start + passed] = sobolev_sq(grad_action_values(m, nodes[:passed]), 0)
+            done = nodes[:passed]
+            samples = theta_samples(done)
+            actions[start : start + passed] = action_values(m, done, samples)
+            grad_sq[start : start + passed] = sobolev_sq(grad_action_values(m, done, samples), 0)
         if passed < len(nodes):
             k = start + passed
             raise Blowup(trace(k, nodes[passed - 1] if passed else before, k * dt_eff))

@@ -166,6 +166,8 @@ def test_criterion_10_resonance_contrast(records):
         "energy/norm equivalence: positive bound off resonance, collapse on it",
         [
             records["flow.equivalence_bounds"],
+            records["flow.equivalence_energy_oracle"],
+            records["flow.equivalence_bounds_attained"],
             records["flow.equivalence_positive_lower_bound"],
             records["flow.equivalence_resonant_degenerates"],
         ],

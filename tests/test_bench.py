@@ -45,6 +45,13 @@ def test_time_guards_runs():
         "aps.q_right_inverse",
         "aps.right_inverse",
         "aps.uniformity",
+        "flow.equivalence_nonresonant",
+        "flow.equivalence_resonant",
+        "flow.linear",
+        "flow.nonlinear_identity",
+        "flow.orbit_stationary",
+        "flow.pushforward",
+        "flow.semigroup",
     ]
     assert all(len(stats["samples"]) == 2 and stats["median"] > 0 for stats in out.values())
     assert all(stats["traced_peak_mib"] > 0 for stats in out.values())

@@ -181,6 +181,8 @@ class TestSuites:
         records = [r for r in rep.records if r.name.startswith("flow.equivalence_")]
         assert [r.name for r in records] == [
             "flow.equivalence_bounds",
+            "flow.equivalence_bounds_attained",
+            "flow.equivalence_energy_oracle",
             "flow.equivalence_positive_lower_bound",
             "flow.equivalence_resonant_degenerates",
         ]
@@ -347,7 +349,7 @@ class TestCheckTables:
             for _, rows in table.values()
             for name, _, _ in rows
         ]
-        assert len(names) == 80 and len(declared) == 80
+        assert len(names) == 82 and len(declared) == 82
         assert set(declared) == names
         assert set(harness.CHECKS) == set(harness.SUITES)
 

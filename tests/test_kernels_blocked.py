@@ -29,6 +29,7 @@ from looplab.cylinder import (
     cyl_norm,
     decompose,
     dt_derivative,
+    energy,
     kernel_p_values,
     kernel_q_values,
     l2_norm,
@@ -40,6 +41,7 @@ from looplab.cylinder import (
 )
 from looplab.cycles import winding_seed
 from looplab.files import Config, FindOrbit, from_json
+from looplab.hamiltonian import HamiltonianModel
 from looplab.loops import (
     Loop,
     gaussian_loop,
@@ -919,6 +921,57 @@ class TestUniformityGrams:
         assert harness._uniformity_grams(N, 64, eps)["q"] == pytest.approx(exact, rel=1e-2, abs=0)
 
 
+def equivalence_group(config):
+    """The records of config's flow.equivalence_nonresonant group, keyed by name."""
+    group = harness.CHECKS["flow"]["equivalence_nonresonant"]
+    return {r.name: r for r in harness._run_groups("flow", config, [group])}
+
+
+class TestEquivalenceGrams:
+    """The flow suite's energy/norm equivalence as per-mode Gram forms, against
+    energy and cyl_norm on the formed fields and against the exact extremes."""
+
+    C_IM = 2.0 * 1.1  # the pure-quadratic model at eps_H = 0.1
+
+    @pytest.mark.parametrize("N, M_t, fields", [(4, 16, 200), (32, 64, 40)],
+                             ids=["small", "default-subset"])
+    def test_ratios_match_energy_over_norm(self, N, M_t, fields):
+        # the group's own draws (the first `fields` of its stream), one field at a time
+        m_quad = HamiltonianModel(eps_H=0.1, variant="pure_quadratic")
+        g_energy, g_norm = harness._equivalence_grams(N, M_t, self.C_IM)
+        rng = Config(N=N, M_t=M_t).rng("flow.equivalence")
+        draws = [harness._smooth_field_coeffs(rng, N, 1) for _ in range(fields)]
+        coeffs = [np.concatenate(c, axis=1) for c in zip(*draws)]
+        ratios = cylinder.quadratic_forms(g_energy, coeffs) / cylinder.quadratic_forms(g_norm, coeffs)
+        for ratio, draw in zip(ratios, draws):
+            u = CylinderMap(0.4, smooth_fields(draw, M_t))
+            assert ratio == pytest.approx(energy(m_quad, u) / cyl_norm(u, "L2_1") ** 2, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("N", [1, 2, 8, 32])
+    def test_pencil_extremes_are_the_bounds(self, N):
+        # a constant field in mode n has the ratio (n - c_im)^2 / (2 (1 + n^2))
+        # and the time derivative alone 1/2, so over the span of 1, tau, tau^2
+        # the extremes are the per-mode bounds whenever they straddle 1/2
+        lo, hi = harness._bounds_for(N, self.C_IM)
+        extremes = harness._pencil_extremes(*harness._equivalence_grams(N, 64, self.C_IM))
+        assert extremes == pytest.approx((lo, hi), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("budget", [1 << 20, 28 << 10, 7 * 9360], ids=["default", "28KiB", "cols7"])
+    def test_chunks_keep_the_bytes_of_one_batch(self, monkeypatch, budget):
+        # every one of the 1000 forms, in column chunks (eight of 112 and one
+        # of 104 by default; chunks of three at 28 KiB, whose lone last column
+        # joins the chunk before it) and as one batch, and the same draws
+        config = Config()
+        grams = harness._equivalence_grams(config.N, config.M_t, self.C_IM)
+        forms = []
+        for size in (budget, 1 << 30):
+            monkeypatch.setattr(cylinder, "BLOCK_BYTES", size)
+            rng = config.rng("flow.equivalence")
+            energies, norms_sq, first = harness._equivalence_forms(rng, config.N, *grams, 1000)
+            forms.append((energies.tobytes(), norms_sq.tobytes(), np.array(first).tobytes(), rng.random()))
+        assert forms[0] == forms[1]
+
+
 @pytest.fixture(params=[1, 2, 3], ids=["workers1", "workers2", "workers3"])
 def n_workers(request):
     """Threads of the caller that run the aps sweeps at once."""
@@ -1173,6 +1226,14 @@ class TestStreamingMemory:
         flow_trajectory(cfg.model, seed, dt, dt)  # one step first: one-off caches not counted
         trace, peak = self.peak(flow_trajectory, cfg.model, seed, cfg.flow_time, dt)
         assert len(trace.times) == 357 and peak < 2**20
+
+    def test_equivalence_group_peak(self):
+        # the 1000 equivalence fields are drawn into column chunks whose
+        # working set fits BLOCK_BYTES and reduced to Gram forms: 1.05 MiB,
+        # held under 1.5 MiB, where the whole batch at once peaks at 7.5 MiB
+        equivalence_group(Config())  # once first: one-off caches not counted
+        records, peak = self.peak(equivalence_group, Config())
+        assert len(records) == 4 and peak < 1.5 * 2**20
 
     def test_right_inverse_streams(self):
         # no forcing field or P image of the batch is ever made, and P's
