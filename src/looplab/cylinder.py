@@ -525,30 +525,19 @@ def q_kernel_defect(beta: BoundaryData, eps: float, M: int) -> float:
     """max |D Q beta| / max |Q beta| of u = q_op(beta, eps, M), bit for bit, with
     no whole field formed.
 
-    The rows after the first eight steps come in time blocks, each with Q
-    formed on its halo rows (kernel_q_values) and D by _d_rows at the grid's
-    step h, as in residual_gram; six block fields fit in BLOCK_BYTES.  The
-    first eight steps go through apply_D, so that the public operator runs,
-    and is counted, once per field whatever the blocks; 8 h is exact, so
-    that CylinderMap's step is h bit for bit.
+    The rows come in time blocks, each with Q formed on its halo rows
+    (kernel_q_values) and D by _d_rows at the grid's step h, as in
+    residual_gram; six block fields fit in BLOCK_BYTES.
     """
     lam = lambda_of_modes(beta.N)
     times = np.linspace(0.0, eps, M + 1)
     h = eps / M
-
-    def q_rows(first, last):
-        return kernel_q_values(
+    top_u = top_du = 0.0
+    for start, stop in time_blocks(M + 1, block_rows(M + 1, 6 * beta.plus0.coeffs.nbytes)):
+        first, last = _halo(start, stop, M + 1)
+        u = kernel_q_values(
             beta.plus0.coeffs, beta.minus_end.coeffs, lam, times[first : last + 1], eps
         )
-
-    head = q_rows(0, 8)
-    top_u = float(np.max(np.abs(head)))
-    top_du = float(np.max(np.abs(apply_D(CylinderMap(8 * h, head)).values[:8])))
-    rows = block_rows(M - 7, 6 * beta.plus0.coeffs.nbytes)
-    for start in range(8, M + 1, rows):
-        stop = min(start + rows, M + 1)
-        first, last = _halo(start, stop, M + 1)
-        u = q_rows(first, last)
         top_u = max(top_u, float(np.max(np.abs(u))))
         du = _d_rows(u, lam, h, start - first, stop - first)
         top_du = max(top_du, float(np.max(np.abs(du))))

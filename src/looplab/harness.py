@@ -34,6 +34,7 @@ from .coverage import tracked
 from .cylinder import (
     BoundaryData,
     CylinderMap,
+    apply_D,
     aps_boundary,
     basis_p_values,
     column_chunks,
@@ -636,7 +637,7 @@ def q_right_inverse(config, N, M_t):
     rng = config.rng("aps.q_identity")
     worst_id = 0.0
     kernel_details = {"eps": [], "m_fine": [], "defect": [], "defect_half_grid": [],
-                      "observed_order": []}
+                      "defect_M_t": [], "observed_order": []}
 
     for eps in (0.5, 0.1, 0.01):
         for _ in range(10):
@@ -652,11 +653,14 @@ def q_right_inverse(config, N, M_t):
         # dt_derivative leaves a relative defect of about lambda_max^3 h^2 / 3
         # on the fastest mode; the grid keeps that at a quarter of the bound.
         # The defect max |D Q beta| / max |Q beta| is taken over time
-        # blocks of the fine grid, so no fine field is formed.  The floor of
-        # 16 keeps the half grid at the 8 steps q_kernel_defect's apply_D
-        # head needs
-        m_fine = max(M_t, 16, int(np.ceil(N * eps * np.sqrt(4 * N / (3 * _Q_KERNEL_BOUND)))))
+        # blocks of the fine grid, so no fine field is formed.  defect_M_t is
+        # the same defect on the report's own grid, the one the fine grid avoids
+        m_fine = max(M_t, int(np.ceil(N * eps * np.sqrt(4 * N / (3 * _Q_KERNEL_BOUND)))))
         beta = decompose(gaussian_loop(1, N, rng))
+        u = q_op(beta, eps, M_t=M_t)
+        kernel_details["defect_M_t"].append(
+            float(np.max(np.abs(apply_D(u).values))) / float(np.max(np.abs(u.values)))
+        )
         rel = q_kernel_defect(beta, eps, m_fine)
         rel_half = q_kernel_defect(beta, eps, m_fine // 2)
         kernel_details["eps"].append(eps)

@@ -11,6 +11,7 @@ allowances, and must make the same random draws in the same order.
 """
 
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -594,8 +595,7 @@ class TestQKernelDefect:
 
     # 67, 662 and 3305 steps are grids of aps.q_kernel_of_d; the others lie
     # around 256 steps and its multiples.  n_windows counts the 256-step
-    # windows, one every 255 steps, that a grid spans: apply_D runs once per
-    # field, on its first eight steps, whatever that count
+    # windows, one every 255 steps, that a grid spans
     @pytest.mark.parametrize(("M", "n_windows"), (
         (67, 1), (200, 1), (256, 1), (257, 2), (510, 2), (662, 3), (765, 3), (3305, 13),
     ))
@@ -606,11 +606,26 @@ class TestQKernelDefect:
         steps = self.calls(monkeypatch)
         for beta, ref in zip(betas, refs):
             assert same_bytes(cylinder.q_kernel_defect(beta, eps, M), ref)
-        assert steps == [8, 8]
+        assert steps == []
+
+    # the fewest steps that both one-sided end stencils take, in blocks of
+    # 1, 2 and 7 rows and of the whole grid
+    @pytest.mark.parametrize("M", range(2, 8))
+    def test_shortest_grids(self, blocks_of, M):
+        beta = decompose(Loop(random_field(M, (2 * N + 1, 2))))
+        blocks_of(6 * beta.plus0.coeffs.nbytes)
+        lam = lambda_of_modes(N)
+        for eps in (0.5, 0.01):
+            h = eps / M
+            times = np.linspace(0.0, eps, M + 1)
+            u = ref_kernel_q_values(beta.plus0.coeffs, beta.minus_end.coeffs, lam, times, eps)
+            du = ref_dt_derivative(u, h) + lam[None, :, None] * u
+            ref = float(np.max(np.abs(du))) / float(np.max(np.abs(u)))
+            assert same_bytes(cylinder.q_kernel_defect(beta, eps, M), ref)
 
     # blocks of 1, 2 and 7 rows (each blocks_of but the default) put block
-    # edges beside the first eight steps and both one-sided end stencils,
-    # on grids of one block and of up to 1018 blocks
+    # edges beside both one-sided end stencils, on grids of one block and of
+    # up to 1026 blocks
     @pytest.mark.parametrize("M", (8, 9, 14, 15, 16, 22, 23, 100, 1025))
     def test_small_windows(self, blocks_of, M):
         beta = decompose(Loop(random_field(M, (2 * N + 1, 2))))
@@ -1014,7 +1029,7 @@ class TestBlockBudget:
     """BLOCK_BYTES is a memory budget: it changes no byte of a report."""
 
     # the aps Gram sums run row by row in sweep order and the kernel defect
-    # applies the public apply_D once per field, whatever the time blocks.
+    # takes its maxima over halo blocks, whatever the time blocks.
     # The flow's node blocks and the descent's windows take stack_rows rows:
     # 7 at N = 8, d = 1 in 28 KiB, 256 in the default 1 MiB; action_values
     # and grad_h_modes count no call per block
@@ -1024,16 +1039,37 @@ class TestBlockBudget:
         "orbits": (1 << 20, 28 << 10),
         "contraction": (1 << 20, 28 << 10),
     }
+    # the batched forms harness reduces to its records.  harness may split a
+    # batch into more calls on a smaller budget, so the results are kept in
+    # call order per kernel and first argument (the Gram or basis), and each
+    # such stream must be the same bytes whatever the budget
+    KERNELS = ("quadratic_forms", "l4_combination", "l4_shared_basis", "residual_gram", "mode_gram")
 
     @pytest.mark.parametrize("suite", BUDGETS)
     def test_report_does_not_follow_block_bytes(self, monkeypatch, suite):
-        reports = []
+        reports, streams = [], []
+
+        def recorded(fn):
+            @functools.wraps(fn)
+            def wrapper(first, *args, **kwargs):
+                out = fn(first, *args, **kwargs)
+                key = (fn.__name__, out.dtype.str, hashlib.sha256(np.ascontiguousarray(first)).digest())
+                streams[-1][key] = streams[-1].get(key, b"") + out.tobytes()
+                return out
+
+            return wrapper
+
+        for name in self.KERNELS:
+            monkeypatch.setattr(harness, name, recorded(getattr(harness, name)))
         for budget in self.BUDGETS[suite]:
             monkeypatch.setattr(cylinder, "BLOCK_BYTES", budget)
+            streams.append({})
             report = harness.run_suite(Config(seed=2026), suite, write=False)
             reports.append(json.dumps([[r.to_json_dict() for r in report.records],
                                        report.coverage_counts]))
         assert reports[1:] == reports[:1] * (len(reports) - 1)
+        assert streams[1:] == streams[:1] * (len(streams) - 1)
+        assert bool(streams[0]) == (suite in ("aps", "flow"))  # the others form none
 
 
 class TestColumnWorkers:
